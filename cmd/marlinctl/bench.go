@@ -28,7 +28,7 @@ func cmdBench(args []string) error {
 	fanin := fs.Bool("fanin", false, "route all flows to one destination port")
 	fpgaRecv := fs.Bool("fpgarecv", false, "run receiver logic on the FPGA")
 	topology := fs.String("topology", "", "tested-network fabric (empty = single switch)")
-	shards := fs.Int("shards", 0, "conservative parallel build on up to N worker cores (needs -topology; 0 = classic single-engine)")
+	shards := fs.Int("shards", 0, "conservative parallel build on up to N worker cores (needs -topology; 0 = one island on one engine)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to this file")

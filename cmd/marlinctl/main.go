@@ -233,7 +233,7 @@ func cmdTest(args []string) error {
 	usePFC := fs.Bool("pfc", false, "lossless fabric via PFC pause frames")
 	fpgaRecv := fs.Bool("fpgarecv", false, "run receiver logic on the FPGA (reserved port)")
 	topology := fs.String("topology", "", "tested-network fabric (dumbbell, leafspine:LxS, fattree:K, parkinglot:N; empty = single switch)")
-	shards := fs.Int("shards", 0, "conservative parallel build on up to N worker cores (needs -topology; 0 = classic single-engine; results byte-identical for any N >= 1)")
+	shards := fs.Int("shards", 0, "conservative parallel build on up to N worker cores (needs -topology; 0 = one island on one engine; results byte-identical for any N >= 1)")
 	pcapPath := fs.String("pcap", "", "capture the first forward link to this pcap file")
 	faultSpec := fs.String("faults", "", `time-domain fault plan, e.g. "linkdown fwd1 at 2ms for 300us; nicstall at 4ms for 100us"`)
 	patternSpec := fs.String("pattern", "", `traffic-pattern plan, e.g. "incast:period=5ms,fanin=8,victim=1,size=150; flood:peak=20G,victim=1"`)

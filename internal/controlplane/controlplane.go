@@ -83,8 +83,10 @@ type Spec struct {
 	// build: the Topology is partitioned along its natural fault domains
 	// and up to Shards worker goroutines run the partitions in lookahead-
 	// bounded rounds. Results are byte-identical for every Shards >= 1
-	// and any GOMAXPROCS; 0 keeps the classic single-engine execution.
-	// Requires Topology; incompatible with EnablePFC and ReceiverOnFPGA.
+	// and any GOMAXPROCS; 0 assembles one island (one NIC, one
+	// device-cable pair) on a single engine, which agrees with them
+	// statistically, not byte for byte. Shards > 0 requires Topology and
+	// is incompatible with EnablePFC and ReceiverOnFPGA.
 	Shards int
 	// Seed drives all randomness.
 	Seed uint64

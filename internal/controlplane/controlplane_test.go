@@ -134,7 +134,7 @@ func TestDeployDCQCNTimeScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tr.NIC.Params()
+	p := tr.Config().Params
 	if p.RateTimer >= sim.Micros(300) {
 		t.Fatalf("rate timer not scaled: %v", p.RateTimer)
 	}

@@ -62,8 +62,27 @@ func withGOMAXPROCS(n int, fn func()) {
 // parallel event core: over {dumbbell, leafspine, fattree} x {drop-tail,
 // DualPI2} x {no faults, linkdown plan} x {closed-loop, incast storm}, the
 // full observable digest must be byte-identical between Shards=1 and
-// Shards in {2,4}, at GOMAXPROCS 1 and 8.
+// Shards in {2,4}, at GOMAXPROCS 1 and 8 — window-mode dctcp throughout,
+// plus one rate-mode dcqcn row.
 func TestShardedMatchesSingle(t *testing.T) {
+	check := func(name string, spec Spec) {
+		t.Run(name, func(t *testing.T) {
+			spec.Shards = 1
+			base := shardDigest(t, spec)
+			spec.Shards = 2
+			if got := shardDigest(t, spec); got != base {
+				t.Error("shards=2 digest differs from shards=1")
+			}
+			spec.Shards = 4
+			for _, gmp := range []int{1, 8} {
+				withGOMAXPROCS(gmp, func() {
+					if got := shardDigest(t, spec); got != base {
+						t.Errorf("shards=4 GOMAXPROCS=%d digest differs from shards=1", gmp)
+					}
+				})
+			}
+		})
+	}
 	topos := []struct {
 		topo     string
 		ports    int
@@ -96,28 +115,22 @@ func TestShardedMatchesSingle(t *testing.T) {
 					if aqmSpec != "" {
 						spec.ECNThresholdPkts = 0
 					}
-					name := fmt.Sprintf("%s/aqm=%d/fault=%d/pattern=%d", tc.topo, ai, fi, pi)
-					t.Run(name, func(t *testing.T) {
-						spec := spec
-						spec.Shards = 1
-						base := shardDigest(t, spec)
-						spec.Shards = 2
-						if got := shardDigest(t, spec); got != base {
-							t.Error("shards=2 digest differs from shards=1")
-						}
-						spec.Shards = 4
-						for _, gmp := range []int{1, 8} {
-							withGOMAXPROCS(gmp, func() {
-								if got := shardDigest(t, spec); got != base {
-									t.Errorf("shards=4 GOMAXPROCS=%d digest differs from shards=1", gmp)
-								}
-							})
-						}
-					})
+					check(fmt.Sprintf("%s/aqm=%d/fault=%d/pattern=%d", tc.topo, ai, fi, pi), spec)
 				}
 			}
 		}
 	}
+	// One rate-mode row: timer-paced DCQCN against the RoCE go-back-N
+	// receiver, through the same outage (carrier drops force the rewind).
+	check("leafspine:2x2/dcqcn/fault=1", Spec{
+		Algorithm:        "dcqcn",
+		Ports:            4,
+		ECNThresholdPkts: 65,
+		Topology:         "leafspine:2x2",
+		Faults:           "linkdown leaf0->spine1 at 1ms for 200us",
+		DCQCNTimeScale:   30,
+		Seed:             1,
+	})
 }
 
 // TestShardedSpecValidation pins the configuration surface: sharding needs

@@ -1,27 +1,29 @@
-// Sharded assembly: one simulation, many cores. A sharded tester splits
-// the deployment along the fabric's partition plan (fabric.PartitionSpec):
-// every partition gets its own engine carrying its share of the switch
-// pipeline, the FPGA NIC, the device links, and the fabric switches
-// assigned to it, and a shard.Runner drives the engines in conservative
-// rounds bounded by the fabric's minimum inter-partition propagation delay.
-// Only inter-switch trunks cross the cut; each such link drains into a
-// runner portal, and the reverse ACK paths route per flow through portals
-// too, so every cross-partition hand-off goes through the runner's
+// Islands: the slices of tester hardware New assembles a tester from, and
+// the shard runner that drives more than one of them.
+//
+// Each island of the plan that owns data ports gets a switch pipeline, an
+// FPGA NIC and their SCHE/INFO cable pair, sized to those ports, on the
+// island's engine; the register accessors below read the tester as the sum
+// (or the owning member) of its islands. Shards == 0 plans one island on
+// the caller's engine. Shards > 0 takes fabric.PartitionSpec's plan, one
+// engine per island carrying its share of the fabric too, and a
+// shard.Runner drives them in conservative rounds bounded by the minimum
+// inter-island propagation delay: trunks crossing the cut, the reverse ACK
+// paths (routed per flow) and flow completions all go through the runner's
 // deterministic barrier merge.
 //
-// Determinism: a sharded run's outputs are a pure function of the
-// configuration, independent of Config.Shards' worker count and of
-// GOMAXPROCS — Shards=1 and Shards=N are byte-identical. The partitioned
-// build is a different (equally valid) event interleaving than the
-// unsharded Shards=0 build, so those two are not byte-comparable.
+// Comparability. Shards=1 and Shards=N run the same K-island plan and are
+// byte-identical at any GOMAXPROCS. Shards=0 on the same Topology is a
+// different model, not a different schedule: one cable pair and one NIC's
+// timers and scheduler serve every port where K islands have K of each, so
+// SCHE/INFO pacing, hence every interleaving and which packet meets which
+// marking draw, differs. Those two agree statistically, not byte for byte
+// (DESIGN.md "What is and isn't comparable").
 package core
 
 import (
-	"fmt"
-
 	"marlin/internal/fabric"
 	"marlin/internal/fpga"
-	"marlin/internal/measure"
 	"marlin/internal/netem"
 	"marlin/internal/packet"
 	"marlin/internal/shard"
@@ -29,23 +31,83 @@ import (
 	"marlin/internal/tofino"
 )
 
-// subTester is one partition's slice of the tester hardware: a pipeline
-// and NIC sized to the data ports whose hosts live in the partition, plus
-// their private device interconnect, all on the partition's engine.
-type subTester struct {
-	part  int
-	eng   *sim.Engine
-	ports []int // global port indices owned by this partition, ascending
-	pl    *tofino.Pipeline
-	nic   *fpga.NIC
-	sche  *netem.Link
-	info  *netem.Link
+// island is one partition's slice of the tester hardware: a pipeline and
+// NIC sized to the data ports whose hosts live in the partition, plus their
+// private device interconnect, all on the partition's engine.
+type island struct {
+	part int
+	eng  *sim.Engine
+	pl   *tofino.Pipeline
+	nic  *fpga.NIC
+	sche *netem.Link
+	info *netem.Link
+}
+
+// newIsland builds the devices serving partition part's nports data ports
+// on eng. cfg has been defaulted and plan shrunk by prepare.
+func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan) (*island, error) {
+	// SCHE is paced at the plan's per-port DATA rate unless overridden;
+	// INFO never drains faster than SCHE is sent.
+	txPPS := cfg.TXTimerPPS
+	if txPPS == 0 {
+		txPPS = plan.DataPPSPerPort
+	}
+	rxPPS := plan.DataPPSPerPort
+	if rxPPS > txPPS {
+		rxPPS = txPPS
+	}
+	plan.DataPorts = nports
+	plan.Throughput = sim.Rate(int64(cfg.PortRate) * int64(nports))
+	pl, err := tofino.NewPipeline(eng, tofino.Config{
+		Plan:           plan,
+		QueueDepth:     cfg.RegQueueDepth,
+		SharedQueue:    cfg.SharedQueue,
+		Receiver:       cfg.Receiver,
+		ReceiverOnFPGA: cfg.ReceiverOnFPGA,
+		CNPInterval:    cfg.Params.CNPInterval,
+	})
+	if err != nil {
+		return nil, err
+	}
+	nic, err := fpga.NewNIC(eng, fpga.Config{
+		Ports:          nports,
+		MaxFlows:       cfg.MaxFlows,
+		Algorithm:      cfg.Algorithm,
+		Params:         cfg.Params,
+		TXTimerPPS:     txPPS,
+		RXTimerPPS:     rxPPS,
+		DisableRXTimer: cfg.DisableRXTimer,
+		SingleRXFIFO:   cfg.SingleRXFIFO,
+		Scheduler:      cfg.Scheduler,
+		GoBackN:        cfg.Receiver == tofino.RoCEReceiver,
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Device interconnect: one 100 Gbps cable carrying SCHE one way and
+	// INFO the other (§3.1).
+	isl := &island{part: part, eng: eng, pl: pl, nic: nic}
+	isl.sche = deviceLink(eng, cfg, pl.ScheIn())
+	nic.ConnectSche(isl.sche)
+	isl.info = deviceLink(eng, cfg, nic.InfoIn())
+	pl.ConnectInfo(isl.info)
+	return isl, nil
+}
+
+// owner returns the island holding a flow's TX-side state, or nil for a
+// flow never started. A lone island owns every flow, so a one-island build
+// keeps no per-flow record.
+func (t *Tester) owner(flow packet.FlowID) *island {
+	if t.flowOwner == nil {
+		return t.islands[0]
+	}
+	return t.flowOwner[flow]
 }
 
 // portalSlot defers portal construction: the fabric is wired before the
 // runner exists (the lookahead is measured off the built fabric), so each
-// cross-partition trunk drains into a slot that is bound to its runner
-// portal immediately after shard.New.
+// cross-island trunk drains into a slot that is bound to its runner portal
+// immediately after shard.New.
 type portalSlot struct {
 	src, dst *sim.Engine
 	node     netem.Node
@@ -54,333 +116,77 @@ type portalSlot struct {
 
 func (s *portalSlot) Carry(p *packet.Packet, at sim.Time) { s.r.Carry(p, at) }
 
-// ackRouter fans a receiver sub's ACK/NACK/CNP traffic to the pipeline
+// ackRouter fans a receiver island's ACK/NACK/CNP traffic to the pipeline
 // owning each flow's TX port. Receiver responses carry no port, so the
 // route is by flow ID; unknown flows (external flood traffic) deliver to
-// the home sub, matching the unsharded pipeline where they die at the
+// the home island, matching the one-island pipeline where they die at the
 // inactive flow. Every delivery — local or remote — goes through a runner
 // portal so ordering stays a pure function of (time, partition, sequence).
 type ackRouter struct {
 	t    *Tester
-	home int
-	vias []netem.Remote
+	home *island
+	vias []netem.Remote // by partition
 }
 
 func (a *ackRouter) Carry(p *packet.Packet, at sim.Time) {
-	g, ok := a.t.flowGroup[p.Flow]
-	if !ok {
-		g = a.home
+	isl := a.t.owner(p.Flow)
+	if isl == nil {
+		isl = a.home
 	}
-	a.vias[g].Carry(p, at)
+	a.vias[isl.part].Carry(p, at)
 }
 
-// newSharded assembles a partitioned tester. cfg has been defaulted and
-// plan shrunk by prepare; cfg.Shards > 0.
-func newSharded(ctl *sim.Engine, cfg Config, plan tofino.Plan) (*Tester, error) {
-	if cfg.Topology.IsZero() {
-		return nil, fmt.Errorf("core: Shards requires a multi-switch Topology (the canonical single switch has no cut to parallelize over)")
-	}
-	if cfg.EnablePFC {
-		return nil, fmt.Errorf("core: Shards and EnablePFC are incompatible (pause frames would act across partitions mid-round)")
-	}
-	if cfg.ReceiverOnFPGA {
-		return nil, fmt.Errorf("core: Shards and ReceiverOnFPGA are incompatible (the reserved-port path is not partitioned)")
-	}
-	pplan, err := fabric.PartitionSpec(cfg.Topology, cfg.DataPorts)
+// joinRunner puts the built islands under a shard.Runner and re-routes
+// every hand-off that can cross between them through it: the fabric trunks
+// parked in slots, the reverse ACK links (revs, by global port), and flow
+// completions.
+func (t *Tester) joinRunner(pplan fabric.PartitionPlan, slots []*portalSlot, revs []*netem.Link) error {
+	look, err := t.Fab.MinInterPartitionDelay(pplan)
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	t := &Tester{
-		Eng:       ctl,
-		FCTs:      &measure.FCTRecorder{},
-		cfg:       cfg,
-		plan:      plan,
-		rng:       sim.NewRand(cfg.Seed),
-		flowDst:   make(map[packet.FlowID]int),
-		sizes:     make(map[packet.FlowID]uint32),
-		starts:    make(map[packet.FlowID]sim.Time),
-		partPlan:  pplan,
-		flowGroup: make(map[packet.FlowID]int),
-		portSub:   make([]int, cfg.DataPorts),
-		portLocal: make([]int, cfg.DataPorts),
-		subs:      make([]*subTester, pplan.Parts),
-	}
-	t.partEngs = make([]*sim.Engine, pplan.Parts)
-	for g := range t.partEngs {
-		t.partEngs[g] = sim.NewEngine()
-	}
-
-	// Group the tester's data ports by partition; a partition's sub gets
-	// one local port per global port, in ascending global order.
-	groups := make([][]int, pplan.Parts)
-	for p := 0; p < cfg.DataPorts; p++ {
-		g := pplan.HostPart[p]
-		groups[g] = append(groups[g], p)
-	}
-	txPPS, rxPPS := timerPPS(cfg, plan)
-	deviceDelay := sim.Duration(200 * sim.Nanosecond)
-	for g, ports := range groups {
-		if len(ports) == 0 {
-			continue // a partition of pure transit switches needs no sub
-		}
-		eng := t.partEngs[g]
-		subPlan := plan
-		subPlan.DataPorts = len(ports)
-		subPlan.Throughput = sim.Rate(int64(cfg.PortRate) * int64(len(ports)))
-		pl, err := tofino.NewPipeline(eng, tofino.Config{
-			Plan:        subPlan,
-			QueueDepth:  cfg.RegQueueDepth,
-			SharedQueue: cfg.SharedQueue,
-			Receiver:    cfg.Receiver,
-			CNPInterval: cfg.Params.CNPInterval,
-		})
-		if err != nil {
-			return nil, err
-		}
-		nic, err := fpga.NewNIC(eng, fpga.Config{
-			Ports:          len(ports),
-			MaxFlows:       cfg.MaxFlows,
-			Algorithm:      cfg.Algorithm,
-			Params:         cfg.Params,
-			TXTimerPPS:     txPPS,
-			RXTimerPPS:     rxPPS,
-			DisableRXTimer: cfg.DisableRXTimer,
-			SingleRXFIFO:   cfg.SingleRXFIFO,
-			Scheduler:      cfg.Scheduler,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sche := netem.NewLink(eng, netem.LinkConfig{
-			Rate: cfg.PortRate, Delay: deviceDelay, QueueBytes: 1 << 20,
-		}, pl.ScheIn())
-		nic.ConnectSche(sche)
-		info := netem.NewLink(eng, netem.LinkConfig{
-			Rate: cfg.PortRate, Delay: deviceDelay, QueueBytes: 1 << 20,
-		}, nic.InfoIn())
-		pl.ConnectInfo(info)
-		sub := &subTester{part: g, eng: eng, ports: ports, pl: pl, nic: nic, sche: sche, info: info}
-		for li, p := range ports {
-			t.portSub[p] = g
-			t.portLocal[p] = li
-		}
-		t.subs[g] = sub
-		t.subList = append(t.subList, sub)
-	}
-	t.scheLink, t.infoLink = t.subList[0].sche, t.subList[0].info
-
-	// The fabric spans the partition engines: each switch lives on its
-	// partition's engine, host endpoints on their leaf's, and trunks that
-	// cross the cut drain into portal slots bound right after the runner
-	// exists (the lookahead is measured off the built fabric).
-	sinks := make([]netem.Node, cfg.DataPorts)
-	for h := range sinks {
-		sinks[h] = t.subs[pplan.HostPart[h]].pl.DataIn(t.portLocal[h])
-	}
-	var slots []*portalSlot
-	fab, err := fabric.Build(ctl, fabric.Config{
-		Spec:       cfg.Topology,
-		Hosts:      cfg.DataPorts,
-		PortRate:   cfg.PortRate,
-		LinkDelay:  cfg.LinkDelay,
-		QueueBytes: cfg.NetQueueBytes,
-		ECN:        cfg.ECN,
-		AQM:        cfg.AQM,
-		EnableINT:  cfg.EnableINT,
-		Jitter:     cfg.ForwardJitter,
-		Seed:       cfg.Seed,
-		Dst: func(p *packet.Packet) int {
-			if dst, ok := t.flowDst[p.Flow]; ok {
-				return dst
-			}
-			return -1
-		},
-		Sinks:   sinks,
-		Engines: func(swIdx int) *sim.Engine { return t.partEngs[pplan.SwitchPart[swIdx]] },
-		Remote: func(srcEng, dstEng *sim.Engine, dst netem.Node) netem.Remote {
-			s := &portalSlot{src: srcEng, dst: dstEng, node: dst}
-			slots = append(slots, s)
-			return s
-		},
-	})
+	t.runner, err = shard.New(t.Eng, t.partEngs, look, t.cfg.Shards)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t.Fab = fab
-
-	look, err := fab.MinInterPartitionDelay(pplan)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := shard.New(ctl, t.partEngs, look, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	t.runner = runner
 	for _, s := range slots {
-		s.r = runner.Portal(s.src, s.dst, s.node)
+		s.r = t.runner.Portal(s.src, s.dst, s.node)
 	}
 
-	// Reverse ACK paths: the receiver sub serializes its responses over a
-	// rev link provisioned to the fabric diameter (matching the unsharded
-	// wiring), then its router delivers each one to the flow's TX-side
-	// pipeline through the runner. The rev delay is at least the lookahead
-	// (Diameter >= 1 hop), so every arrival lands beyond the round horizon.
-	revDelay := sim.Duration(cfg.Topology.Diameter()) * cfg.LinkDelay
+	// A receiver island serializes its responses over the rev link, then
+	// its router delivers each one to the flow's TX-side pipeline through
+	// the runner. The rev delay is at least the lookahead (Diameter >= 1
+	// hop), so every arrival lands beyond the round horizon.
 	routers := make([]*ackRouter, pplan.Parts)
-	for _, sub := range t.subList {
-		r := &ackRouter{t: t, home: sub.part, vias: make([]netem.Remote, pplan.Parts)}
-		for _, dsub := range t.subList {
-			r.vias[dsub.part] = runner.Portal(sub.eng, dsub.eng, dsub.pl.AckIn())
+	for _, isl := range t.islands {
+		r := &ackRouter{t: t, home: isl, vias: make([]netem.Remote, pplan.Parts)}
+		for _, disl := range t.islands {
+			r.vias[disl.part] = t.runner.Portal(isl.eng, disl.eng, disl.pl.AckIn())
 		}
-		routers[sub.part] = r
+		routers[isl.part] = r
 	}
-	for p := 0; p < cfg.DataPorts; p++ {
-		sub := t.subs[t.portSub[p]]
-		sub.pl.ConnectDataPort(t.portLocal[p], fab.HostUplink(p))
-		t.txLinks = append(t.txLinks, fab.HostUplink(p))
-		rev := netem.NewLink(sub.eng, netem.LinkConfig{
-			Rate: cfg.PortRate, Delay: revDelay, QueueBytes: 1 << 20,
-		}, nil)
-		rev.SetRemote(routers[sub.part])
-		t.revLinks = append(t.revLinks, rev)
-		sub.pl.ConnectAckPort(t.portLocal[p], rev)
+	for p, rev := range revs {
+		rev.SetRemote(routers[t.portIsland[p].part])
 	}
 
-	// Flow completions fire on partition goroutines mid-round; defer them
-	// to the control engine so FCT recording and user callbacks replay
+	// Flow completions fire on island goroutines mid-round; defer them to
+	// the control engine so FCT recording and user callbacks replay
 	// single-threaded in (time, partition, sequence) order.
-	for _, sub := range t.subList {
-		g := sub.part
-		sub.nic.OnComplete(func(flow packet.FlowID, fct sim.Duration) {
+	for _, isl := range t.islands {
+		g := isl.part
+		isl.nic.OnComplete(func(flow packet.FlowID, fct sim.Duration) {
 			t.runner.DeferPart(g, func() { t.flowDone(flow, fct) })
 		})
 	}
-	return t, nil
+	return nil
 }
 
-// startFlowSharded is the partitioned StartFlow/StartFlowCC body: bind on
-// the TX-side pipeline, reset receiver state where the DATA will land, and
-// record the flow's owning partition for ACK routing and register reads.
-func (t *Tester) startFlowSharded(flow packet.FlowID, tx, rx int, sizePkts uint32, alg ccOverride) error {
-	if rx < 0 || rx >= t.cfg.DataPorts {
-		return fmt.Errorf("core: rx port %d out of range [0,%d)", rx, t.cfg.DataPorts)
-	}
-	if tx < 0 || tx >= t.cfg.DataPorts {
-		return fmt.Errorf("core: tx port %d out of range [0,%d)", tx, t.cfg.DataPorts)
-	}
-	sub := t.subs[t.portSub[tx]]
-	if err := sub.pl.BindFlow(flow, t.portLocal[tx]); err != nil {
-		return err
-	}
-	sub.pl.ResetFlow(flow)
-	if rsub := t.subs[t.portSub[rx]]; rsub != sub {
-		rsub.pl.ResetFlow(flow)
-	}
-	t.flowDst[flow] = rx
-	t.flowGroup[flow] = sub.part
-	t.sizes[flow] = sizePkts
-	t.starts[flow] = t.Eng.Now()
-	if alg.alg == nil {
-		return sub.nic.StartFlow(flow, t.portLocal[tx], sizePkts)
-	}
-	return sub.nic.StartFlowWith(flow, t.portLocal[tx], sizePkts, alg.alg, alg.ect)
-}
-
-// Sharded reports whether the tester runs as a partitioned parallel build.
-func (t *Tester) Sharded() bool { return t.runner != nil }
-
-// ShardParts reports the partition count (0 for an unsharded build).
-func (t *Tester) ShardParts() int { return t.partPlan.Parts }
-
-// ShardStats returns the runner's round/carry telemetry (zero unsharded).
+// ShardStats returns the runner's round/carry telemetry (zero without one).
 func (t *Tester) ShardStats() shard.Stats {
 	if t.runner == nil {
 		return shard.Stats{}
 	}
 	return t.runner.Stats()
-}
-
-// PipelineCounters reads the switch registers: the single pipeline's
-// counters, or the field-wise sum over every partition's pipeline.
-func (t *Tester) PipelineCounters() tofino.Counters {
-	if t.runner == nil {
-		return t.Pipeline.Counters()
-	}
-	var c tofino.Counters
-	for _, sub := range t.subList {
-		c = c.Plus(sub.pl.Counters())
-	}
-	return c
-}
-
-// PipelinePortCounters reads global data port i's registers, wherever its
-// pipeline lives.
-func (t *Tester) PipelinePortCounters(i int) tofino.PortCounters {
-	if t.runner == nil {
-		return t.Pipeline.PortCounters(i)
-	}
-	return t.subs[t.portSub[i]].pl.PortCounters(t.portLocal[i])
-}
-
-// NICStats reads the FPGA registers, summed across partitions when sharded.
-func (t *Tester) NICStats() fpga.Stats {
-	if t.runner == nil {
-		return t.NIC.Stats()
-	}
-	var s fpga.Stats
-	for _, sub := range t.subList {
-		s = s.Plus(sub.nic.Stats())
-	}
-	return s
-}
-
-// FlowTxBytes reads a flow's cumulative generated DATA bytes from the
-// pipeline owning its TX port.
-func (t *Tester) FlowTxBytes(flow packet.FlowID) uint64 {
-	if t.runner == nil {
-		return t.Pipeline.FlowTxBytes(flow)
-	}
-	if g, ok := t.flowGroup[flow]; ok {
-		return t.subs[g].pl.FlowTxBytes(flow)
-	}
-	return 0
-}
-
-// FlowTrace returns a flow's fine-grained parameter trace from the NIC
-// owning it (nil when logging is off or the flow is unknown).
-func (t *Tester) FlowTrace(flow packet.FlowID) []fpga.TracePoint {
-	var logger *fpga.Logger
-	if t.runner == nil {
-		logger = t.NIC.Logger()
-	} else if g, ok := t.flowGroup[flow]; ok {
-		logger = t.subs[g].nic.Logger()
-	}
-	if logger == nil {
-		return nil
-	}
-	return logger.FlowTrace(flow)
-}
-
-// RTTSamples aggregates the FPGA's RTT probes: samples concatenate in
-// partition order, counts sum, and the EWMA is the count-weighted mean of
-// the per-partition EWMAs.
-func (t *Tester) RTTSamples() (samplesUs []float64, count uint64, ewmaUs float64) {
-	if t.runner == nil {
-		return t.NIC.RTTSamples()
-	}
-	var weighted float64
-	for _, sub := range t.subList {
-		s, c, e := sub.nic.RTTSamples()
-		samplesUs = append(samplesUs, s...)
-		count += c
-		weighted += e * float64(c)
-	}
-	if count > 0 {
-		ewmaUs = weighted / float64(count)
-	}
-	return samplesUs, count, ewmaUs
 }
 
 // EventsExecuted sums fired events across every engine the tester drives.
@@ -390,4 +196,68 @@ func (t *Tester) EventsExecuted() uint64 {
 		n += e.Executed()
 	}
 	return n
+}
+
+// PipelineCounters reads the switch registers, summed field-wise over the
+// islands' pipelines.
+func (t *Tester) PipelineCounters() tofino.Counters {
+	var c tofino.Counters
+	for _, isl := range t.islands {
+		c = c.Plus(isl.pl.Counters())
+	}
+	return c
+}
+
+// PipelinePortCounters reads global data port i's registers, wherever its
+// pipeline lives.
+func (t *Tester) PipelinePortCounters(i int) tofino.PortCounters {
+	return t.portIsland[i].pl.PortCounters(t.portLocal[i])
+}
+
+// NICStats reads the FPGA registers, summed over the islands' NICs.
+func (t *Tester) NICStats() fpga.Stats {
+	var s fpga.Stats
+	for _, isl := range t.islands {
+		s = s.Plus(isl.nic.Stats())
+	}
+	return s
+}
+
+// FlowTxBytes reads a flow's cumulative generated DATA bytes from the
+// pipeline owning its TX port.
+func (t *Tester) FlowTxBytes(flow packet.FlowID) uint64 {
+	if isl := t.owner(flow); isl != nil {
+		return isl.pl.FlowTxBytes(flow)
+	}
+	return 0
+}
+
+// FlowTrace returns a flow's fine-grained parameter trace from the NIC
+// owning it (nil when logging is off or the flow is unknown).
+func (t *Tester) FlowTrace(flow packet.FlowID) []fpga.TracePoint {
+	if isl := t.owner(flow); isl != nil && isl.nic.Logger() != nil {
+		return isl.nic.Logger().FlowTrace(flow)
+	}
+	return nil
+}
+
+// RTTSamples aggregates the FPGA's RTT probes: samples concatenate in
+// island order, counts sum, and the EWMA is the count-weighted mean of the
+// per-island EWMAs — one island's reading exactly, when there is one.
+func (t *Tester) RTTSamples() (samplesUs []float64, count uint64, ewmaUs float64) {
+	samplesUs, count, ewmaUs = t.islands[0].nic.RTTSamples()
+	if len(t.islands) == 1 {
+		return samplesUs, count, ewmaUs
+	}
+	weighted := ewmaUs * float64(count)
+	for _, isl := range t.islands[1:] {
+		s, c, e := isl.nic.RTTSamples()
+		samplesUs = append(samplesUs, s...)
+		count += c
+		weighted += e * float64(c)
+	}
+	if count > 0 {
+		ewmaUs = weighted / float64(count)
+	}
+	return samplesUs, count, ewmaUs
 }

@@ -2,13 +2,15 @@
 // programmable-switch pipeline, the FPGA NIC, the 100 Gbps device
 // interconnect, and an emulated tested network, wired as in Figure 1.
 //
-// Topology. Every test uses the paper's canonical arrangement (§7.1: "the
-// sender and receiver are connected with a programmable switch via twelve
-// 100 Gbps links each"): the tester's data ports send DATA through an
+// Topology. By default a test uses the paper's canonical arrangement (§7.1:
+// "the sender and receiver are connected with a programmable switch via
+// twelve 100 Gbps links each"): the tester's data ports send DATA through an
 // intermediate switch that forwards each flow to a destination port, where
 // the tester's own receiver logic generates ACKs that travel back over
 // reverse links. Congestion appears wherever the flow routing concentrates
-// traffic (pass-through for §7.2, fan-in for §7.3).
+// traffic (pass-through for §7.2, fan-in for §7.3). Config.Topology swaps
+// the intermediate switch for a multi-switch fabric; either way New builds
+// the tester from an island plan (sharded.go), by default a single island.
 package core
 
 import (
@@ -104,34 +106,31 @@ type Config struct {
 	// byte. Mutually exclusive with ExtraHops (the fabric has real
 	// hops).
 	Topology fabric.Spec
-	// Shards > 0 runs the simulation as a conservative parallel build:
-	// the Topology is partitioned along its natural fault domains
-	// (fabric.PartitionSpec), each partition gets its own engine and
-	// slice of the tester hardware, and up to Shards worker goroutines
-	// execute rounds bounded by the fabric's minimum inter-partition
-	// propagation delay. Outputs are byte-identical for every Shards >= 1
-	// value and any GOMAXPROCS; 0 keeps the classic single-engine build.
-	// Requires a Topology; incompatible with EnablePFC and
+	// Shards selects the island plan the tester is assembled from. 0 is
+	// one island: every port on one pipeline, one NIC and one device-cable
+	// pair, on the caller's engine. Shards > 0 partitions the Topology
+	// along its natural fault domains (fabric.PartitionSpec), one island
+	// with its own engine and hardware slice per partition, and up to
+	// Shards worker goroutines run rounds bounded by the fabric's minimum
+	// inter-partition propagation delay. Outputs are byte-identical for
+	// every Shards >= 1 and any GOMAXPROCS; 0 models fewer cables and NIC
+	// slices, so it agrees with them only statistically (see sharded.go).
+	// Shards > 0 requires a Topology and excludes EnablePFC and
 	// ReceiverOnFPGA.
 	Shards int
 	// Seed drives all randomness.
 	Seed uint64
 }
 
-// ccOverride carries StartFlowCC's per-flow algorithm selection into the
-// sharded start path (zero value: the deployed default module).
-type ccOverride struct {
-	alg cc.Algorithm
-	ect packet.ECT
-}
-
 // Tester is an assembled Marlin instance plus its tested network.
 type Tester struct {
-	Eng      *sim.Engine
-	Pipeline *tofino.Pipeline
-	NIC      *fpga.NIC
+	// Eng carries user schedules, fault and pattern plans, and monitor
+	// probes. A one-island build runs its devices on it too; with Shards > 0
+	// it is the runner's control engine, whose events execute at round
+	// barriers while every island clock sits exactly at their timestamp.
+	Eng *sim.Engine
 	// Net is the canonical single tested-network switch; nil when the
-	// tester runs over a multi-switch Topology (see Fabric).
+	// tester runs over a multi-switch Topology (see Fab).
 	Net  *netem.Switch
 	Fab  *fabric.Fabric
 	FCTs *measure.FCTRecorder
@@ -143,12 +142,18 @@ type Tester struct {
 	sizes   map[packet.FlowID]uint32
 	starts  map[packet.FlowID]sim.Time
 
+	// The tester hardware, one island per partition that owns data ports
+	// (ascending partition; exactly one on a Shards == 0 build).
+	islands    []*island
+	portIsland []*island // global data port -> owning island
+	portLocal  []int     // global data port -> port index within its island
+	// flowOwner records each flow's TX-side island where there is more
+	// than one to choose from (nil otherwise; see owner).
+	flowOwner map[packet.FlowID]*island
+
 	txLinks  []*netem.Link
-	revLinks []*netem.Link
 	pfcs     []*netem.PFC
 	fpgaRecv *fpga.Receiver
-	scheLink *netem.Link
-	infoLink *netem.Link
 
 	userComplete func(flow packet.FlowID, fct sim.Duration)
 
@@ -159,24 +164,15 @@ type Tester struct {
 	patternDrv  *workload.Driver
 	overloadMon *measure.OverloadMonitor
 
-	// Sharded-build state (nil/empty on the classic single-engine build).
-	// Eng is then the control engine: it carries user schedules, fault and
-	// pattern plans, and monitor probes, all executing at round barriers
-	// while every partition clock sits exactly at the event's timestamp.
-	runner    *shard.Runner
-	partEngs  []*sim.Engine
-	partPlan  fabric.PartitionPlan
-	subs      []*subTester // by partition; nil where no hosts live
-	subList   []*subTester // non-nil subs, ascending partition
-	portSub   []int        // global data port -> owning partition
-	portLocal []int        // global data port -> local index in its sub
-	flowGroup map[packet.FlowID]int
+	// Set with Shards > 0 only: the runner driving the island engines in
+	// conservative rounds, and those engines.
+	runner   *shard.Runner
+	partEngs []*sim.Engine
 }
 
 // prepare validates cfg, fills in the paper's defaults, and shrinks the
 // port plan to the ports actually used so validation and throughput
-// accounting stay honest. Both the classic and the sharded assembly build
-// from its output.
+// accounting stay honest.
 func prepare(cfg Config) (Config, tofino.Plan, error) {
 	if cfg.Algorithm == nil {
 		return cfg, tofino.Plan{}, fmt.Errorf("core: no CC algorithm configured")
@@ -212,193 +208,52 @@ func prepare(cfg Config) (Config, tofino.Plan, error) {
 	}
 	plan.DataPorts = cfg.DataPorts
 	plan.Throughput = sim.Rate(int64(cfg.PortRate) * int64(cfg.DataPorts))
+
+	switch {
+	case cfg.Shards <= 0:
+	case cfg.Topology.IsZero():
+		return cfg, plan, fmt.Errorf("core: Shards requires a multi-switch Topology (the canonical single switch has no cut to parallelize over)")
+	case cfg.EnablePFC:
+		return cfg, plan, fmt.Errorf("core: Shards and EnablePFC are incompatible (pause frames would act across partitions mid-round)")
+	case cfg.ReceiverOnFPGA:
+		return cfg, plan, fmt.Errorf("core: Shards and ReceiverOnFPGA are incompatible (the reserved-port path is not partitioned)")
+	}
 	return cfg, plan, nil
 }
 
-// timerPPS derives the FPGA pacing rates from the config and plan.
-func timerPPS(cfg Config, plan tofino.Plan) (tx, rx float64) {
-	tx = cfg.TXTimerPPS
-	if tx == 0 {
-		tx = plan.DataPPSPerPort
-	}
-	rx = plan.DataPPSPerPort
-	if rx > tx {
-		rx = tx
-	}
-	return tx, rx
+// deviceLink builds one of the 100 Gbps cables between the FPGA and the
+// switch (§3.1).
+func deviceLink(eng *sim.Engine, cfg Config, dst netem.Node) *netem.Link {
+	return netem.NewLink(eng, netem.LinkConfig{
+		Rate: cfg.PortRate, Delay: 200 * sim.Nanosecond, QueueBytes: 1 << 20,
+	}, dst)
 }
 
-// New builds and wires a tester.
+// New builds and wires a tester: the island plan, each island's slice of
+// the tester hardware, the tested network, and the reverse ACK paths. With
+// Shards == 0 the plan is one island on eng holding every port; with
+// Shards > 0 it is the topology's partition plan, one engine per island,
+// and joinRunner re-routes every cross-island hand-off through the runner.
 func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 	cfg, plan, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 0 {
-		return newSharded(eng, cfg, plan)
-	}
-
-	pl, err := tofino.NewPipeline(eng, tofino.Config{
-		Plan:           plan,
-		QueueDepth:     cfg.RegQueueDepth,
-		SharedQueue:    cfg.SharedQueue,
-		Receiver:       cfg.Receiver,
-		ReceiverOnFPGA: cfg.ReceiverOnFPGA,
-		CNPInterval:    cfg.Params.CNPInterval,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	txPPS, rxPPS := timerPPS(cfg, plan)
-	nic, err := fpga.NewNIC(eng, fpga.Config{
-		Ports:          cfg.DataPorts,
-		MaxFlows:       cfg.MaxFlows,
-		Algorithm:      cfg.Algorithm,
-		Params:         cfg.Params,
-		TXTimerPPS:     txPPS,
-		RXTimerPPS:     rxPPS,
-		DisableRXTimer: cfg.DisableRXTimer,
-		SingleRXFIFO:   cfg.SingleRXFIFO,
-		Scheduler:      cfg.Scheduler,
-		GoBackN:        cfg.Receiver == tofino.RoCEReceiver,
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	t := &Tester{
-		Eng:      eng,
-		Pipeline: pl,
-		NIC:      nic,
-		FCTs:     &measure.FCTRecorder{},
-		cfg:      cfg,
-		plan:     plan,
-		rng:      sim.NewRand(cfg.Seed),
-		flowDst:  make(map[packet.FlowID]int),
-		sizes:    make(map[packet.FlowID]uint32),
-		starts:   make(map[packet.FlowID]sim.Time),
+		Eng:        eng,
+		FCTs:       &measure.FCTRecorder{},
+		cfg:        cfg,
+		plan:       plan,
+		rng:        sim.NewRand(cfg.Seed),
+		flowDst:    make(map[packet.FlowID]int),
+		sizes:      make(map[packet.FlowID]uint32),
+		starts:     make(map[packet.FlowID]sim.Time),
+		portIsland: make([]*island, cfg.DataPorts),
+		portLocal:  make([]int, cfg.DataPorts),
 	}
 
-	// Device interconnect: one 100 Gbps cable carrying SCHE one way and
-	// INFO the other (§3.1).
-	deviceDelay := sim.Duration(200 * sim.Nanosecond)
-	scheLink := netem.NewLink(eng, netem.LinkConfig{
-		Rate: cfg.PortRate, Delay: deviceDelay, QueueBytes: 1 << 20,
-	}, pl.ScheIn())
-	nic.ConnectSche(scheLink)
-	infoLink := netem.NewLink(eng, netem.LinkConfig{
-		Rate: cfg.PortRate, Delay: deviceDelay, QueueBytes: 1 << 20,
-	}, nic.InfoIn())
-	pl.ConnectInfo(infoLink)
-	t.scheLink, t.infoLink = scheLink, infoLink
-
-	if cfg.ReceiverOnFPGA {
-		// Reserved-port pair (§4.3): truncated DATA to the FPGA, the
-		// receiver's ACK/NACK/CNP responses back to the switch.
-		respLink := netem.NewLink(eng, netem.LinkConfig{
-			Rate: cfg.PortRate, Delay: deviceDelay, QueueBytes: 1 << 20,
-		}, pl.FPGAAckIn())
-		mode := fpga.TCPReceiver
-		if cfg.Receiver == tofino.RoCEReceiver {
-			mode = fpga.RoCEReceiver
-		}
-		t.fpgaRecv = fpga.NewReceiver(eng, mode, cfg.Params.CNPInterval, respLink)
-		truncLink := netem.NewLink(eng, netem.LinkConfig{
-			Rate: cfg.PortRate, Delay: deviceDelay, QueueBytes: 1 << 20,
-		}, t.fpgaRecv.DataIn())
-		pl.ConnectRxForward(truncLink)
-	}
-
-	if !cfg.Topology.IsZero() {
-		if err := t.wireFabric(eng); err != nil {
-			return nil, err
-		}
-		nic.OnComplete(t.flowDone)
-		return t, nil
-	}
-
-	// Tested network: tester -> intermediate switch -> tester.
-	t.Net = netem.NewSwitch("tested-network", func(p *packet.Packet) int {
-		if dst, ok := t.flowDst[p.Flow]; ok {
-			return dst
-		}
-		return -1
-	})
-	txQueueBytes := cfg.NetQueueBytes
-	if cfg.EnablePFC && txQueueBytes < 4<<20 {
-		// PFC backpressure parks packets at the tester's uplinks; give
-		// them room so losslessness holds end to end.
-		txQueueBytes = 4 << 20
-	}
-	for i := 0; i < cfg.DataPorts; i++ {
-		tx := netem.NewLink(eng, netem.LinkConfig{
-			Rate: cfg.PortRate, Delay: cfg.LinkDelay, QueueBytes: txQueueBytes,
-			EnableINT: cfg.EnableINT,
-		}, t.Net)
-		t.txLinks = append(t.txLinks, tx)
-		pl.ConnectDataPort(i, tx)
-
-		// The last-hop destination, preceded by any extra hops (built
-		// back to front so packets traverse them in order).
-		var dst netem.Node = pl.DataIn(i)
-		for h := 0; h < cfg.ExtraHops; h++ {
-			dst = netem.NewLink(eng, netem.LinkConfig{
-				Rate: cfg.PortRate, Delay: cfg.LinkDelay,
-				QueueBytes: cfg.NetQueueBytes, ECN: cfg.ECN, AQM: cfg.AQM,
-				EnableINT: cfg.EnableINT,
-				RNG:       t.rng.Split(),
-			}, dst)
-		}
-		t.Net.AddPort(eng, netem.LinkConfig{
-			Rate: cfg.PortRate, Delay: cfg.LinkDelay,
-			QueueBytes: cfg.NetQueueBytes, ECN: cfg.ECN, AQM: cfg.AQM,
-			EnableINT: cfg.EnableINT,
-			Jitter:    cfg.ForwardJitter,
-			RNG:       t.rng.Split(),
-		}, dst)
-
-		rev := netem.NewLink(eng, netem.LinkConfig{
-			Rate: cfg.PortRate, Delay: 2 * cfg.LinkDelay, QueueBytes: 1 << 20,
-		}, pl.AckIn())
-		t.revLinks = append(t.revLinks, rev)
-		pl.ConnectAckPort(i, rev)
-	}
-	if cfg.EnablePFC {
-		// Each tested-network egress queue pauses all tester uplinks
-		// (single-priority, port-level PFC).
-		for i := 0; i < cfg.DataPorts; i++ {
-			q := t.Net.Port(i).Queue()
-			xoff := cfg.PFCXOFFBytes
-			if xoff == 0 {
-				xoff = q.Capacity() / 2
-			}
-			pfc, err := netem.NewPFC(eng, q, t.txLinks, netem.PFCConfig{
-				XOFF: xoff, XON: xoff / 2, Delay: cfg.LinkDelay,
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.pfcs = append(t.pfcs, pfc)
-		}
-	}
-
-	nic.OnComplete(t.flowDone)
-	return t, nil
-}
-
-// wireFabric replaces the canonical single switch with a multi-switch
-// tested network: each tester data port attaches as a fabric host, the
-// destination host's downlink delivers into the pipeline's receiver
-// logic, and the reverse ACK links are provisioned to the fabric's
-// forward diameter.
-func (t *Tester) wireFabric(eng *sim.Engine) error {
-	cfg := t.cfg
-	sinks := make([]netem.Node, cfg.DataPorts)
-	for i := range sinks {
-		sinks[i] = t.Pipeline.DataIn(i)
-	}
-	fab, err := fabric.Build(eng, fabric.Config{
+	// The tested network routes by destination port, whatever its shape.
+	fcfg := fabric.Config{
 		Spec:         cfg.Topology,
 		Hosts:        cfg.DataPorts,
 		PortRate:     cfg.PortRate,
@@ -417,21 +272,156 @@ func (t *Tester) wireFabric(eng *sim.Engine) error {
 			}
 			return -1
 		},
-		Sinks: sinks,
-	})
-	if err != nil {
-		return err
 	}
-	t.Fab = fab
+
+	pplan := fabric.PartitionPlan{Parts: 1, HostPart: make([]int, cfg.DataPorts)}
+	engs := []*sim.Engine{eng}
+	var slots []*portalSlot
+	if cfg.Shards > 0 {
+		if pplan, err = fabric.PartitionSpec(cfg.Topology, cfg.DataPorts); err != nil {
+			return nil, err
+		}
+		engs = make([]*sim.Engine, pplan.Parts)
+		for g := range engs {
+			engs[g] = sim.NewEngine()
+		}
+		t.partEngs = engs
+		// Each switch lives on its island's engine, host endpoints on their
+		// leaf's; trunks crossing the cut drain into portal slots, bound
+		// once the runner exists.
+		fcfg.Engines = func(swIdx int) *sim.Engine { return engs[pplan.SwitchPart[swIdx]] }
+		fcfg.Remote = func(src, dst *sim.Engine, node netem.Node) netem.Remote {
+			s := &portalSlot{src: src, dst: dst, node: node}
+			slots = append(slots, s)
+			return s
+		}
+	}
+
+	// An island gets one local port per data port whose host lives in its
+	// partition, in ascending global order; a partition of pure transit
+	// switches gets none. sinks[p] is where the network delivers DATA
+	// addressed to port p; completions are recorded as they happen.
+	groups := make([][]int, pplan.Parts)
+	for p, g := range pplan.HostPart {
+		groups[g] = append(groups[g], p)
+	}
+	sinks := make([]netem.Node, cfg.DataPorts)
+	for g, ports := range groups {
+		if len(ports) == 0 {
+			continue
+		}
+		isl, err := newIsland(engs[g], g, len(ports), cfg, plan)
+		if err != nil {
+			return nil, err
+		}
+		for li, p := range ports {
+			t.portIsland[p], t.portLocal[p] = isl, li
+			sinks[p] = isl.pl.DataIn(li)
+		}
+		isl.nic.OnComplete(t.flowDone)
+		t.islands = append(t.islands, isl)
+	}
+	if len(t.islands) > 1 {
+		t.flowOwner = make(map[packet.FlowID]*island)
+	}
+
+	if cfg.ReceiverOnFPGA {
+		// Reserved-port pair (§4.3): truncated DATA to the FPGA, the
+		// receiver's ACK/NACK/CNP responses back to the switch.
+		pl := t.islands[0].pl
+		mode := fpga.TCPReceiver
+		if cfg.Receiver == tofino.RoCEReceiver {
+			mode = fpga.RoCEReceiver
+		}
+		t.fpgaRecv = fpga.NewReceiver(eng, mode, cfg.Params.CNPInterval, deviceLink(eng, cfg, pl.FPGAAckIn()))
+		pl.ConnectRxForward(deviceLink(eng, cfg, t.fpgaRecv.DataIn()))
+	}
+
+	// Tested network: tester -> intermediate switch or fabric -> tester.
+	if cfg.Topology.IsZero() {
+		if err := t.buildSwitch(netem.RouteFunc(fcfg.Dst), sinks); err != nil {
+			return nil, err
+		}
+	} else {
+		fcfg.Sinks = sinks
+		if t.Fab, err = fabric.Build(eng, fcfg); err != nil {
+			return nil, err
+		}
+		for p := 0; p < cfg.DataPorts; p++ {
+			t.txLinks = append(t.txLinks, t.Fab.HostUplink(p))
+		}
+	}
+
+	// Each data port sends into its uplink and gets a reverse ACK link,
+	// provisioned to the network's forward diameter, into its own island's
+	// pipeline.
 	revDelay := sim.Duration(cfg.Topology.Diameter()) * cfg.LinkDelay
-	for i := 0; i < cfg.DataPorts; i++ {
-		t.Pipeline.ConnectDataPort(i, fab.HostUplink(i))
-		t.txLinks = append(t.txLinks, fab.HostUplink(i))
-		rev := netem.NewLink(eng, netem.LinkConfig{
+	revs := make([]*netem.Link, cfg.DataPorts)
+	for p, isl := range t.portIsland {
+		isl.pl.ConnectDataPort(t.portLocal[p], t.txLinks[p])
+		revs[p] = netem.NewLink(isl.eng, netem.LinkConfig{
 			Rate: cfg.PortRate, Delay: revDelay, QueueBytes: 1 << 20,
-		}, t.Pipeline.AckIn())
-		t.revLinks = append(t.revLinks, rev)
-		t.Pipeline.ConnectAckPort(i, rev)
+		}, isl.pl.AckIn())
+		isl.pl.ConnectAckPort(t.portLocal[p], revs[p])
+	}
+	if cfg.Shards > 0 {
+		if err := t.joinRunner(pplan, slots, revs); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// buildSwitch wires the canonical tested network (§7.1): every data port's
+// uplink feeds one intermediate switch, whose egress port toward receiver i
+// — preceded by any ExtraHops — delivers into sinks[i].
+func (t *Tester) buildSwitch(dst netem.RouteFunc, sinks []netem.Node) error {
+	eng, cfg := t.Eng, t.cfg
+	t.Net = netem.NewSwitch("tested-network", dst)
+	txQueueBytes := cfg.NetQueueBytes
+	if cfg.EnablePFC && txQueueBytes < 4<<20 {
+		// PFC backpressure parks packets at the tester's uplinks; give
+		// them room so losslessness holds end to end.
+		txQueueBytes = 4 << 20
+	}
+	for _, sink := range sinks {
+		t.txLinks = append(t.txLinks, netem.NewLink(eng, netem.LinkConfig{
+			Rate: cfg.PortRate, Delay: cfg.LinkDelay, QueueBytes: txQueueBytes,
+			EnableINT: cfg.EnableINT,
+		}, t.Net))
+
+		// The last-hop destination, preceded by any extra hops (built
+		// back to front so packets traverse them in order).
+		hop := netem.LinkConfig{
+			Rate: cfg.PortRate, Delay: cfg.LinkDelay,
+			QueueBytes: cfg.NetQueueBytes, ECN: cfg.ECN, AQM: cfg.AQM,
+			EnableINT: cfg.EnableINT,
+		}
+		for h := 0; h < cfg.ExtraHops; h++ {
+			hop.RNG = t.rng.Split()
+			sink = netem.NewLink(eng, hop, sink)
+		}
+		hop.Jitter, hop.RNG = cfg.ForwardJitter, t.rng.Split()
+		t.Net.AddPort(eng, hop, sink)
+	}
+	if !cfg.EnablePFC {
+		return nil
+	}
+	// Each tested-network egress queue pauses all tester uplinks
+	// (single-priority, port-level PFC).
+	for i := range sinks {
+		q := t.Net.Port(i).Queue()
+		xoff := cfg.PFCXOFFBytes
+		if xoff == 0 {
+			xoff = q.Capacity() / 2
+		}
+		pfc, err := netem.NewPFC(eng, q, t.txLinks, netem.PFCConfig{
+			XOFF: xoff, XON: xoff / 2, Delay: cfg.LinkDelay,
+		})
+		if err != nil {
+			return err
+		}
+		t.pfcs = append(t.pfcs, pfc)
 	}
 	return nil
 }
@@ -540,16 +530,12 @@ func portAlias(name, prefix string) (int, bool) {
 	return i, true
 }
 
-// StallNIC gates the FPGA NIC's pacing timers (implementing
-// faults.Target). A sharded build stalls every partition's NIC.
+// StallNIC gates the FPGA NIC's pacing timers on every island
+// (implementing faults.Target).
 func (t *Tester) StallNIC(stalled bool) {
-	if t.runner != nil {
-		for _, sub := range t.subList {
-			sub.nic.SetStall(stalled)
-		}
-		return
+	for _, isl := range t.islands {
+		isl.nic.SetStall(stalled)
 	}
-	t.NIC.SetStall(stalled)
 }
 
 // InstallFaults schedules a fault plan against this tester and arms the
@@ -673,11 +659,15 @@ func (t *Tester) ecnMarks() uint64 {
 	return n
 }
 
-// ScheLink returns the FPGA->switch device link (SCHE direction).
-func (t *Tester) ScheLink() *netem.Link { return t.scheLink }
-
-// InfoLink returns the switch->FPGA device link (INFO direction).
-func (t *Tester) InfoLink() *netem.Link { return t.infoLink }
+// DeviceLinks returns the FPGA->switch (SCHE) and switch->FPGA (INFO)
+// device links, one pair per island in island order.
+func (t *Tester) DeviceLinks() (sche, info []*netem.Link) {
+	for _, isl := range t.islands {
+		sche = append(sche, isl.sche)
+		info = append(info, isl.info)
+	}
+	return sche, info
+}
 
 // OnComplete registers a hook invoked after each flow completion (after
 // the FCT is recorded); closed-loop workloads start the next flow here.
@@ -688,23 +678,7 @@ func (t *Tester) OnComplete(fn func(flow packet.FlowID, fct sim.Duration)) {
 // StartFlow launches a flow of sizePkts MTU-sized packets from tx port to
 // rx port. sizePkts == 0 runs an unbounded flow (stopped via StopFlow).
 func (t *Tester) StartFlow(flow packet.FlowID, tx, rx int, sizePkts uint32) error {
-	if t.runner != nil {
-		return t.startFlowSharded(flow, tx, rx, sizePkts, ccOverride{})
-	}
-	if rx < 0 || rx >= t.cfg.DataPorts {
-		return fmt.Errorf("core: rx port %d out of range [0,%d)", rx, t.cfg.DataPorts)
-	}
-	if err := t.Pipeline.BindFlow(flow, tx); err != nil {
-		return err
-	}
-	t.Pipeline.ResetFlow(flow)
-	if t.fpgaRecv != nil {
-		t.fpgaRecv.Reset(flow)
-	}
-	t.flowDst[flow] = rx
-	t.sizes[flow] = sizePkts
-	t.starts[flow] = t.Eng.Now()
-	return t.NIC.StartFlow(flow, tx, sizePkts)
+	return t.startFlow(flow, tx, rx, sizePkts, nil)
 }
 
 // StartFlowCC launches a flow running a per-flow CC algorithm instead of
@@ -717,34 +691,47 @@ func (t *Tester) StartFlowCC(flow packet.FlowID, tx, rx int, sizePkts uint32, al
 	if err != nil {
 		return err
 	}
-	if t.runner != nil {
-		return t.startFlowSharded(flow, tx, rx, sizePkts, ccOverride{alg: alg, ect: cc.PreferredECT(alg)})
-	}
+	return t.startFlow(flow, tx, rx, sizePkts, alg)
+}
+
+// startFlow binds the flow on the pipeline owning its TX port, resets
+// receiver state where its DATA will land, and starts it on the TX-side
+// NIC under alg (nil: the deployed default module).
+func (t *Tester) startFlow(flow packet.FlowID, tx, rx int, sizePkts uint32, alg cc.Algorithm) error {
 	if rx < 0 || rx >= t.cfg.DataPorts {
 		return fmt.Errorf("core: rx port %d out of range [0,%d)", rx, t.cfg.DataPorts)
 	}
-	if err := t.Pipeline.BindFlow(flow, tx); err != nil {
+	if tx < 0 || tx >= t.cfg.DataPorts {
+		return fmt.Errorf("core: tx port %d out of range [0,%d)", tx, t.cfg.DataPorts)
+	}
+	isl := t.portIsland[tx]
+	if err := isl.pl.BindFlow(flow, t.portLocal[tx]); err != nil {
 		return err
 	}
-	t.Pipeline.ResetFlow(flow)
+	isl.pl.ResetFlow(flow)
+	if risl := t.portIsland[rx]; risl != isl {
+		risl.pl.ResetFlow(flow)
+	}
 	if t.fpgaRecv != nil {
 		t.fpgaRecv.Reset(flow)
 	}
 	t.flowDst[flow] = rx
+	if t.flowOwner != nil {
+		t.flowOwner[flow] = isl
+	}
 	t.sizes[flow] = sizePkts
 	t.starts[flow] = t.Eng.Now()
-	return t.NIC.StartFlowWith(flow, tx, sizePkts, alg, cc.PreferredECT(alg))
+	if alg == nil {
+		return isl.nic.StartFlow(flow, t.portLocal[tx], sizePkts)
+	}
+	return isl.nic.StartFlowWith(flow, t.portLocal[tx], sizePkts, alg, cc.PreferredECT(alg))
 }
 
 // StopFlow terminates a flow immediately (§7.3's staggered termination).
 func (t *Tester) StopFlow(flow packet.FlowID) {
-	if t.runner != nil {
-		if g, ok := t.flowGroup[flow]; ok {
-			t.subs[g].nic.StopFlow(flow)
-		}
-		return
+	if isl := t.owner(flow); isl != nil {
+		isl.nic.StopFlow(flow)
 	}
-	t.NIC.StopFlow(flow)
 }
 
 func (t *Tester) flowDone(flow packet.FlowID, fct sim.Duration) {
@@ -759,8 +746,8 @@ func (t *Tester) flowDone(flow packet.FlowID, fct sim.Duration) {
 	}
 }
 
-// Run advances the simulation to the given absolute time: the single
-// engine directly, or every partition engine in conservative rounds.
+// Run advances the simulation to the given absolute time: the one island's
+// engine directly, or every island engine in conservative rounds.
 func (t *Tester) Run(until sim.Time) {
 	if t.runner != nil {
 		t.runner.Run(until)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -76,8 +77,8 @@ func TestSingleFlowReachesLineRate(t *testing.T) {
 	tr2 := newTester(t, Config{Algorithm: mustAlg(t, "dctcp"), DataPorts: 2, Seed: 1})
 	tr2.StartFlow(0, 0, 1, 0)
 	tr2.Run(sim.Time(horizon / 2))
-	bytesAtHalf = tr2.Pipeline.FlowTxBytes(0)
-	total := tr.Pipeline.FlowTxBytes(0)
+	bytesAtHalf = tr2.FlowTxBytes(0)
+	total := tr.FlowTxBytes(0)
 	gbps := float64(total-bytesAtHalf) * 8 / (horizon / 2).Seconds() / 1e9
 	if gbps < 90 {
 		t.Fatalf("steady-state single-flow rate = %.1f Gbps, want ~98", gbps)
@@ -149,13 +150,13 @@ func TestFanInCongestionSharesFairly(t *testing.T) {
 	tr.Run(warm)
 	var base [4]uint64
 	for f := range base {
-		base[f] = tr.Pipeline.FlowTxBytes(packet.FlowID(f))
+		base[f] = tr.FlowTxBytes(packet.FlowID(f))
 	}
 	tr.Run(warm + sim.Time(3*sim.Millisecond))
 	var rates []float64
 	var total float64
 	for f := range base {
-		bits := float64(tr.Pipeline.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
+		bits := float64(tr.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
 		gbps := bits / sim.Duration(3*sim.Millisecond).Seconds() / 1e9
 		rates = append(rates, gbps)
 		total += gbps
@@ -189,13 +190,13 @@ func TestDCQCNFanInConverges(t *testing.T) {
 	tr.Run(warm)
 	var base [4]uint64
 	for f := range base {
-		base[f] = tr.Pipeline.FlowTxBytes(packet.FlowID(f))
+		base[f] = tr.FlowTxBytes(packet.FlowID(f))
 	}
 	tr.Run(warm + sim.Time(4*sim.Millisecond))
 	var rates []float64
 	var total float64
 	for f := range base {
-		bits := float64(tr.Pipeline.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
+		bits := float64(tr.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
 		rates = append(rates, bits/sim.Duration(4*sim.Millisecond).Seconds()/1e9)
 		total += rates[f]
 	}
@@ -206,7 +207,7 @@ func TestDCQCNFanInConverges(t *testing.T) {
 		t.Fatalf("DCQCN Jain = %.3f (%v)", jain, rates)
 	}
 	// Lossless fabric: ECN (not loss) must carry the signal.
-	if tr.Pipeline.Counters().CnpTx == 0 {
+	if tr.PipelineCounters().CnpTx == 0 {
 		t.Fatal("no CNPs generated under congestion")
 	}
 }
@@ -222,9 +223,9 @@ func TestStopFlowReleasesBandwidth(t *testing.T) {
 	tr.StartFlow(1, 1, 2, 0)
 	tr.Run(sim.Time(3 * sim.Millisecond))
 	tr.StopFlow(1)
-	base := tr.Pipeline.FlowTxBytes(0)
+	base := tr.FlowTxBytes(0)
 	tr.Run(sim.Time(6 * sim.Millisecond))
-	gbps := float64(tr.Pipeline.FlowTxBytes(0)-base) * 8 / sim.Duration(3*sim.Millisecond).Seconds() / 1e9
+	gbps := float64(tr.FlowTxBytes(0)-base) * 8 / sim.Duration(3*sim.Millisecond).Seconds() / 1e9
 	if gbps < 85 {
 		t.Fatalf("survivor rate = %.1f Gbps after peer stopped, want ~98", gbps)
 	}
@@ -242,7 +243,7 @@ func TestScriptedLossOnForwardLink(t *testing.T) {
 	if tr.FCTs.Len() != 1 {
 		t.Fatal("flow did not recover from scripted loss")
 	}
-	if tr.NIC.Stats().RtxTx == 0 {
+	if tr.NICStats().RtxTx == 0 {
 		t.Fatal("no retransmission despite a drop")
 	}
 }
@@ -276,7 +277,7 @@ func BenchmarkTesterSingleFlow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Run(tr.Eng.Now().Add(sim.Duration(10 * sim.Microsecond)))
 	}
-	b.ReportMetric(float64(tr.Pipeline.Counters().DataTx)/float64(b.N), "pkts/op")
+	b.ReportMetric(float64(tr.PipelineCounters().DataTx)/float64(b.N), "pkts/op")
 }
 
 func TestReceiverOnFPGA(t *testing.T) {
@@ -297,7 +298,7 @@ func TestReceiverOnFPGA(t *testing.T) {
 		if tr.FCTs.Len() != 1 {
 			t.Fatalf("%s: flow did not complete via FPGA receiver", algo)
 		}
-		c := tr.Pipeline.Counters()
+		c := tr.PipelineCounters()
 		if c.AckTx == 0 {
 			t.Fatalf("%s: no ACKs relayed from the FPGA receiver", algo)
 		}
@@ -323,7 +324,7 @@ func TestReceiverOnFPGALossRecovery(t *testing.T) {
 	if tr.FCTs.Len() != 1 {
 		t.Fatal("flow did not recover from loss via FPGA receiver")
 	}
-	if tr.NIC.Stats().RtxTx == 0 {
+	if tr.NICStats().RtxTx == 0 {
 		t.Fatal("no retransmission")
 	}
 }
@@ -345,7 +346,7 @@ func TestForwardJitterReordersButCompletes(t *testing.T) {
 	if tr.FCTs.Len() != 1 {
 		t.Fatal("flow did not complete under reordering")
 	}
-	if tr.Pipeline.Counters().OutOfOrderRx == 0 {
+	if tr.PipelineCounters().OutOfOrderRx == 0 {
 		t.Fatal("jitter produced no reordering (test ineffective)")
 	}
 }
@@ -380,8 +381,9 @@ func TestControlPacketsSurviveWireCodec(t *testing.T) {
 		checked++
 		return netem.Pass
 	}
-	tr.ScheLink().AddHook(codecHook)
-	tr.InfoLink().AddHook(codecHook)
+	sche, info := tr.DeviceLinks()
+	sche[0].AddHook(codecHook)
+	info[0].AddHook(codecHook)
 	if err := tr.StartFlow(0, 0, 1, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -410,11 +412,11 @@ func TestExtraHopsDeepenPathAndINT(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr.Run(sim.Time(2 * sim.Millisecond))
-		_, count, ewma := tr.NIC.RTTSamples()
+		_, count, ewma := tr.RTTSamples()
 		if count == 0 {
 			t.Fatal("no RTT probes")
 		}
-		gbps := float64(tr.Pipeline.FlowTxBytes(0)) * 8 / 0.002 / 1e9
+		gbps := float64(tr.FlowTxBytes(0)) * 8 / 0.002 / 1e9
 		if gbps < 60 {
 			t.Fatalf("extra=%d: throughput %v Gbps", extra, gbps)
 		}
@@ -441,7 +443,8 @@ func TestExtraHopsINTStack(t *testing.T) {
 	tr.ForwardLink(1) // bottleneck exists
 	// Inspect the INT stack on INFO packets at the NIC by hooking the
 	// info link.
-	tr.InfoLink().AddHook(func(p *packet.Packet) netem.HookAction {
+	_, info := tr.DeviceLinks()
+	info[0].AddHook(func(p *packet.Packet) netem.HookAction {
 		if p.Type == packet.INFO && p.INT.NHops > hops {
 			hops = p.INT.NHops
 		}
@@ -480,7 +483,7 @@ func TestEveryAlgorithmRunsEndToEnd(t *testing.T) {
 			if tr.FCTs.Len() != 1 {
 				t.Fatalf("%s: flow did not complete", name)
 			}
-			if tr.Pipeline.Counters().ScheDrops != 0 {
+			if tr.PipelineCounters().ScheDrops != 0 {
 				t.Fatalf("%s: false losses", name)
 			}
 		})
@@ -681,7 +684,7 @@ func TestInstallFaultsLinkDownRecovery(t *testing.T) {
 	if r.RtxDuring == 0 && link.Stats().DownDrops > 0 {
 		// Retransmissions may land after the window; only sanity-check the
 		// NIC saw the loss at all.
-		if tr.NIC.Stats().RtxTx == 0 {
+		if tr.NICStats().RtxTx == 0 {
 			t.Fatal("carrier drops but no retransmissions ever")
 		}
 	}
@@ -698,5 +701,81 @@ func TestInstallFaultsRejectsUnknownLink(t *testing.T) {
 	}
 	if tr.FaultMonitor() != nil {
 		t.Fatal("monitor armed despite failed install")
+	}
+}
+
+// TestOneIslandAccessorsReadTheDevices pins the unified assembly's identity
+// case: on a one-island tester every aggregate accessor is the direct device
+// reading, bit for bit (the sum over one island, the owner among one).
+func TestOneIslandAccessorsReadTheDevices(t *testing.T) {
+	tr := newTester(t, Config{
+		Algorithm: mustAlg(t, "dctcp"),
+		DataPorts: 3,
+		ECN:       netem.StepMarking(65, 1024),
+		Seed:      9,
+	})
+	tr.ForwardLink(2).AddHook(netem.NewScript().DropOnce(0, 50).Hook)
+	for f := packet.FlowID(0); f < 2; f++ {
+		if err := tr.StartFlow(f, int(f), 2, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Run(sim.Time(2 * sim.Millisecond))
+	if len(tr.islands) != 1 {
+		t.Fatalf("Shards 0 built %d islands, want 1", len(tr.islands))
+	}
+	pl, nic := tr.islands[0].pl, tr.islands[0].nic
+	if nic.Stats().RtxTx == 0 || len(nic.Logger().FlowTrace(0)) == 0 {
+		t.Fatal("workload produced no retransmission or no trace (test ineffective)")
+	}
+	gotS, gotN, gotE := tr.RTTSamples()
+	wantS, wantN, wantE := nic.RTTSamples()
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"PipelineCounters", tr.PipelineCounters(), pl.Counters()},
+		{"PipelinePortCounters(0)", tr.PipelinePortCounters(0), pl.PortCounters(0)},
+		{"PipelinePortCounters(2)", tr.PipelinePortCounters(2), pl.PortCounters(2)},
+		{"NICStats", tr.NICStats(), nic.Stats()},
+		{"FlowTxBytes(1)", tr.FlowTxBytes(1), pl.FlowTxBytes(1)},
+		{"FlowTxBytes(unknown)", tr.FlowTxBytes(77), pl.FlowTxBytes(77)},
+		{"FlowTrace(0)", tr.FlowTrace(0), nic.Logger().FlowTrace(0)},
+		{"RTT samples", gotS, wantS},
+		{"RTT count", gotN, wantN},
+		{"RTT EWMA bits", math.Float64bits(gotE), math.Float64bits(wantE)},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s = %v, device reads %v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestStartFlowPortErrorsSameOnEveryBuild: an out-of-range tx or rx is
+// refused with the same text whether the tester has one island or several.
+func TestStartFlowPortErrorsSameOnEveryBuild(t *testing.T) {
+	build := func(shards int) *Tester {
+		return newTester(t, Config{
+			Algorithm: mustAlg(t, "dctcp"),
+			DataPorts: 4,
+			Topology:  fabric.Spec{Kind: fabric.KindLeafSpine, Leaves: 2, Spines: 2},
+			Shards:    shards,
+			Seed:      3,
+		})
+	}
+	one, many := build(0), build(2)
+	for _, c := range []struct{ tx, rx int }{{-1, 1}, {4, 1}, {0, -1}, {0, 4}, {9, 9}} {
+		for _, start := range []func(*Tester) error{
+			func(tr *Tester) error { return tr.StartFlow(0, c.tx, c.rx, 10) },
+			func(tr *Tester) error { return tr.StartFlowCC(0, c.tx, c.rx, 10, "cubic") },
+		} {
+			e0, e2 := start(one), start(many)
+			if e0 == nil || e2 == nil {
+				t.Fatalf("tx=%d rx=%d accepted: shards 0: %v, shards 2: %v", c.tx, c.rx, e0, e2)
+			}
+			if e0.Error() != e2.Error() || !strings.HasPrefix(e0.Error(), "core: ") {
+				t.Errorf("tx=%d rx=%d: shards 0 says %q, shards 2 says %q", c.tx, c.rx, e0, e2)
+			}
+		}
 	}
 }

@@ -61,7 +61,7 @@ func AblateQueue(opts Options) (*Result, error) {
 			}
 		}
 		tr.Run(sim.Time(opts.scaleD(sim.Millisecond)))
-		c := tr.Pipeline.Counters()
+		c := tr.PipelineCounters()
 		pct := 0.0
 		if c.DataTx > 0 {
 			pct = 100 * float64(c.Misdelivered) / float64(c.DataTx)
@@ -178,7 +178,7 @@ func AblateOverrun(opts Options) (*Result, error) {
 			return nil, err
 		}
 		tr.Run(sim.Time(horizon))
-		c := tr.Pipeline.Counters()
+		c := tr.PipelineCounters()
 		pct := 0.0
 		if c.ScheRx > 0 {
 			pct = 100 * float64(c.ScheDrops) / float64(c.ScheRx)
@@ -225,9 +225,9 @@ func AblateScheduler(opts Options) (*Result, error) {
 			}
 		}
 		tr.Run(sim.Time(horizon))
-		bits := float64(tr.Pipeline.Counters().DataTxBytes) * 8
+		bits := float64(tr.PipelineCounters().DataTxBytes) * 8
 		gbps := bits / horizon.Seconds() / 1e9
-		st := tr.NIC.Stats()
+		st := tr.NICStats()
 		res.AddRow(mode.String(), f2(gbps),
 			fmt.Sprintf("%d", st.SchedWasted), fmt.Sprintf("%d", st.ScanGiveUps))
 		res.Metrics[mode.String()+"_gbps"] = gbps
@@ -285,11 +285,11 @@ func AblateSlowPath(opts Options) (*Result, error) {
 			one = float64(uint32(1) << 20)
 		}
 		var alphaSeries measure.Series
-		for _, p := range tr.NIC.Logger().FlowTrace(0) {
+		for _, p := range tr.FlowTrace(0) {
 			alphaSeries = append(alphaSeries, measure.Point{At: p.At, V: float64(p.B) / one})
 		}
 		warm := alphaSeries.After(sim.Time(horizon / 2))
-		return outcome{mean: warm.Mean(), runs: tr.NIC.Stats().SlowPathRuns}
+		return outcome{mean: warm.Mean(), runs: tr.NICStats().SlowPathRuns}
 	}
 
 	slow := run(true, 32)

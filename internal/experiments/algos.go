@@ -87,14 +87,14 @@ func ExtAlgos(opts Options) (*Result, error) {
 		tr.Run(sim.Time(horizon / 2))
 		var base [flows]uint64
 		for f := range base {
-			base[f] = tr.Pipeline.FlowTxBytes(packet.FlowID(f))
+			base[f] = tr.FlowTxBytes(packet.FlowID(f))
 		}
 		tr.Run(sim.Time(horizon))
 
 		var rates []float64
 		total := 0.0
 		for f := range base {
-			bits := float64(tr.Pipeline.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
+			bits := float64(tr.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
 			g := bits / (horizon / 2).Seconds() / 1e9
 			rates = append(rates, g)
 			total += g
@@ -102,7 +102,7 @@ func ExtAlgos(opts Options) (*Result, error) {
 		jain := measure.JainIndex(rates)
 		meanQ := qSamples.After(sim.Time(horizon / 2)).Mean()
 		drops := controlplane.ReadLosses(tr).NetworkDrops
-		rtx := tr.NIC.Stats().RtxTx
+		rtx := tr.NICStats().RtxTx
 		res.AddRow(name, alg.Mode().String(), f2(jain), f2(total), f2(meanQ),
 			fmt.Sprintf("%d", drops), fmt.Sprintf("%d", rtx))
 		res.Metrics[name+"_jain"] = jain

@@ -33,7 +33,7 @@ func TestRenoTrajectoryMatchesReference(t *testing.T) {
 	}
 	tr.Run(sim.Time(horizon))
 	var mCwnd measure.StepTrace
-	for _, p := range tr.NIC.Logger().FlowTrace(0) {
+	for _, p := range tr.FlowTrace(0) {
 		mCwnd = append(mCwnd, measure.Point{At: p.At, V: float64(p.A)})
 	}
 	if len(mCwnd) == 0 {
@@ -71,5 +71,51 @@ func TestRenoTrajectoryMatchesReference(t *testing.T) {
 	rPeak := measure.Series(rCwnd).Max()
 	if mPeak < rPeak*0.9 || mPeak > rPeak*1.1 {
 		t.Errorf("reno peaks diverge: marlin %v vs ref %v", mPeak, rPeak)
+	}
+}
+
+// TestHarnessReadsWorkOnPartitionedTester runs the measurement body the
+// harnesses share — per-flow FlowTxBytes deltas over the second half and
+// NICStats().RtxTx (the algorithm table), Figure 5's FlowTrace(0) — against
+// a Shards: 1 leaf-spine tester. Those reads used to go through the
+// Tester.Pipeline / Tester.NIC fields, which a partitioned build left nil.
+func TestHarnessReadsWorkOnPartitionedTester(t *testing.T) {
+	const flows, horizon = 3, 2 * sim.Millisecond
+	eng := sim.NewEngine()
+	tr, err := (&controlplane.Spec{
+		Algorithm: "dctcp", Ports: flows + 1, ECNThresholdPkts: 65,
+		Topology: "leafspine:2x2", Shards: 1, Seed: 1,
+	}).Deploy(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.ForwardLink(flows).AddHook(netem.NewScript().DropOnce(0, 50).Hook)
+	for f := 0; f < flows; f++ {
+		if err := tr.StartFlow(packet.FlowID(f), f, flows, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Run(sim.Time(horizon / 2))
+	var base [flows]uint64
+	for f := range base {
+		base[f] = tr.FlowTxBytes(packet.FlowID(f))
+	}
+	tr.Run(sim.Time(horizon))
+	total := 0.0
+	for f := range base {
+		bits := float64(tr.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
+		if bits == 0 {
+			t.Errorf("flow %d sent nothing in the measured half", f)
+		}
+		total += bits / (horizon / 2).Seconds() / 1e9
+	}
+	if total < 50 || total > 101 {
+		t.Errorf("aggregate through the 100G fan-in = %.1f Gbps", total)
+	}
+	if tr.NICStats().RtxTx == 0 {
+		t.Error("scripted drop produced no retransmission")
+	}
+	if len(tr.FlowTrace(0)) == 0 {
+		t.Error("no fine-grained trace for flow 0")
 	}
 }

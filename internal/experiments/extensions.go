@@ -66,14 +66,14 @@ func ExtHPCC(opts Options) (*Result, error) {
 		tr.Run(sim.Time(horizon / 2))
 		var base [flows]uint64
 		for f := range base {
-			base[f] = tr.Pipeline.FlowTxBytes(packet.FlowID(f))
+			base[f] = tr.FlowTxBytes(packet.FlowID(f))
 		}
 		tr.Run(sim.Time(horizon))
 
 		var rates []float64
 		total := 0.0
 		for f := range base {
-			bits := float64(tr.Pipeline.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
+			bits := float64(tr.FlowTxBytes(packet.FlowID(f))-base[f]) * 8
 			g := bits / (horizon / 2).Seconds() / 1e9
 			rates = append(rates, g)
 			total += g
@@ -127,10 +127,10 @@ func ExtPFC(opts Options) (*Result, error) {
 		}
 		tr.Run(sim.Time(horizon))
 		losses := controlplane.ReadLosses(tr)
-		st := tr.NIC.Stats()
+		st := tr.NICStats()
 		// Goodput: unique DATA delivered to the receiver (drops and
 		// retransmitted duplicates excluded).
-		rx := tr.Pipeline.Counters().DataRx - tr.Pipeline.Counters().DuplicateRx
+		rx := tr.PipelineCounters().DataRx - tr.PipelineCounters().DuplicateRx
 		goodput := float64(rx) * 1044 * 8 / horizon.Seconds() / 1e9
 		name := "lossy"
 		if pfc {
@@ -185,9 +185,9 @@ func ExtFPGAReceiver(opts Options) (*Result, error) {
 			name = "fpga"
 		}
 		cdf := measure.NewCDF(tr.FCTs.FCTs())
-		goodput := float64(tr.Pipeline.Counters().DataTxBytes) * 8 / horizon.Seconds() / 1e9
+		goodput := float64(tr.PipelineCounters().DataTxBytes) * 8 / horizon.Seconds() / 1e9
 		res.AddRow(name, fmt.Sprintf("%d", cdf.Len()), f2(cdf.Percentile(0.5)),
-			f2(goodput), fmt.Sprintf("%d", tr.Pipeline.Counters().AckTx))
+			f2(goodput), fmt.Sprintf("%d", tr.PipelineCounters().AckTx))
 		res.Metrics[name+"_completions"] = float64(cdf.Len())
 		res.Metrics[name+"_p50_us"] = cdf.Percentile(0.5)
 		res.Metrics[name+"_goodput_gbps"] = goodput
@@ -230,7 +230,7 @@ func ExtMultiPipe(opts Options) (*Result, error) {
 	eng.Run(sim.Time(horizon))
 	totalG := 0.0
 	for pipe, tr := range testers {
-		c := tr.Pipeline.Counters()
+		c := tr.PipelineCounters()
 		gbps := float64(c.DataTxBytes) * 8 / horizon.Seconds() / 1e9
 		totalG += gbps
 		res.AddRow(fmt.Sprintf("%d", pipe), fmt.Sprintf("%d", tr.Plan().DataPorts),

@@ -131,7 +131,7 @@ func fig10Run(opts Options, algo string, res *Result) error {
 		}
 	}
 	res.Metrics[algo+"_short_median_us"] = measure.NewCDF(short).Percentile(0.5)
-	res.Metrics[algo+"_throughput_gbps"] = float64(tr.Pipeline.Counters().DataTxBytes) * 8 /
+	res.Metrics[algo+"_throughput_gbps"] = float64(tr.PipelineCounters().DataTxBytes) * 8 /
 		sim.Duration(horizon).Seconds() / 1e9
 	return nil
 }

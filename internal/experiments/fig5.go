@@ -54,7 +54,7 @@ func Fig5(opts Options) (*Result, error) {
 	}
 	tr.Run(sim.Time(horizon))
 
-	trace := tr.NIC.Logger().FlowTrace(0)
+	trace := tr.FlowTrace(0)
 	if len(trace) == 0 {
 		return nil, fmt.Errorf("fig5: Marlin produced no trace")
 	}

@@ -38,7 +38,7 @@ func Fig6(opts Options) (*Result, error) {
 		if err := tr.StartFlow(fl, 0, 1, 0); err != nil {
 			return nil, err
 		}
-		sampler.Track(fmt.Sprintf("flow%d", i), func() uint64 { return tr.Pipeline.FlowTxBytes(fl) })
+		sampler.Track(fmt.Sprintf("flow%d", i), func() uint64 { return tr.FlowTxBytes(fl) })
 	}
 	sampler.Start()
 	tr.Run(sim.Time(horizon))
@@ -98,7 +98,7 @@ func Fig7(opts Options) (*Result, error) {
 		if err := tr.StartFlow(fl, i, i, 0); err != nil {
 			return nil, err
 		}
-		sampler.Track(fmt.Sprintf("flow%d", i), func() uint64 { return tr.Pipeline.FlowTxBytes(fl) })
+		sampler.Track(fmt.Sprintf("flow%d", i), func() uint64 { return tr.FlowTxBytes(fl) })
 	}
 	sampler.Start()
 	tr.Run(sim.Time(horizon))
@@ -138,7 +138,7 @@ func Fig7(opts Options) (*Result, error) {
 	res.Metrics["min_flow_gbps_steady"] = minRate
 	res.Metrics["mean_total_gbps"] = meanTotal
 	res.Metrics["mean_total_tbps"] = meanTotal / 1000
-	res.Metrics["sche_drops"] = float64(tr.Pipeline.Counters().ScheDrops)
+	res.Metrics["sche_drops"] = float64(tr.PipelineCounters().ScheDrops)
 	res.Note("aggregate approaches 1.2 Tbps minus the 2%% Ethernet preamble/IFG overhead the paper's rate constants include")
 	return res, nil
 }

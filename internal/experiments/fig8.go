@@ -55,7 +55,7 @@ func fig8Run(opts Options, algo string, res *Result) error {
 	sampler := measure.NewRateSampler(eng, sampleEvery)
 	for i := 0; i < flows; i++ {
 		fl := packet.FlowID(i)
-		sampler.Track(fmt.Sprintf("flow%d", i), func() uint64 { return tr.Pipeline.FlowTxBytes(fl) })
+		sampler.Track(fmt.Sprintf("flow%d", i), func() uint64 { return tr.FlowTxBytes(fl) })
 	}
 	sampler.Start()
 	// Staggered starts on ports 0..3 toward port 4, then staggered stops.

@@ -67,7 +67,7 @@ func ExtOpenLoop(opts Options) (*Result, error) {
 		tr.Run(sim.Time(horizon))
 
 		cdf := measure.NewCDF(tr.FCTs.FCTs())
-		achieved := float64(tr.Pipeline.Counters().DataTxBytes) * 8 / horizon.Seconds() / 1e9
+		achieved := float64(tr.PipelineCounters().DataTxBytes) * 8 / horizon.Seconds() / 1e9
 		key := fmt.Sprintf("%.0f", load*100)
 		res.AddRow(fmt.Sprintf("%.1f", load), fmt.Sprintf("%d", cdf.Len()),
 			f2(cdf.Percentile(0.5)), f2(cdf.Percentile(0.99)), f2(achieved))

@@ -39,12 +39,12 @@ func AblateRXDemux(opts Options) (*Result, error) {
 			}
 		}
 		tr.Run(sim.Time(horizon))
-		st := tr.NIC.Stats()
+		st := tr.NICStats()
 		pct := 0.0
 		if st.InfoRx > 0 {
 			pct = 100 * float64(st.InfoDrops) / float64(st.InfoRx)
 		}
-		gbps := float64(tr.Pipeline.Counters().DataTxBytes) * 8 / horizon.Seconds() / 1e9
+		gbps := float64(tr.PipelineCounters().DataTxBytes) * 8 / horizon.Seconds() / 1e9
 		name := "per-port"
 		if single {
 			name = "shared"

@@ -256,8 +256,9 @@ func checkLiveness(cfg Config, r *runResult) *Violation {
 
 // checkShardEquiv runs the config at Shards=1 and Shards=3 and compares
 // digests. Shards>=1 must be byte-identical for every worker count (the
-// conservative parallel build's core guarantee); Shards=0 is the classic
-// engine and may legitimately differ, so it is not part of this oracle.
+// conservative parallel build's core guarantee); Shards=0 assembles one
+// island instead of K — fewer device cables and NIC slices — and may
+// legitimately differ, so it is not part of this oracle.
 func checkShardEquiv(cfg Config) (*Violation, error) {
 	one, err := execute(cfg, overrides{haveShard: true, shards: 1})
 	if err != nil {

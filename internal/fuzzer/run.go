@@ -126,11 +126,10 @@ func collectQueues(tr *core.Tester) []queueBalance {
 			add(fmt.Sprintf("uplink%d", i), tr.Fab.HostUplink(i).Queue())
 		}
 	}
-	if l := tr.ScheLink(); l != nil {
-		add("sche", l.Queue())
-	}
-	if l := tr.InfoLink(); l != nil {
-		add("info", l.Queue())
+	sche, info := tr.DeviceLinks()
+	for i := range sche {
+		add(fmt.Sprintf("sche%d", i), sche[i].Queue())
+		add(fmt.Sprintf("info%d", i), info[i].Queue())
 	}
 	return out
 }

@@ -146,6 +146,10 @@ func (l *Link) AddHook(h Hook) { l.hooks = append(l.hooks, h) }
 // before its first Send.
 func (l *Link) SetRemote(r Remote) { l.remote = r }
 
+// Engine returns the engine the link's queue, hooks, and serialization run
+// on; its clock is the one a hook observing the link should read.
+func (l *Link) Engine() *sim.Engine { return l.eng }
+
 // Rate returns the configured line rate.
 func (l *Link) Rate() sim.Rate { return l.rate }
 

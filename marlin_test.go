@@ -2,6 +2,7 @@ package marlin_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
 	"strings"
 	"testing"
@@ -234,6 +235,59 @@ func TestRTTSamplingAndCapture(t *testing.T) {
 	}
 	if fwd.Len() <= 24 || dev.Len() <= 24 {
 		t.Fatal("capture files empty beyond the header")
+	}
+}
+
+// TestCaptureOnPartitionedBuild is `marlinctl test -topology leafspine:2x2
+// -shards N -pcap`: the forward-link capture must stamp each packet from the
+// captured link's own engine, not from the control engine parked at the last
+// round barrier. One flow crosses the spine, so the captured link sees
+// arrivals paced by one upstream 100G trunk: at most 12 MTU frames can share
+// a microsecond stamp, where barrier stamps pile a whole 2 us round onto one.
+func TestCaptureOnPartitionedBuild(t *testing.T) {
+	capture := func(shards int) []byte {
+		tr, err := marlin.NewTester(marlin.TestConfig{
+			Algorithm: "dctcp", Ports: 4, Topology: "leafspine:2x2",
+			Shards: shards, ECNThresholdPkts: 65, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := tr.CaptureForward(1, &buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.CaptureDeviceLinks(&bytes.Buffer{}, 0); err == nil {
+			t.Fatalf("shards=%d: device-link capture accepted on a two-island build", shards)
+		}
+		if err := tr.StartFlow(0, 0, 1, 400); err != nil {
+			t.Fatal(err)
+		}
+		tr.RunFor(2 * marlin.Millisecond)
+		return buf.Bytes()
+	}
+	one, two := capture(1), capture(2)
+	if !bytes.Equal(one, two) {
+		t.Fatal("pcap at shards=2 differs from shards=1")
+	}
+	perStamp := map[uint64]int{}
+	var last uint64
+	for rec := two[24:]; len(rec) >= 16; {
+		us := uint64(binary.LittleEndian.Uint32(rec[0:4]))*1e6 + uint64(binary.LittleEndian.Uint32(rec[4:8]))
+		if us < last {
+			t.Fatalf("timestamps go backwards: %d us after %d us", us, last)
+		}
+		last = us
+		perStamp[us]++
+		rec = rec[16+binary.LittleEndian.Uint32(rec[8:12]):]
+	}
+	for us, n := range perStamp {
+		if n > 12 {
+			t.Fatalf("%d frames stamped %d us: more than a 100G link carries in a microsecond", n, us)
+		}
+	}
+	if len(perStamp) < 40 {
+		t.Fatalf("only %d distinct stamps over a 400-frame flow", len(perStamp))
 	}
 }
 
