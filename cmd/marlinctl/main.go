@@ -5,13 +5,20 @@
 // Usage:
 //
 //	marlinctl list
-//	marlinctl run <experiment> [-scale N] [-seed N]
-//	marlinctl all [-scale N] [-seed N] [-j N]
-//	marlinctl sweep -axis ecn=8,65,200 [-axis algo=dctcp,dcqcn] [-reps N]
+//	marlinctl run <experiment> [-scale N] [-seed N] [-format text|json|csv]
+//	marlinctl all [-scale N] [-seed N] [-j N] [-format text|json|csv]
+//	marlinctl test  [KEYS] [-duration 5ms] [-fanin] [-pcap FILE]
+//	marlinctl bench [KEYS] [-duration 5ms] [-fanin] [-reps N] [-cpuprofile FILE] ...
+//	marlinctl dot   [KEYS]
+//	marlinctl sweep [KEYS] -axis ecn=8,65,200 [-axis algo=dctcp,dcqcn] [-reps N]
 //	               [-j N] [-journal FILE] [-timeout D] [-retries N]
-//	marlinctl test [-algo dctcp] [-ports N] [-flows N] [-duration 5ms]
-//	               [-ecn K] [-fanin] [-seed N]
+//	marlinctl script <file>...
 //	marlinctl fuzz [-n N] [-seed S] [-j N] [-minimize] [-repro DIR]
+//
+// KEYS is one flag per configuration key of marlin.TestConfig (-algo, -ports,
+// -ecn, -aqm, -topology, -shards, -seed, ...), declared once beside
+// controlplane.Spec for these flags, scenario `set` lines and sweep axes
+// alike; "marlinctl help" prints the table.
 package main
 
 import (
@@ -79,24 +86,60 @@ commands:
 
 run/all flags: -scale N (stretch toward paper scale), -seed N, -format text|json|csv
                all also takes -j N (parallel jobs; -j 1 = sequential)
-sweep flags:   -axis key=v1,v2,... (repeatable) -reps N -j N -seed N
-               -algo NAME -ports N -flows N -duration D
-               -timeout D -retries N -journal FILE -format text|json|csv
-test flags:    -algo NAME -ports N -flows N -duration D -ecn K -fanin
-               -int -pfc -fpgarecv -topology SPEC -pcap FILE -seed N
-               -shards N (parallel build on up to N cores; needs -topology;
-               results byte-identical for any N >= 1)
-               -faults "SPEC" -pattern "SPEC" (traffic patterns: square,
-               saw, mmpp, lognormal, incast, flood)
-               -aqm "SPEC" (queue discipline: red, pie, codel, pi2,
-               dualpi2; replaces step ECN)
 fuzz flags:    -n N (configs) -seed S -j N -minimize -repro DIR -poolaudit N
                report is byte-identical for a given (-n, -seed) at any -j
-bench flags:   -algo NAME -ports N -flows N -duration D -reps N -shards N
-               -cpuprofile FILE -memprofile FILE -trace FILE
-dot flags:     -algo NAME -ports N -pfc -fpgarecv -topology SPEC
+test, bench, dot and sweep take the configuration keys below as flags, plus
+their own ("marlinctl <command> -h" lists both, with the command's defaults);
+sweep varies any of them with -axis key=v1,v2,... and scenario scripts set
+them with "set KEY VALUE".
 topologies:    dumbbell, leafspine:LxS, fattree:K, parkinglot:N
+
+configuration keys:
 `)
+	var cfg marlin.TestConfig
+	fs := keyFlags("", &cfg)
+	fs.SetOutput(os.Stderr)
+	fs.PrintDefaults()
+}
+
+// keyFlags starts a command's flag set with one flag per configuration key
+// (controlplane's knob table), each writing into cfg; what cfg holds on
+// entry is the command's default for that key.
+func keyFlags(cmd string, cfg *marlin.TestConfig) *flag.FlagSet {
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	cfg.BindFlags(fs)
+	return fs
+}
+
+// adhocDefaults is the configuration test and bench start from: step ECN
+// at the paper's K, and DCQCN's timers compressed for millisecond horizons
+// (the short-horizon convention, see EXPERIMENTS.md).
+func adhocDefaults() marlin.TestConfig {
+	return marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, DCQCNTimeScale: 30, Seed: 1}
+}
+
+// startFlows starts perPort open-ended flows on every sender port — port p
+// to port p, or with fanin every port but the last into the last — and
+// returns how many it started (flow IDs 0..n-1).
+func startFlows(t *marlin.Tester, perPort int, fanin bool) (marlin.FlowID, error) {
+	senders := t.DataPorts()
+	if fanin {
+		senders-- // the last port only receives
+	}
+	var id marlin.FlowID
+	for p := 0; p < senders; p++ {
+		rx := p
+		if fanin {
+			rx = senders
+		}
+		for k := 0; k < perPort; k++ {
+			if err := t.StartFlow(id, p, rx, 0); err != nil {
+				return id, err
+			}
+			id++
+		}
+	}
+	return id, nil
 }
 
 func cmdList() error {
@@ -220,57 +263,41 @@ func cmdAll(args []string) error {
 	return err
 }
 
-func cmdTest(args []string) error {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	algo := fs.String("algo", "dctcp", "CC algorithm")
-	ports := fs.Int("ports", 4, "data ports")
-	flows := fs.Int("flows", 1, "flows per sender port")
-	durStr := fs.String("duration", "5ms", "simulated duration (e.g. 5ms, 2s)")
-	ecn := fs.Int("ecn", 65, "ECN step-marking threshold in packets (0 = off)")
-	aqmSpec := fs.String("aqm", "", `AQM discipline for the tested network's queues, e.g. "pi2" or "dualpi2:target=25us,tupdate=100us,step=50us" (replaces step ECN)`)
-	fanin := fs.Bool("fanin", false, "route all flows to one destination port")
-	useINT := fs.Bool("int", false, "stamp in-band telemetry at every hop (for hpcc)")
-	usePFC := fs.Bool("pfc", false, "lossless fabric via PFC pause frames")
-	fpgaRecv := fs.Bool("fpgarecv", false, "run receiver logic on the FPGA (reserved port)")
-	topology := fs.String("topology", "", "tested-network fabric (dumbbell, leafspine:LxS, fattree:K, parkinglot:N; empty = single switch)")
-	shards := fs.Int("shards", 0, "conservative parallel build on up to N worker cores (needs -topology; 0 = one island on one engine; results byte-identical for any N >= 1)")
-	pcapPath := fs.String("pcap", "", "capture the first forward link to this pcap file")
-	faultSpec := fs.String("faults", "", `time-domain fault plan, e.g. "linkdown fwd1 at 2ms for 300us; nicstall at 4ms for 100us"`)
-	patternSpec := fs.String("pattern", "", `traffic-pattern plan, e.g. "incast:period=5ms,fanin=8,victim=1,size=150; flood:peak=20G,victim=1"`)
-	seed := fs.Uint64("seed", 1, "random seed")
+// testArgs is what test takes beyond the configuration keys.
+type testArgs struct {
+	dur   time.Duration
+	fanin bool
+	pcap  string
+}
+
+func parseTest(args []string) (marlin.TestConfig, testArgs, error) {
+	cfg := adhocDefaults()
+	var a testArgs
+	fs := keyFlags("test", &cfg)
+	fs.DurationVar(&a.dur, "duration", 5*time.Millisecond, "simulated duration (e.g. 5ms, 2s)")
+	fs.BoolVar(&a.fanin, "fanin", false, "route all flows to one destination port")
+	fs.StringVar(&a.pcap, "pcap", "", "capture the first forward link to this pcap file")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return cfg, a, err
 	}
-	dur, err := time.ParseDuration(*durStr)
-	if err != nil {
-		return fmt.Errorf("test: bad -duration: %w", err)
-	}
-	if *aqmSpec != "" {
+	if cfg.AQM != "" {
 		// AQM replaces step ECN; only reject the combination when the user
 		// explicitly asked for both (the -ecn default would otherwise make
 		// -aqm unusable on its own).
 		ecnSet := false
 		fs.Visit(func(f *flag.Flag) { ecnSet = ecnSet || f.Name == "ecn" })
-		if ecnSet && *ecn != 0 {
-			return fmt.Errorf("test: -aqm and -ecn are mutually exclusive marking policies")
+		if ecnSet && cfg.ECNThresholdPkts != 0 {
+			return cfg, a, fmt.Errorf("test: -aqm and -ecn are mutually exclusive marking policies")
 		}
-		*ecn = 0
+		cfg.ECNThresholdPkts = 0
 	}
+	return cfg, a, nil
+}
 
-	cfg := marlin.TestConfig{
-		Algorithm:        *algo,
-		Ports:            *ports,
-		ECNThresholdPkts: *ecn,
-		AQM:              *aqmSpec,
-		EnableINT:        *useINT,
-		EnablePFC:        *usePFC,
-		ReceiverOnFPGA:   *fpgaRecv,
-		Topology:         *topology,
-		Shards:           *shards,
-		Faults:           *faultSpec,
-		Pattern:          *patternSpec,
-		DCQCNTimeScale:   30,
-		Seed:             *seed,
+func cmdTest(args []string) error {
+	cfg, a, err := parseTest(args)
+	if err != nil {
+		return err
 	}
 	for _, warn := range marlin.Lint(cfg) {
 		fmt.Fprintln(os.Stderr, "warning:", warn)
@@ -280,44 +307,29 @@ func cmdTest(args []string) error {
 		return err
 	}
 	var pcapFile *os.File
-	if *pcapPath != "" {
-		pcapFile, err = os.Create(*pcapPath)
+	if a.pcap != "" {
+		pcapFile, err = os.Create(a.pcap)
 		if err != nil {
 			return err
 		}
 		defer pcapFile.Close()
 		rx := 0
-		if *fanin {
+		if a.fanin {
 			rx = t.DataPorts() - 1
 		}
 		if _, err := t.CaptureForward(rx, pcapFile, 0); err != nil {
 			return err
 		}
 	}
-	senders := t.DataPorts()
-	dst := -1
-	if *fanin {
-		senders = t.DataPorts() - 1
-		dst = senders
+	id, err := startFlows(t, cfg.FlowsPerPort, a.fanin)
+	if err != nil {
+		return err
 	}
-	var id marlin.FlowID
-	for p := 0; p < senders; p++ {
-		rx := p
-		if dst >= 0 {
-			rx = dst
-		}
-		for k := 0; k < *flows; k++ {
-			if err := t.StartFlow(id, p, rx, 0); err != nil {
-				return err
-			}
-			id++
-		}
-	}
-	t.RunFor(marlin.Duration(dur.Nanoseconds()) * marlin.Nanosecond)
+	t.RunFor(marlin.Duration(a.dur.Nanoseconds()) * marlin.Nanosecond)
 
 	snap := t.Registers()
 	fmt.Println(marlin.FormatSnapshot(snap))
-	secs := float64(dur.Nanoseconds()) / 1e9
+	secs := float64(a.dur.Nanoseconds()) / 1e9
 	var rates []float64
 	for f := marlin.FlowID(0); f < id; f++ {
 		gbps := float64(t.FlowTxBytes(f)) * 8 / secs / 1e9
@@ -329,7 +341,7 @@ func cmdTest(args []string) error {
 	losses := t.Losses()
 	fmt.Printf("losses: network=%d false=%d rx=%d\n",
 		losses.NetworkDrops, losses.FalseLosses, losses.RXDrops)
-	if *faultSpec != "" {
+	if cfg.Faults != "" {
 		fmt.Printf("fault losses: injected=%d carrier=%d\n",
 			losses.InjectedDrops, losses.DownDrops)
 		fmt.Println("fault recovery:")
@@ -337,7 +349,7 @@ func cmdTest(args []string) error {
 			fmt.Printf("  %s\n", r)
 		}
 	}
-	if *patternSpec != "" {
+	if cfg.Pattern != "" {
 		if ov := t.Overload(); ov != nil {
 			fmt.Printf("overload: absorption=%.4f peak_queue=%dB (%.2fx threshold) time_over=%v windows=%d\n",
 				ov.BurstAbsorption, ov.PeakQueueBytes, ov.PeakOvershoot, ov.TimeInOverload, len(ov.Windows))
@@ -351,7 +363,7 @@ func cmdTest(args []string) error {
 			fmt.Printf("background fct inflation: %.3f\n", marlin.FCTInflation(bg, ov.Windows))
 		}
 	}
-	if *aqmSpec != "" {
+	if cfg.AQM != "" {
 		for _, sw := range t.NetworkTelemetry() {
 			for pi, ps := range sw.Ports {
 				if ps.AQM == nil || ps.AQM.Marks+ps.AQM.Drops == 0 {
@@ -369,7 +381,7 @@ func cmdTest(args []string) error {
 			}
 		}
 	}
-	if *topology != "" {
+	if cfg.Topology != "" {
 		fmt.Printf("misroutes: %d\n", losses.Misroutes)
 		if paths := t.ECMPPaths(); len(paths) > 0 {
 			fmt.Printf("ecmp: %d equal-cost paths, imbalance %.3f\n",
@@ -394,24 +406,18 @@ func cmdTest(args []string) error {
 	return nil
 }
 
+func parseDot(args []string) (marlin.TestConfig, error) {
+	cfg := marlin.TestConfig{Algorithm: "dctcp", Ports: 4, Seed: 1}
+	err := keyFlags("dot", &cfg).Parse(args)
+	return cfg, err
+}
+
 func cmdDot(args []string) error {
-	fs := flag.NewFlagSet("dot", flag.ContinueOnError)
-	algo := fs.String("algo", "dctcp", "CC algorithm")
-	ports := fs.Int("ports", 4, "data ports")
-	pfc := fs.Bool("pfc", false, "enable PFC")
-	fpgaRecv := fs.Bool("fpgarecv", false, "receiver logic on the FPGA")
-	topology := fs.String("topology", "", "tested-network fabric (dumbbell, leafspine:LxS, fattree:K, parkinglot:N; empty = single switch)")
-	if err := fs.Parse(args); err != nil {
+	cfg, err := parseDot(args)
+	if err != nil {
 		return err
 	}
-	t, err := marlin.NewTester(marlin.TestConfig{
-		Algorithm:      *algo,
-		Ports:          *ports,
-		EnablePFC:      *pfc,
-		ReceiverOnFPGA: *fpgaRecv,
-		Topology:       *topology,
-		Seed:           1,
-	})
+	t, err := marlin.NewTester(cfg)
 	if err != nil {
 		return err
 	}

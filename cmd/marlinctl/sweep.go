@@ -6,7 +6,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -37,57 +36,62 @@ func (a *axisList) Set(s string) error {
 	return nil
 }
 
-func cmdSweep(args []string) error {
-	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	var axes axisList
-	fs.Var(&axes, "axis",
-		"swept dimension key=v1,v2,... (repeatable; keys: "+strings.Join(fleet.AxisKeys(), " ")+")")
-	workers := fs.Int("j", runtime.GOMAXPROCS(0), "parallel jobs (1 = sequential)")
-	reps := fs.Int("reps", 1, "seed replicates per sweep point")
-	seed := fs.Uint64("seed", 1, "campaign base seed (per-job seeds derive from it)")
-	algo := fs.String("algo", "dctcp", "base CC algorithm (sweep it with -axis algo=...)")
-	ports := fs.Int("ports", 5, "data ports; senders fan in to the last one")
-	flows := fs.Int("flows", 2, "closed-loop flows per sender port")
-	durStr := fs.String("duration", "15ms", "simulated horizon per point")
-	timeout := fs.Duration("timeout", 0, "wall-clock timeout per job attempt (0 = none)")
-	retries := fs.Int("retries", 0, "extra attempts for failed jobs")
-	journal := fs.String("journal", "", "JSONL checkpoint file; rerunning resumes it")
-	format := fs.String("format", "text", "output format: text, json, or csv")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := checkFormat(*format); err != nil {
-		return err
-	}
-	if len(axes) == 0 {
-		return fmt.Errorf("sweep: need at least one -axis key=v1,v2,... (keys: %s)",
-			strings.Join(fleet.AxisKeys(), " "))
-	}
-	if *reps < 1 {
-		return fmt.Errorf("sweep: -reps must be >= 1")
-	}
-	dur, err := time.ParseDuration(*durStr)
-	if err != nil {
-		return fmt.Errorf("sweep: bad -duration: %w", err)
-	}
-	horizon := marlin.Duration(dur.Nanoseconds()) * marlin.Nanosecond
+// sweepArgs is what sweep takes beyond the configuration keys, which set
+// the base every point starts from.
+type sweepArgs struct {
+	axes            axisList
+	workers, reps   int
+	dur, timeout    time.Duration
+	retries         int
+	journal, format string
+}
 
-	points := fleet.Cartesian(axes)
+func parseSweep(args []string) (marlin.TestConfig, sweepArgs, error) {
+	// -seed is the campaign seed: per-job seeds derive from it.
+	cfg := marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, ECNThresholdPkts: 65, Seed: 1}
+	var a sweepArgs
+	fs := keyFlags("sweep", &cfg)
+	fs.Var(&a.axes, "axis", "swept dimension key=v1,v2,... (repeatable; any configuration key, overriding the base flag)")
+	fs.IntVar(&a.workers, "j", runtime.GOMAXPROCS(0), "parallel jobs (1 = sequential)")
+	fs.IntVar(&a.reps, "reps", 1, "seed replicates per sweep point")
+	fs.DurationVar(&a.dur, "duration", 15*time.Millisecond, "simulated horizon per point")
+	fs.DurationVar(&a.timeout, "timeout", 0, "wall-clock timeout per job attempt (0 = none)")
+	fs.IntVar(&a.retries, "retries", 0, "extra attempts for failed jobs")
+	fs.StringVar(&a.journal, "journal", "", "JSONL checkpoint file; rerunning resumes it")
+	fs.StringVar(&a.format, "format", "text", "output format: text, json, or csv")
+	if err := fs.Parse(args); err != nil {
+		return cfg, a, err
+	}
+	if err := checkFormat(a.format); err != nil {
+		return cfg, a, err
+	}
+	if len(a.axes) == 0 {
+		return cfg, a, fmt.Errorf("sweep: need at least one -axis key=v1,v2,... (any configuration key; see 'marlinctl help')")
+	}
+	if a.reps < 1 {
+		return cfg, a, fmt.Errorf("sweep: -reps must be >= 1")
+	}
+	return cfg, a, nil
+}
+
+func cmdSweep(args []string) error {
+	base, a, err := parseSweep(args)
+	if err != nil {
+		return err
+	}
+	horizon := marlin.Duration(a.dur.Nanoseconds()) * marlin.Nanosecond
+
+	points := fleet.Cartesian(a.axes)
 	var jobs []marlin.FleetJob
 	for _, pt := range points {
-		cfg := marlin.TestConfig{
-			Algorithm:        *algo,
-			Ports:            *ports,
-			FlowsPerPort:     *flows,
-			ECNThresholdPkts: 65,
-		}
+		cfg := base
 		if err := pt.Apply(&cfg); err != nil {
 			return fmt.Errorf("sweep: %w", err)
 		}
 		if err := marlin.Validate(cfg); err != nil {
 			return fmt.Errorf("sweep: point %s: %w", pt.ID(), err)
 		}
-		jobs = append(jobs, fleet.Replicate(pt.ID(), *reps, *seed,
+		jobs = append(jobs, fleet.Replicate(pt.ID(), a.reps, base.Seed,
 			func(seed uint64) (*marlin.FleetOutput, error) {
 				return runSweepPoint(cfg, horizon, seed)
 			})...)
@@ -95,24 +99,24 @@ func cmdSweep(args []string) error {
 
 	start := time.Now() //marlin:allow wallclock -- "(Ns wall)" banner; host-side UX, not model state
 	results, err := marlin.RunFleet(jobs, marlin.FleetOptions{
-		Workers:  *workers,
-		Timeout:  *timeout,
-		Retries:  *retries,
-		Journal:  *journal,
+		Workers:  a.workers,
+		Timeout:  a.timeout,
+		Retries:  a.retries,
+		Journal:  a.journal,
 		Progress: os.Stderr,
 	})
 	if err != nil {
 		return err
 	}
 
-	res := sweepTable(axes, points, results, *reps)
+	res := sweepTable(a.axes, points, results, a.reps)
 	res.Note("workload: closed-loop uniform(20,400)-pkt flows fanning in to the last port; base config %d flows/sender, %d ports (axes may override), %v horizon",
-		*flows, *ports, dur)
-	res.Note("campaign: seed %d, %d replicate(s)/point, %d worker(s)", *seed, *reps, *workers)
-	if err := emit(res, *format); err != nil {
+		base.FlowsPerPort, base.Ports, a.dur)
+	res.Note("campaign: seed %d, %d replicate(s)/point, %d worker(s)", base.Seed, a.reps, a.workers)
+	if err := emit(res, a.format); err != nil {
 		return err
 	}
-	if *format == "text" {
+	if a.format == "text" {
 		fmt.Printf("(%.1fs wall)\n", time.Since(start).Seconds()) //marlin:allow wallclock -- wall-time banner; host-side UX
 	}
 	if nf := fleet.Failed(results); nf > 0 {

@@ -24,7 +24,9 @@ import (
 
 // Spec is an operator's test description: "selecting the CC algorithm,
 // setting CC parameters, choosing the test ports, and determining the
-// number of flows per port" (§3.2).
+// number of flows per port" (§3.2). Every field but PortRate and Params is
+// also settable by name: see the knobs table in knobs.go, which scenario
+// scripts, sweep axes and marlinctl's flags all go through.
 type Spec struct {
 	// Algorithm names a registered CC module (cc.Names()).
 	Algorithm string
@@ -102,6 +104,24 @@ func (s *Spec) Validate() error {
 	}
 	if s.FlowsPerPort < 0 {
 		return fmt.Errorf("controlplane: negative flows per port")
+	}
+	// A negative size or delay is never a request for the default: core
+	// would size slices with it or schedule into the past.
+	for _, f := range [...]struct {
+		name string
+		neg  bool
+	}{
+		{"Ports", s.Ports < 0},
+		{"MTU", s.MTU < 0},
+		{"ECNThresholdPkts", s.ECNThresholdPkts < 0},
+		{"NetQueueBytes", s.NetQueueBytes < 0},
+		{"ExtraHops", s.ExtraHops < 0},
+		{"LinkDelay", s.LinkDelay < 0},
+		{"DCQCNTimeScale", s.DCQCNTimeScale < 0},
+	} {
+		if f.neg {
+			return fmt.Errorf("controlplane: negative %s", f.name)
+		}
 	}
 	switch s.Receiver {
 	case "", "tcp", "roce":

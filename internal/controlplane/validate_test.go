@@ -1,6 +1,11 @@
 package controlplane
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"marlin/internal/sim"
+)
 
 // TestValidateErrorPaths pins the exact error text of every mutual-exclusion
 // and range rule Validate enforces. Exact strings matter here: operators
@@ -71,6 +76,41 @@ func TestValidateErrorPaths(t *testing.T) {
 			name: "step ECN without AQM is valid",
 			spec: Spec{Algorithm: "dctcp", ECNThresholdPkts: 65},
 		},
+		{
+			name: "negative ports",
+			spec: Spec{Algorithm: "dctcp", Ports: -1},
+			want: "controlplane: negative Ports",
+		},
+		{
+			name: "negative MTU",
+			spec: Spec{Algorithm: "dctcp", MTU: -1024},
+			want: "controlplane: negative MTU",
+		},
+		{
+			name: "negative ECN threshold",
+			spec: Spec{Algorithm: "dctcp", ECNThresholdPkts: -3},
+			want: "controlplane: negative ECNThresholdPkts",
+		},
+		{
+			name: "negative queue",
+			spec: Spec{Algorithm: "dctcp", NetQueueBytes: -1},
+			want: "controlplane: negative NetQueueBytes",
+		},
+		{
+			name: "negative extra hops",
+			spec: Spec{Algorithm: "dctcp", ExtraHops: -1},
+			want: "controlplane: negative ExtraHops",
+		},
+		{
+			name: "negative link delay",
+			spec: Spec{Algorithm: "dctcp", LinkDelay: -2 * sim.Microsecond},
+			want: "controlplane: negative LinkDelay",
+		},
+		{
+			name: "negative DCQCN time scale",
+			spec: Spec{Algorithm: "dcqcn", DCQCNTimeScale: -30},
+			want: "controlplane: negative DCQCNTimeScale",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,5 +128,40 @@ func TestValidateErrorPaths(t *testing.T) {
 				t.Fatalf("Validate() = %q, want %q", err.Error(), tc.want)
 			}
 		})
+	}
+}
+
+// TestScalarEdgesDeployOrError walks every scalar field through a negative
+// value and zero: Deploy must build a tester that runs or return an error,
+// never panic (Ports -1 used to reach makeslice, LinkDelay -2us the
+// engine's schedule-before-now check).
+func TestScalarEdgesDeployOrError(t *testing.T) {
+	typ := reflect.TypeOf(Spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		for _, neg := range []bool{true, false} {
+			spec := Spec{Algorithm: "dctcp", Ports: 2}
+			f := reflect.ValueOf(&spec).Elem().Field(i)
+			switch {
+			case f.CanInt() && neg:
+				f.SetInt(-2_000_000)
+			case f.CanInt():
+				f.SetInt(0)
+			case f.CanFloat() && neg:
+				f.SetFloat(-2)
+			case f.CanFloat():
+				f.SetFloat(0)
+			default:
+				continue // strings, bools, Params, the unsigned Seed
+			}
+			tester, err := spec.Deploy(sim.NewEngine())
+			if err != nil {
+				continue
+			}
+			if err := tester.StartFlow(0, 0, 1, 0); err != nil {
+				t.Errorf("%s neg=%v: deployed but StartFlow: %v", typ.Field(i).Name, neg, err)
+				continue
+			}
+			tester.Run(sim.Time(50 * sim.Microsecond))
+		}
 	}
 }

@@ -2,13 +2,9 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"marlin/internal/controlplane"
-	"marlin/internal/sim"
 )
 
 // A sweep explores the cartesian product of TestConfig axes — the paper's
@@ -24,7 +20,9 @@ type Axis struct {
 }
 
 // ParseAxis parses "key=v1,v2,v3" and validates the key and every value by
-// test-applying them to a scratch spec.
+// test-applying them to a scratch spec. Any key of controlplane.Spec's table
+// is an axis, with the parsers scenarios and flags use; values are split on
+// commas, so a value that itself contains one cannot be swept.
 func ParseAxis(s string) (Axis, error) {
 	key, vals, ok := strings.Cut(s, "=")
 	if !ok || key == "" || vals == "" {
@@ -33,73 +31,11 @@ func ParseAxis(s string) (Axis, error) {
 	ax := Axis{Key: key, Values: strings.Split(vals, ",")}
 	var scratch controlplane.Spec
 	for _, v := range ax.Values {
-		if err := applyAxis(&scratch, key, v); err != nil {
-			return Axis{}, err
+		if err := scratch.Set(key, v); err != nil {
+			return Axis{}, fmt.Errorf("fleet: axis %s: %w", key, err)
 		}
 	}
 	return ax, nil
-}
-
-// AxisKeys lists the sweepable spec dimensions.
-func AxisKeys() []string {
-	keys := make([]string, 0, len(axisSetters))
-	for k := range axisSetters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-var axisSetters = map[string]func(*controlplane.Spec, string) error{
-	"algo":     func(s *controlplane.Spec, v string) error { s.Algorithm = v; return nil },
-	"receiver": func(s *controlplane.Spec, v string) error { s.Receiver = v; return nil },
-	"ports":    intAxis(func(s *controlplane.Spec, n int) { s.Ports = n }),
-	"flows":    intAxis(func(s *controlplane.Spec, n int) { s.FlowsPerPort = n }),
-	"mtu":      intAxis(func(s *controlplane.Spec, n int) { s.MTU = n }),
-	"ecn":      intAxis(func(s *controlplane.Spec, n int) { s.ECNThresholdPkts = n }),
-	"queue":    intAxis(func(s *controlplane.Spec, n int) { s.NetQueueBytes = n }),
-	"hops":     intAxis(func(s *controlplane.Spec, n int) { s.ExtraHops = n }),
-	"pfc":      boolAxis(func(s *controlplane.Spec, b bool) { s.EnablePFC = b }),
-	"int":      boolAxis(func(s *controlplane.Spec, b bool) { s.EnableINT = b }),
-	"fpgarecv": boolAxis(func(s *controlplane.Spec, b bool) { s.ReceiverOnFPGA = b }),
-	"linkdelay": func(s *controlplane.Spec, v string) error {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return fmt.Errorf("fleet: axis linkdelay: %w", err)
-		}
-		s.LinkDelay = sim.Duration(d.Nanoseconds()) * sim.Nanosecond
-		return nil
-	},
-}
-
-func intAxis(set func(*controlplane.Spec, int)) func(*controlplane.Spec, string) error {
-	return func(s *controlplane.Spec, v string) error {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("fleet: axis value %q: %w", v, err)
-		}
-		set(s, n)
-		return nil
-	}
-}
-
-func boolAxis(set func(*controlplane.Spec, bool)) func(*controlplane.Spec, string) error {
-	return func(s *controlplane.Spec, v string) error {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return fmt.Errorf("fleet: axis value %q: %w", v, err)
-		}
-		set(s, b)
-		return nil
-	}
-}
-
-func applyAxis(s *controlplane.Spec, key, value string) error {
-	set, ok := axisSetters[key]
-	if !ok {
-		return fmt.Errorf("fleet: unknown axis %q (have %v)", key, AxisKeys())
-	}
-	return set(s, value)
 }
 
 // Point is one cartesian combination of axis values, in axis order.
@@ -121,8 +57,8 @@ func (p Point) ID() string {
 // Apply sets the point's values on a spec.
 func (p Point) Apply(s *controlplane.Spec) error {
 	for i, k := range p.Keys {
-		if err := applyAxis(s, k, p.Values[i]); err != nil {
-			return err
+		if err := s.Set(k, p.Values[i]); err != nil {
+			return fmt.Errorf("fleet: axis %s: %w", k, err)
 		}
 	}
 	return nil

@@ -16,9 +16,16 @@ func TestParseAxis(t *testing.T) {
 	if ax.Key != "ecn" || !reflect.DeepEqual(ax.Values, []string{"8", "65", "200"}) {
 		t.Errorf("ParseAxis = %+v", ax)
 	}
-	for _, bad := range []string{"", "ecn", "ecn=", "=8", "nope=1", "ecn=8,abc", "pfc=maybe", "linkdelay=fast"} {
+	for _, bad := range []string{"", "ecn", "ecn=", "=8", "nope=1", "ecn=8,abc", "pfc=maybe", "linkdelay=fast",
+		"queue=-1", "ecn=-3", "hops=-1", "ports=-1", "linkdelay=-2us", "aqm=tsunami"} {
 		if _, err := ParseAxis(bad); err == nil {
 			t.Errorf("ParseAxis(%q) accepted", bad)
+		}
+	}
+	// Every configuration key is an axis, with both boolean spellings.
+	for _, good := range []string{"aqm=pi2,red", "topology=leafspine:2x2,fattree:4", "shards=1,2", "pfc=on,false"} {
+		if _, err := ParseAxis(good); err != nil {
+			t.Errorf("ParseAxis(%q): %v", good, err)
 		}
 	}
 }

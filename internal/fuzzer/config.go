@@ -21,6 +21,7 @@ import (
 
 	"marlin/internal/controlplane"
 	"marlin/internal/sim"
+	"marlin/internal/spec"
 )
 
 // Flow is one scripted finite flow.
@@ -234,8 +235,8 @@ func (c *Config) Spec() controlplane.Spec {
 // Validate reports whether the config deploys cleanly and its timeline is
 // self-consistent. The minimizer uses it to discard nonsense candidates.
 func (c *Config) Validate() error {
-	spec := c.Spec()
-	if err := spec.Validate(); err != nil {
+	deploy := c.Spec()
+	if err := deploy.Validate(); err != nil {
 		return err
 	}
 	if len(c.Flows) == 0 && c.Pattern == "" {
@@ -262,24 +263,11 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// fmtDur renders a duration in the largest integer unit Go's duration
-// syntax can parse back exactly. The generator and minimizer only produce
-// microsecond-aligned times, so the ns fallback is just a safety net.
-func fmtDur(d sim.Duration) string {
-	switch {
-	case d%sim.Millisecond == 0:
-		return fmt.Sprintf("%dms", int64(d/sim.Millisecond))
-	case d%sim.Microsecond == 0:
-		return fmt.Sprintf("%dus", int64(d/sim.Microsecond))
-	default:
-		return fmt.Sprintf("%dns", int64(d/sim.Nanosecond))
-	}
-}
-
 // Render emits the config as a scenario script plus machine-readable
-// header lines. The script replays under `marlinctl test` and the
+// header lines. The script replays under `marlinctl script` and the
 // scenario regression runner; the header lets the fuzzer re-run the
-// oracle that originally failed.
+// oracle that originally failed. The `set` lines are Spec()'s non-zero
+// settings, so a knob Generate starts drawing reaches the script unaided.
 func (c *Config) Render(oracle string) string {
 	var b strings.Builder
 	if oracle != "" {
@@ -287,31 +275,10 @@ func (c *Config) Render(oracle string) string {
 	}
 	cj, _ := json.Marshal(c)
 	fmt.Fprintf(&b, "# fuzz: config=%s\n", cj)
-	fmt.Fprintf(&b, "set algo %s\n", c.Algo)
-	if c.Topology != "" {
-		fmt.Fprintf(&b, "set topology %s\n", c.Topology)
+	deploy := c.Spec()
+	for _, kv := range deploy.Settings() {
+		fmt.Fprintf(&b, "set %s %s\n", kv.Key, kv.Value)
 	}
-	fmt.Fprintf(&b, "set ports %d\n", c.Ports)
-	if c.ECNPkts > 0 && c.AQM == "" {
-		fmt.Fprintf(&b, "set ecn %d\n", c.ECNPkts)
-	}
-	if c.AQM != "" {
-		fmt.Fprintf(&b, "set aqm %s\n", c.AQM)
-	}
-	if c.Fault != "" {
-		fmt.Fprintf(&b, "set fault %s\n", c.Fault)
-	}
-	if c.Pattern != "" {
-		fmt.Fprintf(&b, "set pattern %s\n", c.Pattern)
-	}
-	if c.Shards > 0 {
-		fmt.Fprintf(&b, "set shards %d\n", c.Shards)
-	}
-	if c.INT {
-		fmt.Fprintf(&b, "set int on\n")
-	}
-	fmt.Fprintf(&b, "set dcqcnscale 30\n")
-	fmt.Fprintf(&b, "set seed %d\n", c.Seed)
 	// Timeline in time order (stable by flow then range for ties) so the
 	// script reads chronologically.
 	type tl struct {
@@ -321,14 +288,14 @@ func (c *Config) Render(oracle string) string {
 	}
 	var lines []tl
 	for _, f := range c.Flows {
-		lines = append(lines, tl{f.At, f.ID, fmt.Sprintf("at %s start %d tx %d rx %d size %d", fmtDur(f.At), f.ID, f.Tx, f.Rx, f.Size)})
+		lines = append(lines, tl{f.At, f.ID, fmt.Sprintf("at %s start %d tx %d rx %d size %d", spec.FormatDuration(f.At), f.ID, f.Tx, f.Rx, f.Size)})
 	}
 	for _, d := range c.Drops {
 		psn := fmt.Sprintf("%d..%d", d.From, d.To)
 		if d.From == d.To {
 			psn = fmt.Sprintf("%d", d.From)
 		}
-		lines = append(lines, tl{d.At, 1 << 20, fmt.Sprintf("at %s drop flow %d rx %d psn %s", fmtDur(d.At), d.Flow, d.Rx, psn)})
+		lines = append(lines, tl{d.At, 1 << 20, fmt.Sprintf("at %s drop flow %d rx %d psn %s", spec.FormatDuration(d.At), d.Flow, d.Rx, psn)})
 	}
 	sort.SliceStable(lines, func(i, j int) bool {
 		if lines[i].at != lines[j].at {
@@ -340,7 +307,7 @@ func (c *Config) Render(oracle string) string {
 		b.WriteString(l.text)
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "run %s\n", fmtDur(c.Horizon))
+	fmt.Fprintf(&b, "run %s\n", spec.FormatDuration(c.Horizon))
 	b.WriteString("expect false_losses == 0\n")
 	b.WriteString("expect misroutes == 0\n")
 	if c.Fault == "" && c.Pattern == "" && len(c.Flows) > 0 {

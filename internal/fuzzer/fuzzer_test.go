@@ -2,9 +2,11 @@ package fuzzer
 
 import (
 	"bytes"
+	"flag"
 	"strings"
 	"testing"
 
+	"marlin/internal/controlplane"
 	"marlin/internal/scenario"
 	"marlin/internal/sim"
 )
@@ -113,6 +115,48 @@ func TestHorizonHeadroom(t *testing.T) {
 		}
 		if cfg.Horizon < latest+5*sim.Millisecond {
 			t.Fatalf("config %d horizon %s leaves < 5ms after last start %s", i, cfg.Horizon, latest)
+		}
+	}
+}
+
+// notFuzzed lists the configuration keys the generator deliberately never
+// draws. A key added to controlplane's table must either reach Generate or
+// be listed here with the reason, so no knob goes unfuzzed by omission.
+var notFuzzed = map[string]string{
+	"mtu":       "flow sizes, drop PSN ranges and horizons are calibrated in 1024 B packets",
+	"flows":     "traffic is scripted flow by flow (Config.Flows); Deploy never reads FlowsPerPort",
+	"receiver":  "the receiver follows the algorithm's mode; forcing the other one is an ablation, not a config the oracles hold for",
+	"queue":     "the liveness and conservation budgets assume the default 256 KiB buffers",
+	"pfc":       "excluded by shards, which the generator draws; a lossless fabric also hides the drops liveness exercises",
+	"fpgarecv":  "excluded by shards, which the generator draws",
+	"hops":      "excluded by topology, which the generator draws instead",
+	"linkdelay": "horizons give 5 ms of headroom at the default 2 us links; the scale oracle varies delay itself",
+}
+
+func TestEveryKeyFuzzedOrExcused(t *testing.T) {
+	var table controlplane.Spec
+	fs := flag.NewFlagSet("keys", flag.ContinueOnError)
+	table.BindFlags(fs)
+	drawn, isKey := map[string]bool{}, map[string]bool{}
+	for i := 0; i < 200; i++ {
+		cfg := Generate(1, i)
+		spec := cfg.Spec()
+		for _, kv := range spec.Settings() {
+			drawn[kv.Key] = true
+		}
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		switch why, excused := notFuzzed[f.Name]; {
+		case drawn[f.Name] && excused:
+			t.Errorf("key %q is listed in notFuzzed (%s) but Generate draws it", f.Name, why)
+		case !drawn[f.Name] && !excused:
+			t.Errorf("key %q is never drawn by Generate(1, 0..199): draw it or add it to notFuzzed with a reason", f.Name)
+		}
+		isKey[f.Name] = true
+	})
+	for k := range notFuzzed {
+		if !isKey[k] {
+			t.Errorf("notFuzzed lists %q, which is not a configuration key", k)
 		}
 	}
 }

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
-	"marlin/internal/aqm"
-	"marlin/internal/faults"
 	"marlin/internal/packet"
 	"marlin/internal/sim"
-	"marlin/internal/workload"
+	"marlin/internal/spec"
 )
 
 // Parse compiles a scenario script. Errors carry 1-based line numbers.
@@ -30,12 +27,6 @@ func Parse(src string) (*Scenario, error) {
 		case "set":
 			if sawRun {
 				err = fmt.Errorf("set after run is not allowed")
-			} else if len(fields) >= 2 && fields[1] == "fault" {
-				// "set fault KIND ..." takes a variable-length clause, so
-				// it bypasses the KEY VALUE form below.
-				err = s.parseFault(fields[2:])
-			} else if len(fields) >= 2 && fields[1] == "pattern" {
-				err = s.parsePattern(fields[2:])
 			} else {
 				err = s.parseSet(fields[1:])
 			}
@@ -43,8 +34,9 @@ func Parse(src string) (*Scenario, error) {
 			err = s.parseAt(line, fields[1:])
 		case "run":
 			var d sim.Duration
-			d, err = parseDur(fields[1:])
-			if err == nil {
+			if len(fields) != 2 {
+				err = fmt.Errorf("expected one duration")
+			} else if d, err = spec.Duration(fields[1]); err == nil {
 				sawRun = true
 				s.steps = append(s.steps, step{line: line, run: d})
 			}
@@ -67,105 +59,42 @@ func Parse(src string) (*Scenario, error) {
 	return s, nil
 }
 
-func (s *Scenario) parseSet(args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("set needs KEY VALUE")
-	}
-	key, val := args[0], args[1]
-	switch key {
-	case "algo":
-		s.spec.Algorithm = val
-	case "ports":
-		return setInt(&s.spec.Ports, val)
-	case "mtu":
-		return setInt(&s.spec.MTU, val)
-	case "ecn":
-		return setInt(&s.spec.ECNThresholdPkts, val)
-	case "queue":
-		return setInt(&s.spec.NetQueueBytes, val)
-	case "aqm":
-		// "set aqm dualpi2:target=1ms,coupling=2" — aqm.ParseSpec syntax;
-		// validated here so a typo fails at parse time, not deploy time.
-		if _, err := aqm.ParseSpec(val); err != nil {
-			return err
-		}
-		s.spec.AQM = val
-	case "seed":
-		n, err := strconv.ParseUint(val, 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad seed %q", val)
-		}
-		s.spec.Seed = n
-	case "dcqcnscale":
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("bad dcqcnscale %q", val)
-		}
-		s.spec.DCQCNTimeScale = f
-	case "receiver":
-		s.spec.Receiver = val
-	case "topology":
-		s.spec.Topology = val
-	case "shards":
-		return setInt(&s.spec.Shards, val)
-	case "pfc":
-		return setBool(&s.spec.EnablePFC, val)
-	case "int":
-		return setBool(&s.spec.EnableINT, val)
-	case "fpgarecv":
-		return setBool(&s.spec.ReceiverOnFPGA, val)
-	default:
-		return fmt.Errorf("unknown setting %q", key)
-	}
-	return nil
-}
-
-// parseFault accumulates one fault clause, e.g.
+// parseSet handles "set KEY VALUE" for every key of controlplane.Spec's
+// table (Spec.Set names them in its unknown-key error), plus the two
+// accumulating clause forms, one clause per line:
 //
 //	set fault linkdown leaf0->spine1 at 2ms for 500us
-//	set fault lossburst tx0 at 1ms for 200us prob 0.1 seed 7
 //	set fault nicstall at 4ms for 100us
-//
-// Clauses use faults.ParseSpec syntax; each new clause is validated
-// against the ones already set (overlap rules included).
-func (s *Scenario) parseFault(args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("set fault needs a clause (e.g. linkdown LINK at TIME for DUR)")
-	}
-	clause := strings.Join(args, " ")
-	spec := clause
-	if s.spec.Faults != "" {
-		spec = s.spec.Faults + "; " + clause
-	}
-	if _, err := faults.ParseSpec(spec); err != nil {
-		return err
-	}
-	s.spec.Faults = spec
-	return nil
-}
-
-// parsePattern accumulates one traffic-pattern clause, e.g.
-//
 //	set pattern incast:period=5ms,fanin=8,victim=1,size=150
 //	set pattern flood:peak=20G,victim=1,period=4ms,duty=0.25
-//	set pattern square:period=10ms,duty=0.2,peak=40G,base=1G
 //
-// Clauses use workload.ParseSpec syntax; each new clause is validated
-// together with the ones already set.
-func (s *Scenario) parsePattern(args []string) error {
+// Each clause is appended to the faults / pattern plan so far and the whole
+// plan re-validated (overlap rules included) by Set.
+func (s *Scenario) parseSet(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("set pattern needs a clause (e.g. incast:period=5ms,fanin=8,victim=1,size=150)")
+		return fmt.Errorf("set needs KEY VALUE")
 	}
-	clause := strings.Join(args, " ")
-	spec := clause
-	if s.spec.Pattern != "" {
-		spec = s.spec.Pattern + "; " + clause
+	key, val := args[0], strings.Join(args[1:], " ")
+	switch key {
+	case "fault":
+		return s.appendClause("faults", s.spec.Faults, val, "set fault needs a clause (e.g. linkdown LINK at TIME for DUR)")
+	case "pattern":
+		return s.appendClause("pattern", s.spec.Pattern, val, "set pattern needs a clause (e.g. incast:period=5ms,fanin=8,victim=1,size=150)")
 	}
-	if _, err := workload.ParseSpec(spec); err != nil {
-		return err
+	if val == "" {
+		return fmt.Errorf("set needs KEY VALUE")
 	}
-	s.spec.Pattern = spec
-	return nil
+	return s.spec.Set(key, val)
+}
+
+func (s *Scenario) appendClause(key, plan, clause, usage string) error {
+	if clause == "" {
+		return fmt.Errorf("%s", usage)
+	}
+	if plan != "" {
+		clause = plan + "; " + clause
+	}
+	return s.spec.Set(key, clause)
 }
 
 // parseAt handles:
@@ -179,7 +108,7 @@ func (s *Scenario) parseAt(line int, args []string) error {
 	if len(args) < 2 {
 		return fmt.Errorf("at needs a time and an action")
 	}
-	d, err := parseDur(args[:1])
+	d, err := spec.Duration(args[0])
 	if err != nil {
 		return err
 	}
@@ -249,7 +178,7 @@ func (s *Scenario) parseAt(line int, args []string) error {
 			return fmt.Errorf("flap needs: rx P for DURATION")
 		}
 		rx, err1 := strconv.Atoi(rest[1])
-		d, err2 := parseDur(rest[3:4])
+		d, err2 := spec.Duration(rest[3])
 		if err1 != nil || err2 != nil {
 			return fmt.Errorf("bad flap operands")
 		}
@@ -319,17 +248,6 @@ func parseRange(s string) (lo, hi uint32, err error) {
 	return uint32(a), uint32(b), nil
 }
 
-func parseDur(args []string) (sim.Duration, error) {
-	if len(args) != 1 {
-		return 0, fmt.Errorf("expected one duration")
-	}
-	d, err := time.ParseDuration(args[0])
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("bad duration %q", args[0])
-	}
-	return sim.FromStd(d), nil
-}
-
 // parseExpect handles "METRIC OP VALUE" and "flow_gbps FLOW OP VALUE".
 func parseExpect(text string) (*expectation, error) {
 	fields := strings.Fields(text)
@@ -362,25 +280,4 @@ func parseExpect(text string) (*expectation, error) {
 	}
 	e.value = v
 	return e, nil
-}
-
-func setInt(dst *int, val string) error {
-	n, err := strconv.Atoi(val)
-	if err != nil || n < 0 {
-		return fmt.Errorf("bad integer %q", val)
-	}
-	*dst = n
-	return nil
-}
-
-func setBool(dst *bool, val string) error {
-	switch val {
-	case "on", "true", "1":
-		*dst = true
-	case "off", "false", "0":
-		*dst = false
-	default:
-		return fmt.Errorf("bad boolean %q (want on/off)", val)
-	}
-	return nil
 }

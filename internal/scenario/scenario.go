@@ -21,19 +21,23 @@
 //
 // Durations use Go syntax (1ms, 250us). Lines starting with '#' are
 // comments. Expectations compare a metric against a constant with one of
-// ==, !=, <, <=, >, >=. "set fault KIND ..." clauses (faults.ParseSpec
-// syntax) build a deterministic time-domain fault plan; the
-// faults_recovered and fault_ttr_us metrics read its recovery telemetry.
-// "set pattern NAME:key=value,..." clauses (workload.ParseSpec syntax)
-// layer deterministic traffic patterns — bursts, incast storms, floods —
-// over the test; the burst_absorption, peak_queue_bytes, overload_us, and
-// bg_fct_inflation metrics read the victim port's overload telemetry.
-// "set aqm NAME:key=value,..." (aqm.ParseSpec syntax) replaces drop-tail
-// queues with an AQM discipline — red, pie, codel, pi2, or dualpi2 — and
-// the ecn_mark_rate and sojourn_p99_us metrics read the marking rate and
-// worst per-band p99 queueing delay it produced. "set shards N" executes
-// a topology scenario as a conservative parallel build on up to N worker
-// cores; every metric is byte-identical for any N >= 1.
+// ==, !=, <, <=, >, >=.
+//
+// "set KEY VALUE" takes every configuration key of controlplane.Spec's
+// table (README "Configuration keys" and "marlinctl help" list them) with
+// the parsers marlinctl's flags and sweep axes use. "set fault KIND ..."
+// clauses (faults.ParseSpec syntax, one per line) build a deterministic
+// time-domain fault plan; the faults_recovered and fault_ttr_us metrics
+// read its recovery telemetry. "set pattern NAME:key=value,..." clauses
+// (workload.ParseSpec syntax, likewise one per line) layer deterministic
+// traffic patterns over the test; the burst_absorption, peak_queue_bytes,
+// overload_us and bg_fct_inflation metrics read the victim port's overload
+// telemetry. "set aqm NAME:key=value,..." (aqm.ParseSpec syntax) replaces
+// drop-tail queues with red, pie, codel, pi2 or dualpi2; the ecn_mark_rate
+// and sojourn_p99_us metrics read the marking rate and worst per-band p99
+// queueing delay it produced. "set shards N" executes a topology scenario
+// as a conservative parallel build on up to N worker cores; every metric
+// is byte-identical for any N >= 1.
 package scenario
 
 import (

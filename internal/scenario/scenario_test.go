@@ -3,6 +3,8 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"marlin/internal/sim"
 )
 
 func mustParse(t *testing.T, src string) *Scenario {
@@ -433,5 +435,50 @@ func TestScenarioOverloadMetricWithoutPlan(t *testing.T) {
 	_, err := mustParse(t, "set algo dctcp\nrun 1ms\nexpect burst_absorption > 0").Run()
 	if err == nil || !strings.Contains(err.Error(), "no pattern plan") {
 		t.Fatalf("err = %v, want no-pattern-plan error", err)
+	}
+}
+
+// TestSetTakesEveryConfigurationKey: `set` goes through controlplane's key
+// table, so keys only sweeps or flags reached before (flows, hops,
+// linkdelay) work here, both boolean spellings do, and a whole faults plan
+// can be written on one line the way the fuzzer renders it.
+func TestSetTakesEveryConfigurationKey(t *testing.T) {
+	s := mustParse(t, `
+set algo dcqcn
+set flows 3
+set hops 2
+set linkdelay 500ns
+set pfc true
+set int on
+set fpgarecv off
+set faults linkdown fwd0 at 1ms for 200us; nicstall at 2ms for 50us
+set fault lossburst tx0 at 3ms for 100us prob 0.1 seed 7
+run 1ms
+`)
+	want := s.spec
+	want.Algorithm, want.FlowsPerPort, want.ExtraHops, want.LinkDelay = "dcqcn", 3, 2, 500*sim.Nanosecond
+	want.EnablePFC, want.EnableINT, want.ReceiverOnFPGA = true, true, false
+	want.Faults = "linkdown fwd0 at 1ms for 200us; nicstall at 2ms for 50us; lossburst tx0 at 3ms for 100us prob 0.1 seed 7"
+	if s.spec != want || s.spec.Seed != 1 {
+		t.Fatalf("spec = %+v", s.spec)
+	}
+	bad := []struct{ src, want string }{
+		{"set\nrun 1ms", "set needs KEY VALUE"},
+		{"set ports\nrun 1ms", "set needs KEY VALUE"},
+		{"set ports -1\nrun 1ms", `bad ports "-1"`},
+		{"set ports 4 5\nrun 1ms", `bad ports "4 5"`},
+		{"set pfc maybe\nrun 1ms", `bad pfc "maybe"`},
+		{"set linkdelay -2us\nrun 1ms", `bad duration "-2us"`},
+		{"set seed -1\nrun 1ms", `bad seed "-1"`},
+		{"set bogus 1\nrun 1ms", "have algo mtu ports"},
+	}
+	for _, c := range bad {
+		if _, err := Parse(c.src); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: err = %v, want contains %q", c.src, err, c.want)
+		}
+	}
+	rep := mustRun(t, "set algo dctcp\nset ports 2\nset linkdelay 10us\nat 0ms start 0 tx 0 rx 1\nrun 1ms\nexpect rtt_p50_us >= 20\nexpect false_losses == 0")
+	if !rep.Passed() {
+		t.Fatalf("set linkdelay 10us did not stretch the RTT:\n%s", rep.Summary())
 	}
 }

@@ -1,8 +1,9 @@
 // Package spec holds the value parsers shared by Marlin's one-line spec
-// languages (faults.ParseSpec, workload.ParseSpec). Both languages compile
-// ';'-separated entries with typed parameters; keeping the scalar parsing
-// and its error wording here means "bad duration" reads the same whether
-// the operator mistyped a fault window or a burst period.
+// languages (faults.ParseSpec, workload.ParseSpec) and by the configuration
+// key table in internal/controlplane. Keeping the scalar parsing and its
+// error wording here means "bad duration" reads the same whether the
+// operator mistyped a fault window, a burst period, a scenario `set`, a
+// sweep axis value or a marlinctl flag.
 package spec
 
 import (
@@ -22,6 +23,34 @@ func Duration(val string) (sim.Duration, error) {
 		return 0, fmt.Errorf("bad duration %q", val)
 	}
 	return sim.FromStd(d), nil
+}
+
+// FormatDuration renders a duration in the largest integer unit Duration
+// parses back exactly ("2ms", "500us", "1500ns"); sub-nanosecond
+// remainders, which Duration cannot express, are truncated.
+func FormatDuration(d sim.Duration) string {
+	switch {
+	case d%sim.Millisecond == 0:
+		return fmt.Sprintf("%dms", int64(d/sim.Millisecond))
+	case d%sim.Microsecond == 0:
+		return fmt.Sprintf("%dus", int64(d/sim.Microsecond))
+	default:
+		return fmt.Sprintf("%dns", int64(d/sim.Nanosecond))
+	}
+}
+
+// Bool parses a switch: "on"/"off" (the scenario spelling) or anything
+// strconv.ParseBool takes ("true", "1", "f", ...); key names the parameter
+// in the error.
+func Bool(key, val string) (bool, error) {
+	if val == "on" || val == "off" {
+		return val == "on", nil
+	}
+	b, err := strconv.ParseBool(val)
+	if err != nil {
+		return false, fmt.Errorf("bad %s %q", key, val)
+	}
+	return b, nil
 }
 
 // Float parses a float-valued parameter; key names the parameter in the

@@ -98,3 +98,34 @@ func TestPairs(t *testing.T) {
 		}
 	}
 }
+
+func TestBool(t *testing.T) {
+	for in, want := range map[string]bool{"on": true, "true": true, "1": true, "T": true, "off": false, "false": false, "0": false, "f": false} {
+		if b, err := Bool("pfc", in); err != nil || b != want {
+			t.Errorf("Bool(%q) = %v, %v", in, b, err)
+		}
+	}
+	for _, bad := range []string{"", "maybe", "ON", "yes"} {
+		if _, err := Bool("pfc", bad); err == nil || err.Error() != `bad pfc "`+bad+`"` {
+			t.Errorf("Bool(%q) error wording: %v", bad, err)
+		}
+	}
+}
+
+func TestFormatDurationRoundTrips(t *testing.T) {
+	for d, want := range map[sim.Duration]string{
+		0:                       "0ms",
+		2 * sim.Millisecond:     "2ms",
+		12300 * sim.Microsecond: "12300us",
+		1500 * sim.Nanosecond:   "1500ns",
+		30 * sim.Second:         "30000ms",
+	} {
+		got := FormatDuration(d)
+		if got != want {
+			t.Errorf("FormatDuration(%d) = %q, want %q", d, got, want)
+		}
+		if back, err := Duration(got); err != nil || back != d {
+			t.Errorf("Duration(%q) = %v, %v, want %v", got, back, err, d)
+		}
+	}
+}
