@@ -26,6 +26,8 @@ import (
 
 	"marlin"
 	"marlin/internal/aqm"
+	"marlin/internal/cc"
+	"marlin/internal/fpga"
 	"marlin/internal/lint"
 	"marlin/internal/netem"
 	"marlin/internal/packet"
@@ -140,6 +142,29 @@ func benchRefEngineChurn(b *testing.B) {
 	}
 }
 
+// benchFreshEngine measures what every short test pays for its event core:
+// a new engine, 10,000 events over 250 us of simulated time (four
+// self-rescheduling chains with ~100 ns gaps, which walk the whole wheel
+// seven times over), run to the horizon, dropped. The wheel's slots are list
+// heads inside the Engine, so the only allocations are the engine, the four
+// event records, the ready heap's first growth and this function's own
+// closure and gap table; CI asserts allocs/op <= 16.
+func benchFreshEngine(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := sim.NewEngine()
+		gaps := [4]sim.Duration{97 * sim.Nanosecond, 98 * sim.Nanosecond, 99 * sim.Nanosecond, 100 * sim.Nanosecond}
+		var tick sim.ArgFunc
+		tick = func(gap any) { e.ScheduleArg(*gap.(*sim.Duration), tick, gap) }
+		for c := range gaps {
+			e.ScheduleArg(0, tick, &gaps[c])
+		}
+		if n := e.Run(sim.Time(250 * sim.Microsecond)); n < 10_000 {
+			panic(fmt.Sprintf("fresh engine ran %d events, want >= 10000", n))
+		}
+	}
+}
+
 func benchPacketLifecycle(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -217,6 +242,56 @@ func benchPipelineFig6(b *testing.B) {
 		}
 	}
 	eng.RunAll()
+}
+
+// benchSlowPath64k measures the NIC at the flow density of the paper's
+// headline point — 65,532 flows over 12 ports is 5,461 per port — with
+// DCTCP's alpha update on the Slow Path: a closed loop where every SCHE
+// comes straight back as the INFO acknowledging it, so with one window per
+// flow turn every ACK ends an observation window and posts a Slow Path
+// event. One op is 1 us of simulated time (~12 ACKs, Slow Path posts and
+// executions). Posts and timer arms go through the NIC's pooled, typed
+// event records; CI asserts 0 allocs/op.
+func benchSlowPath64k(b *testing.B) {
+	const flows = 5461
+	eng := sim.NewEngine()
+	alg, err := cc.New("dctcp")
+	if err != nil {
+		panic(err)
+	}
+	params := cc.DefaultParams(100*sim.Gbps, 1024)
+	if !params.UseSlowPath {
+		panic("DefaultParams no longer routes DCTCP's alpha through the Slow Path")
+	}
+	nic, err := fpga.NewNIC(eng, fpga.Config{
+		Ports: 1, Algorithm: alg, Params: params, TXTimerPPS: 11.97e6,
+		LogCapacity: 1 << 10, // a full ring: logging stays on and stops growing
+	})
+	if err != nil {
+		panic(err)
+	}
+	info := nic.InfoIn()
+	nic.ConnectSche(netem.NodeFunc(func(p *packet.Packet) {
+		// The SCHE packet itself becomes the INFO: the loop allocates nothing.
+		p.Type, p.Ack, p.Flags = packet.INFO, p.PSN+1, 0
+		info.Receive(p)
+	}))
+	for f := 0; f < flows; f++ {
+		if err := nic.StartFlow(packet.FlowID(f), 0, 0); err != nil {
+			panic(err)
+		}
+	}
+	eng.Run(sim.Time(2 * sim.Millisecond)) // every flow has cycled; rings and pools are full
+	before := nic.Stats().SlowPathRuns
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Run(eng.Now().Add(sim.Microsecond))
+	}
+	b.StopTimer()
+	if runs := nic.Stats().SlowPathRuns - before; runs < uint64(b.N) {
+		panic(fmt.Sprintf("%d Slow Path executions in %d us: the benchmark is not on the Slow Path", runs, b.N))
+	}
 }
 
 func benchTesterPacketRate(b *testing.B) {
@@ -338,12 +413,14 @@ var suite = []struct {
 	{"refengine/steady_state", benchRefEngineSteady},
 	{"engine/timer_churn", benchEngineChurn},
 	{"refengine/timer_churn", benchRefEngineChurn},
+	{"sim/fresh_engine_250us", benchFreshEngine},
 	{"packet/lifecycle", benchPacketLifecycle},
 	{"packet/clone", benchPacketClone},
 	{"aqm/red_enqueue", benchAQMEnqueue("red:min=30000,max=90000")},
 	{"aqm/pi2_enqueue", benchAQMEnqueue("pi2:target=10us,tupdate=50us")},
 	{"aqm/dualpi2_enqueue", benchAQMEnqueue("dualpi2:target=10us,tupdate=50us,step=20us")},
 	{"tofino/fig6_pipeline", benchPipelineFig6},
+	{"fpga/slowpath_64k_flows", benchSlowPath64k},
 	{"tester/packet_rate", benchTesterPacketRate},
 	{"shard/fattree_shards_1", benchShardScaling(1)},
 	{"shard/fattree_shards_2", benchShardScaling(2)},

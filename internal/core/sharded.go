@@ -95,13 +95,12 @@ func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan) 
 }
 
 // owner returns the island holding a flow's TX-side state, or nil for a
-// flow never started. A lone island owns every flow, so a one-island build
-// keeps no per-flow record.
+// flow never started.
 func (t *Tester) owner(flow packet.FlowID) *island {
-	if t.flowOwner == nil {
-		return t.islands[0]
+	if int(flow) < len(t.flows) {
+		return t.flows[flow].owner
 	}
-	return t.flowOwner[flow]
+	return nil
 }
 
 // portalSlot defers portal construction: the fabric is wired before the

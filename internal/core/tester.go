@@ -135,21 +135,20 @@ type Tester struct {
 	Fab  *fabric.Fabric
 	FCTs *measure.FCTRecorder
 
-	cfg     Config
-	plan    tofino.Plan
-	rng     *sim.Rand
-	flowDst map[packet.FlowID]int
-	sizes   map[packet.FlowID]uint32
-	starts  map[packet.FlowID]sim.Time
+	cfg  Config
+	plan tofino.Plan
+	rng  *sim.Rand
+	// flows is the dense per-flow table, indexed by flow ID and grown when
+	// a flow is bound (see entry): the tested network reads a packet's
+	// destination from it on every hop, so the lookup is a bounds check
+	// and a load.
+	flows []flowEntry
 
 	// The tester hardware, one island per partition that owns data ports
 	// (ascending partition; exactly one on a Shards == 0 build).
 	islands    []*island
 	portIsland []*island // global data port -> owning island
 	portLocal  []int     // global data port -> port index within its island
-	// flowOwner records each flow's TX-side island where there is more
-	// than one to choose from (nil otherwise; see owner).
-	flowOwner map[packet.FlowID]*island
 
 	txLinks  []*netem.Link
 	pfcs     []*netem.PFC
@@ -168,6 +167,31 @@ type Tester struct {
 	// conservative rounds, and those engines.
 	runner   *shard.Runner
 	partEngs []*sim.Engine
+}
+
+// flowEntry is one row of Tester.flows.
+type flowEntry struct {
+	dst   int32 // receiver port; -1 until the flow is bound
+	size  uint32
+	start sim.Time
+	owner *island // TX-side island; nil for never-started and external flows
+}
+
+// entry returns a flow's row, growing the table with unbound rows up to it.
+func (t *Tester) entry(flow packet.FlowID) *flowEntry {
+	for int(flow) >= len(t.flows) {
+		t.flows = append(t.flows, flowEntry{dst: -1})
+	}
+	return &t.flows[flow]
+}
+
+// dst routes a packet of the tested network by its flow's receiver port;
+// an unknown flow routes to -1 (the switch drops it and counts it unrouted).
+func (t *Tester) dst(p *packet.Packet) int {
+	if int(p.Flow) < len(t.flows) {
+		return int(t.flows[p.Flow].dst)
+	}
+	return -1
 }
 
 // prepare validates cfg, fills in the paper's defaults, and shrinks the
@@ -245,9 +269,6 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 		cfg:        cfg,
 		plan:       plan,
 		rng:        sim.NewRand(cfg.Seed),
-		flowDst:    make(map[packet.FlowID]int),
-		sizes:      make(map[packet.FlowID]uint32),
-		starts:     make(map[packet.FlowID]sim.Time),
 		portIsland: make([]*island, cfg.DataPorts),
 		portLocal:  make([]int, cfg.DataPorts),
 	}
@@ -266,12 +287,7 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 		EnablePFC:    cfg.EnablePFC,
 		PFCXOFFBytes: cfg.PFCXOFFBytes,
 		Seed:         cfg.Seed,
-		Dst: func(p *packet.Packet) int {
-			if dst, ok := t.flowDst[p.Flow]; ok {
-				return dst
-			}
-			return -1
-		},
+		Dst:          t.dst,
 	}
 
 	pplan := fabric.PartitionPlan{Parts: 1, HostPart: make([]int, cfg.DataPorts)}
@@ -320,9 +336,6 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 		}
 		isl.nic.OnComplete(t.flowDone)
 		t.islands = append(t.islands, isl)
-	}
-	if len(t.islands) > 1 {
-		t.flowOwner = make(map[packet.FlowID]*island)
 	}
 
 	if cfg.ReceiverOnFPGA {
@@ -580,7 +593,7 @@ func (t *Tester) BindExternalFlow(flow packet.FlowID, rx int) error {
 	if rx < 0 || rx >= t.cfg.DataPorts {
 		return fmt.Errorf("core: rx port %d out of range [0,%d)", rx, t.cfg.DataPorts)
 	}
-	t.flowDst[flow] = rx
+	t.entry(flow).dst = int32(rx)
 	return nil
 }
 
@@ -715,12 +728,7 @@ func (t *Tester) startFlow(flow packet.FlowID, tx, rx int, sizePkts uint32, alg 
 	if t.fpgaRecv != nil {
 		t.fpgaRecv.Reset(flow)
 	}
-	t.flowDst[flow] = rx
-	if t.flowOwner != nil {
-		t.flowOwner[flow] = isl
-	}
-	t.sizes[flow] = sizePkts
-	t.starts[flow] = t.Eng.Now()
+	*t.entry(flow) = flowEntry{dst: int32(rx), size: sizePkts, start: t.Eng.Now(), owner: isl}
 	if alg == nil {
 		return isl.nic.StartFlow(flow, t.portLocal[tx], sizePkts)
 	}
@@ -737,8 +745,8 @@ func (t *Tester) StopFlow(flow packet.FlowID) {
 func (t *Tester) flowDone(flow packet.FlowID, fct sim.Duration) {
 	t.FCTs.Add(measure.FCTRecord{
 		Flow:     flow,
-		SizePkts: t.sizes[flow],
-		Start:    t.starts[flow],
+		SizePkts: t.flows[flow].size,
+		Start:    t.flows[flow].start,
 		FCT:      fct,
 	})
 	if t.userComplete != nil {

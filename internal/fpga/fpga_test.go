@@ -58,7 +58,7 @@ func (r *testRig) ackUpTo(flow packet.FlowID, ack uint32, flags packet.Flags) {
 }
 
 func (r *testRig) flowPort(flow packet.FlowID) int {
-	return r.nic.flows[flow].port
+	return r.nic.lookup(flow).port
 }
 
 func (r *testRig) scheFor(flow packet.FlowID) []*packet.Packet {

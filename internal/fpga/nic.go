@@ -71,7 +71,9 @@ func (m SchedulerMode) String() string {
 type Config struct {
 	// Ports is the number of switch data ports the NIC schedules for.
 	Ports int
-	// MaxFlows bounds concurrent flows (0 = BRAM-derived 65,536).
+	// MaxFlows bounds flow IDs: StartFlow refuses an ID at or above it
+	// (0 = MaxFlowsByBRAM(), the 72 Mb budget). It is a capacity, not an
+	// allocation — the store holds pages only for the flows started.
 	MaxFlows int
 	// Algorithm is the deployed CC module.
 	Algorithm cc.Algorithm
@@ -143,7 +145,40 @@ func (s Stats) Plus(o Stats) Stats {
 	return s
 }
 
-// flowState is the per-flow BRAM word plus model bookkeeping.
+// The flow store is paged: flowPageSize flows to a page, a page allocated
+// when the first flow in it starts and never moved afterwards, so *flowState
+// and the timer records inside it stay valid for the NIC's lifetime. Memory
+// follows the flows a test starts, while the BRAM bound stays a check at
+// StartFlow.
+const (
+	flowPageShift = 6
+	flowPageSize  = 1 << flowPageShift
+)
+
+type flowPage [flowPageSize]flowState
+
+// timerEvent is the engine-event record of one CC timer: armTimer schedules
+// a pointer to it through the NIC's dispatch function, so arming allocates
+// neither a closure nor a record. Each flow slot owns one per timer.
+type timerEvent struct {
+	flow packet.FlowID
+	id   uint8
+}
+
+// slowEvent is the engine-event record of one queued Slow Path execution,
+// taken from and returned to the NIC's free list (a flow may have several
+// outstanding).
+type slowEvent struct {
+	flow    packet.FlowID
+	code    uint8
+	evType  cc.EventType
+	timerID uint8
+	next    *slowEvent
+}
+
+// flowState is the per-flow BRAM word plus model bookkeeping: one slot of a
+// flowPage, addressed by flow ID and reused when a finished flow's ID is
+// started again.
 type flowState struct {
 	active bool
 	port   int
@@ -168,6 +203,8 @@ type flowState struct {
 	cust      cc.State
 	slow      cc.State
 	timers    [cc.NumTimers]sim.Handle
+	timerEv   [cc.NumTimers]timerEvent
+	inScan    bool // listed in its port's scan table (scan mode, slot lifetime)
 }
 
 // CompletionFunc is invoked when a flow's final packet is acknowledged.
@@ -178,10 +215,11 @@ type NIC struct {
 	eng *sim.Engine
 	cfg Config
 
-	flows []flowState
+	// pages is the flow store, indexed by flow ID >> flowPageShift; nil
+	// until a flow in the page starts.
+	pages []*flowPage
 
-	rxFIFO   [][]*packet.Packet // per-port INFO FIFOs
-	rxHead   []int
+	rxFIFO   []ring[*packet.Packet] // per-port INFO FIFOs
 	rxActive []bool
 	// rxTickFns holds one prebuilt RX-timer closure per port so pacing does
 	// not allocate a closure per INFO packet.
@@ -200,12 +238,17 @@ type NIC struct {
 
 	logger *Logger
 	stats  Stats
-	out    cc.Output // reused fast-path output struct
-	in     cc.Input  // reused fast-path input struct (INFO arrivals)
-	// timerFns lazily caches one closure per (flow, timer) pair; the
-	// closures key off indices only, so they survive flow-slot reuse and
-	// timer re-arms stay allocation-free.
-	timerFns [][cc.NumTimers]sim.Func
+	// in and out are the CC module's reused input and output structs. INFO
+	// arrivals, timer firings and Slow Path executions all run as top-level
+	// engine events, never inside one another, so they share one pair. Only
+	// EvStart can run inside another event's delivery (a completion callback
+	// starting the next flow), so it has an Input of its own.
+	in, startIn cc.Input
+	out         cc.Output
+	// dispatchFn is the one engine callback behind every timerEvent and
+	// slowEvent; slowFree is the slowEvent free list.
+	dispatchFn sim.ArgFunc
+	slowFree   *slowEvent
 
 	// rttRing holds the most recent RTT probes (microseconds) for the
 	// control plane's latency readout; rttEwma is a 1/16-gain average.
@@ -255,12 +298,11 @@ func NewNIC(eng *sim.Engine, cfg Config) (*NIC, error) {
 	n := &NIC{
 		eng:      eng,
 		cfg:      cfg,
-		flows:    make([]flowState, cfg.MaxFlows),
-		rxFIFO:   make([][]*packet.Packet, cfg.Ports),
-		rxHead:   make([]int, cfg.Ports),
+		pages:    make([]*flowPage, (cfg.MaxFlows+flowPageSize-1)>>flowPageShift),
+		rxFIFO:   make([]ring[*packet.Packet], cfg.Ports),
 		rxActive: make([]bool, cfg.Ports),
-		timerFns: make([][cc.NumTimers]sim.Func, cfg.MaxFlows),
 	}
+	n.dispatchFn = n.dispatch
 	n.rxTickFns = make([]sim.Func, cfg.Ports)
 	for i := range n.rxTickFns {
 		i := i
@@ -292,18 +334,38 @@ func (n *NIC) Params() *cc.Params { return &n.cfg.Params }
 // ActiveFlows counts flows currently in progress.
 func (n *NIC) ActiveFlows() int {
 	c := 0
-	for i := range n.flows {
-		if n.flows[i].active {
-			c++
+	for _, pg := range n.pages {
+		if pg == nil {
+			continue
+		}
+		for i := range pg {
+			if pg[i].active {
+				c++
+			}
 		}
 	}
 	return c
 }
 
-// FlowProgress reports a flow's transport state (for tests and tracing).
+// FlowProgress reports a flow's transport state (for tests and tracing);
+// a flow never started reads as zero.
 func (n *NIC) FlowProgress(flow packet.FlowID) (una, nxt uint32, active bool) {
-	f := &n.flows[flow]
+	f := n.lookup(flow)
+	if f == nil {
+		return 0, 0, false
+	}
 	return f.una, f.nxt, f.active
+}
+
+// lookup returns a flow's slot, or nil when no flow in its page ever
+// started (or the ID lies beyond the store). Events that name such a flow
+// are dropped like events for an inactive one.
+func (n *NIC) lookup(flow packet.FlowID) *flowState {
+	pi := int(flow >> flowPageShift)
+	if pi >= len(n.pages) || n.pages[pi] == nil {
+		return nil
+	}
+	return &n.pages[pi][flow&(flowPageSize-1)]
 }
 
 // StartFlow activates a flow of sizePkts full-MTU packets bound to a
@@ -320,8 +382,8 @@ func (n *NIC) StartFlow(flow packet.FlowID, port int, sizePkts uint32) error {
 // test (window occupancy vs rate pacing, §5.2) is a port-wide datapath
 // decision, not per-flow state.
 func (n *NIC) StartFlowWith(flow packet.FlowID, port int, sizePkts uint32, alg cc.Algorithm, ect packet.ECT) error {
-	if int(flow) >= len(n.flows) {
-		return fmt.Errorf("fpga: flow %d exceeds BRAM capacity %d", flow, len(n.flows))
+	if int(flow) >= n.cfg.MaxFlows {
+		return fmt.Errorf("fpga: flow %d exceeds BRAM capacity %d", flow, n.cfg.MaxFlows)
 	}
 	if port < 0 || port >= n.cfg.Ports {
 		return fmt.Errorf("fpga: port %d out of range [0,%d)", port, n.cfg.Ports)
@@ -330,7 +392,11 @@ func (n *NIC) StartFlowWith(flow packet.FlowID, port int, sizePkts uint32, alg c
 		return fmt.Errorf("fpga: flow algorithm %s is %s-mode, NIC schedules %s-mode",
 			alg.Name(), alg.Mode(), n.cfg.Algorithm.Mode())
 	}
-	f := &n.flows[flow]
+	pi := flow >> flowPageShift
+	if n.pages[pi] == nil {
+		n.pages[pi] = new(flowPage)
+	}
+	f := &n.pages[pi][flow&(flowPageSize-1)]
 	if f.active {
 		return fmt.Errorf("fpga: flow %d already active", flow)
 	}
@@ -343,10 +409,15 @@ func (n *NIC) StartFlowWith(flow packet.FlowID, port int, sizePkts uint32, alg c
 		cwnd:    n.cfg.Params.InitCwnd,
 		rate:    n.cfg.Params.LineRate,
 		started: n.eng.Now(),
+		inScan:  f.inScan,
+	}
+	for id := range f.timerEv {
+		f.timerEv[id] = timerEvent{flow: flow, id: uint8(id)}
 	}
 	n.algOf(f).InitFlow(&f.cust, &f.slow, &n.cfg.Params)
-	n.sched.register(flow, port)
-	n.deliver(flow, &cc.Input{Type: cc.EvStart})
+	n.sched.register(flow, f)
+	n.startIn = cc.Input{Type: cc.EvStart}
+	n.deliver(flow, f, &n.startIn)
 	return nil
 }
 
@@ -361,8 +432,8 @@ func (n *NIC) algOf(f *flowState) cc.Algorithm {
 // StopFlow deactivates a flow immediately (used when an experiment
 // terminates flows, §7.3).
 func (n *NIC) StopFlow(flow packet.FlowID) {
-	f := &n.flows[flow]
-	if !f.active {
+	f := n.lookup(flow)
+	if f == nil || !f.active {
 		return
 	}
 	n.cancelTimers(f)
@@ -392,12 +463,12 @@ func (n *NIC) receiveInfo(p *packet.Packet) {
 	if n.cfg.SingleRXFIFO || port < 0 || port >= n.cfg.Ports {
 		port = 0
 	}
-	if len(n.rxFIFO[port])-n.rxHead[port] >= n.cfg.RXFIFODepth {
+	if n.rxFIFO[port].len() >= n.cfg.RXFIFODepth {
 		n.stats.InfoDrops++
 		p.Release()
 		return
 	}
-	n.rxFIFO[port] = append(n.rxFIFO[port], p)
+	n.rxFIFO[port].push(p)
 	if !n.rxActive[port] && !n.stalled {
 		n.rxActive[port] = true
 		n.eng.Schedule(sim.Interval(n.cfg.RXTimerPPS), n.rxTickFns[port])
@@ -420,7 +491,7 @@ func (n *NIC) SetStall(stalled bool) {
 		return
 	}
 	for port := 0; port < n.cfg.Ports; port++ {
-		if !n.rxActive[port] && n.rxHead[port] < len(n.rxFIFO[port]) {
+		if !n.rxActive[port] && n.rxFIFO[port].len() > 0 {
 			n.rxActive[port] = true
 			n.eng.Schedule(sim.Interval(n.cfg.RXTimerPPS), n.rxTickFns[port])
 		}
@@ -441,30 +512,24 @@ func (n *NIC) rxTick(port int) {
 		n.rxActive[port] = false
 		return
 	}
-	q := n.rxFIFO[port]
-	h := n.rxHead[port]
-	if h >= len(q) {
+	q := &n.rxFIFO[port]
+	if q.len() == 0 {
 		n.rxActive[port] = false
-		n.rxFIFO[port] = q[:0]
-		n.rxHead[port] = 0
 		return
 	}
-	p := q[h]
-	q[h] = nil
-	n.rxHead[port] = h + 1
+	p := q.pop()
 	n.processInfo(p)
 	p.Release()
-	if n.rxHead[port] >= len(n.rxFIFO[port]) {
+	if q.len() == 0 {
 		n.rxActive[port] = false
-		n.rxFIFO[port] = n.rxFIFO[port][:0]
-		n.rxHead[port] = 0
 		return
 	}
 	n.eng.Schedule(sim.Interval(n.cfg.RXTimerPPS), n.rxTickFns[port])
 }
 
 func (n *NIC) processInfo(p *packet.Packet) {
-	if int(p.Flow) >= len(n.flows) || !n.flows[p.Flow].active {
+	f := n.lookup(p.Flow)
+	if f == nil || !f.active {
 		return
 	}
 	var rtt sim.Duration
@@ -472,8 +537,6 @@ func (n *NIC) processInfo(p *packet.Packet) {
 		rtt = n.eng.Now().Sub(p.SentAt)
 		n.sampleRTT(rtt)
 	}
-	// n.in is reused across INFO arrivals; deliver never reads it after a
-	// nested deliver could run (see applyOutput's completion guard).
 	n.in = cc.Input{
 		Type:      cc.EvRx,
 		PSN:       p.PSN,
@@ -482,7 +545,7 @@ func (n *NIC) processInfo(p *packet.Packet) {
 		ProbedRTT: rtt,
 		INT:       &p.INT,
 	}
-	n.deliver(p.Flow, &n.in)
+	n.deliver(p.Flow, f, &n.in)
 }
 
 // sampleRTT records one probe for the latency registers.
@@ -508,14 +571,10 @@ func (n *NIC) RTTSamples() (samples []float64, count uint64, ewmaUs float64) {
 	return append([]float64(nil), n.rttRing...), n.rttCount, n.rttEwma
 }
 
-// deliver runs one CC module execution for a flow: populate the intrinsic
-// inputs, charge the cycle cost, apply the outputs, and advance the
-// transport state.
-func (n *NIC) deliver(flow packet.FlowID, in *cc.Input) {
-	f := &n.flows[flow]
-	if !f.active {
-		return
-	}
+// deliver runs one CC module execution for an active flow: populate the
+// intrinsic inputs, charge the cycle cost, apply the outputs, and advance
+// the transport state.
+func (n *NIC) deliver(flow packet.FlowID, f *flowState, in *cc.Input) {
 	now := n.eng.Now()
 	n.stats.EventsHandled++
 
@@ -573,7 +632,7 @@ func (n *NIC) applyOutput(flow packet.FlowID, f *flowState, in *cc.Input, out *c
 		if n.cfg.GoBackN && cc.SeqLT(out.RtxPSN, f.nxt) {
 			f.nxt = out.RtxPSN + 1
 		}
-		n.sched.pushPriority(flow)
+		n.sched.pushPriority(flow, f)
 	}
 	// Advance una after the module ran (it compares Ack to the old una).
 	if in.Type == cc.EvRx && cc.SeqLT(f.una, in.Ack) {
@@ -584,7 +643,7 @@ func (n *NIC) applyOutput(flow packet.FlowID, f *flowState, in *cc.Input, out *c
 		}
 	}
 	if out.Schedule {
-		n.sched.push(flow)
+		n.sched.push(flow, f)
 	}
 }
 
@@ -607,24 +666,31 @@ func (n *NIC) ensureRTO(flow packet.FlowID, f *flowState) {
 func (n *NIC) armTimer(flow packet.FlowID, f *flowState, req cc.TimerReq) {
 	id := req.ID
 	f.timers[id].Cancel()
-	fn := n.timerFns[flow][id]
-	if fn == nil {
-		fn = func() { n.fireTimer(flow, id) }
-		n.timerFns[flow][id] = fn
+	f.timers[id] = n.eng.ScheduleArg(req.After, n.dispatchFn, &f.timerEv[id])
+}
+
+// dispatch is the engine callback of every NIC-owned event record.
+func (n *NIC) dispatch(arg any) {
+	switch ev := arg.(type) {
+	case *timerEvent:
+		n.fireTimer(ev.flow, ev.id)
+	case *slowEvent:
+		n.runSlowPath(ev)
 	}
-	f.timers[id] = n.eng.Schedule(req.After, fn)
 }
 
 func (n *NIC) fireTimer(flow packet.FlowID, id uint8) {
-	if !n.flows[flow].active {
+	f := n.lookup(flow)
+	if !f.active {
 		return
 	}
 	if id == cc.TimerRTO {
 		n.stats.Timeouts++
-		n.deliver(flow, &cc.Input{Type: cc.EvTimeout})
-		return
+		n.in = cc.Input{Type: cc.EvTimeout}
+	} else {
+		n.in = cc.Input{Type: cc.EvTimer, TimerID: id}
 	}
-	n.deliver(flow, &cc.Input{Type: cc.EvTimer, TimerID: id})
+	n.deliver(flow, f, &n.in)
 }
 
 func (n *NIC) cancelTimers(f *flowState) {
@@ -636,27 +702,40 @@ func (n *NIC) cancelTimers(f *flowState) {
 // postSlowPath queues a Slow Path execution (§5.4): it runs after the
 // configured latency with write access to the slwpth-var region.
 func (n *NIC) postSlowPath(flow packet.FlowID, code uint8, evType cc.EventType, timerID uint8) {
-	n.eng.Schedule(n.cfg.SlowPathLatency, func() {
-		f := &n.flows[flow]
-		if !f.active {
-			return
-		}
-		n.stats.SlowPathRuns++
-		in := cc.Input{
-			Type: evType, TimerID: timerID,
-			Una: f.una, Nxt: f.nxt, Cwnd: f.cwnd, Rate: f.rate,
-			MTU: n.cfg.Params.MTU, Params: &n.cfg.Params,
-			Cust: &f.cust, Slow: &f.slow, Timestamp: n.eng.Now(),
-		}
-		var out cc.Output
-		n.algOf(f).OnSlowPath(code, &f.cust, &f.slow, &in, &out)
-		if out.SetCwnd {
-			f.cwnd = out.Cwnd
-		}
-		if out.SetRate {
-			f.rate = out.Rate
-		}
-	})
+	ev := n.slowFree
+	if ev == nil {
+		ev = new(slowEvent)
+	} else {
+		n.slowFree = ev.next
+	}
+	*ev = slowEvent{flow: flow, code: code, evType: evType, timerID: timerID}
+	n.eng.ScheduleArg(n.cfg.SlowPathLatency, n.dispatchFn, ev)
+}
+
+// runSlowPath executes a queued Slow Path event and recycles its record.
+func (n *NIC) runSlowPath(ev *slowEvent) {
+	e := *ev
+	ev.next = n.slowFree
+	n.slowFree = ev
+	f := n.lookup(e.flow)
+	if !f.active {
+		return
+	}
+	n.stats.SlowPathRuns++
+	n.in = cc.Input{
+		Type: e.evType, TimerID: e.timerID,
+		Una: f.una, Nxt: f.nxt, Cwnd: f.cwnd, Rate: f.rate,
+		MTU: n.cfg.Params.MTU, Params: &n.cfg.Params,
+		Cust: &f.cust, Slow: &f.slow, Timestamp: n.eng.Now(),
+	}
+	n.out.Reset()
+	n.algOf(f).OnSlowPath(e.code, &f.cust, &f.slow, &n.in, &n.out)
+	if n.out.SetCwnd {
+		f.cwnd = n.out.Cwnd
+	}
+	if n.out.SetRate {
+		f.rate = n.out.Rate
+	}
 }
 
 func (n *NIC) checkComplete(flow packet.FlowID, f *flowState) {
@@ -674,12 +753,12 @@ func (n *NIC) checkComplete(flow packet.FlowID, f *flowState) {
 
 // emitSche sends one SCHE packet toward the switch, stamped with the
 // flow's ECN codepoint so the pipeline's DATA generator can carry it.
-func (n *NIC) emitSche(flow packet.FlowID, psn uint32, port int, rtx bool) {
+func (n *NIC) emitSche(flow packet.FlowID, f *flowState, psn uint32, port int, rtx bool) {
 	if n.scheOut == nil {
 		return
 	}
 	p := packet.NewSche(flow, psn, port, n.eng.Now())
-	p.Flags |= n.flows[flow].ect.Bits()
+	p.Flags |= f.ect.Bits()
 	if rtx {
 		p.Flags |= packet.FlagRetransmit
 		n.stats.RtxTx++

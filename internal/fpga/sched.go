@@ -15,10 +15,8 @@ import (
 type scheduler struct {
 	nic *NIC
 
-	fifo     [][]packet.FlowID
-	fifoHead []int
-	prio     [][]packet.FlowID
-	prioHead []int
+	fifo []ring[packet.FlowID]
+	prio []ring[packet.FlowID]
 
 	txPending []bool
 	txNext    []sim.Time
@@ -35,17 +33,14 @@ type scheduler struct {
 	portFlows  [][]packet.FlowID
 	scanPos    []int
 	scanBudget int
-	inScan     []bool
 }
 
 func newScheduler(n *NIC) *scheduler {
 	ports := n.cfg.Ports
 	s := &scheduler{
 		nic:       n,
-		fifo:      make([][]packet.FlowID, ports),
-		fifoHead:  make([]int, ports),
-		prio:      make([][]packet.FlowID, ports),
-		prioHead:  make([]int, ports),
+		fifo:      make([]ring[packet.FlowID], ports),
+		prio:      make([]ring[packet.FlowID], ports),
 		txPending: make([]bool, ports),
 		txNext:    make([]sim.Time, ports),
 		txSlot:    sim.Interval(n.cfg.TXTimerPPS),
@@ -61,25 +56,23 @@ func newScheduler(n *NIC) *scheduler {
 		s.portFlows = make([][]packet.FlowID, ports)
 		s.scanPos = make([]int, ports)
 		s.scanBudget = maxI(1, cyclesPerSlot)
-		s.inScan = make([]bool, n.cfg.MaxFlows)
 	}
 	return s
 }
 
 // register adds a flow to its port's scan table (scan mode only).
-func (s *scheduler) register(flow packet.FlowID, port int) {
-	if s.portFlows == nil || s.inScan[flow] {
+func (s *scheduler) register(flow packet.FlowID, f *flowState) {
+	if s.portFlows == nil || f.inScan {
 		return
 	}
-	s.inScan[flow] = true
-	s.portFlows[port] = append(s.portFlows[port], flow)
+	f.inScan = true
+	s.portFlows[f.port] = append(s.portFlows[f.port], flow)
 }
 
 // push inserts the flow's scheduling event, keeping at most one event per
 // flow in the FIFO (§5.2: "there is no need for duplicate scheduling
 // events for the same flow in the scheduling FIFO").
-func (s *scheduler) push(flow packet.FlowID) {
-	f := &s.nic.flows[flow]
+func (s *scheduler) push(flow packet.FlowID, f *flowState) {
 	if s.portFlows != nil {
 		// Scan mode has no event FIFO; just make sure the port scans.
 		s.kick(f.port)
@@ -89,14 +82,13 @@ func (s *scheduler) push(flow packet.FlowID) {
 		return
 	}
 	f.inFIFO = true
-	s.fifo[f.port] = append(s.fifo[f.port], flow)
+	s.fifo[f.port].push(flow)
 	s.kick(f.port)
 }
 
 // pushPriority inserts a retransmission event.
-func (s *scheduler) pushPriority(flow packet.FlowID) {
-	f := &s.nic.flows[flow]
-	s.prio[f.port] = append(s.prio[f.port], flow)
+func (s *scheduler) pushPriority(flow packet.FlowID, f *flowState) {
+	s.prio[f.port].push(flow)
 	s.kick(f.port)
 }
 
@@ -142,45 +134,39 @@ func (s *scheduler) tick(port int) {
 }
 
 func (s *scheduler) hasWork(port int) bool {
-	if len(s.prio[port])-s.prioHead[port] > 0 {
+	if s.prio[port].len() > 0 {
 		return true
 	}
 	if s.portFlows != nil {
 		// Scan mode: keep ticking while any registered flow is active
 		// and eligible-ish (cheap conservative check: any active flow).
 		for _, fl := range s.portFlows[port] {
-			if s.nic.flows[fl].active {
+			if s.nic.lookup(fl).active {
 				return true
 			}
 		}
 		return false
 	}
-	return len(s.fifo[port])-s.fifoHead[port] > 0
+	return s.fifo[port].len() > 0
 }
 
 // emitPriority services the retransmission FIFO.
 func (s *scheduler) emitPriority(port int) bool {
-	for {
-		q := s.prio[port]
-		h := s.prioHead[port]
-		if h >= len(q) {
-			s.prio[port] = q[:0]
-			s.prioHead[port] = 0
-			return false
-		}
-		flow := q[h]
-		s.prioHead[port] = h + 1
-		f := &s.nic.flows[flow]
+	q := &s.prio[port]
+	for q.len() > 0 {
+		flow := q.pop()
+		f := s.nic.lookup(flow)
 		if !f.active || !f.rtxWait {
 			continue
 		}
 		f.rtxWait = false
-		s.nic.emitSche(flow, f.rtxPSN, port, true)
+		s.nic.emitSche(flow, f, f.rtxPSN, port, true)
 		// Follow the retransmission with a normal scheduling event so
 		// the flow resumes once the window reopens.
-		s.push(flow)
+		s.push(flow, f)
 		return true
 	}
+	return false
 }
 
 // fifoTick examines up to budget scheduling events (§5.2): the first
@@ -189,17 +175,10 @@ func (s *scheduler) emitPriority(port int) bool {
 // next INFO packet; rate-limited flows that are not yet due circulate.
 func (s *scheduler) fifoTick(port int) bool {
 	rateMode := s.nic.cfg.Algorithm.Mode() == cc.RateMode
-	for examined := 0; examined < s.budget; examined++ {
-		q := s.fifo[port]
-		h := s.fifoHead[port]
-		if h >= len(q) {
-			s.fifo[port] = q[:0]
-			s.fifoHead[port] = 0
-			return false
-		}
-		flow := q[h]
-		s.fifoHead[port] = h + 1
-		f := &s.nic.flows[flow]
+	q := &s.fifo[port]
+	for examined := 0; examined < s.budget && q.len() > 0; examined++ {
+		flow := q.pop()
+		f := s.nic.lookup(flow)
 		f.inFIFO = false
 		if !f.active || s.exhausted(f) {
 			continue // event dropped; flow is inactive
@@ -208,13 +187,13 @@ func (s *scheduler) fifoTick(port int) bool {
 			if now := s.nic.eng.Now(); now < f.nextSend {
 				// Not due yet: circulate without emitting.
 				f.inFIFO = true
-				s.fifo[port] = append(s.fifo[port], flow)
+				q.push(flow)
 				continue
 			}
 			s.emitData(flow, f, port)
 			s.paceRate(f)
 			f.inFIFO = true
-			s.fifo[port] = append(s.fifo[port], flow)
+			q.push(flow)
 			return true
 		}
 		// Window mode: inflight must be under cwnd.
@@ -223,7 +202,7 @@ func (s *scheduler) fifoTick(port int) bool {
 		}
 		s.emitData(flow, f, port)
 		f.inFIFO = true
-		s.fifo[port] = append(s.fifo[port], flow)
+		q.push(flow)
 		return true
 	}
 	return false
@@ -241,7 +220,7 @@ func (s *scheduler) scanTick(port int) bool {
 	for i := 0; i < s.scanBudget && i < len(flows); i++ {
 		idx := (pos + i) % len(flows)
 		flow := flows[idx]
-		f := &s.nic.flows[flow]
+		f := s.nic.lookup(flow)
 		if !f.active || s.exhausted(f) {
 			continue
 		}
@@ -272,7 +251,7 @@ func (s *scheduler) exhausted(f *flowState) bool {
 }
 
 func (s *scheduler) emitData(flow packet.FlowID, f *flowState, port int) {
-	s.nic.emitSche(flow, f.nxt, port, false)
+	s.nic.emitSche(flow, f, f.nxt, port, false)
 	f.nxt++
 	s.nic.ensureRTO(flow, f)
 }

@@ -1,0 +1,367 @@
+package fpga
+
+import (
+	"strings"
+	"testing"
+
+	"marlin/internal/cc"
+	"marlin/internal/netem"
+	"marlin/internal/packet"
+	"marlin/internal/race"
+	"marlin/internal/sim"
+)
+
+// Tests of the three rules the NIC's per-packet path keeps: event records
+// are typed and pooled (nothing allocates once warm), the flow store holds
+// pages only for flows started (with the BRAM bound checked at StartFlow),
+// and every FIFO is bounded by its occupancy.
+
+// newLoopNIC builds a one-port NIC whose SCHE output returns at once as the
+// INFO acknowledging it. The SCHE packet itself is rewritten in place, so
+// the loop adds no allocation of its own; ack=false sinks SCHE instead (an
+// open loop: no INFO ever arrives).
+func newLoopNIC(tb testing.TB, algo string, ack bool, mutate func(*Config)) (*sim.Engine, *NIC) {
+	tb.Helper()
+	eng := sim.NewEngine()
+	alg, err := cc.New(algo)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := Config{
+		Ports:       1,
+		Algorithm:   alg,
+		Params:      cc.DefaultParams(100*sim.Gbps, 1024),
+		TXTimerPPS:  11.97e6,
+		LogCapacity: 64, // a full ring: logging stays on and stops growing
+		GoBackN:     alg.Mode() == cc.RateMode,
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	nic, err := NewNIC(eng, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	info := nic.InfoIn()
+	nic.ConnectSche(netem.NodeFunc(func(p *packet.Packet) {
+		if !ack {
+			p.Release()
+			return
+		}
+		p.Type, p.Ack, p.Flags = packet.INFO, p.PSN+1, 0
+		info.Receive(p)
+	}))
+	return eng, nic
+}
+
+// runAllocs reports the allocations of one eng.Run(step) slice, averaged
+// over runs. Under the race detector it skips the test: that runtime
+// allocates, and its sync.Pool sheds a share of the packets put back.
+func runAllocs(t *testing.T, eng *sim.Engine, runs int, step sim.Duration) float64 {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	return testing.AllocsPerRun(runs, func() { eng.Run(eng.Now().Add(step)) })
+}
+
+// A DCTCP ACK that closes an observation window posts a Slow Path event;
+// with one packet in flight per flow that is every ACK. Neither the post
+// nor the execution may allocate.
+func TestSlowPathWindowEndAllocatesNothing(t *testing.T) {
+	eng, nic := newLoopNIC(t, "dctcp", true, func(c *Config) { c.Params.InitCwnd = 1 })
+	if !nic.Params().UseSlowPath {
+		t.Fatal("DefaultParams no longer routes DCTCP's alpha through the Slow Path")
+	}
+	for f := packet.FlowID(0); f < 8; f++ {
+		if err := nic.StartFlow(f, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run(sim.Time(sim.Millisecond)) // fills the RTT ring, the log ring and the event pools
+	before := nic.Stats()
+	if a := runAllocs(t, eng, 100, 2*sim.Microsecond); a != 0 {
+		t.Errorf("%v allocs per 2us slice of ACK-clocked DCTCP with the Slow Path on, want 0", a)
+	}
+	after := nic.Stats()
+	if after.SlowPathRuns-before.SlowPathRuns < 100 || after.InfoRx == before.InfoRx {
+		t.Fatalf("measured slices ran %d Slow Path events over %d INFO packets: the guard measured nothing",
+			after.SlowPathRuns-before.SlowPathRuns, after.InfoRx-before.InfoRx)
+	}
+}
+
+// A CC timer firing (DCQCN's alpha and rate timers) and a retransmission
+// timeout each run the module, re-arm through the flow's own timer record
+// and allocate nothing.
+func TestTimerFiringsAllocateNothing(t *testing.T) {
+	t.Run("EvTimer", func(t *testing.T) {
+		eng, nic := newLoopNIC(t, "dcqcn", true, nil)
+		if err := nic.StartFlow(3, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run(sim.Time(sim.Millisecond))
+		before := nic.Stats().EventsHandled - nic.Stats().InfoRx
+		period := nic.Params().AlphaTimer
+		if a := runAllocs(t, eng, 50, period); a != 0 {
+			t.Errorf("%v allocs per %v of DCQCN with both timers running, want 0", a, period)
+		}
+		if fired := nic.Stats().EventsHandled - nic.Stats().InfoRx - before; fired < 50 {
+			t.Fatalf("only %d timer events in the measured slices", fired)
+		}
+	})
+	t.Run("EvTimeout", func(t *testing.T) {
+		eng, nic := newLoopNIC(t, "dctcp", false, nil)
+		if err := nic.StartFlow(3, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		rto := nic.Params().RTOMin
+		eng.Run(eng.Now().Add(4 * rto))
+		before := nic.Stats().Timeouts
+		if a := runAllocs(t, eng, 20, rto); a != 0 {
+			t.Errorf("%v allocs per RTO of an unacknowledged DCTCP flow, want 0", a)
+		}
+		if fired := nic.Stats().Timeouts - before; fired < 10 {
+			t.Fatalf("only %d timeouts in the measured slices", fired)
+		}
+	})
+}
+
+// Regression test for the scheduling-FIFO leak: the per-port FIFOs were
+// head-indexed slices reset only when they drained, which never happens
+// while rate-paced flows circulate, so they grew with every TX slot. A
+// hardware FIFO holds each flow at most once (§5.2).
+func TestSchedulerFIFOBounded(t *testing.T) {
+	const flows = 16
+	eng, nic := newLoopNIC(t, "dcqcn", true, nil)
+	for f := packet.FlowID(0); f < flows; f++ {
+		if err := nic.StartFlow(f, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run(sim.Time(50 * sim.Millisecond))
+	if tx := nic.Stats().ScheTx; tx < 100_000 {
+		t.Fatalf("only %d SCHE in 50 ms: the flows did not circulate", tx)
+	}
+	fifo, prio := &nic.sched.fifo[0], &nic.sched.prio[0]
+	if c := cap(fifo.buf); c > 4*flows {
+		t.Errorf("scheduling FIFO capacity %d after 50 ms of %d circulating flows, want <= %d", c, flows, 4*flows)
+	}
+	if c := cap(prio.buf); c > 4*flows {
+		t.Errorf("priority FIFO capacity %d, want <= %d", c, 4*flows)
+	}
+	// At-most-once: the FIFO's entries are exactly the flows marked inFIFO.
+	seen := map[packet.FlowID]bool{}
+	for i := 0; i < fifo.n; i++ {
+		fl := fifo.buf[(fifo.head+i)&(len(fifo.buf)-1)]
+		if seen[fl] {
+			t.Errorf("flow %d is in the scheduling FIFO twice", fl)
+		}
+		seen[fl] = true
+	}
+	for f := packet.FlowID(0); f < flows; f++ {
+		if in := nic.lookup(f).inFIFO; in != seen[f] {
+			t.Errorf("flow %d: inFIFO=%v but present in FIFO=%v", f, in, seen[f])
+		}
+	}
+}
+
+// The same leak in the RX FIFO: under INFO arriving faster than the RX timer
+// drains it the FIFO never empties, and its backing store must stay within
+// the configured depth however long that lasts.
+func TestSaturatedRXFIFOBounded(t *testing.T) {
+	const depth = 64
+	r := newRig(t, func(c *Config) { c.RXFIFODepth = depth })
+	r.nic.StartFlow(1, 0, 0)
+	// Two INFO per RX-timer period, for 20,000 periods.
+	period := sim.Interval(11.97e6)
+	for i := uint32(1); i <= 20_000; i++ {
+		r.ackUpTo(1, i, 0)
+		r.ackUpTo(1, i, 0)
+		r.eng.Run(r.eng.Now().Add(period))
+	}
+	st := r.nic.Stats()
+	if st.InfoDrops == 0 || r.nic.rxFIFO[0].len() < depth-1 {
+		t.Fatalf("RX FIFO not saturated: drops=%d occupancy=%d", st.InfoDrops, r.nic.rxFIFO[0].len())
+	}
+	if c := cap(r.nic.rxFIFO[0].buf); c > 2*depth {
+		t.Errorf("RX FIFO capacity %d after 40,000 arrivals at depth %d, want <= %d", c, depth, 2*depth)
+	}
+}
+
+func allocatedPages(n *NIC) int {
+	c := 0
+	for _, pg := range n.pages {
+		if pg != nil {
+			c++
+		}
+	}
+	return c
+}
+
+// The BRAM bound is checked at StartFlow, before any page exists: the last
+// legal ID starts (allocating exactly its page), the first illegal one is
+// refused with the capacity error and allocates nothing.
+func TestFlowStoreBoundAndPaging(t *testing.T) {
+	for _, maxFlows := range []int{0, 1000} {
+		r := newRig(t, func(c *Config) { c.MaxFlows = maxFlows })
+		limit := maxFlows
+		if limit == 0 {
+			limit = MaxFlowsByBRAM()
+		}
+		if got := allocatedPages(r.nic); got != 0 {
+			t.Fatalf("MaxFlows=%d: a fresh NIC holds %d flow pages", maxFlows, got)
+		}
+		for _, id := range []int{limit, limit + flowPageSize, 1 << 30} {
+			err := r.nic.StartFlow(packet.FlowID(id), 0, 10)
+			if err == nil || !strings.Contains(err.Error(), "exceeds BRAM capacity") {
+				t.Errorf("MaxFlows=%d: StartFlow(%d) = %v, want the BRAM capacity error", maxFlows, id, err)
+			}
+		}
+		if got := allocatedPages(r.nic); got != 0 {
+			t.Errorf("MaxFlows=%d: refused flows allocated %d pages", maxFlows, got)
+		}
+		last := packet.FlowID(limit - 1)
+		if err := r.nic.StartFlow(last, 0, 10); err != nil {
+			t.Fatalf("MaxFlows=%d: last legal flow %d: %v", maxFlows, last, err)
+		}
+		if err := r.nic.StartFlow(0, 1, 10); err != nil {
+			t.Fatal(err)
+		}
+		if got := allocatedPages(r.nic); got != 2 {
+			t.Errorf("MaxFlows=%d: two flows in two pages hold %d pages", maxFlows, got)
+		}
+		if _, _, active := r.nic.FlowProgress(last); !active || r.nic.ActiveFlows() != 2 {
+			t.Errorf("MaxFlows=%d: last legal flow not active (ActiveFlows=%d)", maxFlows, r.nic.ActiveFlows())
+		}
+	}
+}
+
+// INFO for a flow whose page was never allocated, for a never-started flow
+// in an allocated page, for a stopped flow and for an ID beyond the store
+// are all dropped without touching the CC module; a Slow Path event and a
+// timer outliving their flow do nothing.
+func TestEventsForAbsentFlowsAreDropped(t *testing.T) {
+	r := newRig(t, func(c *Config) {
+		alg, _ := cc.New("dctcp")
+		c.Algorithm = alg
+		c.Params.InitCwnd = 4
+	})
+	r.nic.StartFlow(1, 0, 0)
+	r.eng.Run(sim.Time(sim.Microsecond))
+	handled := r.nic.Stats().EventsHandled
+	for _, fl := range []packet.FlowID{2, 900, 1023, 1024, 5000, 1 << 31} {
+		r.nic.InfoIn().Receive(&packet.Packet{Type: packet.INFO, Flow: fl, Ack: 1, Size: packet.ControlSize})
+		r.nic.StopFlow(fl)
+		if una, nxt, active := r.nic.FlowProgress(fl); una != 0 || nxt != 0 || active {
+			t.Errorf("flow %d never started but reads (%d,%d,%v)", fl, una, nxt, active)
+		}
+	}
+	r.eng.Run(sim.Time(10 * sim.Microsecond))
+	if got := r.nic.Stats().EventsHandled; got != handled {
+		t.Errorf("INFO for absent flows ran the CC module %d times", got-handled)
+	}
+	if got := allocatedPages(r.nic); got != 1 {
+		t.Errorf("events for absent flows allocated pages: %d held", got)
+	}
+
+	// An ACK closing flow 1's window posts a Slow Path event; the flow stops
+	// before it executes.
+	r.ackUpTo(1, 1, 0)
+	r.eng.Run(r.eng.Now().Add(sim.Interval(11.97e6))) // the RX tick delivers it
+	r.nic.StopFlow(1)
+	runs := r.nic.Stats().SlowPathRuns
+	r.eng.Run(sim.Time(sim.Second))
+	if st := r.nic.Stats(); st.SlowPathRuns != runs || st.Timeouts != 0 {
+		t.Errorf("events outlived their flow: SlowPathRuns %d -> %d, Timeouts %d", runs, st.SlowPathRuns, st.Timeouts)
+	}
+	if r.nic.ActiveFlows() != 0 {
+		t.Errorf("ActiveFlows = %d after stopping the only flow", r.nic.ActiveFlows())
+	}
+}
+
+// A flow restarted in a reused slot arms its timers through the slot's own
+// records: start, one RTO arm and stop allocate nothing, however often the
+// slot is reused.
+func TestRestartedFlowReusesTimerRecords(t *testing.T) {
+	r := newRig(t, nil)
+	cycle := func() {
+		if err := r.nic.StartFlow(7, 0, 10); err != nil {
+			t.Fatal(err)
+		}
+		r.eng.Run(r.eng.Now().Add(sim.Microsecond)) // first SCHE arms the RTO backstop
+		if !r.nic.lookup(7).timers[cc.TimerRTO].Armed() {
+			t.Fatal("RTO not armed after the first transmission")
+		}
+		r.nic.StopFlow(7)
+		for _, p := range r.sche {
+			p.Release()
+		}
+		r.sche = r.sche[:0]
+	}
+	cycle()
+	rec := &r.nic.lookup(7).timerEv[cc.TimerRTO]
+	if a := testing.AllocsPerRun(50, cycle); a != 0 && !race.Enabled {
+		t.Errorf("%v allocs per start/arm/stop cycle of a reused slot, want 0", a)
+	}
+	if got := &r.nic.lookup(7).timerEv[cc.TimerRTO]; got != rec || *got != (timerEvent{flow: 7, id: cc.TimerRTO}) {
+		t.Errorf("timer record moved or changed across restarts: %p %+v, was %p", got, *got, rec)
+	}
+}
+
+// ActiveFlows and FlowProgress read the paged store as they read the flat
+// one: flows scattered over first, middle and last pages, in window and
+// rate mode and under the scan scheduler, counted as they start, finish
+// and stop.
+func TestActiveFlowsAndProgressAcrossPages(t *testing.T) {
+	ids := []packet.FlowID{0, 63, 64, 500, 1022, 1023}
+	for _, tc := range []struct {
+		algo string
+		mode SchedulerMode
+	}{{"reno", ReschedulingFIFO}, {"dctcp", CyclicScan}, {"dcqcn", ReschedulingFIFO}} {
+		r := newRig(t, func(c *Config) {
+			alg, _ := cc.New(tc.algo)
+			c.Algorithm, c.Scheduler = alg, tc.mode
+		})
+		for i, id := range ids {
+			if err := r.nic.StartFlow(id, i%12, 3); err != nil {
+				t.Fatal(err)
+			}
+			if got := r.nic.ActiveFlows(); got != i+1 {
+				t.Fatalf("%s: ActiveFlows = %d after %d starts", tc.algo, got, i+1)
+			}
+		}
+		r.eng.Run(sim.Time(20 * sim.Microsecond))
+		// Flow 64 finishes, flow 1023 is stopped, the rest stay in flight.
+		_, nxt, _ := r.nic.FlowProgress(64)
+		for nxt < 3 {
+			r.ackUpTo(64, nxt, 0)
+			r.eng.Run(r.eng.Now().Add(5 * sim.Microsecond))
+			_, nxt, _ = r.nic.FlowProgress(64)
+		}
+		r.ackUpTo(64, 3, 0)
+		r.eng.Run(r.eng.Now().Add(5 * sim.Microsecond))
+		r.nic.StopFlow(1023)
+		if _, ok := r.fcts[64]; !ok {
+			t.Fatalf("%s: flow 64 did not complete", tc.algo)
+		}
+		want := map[packet.FlowID]bool{0: true, 63: true, 500: true, 1022: true}
+		active := 0
+		for id := packet.FlowID(0); id < 1100; id++ {
+			una, nxt, on := r.nic.FlowProgress(id)
+			if on != want[id] {
+				t.Errorf("%s: flow %d active=%v, want %v", tc.algo, id, on, want[id])
+			}
+			if on {
+				active++
+				if nxt == 0 || una > nxt {
+					t.Errorf("%s: flow %d progress una=%d nxt=%d", tc.algo, id, una, nxt)
+				}
+			}
+		}
+		if got := r.nic.ActiveFlows(); got != active || got != len(want) {
+			t.Errorf("%s: ActiveFlows = %d, FlowProgress counts %d, want %d", tc.algo, got, active, len(want))
+		}
+		if una, nxt, _ := r.nic.FlowProgress(64); una != 3 || nxt != 3 {
+			t.Errorf("%s: finished flow 64 reads una=%d nxt=%d, want 3, 3", tc.algo, una, nxt)
+		}
+	}
+}

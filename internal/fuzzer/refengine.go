@@ -1,122 +1,17 @@
 package fuzzer
 
-import (
-	"fmt"
+import "marlin/internal/sim"
 
-	"marlin/internal/sim"
-)
-
-// checkRefEngine drives the production timer-wheel engine and the
-// reference binary-heap engine through an identical seeded stream of
-// schedule/cancel/run operations — including same-timestamp events and
-// children scheduled from inside handlers — and demands bit-identical
-// firing orders, clocks, and pending counts. It is the fuzzer's sampled
-// re-verification of the determinism contract the scheduler swap relies
-// on, run against op streams the fixed differential-test seeds never
-// visited.
+// checkRefEngine is the fuzzer's sampled re-verification of the determinism
+// contract the scheduler swap relies on: sim.CheckAgainstRef drives the
+// production timer-wheel engine and the reference binary-heap engine
+// through an identical seeded stream of schedule/cancel/run operations —
+// same-timestamp events, children scheduled from inside handlers, bursts
+// sharing one wheel slot cancelled from outside and from inside a firing
+// body — against op streams the fixed differential-test seeds never visited.
 func checkRefEngine(seed uint64) *Violation {
-	rng := sim.NewRand(seed)
-	wheel := sim.NewEngine()
-	ref := sim.NewRefEngine()
-
-	type traceEntry struct {
-		id int
-		at sim.Time
-	}
-	var wTrace, rTrace []traceEntry
-	type pair struct {
-		w sim.Handle
-		r sim.RefHandle
-	}
-	var handles []pair
-	nextID := 0
-
-	// splitmix hashes an op index so both engines derive identical
-	// decisions without sharing an RNG cursor.
-	splitmix := func(x uint64) uint64 {
-		x += 0x9e3779b97f4a7c15
-		x = (x ^ (x >> 30)) * 0xbf58476d1ce4b9b9
-		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-		return x ^ (x >> 31)
-	}
-	// deltaFor draws schedule delays from the spans the models use:
-	// same-timestamp, sub-slot, intra-window, and overflow-horizon.
-	deltaFor := func(r uint64) sim.Duration {
-		switch r % 5 {
-		case 0:
-			return 0
-		case 1:
-			return sim.Duration(r % 8192)
-		case 2:
-			return sim.Duration(r % uint64(10*sim.Microsecond))
-		case 3:
-			return sim.Duration(r % uint64(2*sim.Millisecond))
-		default:
-			return sim.Duration(r % uint64(300*sim.Millisecond))
-		}
-	}
-
-	schedule := func(id int, d sim.Duration) {
-		w := wheel.Schedule(d, func() {
-			wTrace = append(wTrace, traceEntry{id, wheel.Now()})
-			if id%3 == 0 {
-				cid := -id - 1
-				wheel.Schedule(deltaFor(splitmix(uint64(id))), func() {
-					wTrace = append(wTrace, traceEntry{cid, wheel.Now()})
-				})
-			}
-		})
-		r := ref.Schedule(d, func() {
-			rTrace = append(rTrace, traceEntry{id, ref.Now()})
-			if id%3 == 0 {
-				cid := -id - 1
-				ref.Schedule(deltaFor(splitmix(uint64(id))), func() {
-					rTrace = append(rTrace, traceEntry{cid, ref.Now()})
-				})
-			}
-		})
-		handles = append(handles, pair{w, r})
-	}
-
-	const ops = 300
-	for op := 0; op < ops; op++ {
-		r := rng.Uint64()
-		switch {
-		case r%10 < 6:
-			schedule(nextID, deltaFor(splitmix(r)))
-			nextID++
-		case r%10 < 8:
-			if len(handles) == 0 {
-				continue
-			}
-			h := handles[int(r/16)%len(handles)]
-			if cw, cr := h.w.Cancel(), h.r.Cancel(); cw != cr {
-				return &Violation{OracleRefEngine, fmt.Sprintf("op %d: Cancel disagreed: wheel=%v heap=%v", op, cw, cr)}
-			}
-		default:
-			horizon := wheel.Now().Add(deltaFor(splitmix(r ^ 0xabcd)))
-			if nw, nr := wheel.Run(horizon), ref.Run(horizon); nw != nr {
-				return &Violation{OracleRefEngine, fmt.Sprintf("op %d: Run executed wheel=%d heap=%d", op, nw, nr)}
-			}
-			if wheel.Now() != ref.Now() {
-				return &Violation{OracleRefEngine, fmt.Sprintf("op %d: clocks diverged wheel=%v heap=%v", op, wheel.Now(), ref.Now())}
-			}
-		}
-		if wheel.Pending() != ref.Pending() {
-			return &Violation{OracleRefEngine, fmt.Sprintf("op %d: Pending wheel=%d heap=%d", op, wheel.Pending(), ref.Pending())}
-		}
-	}
-	if nw, nr := wheel.RunAll(), ref.RunAll(); nw != nr || wheel.Now() != ref.Now() || wheel.Executed() != ref.Executed() {
-		return &Violation{OracleRefEngine,
-			fmt.Sprintf("drain mismatch: executed wheel=%d heap=%d, now wheel=%v heap=%v", wheel.Executed(), ref.Executed(), wheel.Now(), ref.Now())}
-	}
-	if len(wTrace) != len(rTrace) {
-		return &Violation{OracleRefEngine, fmt.Sprintf("trace lengths wheel=%d heap=%d", len(wTrace), len(rTrace))}
-	}
-	for i := range wTrace {
-		if wTrace[i] != rTrace[i] {
-			return &Violation{OracleRefEngine, fmt.Sprintf("firing %d diverged: wheel=%+v heap=%+v", i, wTrace[i], rTrace[i])}
-		}
+	if err := sim.CheckAgainstRef(seed, 300); err != nil {
+		return &Violation{OracleRefEngine, err.Error()}
 	}
 	return nil
 }

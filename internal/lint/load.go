@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -147,7 +148,9 @@ func (l *Loader) load(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// parseDir parses the non-test Go sources of dir.
+// parseDir parses the non-test Go sources of dir that the default build
+// context selects (a //go:build race twin, say, is left out like the go
+// tool leaves it out).
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -159,6 +162,11 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -7,6 +7,7 @@ import (
 
 	"marlin/internal/netem"
 	"marlin/internal/packet"
+	"marlin/internal/race"
 	"marlin/internal/sim"
 )
 
@@ -258,7 +259,7 @@ func warmWheel(e *sim.Engine) {
 // cross-partition packet stream completes rounds without allocating —
 // mailboxes, merge buffers, and event slots are all reused.
 func TestHandoffAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race runtime allocates; allocation counts are meaningless")
 	}
 	ctl := sim.NewEngine()

@@ -5,132 +5,17 @@ import (
 	"testing/quick"
 )
 
-// The differential test drives the timer-wheel Engine and the reference
-// binary-heap RefEngine through identical schedule/cancel/run sequences and
-// asserts identical firing orders, clocks, executed counts, and pending
-// counts. It is the machine check behind the claim that swapping the
-// scheduler preserved the determinism contract bit-for-bit.
-
-type traceEntry struct {
-	id int
-	at Time
-}
-
-// splitmix hashes an op index into the op-stream's per-id randomness, so
-// both engines derive identical decisions without sharing an RNG cursor.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4b9b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// deltaFor maps raw randomness to a schedule delay drawn from the spans the
-// models actually use: same-timestamp, sub-slot, intra-window, and
-// overflow-horizon events all appear.
-func deltaFor(r uint64) Duration {
-	switch r % 5 {
-	case 0:
-		return 0
-	case 1:
-		return Duration(r % 8192) // within one wheel slot
-	case 2:
-		return Duration(r % uint64(10*Microsecond)) // within the window
-	case 3:
-		return Duration(r % uint64(2*Millisecond)) // overflow heap
-	default:
-		return Duration(r % uint64(300*Millisecond)) // far overflow
-	}
-}
+// The differential tests run CheckAgainstRef: the timer-wheel Engine and the
+// reference binary-heap RefEngine driven through identical schedule/cancel/
+// run sequences, with identical firing orders, clocks, executed counts,
+// pending counts, next-event times and handle states demanded after every
+// operation.
 
 func differentialRun(t *testing.T, seed uint64) bool {
 	t.Helper()
-	rng := NewRand(seed)
-	wheel := NewEngine()
-	ref := NewRefEngine()
-
-	var wTrace, rTrace []traceEntry
-	type pair struct {
-		w Handle
-		r RefHandle
-	}
-	var handles []pair
-	nextID := 0
-
-	var schedule func(id int, d Duration)
-	schedule = func(id int, d Duration) {
-		// Every third event schedules a child from inside its body, with a
-		// delay derived purely from its id so both engines agree.
-		w := wheel.Schedule(d, func() {
-			wTrace = append(wTrace, traceEntry{id, wheel.Now()})
-			if id%3 == 0 {
-				cid := -id - 1
-				wheel.Schedule(deltaFor(splitmix(uint64(id))), func() {
-					wTrace = append(wTrace, traceEntry{cid, wheel.Now()})
-				})
-			}
-		})
-		r := ref.Schedule(d, func() {
-			rTrace = append(rTrace, traceEntry{id, ref.Now()})
-			if id%3 == 0 {
-				cid := -id - 1
-				ref.Schedule(deltaFor(splitmix(uint64(id))), func() {
-					rTrace = append(rTrace, traceEntry{cid, ref.Now()})
-				})
-			}
-		})
-		handles = append(handles, pair{w, r})
-	}
-
-	const ops = 400
-	for op := 0; op < ops; op++ {
-		r := rng.Uint64()
-		switch {
-		case r%10 < 6: // schedule
-			schedule(nextID, deltaFor(splitmix(r)))
-			nextID++
-		case r%10 < 8: // cancel a random handle (possibly already fired)
-			if len(handles) == 0 {
-				continue
-			}
-			h := handles[int(r/16)%len(handles)]
-			cw, cr := h.w.Cancel(), h.r.Cancel()
-			if cw != cr {
-				t.Errorf("seed %d op %d: Cancel disagreed: wheel=%v heap=%v", seed, op, cw, cr)
-				return false
-			}
-		default: // run to a horizon
-			horizon := wheel.Now().Add(deltaFor(splitmix(r ^ 0xabcd)))
-			nw, nr := wheel.Run(horizon), ref.Run(horizon)
-			if nw != nr {
-				t.Errorf("seed %d op %d: Run executed wheel=%d heap=%d", seed, op, nw, nr)
-				return false
-			}
-			if wheel.Now() != ref.Now() {
-				t.Errorf("seed %d op %d: clocks diverged wheel=%v heap=%v", seed, op, wheel.Now(), ref.Now())
-				return false
-			}
-		}
-		if wheel.Pending() != ref.Pending() {
-			t.Errorf("seed %d op %d: Pending wheel=%d heap=%d", seed, op, wheel.Pending(), ref.Pending())
-			return false
-		}
-	}
-	nw, nr := wheel.RunAll(), ref.RunAll()
-	if nw != nr || wheel.Now() != ref.Now() || wheel.Executed() != ref.Executed() {
-		t.Errorf("seed %d: drain mismatch: executed wheel=%d heap=%d, now wheel=%v heap=%v",
-			seed, wheel.Executed(), ref.Executed(), wheel.Now(), ref.Now())
+	if err := CheckAgainstRef(seed, 400); err != nil {
+		t.Errorf("seed %d: %v", seed, err)
 		return false
-	}
-	if len(wTrace) != len(rTrace) {
-		t.Errorf("seed %d: trace lengths wheel=%d heap=%d", seed, len(wTrace), len(rTrace))
-		return false
-	}
-	for i := range wTrace {
-		if wTrace[i] != rTrace[i] {
-			t.Errorf("seed %d: firing %d diverged: wheel=%+v heap=%+v", seed, i, wTrace[i], rTrace[i])
-			return false
-		}
 	}
 	return true
 }

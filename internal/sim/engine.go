@@ -26,11 +26,15 @@ const (
 // event is a queue entry. seq breaks ties so that events scheduled earlier
 // at the same timestamp fire first, keeping runs deterministic.
 //
-// Events are pooled: the engine recycles fired and cancelled events through
-// an intrusive free list (safe because the engine is single-goroutine by
-// construction). gen guards stale Handles against recycled slots. where/idx
-// track the event's current container and position so Cancel can remove it
-// in O(log n) (heaps) or O(1) (slots) instead of leaving it to rot.
+// Events are typed records pooled by their owner: the engine recycles fired
+// and cancelled events through an intrusive free list (safe because the
+// engine is single-goroutine by construction), so steady-state scheduling
+// allocates nothing. gen guards stale Handles against recycled records.
+// where says which container holds the event — a heap, where idx is its
+// position, or a wheel slot, where prev/next thread it into the slot's
+// doubly-linked list — so Cancel removes it in O(log n) (heaps) or O(1)
+// (slots) instead of leaving it to rot. A slot is nothing but its head
+// pointer: a fresh engine owns no per-slot storage to grow.
 type event struct {
 	at  Time
 	seq uint64
@@ -40,11 +44,11 @@ type event struct {
 	eng *Engine
 	gen uint32
 	// where is locCur, locOverflow, locFree, or a wheel slot index; idx is
-	// the position within that container (heap slice or slot slice).
+	// the position within a heap slice.
 	where int32
 	idx   int32
-	// next links the engine's free list.
-	next *event
+	// prev/next link the wheel slot's list; next alone links the free list.
+	prev, next *event
 }
 
 // eventBefore is the firing order: (timestamp, schedule sequence).
@@ -208,8 +212,10 @@ type Engine struct {
 	// overflow holds events at or beyond the window end.
 	overflow eventHeap
 	// free is the intrusive event free list.
-	free   *event
-	slots  [numSlots][]*event
+	free *event
+	// slots holds the head of each wheel slot's event list; order within a
+	// slot is irrelevant, the ready heap sorts on activation.
+	slots  [numSlots]*event
 	bitmap [bitmapWords]uint64
 }
 
@@ -261,19 +267,21 @@ func (h Handle) Cancel() bool {
 		e.cur.remove(int(ev.idx))
 	case locOverflow:
 		e.overflow.remove(int(ev.idx))
-	default: // wheel slot: order within a slot is irrelevant, swap-remove
+	default: // wheel slot: unlink
 		slot := int(ev.where)
-		sl := e.slots[slot]
-		n := len(sl) - 1
-		pos := int(ev.idx)
-		sl[pos] = sl[n]
-		sl[pos].idx = int32(pos)
-		sl[n] = nil
-		e.slots[slot] = sl[:n]
-		e.wheelCnt--
-		if n == 0 {
-			e.bitmap[slot>>6] &^= 1 << uint(slot&63)
+		if ev.next != nil {
+			ev.next.prev = ev.prev
 		}
+		if ev.prev != nil {
+			ev.prev.next = ev.next
+			ev.prev = nil
+		} else {
+			e.slots[slot] = ev.next
+			if ev.next == nil {
+				e.bitmap[slot>>6] &^= 1 << uint(slot&63)
+			}
+		}
+		e.wheelCnt--
 	}
 	e.recycle(ev)
 	return true
@@ -331,11 +339,16 @@ func (e *Engine) insert(ev *event) {
 	e.overflow.push(ev)
 }
 
-// insertSlot appends the event to a wheel slot and marks the occupancy bit.
+// insertSlot pushes the event onto a wheel slot's list and marks the
+// occupancy bit.
 func (e *Engine) insertSlot(ev *event, slot int) {
 	ev.where = int32(slot)
-	ev.idx = int32(len(e.slots[slot]))
-	e.slots[slot] = append(e.slots[slot], ev)
+	head := e.slots[slot]
+	ev.next = head
+	if head != nil {
+		head.prev = ev
+	}
+	e.slots[slot] = ev
 	e.bitmap[slot>>6] |= 1 << uint(slot&63)
 	e.wheelCnt++
 }
@@ -394,15 +407,18 @@ func (e *Engine) advance() bool {
 	d := e.nextSlotDelta()
 	s := e.baseSlot + int64(d)
 	idx := int(s & slotMask)
-	evs := e.slots[idx]
-	e.cur = append(e.cur[:0], evs...)
-	for i, ev := range e.cur {
-		ev.where = locCur
-		ev.idx = int32(i)
-		evs[i] = nil
-	}
-	e.slots[idx] = evs[:0]
+	ev := e.slots[idx]
+	e.slots[idx] = nil
 	e.bitmap[idx>>6] &^= 1 << uint(idx&63)
+	e.cur = e.cur[:0]
+	for ev != nil {
+		next := ev.next
+		ev.prev, ev.next = nil, nil
+		ev.where = locCur
+		ev.idx = int32(len(e.cur))
+		e.cur = append(e.cur, ev)
+		ev = next
+	}
 	e.wheelCnt -= len(e.cur)
 	e.cur.init()
 	// The window start moves past the activated slot; one slot's worth of

@@ -10,11 +10,10 @@ import (
 // (timestamp, schedule-sequence) order, the clock advances to the horizon
 // while anything is still queued beyond it, and cancellation is lazy.
 //
-// The differential test drives a RefEngine and a timer-wheel Engine with
-// identical testing/quick-generated schedule/cancel sequences and asserts
-// identical firing orders and clocks, and cmd/benchjson reports RefEngine
-// throughput as the "before" number in BENCH_baseline.json. It is not used
-// by any model code.
+// CheckAgainstRef drives a RefEngine and a timer-wheel Engine with identical
+// seeded schedule/cancel/run sequences and demands identical firing orders
+// and clocks, and cmd/benchjson reports RefEngine throughput as the "before"
+// number in BENCH_baseline.json. It is not used by any model code.
 type RefEngine struct {
 	now      Time
 	queue    refHeap
@@ -88,6 +87,26 @@ func (h RefHandle) Cancel() bool {
 	}
 	h.ev.cancel = true
 	return true
+}
+
+// Armed reports whether the event is still pending.
+func (h RefHandle) Armed() bool {
+	return h.ev != nil && !h.ev.cancel && h.ev.fn != nil
+}
+
+// NextEventAt reports the timestamp of the earliest pending event, and
+// whether one exists, without reaping anything.
+func (e *RefEngine) NextEventAt() (Time, bool) {
+	at, ok := Forever, false
+	for _, ev := range e.queue {
+		if !ev.cancel && ev.fn != nil && (!ok || ev.at < at) {
+			at, ok = ev.at, true
+		}
+	}
+	if !ok {
+		return 0, false
+	}
+	return at, true
 }
 
 // ScheduleAt enqueues fn to run at the absolute timestamp at.

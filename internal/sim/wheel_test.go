@@ -137,3 +137,90 @@ func TestCancelledEventKeepsHorizon(t *testing.T) {
 		t.Fatalf("RunAll executed %d, want 0", n)
 	}
 }
+
+// Five events share one wheel slot; cancelling the head, a middle and the
+// tail of its list — from outside, or from inside the body of an event that
+// fires one slot earlier — leaves exactly the other two to fire, with
+// Pending, NextEventAt and Armed right after every unlink.
+func TestSlotListCancel(t *testing.T) {
+	for _, inside := range []bool{false, true} {
+		e := NewEngine()
+		const slot = 100
+		var fired []int
+		hs := make([]Handle, 5)
+		for i := range hs {
+			i := i
+			// Ascending timestamps: hs[0] is the earliest and, slots pushing
+			// at the head, the tail of the list.
+			hs[i] = e.ScheduleAt(Time(slot<<slotShift)+Time(i), func() { fired = append(fired, i) })
+			if hs[i].ev.where != slot {
+				t.Fatalf("event %d not in wheel slot %d (where=%d)", i, slot, hs[i].ev.where)
+			}
+		}
+		cancelThree := func() {
+			pending := e.Pending()
+			for _, i := range []int{2, 4, 0} { // middle, head, tail
+				if !hs[i].Cancel() || hs[i].Armed() {
+					t.Errorf("inside=%v: cancel of event %d failed", inside, i)
+				}
+				pending--
+				if e.Pending() != pending {
+					t.Errorf("inside=%v: Pending = %d after cancelling %d, want %d", inside, e.Pending(), i, pending)
+				}
+			}
+			for _, i := range []int{1, 3} {
+				if !hs[i].Armed() {
+					t.Errorf("inside=%v: surviving event %d not armed", inside, i)
+				}
+			}
+		}
+		if inside {
+			e.ScheduleAt(Time((slot-1)<<slotShift), cancelThree)
+		} else {
+			cancelThree()
+			if at, ok := e.NextEventAt(); !ok || at != Time(slot<<slotShift)+1 {
+				t.Errorf("NextEventAt = %v, %v; want event 1's time", at, ok)
+			}
+		}
+		e.RunAll()
+		if len(fired) != 2 || fired[0] != 1 || fired[1] != 3 {
+			t.Errorf("inside=%v: fired %v, want [1 3]", inside, fired)
+		}
+		if e.Pending() != 0 || e.wheelCnt != 0 || e.slots[slot] != nil {
+			t.Errorf("inside=%v: engine not drained: pending=%d wheelCnt=%d", inside, e.Pending(), e.wheelCnt)
+		}
+	}
+}
+
+// A fresh engine owns no per-slot storage: once its free list holds one
+// record, scheduling into wheel slots it has never used — then firing or
+// cancelling — allocates nothing, so a short test does not pay per slot it
+// touches.
+func TestFreshEngineSlotsAllocateNothing(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	e.Schedule(0, fn)
+	e.RunAll() // the free list and the ready heap now hold one entry each
+	// Each firing moves the clock three slots on, so every event lands in a
+	// slot this engine has not used before (until the window wraps).
+	if a := testing.AllocsPerRun(2000, func() {
+		e.Schedule(3*slotWidth, fn)
+		e.RunAll()
+	}); a != 0 {
+		t.Errorf("Schedule then fire on a fresh engine: %v allocs, want 0", a)
+	}
+	e = NewEngine()
+	e.Schedule(0, fn)
+	e.RunAll()
+	i := 0
+	if a := testing.AllocsPerRun(1000, func() {
+		i++
+		h := e.Schedule(Duration(3*i)*slotWidth, fn) // 1000 different slots, all inside the window
+		if h.ev.where < 0 {
+			t.Fatal("event not in a wheel slot")
+		}
+		h.Cancel()
+	}); a != 0 {
+		t.Errorf("Schedule then Cancel on a fresh engine: %v allocs, want 0", a)
+	}
+}
