@@ -165,6 +165,34 @@ func benchFreshEngine(b *testing.B) {
 	}
 }
 
+// benchFarTimerRearm is the retransmission-timer pattern at the paper's
+// flow count: 65,536 timers armed 500 us ahead (15 frames, so level 1 of the
+// wheel), each op cancelling one and re-arming it while a 40 us tick — a
+// round of ACKs — moves the clock on. Both halves are list operations on the
+// event record; CI asserts 0 allocs/op.
+func benchFarTimerRearm(b *testing.B) {
+	e := sim.NewEngine()
+	const timers = 1 << 16
+	noop := func() {}
+	rto := make([]sim.Handle, timers)
+	for i := range rto {
+		rto[i] = e.Schedule(500*sim.Microsecond, noop)
+	}
+	var tick sim.Func
+	tick = func() { e.Schedule(40*sim.Microsecond, tick) }
+	tick()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (timers - 1)
+		if j == 0 {
+			e.Run(e.Now().Add(40 * sim.Microsecond))
+		}
+		rto[j].Cancel()
+		rto[j] = e.Schedule(500*sim.Microsecond, noop)
+	}
+}
+
 func benchPacketLifecycle(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -414,6 +442,7 @@ var suite = []struct {
 	{"engine/timer_churn", benchEngineChurn},
 	{"refengine/timer_churn", benchRefEngineChurn},
 	{"sim/fresh_engine_250us", benchFreshEngine},
+	{"sim/far_timer_rearm", benchFarTimerRearm},
 	{"packet/lifecycle", benchPacketLifecycle},
 	{"packet/clone", benchPacketClone},
 	{"aqm/red_enqueue", benchAQMEnqueue("red:min=30000,max=90000")},

@@ -15,8 +15,9 @@ type Func func()
 // through ScheduleArg instead.
 type ArgFunc func(arg any)
 
-// Location sentinels for event.where. Non-negative values are wheel slot
-// indices.
+// Location sentinels for event.where. Non-negative values index
+// Engine.slots: a level-0 slot below numSlots, a level-1 frame list from
+// numSlots up.
 const (
 	locFree     = -1
 	locCur      = -2
@@ -31,10 +32,11 @@ const (
 // engine is single-goroutine by construction), so steady-state scheduling
 // allocates nothing. gen guards stale Handles against recycled records.
 // where says which container holds the event — a heap, where idx is its
-// position, or a wheel slot, where prev/next thread it into the slot's
-// doubly-linked list — so Cancel removes it in O(log n) (heaps) or O(1)
-// (slots) instead of leaving it to rot. A slot is nothing but its head
-// pointer: a fresh engine owns no per-slot storage to grow.
+// position, or a wheel list (a level-0 slot or a level-1 frame), where
+// prev/next thread it into a doubly-linked list — so Cancel removes it in
+// O(log n) (heaps) or O(1) (lists) instead of leaving it to rot. A list is
+// nothing but its head pointer: a fresh engine owns no per-list storage to
+// grow.
 type event struct {
 	at  Time
 	seq uint64
@@ -43,11 +45,11 @@ type event struct {
 	arg any
 	eng *Engine
 	gen uint32
-	// where is locCur, locOverflow, locFree, or a wheel slot index; idx is
-	// the position within a heap slice.
+	// where is locCur, locOverflow, locFree, or an index into Engine.slots;
+	// idx is the position within a heap slice.
 	where int32
 	idx   int32
-	// prev/next link the wheel slot's list; next alone links the free list.
+	// prev/next link a wheel list; next alone links the free list.
 	prev, next *event
 }
 
@@ -145,28 +147,40 @@ func (h *eventHeap) remove(i int) {
 	(*h).up(i)
 }
 
-// Timer-wheel geometry. The wheel is a circular window of numSlots buckets,
-// each slotWidth picoseconds wide, sliding forward with the clock:
+// Timer-wheel geometry. Time is cut into slots of slotWidth picoseconds and
+// frames of numSlots slots; the wheel has two levels:
 //
-//   - events closer than the already-activated region go straight to the
-//     ready heap (cur);
-//   - events within the window hash to slot (at>>slotShift)&slotMask;
-//   - events beyond the window wait in an overflow heap and migrate into
-//     the wheel as it slides over them.
+//   - level 0 is the current frame, one list per slot. The slots before
+//     baseSlot have been activated: events that land there go straight to
+//     the ready heap (cur), the rest to slot (at>>slotShift)&slotMask;
+//   - level 1 holds the next numFrames-1 frames, one list per frame. When
+//     level 0 runs empty the wheel moves to the next frame that holds
+//     anything and deals that frame's list out into the slots, so an event
+//     is moved at most once, and is not touched at all if it is cancelled
+//     first — which is what retransmission timers do;
+//   - events beyond level 1 wait in an overflow heap until the wheel reaches
+//     their frame.
 //
 // slotWidth is 8192 ps (~8 ns): finer than the smallest serialization gap
 // the models schedule at (5120 ps for a 64-byte control frame at 100 Gbps),
 // so steady-state traffic spreads across slots instead of piling into one.
-// The window spans 4096 slots = ~33.6 us, which covers serialization,
-// propagation, CNP pacing, and RX/TX timer horizons; only long timeouts
-// (RTOs, experiment horizons) take the overflow path.
+// A frame spans 4096 slots = ~33.6 us, which covers serialization,
+// propagation, CNP pacing, and RX/TX timer horizons; level 1 reaches 255
+// frames = ~8.6 ms, past every RTO and CC timer, so only experiment
+// horizons and idle-flow arrivals take the overflow path.
 const (
 	slotShift   = 13
 	slotWidth   = Duration(1) << slotShift
 	slotBits    = 12
 	numSlots    = 1 << slotBits
 	slotMask    = numSlots - 1
-	bitmapWords = numSlots / 64
+	frameBits   = 8
+	numFrames   = 1 << frameBits
+	frameMask   = numFrames - 1
+	numLists    = numSlots + numFrames
+	slotWords   = numSlots / 64
+	frameWords  = numFrames / 64
+	bitmapWords = slotWords + frameWords
 )
 
 // Engine is a single-threaded discrete-event simulator.
@@ -174,13 +188,14 @@ const (
 // Engines are not safe for concurrent use; all Marlin components run within
 // one engine goroutine by construction.
 //
-// The scheduler is a hierarchical timer wheel rather than a global binary
-// heap: O(1) inserts for the near future, with per-activation cost
-// proportional to the (small) population of one 8 ns bucket. Equal-time
-// events still fire in schedule order everywhere — the ready heap, the
-// buckets, and the overflow heap all order by (timestamp, sequence) — so
-// the determinism contract is identical to the heap implementation
-// (RefEngine keeps that implementation alive for differential testing).
+// The scheduler is a two-level timer wheel rather than a global binary
+// heap: O(1) insert and Cancel for the next ~8.6 ms, with per-activation
+// cost proportional to the (small) population of one 8 ns slot. The wheel
+// only decides when an event becomes ready; firing order comes from the
+// ready heap alone, which orders by (timestamp, sequence), so equal-time
+// events still fire in schedule order and the determinism contract is
+// identical to the heap implementation (RefEngine keeps that implementation
+// alive for differential testing).
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -200,22 +215,28 @@ type Engine struct {
 	// dropped once a run passes it (when the old engine would have reaped).
 	maxDeadAt Time
 
-	// cur is the ready heap: events in the already-activated region of the
-	// window (at earlier than baseSlot's start). The globally earliest
-	// pending event is always cur's top once prime() has run.
+	// cur is the ready heap: events in the already-activated region (at
+	// earlier than baseSlot's start). The globally earliest pending event is
+	// always cur's top once prime() has run.
 	cur eventHeap
-	// baseSlot is the absolute slot index (at>>slotShift) of the window
-	// start; it only moves forward.
+	// frame is the absolute frame index (at>>slotShift>>slotBits) level 0
+	// covers, and baseSlot the absolute slot index (at>>slotShift) of the
+	// first slot not yet activated: frame's first slot <= baseSlot <= the
+	// next frame's first slot. Both only move forward.
+	frame    int64
 	baseSlot int64
-	// wheelCnt counts events resident in slots.
+	// wheelCnt counts events resident in level 0, farCnt in level 1.
 	wheelCnt int
-	// overflow holds events at or beyond the window end.
+	farCnt   int
+	// overflow holds events that were beyond level 1 when scheduled.
 	overflow eventHeap
 	// free is the intrusive event free list.
 	free *event
-	// slots holds the head of each wheel slot's event list; order within a
-	// slot is irrelevant, the ready heap sorts on activation.
-	slots  [numSlots]*event
+	// slots holds the head of each wheel list — the numSlots level-0 slots,
+	// then the numFrames level-1 frames, frame f at numSlots+f&frameMask —
+	// and bitmap one occupancy bit per list. Order within a list is
+	// irrelevant, the ready heap sorts on activation.
+	slots  [numLists]*event
 	bitmap [bitmapWords]uint64
 }
 
@@ -250,7 +271,7 @@ func (h Handle) Armed() bool {
 // Cancel prevents the event from running. Cancelling an already-fired or
 // already-cancelled event is a no-op. Cancel reports whether the event was
 // still pending. The event is removed from its container immediately —
-// O(1) for a wheel slot, O(log n) for the ready or overflow heap — so
+// O(1) for either wheel level, O(log n) for the ready or overflow heap — so
 // cancel-heavy patterns (retransmission timers) do not accumulate garbage.
 func (h Handle) Cancel() bool {
 	ev := h.ev
@@ -267,8 +288,8 @@ func (h Handle) Cancel() bool {
 		e.cur.remove(int(ev.idx))
 	case locOverflow:
 		e.overflow.remove(int(ev.idx))
-	default: // wheel slot: unlink
-		slot := int(ev.where)
+	default: // wheel list: unlink
+		list := int(ev.where)
 		if ev.next != nil {
 			ev.next.prev = ev.prev
 		}
@@ -276,12 +297,16 @@ func (h Handle) Cancel() bool {
 			ev.prev.next = ev.next
 			ev.prev = nil
 		} else {
-			e.slots[slot] = ev.next
+			e.slots[list] = ev.next
 			if ev.next == nil {
-				e.bitmap[slot>>6] &^= 1 << uint(slot&63)
+				e.bitmap[list>>6] &^= 1 << uint(list&63)
 			}
 		}
-		e.wheelCnt--
+		if list < numSlots {
+			e.wheelCnt--
+		} else {
+			e.farCnt--
+		}
 	}
 	e.recycle(ev)
 	return true
@@ -323,7 +348,8 @@ func (e *Engine) schedule(at Time, fn Func, afn ArgFunc, arg any) Handle {
 	return Handle{ev, ev.gen}
 }
 
-// insert places the event in the ready heap, a wheel slot, or overflow.
+// insert places the event in the ready heap, a level-0 slot, a level-1
+// frame, or overflow.
 func (e *Engine) insert(ev *event) {
 	s := int64(ev.at) >> slotShift
 	if s < e.baseSlot {
@@ -331,26 +357,37 @@ func (e *Engine) insert(ev *event) {
 		e.cur.push(ev)
 		return
 	}
-	if s < e.baseSlot+numSlots {
-		e.insertSlot(ev, int(s&slotMask))
-		return
+	switch f := s >> slotBits; {
+	case f == e.frame:
+		e.link(ev, int(s&slotMask))
+		e.wheelCnt++
+	case f-e.frame < numFrames:
+		e.link(ev, numSlots+int(f&frameMask))
+		e.farCnt++
+	default:
+		ev.where = locOverflow
+		e.overflow.push(ev)
 	}
-	ev.where = locOverflow
-	e.overflow.push(ev)
 }
 
-// insertSlot pushes the event onto a wheel slot's list and marks the
-// occupancy bit.
-func (e *Engine) insertSlot(ev *event, slot int) {
-	ev.where = int32(slot)
-	head := e.slots[slot]
-	ev.next = head
+// link pushes the event onto a wheel list and marks the occupancy bit.
+func (e *Engine) link(ev *event, list int) {
+	ev.where = int32(list)
+	head := e.slots[list]
+	ev.prev, ev.next = nil, head
 	if head != nil {
 		head.prev = ev
 	}
-	e.slots[slot] = ev
-	e.bitmap[slot>>6] |= 1 << uint(slot&63)
-	e.wheelCnt++
+	e.slots[list] = ev
+	e.bitmap[list>>6] |= 1 << uint(list&63)
+}
+
+// take empties a wheel list and returns its head.
+func (e *Engine) take(list int) *event {
+	ev := e.slots[list]
+	e.slots[list] = nil
+	e.bitmap[list>>6] &^= 1 << uint(list&63)
+	return ev
 }
 
 // ScheduleAt enqueues fn to run at the absolute timestamp at. Scheduling in
@@ -381,9 +418,9 @@ func (e *Engine) ScheduleArg(d Duration, fn ArgFunc, arg any) Handle {
 // Stop makes the current Run call return after the in-flight event finishes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// prime fills the ready heap with the next wheel slot's events (advancing
-// or jumping the window as needed) and returns the earliest pending event
-// without removing it.
+// prime fills the ready heap with the next wheel slot's events (moving to a
+// later frame as needed) and returns the earliest pending event without
+// removing it.
 func (e *Engine) prime() *event {
 	for len(e.cur) == 0 {
 		if !e.advance() {
@@ -393,25 +430,23 @@ func (e *Engine) prime() *event {
 	return e.cur[0]
 }
 
-// advance activates the next non-empty wheel slot, jumping the window to
-// the overflow queue's earliest event when the wheel is empty. It reports
-// whether any events remain anywhere.
+// advance activates the next non-empty slot of the frame, moving level 0
+// to the next frame that holds anything when this one is used up. It
+// reports whether any events remain anywhere.
 func (e *Engine) advance() bool {
-	if e.wheelCnt == 0 {
-		if len(e.overflow) == 0 {
-			return false
-		}
-		e.baseSlot = int64(e.overflow[0].at) >> slotShift
-		e.refill()
+	if e.wheelCnt == 0 && !e.nextFrame() {
+		return false
 	}
-	d := e.nextSlotDelta()
-	s := e.baseSlot + int64(d)
-	idx := int(s & slotMask)
-	ev := e.slots[idx]
-	e.slots[idx] = nil
-	e.bitmap[idx>>6] &^= 1 << uint(idx&63)
+	// Requires wheelCnt > 0: some slot at or after baseSlot is occupied.
+	w := int(e.baseSlot&slotMask) >> 6
+	word := e.bitmap[w] >> uint(e.baseSlot&63) << uint(e.baseSlot&63)
+	for word == 0 {
+		w++
+		word = e.bitmap[w]
+	}
+	idx := w<<6 + bits.TrailingZeros64(word)
 	e.cur = e.cur[:0]
-	for ev != nil {
+	for ev := e.take(idx); ev != nil; {
 		next := ev.next
 		ev.prev, ev.next = nil, nil
 		ev.where = locCur
@@ -421,50 +456,55 @@ func (e *Engine) advance() bool {
 	}
 	e.wheelCnt -= len(e.cur)
 	e.cur.init()
-	// The window start moves past the activated slot; one slot's worth of
-	// far future becomes addressable, so pull any overflow that now fits.
-	e.baseSlot = s + 1
-	e.refill()
+	e.baseSlot = e.frame<<slotBits + int64(idx) + 1
 	return true
 }
 
-// nextSlotDelta scans the occupancy bitmap for the first non-empty slot at
-// or after the window start, returning its distance in slots. Requires
-// wheelCnt > 0.
-func (e *Engine) nextSlotDelta() int {
-	base := int(e.baseSlot) & slotMask
-	w := base >> 6
-	off := uint(base & 63)
-	if word := e.bitmap[w] >> off; word != 0 {
-		return bits.TrailingZeros64(word)
-	}
-	for k := 1; k < bitmapWords; k++ {
-		if word := e.bitmap[(w+k)&(bitmapWords-1)]; word != 0 {
-			return k<<6 - int(off) + bits.TrailingZeros64(word)
+// nextFrame moves level 0 (empty, by the caller's check) to the earliest
+// frame holding an event — in level 1 or in overflow, jumping over empty
+// frames — and deals that frame's events out into the slots. It reports
+// false when nothing is left anywhere.
+func (e *Engine) nextFrame() bool {
+	f := int64(-1)
+	if e.farCnt > 0 {
+		// Level 1 holds frames (e.frame, e.frame+numFrames): scan its ring
+		// of occupancy bits from the bit after e.frame's, wrapping once.
+		start := int(e.frame+1) & frameMask
+		for k := 0; ; k++ {
+			w := (start>>6 + k) & (frameWords - 1)
+			word := e.bitmap[slotWords+w]
+			if k == 0 {
+				word = word >> uint(start&63) << uint(start&63)
+			}
+			if word != 0 {
+				d := (w<<6 + bits.TrailingZeros64(word) - start) & frameMask
+				f = e.frame + 1 + int64(d)
+				break
+			}
 		}
 	}
-	// Fully wrapped: the only remaining candidates are the starting word's
-	// bits below the window start.
-	word := e.bitmap[w] & (1<<off - 1)
-	return bitmapWords<<6 - int(off) + bits.TrailingZeros64(word)
-}
-
-// refill migrates overflow events that the (moved) window now covers into
-// their wheel slots.
-func (e *Engine) refill() {
-	if len(e.overflow) == 0 {
-		return
+	if len(e.overflow) > 0 {
+		if of := int64(e.overflow[0].at) >> (slotShift + slotBits); f < 0 || of < f {
+			f = of
+		}
 	}
-	// Saturate the window end near the top of the Time range instead of
-	// overflowing; the residual span always fits one window there.
-	end := Forever
-	if endSlot := e.baseSlot + numSlots; endSlot <= int64(Forever)>>slotShift {
-		end = Time(endSlot << slotShift)
+	if f < 0 {
+		return false
 	}
-	for len(e.overflow) > 0 && (e.overflow[0].at < end || end == Forever) {
+	e.frame, e.baseSlot = f, f<<slotBits
+	for ev := e.take(numSlots + int(f&frameMask)); ev != nil; {
+		next := ev.next
+		e.farCnt--
+		e.wheelCnt++
+		e.link(ev, int(int64(ev.at)>>slotShift&slotMask))
+		ev = next
+	}
+	for len(e.overflow) > 0 && int64(e.overflow[0].at)>>(slotShift+slotBits) == f {
 		ev := e.overflow.pop()
-		e.insertSlot(ev, int((int64(ev.at)>>slotShift)&slotMask))
+		e.wheelCnt++
+		e.link(ev, int(int64(ev.at)>>slotShift&slotMask))
 	}
+	return true
 }
 
 // fire pops the primed event, runs it, and recycles it. The event is
@@ -521,9 +561,8 @@ func (e *Engine) Run(until Time) uint64 {
 func (e *Engine) RunAll() uint64 { return e.Run(Forever) }
 
 // NextEventAt reports the timestamp of the earliest pending event without
-// running it, and whether one exists. Priming may slide the wheel window
-// forward, but that is invisible to callers: firing order and the clock are
-// unchanged. Conservative parallel runs use this to compute the global
+// running it, and whether one exists. Priming may move the wheel forward,
+// but that is invisible to callers: firing order and the clock are unchanged. Conservative parallel runs use this to compute the global
 // synchronization horizon before each round.
 func (e *Engine) NextEventAt() (Time, bool) {
 	ev := e.prime()

@@ -155,6 +155,22 @@ func (e *RefEngine) Run(until Time) uint64 {
 // RunAll executes events until the queue drains or Stop is called.
 func (e *RefEngine) RunAll() uint64 { return e.Run(Forever) }
 
+// AdvanceTo moves the clock forward to t without running anything, reaping
+// the cancelled events it passes. Advancing past a pending event, or
+// backward, panics.
+func (e *RefEngine) AdvanceTo(t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: AdvanceTo %v before now %v", t, e.now))
+	}
+	for len(e.queue) > 0 && e.queue[0].cancel && e.queue[0].at <= t {
+		heap.Pop(&e.queue)
+	}
+	if len(e.queue) > 0 && e.queue[0].at < t {
+		panic(fmt.Sprintf("sim: AdvanceTo %v past pending event at %v", t, e.queue[0].at))
+	}
+	e.now = t
+}
+
 // Step executes the single next event, if any, and reports whether one ran.
 func (e *RefEngine) Step() bool {
 	for len(e.queue) > 0 {

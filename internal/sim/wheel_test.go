@@ -4,8 +4,8 @@ import "testing"
 
 // Tests specific to the timer-wheel implementation details: Pending
 // accounting under cancellation, handle generation safety across event
-// recycling, the closure-free ScheduleArg path, and window/overflow
-// boundary crossings.
+// recycling, the closure-free ScheduleArg path, and frame, level-1 and
+// overflow boundary crossings.
 
 // Regression test: Pending must not count cancelled-but-unreaped events.
 // The historical heap scheduler reported len(queue) and so over-counted
@@ -77,20 +77,22 @@ func TestScheduleArg(t *testing.T) {
 	}
 }
 
-// Events beyond the wheel window land in the overflow heap and must still
-// fire in timestamp order as the window slides over them.
+// Events beyond the current frame wait in level 1 or the overflow heap and
+// must still fire in timestamp order as the wheel reaches their frames.
 func TestOverflowOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
 	at := []Time{
 		0,
 		Time(8191),                // same slot as 0
-		Time(40 * Microsecond),    // beyond the initial ~33.6µs window
+		Time(40 * Microsecond),    // the next frame: level 1
+		Time(frameWidth) * 255,    // the last frame level 1 reaches
+		Time(frameWidth) * 256,    // the first one it does not
 		Time(100 * Millisecond),   // deep overflow
 		Time(100*Millisecond + 1), // adjacent ps in the same slot
 		Time(3 * Time(Second)),    // several window jumps away
 	}
-	want := []int{0, 1, 2, 3, 4, 5}
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for i, ts := range at {
 		i := i
 		e.ScheduleAt(ts, func() { order = append(order, i) })
@@ -108,8 +110,8 @@ func TestOverflowOrdering(t *testing.T) {
 	}
 }
 
-// An empty wheel with only far-future work must jump the window directly to
-// the overflow head rather than scanning empty slots.
+// An empty wheel with only far-future work must jump directly to the
+// overflow head's frame rather than scanning empty slots.
 func TestWindowJump(t *testing.T) {
 	e := NewEngine()
 	fired := false
@@ -122,19 +124,99 @@ func TestWindowJump(t *testing.T) {
 
 // A cancelled far-future event still pins the horizon semantics: Run(until)
 // leaves now at until while anything — even a cancelled event — is queued
-// beyond the horizon, exactly as the heap scheduler behaved.
+// beyond the horizon, exactly as the heap scheduler behaved. The same from
+// level 1 (5 ms) and from overflow (50 ms).
 func TestCancelledEventKeepsHorizon(t *testing.T) {
+	for _, d := range []Duration{5 * Millisecond, 50 * Millisecond} {
+		e := NewEngine()
+		h := e.Schedule(d, func() {})
+		h.Cancel()
+		if n := e.Run(Time(Millisecond)); n != 0 {
+			t.Fatalf("%v: Run executed %d, want 0", d, n)
+		}
+		if e.Now() != Time(Millisecond) {
+			t.Fatalf("%v: Now = %v, want %v", d, e.Now(), Time(Millisecond))
+		}
+		if n := e.RunAll(); n != 0 {
+			t.Fatalf("%v: RunAll executed %d, want 0", d, n)
+		}
+		if e.Now() != Time(Millisecond) {
+			t.Fatalf("%v: Now = %v after the drain, want it unmoved", d, e.Now())
+		}
+	}
+}
+
+// A retransmission timer lives in level 1 from arming to cancellation: it
+// is on its frame's list, Cancel unlinks it there, the wheel jumps over the
+// emptied frame, and the arm/cancel cycle allocates nothing.
+func TestLevel1Timer(t *testing.T) {
 	e := NewEngine()
-	h := e.Schedule(50*Millisecond, func() {})
-	h.Cancel()
-	if n := e.Run(Time(Millisecond)); n != 0 {
-		t.Fatalf("Run executed %d, want 0", n)
+	fn := func() {}
+	const rto = 500 * Microsecond
+	h := e.Schedule(rto, fn)
+	if want := numSlots + int(int64(rto)>>(slotShift+slotBits)); int(h.ev.where) != want || e.farCnt != 1 {
+		t.Fatalf("timer on list %d (farCnt %d), want level-1 list %d", h.ev.where, e.farCnt, want)
 	}
-	if e.Now() != Time(Millisecond) {
-		t.Fatalf("Now = %v, want %v", e.Now(), Time(Millisecond))
+	fired := false
+	e.Schedule(2*rto, func() { fired = true })
+	if !h.Cancel() || h.Armed() || e.farCnt != 1 {
+		t.Fatalf("cancel in level 1 failed (farCnt %d)", e.farCnt)
 	}
-	if n := e.RunAll(); n != 0 {
-		t.Fatalf("RunAll executed %d, want 0", n)
+	if at, ok := e.NextEventAt(); !ok || at != Time(2*rto) {
+		t.Fatalf("NextEventAt = %v, %v; want the surviving timer", at, ok)
+	}
+	if n := e.RunAll(); n != 1 || !fired || e.Now() != Time(2*rto) || e.farCnt != 0 || e.wheelCnt != 0 {
+		t.Fatalf("drain: ran %d fired=%v now=%v far=%d near=%d", n, fired, e.Now(), e.farCnt, e.wheelCnt)
+	}
+	h = e.Schedule(rto, fn)
+	if a := testing.AllocsPerRun(1000, func() {
+		h.Cancel()
+		h = e.Schedule(rto, fn)
+		e.Run(e.Now().Add(Microsecond)) // the clock moves on under the armed timer
+	}); a != 0 {
+		t.Errorf("cancel and re-arm of a level-1 timer: %v allocs, want 0", a)
+	}
+}
+
+// Run, AdvanceTo and NextEventAt landing exactly on a frame boundary, with
+// events on the boundary and one picosecond before it.
+func TestFrameBoundary(t *testing.T) {
+	const edge = Time(7 * frameWidth)
+	e := NewEngine()
+	var order []int
+	e.ScheduleAt(edge, func() { order = append(order, 1) })
+	e.ScheduleAt(edge-1, func() { order = append(order, 0) })
+	if n := e.Run(edge - 2); n != 0 || e.Now() != edge-2 {
+		t.Fatalf("Run(edge-2) ran %d, now %v", n, e.Now())
+	}
+	if n := e.Run(edge - 1); n != 1 || e.Now() != edge-1 {
+		t.Fatalf("Run(edge-1) ran %d, now %v", n, e.Now())
+	}
+	if at, ok := e.NextEventAt(); !ok || at != edge {
+		t.Fatalf("NextEventAt = %v, %v; want the boundary", at, ok)
+	}
+	e.AdvanceTo(edge) // up to, not past, the pending event
+	e.ScheduleAt(edge, func() { order = append(order, 2) })
+	if n := e.Run(edge); n != 2 || e.Now() != edge {
+		t.Fatalf("Run(edge) ran %d, now %v", n, e.Now())
+	}
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("firing order %v, want [0 1 2]", order)
+	}
+}
+
+// Timestamps at the top of the range neither wrap a frame index nor get
+// lost beyond level 1.
+func TestNearForever(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	for i, back := range []Time{Time(300 * frameWidth), Time(frameWidth), 1, 0} {
+		i := i
+		e.ScheduleAt(Forever-back, func() { order = append(order, i) })
+	}
+	e.RunAll()
+	if len(order) != 4 || order[0] != 0 || order[3] != 3 || e.Now() != Forever {
+		t.Fatalf("fired %v, now %v", order, e.Now())
 	}
 }
 
@@ -215,7 +297,7 @@ func TestFreshEngineSlotsAllocateNothing(t *testing.T) {
 	i := 0
 	if a := testing.AllocsPerRun(1000, func() {
 		i++
-		h := e.Schedule(Duration(3*i)*slotWidth, fn) // 1000 different slots, all inside the window
+		h := e.Schedule(Duration(3*i)*slotWidth, fn) // 1000 different slots, all inside the frame
 		if h.ev.where < 0 {
 			t.Fatal("event not in a wheel slot")
 		}
