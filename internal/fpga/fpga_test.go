@@ -495,6 +495,54 @@ func TestLoggerRingAndTrace(t *testing.T) {
 	}
 }
 
+// The ring grows piece by piece: Records stays chronological against a
+// plain "keep the last capacity" model at every fill level and through
+// several wraps, pieces already written are never moved, and the reserve
+// stays within append's 1.25x of what is held.
+func TestLoggerPieces(t *testing.T) {
+	for _, capacity := range []int{1, 255, 256, 1000, 5000} {
+		l := NewLogger(capacity)
+		var model []Record
+		var first *Record
+		for i := 0; i < 3*capacity+7; i++ {
+			r := Record{At: sim.Time(i), Flow: packet.FlowID(i % 5)}
+			r.Data[0] = byte(i)
+			l.Record(r.At, r.Flow, r.Data)
+			if model = append(model, r); len(model) > capacity {
+				model = model[1:]
+			}
+			if i == 0 {
+				first = &l.pieces[0][0]
+			}
+			if i%97 != 0 && i != 3*capacity+6 {
+				continue
+			}
+			got := l.Records()
+			if len(got) != len(model) || l.Len() != len(model) {
+				t.Fatalf("capacity %d after %d: %d records (Len %d), want %d", capacity, i+1, len(got), l.Len(), len(model))
+			}
+			for j := range got {
+				if got[j] != model[j] {
+					t.Fatalf("capacity %d after %d: record %d = %+v, want %+v", capacity, i+1, j, got[j], model[j])
+				}
+			}
+			reserved := 0
+			for _, p := range l.pieces {
+				reserved += cap(p)
+			}
+			if most := l.Len() + l.Len()/4 + logFirstPiece; reserved > most || reserved > capacity {
+				t.Fatalf("capacity %d after %d: %d records reserved for %d held", capacity, i+1, reserved, l.Len())
+			}
+		}
+		if first != &l.pieces[0][0] {
+			t.Fatalf("capacity %d: the first piece moved", capacity)
+		}
+		if want := uint64(2*capacity + 7); l.Evicted() != want || l.Total() != uint64(3*capacity+7) {
+			t.Fatalf("capacity %d: evicted %d total %d, want %d evicted", capacity, l.Evicted(), l.Total(), want)
+		}
+	}
+}
+
 func TestLoggerDisabled(t *testing.T) {
 	r := newRig(t, func(c *Config) { c.DisableLog = true })
 	if r.nic.Logger() != nil {

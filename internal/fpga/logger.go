@@ -27,14 +27,24 @@ const recordWireSize = 16 + 8 + 4
 // Logger is the fine-grained logging module. It retains up to capacity
 // records in a ring (oldest evicted first) and tracks how many QDMA
 // upload packets the recorded volume corresponds to.
+//
+// The ring grows in pieces that are never reallocated, each new one a
+// quarter of what is already held: the same 1.25x over-reservation as
+// append, without re-copying the whole retained log (32 MiB at the default
+// capacity) at every step on the way there.
 type Logger struct {
 	capacity int
-	records  []Record
-	start    int // ring start when full
+	pieces   [][]Record
+	n        int // records retained
+	// oldest is the ring position once full: the next record overwrites it.
+	oldest struct{ piece, idx int }
 
 	total   uint64
 	evicted uint64
 }
+
+// logFirstPiece is the smallest piece, in records (8 KiB).
+const logFirstPiece = 256
 
 // NewLogger creates a logger retaining up to capacity records
 // (0 = 1,048,576).
@@ -49,17 +59,34 @@ func NewLogger(capacity int) *Logger {
 func (l *Logger) Record(at sim.Time, flow packet.FlowID, data [16]byte) {
 	l.total++
 	r := Record{At: at, Flow: flow, Data: data}
-	if len(l.records) < l.capacity {
-		l.records = append(l.records, r)
+	if l.n == l.capacity {
+		o := &l.oldest
+		l.pieces[o.piece][o.idx] = r
+		if o.idx++; o.idx == len(l.pieces[o.piece]) {
+			o.idx = 0
+			o.piece = (o.piece + 1) % len(l.pieces)
+		}
+		l.evicted++
 		return
 	}
-	l.records[l.start] = r
-	l.start = (l.start + 1) % l.capacity
-	l.evicted++
+	last := len(l.pieces) - 1
+	if last < 0 || len(l.pieces[last]) == cap(l.pieces[last]) {
+		grow := l.n / 4
+		if grow < logFirstPiece {
+			grow = logFirstPiece
+		}
+		if room := l.capacity - l.n; grow > room {
+			grow = room
+		}
+		l.pieces = append(l.pieces, make([]Record, 0, grow))
+		last++
+	}
+	l.pieces[last] = append(l.pieces[last], r)
+	l.n++
 }
 
 // Len reports retained records.
-func (l *Logger) Len() int { return len(l.records) }
+func (l *Logger) Len() int { return l.n }
 
 // Total reports all records ever logged.
 func (l *Logger) Total() uint64 { return l.total }
@@ -76,10 +103,16 @@ func (l *Logger) QDMAPackets() uint64 {
 
 // Records returns the retained records in chronological order.
 func (l *Logger) Records() []Record {
-	out := make([]Record, 0, len(l.records))
-	out = append(out, l.records[l.start:]...)
-	out = append(out, l.records[:l.start]...)
-	return out
+	out := make([]Record, 0, l.n)
+	if l.n == 0 {
+		return out
+	}
+	o := l.oldest
+	out = append(out, l.pieces[o.piece][o.idx:]...)
+	for k := 1; k < len(l.pieces); k++ {
+		out = append(out, l.pieces[(o.piece+k)%len(l.pieces)]...)
+	}
+	return append(out, l.pieces[o.piece][:o.idx]...)
 }
 
 // FlowTrace extracts the (time, a, b) series logged for one flow, where a

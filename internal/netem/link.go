@@ -27,13 +27,13 @@ type Hook func(p *packet.Packet) HookAction
 
 // Remote is the far end of a link whose destination node lives on another
 // partition's engine (a cross-shard cut). Carry is called on the source
-// partition's goroutine, at drain time, with the packet and its absolute
-// arrival timestamp; the implementation owns the packet from that point and
+// partition's goroutine, when the frame starts serializing, with the packet
+// and its absolute arrival timestamp; the implementation owns the packet from that point and
 // must not touch destination-partition state until the next barrier. The
 // conservative-synchronization invariant that makes this sound: a packet
-// drained during a round arrives no earlier than drain time plus the link's
-// propagation delay, which is at least the round horizon by the lookahead
-// rule, so the destination engine's clock has not reached it yet.
+// started during a round arrives no earlier than its start time plus the
+// link's propagation delay, which is at least the round horizon by the
+// lookahead rule, so the destination engine's clock has not reached it yet.
 type Remote interface {
 	Carry(p *packet.Packet, deliverAt sim.Time)
 }
@@ -53,6 +53,12 @@ type LinkStats struct {
 // standard queue-then-serialize-then-propagate pipeline. Packets that pass
 // admission are serialized at the link rate in order and delivered to the
 // destination Node one propagation delay after their last bit leaves.
+//
+// The link schedules an event only where a packet waits for simulated time:
+// one delivery per frame, and one timer for the end of the frame in flight
+// while something is queued behind it. A packet that finds the serializer
+// free starts in the call that brought it, so every frame starts at
+// max(arrival, serializer free, resume/up).
 type Link struct {
 	eng       *sim.Engine
 	rate      sim.Rate
@@ -65,14 +71,17 @@ type Link struct {
 	jitter    sim.Duration
 	jrng      *sim.Rand
 
-	draining bool
-	paused   bool
-	down     bool
-	stats    LinkStats
+	// freeAt is when the serializer finishes the frame in flight; armed
+	// says a timer is pending there for the packets queued behind it.
+	freeAt sim.Time
+	armed  bool
+	paused bool
+	down   bool
+	stats  LinkStats
 
-	// drainFn and deliverFn are allocated once: scheduling a method value
+	// freeFn and deliverFn are allocated once: scheduling a method value
 	// or a per-packet closure would allocate on every frame.
-	drainFn   sim.Func
+	freeFn    sim.Func
 	deliverFn sim.ArgFunc
 }
 
@@ -129,7 +138,10 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, dst Node) *Link {
 		}
 		l.queue.SetAQM(cfg.AQM.Build(l.queue.Capacity(), src.Split()), eng.Now)
 	}
-	l.drainFn = l.drain
+	l.freeFn = func() {
+		l.armed = false
+		l.start()
+	}
 	l.deliverFn = func(arg any) { l.dst.Receive(arg.(*packet.Packet)) }
 	return l
 }
@@ -163,9 +175,9 @@ func (l *Link) Queue() *Queue { return l.queue }
 func (l *Link) Stats() LinkStats { return l.stats }
 
 // Send submits a packet to the link. It applies hooks, then queue
-// admission, and starts the drain loop if idle. While the link is down,
-// arrivals are discarded (counted in DownDrops) — carrier loss destroys
-// the frame on the wire, it does not buffer it.
+// admission, and starts the frame at once if the serializer is free. While
+// the link is down, arrivals are discarded (counted in DownDrops) — carrier
+// loss destroys the frame on the wire, it does not buffer it.
 func (l *Link) Send(p *packet.Packet) {
 	if l.down {
 		l.stats.DownDrops++
@@ -187,16 +199,13 @@ func (l *Link) Send(p *packet.Packet) {
 		p.Release() // tail drop
 		return
 	}
-	if !l.draining {
-		l.draining = true
-		l.drain()
-	}
+	l.start()
 }
 
 // Receive implements Node so links can be chained behind switches.
 func (l *Link) Receive(p *packet.Packet) { l.Send(p) }
 
-// Pause stops the drain loop after the in-flight frame (a received PFC
+// Pause stops transmission after the in-flight frame (a received PFC
 // pause); queued packets wait rather than drop.
 func (l *Link) Pause() { l.paused = true }
 
@@ -206,19 +215,19 @@ func (l *Link) Resume() {
 		return
 	}
 	l.paused = false
-	l.restart()
+	l.start()
 }
 
 // Paused reports whether the link is PFC-paused.
 func (l *Link) Paused() bool { return l.paused }
 
 // SetDown changes the link's administrative state. Taking the link down
-// stops the drain loop after the in-flight frame; packets already queued
+// stops transmission after the in-flight frame; packets already queued
 // are HELD, not flushed — they model frames sitting in the upstream port
 // buffer, which survives a downstream carrier loss. New arrivals while
 // down are dropped and counted in DownDrops (ownership: the link Releases
 // them, per the pool rule that whoever consumes a packet frees it).
-// Bringing the link back up restarts the drain if work is queued and the
+// Bringing the link back up resumes transmission if work is queued and the
 // link is not also PFC-paused.
 func (l *Link) SetDown(down bool) {
 	if l.down == down {
@@ -226,7 +235,7 @@ func (l *Link) SetDown(down bool) {
 	}
 	l.down = down
 	if !down {
-		l.restart()
+		l.start()
 	}
 }
 
@@ -243,22 +252,23 @@ func (l *Link) SetRate(r sim.Rate) {
 	l.rate = r
 }
 
-// restart re-enters the drain loop if the link may transmit and has work.
-func (l *Link) restart() {
-	if !l.paused && !l.down && !l.draining && l.queue.Len() > 0 {
-		l.draining = true
-		l.drain()
+// start puts the queue head on the wire if the link may transmit and the
+// serializer is free. While a frame is in flight it instead arms the one
+// timer that calls it again when the frame ends. Everything that can end a
+// packet's wait calls it: an arrival, that timer, Resume and SetDown(false).
+func (l *Link) start() {
+	if l.paused || l.down || l.armed {
+		return
 	}
-}
-
-func (l *Link) drain() {
-	if l.paused || l.down {
-		l.draining = false
+	now := l.eng.Now()
+	if now < l.freeAt {
+		if l.queue.Len() > 0 {
+			l.arm()
+		}
 		return
 	}
 	p := l.queue.Dequeue()
 	if p == nil {
-		l.draining = false
 		return
 	}
 	if l.enableINT && p.Type == packet.DATA {
@@ -266,7 +276,7 @@ func (l *Link) drain() {
 			QueueBytes: uint32(l.queue.Bytes()),
 			TxBytes:    l.stats.TxBytes,
 			Rate:       l.rate,
-			TS:         l.eng.Now(),
+			TS:         now,
 		})
 	}
 	ser := l.rate.Serialize(packet.WireSize(p.Size))
@@ -277,10 +287,19 @@ func (l *Link) drain() {
 		prop += sim.Duration(l.jrng.Float64() * float64(l.jitter))
 	}
 	// Last bit leaves at now+ser; arrival is the propagation later.
+	l.freeAt = now.Add(ser)
 	if l.remote != nil {
-		l.remote.Carry(p, l.eng.Now().Add(ser+prop))
+		l.remote.Carry(p, l.freeAt.Add(prop))
 	} else {
-		l.eng.ScheduleArg(ser+prop, l.deliverFn, p)
+		l.eng.ScheduleArgAt(l.freeAt.Add(prop), l.deliverFn, p)
 	}
-	l.eng.Schedule(ser, l.drainFn)
+	if l.queue.Len() > 0 {
+		l.arm()
+	}
+}
+
+// arm schedules start for the end of the frame in flight.
+func (l *Link) arm() {
+	l.armed = true
+	l.eng.ScheduleAt(l.freeAt, l.freeFn)
 }

@@ -192,7 +192,9 @@ type Queue struct {
 
 	aqmMarks, aqmDrops uint64
 	bandDeq            [aqm.MaxBands]uint64
-	soj                [aqm.MaxBands]sojournHist
+	// soj exists only under a discipline: 4 KiB of histogram a queue, which
+	// a drop-tail fabric of a hundred links would carry for nothing.
+	soj *[aqm.MaxBands]sojournHist
 
 	// onChange is invoked with the new backlog after every enqueue and
 	// dequeue; the PFC controller uses it to watch watermarks.
@@ -227,6 +229,9 @@ func (q *Queue) SetAQM(disc aqm.AQM, clock func() sim.Time) {
 	q.nbands = 1
 	if disc != nil {
 		q.nbands = disc.Bands()
+		if q.soj == nil {
+			q.soj = new([aqm.MaxBands]sojournHist)
+		}
 	}
 }
 

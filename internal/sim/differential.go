@@ -97,15 +97,15 @@ func CheckAgainstRef(seed uint64, ops int) error {
 			if far {
 				// One level-1 frame, any slots of it. (The clock can be a
 				// frame ahead of an idle wheel.)
-				f := int64(w.now()) >> (slotShift + slotBits)
+				f := int64(w.now()) >> frameShift
 				if f < wheel.frame {
 					f = wheel.frame
 				}
 				f += 1 + int64(x>>16)%(numFrames-1)
 				for j := 0; j < n; j++ {
-					spawn(Time(f<<(slotShift+slotBits)) + Time(splitmix(x+uint64(j))%uint64(frameWidth)))
+					spawn(Time(f<<frameShift) + Time(splitmix(x+uint64(j))%uint64(frameWidth)))
 				}
-				before = Time(f<<(slotShift+slotBits)) - 1
+				before = Time(f<<frameShift) - 1
 			} else {
 				// One slot past every activated one; it is a level-0 slot
 				// unless that crosses into the next frame.
@@ -198,7 +198,7 @@ func CheckAgainstRef(seed uint64, ops int) error {
 				return err
 			}
 		case k < 17: // an event on a frame boundary or just before; land on it
-			edge := Time((int64(w.now())>>(slotShift+slotBits) + 1 + int64(x>>8)%300) << (slotShift + slotBits))
+			edge := Time((int64(w.now())>>frameShift + 1 + int64(x>>8)%300) << frameShift)
 			spawn(edge - Time(x>>5&1))
 			if x>>6&1 == 0 {
 				if err := run(op, edge-Time(x>>7&1)); err != nil {
@@ -325,7 +325,7 @@ func splitmix(x uint64) uint64 {
 }
 
 // frameWidth is the span of one wheel frame.
-const frameWidth = slotWidth << slotBits
+const frameWidth = Duration(1) << frameShift
 
 // framesAhead maps raw randomness to a delay of 1 to max whole frames plus
 // a fraction of one.

@@ -174,6 +174,7 @@ const (
 	slotBits    = 12
 	numSlots    = 1 << slotBits
 	slotMask    = numSlots - 1
+	frameShift  = slotShift + slotBits
 	frameBits   = 8
 	numFrames   = 1 << frameBits
 	frameMask   = numFrames - 1
@@ -219,7 +220,7 @@ type Engine struct {
 	// earlier than baseSlot's start). The globally earliest pending event is
 	// always cur's top once prime() has run.
 	cur eventHeap
-	// frame is the absolute frame index (at>>slotShift>>slotBits) level 0
+	// frame is the absolute frame index (at>>frameShift) level 0
 	// covers, and baseSlot the absolute slot index (at>>slotShift) of the
 	// first slot not yet activated: frame's first slot <= baseSlot <= the
 	// next frame's first slot. Both only move forward.
@@ -359,8 +360,7 @@ func (e *Engine) insert(ev *event) {
 	}
 	switch f := s >> slotBits; {
 	case f == e.frame:
-		e.link(ev, int(s&slotMask))
-		e.wheelCnt++
+		e.linkSlot(ev)
 	case f-e.frame < numFrames:
 		e.link(ev, numSlots+int(f&frameMask))
 		e.farCnt++
@@ -380,6 +380,12 @@ func (e *Engine) link(ev *event, list int) {
 	}
 	e.slots[list] = ev
 	e.bitmap[list>>6] |= 1 << uint(list&63)
+}
+
+// linkSlot puts an event of the current frame on its level-0 slot.
+func (e *Engine) linkSlot(ev *event) {
+	e.link(ev, int(int64(ev.at)>>slotShift&slotMask))
+	e.wheelCnt++
 }
 
 // take empties a wheel list and returns its head.
@@ -484,7 +490,7 @@ func (e *Engine) nextFrame() bool {
 		}
 	}
 	if len(e.overflow) > 0 {
-		if of := int64(e.overflow[0].at) >> (slotShift + slotBits); f < 0 || of < f {
+		if of := int64(e.overflow[0].at) >> frameShift; f < 0 || of < f {
 			f = of
 		}
 	}
@@ -495,14 +501,11 @@ func (e *Engine) nextFrame() bool {
 	for ev := e.take(numSlots + int(f&frameMask)); ev != nil; {
 		next := ev.next
 		e.farCnt--
-		e.wheelCnt++
-		e.link(ev, int(int64(ev.at)>>slotShift&slotMask))
+		e.linkSlot(ev)
 		ev = next
 	}
-	for len(e.overflow) > 0 && int64(e.overflow[0].at)>>(slotShift+slotBits) == f {
-		ev := e.overflow.pop()
-		e.wheelCnt++
-		e.link(ev, int(int64(ev.at)>>slotShift&slotMask))
+	for len(e.overflow) > 0 && int64(e.overflow[0].at)>>frameShift == f {
+		e.linkSlot(e.overflow.pop())
 	}
 	return true
 }

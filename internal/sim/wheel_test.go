@@ -154,7 +154,7 @@ func TestLevel1Timer(t *testing.T) {
 	fn := func() {}
 	const rto = 500 * Microsecond
 	h := e.Schedule(rto, fn)
-	if want := numSlots + int(int64(rto)>>(slotShift+slotBits)); int(h.ev.where) != want || e.farCnt != 1 {
+	if want := numSlots + int(int64(rto)>>frameShift); int(h.ev.where) != want || e.farCnt != 1 {
 		t.Fatalf("timer on list %d (farCnt %d), want level-1 list %d", h.ev.where, e.farCnt, want)
 	}
 	fired := false

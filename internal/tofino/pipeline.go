@@ -72,8 +72,10 @@ type Pipeline struct {
 	portFree []sim.Time
 	pending  []bool
 	// emitFns holds one prebuilt TEMP-slot closure per port so kick does
-	// not allocate a closure per emitted packet.
-	emitFns []sim.Func
+	// not allocate a closure per emitted packet; sharedFns is the same for
+	// the shared-queue ablation's kickShared.
+	emitFns   []sim.Func
+	sharedFns []sim.Func
 
 	flowPort []int32
 	perFlow  []flowCounters
@@ -114,6 +116,16 @@ func NewPipeline(eng *sim.Engine, cfg Config) (*Pipeline, error) {
 	}
 	if cfg.SharedQueue {
 		pl.shared = newRegQueue(cfg.QueueDepth * maxInt(n, 1))
+		pl.sharedFns = make([]sim.Func, n)
+		for i := range pl.sharedFns {
+			i := i
+			pl.sharedFns[i] = func() {
+				pl.emit(i)
+				if pl.shared.len() > 0 {
+					pl.kickShared()
+				}
+			}
+		}
 	} else {
 		pl.queues = make([]*regQueue, n)
 		for i := range pl.queues {
@@ -250,20 +262,21 @@ func (pl *Pipeline) receiveSche(p *packet.Packet) {
 	}
 }
 
-// kick arms port i's next TEMP slot if the drain loop is idle. TEMP
-// packets circulate at line rate and are multicast to every port; a slot
-// that finds the queue empty discards its TEMP packet, so only occupied
-// slots are simulated.
+// kick gives port i's queue its next TEMP slot: at once when the slot is
+// already free — nothing is waited for, so there is no event — otherwise
+// by arming one for when it frees. TEMP packets circulate at line rate and
+// are multicast to every port; a slot that finds the queue empty discards
+// its TEMP packet, so only occupied slots are simulated.
 func (pl *Pipeline) kick(port int) {
 	if pl.pending[port] {
 		return
 	}
-	pl.pending[port] = true
-	at := pl.portFree[port]
-	if now := pl.eng.Now(); at < now {
-		at = now
+	if pl.portFree[port] <= pl.eng.Now() {
+		pl.emit(port)
+		return
 	}
-	pl.eng.ScheduleAt(at, pl.emitFns[port])
+	pl.pending[port] = true
+	pl.eng.ScheduleAt(pl.portFree[port], pl.emitFns[port])
 }
 
 // emit is one TEMP slot on a port: dequeue metadata, restore the DATA
@@ -308,12 +321,7 @@ func (pl *Pipeline) kickShared() {
 	if now := pl.eng.Now(); at < now {
 		at = now
 	}
-	pl.eng.ScheduleAt(at, func() {
-		pl.emit(best)
-		if pl.shared.len() > 0 {
-			pl.kickShared()
-		}
-	})
+	pl.eng.ScheduleAt(at, pl.sharedFns[best])
 }
 
 func (pl *Pipeline) sendData(port int, m scheMeta) {
