@@ -37,7 +37,7 @@ func lineRateTester(t *testing.T, topo string, sharedQueue bool, rx []int) *Test
 }
 
 // Once warm, the whole per-packet path — SCHE, DATA generation, every hop of
-// the tested network reading the flow's destination from the dense table,
+// the tested network reading the flow's destination from the routing column,
 // ACK, INFO, the CC module and its Slow Path — allocates nothing, on the
 // canonical switch, on a multi-hop fabric and with the §4.2 shared-queue
 // ablation's TEMP slots. The NIC's log ring is the one thing still growing
@@ -72,10 +72,12 @@ func TestPacketPathAllocatesNothing(t *testing.T) {
 	}
 }
 
-// An external (flood) flow's ID lies above every NIC flow: binding it grows
-// the dense table, rows in between stay unbound, and a packet of a flow
-// nobody bound — inside the table or beyond it — is dropped at the switch
-// and counted, not a panic.
+// An external (flood) flow's ID lies above every NIC flow, and above the
+// BRAM bound: binding it costs one page of the routing column and nothing
+// in the flow table (it has no NIC state), flows in between stay unbound,
+// and a packet of a flow nobody bound — in an allocated page, an unallocated
+// one or past the directory — is dropped at the switch and counted, not a
+// panic.
 func TestExternalFlowGrowsDenseTable(t *testing.T) {
 	tr := newTester(t, Config{Algorithm: mustAlg(t, "dctcp"), DataPorts: 2, Seed: 1})
 	if err := tr.StartFlow(3, 0, 1, 0); err != nil {
@@ -88,8 +90,8 @@ func TestExternalFlowGrowsDenseTable(t *testing.T) {
 	if err := tr.BindExternalFlow(flood+1, 2); err == nil {
 		t.Error("BindExternalFlow accepted an rx port the tester does not have")
 	}
-	if len(tr.flows) != int(flood)+1 || len(tr.route) != len(tr.flows) {
-		t.Errorf("table holds %d rows and %d routes after binding flow %d", len(tr.flows), len(tr.route), flood)
+	if r, f := tr.route.Pages(), tr.flows.Pages(); r != 2 || f != 1 {
+		t.Errorf("after starting flow 3 and binding flow %d: %d route pages and %d flow pages, want 2 and 1", flood, r, f)
 	}
 	for _, c := range []struct {
 		flow packet.FlowID

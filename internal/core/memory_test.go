@@ -1,0 +1,110 @@
+package core
+
+import (
+	"runtime"
+	"strings"
+	"testing"
+
+	"marlin/internal/packet"
+	"marlin/internal/race"
+)
+
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// A tester's memory follows what its test uses: every per-port and per-flow
+// structure is sized by use, and the hardware capacities — 2,048 register
+// entries a port (§4.2), 70,312 flows of BRAM (§8) — are checks, not
+// allocations. The figures are bounded at what they measure plus about a
+// quarter (DESIGN.md "Performance", rule 2). A register queue allocated at
+// its depth costs 64 KiB a port, and a flow table grown to the largest flow
+// ID costs thousands of rows for the pattern driver's first flow (4096).
+func TestTesterMemoryFollowsUse(t *testing.T) {
+	if race.Enabled {
+		t.Skip("heap figures are not comparable under -race")
+	}
+	// Measured 2,065 B, 412 B and 34,056 B (go1.24, linux/amd64); the
+	// parent design measured 67,601 B a port and 258,056 B for flow 4096.
+	const (
+		mostPerPort = 2600     // B a data port
+		mostPerFlow = 520      // B a started flow
+		mostAt4096  = 42 << 10 // B for one flow started at ID 4096: a page in each table
+	)
+	deployed := func(ports int) (*Tester, uint64) {
+		before := liveHeap()
+		tr := newTester(t, Config{Algorithm: mustAlg(t, "dctcp"), DataPorts: ports, Seed: 1})
+		return tr, liveHeap() - before
+	}
+
+	small, h2 := deployed(2)
+	large, h12 := deployed(12)
+	perPort := (int64(h12) - int64(h2)) / 10
+	t.Logf("deployed single switch: %d B at 2 ports, %d B at 12: %d B a data port", h2, h12, perPort)
+	if perPort > mostPerPort {
+		t.Errorf("a data port costs %d B, want <= %d", perPort, mostPerPort)
+	}
+	runtime.KeepAlive(small)
+
+	const flows = 4096
+	before := liveHeap()
+	for i := 0; i < flows; i++ {
+		if err := large.StartFlow(packet.FlowID(i), i%12, (i+1)%12, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perFlow := int64(liveHeap()-before) / flows
+	t.Logf("%d flows started: %d B a flow", flows, perFlow)
+	if perFlow > mostPerFlow {
+		t.Errorf("a started flow costs %d B, want <= %d", perFlow, mostPerFlow)
+	}
+	runtime.KeepAlive(large)
+
+	// The pattern driver's first flow: one page in each table, not 4,097
+	// rows.
+	tr, _ := deployed(8)
+	before = liveHeap()
+	if err := tr.StartFlow(4096, 0, 7, 100); err != nil {
+		t.Fatal(err)
+	}
+	at4096 := int64(liveHeap() - before)
+	t.Logf("flow 4096 on an 8-port tester: %d B", at4096)
+	if at4096 > mostAt4096 {
+		t.Errorf("starting flow 4096 costs %d B, want <= %d", at4096, mostAt4096)
+	}
+	if r, f := tr.route.Pages(), tr.flows.Pages(); r != 1 || f != 1 {
+		t.Errorf("flow 4096 holds %d route and %d flow pages, want one each", r, f)
+	}
+	runtime.KeepAlive(tr)
+}
+
+// A flow ID the NIC's BRAM cannot hold is refused before anything is bound
+// for it: the error is the NIC's, and nothing is allocated on the way (a
+// table grown to flow 1<<24 first cost 4,321 MiB).
+func TestOutOfRangeFlowAllocatesNothing(t *testing.T) {
+	tr := newTester(t, Config{Algorithm: mustAlg(t, "dctcp"), DataPorts: 2, Seed: 1})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	err := tr.StartFlow(1<<24, 0, 1, 0)
+	runtime.ReadMemStats(&m1)
+	if err == nil || err.Error() != "fpga: flow 16777216 exceeds BRAM capacity 70312" {
+		t.Fatalf("StartFlow(1<<24) = %v, want the BRAM capacity error", err)
+	}
+	if err := tr.StartFlowCC(1<<24, 0, 1, 0, "dctcp"); err == nil || !strings.Contains(err.Error(), "exceeds BRAM capacity") {
+		t.Fatalf("StartFlowCC(1<<24) = %v, want the BRAM capacity error", err)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 4<<10 && !race.Enabled {
+		t.Errorf("refusing flow 1<<24 allocated %d B", got)
+	}
+	if tr.route.Pages()+tr.flows.Pages() != 0 {
+		t.Error("a refused flow left pages behind")
+	}
+	if tr.dst(&packet.Packet{Flow: 1 << 24}) != -1 || tr.owner(1<<24) != nil {
+		t.Error("a refused flow is routed or owned")
+	}
+}

@@ -97,8 +97,8 @@ func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan) 
 // owner returns the island holding a flow's TX-side state, or nil for a
 // flow never started.
 func (t *Tester) owner(flow packet.FlowID) *island {
-	if int(flow) < len(t.flows) {
-		return t.flows[flow].owner
+	if f := t.flows.Get(flow); f != nil {
+		return f.owner
 	}
 	return nil
 }

@@ -21,6 +21,7 @@ import (
 	"marlin/internal/cc"
 	"marlin/internal/fabric"
 	"marlin/internal/faults"
+	"marlin/internal/flowtab"
 	"marlin/internal/fpga"
 	"marlin/internal/measure"
 	"marlin/internal/netem"
@@ -138,14 +139,13 @@ type Tester struct {
 	cfg  Config
 	plan tofino.Plan
 	rng  *sim.Rand
-	// flows is the dense per-flow table, indexed by flow ID and grown when
-	// a flow is bound (see bind). route is its routing column — the
-	// receiver port, -1 until the flow is bound — kept apart from the wide
-	// rows because the tested network reads it on every hop: 2 B a flow
-	// stays in cache at 64k flows where a 32 B row does not, and the
-	// lookup remains a bounds check and a load.
-	flows []flowEntry
-	route []int16
+	// flows holds what core knows of each flow the tester started. route is
+	// the routing column, the receiver port plus one (0: unbound), written
+	// by bind for started and external flows alike. It is a table of its
+	// own because the tested network reads it on every hop: 2 B a flow stays
+	// in cache at 64k flows where a 32 B row does not.
+	flows flowtab.Table[flowEntry]
+	route flowtab.Table[int16]
 
 	// The tester hardware, one island per partition that owns data ports
 	// (ascending partition; exactly one on a Shards == 0 build).
@@ -179,22 +179,16 @@ type flowEntry struct {
 	owner *island // TX-side island; nil for never-started and external flows
 }
 
-// bind routes a flow to receiver port rx and returns its row, growing the
-// table with unbound rows up to it.
-func (t *Tester) bind(flow packet.FlowID, rx int) *flowEntry {
-	for int(flow) >= len(t.flows) {
-		t.flows = append(t.flows, flowEntry{})
-		t.route = append(t.route, -1)
-	}
-	t.route[flow] = int16(rx)
-	return &t.flows[flow]
+// bind routes a flow to receiver port rx.
+func (t *Tester) bind(flow packet.FlowID, rx int) {
+	*t.route.Slot(flow) = int16(rx + 1)
 }
 
 // dst routes a packet of the tested network by its flow's receiver port;
 // an unknown flow routes to -1 (the switch drops it and counts it unrouted).
 func (t *Tester) dst(p *packet.Packet) int {
-	if int(p.Flow) < len(t.route) {
-		return int(t.route[p.Flow])
+	if r := t.route.Get(p.Flow); r != nil {
+		return int(*r) - 1
 	}
 	return -1
 }
@@ -723,6 +717,9 @@ func (t *Tester) startFlow(flow packet.FlowID, tx, rx int, sizePkts uint32, alg 
 		return fmt.Errorf("core: tx port %d out of range [0,%d)", tx, t.cfg.DataPorts)
 	}
 	isl := t.portIsland[tx]
+	if err := isl.nic.CheckFlow(flow); err != nil {
+		return err
+	}
 	if err := isl.pl.BindFlow(flow, t.portLocal[tx]); err != nil {
 		return err
 	}
@@ -733,7 +730,8 @@ func (t *Tester) startFlow(flow packet.FlowID, tx, rx int, sizePkts uint32, alg 
 	if t.fpgaRecv != nil {
 		t.fpgaRecv.Reset(flow)
 	}
-	*t.bind(flow, rx) = flowEntry{size: sizePkts, start: t.Eng.Now(), owner: isl}
+	t.bind(flow, rx)
+	*t.flows.Slot(flow) = flowEntry{size: sizePkts, start: t.Eng.Now(), owner: isl}
 	if alg == nil {
 		return isl.nic.StartFlow(flow, t.portLocal[tx], sizePkts)
 	}
@@ -748,10 +746,11 @@ func (t *Tester) StopFlow(flow packet.FlowID) {
 }
 
 func (t *Tester) flowDone(flow packet.FlowID, fct sim.Duration) {
+	f := t.flows.Get(flow)
 	t.FCTs.Add(measure.FCTRecord{
 		Flow:     flow,
-		SizePkts: t.flows[flow].size,
-		Start:    t.flows[flow].start,
+		SizePkts: f.size,
+		Start:    f.start,
 		FCT:      fct,
 	})
 	if t.userComplete != nil {

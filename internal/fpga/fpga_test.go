@@ -58,7 +58,7 @@ func (r *testRig) ackUpTo(flow packet.FlowID, ack uint32, flags packet.Flags) {
 }
 
 func (r *testRig) flowPort(flow packet.FlowID) int {
-	return r.nic.lookup(flow).port
+	return r.nic.flows.Get(flow).port
 }
 
 func (r *testRig) scheFor(flow packet.FlowID) []*packet.Packet {
@@ -512,7 +512,7 @@ func TestLoggerPieces(t *testing.T) {
 				model = model[1:]
 			}
 			if i == 0 {
-				first = &l.pieces[0][0]
+				first = &l.ring.pieces[0][0]
 			}
 			if i%97 != 0 && i != 3*capacity+6 {
 				continue
@@ -527,19 +527,62 @@ func TestLoggerPieces(t *testing.T) {
 				}
 			}
 			reserved := 0
-			for _, p := range l.pieces {
+			for _, p := range l.ring.pieces {
 				reserved += cap(p)
 			}
-			if most := l.Len() + l.Len()/4 + logFirstPiece; reserved > most || reserved > capacity {
+			if most := l.Len() + l.Len()/4 + firstPiece; reserved > most || reserved > capacity {
 				t.Fatalf("capacity %d after %d: %d records reserved for %d held", capacity, i+1, reserved, l.Len())
 			}
 		}
-		if first != &l.pieces[0][0] {
+		if first != &l.ring.pieces[0][0] {
 			t.Fatalf("capacity %d: the first piece moved", capacity)
 		}
 		if want := uint64(2*capacity + 7); l.Evicted() != want || l.Total() != uint64(3*capacity+7) {
 			t.Fatalf("capacity %d: evicted %d total %d, want %d evicted", capacity, l.Evicted(), l.Total(), want)
 		}
+	}
+}
+
+// The RTT window keeps the last rttWindow probes and RTTSamples returns them
+// oldest first, as the append-then-overwrite ring did, before, at and past
+// the point where it wraps; the pieces it grows in are never moved.
+func TestRTTWindow(t *testing.T) {
+	r := newRig(t, nil)
+	if s, c, _ := r.nic.RTTSamples(); s != nil || c != 0 {
+		t.Fatalf("a fresh NIC returns %d samples, count %d", len(s), c)
+	}
+	var model []float64
+	var first *float64
+	for i := 0; i < 3*rttWindow+5; i++ {
+		r.nic.sampleRTT(sim.Duration(i+1) * sim.Microsecond)
+		if model = append(model, float64(i+1)); len(model) > rttWindow {
+			model = model[1:]
+		}
+		if i == 0 {
+			first = &r.nic.rtt.pieces[0][0]
+		}
+		if i%1000 != 0 && i != rttWindow-1 && i != rttWindow && i != 3*rttWindow+4 {
+			continue
+		}
+		got, count, _ := r.nic.RTTSamples()
+		if count != uint64(i+1) || len(got) != len(model) {
+			t.Fatalf("after %d probes: count %d, %d samples; want %d samples", i+1, count, len(got), len(model))
+		}
+		for j := range got {
+			if got[j] != model[j] {
+				t.Fatalf("after %d probes: sample %d = %v, want %v", i+1, j, got[j], model[j])
+			}
+		}
+	}
+	if first != &r.nic.rtt.pieces[0][0] {
+		t.Fatal("the first piece of the RTT window moved")
+	}
+	reserved := 0
+	for _, p := range r.nic.rtt.pieces {
+		reserved += cap(p)
+	}
+	if reserved != rttWindow {
+		t.Errorf("a full RTT window reserves %d samples, want %d", reserved, rttWindow)
 	}
 }
 

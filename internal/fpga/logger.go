@@ -25,26 +25,16 @@ const qdmaPacketSize = 1024
 const recordWireSize = 16 + 8 + 4
 
 // Logger is the fine-grained logging module. It retains up to capacity
-// records in a ring (oldest evicted first) and tracks how many QDMA
-// upload packets the recorded volume corresponds to.
-//
-// The ring grows in pieces that are never reallocated, each new one a
-// quarter of what is already held: the same 1.25x over-reservation as
-// append, without re-copying the whole retained log (32 MiB at the default
-// capacity) at every step on the way there.
+// records in a ring (oldest evicted first), grown in pieces that are never
+// copied (pieceRing: 32 MiB at the default capacity would otherwise be
+// re-copied at every step on the way there), and tracks how many QDMA upload
+// packets the recorded volume corresponds to.
 type Logger struct {
-	capacity int
-	pieces   [][]Record
-	n        int // records retained
-	// oldest is the ring position once full: the next record overwrites it.
-	oldest struct{ piece, idx int }
+	ring pieceRing[Record]
 
 	total   uint64
 	evicted uint64
 }
-
-// logFirstPiece is the smallest piece, in records (8 KiB).
-const logFirstPiece = 256
 
 // NewLogger creates a logger retaining up to capacity records
 // (0 = 1,048,576).
@@ -52,41 +42,19 @@ func NewLogger(capacity int) *Logger {
 	if capacity <= 0 {
 		capacity = 1 << 20
 	}
-	return &Logger{capacity: capacity}
+	return &Logger{ring: pieceRing[Record]{capacity: capacity}}
 }
 
 // Record appends one entry.
 func (l *Logger) Record(at sim.Time, flow packet.FlowID, data [16]byte) {
 	l.total++
-	r := Record{At: at, Flow: flow, Data: data}
-	if l.n == l.capacity {
-		o := &l.oldest
-		l.pieces[o.piece][o.idx] = r
-		if o.idx++; o.idx == len(l.pieces[o.piece]) {
-			o.idx = 0
-			o.piece = (o.piece + 1) % len(l.pieces)
-		}
+	if l.ring.push(Record{At: at, Flow: flow, Data: data}) {
 		l.evicted++
-		return
 	}
-	last := len(l.pieces) - 1
-	if last < 0 || len(l.pieces[last]) == cap(l.pieces[last]) {
-		grow := l.n / 4
-		if grow < logFirstPiece {
-			grow = logFirstPiece
-		}
-		if room := l.capacity - l.n; grow > room {
-			grow = room
-		}
-		l.pieces = append(l.pieces, make([]Record, 0, grow))
-		last++
-	}
-	l.pieces[last] = append(l.pieces[last], r)
-	l.n++
 }
 
 // Len reports retained records.
-func (l *Logger) Len() int { return l.n }
+func (l *Logger) Len() int { return l.ring.n }
 
 // Total reports all records ever logged.
 func (l *Logger) Total() uint64 { return l.total }
@@ -103,16 +71,7 @@ func (l *Logger) QDMAPackets() uint64 {
 
 // Records returns the retained records in chronological order.
 func (l *Logger) Records() []Record {
-	out := make([]Record, 0, l.n)
-	if l.n == 0 {
-		return out
-	}
-	o := l.oldest
-	out = append(out, l.pieces[o.piece][o.idx:]...)
-	for k := 1; k < len(l.pieces); k++ {
-		out = append(out, l.pieces[(o.piece+k)%len(l.pieces)]...)
-	}
-	return append(out, l.pieces[o.piece][:o.idx]...)
+	return l.ring.appendTo(make([]Record, 0, l.ring.n))
 }
 
 // FlowTrace extracts the (time, a, b) series logged for one flow, where a

@@ -22,6 +22,7 @@ import (
 	"fmt"
 
 	"marlin/internal/cc"
+	"marlin/internal/flowtab"
 	"marlin/internal/netem"
 	"marlin/internal/packet"
 	"marlin/internal/sim"
@@ -145,18 +146,6 @@ func (s Stats) Plus(o Stats) Stats {
 	return s
 }
 
-// The flow store is paged: flowPageSize flows to a page, a page allocated
-// when the first flow in it starts and never moved afterwards, so *flowState
-// and the timer records inside it stay valid for the NIC's lifetime. Memory
-// follows the flows a test starts, while the BRAM bound stays a check at
-// StartFlow.
-const (
-	flowPageShift = 6
-	flowPageSize  = 1 << flowPageShift
-)
-
-type flowPage [flowPageSize]flowState
-
 // timerEvent is the engine-event record of one CC timer: armTimer schedules
 // a pointer to it through the NIC's dispatch function, so arming allocates
 // neither a closure nor a record. Each flow slot owns one per timer.
@@ -176,9 +165,9 @@ type slowEvent struct {
 	next    *slowEvent
 }
 
-// flowState is the per-flow BRAM word plus model bookkeeping: one slot of a
-// flowPage, addressed by flow ID and reused when a finished flow's ID is
-// started again.
+// flowState is the per-flow BRAM word plus model bookkeeping: one slot of
+// the flow store, addressed by flow ID and reused when a finished flow's ID
+// is started again.
 type flowState struct {
 	active bool
 	port   int
@@ -215,9 +204,13 @@ type NIC struct {
 	eng *sim.Engine
 	cfg Config
 
-	// pages is the flow store, indexed by flow ID >> flowPageShift; nil
-	// until a flow in the page starts.
-	pages []*flowPage
+	// flows is the flow store. A page is allocated when the first flow in it
+	// starts and never moved, so *flowState and the timer records inside it
+	// stay valid for the NIC's lifetime: memory follows the flows a test
+	// starts, while the BRAM bound stays a check at StartFlow. Events naming
+	// a flow whose page was never allocated (Get is nil) are dropped like
+	// events for an inactive flow.
+	flows flowtab.Table[flowState]
 
 	rxFIFO   []ring[*packet.Packet] // per-port INFO FIFOs
 	rxActive []bool
@@ -250,16 +243,15 @@ type NIC struct {
 	dispatchFn sim.ArgFunc
 	slowFree   *slowEvent
 
-	// rttRing holds the most recent RTT probes (microseconds) for the
+	// rtt holds the most recent rttWindow RTT probes (microseconds) for the
 	// control plane's latency readout; rttEwma is a 1/16-gain average.
-	rttRing  []float64
-	rttNext  int
+	rtt      pieceRing[float64]
 	rttCount uint64
 	rttEwma  float64
 }
 
-// rttRingSize bounds retained RTT samples.
-const rttRingSize = 8192
+// rttWindow bounds retained RTT samples.
+const rttWindow = 8192
 
 // NewNIC validates cfg and builds the NIC.
 func NewNIC(eng *sim.Engine, cfg Config) (*NIC, error) {
@@ -298,9 +290,9 @@ func NewNIC(eng *sim.Engine, cfg Config) (*NIC, error) {
 	n := &NIC{
 		eng:      eng,
 		cfg:      cfg,
-		pages:    make([]*flowPage, (cfg.MaxFlows+flowPageSize-1)>>flowPageShift),
 		rxFIFO:   make([]ring[*packet.Packet], cfg.Ports),
 		rxActive: make([]bool, cfg.Ports),
+		rtt:      pieceRing[float64]{capacity: rttWindow},
 	}
 	n.dispatchFn = n.dispatch
 	n.rxTickFns = make([]sim.Func, cfg.Ports)
@@ -334,38 +326,32 @@ func (n *NIC) Params() *cc.Params { return &n.cfg.Params }
 // ActiveFlows counts flows currently in progress.
 func (n *NIC) ActiveFlows() int {
 	c := 0
-	for _, pg := range n.pages {
-		if pg == nil {
-			continue
+	n.flows.Range(func(_ packet.FlowID, f *flowState) {
+		if f.active {
+			c++
 		}
-		for i := range pg {
-			if pg[i].active {
-				c++
-			}
-		}
-	}
+	})
 	return c
 }
 
 // FlowProgress reports a flow's transport state (for tests and tracing);
 // a flow never started reads as zero.
 func (n *NIC) FlowProgress(flow packet.FlowID) (una, nxt uint32, active bool) {
-	f := n.lookup(flow)
+	f := n.flows.Get(flow)
 	if f == nil {
 		return 0, 0, false
 	}
 	return f.una, f.nxt, f.active
 }
 
-// lookup returns a flow's slot, or nil when no flow in its page ever
-// started (or the ID lies beyond the store). Events that name such a flow
-// are dropped like events for an inactive one.
-func (n *NIC) lookup(flow packet.FlowID) *flowState {
-	pi := int(flow >> flowPageShift)
-	if pi >= len(n.pages) || n.pages[pi] == nil {
-		return nil
+// CheckFlow refuses a flow ID the BRAM flow store cannot hold (at or above
+// MaxFlows). StartFlow checks it too; a caller binding the flow elsewhere
+// first checks it before allocating anything for the flow.
+func (n *NIC) CheckFlow(flow packet.FlowID) error {
+	if int(flow) >= n.cfg.MaxFlows {
+		return fmt.Errorf("fpga: flow %d exceeds BRAM capacity %d", flow, n.cfg.MaxFlows)
 	}
-	return &n.pages[pi][flow&(flowPageSize-1)]
+	return nil
 }
 
 // StartFlow activates a flow of sizePkts full-MTU packets bound to a
@@ -382,8 +368,8 @@ func (n *NIC) StartFlow(flow packet.FlowID, port int, sizePkts uint32) error {
 // test (window occupancy vs rate pacing, §5.2) is a port-wide datapath
 // decision, not per-flow state.
 func (n *NIC) StartFlowWith(flow packet.FlowID, port int, sizePkts uint32, alg cc.Algorithm, ect packet.ECT) error {
-	if int(flow) >= n.cfg.MaxFlows {
-		return fmt.Errorf("fpga: flow %d exceeds BRAM capacity %d", flow, n.cfg.MaxFlows)
+	if err := n.CheckFlow(flow); err != nil {
+		return err
 	}
 	if port < 0 || port >= n.cfg.Ports {
 		return fmt.Errorf("fpga: port %d out of range [0,%d)", port, n.cfg.Ports)
@@ -392,11 +378,7 @@ func (n *NIC) StartFlowWith(flow packet.FlowID, port int, sizePkts uint32, alg c
 		return fmt.Errorf("fpga: flow algorithm %s is %s-mode, NIC schedules %s-mode",
 			alg.Name(), alg.Mode(), n.cfg.Algorithm.Mode())
 	}
-	pi := flow >> flowPageShift
-	if n.pages[pi] == nil {
-		n.pages[pi] = new(flowPage)
-	}
-	f := &n.pages[pi][flow&(flowPageSize-1)]
+	f := n.flows.Slot(flow)
 	if f.active {
 		return fmt.Errorf("fpga: flow %d already active", flow)
 	}
@@ -432,7 +414,7 @@ func (n *NIC) algOf(f *flowState) cc.Algorithm {
 // StopFlow deactivates a flow immediately (used when an experiment
 // terminates flows, §7.3).
 func (n *NIC) StopFlow(flow packet.FlowID) {
-	f := n.lookup(flow)
+	f := n.flows.Get(flow)
 	if f == nil || !f.active {
 		return
 	}
@@ -528,7 +510,7 @@ func (n *NIC) rxTick(port int) {
 }
 
 func (n *NIC) processInfo(p *packet.Packet) {
-	f := n.lookup(p.Flow)
+	f := n.flows.Get(p.Flow)
 	if f == nil || !f.active {
 		return
 	}
@@ -557,18 +539,13 @@ func (n *NIC) sampleRTT(rtt sim.Duration) {
 	} else {
 		n.rttEwma += (us - n.rttEwma) / 16
 	}
-	if len(n.rttRing) < rttRingSize {
-		n.rttRing = append(n.rttRing, us)
-		return
-	}
-	n.rttRing[n.rttNext] = us
-	n.rttNext = (n.rttNext + 1) % rttRingSize
+	n.rtt.push(us)
 }
 
 // RTTSamples returns the retained RTT probes in microseconds (recent
 // window) plus the total probe count and the running EWMA.
 func (n *NIC) RTTSamples() (samples []float64, count uint64, ewmaUs float64) {
-	return append([]float64(nil), n.rttRing...), n.rttCount, n.rttEwma
+	return n.rtt.appendTo(nil), n.rttCount, n.rttEwma
 }
 
 // deliver runs one CC module execution for an active flow: populate the
@@ -680,7 +657,7 @@ func (n *NIC) dispatch(arg any) {
 }
 
 func (n *NIC) fireTimer(flow packet.FlowID, id uint8) {
-	f := n.lookup(flow)
+	f := n.flows.Get(flow)
 	if !f.active {
 		return
 	}
@@ -717,7 +694,7 @@ func (n *NIC) runSlowPath(ev *slowEvent) {
 	e := *ev
 	ev.next = n.slowFree
 	n.slowFree = ev
-	f := n.lookup(e.flow)
+	f := n.flows.Get(e.flow)
 	if !f.active {
 		return
 	}

@@ -1,6 +1,7 @@
 package fpga
 
 import (
+	"marlin/internal/flowtab"
 	"marlin/internal/netem"
 	"marlin/internal/packet"
 	"marlin/internal/sim"
@@ -23,7 +24,7 @@ type Receiver struct {
 	cnpInterval sim.Duration
 	out         netem.Node
 
-	flows []rxFlowState
+	flows flowtab.Table[rxFlowState]
 
 	DataRx uint64
 	AckTx  uint64
@@ -63,8 +64,8 @@ func NewReceiver(eng *sim.Engine, mode ReceiverMode, cnpInterval sim.Duration, o
 
 // Reset clears a flow slot for reuse.
 func (r *Receiver) Reset(flow packet.FlowID) {
-	if int(flow) < len(r.flows) {
-		r.flows[flow] = rxFlowState{}
+	if f := r.flows.Get(flow); f != nil {
+		*f = rxFlowState{}
 	}
 }
 
@@ -73,20 +74,13 @@ func (r *Receiver) DataIn() netem.Node {
 	return netem.NodeFunc(r.onData)
 }
 
-func (r *Receiver) flow(id packet.FlowID) *rxFlowState {
-	for int(id) >= len(r.flows) {
-		r.flows = append(r.flows, rxFlowState{})
-	}
-	return &r.flows[id]
-}
-
 func (r *Receiver) onData(p *packet.Packet) {
 	if p.Type != packet.DATA {
 		p.Release()
 		return
 	}
 	r.DataRx++
-	f := r.flow(p.Flow)
+	f := r.flows.Slot(p.Flow)
 	ce := p.Flags.Has(packet.FlagCE)
 	switch {
 	case p.PSN == f.expected:

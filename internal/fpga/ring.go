@@ -1,5 +1,7 @@
 package fpga
 
+import "slices"
+
 // ring is a FIFO on a circular buffer that doubles when full, so its
 // capacity never exceeds twice its peak occupancy however long entries
 // circulate through it without it ever draining — the model of a bounded
@@ -31,4 +33,57 @@ func (r *ring[T]) pop() T {
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return v
+}
+
+// pieceRing retains the last capacity values pushed, oldest overwritten
+// first: the NIC's recent-RTT window and the logger's record ring. It grows
+// in pieces that are never reallocated, each new one a quarter of what is
+// already held (firstPiece at least): the same 1.25x over-reservation as
+// append, without re-copying everything retained at every step on the way
+// to capacity.
+type pieceRing[T any] struct {
+	capacity int
+	pieces   [][]T
+	n        int // values retained
+	// oldest is the ring position once full: the next push overwrites it.
+	oldest struct{ piece, idx int }
+}
+
+// firstPiece is the smallest piece, in values.
+const firstPiece = 256
+
+// push retains v, reporting whether it overwrote the oldest value.
+func (r *pieceRing[T]) push(v T) (evicted bool) {
+	if r.n == r.capacity {
+		o := &r.oldest
+		r.pieces[o.piece][o.idx] = v
+		if o.idx++; o.idx == len(r.pieces[o.piece]) {
+			o.idx = 0
+			o.piece = (o.piece + 1) % len(r.pieces)
+		}
+		return true
+	}
+	last := len(r.pieces) - 1
+	if last < 0 || len(r.pieces[last]) == cap(r.pieces[last]) {
+		grow := min(max(r.n/4, firstPiece), r.capacity-r.n)
+		r.pieces = append(r.pieces, make([]T, 0, grow))
+		last++
+	}
+	r.pieces[last] = append(r.pieces[last], v)
+	r.n++
+	return false
+}
+
+// appendTo appends the retained values to out, oldest first.
+func (r *pieceRing[T]) appendTo(out []T) []T {
+	if r.n == 0 {
+		return out
+	}
+	out = slices.Grow(out, r.n)
+	o := r.oldest
+	out = append(out, r.pieces[o.piece][o.idx:]...)
+	for k := 1; k < len(r.pieces); k++ {
+		out = append(out, r.pieces[(o.piece+k)%len(r.pieces)]...)
+	}
+	return append(out, r.pieces[o.piece][:o.idx]...)
 }

@@ -141,7 +141,7 @@ func (s *scheduler) hasWork(port int) bool {
 		// Scan mode: keep ticking while any registered flow is active
 		// and eligible-ish (cheap conservative check: any active flow).
 		for _, fl := range s.portFlows[port] {
-			if s.nic.lookup(fl).active {
+			if s.nic.flows.Get(fl).active {
 				return true
 			}
 		}
@@ -155,7 +155,7 @@ func (s *scheduler) emitPriority(port int) bool {
 	q := &s.prio[port]
 	for q.len() > 0 {
 		flow := q.pop()
-		f := s.nic.lookup(flow)
+		f := s.nic.flows.Get(flow)
 		if !f.active || !f.rtxWait {
 			continue
 		}
@@ -178,7 +178,7 @@ func (s *scheduler) fifoTick(port int) bool {
 	q := &s.fifo[port]
 	for examined := 0; examined < s.budget && q.len() > 0; examined++ {
 		flow := q.pop()
-		f := s.nic.lookup(flow)
+		f := s.nic.flows.Get(flow)
 		f.inFIFO = false
 		if !f.active || s.exhausted(f) {
 			continue // event dropped; flow is inactive
@@ -220,7 +220,7 @@ func (s *scheduler) scanTick(port int) bool {
 	for i := 0; i < s.scanBudget && i < len(flows); i++ {
 		idx := (pos + i) % len(flows)
 		flow := flows[idx]
-		f := s.nic.lookup(flow)
+		f := s.nic.flows.Get(flow)
 		if !f.active || s.exhausted(f) {
 			continue
 		}

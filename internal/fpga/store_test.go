@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"marlin/internal/cc"
+	"marlin/internal/flowtab"
 	"marlin/internal/netem"
 	"marlin/internal/packet"
 	"marlin/internal/race"
@@ -158,7 +159,7 @@ func TestSchedulerFIFOBounded(t *testing.T) {
 		seen[fl] = true
 	}
 	for f := packet.FlowID(0); f < flows; f++ {
-		if in := nic.lookup(f).inFIFO; in != seen[f] {
+		if in := nic.flows.Get(f).inFIFO; in != seen[f] {
 			t.Errorf("flow %d: inFIFO=%v but present in FIFO=%v", f, in, seen[f])
 		}
 	}
@@ -187,16 +188,6 @@ func TestSaturatedRXFIFOBounded(t *testing.T) {
 	}
 }
 
-func allocatedPages(n *NIC) int {
-	c := 0
-	for _, pg := range n.pages {
-		if pg != nil {
-			c++
-		}
-	}
-	return c
-}
-
 // The BRAM bound is checked at StartFlow, before any page exists: the last
 // legal ID starts (allocating exactly its page), the first illegal one is
 // refused with the capacity error and allocates nothing.
@@ -207,16 +198,16 @@ func TestFlowStoreBoundAndPaging(t *testing.T) {
 		if limit == 0 {
 			limit = MaxFlowsByBRAM()
 		}
-		if got := allocatedPages(r.nic); got != 0 {
+		if got := r.nic.flows.Pages(); got != 0 {
 			t.Fatalf("MaxFlows=%d: a fresh NIC holds %d flow pages", maxFlows, got)
 		}
-		for _, id := range []int{limit, limit + flowPageSize, 1 << 30} {
+		for _, id := range []int{limit, limit + flowtab.PageSize, 1 << 30} {
 			err := r.nic.StartFlow(packet.FlowID(id), 0, 10)
 			if err == nil || !strings.Contains(err.Error(), "exceeds BRAM capacity") {
 				t.Errorf("MaxFlows=%d: StartFlow(%d) = %v, want the BRAM capacity error", maxFlows, id, err)
 			}
 		}
-		if got := allocatedPages(r.nic); got != 0 {
+		if got := r.nic.flows.Pages(); got != 0 {
 			t.Errorf("MaxFlows=%d: refused flows allocated %d pages", maxFlows, got)
 		}
 		last := packet.FlowID(limit - 1)
@@ -226,7 +217,7 @@ func TestFlowStoreBoundAndPaging(t *testing.T) {
 		if err := r.nic.StartFlow(0, 1, 10); err != nil {
 			t.Fatal(err)
 		}
-		if got := allocatedPages(r.nic); got != 2 {
+		if got := r.nic.flows.Pages(); got != 2 {
 			t.Errorf("MaxFlows=%d: two flows in two pages hold %d pages", maxFlows, got)
 		}
 		if _, _, active := r.nic.FlowProgress(last); !active || r.nic.ActiveFlows() != 2 {
@@ -259,7 +250,7 @@ func TestEventsForAbsentFlowsAreDropped(t *testing.T) {
 	if got := r.nic.Stats().EventsHandled; got != handled {
 		t.Errorf("INFO for absent flows ran the CC module %d times", got-handled)
 	}
-	if got := allocatedPages(r.nic); got != 1 {
+	if got := r.nic.flows.Pages(); got != 1 {
 		t.Errorf("events for absent flows allocated pages: %d held", got)
 	}
 
@@ -288,7 +279,7 @@ func TestRestartedFlowReusesTimerRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.eng.Run(r.eng.Now().Add(sim.Microsecond)) // first SCHE arms the RTO backstop
-		if !r.nic.lookup(7).timers[cc.TimerRTO].Armed() {
+		if !r.nic.flows.Get(7).timers[cc.TimerRTO].Armed() {
 			t.Fatal("RTO not armed after the first transmission")
 		}
 		r.nic.StopFlow(7)
@@ -298,11 +289,11 @@ func TestRestartedFlowReusesTimerRecords(t *testing.T) {
 		r.sche = r.sche[:0]
 	}
 	cycle()
-	rec := &r.nic.lookup(7).timerEv[cc.TimerRTO]
+	rec := &r.nic.flows.Get(7).timerEv[cc.TimerRTO]
 	if a := testing.AllocsPerRun(50, cycle); a != 0 && !race.Enabled {
 		t.Errorf("%v allocs per start/arm/stop cycle of a reused slot, want 0", a)
 	}
-	if got := &r.nic.lookup(7).timerEv[cc.TimerRTO]; got != rec || *got != (timerEvent{flow: 7, id: cc.TimerRTO}) {
+	if got := &r.nic.flows.Get(7).timerEv[cc.TimerRTO]; got != rec || *got != (timerEvent{flow: 7, id: cc.TimerRTO}) {
 		t.Errorf("timer record moved or changed across restarts: %p %+v, was %p", got, *got, rec)
 	}
 }

@@ -47,6 +47,11 @@ func FuzzParse(f *testing.F) {
 	f.Add("at 1ms drop flow 0 rx 1 psn 40..47\nat 0ms start 0 tx 0 rx 1 size 300\nrun 8ms\nexpect completions == 1")
 	f.Add("at 1ms drop flow 3 rx 2 psn 9\nrun 2ms")
 	f.Add("set fault lossburst tx1 at 1ms for 100us prob 0.5 seed 3\nset fault brownout fwd0 at 3ms for 200us frac 0.5\nrun 5ms")
+	// Values past 32 bits, which the start action used to truncate (flow 0,
+	// size 1), and a flow ID past the BRAM bound.
+	f.Add("at 0ms start 4294967296 tx 0 rx 1 size 4294967297\nrun 1ms")
+	f.Add("at 0ms start 0 tx 0 rx 1 size 4294967297\nrun 1ms")
+	f.Add("at 0ms start 4000000000 tx 0 rx 1\nrun 1ms")
 	f.Fuzz(func(t *testing.T, src string) {
 		s1, err := Parse(src)
 		if err != nil {

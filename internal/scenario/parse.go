@@ -123,7 +123,7 @@ func (s *Scenario) parseAt(line int, args []string) error {
 		}
 		a.flow = packet.FlowID(kv[""])
 		a.tx, a.rx = int(kv["tx"]), int(kv["rx"])
-		a.size = uint32(kv["size"])
+		a.size = kv["size"]
 	case "stop":
 		if len(rest) != 1 {
 			return fmt.Errorf("stop needs a flow id")
@@ -192,40 +192,41 @@ func (s *Scenario) parseAt(line int, args []string) error {
 }
 
 // keyVals parses "V k1 V1 k2 V2 ..." where keys[0] == "" means the first
-// token is a bare value; optional keys may be omitted.
-func keyVals(tokens []string, verb string, keys, optional []string) (map[string]uint64, error) {
-	out := make(map[string]uint64)
+// token is a bare value; optional keys may be omitted. Every value is a
+// 32-bit unsigned integer; a larger one is rejected, not truncated.
+func keyVals(tokens []string, verb string, keys, optional []string) (map[string]uint32, error) {
+	out := make(map[string]uint32)
 	i := 0
 	for _, k := range keys {
 		if k == "" {
 			if i >= len(tokens) {
 				return nil, fmt.Errorf("%s: missing value", verb)
 			}
-			v, err := strconv.ParseUint(tokens[i], 10, 64)
+			v, err := strconv.ParseUint(tokens[i], 10, 32)
 			if err != nil {
 				return nil, fmt.Errorf("%s: bad value %q", verb, tokens[i])
 			}
-			out[k] = v
+			out[k] = uint32(v)
 			i++
 			continue
 		}
 		if i+1 >= len(tokens) || tokens[i] != k {
 			return nil, fmt.Errorf("%s: expected %q", verb, k)
 		}
-		v, err := strconv.ParseUint(tokens[i+1], 10, 64)
+		v, err := strconv.ParseUint(tokens[i+1], 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("%s: bad %s %q", verb, k, tokens[i+1])
 		}
-		out[k] = v
+		out[k] = uint32(v)
 		i += 2
 	}
 	for _, k := range optional {
 		if i+1 < len(tokens) && tokens[i] == k {
-			v, err := strconv.ParseUint(tokens[i+1], 10, 64)
+			v, err := strconv.ParseUint(tokens[i+1], 10, 32)
 			if err != nil {
 				return nil, fmt.Errorf("%s: bad %s %q", verb, k, tokens[i+1])
 			}
-			out[k] = v
+			out[k] = uint32(v)
 			i += 2
 		}
 	}

@@ -152,14 +152,16 @@ func (s *Scenario) Run() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Schedule timeline actions.
+	// Schedule timeline actions. A start the tester refuses fails the run
+	// at the end of the step it falls in.
+	var actionErr error
 	for _, a := range s.actions {
 		a := a
 		eng.ScheduleAt(sim.Time(a.at), func() {
 			switch a.kind {
 			case "start":
-				if err := tr.StartFlow(a.flow, a.tx, a.rx, a.size); err != nil {
-					panic(fmt.Sprintf("scenario line %d: %v", a.line, err))
+				if err := tr.StartFlow(a.flow, a.tx, a.rx, a.size); err != nil && actionErr == nil {
+					actionErr = fmt.Errorf("scenario line %d: %w", a.line, err)
 				}
 			case "stop":
 				tr.StopFlow(a.flow)
@@ -184,6 +186,9 @@ func (s *Scenario) Run() (*Report, error) {
 		if st.run > 0 {
 			elapsed += st.run
 			tr.Run(sim.Time(elapsed))
+			if actionErr != nil {
+				return nil, actionErr
+			}
 			continue
 		}
 		val, err := s.measure(tr, st.expect, elapsed)

@@ -42,12 +42,30 @@ func TestParseErrors(t *testing.T) {
 		{"bad expect value", "run 1ms\nexpect jain >= fast", "bad value"},
 		{"bad mark range", "at 0ms mark flow 0 rx 1 psn 9..2\nrun 1ms", "bad"},
 		{"trailing tokens", "at 0ms start 0 tx 0 rx 1 size 5 extra 9\nrun 1ms", "trailing"},
+		{"flow beyond 32 bits", "at 0ms start 4294967296 tx 0 rx 1 size 4294967297\nrun 1ms", "bad value"},
+		{"size beyond 32 bits", "at 0ms start 0 tx 0 rx 1 size 4294967297\nrun 1ms", "bad size"},
+		{"stop beyond 32 bits", "at 0ms stop 4294967296\nrun 1ms", "bad flow id"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want contains %q", c.name, err, c.want)
 		}
+	}
+}
+
+// FLOW and size are 32-bit: the largest value of each parses as written
+// (it used to be parsed as 64 bits and truncated, so 4294967296 started
+// flow 0), and a flow ID the NIC's BRAM cannot hold fails the run with the
+// tester's error instead of allocating tables up to it.
+func TestScenarioStartRange(t *testing.T) {
+	s := mustParse(t, "at 0ms start 4294967295 tx 0 rx 1 size 4294967295\nrun 1ms")
+	if a := s.actions[0]; a.flow != 4294967295 || a.size != 4294967295 {
+		t.Errorf("start parsed as flow %d size %d, want 4294967295 both", a.flow, a.size)
+	}
+	_, err := mustParse(t, "set algo dctcp\nset ports 2\nat 0ms start 4000000000 tx 0 rx 1\nrun 1ms").Run()
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "exceeds BRAM capacity") {
+		t.Errorf("start of flow 4000000000: err = %v, want the BRAM capacity error at line 3", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package tofino
 import (
 	"fmt"
 
+	"marlin/internal/flowtab"
 	"marlin/internal/netem"
 	"marlin/internal/packet"
 	"marlin/internal/sim"
@@ -77,17 +78,19 @@ type Pipeline struct {
 	emitFns   []sim.Func
 	sharedFns []sim.Func
 
-	flowPort []int32
-	perFlow  []flowCounters
-	recv     *receiver
-	rxFwd    netem.Node // reserved-port link toward the FPGA receiver
+	flows flowtab.Table[flowRow]
+	recv  *receiver
+	rxFwd netem.Node // reserved-port link toward the FPGA receiver
 
 	c     Counters
 	ports []PortCounters
 }
 
-type flowCounters struct {
-	dataTx      uint64
+// flowRow is a flow's switch state: the data port it is bound to, which
+// its INFO packets report (0 for a flow never bound), and its flow-rate
+// register.
+type flowRow struct {
+	port        int32
 	dataTxBytes uint64
 }
 
@@ -158,11 +161,7 @@ func (pl *Pipeline) BindFlow(flow packet.FlowID, port int) error {
 	if port < 0 || port >= len(pl.dataOut) {
 		return fmt.Errorf("tofino: port %d out of range [0,%d)", port, len(pl.dataOut))
 	}
-	for int(flow) >= len(pl.flowPort) {
-		pl.flowPort = append(pl.flowPort, -1)
-		pl.perFlow = append(pl.perFlow, flowCounters{})
-	}
-	pl.flowPort[flow] = int32(port)
+	pl.flows.Slot(flow).port = int32(port)
 	return nil
 }
 
@@ -170,8 +169,8 @@ func (pl *Pipeline) BindFlow(flow packet.FlowID, port int) error {
 // new flow (closed-loop workloads).
 func (pl *Pipeline) ResetFlow(flow packet.FlowID) {
 	pl.recv.reset(flow)
-	if int(flow) < len(pl.perFlow) {
-		pl.perFlow[flow] = flowCounters{}
+	if f := pl.flows.Get(flow); f != nil {
+		f.dataTxBytes = 0
 	}
 }
 
@@ -218,10 +217,10 @@ func (pl *Pipeline) PortCounters(i int) PortCounters {
 // FlowTxBytes returns the DATA bytes emitted for a flow (flow-rate
 // register).
 func (pl *Pipeline) FlowTxBytes(flow packet.FlowID) uint64 {
-	if int(flow) >= len(pl.perFlow) {
-		return 0
+	if f := pl.flows.Get(flow); f != nil {
+		return f.dataTxBytes
 	}
-	return pl.perFlow[flow].dataTxBytes
+	return 0
 }
 
 // ScheIn returns the Node the FPGA-facing link delivers SCHE packets to.
@@ -339,9 +338,8 @@ func (pl *Pipeline) sendData(port int, m scheMeta) {
 	pl.c.DataTxBytes += uint64(d.Size)
 	pl.ports[port].DataTx++
 	pl.ports[port].DataTxBytes += uint64(d.Size)
-	if int(m.flow) < len(pl.perFlow) {
-		pl.perFlow[m.flow].dataTx++
-		pl.perFlow[m.flow].dataTxBytes += uint64(d.Size)
+	if f := pl.flows.Get(m.flow); f != nil {
+		f.dataTxBytes += uint64(d.Size)
 	}
 	out.Receive(d)
 }
@@ -417,8 +415,8 @@ func (pl *Pipeline) receiveAck(p *packet.Packet) {
 	p.Size = packet.ControlSize
 	p.RxTime = pl.eng.Now()
 	p.Port = 0
-	if int(p.Flow) < len(pl.flowPort) && pl.flowPort[p.Flow] >= 0 {
-		p.Port = int(pl.flowPort[p.Flow])
+	if f := pl.flows.Get(p.Flow); f != nil {
+		p.Port = int(f.port)
 	}
 	pl.c.InfoTx++
 	pl.infoOut.Receive(p)

@@ -1,6 +1,7 @@
 package tofino
 
 import (
+	"marlin/internal/flowtab"
 	"marlin/internal/netem"
 	"marlin/internal/packet"
 	"marlin/internal/sim"
@@ -43,7 +44,7 @@ type receiver struct {
 	eng         *sim.Engine
 	mode        ReceiverMode
 	cnpInterval sim.Duration
-	flows       []rxFlow
+	flows       flowtab.Table[rxFlow]
 	ackOut      []netem.Node
 
 	ackTx  uint64
@@ -65,16 +66,9 @@ func (r *receiver) connectAck(port int, out netem.Node) {
 	r.ackOut[port] = out
 }
 
-func (r *receiver) flow(id packet.FlowID) *rxFlow {
-	for int(id) >= len(r.flows) {
-		r.flows = append(r.flows, rxFlow{})
-	}
-	return &r.flows[id]
-}
-
 func (r *receiver) reset(id packet.FlowID) {
-	if int(id) < len(r.flows) {
-		r.flows[id] = rxFlow{}
+	if f := r.flows.Get(id); f != nil {
+		*f = rxFlow{}
 	}
 }
 
@@ -87,7 +81,7 @@ func (r *receiver) onData(port int, p *packet.Packet) {
 		return
 	}
 	r.dataRx++
-	f := r.flow(p.Flow)
+	f := r.flows.Slot(p.Flow)
 	ce := p.Flags.Has(packet.FlagCE)
 	switch {
 	case p.PSN == f.expected:

@@ -14,18 +14,20 @@ type scheMeta struct {
 	port   int   // intended egress port (for misdelivery accounting)
 }
 
-// regQueue models the register-array queue of §4.2: a fixed array with
-// head, tail, and length registers. Hardware allows one simple register
-// operation per packet, so there is no re-enqueue after dequeue and no
-// resizing; overflow drops the SCHE instruction (a "false loss").
+// regQueue models the register-array queue of §4.2: a fixed array of depth
+// entries with head and length registers. Hardware allows one simple
+// register operation per packet, so there is no re-enqueue after dequeue;
+// a SCHE arriving at a full array is dropped (a "false loss"). depth is
+// that array's size and the only bound. The model's backing store is not
+// the array: it is a ring grown to the queue's high-water mark (at most
+// depth), so a port that never backs up holds a few entries, not 2,048.
 type regQueue struct {
+	depth  int
 	slots  []scheMeta
 	head   int
-	tail   int
 	length int
 
-	drops    uint64
-	enqueues uint64
+	drops uint64
 }
 
 // DefaultQueueDepth is the register-array size per port. Tofino register
@@ -37,20 +39,33 @@ func newRegQueue(depth int) *regQueue {
 	if depth <= 0 {
 		depth = DefaultQueueDepth
 	}
-	return &regQueue{slots: make([]scheMeta, depth)}
+	return &regQueue{depth: depth}
 }
 
 // enqueue admits m, or counts a drop when the array is full.
 func (q *regQueue) enqueue(m scheMeta) bool {
-	if q.length == len(q.slots) {
+	if q.length == q.depth {
 		q.drops++
 		return false
 	}
-	q.slots[q.tail] = m
-	q.tail = (q.tail + 1) % len(q.slots)
+	if q.length == len(q.slots) {
+		q.grow()
+	}
+	tail := q.head + q.length
+	if tail >= len(q.slots) {
+		tail -= len(q.slots)
+	}
+	q.slots[tail] = m
 	q.length++
-	q.enqueues++
 	return true
+}
+
+// grow doubles the backing ring, up to depth, unwrapping it as it copies.
+func (q *regQueue) grow() {
+	slots := make([]scheMeta, min(max(2*len(q.slots), 8), q.depth))
+	k := copy(slots, q.slots[q.head:])
+	copy(slots[k:], q.slots[:q.head])
+	q.slots, q.head = slots, 0
 }
 
 // dequeue pops the oldest metadata; ok is false when empty.
@@ -59,7 +74,9 @@ func (q *regQueue) dequeue() (m scheMeta, ok bool) {
 		return scheMeta{}, false
 	}
 	m = q.slots[q.head]
-	q.head = (q.head + 1) % len(q.slots)
+	if q.head++; q.head == len(q.slots) {
+		q.head = 0
+	}
 	q.length--
 	return m, true
 }
