@@ -293,7 +293,7 @@ func benchSlowPath64k(b *testing.B) {
 	}
 	nic, err := fpga.NewNIC(eng, fpga.Config{
 		Ports: 1, Algorithm: alg, Params: params, TXTimerPPS: 11.97e6,
-		LogCapacity: 1 << 10, // a full ring: logging stays on and stops growing
+		LogCapacity: 1 << 10, // a full ring of traced flows: retention stays on and stops growing
 	})
 	if err != nil {
 		panic(err)
@@ -305,6 +305,9 @@ func benchSlowPath64k(b *testing.B) {
 		info.Receive(p)
 	}))
 	for f := 0; f < flows; f++ {
+		if err := nic.TraceFlow(packet.FlowID(f)); err != nil {
+			panic(err)
+		}
 		if err := nic.StartFlow(packet.FlowID(f), 0, 0); err != nil {
 			panic(err)
 		}

@@ -75,6 +75,9 @@ func run(algo, durStr, ecnRange string, losses psnList) error {
 		}
 		t.InjectECN(1, 0, uint32(from), uint32(to))
 	}
+	if err := t.TraceFlow(0); err != nil {
+		return err
+	}
 	if err := t.StartFlow(0, 0, 1, 0); err != nil {
 		return err
 	}

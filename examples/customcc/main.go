@@ -99,6 +99,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := t.TraceFlow(0); err != nil {
+		log.Fatal(err)
+	}
 	if err := t.StartFlow(0, 0, 2, 0); err != nil {
 		log.Fatal(err)
 	}
@@ -118,6 +121,9 @@ func main() {
 		rates[0]+rates[1], marlin.JainIndex(rates))
 
 	trace := t.FlowTrace(0)
+	if len(trace) == 0 {
+		log.Fatal("no trace recorded for flow 0")
+	}
 	fmt.Printf("flow 0 traced %d events; final cwnd %d packets\n",
 		len(trace), trace[len(trace)-1].A)
 }

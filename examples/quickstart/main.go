@@ -21,7 +21,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One unbounded flow from tester port 0 to tester port 1.
+	// One unbounded flow from tester port 0 to tester port 1, traced from
+	// its first CC event.
+	if err := t.TraceFlow(0); err != nil {
+		log.Fatal(err)
+	}
 	if err := t.StartFlow(0, 0, 1, 0); err != nil {
 		log.Fatal(err)
 	}
@@ -37,9 +41,12 @@ func main() {
 	gbps := float64(t.FlowTxBytes(0)) * 8 / horizon.Seconds() / 1e9
 	fmt.Printf("flow 0 throughput: %.2f Gbps (line rate is ~98 after slow start)\n", gbps)
 
-	// The FPGA traces every CC-parameter change (§5.1); show the last
-	// few window updates.
+	// The FPGA logs every CC-parameter change (§5.1) and the host keeps
+	// the traced flow's; show the last window update.
 	trace := t.FlowTrace(0)
+	if len(trace) == 0 {
+		log.Fatal("no trace recorded for flow 0")
+	}
 	fmt.Printf("traced %d CC events; final cwnd = %d packets\n",
 		len(trace), trace[len(trace)-1].A)
 

@@ -39,7 +39,10 @@ func main() {
 	}
 
 	// Two HPCC flows share the destination port; INT steers them to a
-	// near-empty queue.
+	// near-empty queue. Flow 0's CC trace is kept.
+	if err := t.TraceFlow(0); err != nil {
+		log.Fatal(err)
+	}
 	if err := t.StartFlow(0, 0, 2, 0); err != nil {
 		log.Fatal(err)
 	}
@@ -50,6 +53,9 @@ func main() {
 
 	// 1. The fine-grained CC trace: window evolution per event.
 	trace := t.FlowTrace(0)
+	if len(trace) == 0 {
+		log.Fatal("no trace recorded for flow 0")
+	}
 	fmt.Printf("flow 0: %d traced CC events; window settled at %d packets\n",
 		len(trace), trace[len(trace)-1].A)
 

@@ -231,8 +231,24 @@ func (t *Tester) FlowTxBytes(flow packet.FlowID) uint64 {
 	return 0
 }
 
+// TraceFlow has the fine-grained logger retain a flow's records (§5.1);
+// every other flow's are only counted. It may precede StartFlow, which logs
+// the flow's first record, so before the owning island is known the flow is
+// traced on every island's NIC. An ID past MaxFlows is refused with the
+// NIC's error and allocates nothing (every island shares the bound, so the
+// first refuses it).
+func (t *Tester) TraceFlow(flow packet.FlowID) error {
+	for _, isl := range t.islands {
+		if err := isl.nic.TraceFlow(flow); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // FlowTrace returns a flow's fine-grained parameter trace from the NIC
-// owning it (nil when logging is off or the flow is unknown).
+// owning it: nil when logging is off, the flow is unknown, or it was never
+// traced (TraceFlow).
 func (t *Tester) FlowTrace(flow packet.FlowID) []fpga.TracePoint {
 	if isl := t.owner(flow); isl != nil && isl.nic.Logger() != nil {
 		return isl.nic.Logger().FlowTrace(flow)

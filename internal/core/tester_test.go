@@ -715,6 +715,9 @@ func TestOneIslandAccessorsReadTheDevices(t *testing.T) {
 		Seed:      9,
 	})
 	tr.ForwardLink(2).AddHook(netem.NewScript().DropOnce(0, 50).Hook)
+	if err := tr.TraceFlow(0); err != nil {
+		t.Fatal(err)
+	}
 	for f := packet.FlowID(0); f < 2; f++ {
 		if err := tr.StartFlow(f, int(f), 2, 0); err != nil {
 			t.Fatal(err)

@@ -107,6 +107,9 @@ func AblateRXTimer(opts Options) (*Result, error) {
 		}
 		var lastRateMbps uint32
 		nic.ConnectSche(netem.NodeFunc(func(p *packet.Packet) {}))
+		if err := nic.TraceFlow(1); err != nil {
+			return nil, err
+		}
 		if err := nic.StartFlow(1, 0, 0); err != nil {
 			return nil, err
 		}
@@ -276,6 +279,9 @@ func AblateSlowPath(opts Options) (*Result, error) {
 			}
 			return netem.Pass
 		})
+		if err := tr.TraceFlow(0); err != nil {
+			panic(err)
+		}
 		if err := tr.StartFlow(0, 0, 1, 0); err != nil {
 			panic(err)
 		}

@@ -28,6 +28,9 @@ func TestRenoTrajectoryMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.ForwardLink(1).AddHook(script().Hook)
+	if err := tr.TraceFlow(0); err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.StartFlow(0, 0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +93,9 @@ func TestHarnessReadsWorkOnPartitionedTester(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.ForwardLink(flows).AddHook(netem.NewScript().DropOnce(0, 50).Hook)
+	if err := tr.TraceFlow(0); err != nil {
+		t.Fatal(err)
+	}
 	for f := 0; f < flows; f++ {
 		if err := tr.StartFlow(packet.FlowID(f), f, flows, 0); err != nil {
 			t.Fatal(err)

@@ -49,6 +49,9 @@ func Fig5(opts Options) (*Result, error) {
 		return nil, err
 	}
 	tr.ForwardLink(1).AddHook(fig5Script().Hook)
+	if err := tr.TraceFlow(0); err != nil {
+		return nil, err
+	}
 	if err := tr.StartFlow(0, 0, 1, 0); err != nil {
 		return nil, err
 	}

@@ -1,11 +1,13 @@
 package fpga
 
 import (
+	"strings"
 	"testing"
 
 	"marlin/internal/cc"
 	"marlin/internal/netem"
 	"marlin/internal/packet"
+	"marlin/internal/race"
 	"marlin/internal/sim"
 )
 
@@ -583,6 +585,93 @@ func TestRTTWindow(t *testing.T) {
 	}
 	if reserved != rttWindow {
 		t.Errorf("a full RTT window reserves %d samples, want %d", reserved, rttWindow)
+	}
+}
+
+// The logger counts every flow's records and retains only traced flows'
+// (§5.1: the host keeps what it asked for). A flow traced before StartFlow
+// keeps its EvStart record and stays traced across a restart of its ID; an
+// untraced flow's trace is nil; an ID past MaxFlows is refused and
+// allocates no page.
+func TestLoggerRetainsOnlyTracedFlows(t *testing.T) {
+	r := newRig(t, nil)
+	if err := r.nic.TraceFlow(2); err != nil {
+		t.Fatal(err)
+	}
+	for f := packet.FlowID(0); f < 4; f++ {
+		if err := r.nic.StartFlow(f, int(f), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint32(1); i <= 20; i++ {
+		for f := packet.FlowID(0); f < 4; f++ {
+			r.ackUpTo(f, i, 0)
+		}
+		r.eng.Run(r.eng.Now().Add(sim.Microsecond))
+	}
+	l := r.nic.Logger()
+	recs := l.Records()
+	if len(recs) == 0 || l.Total() <= uint64(len(recs)) || l.Evicted() != 0 {
+		t.Fatalf("total %d, retained %d, evicted %d: want some of flow 2's records retained of more counted",
+			l.Total(), len(recs), l.Evicted())
+	}
+	for _, rec := range recs {
+		if rec.Flow != 2 {
+			t.Fatalf("untraced flow %d retained a record", rec.Flow)
+		}
+	}
+	if _, _, _, ev := cc.DecodeLogU32x4(recs[0].Data); cc.EventType(ev) != cc.EvStart || recs[0].At != 0 {
+		t.Errorf("first retained record is event %d at %v, want EvStart at 0", ev, recs[0].At)
+	}
+	if got := len(l.FlowTrace(2)); got != len(recs) {
+		t.Errorf("FlowTrace(2) has %d points of %d retained records", got, len(recs))
+	}
+	if tr := l.FlowTrace(0); tr != nil {
+		t.Errorf("untraced flow 0 has a trace of %d points", len(tr))
+	}
+
+	// A restart of the traced ID logs its EvStart again.
+	r.nic.StopFlow(2)
+	if err := r.nic.StartFlow(2, 2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Len(); got != len(recs)+1 {
+		t.Errorf("restarting traced flow 2 retained %d new records, want 1", got-len(recs))
+	}
+
+	pages := r.nic.flows.Pages()
+	for _, id := range []packet.FlowID{1024, 1 << 24} {
+		if err := r.nic.TraceFlow(id); err == nil || !strings.Contains(err.Error(), "exceeds BRAM capacity") {
+			t.Errorf("TraceFlow(%d) = %v, want the BRAM capacity error", id, err)
+		}
+	}
+	if got := r.nic.flows.Pages(); got != pages {
+		t.Errorf("refused TraceFlow calls allocated %d pages", got-pages)
+	}
+}
+
+// FlowTrace reads the ring in place: over a full, wrapped ring of several
+// flows it allocates the result and nothing else, and a flow with no
+// retained record allocates nothing.
+func TestFlowTraceAllocatesOnlyItsResult(t *testing.T) {
+	l := NewLogger(5000)
+	var o cc.Output
+	for i := 0; i < 12_345; i++ {
+		o.LogU32x4(uint32(i), 0, 0, 0)
+		l.Record(sim.Time(i), packet.FlowID(i%5), o.Log)
+	}
+	tr := l.FlowTrace(3)
+	if len(tr) != 1000 || tr[0].A%5 != 3 || tr[len(tr)-1].A != 12_343 {
+		t.Fatalf("FlowTrace(3) = %d points from %d to %d", len(tr), tr[0].A, tr[len(tr)-1].A)
+	}
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	if a := testing.AllocsPerRun(20, func() { l.FlowTrace(3) }); a != 1 {
+		t.Errorf("FlowTrace of 1,000 of 5,000 retained records: %v allocs, want 1 (the result)", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { l.FlowTrace(9) }); a != 0 {
+		t.Errorf("FlowTrace of a flow with no records: %v allocs, want 0", a)
 	}
 }
 

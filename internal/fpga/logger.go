@@ -24,11 +24,13 @@ const qdmaPacketSize = 1024
 // 16 B payload + 8 B timestamp + 4 B flow ID.
 const recordWireSize = 16 + 8 + 4
 
-// Logger is the fine-grained logging module. It retains up to capacity
-// records in a ring (oldest evicted first), grown in pieces that are never
-// copied (pieceRing: 32 MiB at the default capacity would otherwise be
-// re-copied at every step on the way there), and tracks how many QDMA upload
-// packets the recorded volume corresponds to.
+// Logger is the fine-grained logging module. It counts every record the CC
+// module emits, so the §5.1 upload volume (Total, QDMAPackets) is known for
+// the whole run, and retains only the records of traced flows (the host
+// keeps what it asked for; NIC.TraceFlow names them). Retained records live
+// in a ring of up to capacity (oldest evicted first), grown in pieces that
+// are never copied (pieceRing: 32 MiB at the default capacity would
+// otherwise be re-copied at every step on the way there).
 type Logger struct {
 	ring pieceRing[Record]
 
@@ -36,8 +38,8 @@ type Logger struct {
 	evicted uint64
 }
 
-// NewLogger creates a logger retaining up to capacity records
-// (0 = 1,048,576).
+// NewLogger creates a logger retaining up to capacity records of traced
+// flows (0 = 1,048,576).
 func NewLogger(capacity int) *Logger {
 	if capacity <= 0 {
 		capacity = 1 << 20
@@ -45,7 +47,11 @@ func NewLogger(capacity int) *Logger {
 	return &Logger{ring: pieceRing[Record]{capacity: capacity}}
 }
 
-// Record appends one entry.
+// Count tallies one record of an untraced flow: it adds to the logged
+// volume without entering the ring.
+func (l *Logger) Count() { l.total++ }
+
+// Record tallies one record of a traced flow and retains it.
 func (l *Logger) Record(at sim.Time, flow packet.FlowID, data [16]byte) {
 	l.total++
 	if l.ring.push(Record{At: at, Flow: flow, Data: data}) {
@@ -56,10 +62,10 @@ func (l *Logger) Record(at sim.Time, flow packet.FlowID, data [16]byte) {
 // Len reports retained records.
 func (l *Logger) Len() int { return l.ring.n }
 
-// Total reports all records ever logged.
+// Total reports all records ever logged, retained or not.
 func (l *Logger) Total() uint64 { return l.total }
 
-// Evicted reports records dropped to the ring bound.
+// Evicted reports retained records that left the ring at its bound.
 func (l *Logger) Evicted() uint64 { return l.evicted }
 
 // QDMAPackets reports how many 1024-byte upload packets the logged volume
@@ -84,15 +90,29 @@ type TracePoint struct {
 	B  uint32
 }
 
-// FlowTrace returns the decoded trace for a flow.
+// FlowTrace returns the decoded trace for a flow: nil for a flow never
+// traced, whose records were counted but not retained. It reads the ring in
+// place and allocates only the result.
 func (l *Logger) FlowTrace(flow packet.FlowID) []TracePoint {
-	var out []TracePoint
-	for _, r := range l.Records() {
-		if r.Flow != flow {
-			continue
+	n := 0
+	l.ring.spans(func(rs []Record) {
+		for i := range rs {
+			if rs[i].Flow == flow {
+				n++
+			}
 		}
-		a, b, _, _ := cc.DecodeLogU32x4(r.Data)
-		out = append(out, TracePoint{At: r.At, A: a, B: b})
+	})
+	if n == 0 {
+		return nil
 	}
+	out := make([]TracePoint, 0, n)
+	l.ring.spans(func(rs []Record) {
+		for i := range rs {
+			if r := &rs[i]; r.Flow == flow {
+				a, b, _, _ := cc.DecodeLogU32x4(r.Data)
+				out = append(out, TracePoint{At: r.At, A: a, B: b})
+			}
+		}
+	})
 	return out
 }

@@ -100,7 +100,8 @@ type Config struct {
 	RXFIFODepth int
 	// DisableLog turns the fine-grained logging module off.
 	DisableLog bool
-	// LogCapacity bounds retained log records (0 = 1<<20).
+	// LogCapacity bounds the log records retained for traced flows
+	// (0 = 1<<20); records of untraced flows are counted, not retained.
 	LogCapacity int
 	// SlowPathLatency is the queueing delay before a posted Slow Path
 	// event executes (0 = 100 cycles).
@@ -194,6 +195,7 @@ type flowState struct {
 	timers    [cc.NumTimers]sim.Handle
 	timerEv   [cc.NumTimers]timerEvent
 	inScan    bool // listed in its port's scan table (scan mode, slot lifetime)
+	traced    bool // its log records are retained (TraceFlow, slot lifetime)
 }
 
 // CompletionFunc is invoked when a flow's final packet is acknowledged.
@@ -354,6 +356,18 @@ func (n *NIC) CheckFlow(flow packet.FlowID) error {
 	return nil
 }
 
+// TraceFlow has the logger retain a flow's records from now on, across
+// restarts of its ID; every other flow's records are only counted. Call it
+// before StartFlow to keep the EvStart record too. An ID the flow store
+// cannot hold is refused with CheckFlow's error and allocates nothing.
+func (n *NIC) TraceFlow(flow packet.FlowID) error {
+	if err := n.CheckFlow(flow); err != nil {
+		return err
+	}
+	n.flows.Slot(flow).traced = true
+	return nil
+}
+
 // StartFlow activates a flow of sizePkts full-MTU packets bound to a
 // switch data port, running the NIC's deployed CC module and carrying its
 // preferred ECN codepoint. Flow IDs index BRAM directly; a completed
@@ -392,6 +406,7 @@ func (n *NIC) StartFlowWith(flow packet.FlowID, port int, sizePkts uint32, alg c
 		rate:    n.cfg.Params.LineRate,
 		started: n.eng.Now(),
 		inScan:  f.inScan,
+		traced:  f.traced,
 	}
 	for id := range f.timerEv {
 		f.timerEv[id] = timerEvent{flow: flow, id: uint8(id)}
@@ -588,7 +603,11 @@ func (n *NIC) applyOutput(flow packet.FlowID, f *flowState, in *cc.Input, out *c
 		f.rate = out.Rate
 	}
 	if out.HasLog && n.logger != nil {
-		n.logger.Record(n.eng.Now(), flow, out.Log)
+		if f.traced {
+			n.logger.Record(n.eng.Now(), flow, out.Log)
+		} else {
+			n.logger.Count()
+		}
 	}
 	for i := 0; i < out.NumStops; i++ {
 		id := out.StopTimers[i]

@@ -74,16 +74,23 @@ func (r *pieceRing[T]) push(v T) (evicted bool) {
 	return false
 }
 
+// spans calls fn on the retained values, oldest first, one run of a piece
+// at a time and without copying them.
+func (r *pieceRing[T]) spans(fn func([]T)) {
+	if r.n == 0 {
+		return
+	}
+	o := r.oldest
+	fn(r.pieces[o.piece][o.idx:])
+	for k := 1; k < len(r.pieces); k++ {
+		fn(r.pieces[(o.piece+k)%len(r.pieces)])
+	}
+	fn(r.pieces[o.piece][:o.idx])
+}
+
 // appendTo appends the retained values to out, oldest first.
 func (r *pieceRing[T]) appendTo(out []T) []T {
-	if r.n == 0 {
-		return out
-	}
 	out = slices.Grow(out, r.n)
-	o := r.oldest
-	out = append(out, r.pieces[o.piece][o.idx:]...)
-	for k := 1; k < len(r.pieces); k++ {
-		out = append(out, r.pieces[(o.piece+k)%len(r.pieces)]...)
-	}
-	return append(out, r.pieces[o.piece][:o.idx]...)
+	r.spans(func(vs []T) { out = append(out, vs...) })
+	return out
 }

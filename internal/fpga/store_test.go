@@ -17,6 +17,11 @@ import (
 // pages only for flows started (with the BRAM bound checked at StartFlow),
 // and every FIFO is bounded by its occupancy.
 
+// loopTraced is how many flow IDs, from 0, a loop NIC traces: every flow
+// the tests below start, so their records fill the ring and retention is
+// measured, not counting alone.
+const loopTraced = 16
+
 // newLoopNIC builds a one-port NIC whose SCHE output returns at once as the
 // INFO acknowledging it. The SCHE packet itself is rewritten in place, so
 // the loop adds no allocation of its own; ack=false sinks SCHE instead (an
@@ -33,7 +38,7 @@ func newLoopNIC(tb testing.TB, algo string, ack bool, mutate func(*Config)) (*si
 		Algorithm:   alg,
 		Params:      cc.DefaultParams(100*sim.Gbps, 1024),
 		TXTimerPPS:  11.97e6,
-		LogCapacity: 64, // a full ring: logging stays on and stops growing
+		LogCapacity: 64, // a full ring of traced flows: retention stays on and stops growing
 		GoBackN:     alg.Mode() == cc.RateMode,
 	}
 	if mutate != nil {
@@ -42,6 +47,11 @@ func newLoopNIC(tb testing.TB, algo string, ack bool, mutate func(*Config)) (*si
 	nic, err := NewNIC(eng, cfg)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	for f := packet.FlowID(0); f < loopTraced; f++ {
+		if err := nic.TraceFlow(f); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	info := nic.InfoIn()
 	nic.ConnectSche(netem.NodeFunc(func(p *packet.Packet) {
@@ -79,6 +89,9 @@ func TestSlowPathWindowEndAllocatesNothing(t *testing.T) {
 		}
 	}
 	eng.Run(sim.Time(sim.Millisecond)) // fills the RTT ring, the log ring and the event pools
+	if l := nic.Logger(); l.Len() != 64 || l.Evicted() == 0 {
+		t.Fatalf("log ring holds %d records, %d evicted: the guard would not measure retention", l.Len(), l.Evicted())
+	}
 	before := nic.Stats()
 	if a := runAllocs(t, eng, 100, 2*sim.Microsecond); a != 0 {
 		t.Errorf("%v allocs per 2us slice of ACK-clocked DCTCP with the Slow Path on, want 0", a)

@@ -41,6 +41,9 @@ func TestTesterEndToEnd(t *testing.T) {
 	if tr.PlannedThroughput() != 200*marlin.Gbps {
 		t.Fatalf("planned throughput = %v", tr.PlannedThroughput())
 	}
+	if err := tr.TraceFlow(0); err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.StartFlow(0, 0, 1, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +77,9 @@ func TestInjectLossAndECN(t *testing.T) {
 	}
 	tr.InjectLoss(1, 0, 50)
 	tr.InjectECN(1, 0, 120, 160)
+	if err := tr.TraceFlow(0); err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.StartFlow(0, 0, 1, 400); err != nil {
 		t.Fatal(err)
 	}
