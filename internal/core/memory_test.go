@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"marlin/internal/packet"
 	"marlin/internal/race"
@@ -21,20 +22,24 @@ func liveHeap() uint64 {
 // A tester's memory follows what its test uses: every per-port and per-flow
 // structure is sized by use, and the hardware capacities — 2,048 register
 // entries a port (§4.2), 70,312 flows of BRAM (§8) — are checks, not
-// allocations. The figures are bounded at what they measure plus about a
-// quarter (DESIGN.md "Performance", rule 2). A register queue allocated at
-// its depth costs 64 KiB a port, and a flow table grown to the largest flow
-// ID costs thousands of rows for the pattern driver's first flow (4096).
+// allocations, and every per-flow row holds only the fields the model reads.
+// The figures are bounded a little above what they measure (DESIGN.md
+// "Performance", rule 2). A register queue allocated at its depth costs
+// 64 KiB a port, a flow table grown to the largest flow ID costs thousands of
+// rows for the pattern driver's first flow (4096), and a NIC flow word past
+// 256 B puts each 64-flow page in Go's 20 KiB size class.
 func TestTesterMemoryFollowsUse(t *testing.T) {
 	if race.Enabled {
 		t.Skip("heap figures are not comparable under -race")
 	}
-	// Measured 2,065 B, 412 B and 34,056 B (go1.24, linux/amd64); the
-	// parent design measured 67,601 B a port and 258,056 B for flow 4096.
+	// Measured 2,067 B, 296 B and 20,976 B (go1.24, linux/amd64). With a
+	// 312 B NIC flow word and 24 to 32 B rows elsewhere they were 372 B and
+	// 25,840 B; with dense tables and full-depth register queues, 67,601 B
+	// a port and 258,056 B for flow 4096.
 	const (
 		mostPerPort = 2600     // B a data port
-		mostPerFlow = 520      // B a started flow
-		mostAt4096  = 42 << 10 // B for one flow started at ID 4096: a page in each table
+		mostPerFlow = 340      // B a started flow
+		mostAt4096  = 24 << 10 // B for one flow started at ID 4096: a page in each table
 	)
 	deployed := func(ports int) (*Tester, uint64) {
 		before := liveHeap()
@@ -81,6 +86,14 @@ func TestTesterMemoryFollowsUse(t *testing.T) {
 		t.Errorf("flow 4096 holds %d route and %d flow pages, want one each", r, f)
 	}
 	runtime.KeepAlive(tr)
+}
+
+// core's own flow row is the start time, the size and the owning island's
+// 4 B index: 16 B.
+func TestFlowEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(flowEntry{}); got > 16 {
+		t.Errorf("flowEntry is %d B, want <= 16", got)
+	}
 }
 
 // A flow ID the NIC's BRAM cannot hold is refused before anything is bound

@@ -36,6 +36,7 @@ import (
 // private device interconnect, all on the partition's engine.
 type island struct {
 	part int
+	idx  int // position in Tester.islands
 	eng  *sim.Engine
 	pl   *tofino.Pipeline
 	nic  *fpga.NIC
@@ -97,8 +98,8 @@ func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan) 
 // owner returns the island holding a flow's TX-side state, or nil for a
 // flow never started.
 func (t *Tester) owner(flow packet.FlowID) *island {
-	if f := t.flows.Get(flow); f != nil {
-		return f.owner
+	if f := t.flows.Get(flow); f != nil && f.island > 0 {
+		return t.islands[f.island-1]
 	}
 	return nil
 }

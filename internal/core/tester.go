@@ -143,7 +143,7 @@ type Tester struct {
 	// the routing column, the receiver port plus one (0: unbound), written
 	// by bind for started and external flows alike. It is a table of its
 	// own because the tested network reads it on every hop: 2 B a flow stays
-	// in cache at 64k flows where a 32 B row does not.
+	// in cache at 64k flows where a 16 B row does not.
 	flows flowtab.Table[flowEntry]
 	route flowtab.Table[int16]
 
@@ -174,9 +174,11 @@ type Tester struct {
 
 // flowEntry is one row of Tester.flows.
 type flowEntry struct {
-	size  uint32
 	start sim.Time
-	owner *island // TX-side island; nil for never-started and external flows
+	size  uint32
+	// island is the TX-side island's index in Tester.islands plus one; 0 for
+	// never-started and external flows.
+	island uint32
 }
 
 // bind routes a flow to receiver port rx.
@@ -334,6 +336,7 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 			sinks[p] = isl.pl.DataIn(li)
 		}
 		isl.nic.OnComplete(t.flowDone)
+		isl.idx = len(t.islands)
 		t.islands = append(t.islands, isl)
 	}
 
@@ -731,7 +734,7 @@ func (t *Tester) startFlow(flow packet.FlowID, tx, rx int, sizePkts uint32, alg 
 		t.fpgaRecv.Reset(flow)
 	}
 	t.bind(flow, rx)
-	*t.flows.Slot(flow) = flowEntry{size: sizePkts, start: t.Eng.Now(), owner: isl}
+	*t.flows.Slot(flow) = flowEntry{start: t.Eng.Now(), size: sizePkts, island: uint32(isl.idx + 1)}
 	if alg == nil {
 		return isl.nic.StartFlow(flow, t.portLocal[tx], sizePkts)
 	}

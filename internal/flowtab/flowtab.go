@@ -21,8 +21,9 @@ const (
 // Table maps flow IDs to values of T, zero until written. Pages are never
 // moved once allocated, so a pointer returned by Slot or Get addresses the
 // same value for the table's lifetime, however far the directory grows
-// later; the NIC's timer records, scheduled by pointer, rely on it. The
-// directory grows with the largest page touched. The zero Table is empty.
+// later; the NIC's timer events, whose argument is the flow's slot, rely on
+// it. The directory grows with the largest page touched. The zero Table is
+// empty.
 type Table[T any] struct {
 	dir []*[PageSize]T
 }

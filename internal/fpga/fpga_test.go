@@ -60,7 +60,7 @@ func (r *testRig) ackUpTo(flow packet.FlowID, ack uint32, flags packet.Flags) {
 }
 
 func (r *testRig) flowPort(flow packet.FlowID) int {
-	return r.nic.flows.Get(flow).port
+	return int(r.nic.flows.Get(flow).port)
 }
 
 func (r *testRig) scheFor(flow packet.FlowID) []*packet.Packet {
@@ -86,6 +86,7 @@ func TestConfigValidation(t *testing.T) {
 		Params: cc.DefaultParams(100*sim.Gbps, 1024), TXTimerPPS: 1e6}
 	bad := []func(*Config){
 		func(c *Config) { c.Ports = 0 },
+		func(c *Config) { c.Ports = 1 << 16 }, // the flow word's port is 16 bits
 		func(c *Config) { c.Algorithm = nil },
 		func(c *Config) { c.TXTimerPPS = 0 },
 		func(c *Config) { c.RXTimerPPS = 2e6 }, // RX > TX violates §5.3
@@ -470,6 +471,42 @@ func TestScanSchedulerWorksButWastesSlots(t *testing.T) {
 	}
 	if st.ScanGiveUps == 0 {
 		t.Fatal("scan over 2000 mostly-window-limited flows never exhausted its budget (Challenge 2)")
+	}
+}
+
+// A flow ID restarted on another port under the scan scheduler is scanned on
+// its new port only: its SCHE leave there, the flows sharing its old port
+// keep theirs, and the old port stops ticking for it.
+func TestScanSchedulerFollowsRestartedFlowToItsPort(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.Scheduler = CyclicScan })
+	for _, fl := range []packet.FlowID{1, 7, 2} {
+		if err := r.nic.StartFlow(fl, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.nic.StopFlow(7)
+	if err := r.nic.StartFlow(7, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.Run(sim.Time(5 * sim.Microsecond))
+	for fl, want := range map[packet.FlowID]int{1: 0, 2: 0, 7: 3} {
+		sche := r.scheFor(fl)
+		if len(sche) == 0 {
+			t.Errorf("flow %d sent no SCHE", fl)
+		}
+		for _, p := range sche {
+			if p.Port != want {
+				t.Errorf("flow %d sent SCHE PSN %d on port %d, want %d", fl, p.PSN, p.Port, want)
+			}
+		}
+	}
+	if got := r.nic.sched.portFlows; len(got[0]) != 2 || len(got[3]) != 1 {
+		t.Errorf("scan tables hold %v on port 0 and %v on port 3, want flows 1, 2 and flow 7", got[0], got[3])
+	}
+	r.nic.StopFlow(1)
+	r.nic.StopFlow(2)
+	if r.nic.sched.hasWork(0) {
+		t.Error("port 0 keeps ticking for a flow restarted on port 3")
 	}
 }
 

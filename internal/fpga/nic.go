@@ -20,6 +20,7 @@ package fpga
 
 import (
 	"fmt"
+	"math"
 
 	"marlin/internal/cc"
 	"marlin/internal/flowtab"
@@ -147,14 +148,6 @@ func (s Stats) Plus(o Stats) Stats {
 	return s
 }
 
-// timerEvent is the engine-event record of one CC timer: armTimer schedules
-// a pointer to it through the NIC's dispatch function, so arming allocates
-// neither a closure nor a record. Each flow slot owns one per timer.
-type timerEvent struct {
-	flow packet.FlowID
-	id   uint8
-}
-
 // slowEvent is the engine-event record of one queued Slow Path execution,
 // taken from and returned to the NIC's free list (a flow may have several
 // outstanding).
@@ -168,34 +161,37 @@ type slowEvent struct {
 
 // flowState is the per-flow BRAM word plus model bookkeeping: one slot of
 // the flow store, addressed by flow ID and reused when a finished flow's ID
-// is started again.
+// is started again. It is laid out to fit 256 B, so a 64-flow page takes
+// Go's 16 KiB size class: first the transport word every SCHE and INFO
+// reads, then the 128 B of cust-var and slwpth-var (the BRAM charge), then
+// the timer handles.
 type flowState struct {
-	active bool
-	port   int
-	// alg is the flow's CC module override (nil = the NIC default). Real
-	// Marlin deploys one HLS module per build; the model relaxes that to
-	// per-flow selection within one Mode so mixed-control coexistence
-	// experiments (DCTCP vs CUBIC through one AQM) run on one NIC.
-	alg cc.Algorithm
-	// ect is the ECN codepoint stamped on the flow's SCHE packets and
-	// carried through to its DATA packets by the switch pipeline.
-	ect       packet.ECT
 	una, nxt  uint32
 	end       uint32 // flow length in packets; 0 = unbounded
 	cwnd      uint32
+	rtxPSN    uint32
+	flow      packet.FlowID // the slot's own ID: timer events carry only the slot
 	rate      sim.Rate
 	nextSend  sim.Time // rate-mode pacing deadline
-	inFIFO    bool     // scheduling-event uniqueness (§5.2)
-	rtxPSN    uint32
-	rtxWait   bool
 	busyUntil sim.Time // CC module RMW occupancy (Challenge 3)
 	started   sim.Time
-	cust      cc.State
-	slow      cc.State
-	timers    [cc.NumTimers]sim.Handle
-	timerEv   [cc.NumTimers]timerEvent
-	inScan    bool // listed in its port's scan table (scan mode, slot lifetime)
-	traced    bool // its log records are retained (TraceFlow, slot lifetime)
+	port      uint16
+	// ect is the ECN codepoint stamped on the flow's SCHE packets and
+	// carried through to its DATA packets by the switch pipeline.
+	ect packet.ECT
+	// alg indexes the NIC's module table (0 = the deployed default). Real
+	// Marlin deploys one HLS module per build; the model relaxes that to
+	// per-flow selection within one Mode so mixed-control coexistence
+	// experiments (DCTCP vs CUBIC through one AQM) run on one NIC.
+	alg     uint8
+	active  bool
+	inFIFO  bool // scheduling-event uniqueness (§5.2)
+	rtxWait bool
+	traced  bool // its log records are retained (TraceFlow, slot lifetime)
+	inScan  bool // listed in the scan table of port (scan mode, slot lifetime)
+	cust    cc.State
+	slow    cc.State
+	timers  [cc.NumTimers]sim.Handle
 }
 
 // CompletionFunc is invoked when a flow's final packet is acknowledged.
@@ -207,11 +203,11 @@ type NIC struct {
 	cfg Config
 
 	// flows is the flow store. A page is allocated when the first flow in it
-	// starts and never moved, so *flowState and the timer records inside it
-	// stay valid for the NIC's lifetime: memory follows the flows a test
-	// starts, while the BRAM bound stays a check at StartFlow. Events naming
-	// a flow whose page was never allocated (Get is nil) are dropped like
-	// events for an inactive flow.
+	// starts and never moved, so a *flowState, the argument of its timer
+	// events, stays valid for the NIC's lifetime: memory follows the flows a
+	// test starts, while the BRAM bound stays a check at StartFlow. Events
+	// naming a flow whose page was never allocated (Get is nil) are dropped
+	// like events for an inactive flow.
 	flows flowtab.Table[flowState]
 
 	rxFIFO   []ring[*packet.Packet] // per-port INFO FIFOs
@@ -240,10 +236,15 @@ type NIC struct {
 	// starting the next flow), so it has an Input of its own.
 	in, startIn cc.Input
 	out         cc.Output
-	// dispatchFn is the one engine callback behind every timerEvent and
-	// slowEvent; slowFree is the slowEvent free list.
-	dispatchFn sim.ArgFunc
-	slowFree   *slowEvent
+	// algs is the module table flows index: the deployed default first, then
+	// each distinct override by Name, at most 256 in all.
+	algs []cc.Algorithm
+	// timerFns holds one engine callback per timer ID, scheduled with the
+	// flow's slot as its argument; slowFn runs a slowEvent, and slowFree is
+	// the slowEvent free list.
+	timerFns [cc.NumTimers]sim.ArgFunc
+	slowFn   sim.ArgFunc
+	slowFree *slowEvent
 
 	// rtt holds the most recent rttWindow RTT probes (microseconds) for the
 	// control plane's latency readout; rttEwma is a 1/16-gain average.
@@ -259,6 +260,9 @@ const rttWindow = 8192
 func NewNIC(eng *sim.Engine, cfg Config) (*NIC, error) {
 	if cfg.Ports <= 0 {
 		return nil, fmt.Errorf("fpga: need at least one port")
+	}
+	if cfg.Ports > math.MaxUint16 {
+		return nil, fmt.Errorf("fpga: %d ports exceed the flow word's %d", cfg.Ports, math.MaxUint16)
 	}
 	if cfg.Algorithm == nil {
 		return nil, fmt.Errorf("fpga: no CC algorithm deployed")
@@ -295,8 +299,13 @@ func NewNIC(eng *sim.Engine, cfg Config) (*NIC, error) {
 		rxFIFO:   make([]ring[*packet.Packet], cfg.Ports),
 		rxActive: make([]bool, cfg.Ports),
 		rtt:      pieceRing[float64]{capacity: rttWindow},
+		algs:     []cc.Algorithm{cfg.Algorithm},
 	}
-	n.dispatchFn = n.dispatch
+	for id := range n.timerFns {
+		id := uint8(id)
+		n.timerFns[id] = func(arg any) { n.fireTimer(arg.(*flowState), id) }
+	}
+	n.slowFn = func(arg any) { n.runSlowPath(arg.(*slowEvent)) }
 	n.rxTickFns = make([]sim.Func, cfg.Ports)
 	for i := range n.rxTickFns {
 		i := i
@@ -396,10 +405,16 @@ func (n *NIC) StartFlowWith(flow packet.FlowID, port int, sizePkts uint32, alg c
 	if f.active {
 		return fmt.Errorf("fpga: flow %d already active", flow)
 	}
+	mod, err := n.moduleIndex(alg)
+	if err != nil {
+		return err
+	}
+	listed := f.port
 	*f = flowState{
+		flow:    flow,
 		active:  true,
-		port:    port,
-		alg:     alg,
+		port:    uint16(port),
+		alg:     mod,
 		ect:     ect,
 		end:     sizePkts,
 		cwnd:    n.cfg.Params.InitCwnd,
@@ -408,22 +423,33 @@ func (n *NIC) StartFlowWith(flow packet.FlowID, port int, sizePkts uint32, alg c
 		inScan:  f.inScan,
 		traced:  f.traced,
 	}
-	for id := range f.timerEv {
-		f.timerEv[id] = timerEvent{flow: flow, id: uint8(id)}
-	}
-	n.algOf(f).InitFlow(&f.cust, &f.slow, &n.cfg.Params)
-	n.sched.register(flow, f)
+	n.algs[mod].InitFlow(&f.cust, &f.slow, &n.cfg.Params)
+	n.sched.register(f, listed)
 	n.startIn = cc.Input{Type: cc.EvStart}
-	n.deliver(flow, f, &n.startIn)
+	n.deliver(f, &n.startIn)
 	return nil
 }
 
-// algOf resolves a flow's CC module: its override, or the NIC default.
-func (n *NIC) algOf(f *flowState) cc.Algorithm {
-	if f.alg != nil {
-		return f.alg
+// moduleIndex returns alg's entry in the module table, adding it on first
+// use. nil is the deployed default, entry 0. Entries are matched by Name:
+// StartFlowCC builds a fresh module for every flow, and a module's state
+// lives in the flow's cust and slow regions, not in the module. The index
+// is one byte, so a 256th distinct override is refused.
+func (n *NIC) moduleIndex(alg cc.Algorithm) (uint8, error) {
+	if alg == nil {
+		return 0, nil
 	}
-	return n.cfg.Algorithm
+	name := alg.Name()
+	for i, m := range n.algs {
+		if m.Name() == name {
+			return uint8(i), nil
+		}
+	}
+	if len(n.algs) > math.MaxUint8 {
+		return 0, fmt.Errorf("fpga: flow algorithm %s refused: the NIC's module table is full (%d modules)", name, len(n.algs))
+	}
+	n.algs = append(n.algs, alg)
+	return uint8(len(n.algs) - 1), nil
 }
 
 // StopFlow deactivates a flow immediately (used when an experiment
@@ -542,7 +568,7 @@ func (n *NIC) processInfo(p *packet.Packet) {
 		ProbedRTT: rtt,
 		INT:       &p.INT,
 	}
-	n.deliver(p.Flow, f, &n.in)
+	n.deliver(f, &n.in)
 }
 
 // sampleRTT records one probe for the latency registers.
@@ -566,7 +592,7 @@ func (n *NIC) RTTSamples() (samples []float64, count uint64, ewmaUs float64) {
 // deliver runs one CC module execution for an active flow: populate the
 // intrinsic inputs, charge the cycle cost, apply the outputs, and advance
 // the transport state.
-func (n *NIC) deliver(flow packet.FlowID, f *flowState, in *cc.Input) {
+func (n *NIC) deliver(f *flowState, in *cc.Input) {
 	now := n.eng.Now()
 	n.stats.EventsHandled++
 
@@ -579,7 +605,7 @@ func (n *NIC) deliver(flow packet.FlowID, f *flowState, in *cc.Input) {
 		n.stats.RMWConflicts++
 		return
 	}
-	alg := n.algOf(f)
+	alg := n.algs[f.alg]
 	cycles := alg.FastPathCycles()
 	f.busyUntil = now.Add(sim.Duration(cycles) * CyclePeriod)
 
@@ -592,10 +618,10 @@ func (n *NIC) deliver(flow packet.FlowID, f *flowState, in *cc.Input) {
 
 	n.out.Reset()
 	alg.OnEvent(in, &n.out)
-	n.applyOutput(flow, f, in, &n.out)
+	n.applyOutput(f, in, &n.out)
 }
 
-func (n *NIC) applyOutput(flow packet.FlowID, f *flowState, in *cc.Input, out *cc.Output) {
+func (n *NIC) applyOutput(f *flowState, in *cc.Input, out *cc.Output) {
 	if out.SetCwnd {
 		f.cwnd = out.Cwnd
 	}
@@ -604,7 +630,7 @@ func (n *NIC) applyOutput(flow packet.FlowID, f *flowState, in *cc.Input, out *c
 	}
 	if out.HasLog && n.logger != nil {
 		if f.traced {
-			n.logger.Record(n.eng.Now(), flow, out.Log)
+			n.logger.Record(n.eng.Now(), f.flow, out.Log)
 		} else {
 			n.logger.Count()
 		}
@@ -614,10 +640,10 @@ func (n *NIC) applyOutput(flow packet.FlowID, f *flowState, in *cc.Input, out *c
 		f.timers[id].Cancel()
 	}
 	for i := 0; i < out.NumTimers; i++ {
-		n.armTimer(flow, f, out.Timers[i])
+		n.armTimer(f, out.Timers[i])
 	}
 	if out.SlowPath {
-		n.postSlowPath(flow, out.SlowPathCode, in.Type, in.TimerID)
+		n.postSlowPath(f.flow, out.SlowPathCode, in.Type, in.TimerID)
 	}
 	if out.Rtx {
 		f.rtxWait = true
@@ -628,18 +654,18 @@ func (n *NIC) applyOutput(flow packet.FlowID, f *flowState, in *cc.Input, out *c
 		if n.cfg.GoBackN && cc.SeqLT(out.RtxPSN, f.nxt) {
 			f.nxt = out.RtxPSN + 1
 		}
-		n.sched.pushPriority(flow, f)
+		n.sched.pushPriority(f)
 	}
 	// Advance una after the module ran (it compares Ack to the old una).
 	if in.Type == cc.EvRx && cc.SeqLT(f.una, in.Ack) {
 		f.una = in.Ack
-		n.checkComplete(flow, f)
+		n.checkComplete(f)
 		if !f.active {
 			return
 		}
 	}
 	if out.Schedule {
-		n.sched.push(flow, f)
+		n.sched.push(f)
 	}
 }
 
@@ -652,31 +678,23 @@ func (n *NIC) applyOutput(flow packet.FlowID, f *flowState, in *cc.Input, out *c
 // without this the flow deadlocks. Arming at the RTO floor is safe: the
 // next ACK re-arms with the module's own estimate, and flow completion
 // cancels all timers.
-func (n *NIC) ensureRTO(flow packet.FlowID, f *flowState) {
+func (n *NIC) ensureRTO(f *flowState) {
 	if n.cfg.Algorithm.Mode() != cc.WindowMode || f.timers[cc.TimerRTO].Armed() {
 		return
 	}
-	n.armTimer(flow, f, cc.TimerReq{ID: cc.TimerRTO, After: n.cfg.Params.RTOMin})
+	n.armTimer(f, cc.TimerReq{ID: cc.TimerRTO, After: n.cfg.Params.RTOMin})
 }
 
-func (n *NIC) armTimer(flow packet.FlowID, f *flowState, req cc.TimerReq) {
+// armTimer (re)arms one of the flow's timers. The event's argument is the
+// slot itself: a pointer in an interface allocates nothing, and flow-store
+// pages never move.
+func (n *NIC) armTimer(f *flowState, req cc.TimerReq) {
 	id := req.ID
 	f.timers[id].Cancel()
-	f.timers[id] = n.eng.ScheduleArg(req.After, n.dispatchFn, &f.timerEv[id])
+	f.timers[id] = n.eng.ScheduleArg(req.After, n.timerFns[id], f)
 }
 
-// dispatch is the engine callback of every NIC-owned event record.
-func (n *NIC) dispatch(arg any) {
-	switch ev := arg.(type) {
-	case *timerEvent:
-		n.fireTimer(ev.flow, ev.id)
-	case *slowEvent:
-		n.runSlowPath(ev)
-	}
-}
-
-func (n *NIC) fireTimer(flow packet.FlowID, id uint8) {
-	f := n.flows.Get(flow)
+func (n *NIC) fireTimer(f *flowState, id uint8) {
 	if !f.active {
 		return
 	}
@@ -686,7 +704,7 @@ func (n *NIC) fireTimer(flow packet.FlowID, id uint8) {
 	} else {
 		n.in = cc.Input{Type: cc.EvTimer, TimerID: id}
 	}
-	n.deliver(flow, f, &n.in)
+	n.deliver(f, &n.in)
 }
 
 func (n *NIC) cancelTimers(f *flowState) {
@@ -705,7 +723,7 @@ func (n *NIC) postSlowPath(flow packet.FlowID, code uint8, evType cc.EventType, 
 		n.slowFree = ev.next
 	}
 	*ev = slowEvent{flow: flow, code: code, evType: evType, timerID: timerID}
-	n.eng.ScheduleArg(n.cfg.SlowPathLatency, n.dispatchFn, ev)
+	n.eng.ScheduleArg(n.cfg.SlowPathLatency, n.slowFn, ev)
 }
 
 // runSlowPath executes a queued Slow Path event and recycles its record.
@@ -725,7 +743,7 @@ func (n *NIC) runSlowPath(ev *slowEvent) {
 		Cust: &f.cust, Slow: &f.slow, Timestamp: n.eng.Now(),
 	}
 	n.out.Reset()
-	n.algOf(f).OnSlowPath(e.code, &f.cust, &f.slow, &n.in, &n.out)
+	n.algs[f.alg].OnSlowPath(e.code, &f.cust, &f.slow, &n.in, &n.out)
 	if n.out.SetCwnd {
 		f.cwnd = n.out.Cwnd
 	}
@@ -734,7 +752,7 @@ func (n *NIC) runSlowPath(ev *slowEvent) {
 	}
 }
 
-func (n *NIC) checkComplete(flow packet.FlowID, f *flowState) {
+func (n *NIC) checkComplete(f *flowState) {
 	if f.end == 0 || cc.SeqLT(f.una, f.end) {
 		return
 	}
@@ -743,17 +761,17 @@ func (n *NIC) checkComplete(flow packet.FlowID, f *flowState) {
 	f.active = false
 	n.stats.Completions++
 	if n.onComplete != nil {
-		n.onComplete(flow, fct)
+		n.onComplete(f.flow, fct)
 	}
 }
 
 // emitSche sends one SCHE packet toward the switch, stamped with the
 // flow's ECN codepoint so the pipeline's DATA generator can carry it.
-func (n *NIC) emitSche(flow packet.FlowID, f *flowState, psn uint32, port int, rtx bool) {
+func (n *NIC) emitSche(f *flowState, psn uint32, port int, rtx bool) {
 	if n.scheOut == nil {
 		return
 	}
-	p := packet.NewSche(flow, psn, port, n.eng.Now())
+	p := packet.NewSche(f.flow, psn, port, n.eng.Now())
 	p.Flags |= f.ect.Bits()
 	if rtx {
 		p.Flags |= packet.FlagRetransmit

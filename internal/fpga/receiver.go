@@ -47,10 +47,10 @@ const (
 
 type rxFlowState struct {
 	expected uint32
-	ooo      map[uint32]struct{}
-	lastCNP  sim.Time
 	cnpSent  bool
 	nacked   bool
+	ooo      map[uint32]struct{}
+	lastCNP  sim.Time
 }
 
 // NewReceiver builds the module; responses go to out (the link back to

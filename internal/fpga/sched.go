@@ -60,36 +60,60 @@ func newScheduler(n *NIC) *scheduler {
 	return s
 }
 
-// register adds a flow to its port's scan table (scan mode only).
-func (s *scheduler) register(flow packet.FlowID, f *flowState) {
-	if s.portFlows == nil || f.inScan {
+// register lists a starting flow in its port's scan table (scan mode only).
+// A slot stays listed across restarts of its ID; listed is the port it was
+// listed on, and an ID restarted on another port moves there, so each flow
+// is scanned on its current port only.
+func (s *scheduler) register(f *flowState, listed uint16) {
+	if s.portFlows == nil || f.inScan && listed == f.port {
 		return
 	}
+	if f.inScan {
+		s.unlist(f.flow, listed)
+	}
 	f.inScan = true
-	s.portFlows[f.port] = append(s.portFlows[f.port], flow)
+	s.portFlows[f.port] = append(s.portFlows[f.port], f.flow)
+}
+
+// unlist removes a flow from a port's scan table, keeping the scan cursor
+// on the flow it would have examined next.
+func (s *scheduler) unlist(flow packet.FlowID, port uint16) {
+	flows := s.portFlows[port]
+	for i, fl := range flows {
+		if fl != flow {
+			continue
+		}
+		s.portFlows[port] = append(flows[:i], flows[i+1:]...)
+		if pos := s.scanPos[port]; pos > i {
+			s.scanPos[port] = pos - 1
+		} else if pos >= len(flows)-1 {
+			s.scanPos[port] = 0
+		}
+		return
+	}
 }
 
 // push inserts the flow's scheduling event, keeping at most one event per
 // flow in the FIFO (§5.2: "there is no need for duplicate scheduling
 // events for the same flow in the scheduling FIFO").
-func (s *scheduler) push(flow packet.FlowID, f *flowState) {
+func (s *scheduler) push(f *flowState) {
 	if s.portFlows != nil {
 		// Scan mode has no event FIFO; just make sure the port scans.
-		s.kick(f.port)
+		s.kick(int(f.port))
 		return
 	}
 	if f.inFIFO {
 		return
 	}
 	f.inFIFO = true
-	s.fifo[f.port].push(flow)
-	s.kick(f.port)
+	s.fifo[f.port].push(f.flow)
+	s.kick(int(f.port))
 }
 
 // pushPriority inserts a retransmission event.
-func (s *scheduler) pushPriority(flow packet.FlowID, f *flowState) {
-	s.prio[f.port].push(flow)
-	s.kick(f.port)
+func (s *scheduler) pushPriority(f *flowState) {
+	s.prio[f.port].push(f.flow)
+	s.kick(int(f.port))
 }
 
 // kick arms the port's TX timer if idle. While the NIC is stalled the
@@ -160,10 +184,10 @@ func (s *scheduler) emitPriority(port int) bool {
 			continue
 		}
 		f.rtxWait = false
-		s.nic.emitSche(flow, f, f.rtxPSN, port, true)
+		s.nic.emitSche(f, f.rtxPSN, port, true)
 		// Follow the retransmission with a normal scheduling event so
 		// the flow resumes once the window reopens.
-		s.push(flow, f)
+		s.push(f)
 		return true
 	}
 	return false
@@ -190,7 +214,7 @@ func (s *scheduler) fifoTick(port int) bool {
 				q.push(flow)
 				continue
 			}
-			s.emitData(flow, f, port)
+			s.emitData(f, port)
 			s.paceRate(f)
 			f.inFIFO = true
 			q.push(flow)
@@ -200,7 +224,7 @@ func (s *scheduler) fifoTick(port int) bool {
 		if uint32(cc.SeqDiff(f.nxt, f.una)) >= f.cwnd {
 			continue // window-limited: drop the event (§5.2)
 		}
-		s.emitData(flow, f, port)
+		s.emitData(f, port)
 		f.inFIFO = true
 		q.push(flow)
 		return true
@@ -221,7 +245,7 @@ func (s *scheduler) scanTick(port int) bool {
 		idx := (pos + i) % len(flows)
 		flow := flows[idx]
 		f := s.nic.flows.Get(flow)
-		if !f.active || s.exhausted(f) {
+		if !f.active || int(f.port) != port || s.exhausted(f) {
 			continue
 		}
 		if rateMode {
@@ -229,7 +253,7 @@ func (s *scheduler) scanTick(port int) bool {
 				continue
 			}
 			s.scanPos[port] = (idx + 1) % len(flows)
-			s.emitData(flow, f, port)
+			s.emitData(f, port)
 			s.paceRate(f)
 			return true
 		}
@@ -237,7 +261,7 @@ func (s *scheduler) scanTick(port int) bool {
 			continue
 		}
 		s.scanPos[port] = (idx + 1) % len(flows)
-		s.emitData(flow, f, port)
+		s.emitData(f, port)
 		return true
 	}
 	s.scanPos[port] = (pos + s.scanBudget) % len(flows)
@@ -250,10 +274,10 @@ func (s *scheduler) exhausted(f *flowState) bool {
 	return f.end != 0 && !cc.SeqLT(f.nxt, f.end)
 }
 
-func (s *scheduler) emitData(flow packet.FlowID, f *flowState, port int) {
-	s.nic.emitSche(flow, f, f.nxt, port, false)
+func (s *scheduler) emitData(f *flowState, port int) {
+	s.nic.emitSche(f, f.nxt, port, false)
 	f.nxt++
-	s.nic.ensureRTO(flow, f)
+	s.nic.ensureRTO(f)
 }
 
 // paceRate advances the flow's next-send deadline by one MTU at its

@@ -1,8 +1,10 @@
 package fpga
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"marlin/internal/cc"
 	"marlin/internal/flowtab"
@@ -282,12 +284,13 @@ func TestEventsForAbsentFlowsAreDropped(t *testing.T) {
 	}
 }
 
-// A flow restarted in a reused slot arms its timers through the slot's own
-// records: start, one RTO arm and stop allocate nothing, however often the
-// slot is reused.
+// A flow restarted in a reused slot arms its timers with the slot itself as
+// the event's argument, so there is no per-timer record to keep: start, one
+// RTO arm and stop allocate nothing, however often the slot is reused, and
+// the RTO that fires hands the module the slot it was armed for.
 func TestRestartedFlowReusesTimerRecords(t *testing.T) {
 	r := newRig(t, nil)
-	cycle := func() {
+	start := func() {
 		if err := r.nic.StartFlow(7, 0, 10); err != nil {
 			t.Fatal(err)
 		}
@@ -295,19 +298,112 @@ func TestRestartedFlowReusesTimerRecords(t *testing.T) {
 		if !r.nic.flows.Get(7).timers[cc.TimerRTO].Armed() {
 			t.Fatal("RTO not armed after the first transmission")
 		}
+	}
+	cycle := func() {
+		start()
 		r.nic.StopFlow(7)
+		if r.nic.flows.Get(7).timers[cc.TimerRTO].Armed() {
+			t.Fatal("RTO still armed after StopFlow")
+		}
 		for _, p := range r.sche {
 			p.Release()
 		}
 		r.sche = r.sche[:0]
 	}
 	cycle()
-	rec := &r.nic.flows.Get(7).timerEv[cc.TimerRTO]
 	if a := testing.AllocsPerRun(50, cycle); a != 0 && !race.Enabled {
 		t.Errorf("%v allocs per start/arm/stop cycle of a reused slot, want 0", a)
 	}
-	if got := &r.nic.flows.Get(7).timerEv[cc.TimerRTO]; got != rec || *got != (timerEvent{flow: 7, id: cc.TimerRTO}) {
-		t.Errorf("timer record moved or changed across restarts: %p %+v, was %p", got, *got, rec)
+
+	var args []any
+	fire := r.nic.timerFns[cc.TimerRTO]
+	r.nic.timerFns[cc.TimerRTO] = func(arg any) { args = append(args, arg); fire(arg) }
+	start()
+	r.eng.Run(r.eng.Now().Add(r.nic.Params().RTOMin))
+	if slot := r.nic.flows.Get(7); len(args) == 0 || args[0] != any(slot) {
+		t.Errorf("RTO fired with arguments %v, want the slot %p", args, slot)
+	}
+	if got := r.nic.Stats().Timeouts; got != 1 {
+		t.Errorf("%d timeouts delivered after one RTO, want 1", got)
+	}
+}
+
+// The per-flow rows hold the fields the model reads and little padding: the
+// NIC's flow word fits 256 B, so a 64-flow page takes Go's 16 KiB size class
+// rather than the 20 KiB one, and the FPGA receiver's row keeps its bools in
+// the padding after the expected PSN, 24 B.
+func TestFlowRowSizes(t *testing.T) {
+	if got := unsafe.Sizeof(flowState{}); got > 256 {
+		t.Errorf("flowState is %d B, want <= 256", got)
+	}
+	if got := unsafe.Sizeof([flowtab.PageSize]flowState{}); got > 16<<10 {
+		t.Errorf("a flow-store page is %d B, want <= 16 KiB", got)
+	}
+	if got := unsafe.Sizeof(rxFlowState{}); got > 24 {
+		t.Errorf("rxFlowState is %d B, want <= 24", got)
+	}
+}
+
+// namedReno is Reno under another name: a distinct module to the NIC's
+// module table.
+type namedReno struct {
+	cc.Reno
+	name string
+}
+
+func (m namedReno) Name() string { return m.name }
+
+// StartFlowCC builds a fresh module for every flow, and the NIC keeps one
+// module-table entry per name. A thousand restarts of one ID alternating two
+// overrides leave the table at three entries (the default and the two), and
+// each incarnation runs the module it named. The flow word's index is one
+// byte: the default and 255 overrides fill the table, and the next distinct
+// override is refused before the flow starts.
+func TestModuleTableDeduplicatesByName(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.Algorithm, _ = cc.New("dctcp") })
+	for i := 0; i < 1000; i++ {
+		name := [2]string{"cubic", "reno"}[i%2]
+		alg, err := cc.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.nic.StartFlowWith(7, 0, 0, alg, cc.PreferredECT(alg)); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.nic.algs[r.nic.flows.Get(7).alg].Name(); got != name {
+			t.Fatalf("incarnation %d runs %s, want %s", i, got, name)
+		}
+		r.nic.StopFlow(7)
+	}
+	if len(r.nic.algs) != 3 {
+		t.Fatalf("module table holds %d entries after 1,000 restarts over two overrides, want 3", len(r.nic.algs))
+	}
+	dctcp, _ := cc.New("dctcp")
+	for _, alg := range []cc.Algorithm{nil, dctcp} {
+		if err := r.nic.StartFlowWith(8, 0, 0, alg, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.nic.flows.Get(8).alg; got != 0 {
+			t.Errorf("override %v resolves to entry %d, want the default's 0", alg, got)
+		}
+		r.nic.StopFlow(8)
+	}
+
+	for i := len(r.nic.algs); i < 256; i++ {
+		if err := r.nic.StartFlowWith(9, 0, 0, namedReno{name: fmt.Sprint("reno", i)}, 0); err != nil {
+			t.Fatalf("distinct module %d refused: %v", i, err)
+		}
+		r.nic.StopFlow(9)
+	}
+	err := r.nic.StartFlowWith(9, 0, 0, namedReno{name: "one-too-many"}, 0)
+	if err == nil || !strings.Contains(err.Error(), "module table is full") {
+		t.Errorf("a 256th distinct override = %v, want the full-table error", err)
+	}
+	if _, _, active := r.nic.FlowProgress(9); active || len(r.nic.algs) != 256 {
+		t.Errorf("refused override left flow 9 active=%v and %d table entries", active, len(r.nic.algs))
+	}
+	if err := r.nic.StartFlowWith(9, 0, 0, namedReno{name: "reno100"}, 0); err != nil {
+		t.Errorf("a module already in the full table refused: %v", err)
 	}
 }
 

@@ -33,10 +33,10 @@ func (m ReceiverMode) String() string {
 // DATA packet" (§3.2).
 type rxFlow struct {
 	expected uint32
-	ooo      map[uint32]struct{}
-	lastCNP  sim.Time
 	cnpSent  bool
 	nacked   bool
+	ooo      map[uint32]struct{}
+	lastCNP  sim.Time
 }
 
 // receiver is Module A.

@@ -3,6 +3,7 @@ package tofino
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"marlin/internal/netem"
 	"marlin/internal/packet"
@@ -152,5 +153,13 @@ func TestPipelineSizedByUse(t *testing.T) {
 	}
 	if got := pl.flows.Pages(); got != 1 {
 		t.Errorf("reads and resets of unbound flows allocated: %d pages held", got)
+	}
+}
+
+// The receive row keeps its bools beside the expected PSN, in the padding a
+// uint32 leaves before the map: 24 B a flow.
+func TestReceiveRowSize(t *testing.T) {
+	if got := unsafe.Sizeof(rxFlow{}); got > 24 {
+		t.Errorf("rxFlow is %d B, want <= 24", got)
 	}
 }
