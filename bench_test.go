@@ -11,6 +11,7 @@ package marlin_test
 // iteration spans seconds; benchtime=1x is implied by their cost.
 
 import (
+	"fmt"
 	"testing"
 
 	"marlin"
@@ -135,6 +136,44 @@ func BenchmarkTesterPacketRate(b *testing.B) {
 	b.StopTimer()
 	pkts := tr.Registers().Switch.DataTx
 	b.ReportMetric(float64(pkts)/float64(b.N), "DATApkts/op")
+}
+
+// benchShardFatTree times one fat-tree simulation at a given shard count:
+// 12 cross-pod flows over fattree:4 (4 partitions, one per pod), advanced in
+// 20 us windows of simulated time after a 100 us warm-up.
+func benchShardFatTree(shards int) func(*testing.B) {
+	return func(b *testing.B) {
+		const ports = 12
+		tr, err := marlin.NewTester(marlin.TestConfig{
+			Algorithm:        "dctcp",
+			Ports:            ports,
+			ECNThresholdPkts: 65,
+			Topology:         "fattree:4",
+			Shards:           shards,
+			DCQCNTimeScale:   30,
+			Seed:             1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for p := 0; p < ports; p++ {
+			if err := tr.StartFlow(marlin.FlowID(p), p, (p+ports/2)%ports, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		tr.RunFor(100 * marlin.Microsecond) // fill queues, warm wheel slots
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tr.RunFor(20 * marlin.Microsecond)
+		}
+	}
+}
+
+func BenchmarkShardFatTree(b *testing.B) {
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards_%d", shards), benchShardFatTree(shards))
+	}
 }
 
 func BenchmarkExtFPGAReceiver(b *testing.B) {

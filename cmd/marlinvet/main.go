@@ -1,7 +1,9 @@
 // Command marlinvet is Marlin's determinism and unit-safety static
 // analyzer. It enforces, at review time, the property the whole evaluation
 // depends on at run time: a simulation is a pure function of its inputs and
-// RNG seed.
+// RNG seed. It runs seven checks — wallclock, maporder, rngsource, simtime,
+// poolflow, simunits and detflow — over one shared parse and type-check of
+// the packages; -list describes each.
 //
 // Usage:
 //

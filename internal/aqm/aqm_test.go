@@ -392,7 +392,8 @@ func TestDisciplineDeterminism(t *testing.T) {
 }
 
 // TestEnqueueHotPathAllocs is the 0 allocs/op gate on the enqueue hot path
-// for every discipline, backing the benchjson assertion.
+// for every discipline: every emulated egress port with an AQM pays it per
+// packet.
 func TestEnqueueHotPathAllocs(t *testing.T) {
 	for _, name := range []string{"red", "pie", "codel", "pi2", "dualpi2"} {
 		s, err := ParseSpec(name)

@@ -77,31 +77,78 @@ func runAllocs(t *testing.T, eng *sim.Engine, runs int, step sim.Duration) float
 	return testing.AllocsPerRun(runs, func() { eng.Run(eng.Now().Add(step)) })
 }
 
-// A DCTCP ACK that closes an observation window posts a Slow Path event;
-// with one packet in flight per flow that is every ACK. Neither the post
-// nor the execution may allocate.
-func TestSlowPathWindowEndAllocatesNothing(t *testing.T) {
-	eng, nic := newLoopNIC(t, "dctcp", true, func(c *Config) { c.Params.InitCwnd = 1 })
+// newSlowPathNIC is a loop NIC running ACK-clocked DCTCP with the Slow Path
+// on: flows 0..flows-1 on port 0, every one traced into a log ring of logCap
+// records, run for warm so that every flow has cycled and the RTT ring, the
+// log ring and the event pools are full. initCwnd 0 keeps the default.
+func newSlowPathNIC(tb testing.TB, flows, logCap int, initCwnd uint32, warm sim.Duration) (*sim.Engine, *NIC) {
+	tb.Helper()
+	eng, nic := newLoopNIC(tb, "dctcp", true, func(c *Config) {
+		if initCwnd != 0 {
+			c.Params.InitCwnd = initCwnd
+		}
+		c.LogCapacity = logCap
+	})
 	if !nic.Params().UseSlowPath {
-		t.Fatal("DefaultParams no longer routes DCTCP's alpha through the Slow Path")
+		tb.Fatal("DefaultParams no longer routes DCTCP's alpha through the Slow Path")
 	}
-	for f := packet.FlowID(0); f < 8; f++ {
+	for f := packet.FlowID(0); f < packet.FlowID(flows); f++ {
+		if err := nic.TraceFlow(f); err != nil {
+			tb.Fatal(err)
+		}
 		if err := nic.StartFlow(f, 0, 0); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	eng.Run(sim.Time(sim.Millisecond)) // fills the RTT ring, the log ring and the event pools
-	if l := nic.Logger(); l.Len() != 64 || l.Evicted() == 0 {
-		t.Fatalf("log ring holds %d records, %d evicted: the guard would not measure retention", l.Len(), l.Evicted())
+	eng.Run(sim.Time(warm))
+	if l := nic.Logger(); l.Len() != logCap || l.Evicted() == 0 {
+		tb.Fatalf("log ring holds %d records, %d evicted: retention is not being measured", l.Len(), l.Evicted())
 	}
-	before := nic.Stats()
-	if a := runAllocs(t, eng, 100, 2*sim.Microsecond); a != 0 {
-		t.Errorf("%v allocs per 2us slice of ACK-clocked DCTCP with the Slow Path on, want 0", a)
+	return eng, nic
+}
+
+// A DCTCP ACK that closes an observation window posts a Slow Path event.
+// Neither the post nor the execution may allocate: with a few flows and one
+// packet in flight each (every ACK closes a window), and at the flow density
+// of the paper's headline point (65,532 flows over 12 ports is 5,461 a
+// port), every one of them traced into a larger log ring.
+func TestSlowPathWindowEndAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		flows, logCap int
+		initCwnd      uint32
+		warm          sim.Duration
+	}{
+		{flows: 8, logCap: 64, initCwnd: 1, warm: sim.Millisecond},
+		{flows: 5461, logCap: 1 << 10, warm: 2 * sim.Millisecond},
+	} {
+		t.Run(fmt.Sprintf("%d_flows", tc.flows), func(t *testing.T) {
+			eng, nic := newSlowPathNIC(t, tc.flows, tc.logCap, tc.initCwnd, tc.warm)
+			before := nic.Stats()
+			if a := runAllocs(t, eng, 100, 2*sim.Microsecond); a != 0 {
+				t.Errorf("%v allocs per 2us slice of ACK-clocked DCTCP with the Slow Path on, want 0", a)
+			}
+			after := nic.Stats()
+			if after.SlowPathRuns-before.SlowPathRuns < 100 || after.InfoRx == before.InfoRx {
+				t.Fatalf("measured slices ran %d Slow Path events over %d INFO packets: the guard measured nothing",
+					after.SlowPathRuns-before.SlowPathRuns, after.InfoRx-before.InfoRx)
+			}
+		})
 	}
-	after := nic.Stats()
-	if after.SlowPathRuns-before.SlowPathRuns < 100 || after.InfoRx == before.InfoRx {
-		t.Fatalf("measured slices ran %d Slow Path events over %d INFO packets: the guard measured nothing",
-			after.SlowPathRuns-before.SlowPathRuns, after.InfoRx-before.InfoRx)
+}
+
+// BenchmarkSlowPath64k is 1 us of the NIC at 5,461 closed-loop DCTCP flows a
+// port with the Slow Path on (about 12 ACKs, Slow Path posts and runs).
+func BenchmarkSlowPath64k(b *testing.B) {
+	eng, nic := newSlowPathNIC(b, 5461, 1<<10, 0, 2*sim.Millisecond)
+	before := nic.Stats().SlowPathRuns
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Run(eng.Now().Add(sim.Microsecond))
+	}
+	b.StopTimer()
+	if runs := nic.Stats().SlowPathRuns - before; runs < uint64(b.N) {
+		b.Fatalf("%d Slow Path runs in %d us: the benchmark is not on the Slow Path", runs, b.N)
 	}
 }
 

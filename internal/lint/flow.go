@@ -23,12 +23,12 @@ import (
 //     break, goto) does not flow into the join, so "release on the error
 //     path, keep using on the main path" stays precise.
 //   - Loop bodies are interpreted once and joined with the zero-iteration
-//     environment, the same approximation the block-local poolmisuse check
-//     uses. Loop-carried facts are out of scope by design.
+//     environment. Loop-carried facts are out of scope by design.
 //   - Nested function literals are separate scopes. The walker does not
 //     descend; it instead reports every environment variable the literal
 //     captures to the domain, which must account for the unknown timing of
-//     the closure (poolflow, for instance, stops tracking captured packets).
+//     the closure (poolflow, for instance, stops tracking captured packets
+//     there, and analyzes the literal's own body with them borrowed).
 
 // env maps in-scope variables to a domain's abstract state. Absent keys are
 // the domain's bottom ("nothing known").

@@ -16,12 +16,10 @@
 //     never math/rand.
 //   - simtime: exported model-package APIs carry sim.Time/sim.Duration,
 //     not time.Time/time.Duration.
-//   - poolmisuse: a pooled packet must not be used after Release returned
-//     it to the pool (block-local use-after-free on the packet pool).
-//   - poolflow: interprocedural ownership tracking for pooled packets —
-//     use-after-Release and leaks across call boundaries, driven by
-//     per-function ownership summaries (does the callee consume or borrow
-//     its packet arguments?).
+//   - poolflow: ownership tracking for pooled packets — use-after-Release,
+//     double Release and leaks, within a function or closure and across call
+//     boundaries, driven by per-function ownership summaries (does the
+//     callee consume or borrow its packet arguments?).
 //   - simunits: unit-provenance tracking for time values — a nanosecond
 //     count (time.Duration, *.Nanoseconds()) converted or mixed into
 //     picosecond sim.Time/sim.Duration without visible scaling is a
@@ -127,8 +125,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // AllChecks returns every registered check, in a stable order.
 func AllChecks() []*Check {
 	return []*Check{
-		wallclockCheck, maporderCheck, rngsourceCheck, simtimeCheck, poolmisuseCheck,
-		poolflowCheck, simunitsCheck, detflowCheck,
+		wallclockCheck, maporderCheck, rngsourceCheck, simtimeCheck, poolflowCheck,
+		simunitsCheck, detflowCheck,
 	}
 }
 

@@ -6,11 +6,12 @@ import (
 	"go/types"
 )
 
-// poolflowCheck is the interprocedural ownership analysis for pooled
-// packets. It subsumes what block-local poolmisuse cannot see: a packet
-// consumed by a callee (its own Release, a Receive handoff, or a helper
-// whose summary says it consumes its argument) and then touched by the
-// caller; a double Release split across functions; and a pooled packet that
+// poolflowCheck is the ownership analysis for pooled packets. Within a
+// function it catches a field read, a second Release or a handoff after
+// Release. Across functions it catches a packet consumed by a callee (its
+// own Release, a Receive handoff, or a helper whose summary says it
+// consumes its argument) and then touched by the caller; a double Release
+// split across functions; and a pooled packet that
 // a function obtains from the pool and then abandons — never Released,
 // returned, stored, captured, or handed to another owner — which is a
 // permanent leak of pool capacity.
@@ -31,7 +32,7 @@ import (
 // receiver.
 var poolflowCheck = &Check{
 	Name:      "poolflow",
-	Doc:       "interprocedural packet ownership: use-after-consume, double Release, and pool leaks",
+	Doc:       "pooled packet ownership: use after Release or consume (within a function or across calls), double Release, and pool leaks",
 	ModelOnly: true,
 	Run:       runPoolFlow,
 }
@@ -74,16 +75,33 @@ type poolSummary struct {
 
 func runPoolFlow(pass *Pass) {
 	for _, fb := range funcBodies(pass.Pkg) {
-		pf := &poolFlow{pass: pass, prog: pass.Prog, info: pass.Pkg.Info}
+		var fn ast.Node = fb.decl
+		if fb.lit != nil {
+			fn = fb.lit
+		}
+		pf := &poolFlow{pass: pass, prog: pass.Prog, info: pass.Pkg.Info, fn: fn}
 		w := &flowWalker[poolState]{info: pass.Pkg.Info, tr: pf}
-		w.walk(fb.body, paramEnv(pass.Pkg.Info, fb))
+		w.walk(fb.body, pf.paramEnv(fb))
 	}
 }
 
 // paramEnv builds the initial environment: every *packet.Packet parameter
-// (and method receiver) starts as borrowed.
-func paramEnv(info *types.Info, fb funcBody) env[poolState] {
+// (and method receiver) starts as borrowed, and so does every one the body
+// reads from outside the function — an enclosing function's variable a
+// closure captures, or a package-level variable — so a closure that
+// Releases a captured packet and then touches it is reported like any
+// other function.
+func (pf *poolFlow) paramEnv(fb funcBody) env[poolState] {
+	info := pf.info
 	e := make(env[poolState])
+	ast.Inspect(fb.body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if v, ok := info.Uses[id].(*types.Var); ok && !v.IsField() && isPacketPtr(v.Type()) && pf.outside(v) {
+				e[v] = poolBorrowed
+			}
+		}
+		return true
+	})
 	bind := func(fl *ast.FieldList) {
 		if fl == nil {
 			return
@@ -111,6 +129,8 @@ type poolFlow struct {
 	pass *Pass
 	prog *Program
 	info *types.Info
+	// fn is the function declaration or literal being analyzed.
+	fn ast.Node
 
 	// created remembers where an owned packet came from, for leak messages.
 	created map[types.Object]token.Pos
@@ -208,6 +228,15 @@ func (pf *poolFlow) assign(e env[poolState], lhs, rhs ast.Expr, define bool) {
 		lhsObj = pf.info.Uses[lhsID]
 	}
 	if lhsObj == nil || !isPacketPtr(lhsObj.Type()) {
+		return
+	}
+	// A variable declared outside this function (captured or package-level)
+	// outlives it: binding a packet there stores it.
+	if pf.outside(lhsObj) {
+		if _, obj := pf.trackedIdent(e, rhs); obj != nil {
+			pf.markEscaped(e, obj)
+		}
+		pf.markEscaped(e, lhsObj)
 		return
 	}
 	// Rebinding a tracked variable replaces its state wholesale, whatever it
@@ -373,6 +402,12 @@ func (pf *poolFlow) exitScope(e env[poolState], objs []types.Object) {
 	}
 }
 
+// outside reports whether obj is declared outside the analyzed function: a
+// variable a closure captures, or a package-level one.
+func (pf *poolFlow) outside(obj types.Object) bool {
+	return obj.Pos() < pf.fn.Pos() || obj.Pos() >= pf.fn.End()
+}
+
 func (pf *poolFlow) isParam(obj types.Object) bool {
 	for _, p := range pf.params {
 		if p == obj {
@@ -419,6 +454,7 @@ func (prog *Program) poolSummaryOf(fn *types.Func) *poolSummary {
 	pf := &poolFlow{
 		prog:         prog,
 		info:         fi.Pkg.Info,
+		fn:           fi.Decl,
 		params:       packetParams,
 		everConsumed: make(map[types.Object]bool),
 		everEscaped:  make(map[types.Object]bool),
@@ -461,4 +497,19 @@ func allConsumed(states []poolState) bool {
 		}
 	}
 	return true
+}
+
+// isPacketPtr reports whether t is *marlin/internal/packet.Packet.
+func isPacketPtr(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Packet" && obj.Pkg() != nil &&
+		obj.Pkg().Path() == "marlin/internal/packet"
 }

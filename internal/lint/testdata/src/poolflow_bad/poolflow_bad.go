@@ -1,8 +1,8 @@
 // Package poolflow_bad exercises the poolflow check with ownership
-// violations split across function boundaries. None of these are visible to
-// the block-local poolmisuse check — no block contains both the Release and
-// the offending use — which is exactly what the interprocedural summaries
-// exist to catch (the fixture test asserts poolmisuse finds nothing here).
+// violations split across function boundaries. No block contains both the
+// Release and the offending use, so a block-local scan sees none of them;
+// they are exactly what the interprocedural summaries exist to catch (the
+// fixture test asserts poolflow reports all four).
 package poolflow_bad
 
 import "marlin/internal/packet"
@@ -14,7 +14,7 @@ func consume(p *packet.Packet) {
 }
 
 // UseAfterConsume reads a field after the callee returned the packet to the
-// pool. There is no Release in this block, so poolmisuse sees nothing.
+// pool. There is no Release in this block: only the callee's summary shows it.
 func UseAfterConsume() int {
 	p := packet.Get()
 	consume(p)

@@ -1,5 +1,5 @@
-// Package poolmisuse_bad exercises the poolmisuse check: every marked line
-// touches a packet after Release returned it to the pool.
+// Package poolmisuse_bad holds block-local pool misuse for the poolflow
+// check: every marked line touches a packet after Release returned it.
 package poolmisuse_bad
 
 import "marlin/internal/packet"
@@ -29,4 +29,21 @@ func BranchUse(p *packet.Packet, drop bool) int {
 		return p.Size
 	}
 	return 0
+}
+
+// ReleaseInClosure releases a packet the closure captured, then reads it.
+func ReleaseInClosure(p *packet.Packet, schedule func(func())) {
+	schedule(func() {
+		p.Release()
+		_ = p.PSN
+	})
+}
+
+// held is a package-level packet.
+var held *packet.Packet
+
+// ReleaseHeld releases a package-level packet, then hands it on.
+func ReleaseHeld(sink func(*packet.Packet)) {
+	held.Release()
+	sink(held)
 }

@@ -1,5 +1,5 @@
 // Package poolmisuse_clean holds the legitimate ownership patterns the
-// poolmisuse check must not flag.
+// poolflow check must not flag.
 package poolmisuse_clean
 
 import "marlin/internal/packet"
@@ -42,4 +42,23 @@ func SwitchCases(p *packet.Packet, sink func(*packet.Packet)) {
 	default:
 		p.Release()
 	}
+}
+
+// ReleaseLater is the timer pattern: the closure owns the captured packet
+// and releases it last, and the enclosing function no longer touches it.
+func ReleaseLater(p *packet.Packet, schedule func(func()), sink func(uint32)) {
+	schedule(func() {
+		sink(p.PSN)
+		p.Release()
+	})
+}
+
+// spare is a package-level packet slot, refilled after each Release.
+var spare *packet.Packet
+
+// RefillSpare returns the held packet and rebinds the slot.
+func RefillSpare() {
+	spare.Release()
+	spare = packet.Get()
+	_ = spare.PSN
 }

@@ -5,7 +5,7 @@ import "testing"
 // Engine microbenchmarks: each mix is implemented twice — once against the
 // timer-wheel Engine and once against the reference heap RefEngine — so the
 // before/after ratio demanded by the performance acceptance criteria is a
-// single benchstat (or cmd/benchjson) comparison away.
+// single benchstat comparison away.
 
 // steadyGap spreads chain periods over 5.1–82 ns so slots, the ready heap,
 // and slot re-use are all exercised, like concurrent per-port timers.
@@ -118,4 +118,13 @@ func BenchmarkEngineScheduleArg(b *testing.B) {
 	b.StopTimer()
 	e.RunAll()
 	_ = sink
+}
+
+// BenchmarkFreshEngine is what every short test pays for its event core: a
+// new engine, 10,000 events over 250 us of simulated time, dropped.
+func BenchmarkFreshEngine(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runFreshEngine()
+	}
 }

@@ -12,8 +12,9 @@ import (
 //
 // CheckAgainstRef drives a RefEngine and a timer-wheel Engine with identical
 // seeded schedule/cancel/run sequences and demands identical firing orders
-// and clocks, and cmd/benchjson reports RefEngine throughput as the "before"
-// number in BENCH_baseline.json. It is not used by any model code.
+// and clocks, and the BenchmarkRefEngine* twins in engine_bench_test.go
+// measure it as the "before" of each engine mix. It is not used by any model
+// code.
 type RefEngine struct {
 	now      Time
 	queue    refHeap

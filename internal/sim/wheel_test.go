@@ -148,7 +148,9 @@ func TestCancelledEventKeepsHorizon(t *testing.T) {
 
 // A retransmission timer lives in level 1 from arming to cancellation: it
 // is on its frame's list, Cancel unlinks it there, the wheel jumps over the
-// emptied frame, and the arm/cancel cycle allocates nothing.
+// emptied frame, and the arm/cancel cycle allocates nothing — also at the
+// paper's flow count, 65,536 timers armed 500 us ahead, and while a 40 us
+// run (a round of ACKs) moves the clock on under them.
 func TestLevel1Timer(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
@@ -175,6 +177,44 @@ func TestLevel1Timer(t *testing.T) {
 		e.Run(e.Now().Add(Microsecond)) // the clock moves on under the armed timer
 	}); a != 0 {
 		t.Errorf("cancel and re-arm of a level-1 timer: %v allocs, want 0", a)
+	}
+	h.Cancel()
+
+	const timers = 1 << 16
+	expired := 0
+	onRTO := func() { expired++ }
+	rtos := make([]Handle, timers)
+	for i := range rtos {
+		rtos[i] = e.Schedule(rto, onRTO)
+	}
+	j := 0
+	rearm := func() {
+		rtos[j].Cancel()
+		rtos[j] = e.Schedule(rto, onRTO)
+		j = (j + 1) & (timers - 1)
+	}
+	if a := testing.AllocsPerRun(timers, rearm); a != 0 {
+		t.Errorf("cancel and re-arm of one of %d level-1 timers: %v allocs, want 0", timers, a)
+	}
+	// Each 40 us run re-arms an eighth of the timers first, so every timer
+	// is renewed every 320 us and none fires; the runs cross frame
+	// boundaries, deal frames out and fire the tick. All 100 runs are one
+	// measurement, so a single allocation anywhere in them shows.
+	var tick Func
+	tick = func() { e.Schedule(40*Microsecond, tick) }
+	tick()
+	if a := testing.AllocsPerRun(1, func() {
+		for r := 0; r < 100; r++ {
+			for k := 0; k < timers/8; k++ {
+				rearm()
+			}
+			e.Run(e.Now().Add(40 * Microsecond))
+		}
+	}); a != 0 {
+		t.Errorf("100 40us runs under %d armed level-1 timers: %v allocs, want 0", timers, a)
+	}
+	if expired != 0 || e.farCnt < timers {
+		t.Fatalf("%d timers expired, %d events in level 1; want 0 and at least the %d timers", expired, e.farCnt, timers)
 	}
 }
 
@@ -305,4 +345,28 @@ func TestFreshEngineSlotsAllocateNothing(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("Schedule then Cancel on a fresh engine: %v allocs, want 0", a)
 	}
+	// What every short test pays for its event core: the only allocations
+	// are the engine, the four event records, the ready heap's first growth
+	// and runFreshEngine's own gap table and tick.
+	var ran uint64
+	if a := testing.AllocsPerRun(20, func() { ran = runFreshEngine() }); a > 16 {
+		t.Errorf("fresh engine run to 250us: %v allocs, want <= 16", a)
+	}
+	if ran < 10_000 {
+		t.Fatalf("fresh engine ran %d events to 250us, want >= 10000", ran)
+	}
+}
+
+// runFreshEngine builds a new engine, runs four self-rescheduling chains
+// with ~100 ns gaps (over 10,000 events, walking the whole wheel seven
+// times) to 250 us, drops it and reports the events it ran.
+func runFreshEngine() uint64 {
+	e := NewEngine()
+	gaps := [4]Duration{97 * Nanosecond, 98 * Nanosecond, 99 * Nanosecond, 100 * Nanosecond}
+	var tick ArgFunc
+	tick = func(gap any) { e.ScheduleArg(*gap.(*Duration), tick, gap) }
+	for c := range gaps {
+		e.ScheduleArg(0, tick, &gaps[c])
+	}
+	return e.Run(Time(250 * Microsecond))
 }

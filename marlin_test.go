@@ -338,52 +338,15 @@ expect false_losses == 0
 	}
 }
 
-// TestAQMSpecConstructors checks the functional-option surface renders
-// specs ParseAQMSpec accepts, with overrides applied.
-func TestAQMSpecConstructors(t *testing.T) {
-	s := marlin.AQMDualPI2(
-		marlin.AQMTarget(10*marlin.Microsecond),
-		marlin.AQMTUpdate(50*marlin.Microsecond),
-		marlin.AQMGains(250, 2500),
-		marlin.AQMCoupling(4),
-		marlin.AQMStep(20*marlin.Microsecond),
-		marlin.AQMShift(20*marlin.Microsecond),
-	)
-	back, err := marlin.ParseAQMSpec(s.String())
-	if err != nil {
-		t.Fatalf("constructor output %q does not re-parse: %v", s.String(), err)
-	}
-	if back != s {
-		t.Fatalf("round trip drifted: %+v vs %+v", back, s)
-	}
-	if back.Target != 10*marlin.Microsecond || back.Coupling != 4 || back.Alpha != 250 {
-		t.Fatalf("options not applied: %+v", back)
-	}
-	for _, s := range []marlin.AQMSpec{
-		marlin.AQMRed(marlin.AQMThresholds(30000, 90000), marlin.AQMMaxP(0.05)),
-		marlin.AQMPIE(), marlin.AQMCoDel(marlin.AQMInterval(marlin.Millisecond)), marlin.AQMPI2(),
-	} {
-		if _, err := marlin.ParseAQMSpec(s.String()); err != nil {
-			t.Errorf("%q does not re-parse: %v", s.String(), err)
-		}
-	}
-}
-
-// TestAQMMixedCCEndToEnd drives the public AQM path: a DualPI2 spec built
-// from options, a per-flow CUBIC override sharing the port with DCTCP, and
-// the per-band telemetry split.
+// TestAQMMixedCCEndToEnd drives the public AQM path: a DualPI2 spec with
+// every controller parameter overridden, a per-flow CUBIC override sharing
+// the port with DCTCP, and the per-band telemetry split.
 func TestAQMMixedCCEndToEnd(t *testing.T) {
 	tr, err := marlin.NewTester(marlin.TestConfig{
 		Algorithm: "dctcp",
 		Ports:     3,
-		AQM: marlin.AQMDualPI2(
-			marlin.AQMTarget(5*marlin.Microsecond),
-			marlin.AQMTUpdate(25*marlin.Microsecond),
-			marlin.AQMGains(250, 2500),
-			marlin.AQMStep(10*marlin.Microsecond),
-			marlin.AQMShift(10*marlin.Microsecond),
-		).String(),
-		Seed: 9,
+		AQM:       "dualpi2:target=5us,tupdate=25us,alpha=250,beta=2500,step=10us,shift=10us",
+		Seed:      9,
 	})
 	if err != nil {
 		t.Fatal(err)
