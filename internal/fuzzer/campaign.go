@@ -78,11 +78,11 @@ func RunCampaign(opts CampaignOptions) (*CampaignResult, error) {
 	res := &CampaignResult{Configs: opts.N}
 	onResult := func(i int, r fleet.JobResult) error {
 		cfg := configs[i]
-		topo := cfg.Topology
+		topo := cfg.Spec.Topology
 		if topo == "" {
 			topo = "single"
 		}
-		head := fmt.Sprintf("cfg %04d seed=%d algo=%s topo=%s", i, cfg.Seed, cfg.Algo, topo)
+		head := fmt.Sprintf("cfg %04d seed=%d algo=%s topo=%s", i, cfg.Spec.Seed, cfg.Spec.Algorithm, topo)
 		switch {
 		case !r.OK():
 			res.Errors++

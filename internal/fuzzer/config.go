@@ -14,51 +14,22 @@
 package fuzzer
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 
-	"marlin/internal/controlplane"
+	"marlin/internal/packet"
+	"marlin/internal/scenario"
 	"marlin/internal/sim"
-	"marlin/internal/spec"
 )
 
-// Flow is one scripted finite flow.
-type Flow struct {
-	ID   int          `json:"id"`
-	Tx   int          `json:"tx"`
-	Rx   int          `json:"rx"`
-	Size uint32       `json:"size"` // packets
-	At   sim.Duration `json:"at"`
-}
-
-// Drop is one scripted loss burst: the flow's DATA packets with PSNs in
-// [From, To] are dropped once on the path toward Rx.
-type Drop struct {
-	At   sim.Duration `json:"at"`
-	Flow int          `json:"flow"`
-	Rx   int          `json:"rx"`
-	From uint32       `json:"from"`
-	To   uint32       `json:"to"`
-}
-
-// Config is one generated test case. It is the unit the oracles check and
-// the minimizer shrinks, and it renders losslessly to a scenario script.
+// Config is one generated test case: a scenario whose timeline starts
+// finite flows and drops PSN ranges of them, and whose steps are one run
+// to the horizon and the expectations every healthy run meets. It is the
+// unit the oracles check and the minimizer shrinks, and it prints as the
+// script that replays it.
 type Config struct {
-	Seed     uint64       `json:"seed"`
-	Algo     string       `json:"algo"`
-	Topology string       `json:"topology,omitempty"`
-	Ports    int          `json:"ports"`
-	ECNPkts  int          `json:"ecn,omitempty"`
-	AQM      string       `json:"aqm,omitempty"`
-	Fault    string       `json:"fault,omitempty"`
-	Pattern  string       `json:"pattern,omitempty"`
-	Shards   int          `json:"shards,omitempty"`
-	INT      bool         `json:"int,omitempty"`
-	Horizon  sim.Duration `json:"horizon"`
-	Flows    []Flow       `json:"flows"`
-	Drops    []Drop       `json:"drops,omitempty"`
+	scenario.Scenario
 }
 
 // algos weights window algorithms heavier: their integer arithmetic is
@@ -98,60 +69,63 @@ var faultLinks = map[string][]string{
 // function of (campaignSeed, i).
 func Generate(campaignSeed uint64, i int) Config {
 	rng := sim.DeriveRand(campaignSeed, uint64(i), "fuzz.config")
-	cfg := Config{Seed: campaignSeed + uint64(i)*0x9e3779b97f4a7c15}
+	var cfg Config
+	sp := &cfg.Spec
+	sp.Seed = campaignSeed + uint64(i)*0x9e3779b97f4a7c15
+	sp.DCQCNTimeScale = 30 // short-horizon convention (see EXPERIMENTS.md)
 
-	cfg.Topology = topologies[rng.Intn(len(topologies))]
-	if cfg.Topology == "" {
-		cfg.Ports = 2 + rng.Intn(5) // 2..6
+	sp.Topology = topologies[rng.Intn(len(topologies))]
+	if sp.Topology == "" {
+		sp.Ports = 2 + rng.Intn(5) // 2..6
 	} else {
-		cfg.Ports = topoPorts[cfg.Topology]
+		sp.Ports = topoPorts[sp.Topology]
 	}
 
-	cfg.Algo = algos[rng.Intn(len(algos))]
-	if cfg.Algo == "hpcc" {
-		cfg.INT = true
+	sp.Algorithm = algos[rng.Intn(len(algos))]
+	if sp.Algorithm == "hpcc" {
+		sp.EnableINT = true
 	}
 
 	// Marking policy: drop-tail, step ECN, or an AQM discipline (the
 	// latter two are mutually exclusive by Validate).
 	switch rng.Intn(10) {
 	case 0, 1, 2:
-		cfg.ECNPkts = 16 + rng.Intn(2)*49 // 16 or 65
+		sp.ECNThresholdPkts = 16 + rng.Intn(2)*49 // 16 or 65
 	case 3, 4, 5:
-		cfg.AQM = aqms[rng.Intn(len(aqms))]
+		sp.AQM = aqms[rng.Intn(len(aqms))]
 	}
 
 	if rng.Intn(4) == 0 { // fault plan
-		links := faultLinks[cfg.Topology]
+		links := faultLinks[sp.Topology]
 		link := links[rng.Intn(len(links))]
 		at := sim.Millisecond + sim.Duration(rng.Intn(3))*sim.Millisecond
 		dur := sim.Micros(float64(100 + rng.Intn(9)*100))
 		switch rng.Intn(4) {
 		case 0:
-			cfg.Fault = fmt.Sprintf("linkdown %s at %s for %s", link, at, dur)
+			sp.Faults = fmt.Sprintf("linkdown %s at %s for %s", link, at, dur)
 		case 1:
-			cfg.Fault = fmt.Sprintf("lossburst %s at %s for %s prob 0.2 seed %d", link, at, dur, rng.Intn(100))
+			sp.Faults = fmt.Sprintf("lossburst %s at %s for %s prob 0.2 seed %d", link, at, dur, rng.Intn(100))
 		case 2:
-			cfg.Fault = fmt.Sprintf("brownout %s at %s for %s frac 0.5", link, at, dur)
+			sp.Faults = fmt.Sprintf("brownout %s at %s for %s frac 0.5", link, at, dur)
 		default:
-			cfg.Fault = fmt.Sprintf("nicstall at %s for %s", at, dur)
+			sp.Faults = fmt.Sprintf("nicstall at %s for %s", at, dur)
 		}
 	}
 
 	if rng.Intn(5) == 0 { // traffic pattern
-		victim := rng.Intn(cfg.Ports)
+		victim := rng.Intn(sp.Ports)
 		switch rng.Intn(3) {
 		case 0:
-			cfg.Pattern = fmt.Sprintf("incast:period=2ms,fanin=%d,victim=%d,size=50", 2+rng.Intn(3), victim)
+			sp.Pattern = fmt.Sprintf("incast:period=2ms,fanin=%d,victim=%d,size=50", 2+rng.Intn(3), victim)
 		case 1:
-			cfg.Pattern = fmt.Sprintf("flood:peak=20G,victim=%d,period=2ms,duty=0.5", victim)
+			sp.Pattern = fmt.Sprintf("flood:peak=20G,victim=%d,period=2ms,duty=0.5", victim)
 		default:
-			cfg.Pattern = fmt.Sprintf("square:period=1ms,duty=0.3,peak=10G,base=1G,victim=%d", victim)
+			sp.Pattern = fmt.Sprintf("square:period=1ms,duty=0.3,peak=10G,base=1G,victim=%d", victim)
 		}
 	}
 
-	if cfg.Topology != "" && rng.Intn(3) == 0 {
-		cfg.Shards = 2 + rng.Intn(3)
+	if sp.Topology != "" && rng.Intn(3) == 0 {
+		sp.Shards = 2 + rng.Intn(3)
 	}
 
 	// Flows: 1..4, distinct IDs, tx != rx, sizes that finish well inside
@@ -159,17 +133,17 @@ func Generate(campaignSeed uint64, i int) Config {
 	n := 1 + rng.Intn(4)
 	var lastStart sim.Duration
 	for f := 0; f < n; f++ {
-		tx := rng.Intn(cfg.Ports)
-		rx := rng.Intn(cfg.Ports)
+		tx := rng.Intn(sp.Ports)
+		rx := rng.Intn(sp.Ports)
 		if rx == tx {
-			rx = (tx + 1) % cfg.Ports
+			rx = (tx + 1) % sp.Ports
 		}
 		at := sim.Duration(rng.Intn(5)) * 100 * sim.Microsecond
 		if at > lastStart {
 			lastStart = at
 		}
-		cfg.Flows = append(cfg.Flows, Flow{
-			ID: f, Tx: tx, Rx: rx,
+		cfg.Actions = append(cfg.Actions, scenario.Action{
+			Kind: "start", Flow: packet.FlowID(f), Tx: tx, Rx: rx,
 			Size: uint32(50 + rng.Intn(8)*50),
 			At:   at,
 		})
@@ -178,22 +152,22 @@ func Generate(campaignSeed uint64, i int) Config {
 	// Scripted loss bursts on up to two flows, placed after the flow has
 	// started and within its PSN space.
 	for d := rng.Intn(3); d > 0; d-- {
-		fl := cfg.Flows[rng.Intn(len(cfg.Flows))]
-		if fl.Size < 20 {
-			continue
-		}
+		fl := cfg.Actions[rng.Intn(n)]
 		from := uint32(5 + rng.Intn(int(fl.Size/2)))
 		span := uint32(rng.Intn(8))
-		cfg.Drops = append(cfg.Drops, Drop{
-			At:   fl.At + sim.Micros(float64(10+rng.Intn(200))),
-			Flow: fl.ID,
-			Rx:   fl.Rx,
-			From: from,
-			To:   from + span,
+		cfg.Actions = append(cfg.Actions, scenario.Action{
+			Kind: "drop", Flow: fl.Flow, Rx: fl.Rx, From: from, To: from + span,
+			At: fl.At + sim.Micros(float64(10+rng.Intn(200))),
 		})
 	}
+	// The script reads chronologically; at one instant, starts (by flow
+	// ID) fire before drops (in the order drawn).
+	sort.SliceStable(cfg.Actions, func(i, j int) bool {
+		a, b := cfg.Actions[i], cfg.Actions[j]
+		return a.At < b.At || a.At == b.At && a.Kind == "start" && b.Kind == "drop"
+	})
 
-	cfg.Horizon = cfg.horizonFor(lastStart)
+	cfg.finish(cfg.horizonFor(lastStart))
 	return cfg
 }
 
@@ -205,137 +179,91 @@ func Generate(campaignSeed uint64, i int) Config {
 // lets the liveness oracle catch it.
 func (c *Config) horizonFor(lastStart sim.Duration) sim.Duration {
 	h := lastStart + 6*sim.Millisecond
-	if c.Fault != "" || c.Pattern != "" {
+	if c.Spec.Faults != "" || c.Spec.Pattern != "" {
 		h += 6 * sim.Millisecond
 	}
 	return h
 }
 
-// Spec converts the config to a deployable control-plane spec.
-func (c *Config) Spec() controlplane.Spec {
-	ecn := c.ECNPkts
-	if c.AQM != "" {
-		ecn = 0
+// finish sets the case's steps: one run to horizon, then the expectations
+// every healthy run of its traffic meets.
+func (c *Config) finish(horizon sim.Duration) {
+	expect := func(metric string, v float64) scenario.Step {
+		return scenario.Step{Expect: &scenario.Expectation{Metric: metric, Op: "==", Value: v}}
 	}
-	return controlplane.Spec{
-		Algorithm:        c.Algo,
-		Ports:            c.Ports,
-		ECNThresholdPkts: ecn,
-		AQM:              c.AQM,
-		Topology:         c.Topology,
-		Faults:           c.Fault,
-		Pattern:          c.Pattern,
-		Shards:           c.Shards,
-		EnableINT:        c.INT,
-		DCQCNTimeScale:   30, // short-horizon convention (see EXPERIMENTS.md)
-		Seed:             c.Seed,
+	c.Steps = []scenario.Step{{Run: horizon}, expect("false_losses", 0), expect("misroutes", 0)}
+	if c.quietEligible() {
+		c.Steps = append(c.Steps, expect("completions", float64(len(c.flows()))))
 	}
+}
+
+// flows lists the case's flow starts by flow ID, the order Generate
+// numbers them in.
+func (c *Config) flows() []scenario.Action {
+	var out []scenario.Action
+	for _, a := range c.Actions {
+		if a.Kind == "start" {
+			out = append(out, a)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Flow < out[j].Flow })
+	return out
 }
 
 // Validate reports whether the config deploys cleanly and its timeline is
 // self-consistent. The minimizer uses it to discard nonsense candidates.
 func (c *Config) Validate() error {
-	deploy := c.Spec()
-	if err := deploy.Validate(); err != nil {
+	if err := c.Spec.Validate(); err != nil {
 		return err
 	}
-	if len(c.Flows) == 0 && c.Pattern == "" {
+	flows := c.flows()
+	if len(flows) == 0 && c.Spec.Pattern == "" {
 		return fmt.Errorf("fuzzer: config drives no traffic")
 	}
-	seen := map[int]bool{}
-	for _, f := range c.Flows {
-		if seen[f.ID] {
-			return fmt.Errorf("fuzzer: duplicate flow id %d", f.ID)
+	seen := map[packet.FlowID]bool{}
+	for _, f := range flows {
+		if seen[f.Flow] {
+			return fmt.Errorf("fuzzer: duplicate flow id %d", f.Flow)
 		}
-		seen[f.ID] = true
-		if f.Tx == f.Rx || f.Tx >= c.Ports || f.Rx >= c.Ports || f.Tx < 0 || f.Rx < 0 {
-			return fmt.Errorf("fuzzer: flow %d has bad ports tx=%d rx=%d", f.ID, f.Tx, f.Rx)
+		seen[f.Flow] = true
+		if f.Tx == f.Rx || f.Tx >= c.Spec.Ports || f.Rx >= c.Spec.Ports || f.Tx < 0 || f.Rx < 0 {
+			return fmt.Errorf("fuzzer: flow %d has bad ports tx=%d rx=%d", f.Flow, f.Tx, f.Rx)
 		}
-		if f.Size == 0 || f.At >= c.Horizon {
-			return fmt.Errorf("fuzzer: flow %d is empty or starts past the horizon", f.ID)
+		if f.Size == 0 || f.At >= c.Horizon() {
+			return fmt.Errorf("fuzzer: flow %d is empty or starts past the horizon", f.Flow)
 		}
 	}
-	for _, d := range c.Drops {
-		if !seen[d.Flow] || d.From > d.To {
+	for _, d := range c.Actions {
+		if d.Kind == "drop" && (!seen[d.Flow] || d.From > d.To) {
 			return fmt.Errorf("fuzzer: drop targets unknown flow %d or inverted range", d.Flow)
 		}
 	}
 	return nil
 }
 
-// Render emits the config as a scenario script plus machine-readable
-// header lines. The script replays under `marlinctl script` and the
-// scenario regression runner; the header lets the fuzzer re-run the
-// oracle that originally failed. The `set` lines are Spec()'s non-zero
-// settings, so a knob Generate starts drawing reaches the script unaided.
+// Render prints the config as a scenario script, headed by the oracle it
+// violated (if any) so the regress replay can re-run that oracle. The
+// script replays under `marlinctl script` and the scenario regression
+// runner, and ParseRendered reads it back to an equal config.
 func (c *Config) Render(oracle string) string {
-	var b strings.Builder
-	if oracle != "" {
-		fmt.Fprintf(&b, "# fuzz: oracle=%s\n", oracle)
+	if oracle == "" {
+		return c.String()
 	}
-	cj, _ := json.Marshal(c)
-	fmt.Fprintf(&b, "# fuzz: config=%s\n", cj)
-	deploy := c.Spec()
-	for _, kv := range deploy.Settings() {
-		fmt.Fprintf(&b, "set %s %s\n", kv.Key, kv.Value)
-	}
-	// Timeline in time order (stable by flow then range for ties) so the
-	// script reads chronologically.
-	type tl struct {
-		at   sim.Duration
-		key  int
-		text string
-	}
-	var lines []tl
-	for _, f := range c.Flows {
-		lines = append(lines, tl{f.At, f.ID, fmt.Sprintf("at %s start %d tx %d rx %d size %d", spec.FormatDuration(f.At), f.ID, f.Tx, f.Rx, f.Size)})
-	}
-	for _, d := range c.Drops {
-		psn := fmt.Sprintf("%d..%d", d.From, d.To)
-		if d.From == d.To {
-			psn = fmt.Sprintf("%d", d.From)
-		}
-		lines = append(lines, tl{d.At, 1 << 20, fmt.Sprintf("at %s drop flow %d rx %d psn %s", spec.FormatDuration(d.At), d.Flow, d.Rx, psn)})
-	}
-	sort.SliceStable(lines, func(i, j int) bool {
-		if lines[i].at != lines[j].at {
-			return lines[i].at < lines[j].at
-		}
-		return lines[i].key < lines[j].key
-	})
-	for _, l := range lines {
-		b.WriteString(l.text)
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "run %s\n", spec.FormatDuration(c.Horizon))
-	b.WriteString("expect false_losses == 0\n")
-	b.WriteString("expect misroutes == 0\n")
-	if c.Fault == "" && c.Pattern == "" && len(c.Flows) > 0 {
-		fmt.Fprintf(&b, "expect completions == %d\n", len(c.Flows))
-	}
-	return b.String()
+	return "# fuzz: oracle=" + oracle + "\n" + c.String()
 }
 
-// ParseRendered recovers the Config and oracle name from a rendered
-// script (the `# fuzz:` header lines).
+// ParseRendered parses a rendered script back to its Config and the
+// oracle its "# fuzz: oracle=" comment names.
 func ParseRendered(text string) (Config, string, error) {
-	var cfg Config
+	s, err := scenario.Parse(text)
+	if err != nil {
+		return Config{}, "", err
+	}
 	oracle := ""
-	found := false
 	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if v, ok := strings.CutPrefix(line, "# fuzz: oracle="); ok {
+		if v, ok := strings.CutPrefix(strings.TrimSpace(line), "# fuzz: oracle="); ok {
 			oracle = v
 		}
-		if v, ok := strings.CutPrefix(line, "# fuzz: config="); ok {
-			if err := json.Unmarshal([]byte(v), &cfg); err != nil {
-				return Config{}, "", fmt.Errorf("fuzzer: bad config header: %w", err)
-			}
-			found = true
-		}
 	}
-	if !found {
-		return Config{}, "", fmt.Errorf("fuzzer: no '# fuzz: config=' header")
-	}
-	return cfg, oracle, nil
+	return Config{*s}, oracle, nil
 }

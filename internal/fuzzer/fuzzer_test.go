@@ -3,11 +3,11 @@ package fuzzer
 import (
 	"bytes"
 	"flag"
+	"reflect"
 	"strings"
 	"testing"
 
 	"marlin/internal/controlplane"
-	"marlin/internal/scenario"
 	"marlin/internal/sim"
 )
 
@@ -23,24 +23,47 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestRenderRoundTrip: a rendered case parses back to the same case, line
+// numbers aside, and so replays the same run. The seed-0 case is one a
+// printer that omits "set seed 0" replays under Parse's default seed 1.
 func TestRenderRoundTrip(t *testing.T) {
-	for i := 0; i < 10; i++ {
-		cfg := Generate(7, i)
+	cases := []Config{Generate(3084005441886510600, 24)}
+	if cases[0].Spec.Seed != 0 {
+		t.Fatalf("case seed %d, want the seed-0 case", cases[0].Spec.Seed)
+	}
+	for i := 0; i < 200; i++ {
+		cases = append(cases, Generate(7, i))
+	}
+	for i, cfg := range cases {
 		text := cfg.Render(OracleLiveness)
 		back, oracle, err := ParseRendered(text)
 		if err != nil {
-			t.Fatalf("config %d: %v", i, err)
+			t.Fatalf("case %d: %v\n%s", i, err, text)
 		}
 		if oracle != OracleLiveness {
-			t.Fatalf("config %d: oracle %q", i, oracle)
+			t.Fatalf("case %d: oracle %q", i, oracle)
 		}
-		if back.Render(OracleLiveness) != text {
-			t.Fatalf("config %d: render not a fixpoint:\n%s\nvs\n%s", i, text, back.Render(OracleLiveness))
+		for j := range back.Actions {
+			back.Actions[j].Line = 0
 		}
-		// The rendered script must also be a valid scenario program.
-		if _, err := scenario.Parse(text); err != nil {
-			t.Fatalf("config %d renders an unparseable scenario: %v\n%s", i, err, text)
+		for j := range back.Steps {
+			back.Steps[j].Line = 0
 		}
+		if !reflect.DeepEqual(back, cfg) {
+			t.Fatalf("case %d parses back to another case:\n%s\nvs\n%s", i, text, back.Render(OracleLiveness))
+		}
+	}
+	direct, err := execute(cases[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, _, _ := ParseRendered(cases[0].Render(""))
+	replayed, err := execute(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.digest() != replayed.digest() {
+		t.Fatalf("the seed-0 case replays another run: %d vs %d DATA packets", direct.Snap.Switch.DataTx, replayed.Snap.Switch.DataTx)
 	}
 }
 
@@ -108,13 +131,13 @@ func TestHorizonHeadroom(t *testing.T) {
 			continue
 		}
 		var latest sim.Duration
-		for _, f := range cfg.Flows {
+		for _, f := range cfg.flows() {
 			if f.At > latest {
 				latest = f.At
 			}
 		}
-		if cfg.Horizon < latest+5*sim.Millisecond {
-			t.Fatalf("config %d horizon %s leaves < 5ms after last start %s", i, cfg.Horizon, latest)
+		if cfg.Horizon() < latest+5*sim.Millisecond {
+			t.Fatalf("config %d horizon %s leaves < 5ms after last start %s", i, cfg.Horizon(), latest)
 		}
 	}
 }
@@ -124,7 +147,7 @@ func TestHorizonHeadroom(t *testing.T) {
 // be listed here with the reason, so no knob goes unfuzzed by omission.
 var notFuzzed = map[string]string{
 	"mtu":       "flow sizes, drop PSN ranges and horizons are calibrated in 1024 B packets",
-	"flows":     "traffic is scripted flow by flow (Config.Flows); Deploy never reads FlowsPerPort",
+	"flows":     "traffic is scripted flow by flow (start actions); Deploy never reads FlowsPerPort",
 	"receiver":  "the receiver follows the algorithm's mode; forcing the other one is an ablation, not a config the oracles hold for",
 	"queue":     "the liveness and conservation budgets assume the default 256 KiB buffers",
 	"pfc":       "excluded by shards, which the generator draws; a lossless fabric also hides the drops liveness exercises",
@@ -140,8 +163,7 @@ func TestEveryKeyFuzzedOrExcused(t *testing.T) {
 	drawn, isKey := map[string]bool{}, map[string]bool{}
 	for i := 0; i < 200; i++ {
 		cfg := Generate(1, i)
-		spec := cfg.Spec()
-		for _, kv := range spec.Settings() {
+		for _, kv := range cfg.Spec.Settings() {
 			drawn[kv.Key] = true
 		}
 	}

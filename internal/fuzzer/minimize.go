@@ -1,6 +1,12 @@
 package fuzzer
 
-import "marlin/internal/sim"
+import (
+	"slices"
+
+	"marlin/internal/packet"
+	"marlin/internal/scenario"
+	"marlin/internal/sim"
+)
 
 // Minimize shrinks a violating config while preserving the named oracle's
 // failure: greedy delta-debugging to a fixpoint over the config's
@@ -21,6 +27,7 @@ func Minimize(cfg Config, oracle string) Config {
 		return cfg // not reproducible under CheckOne; nothing to shrink
 	}
 	try := func(c Config) bool {
+		c.finish(c.Horizon())
 		if fails(c) {
 			cfg = c
 			return true
@@ -32,46 +39,45 @@ func Minimize(cfg Config, oracle string) Config {
 		changed = false
 
 		// Whole-subsystem removals.
-		if cfg.Pattern != "" {
+		if cfg.Spec.Pattern != "" {
 			c := cfg
-			c.Pattern = ""
+			c.Spec.Pattern = ""
 			changed = try(c) || changed
 		}
-		if cfg.Fault != "" {
+		if cfg.Spec.Faults != "" {
 			c := cfg
-			c.Fault = ""
+			c.Spec.Faults = ""
 			changed = try(c) || changed
 		}
-		if cfg.AQM != "" {
+		if cfg.Spec.AQM != "" {
 			c := cfg
-			c.AQM = ""
+			c.Spec.AQM = ""
 			changed = try(c) || changed
 		}
-		if cfg.ECNPkts != 0 {
+		if cfg.Spec.ECNThresholdPkts != 0 {
 			c := cfg
-			c.ECNPkts = 0
+			c.Spec.ECNThresholdPkts = 0
 			changed = try(c) || changed
 		}
-		if cfg.Shards != 0 && oracle != OracleShardEquiv {
+		if cfg.Spec.Shards != 0 && oracle != OracleShardEquiv {
 			c := cfg
-			c.Shards = 0
+			c.Spec.Shards = 0
 			changed = try(c) || changed
 		}
 
 		// Topology ladder. Fault link names and port counts are
 		// topology-specific, so only descend once the fault is gone and
 		// remap out-of-range flows away.
-		if cfg.Topology != "" && cfg.Fault == "" {
-			for _, next := range topoLadder(cfg.Topology, oracle) {
+		if cfg.Spec.Topology != "" && cfg.Spec.Faults == "" {
+			for _, next := range topoLadder(cfg.Spec.Topology, oracle) {
 				c := cfg
-				c.Topology = next
-				c.Ports = topoPorts[next]
+				c.Spec.Topology = next
+				c.Spec.Ports = topoPorts[next]
 				if next == "" {
-					c.Ports = 4
-					c.Shards = 0
+					c.Spec.Ports = 4
+					c.Spec.Shards = 0
 				}
-				c.Flows = clampFlows(cfg.Flows, c.Ports)
-				c.Drops = clampDrops(cfg.Drops, c.Flows)
+				c.Actions = clamp(cfg.Actions, c.Spec.Ports)
 				if try(c) {
 					changed = true
 					break
@@ -81,39 +87,37 @@ func Minimize(cfg Config, oracle string) Config {
 
 		// Timeline shrinking: fewer flows, fewer drops, narrower drop
 		// ranges, smaller transfers, shorter horizon.
-		for i := 0; i < len(cfg.Flows); i++ {
+		for _, f := range cfg.flows() {
 			c := cfg
-			c.Flows = append(append([]Flow(nil), cfg.Flows[:i]...), cfg.Flows[i+1:]...)
-			c.Drops = clampDrops(cfg.Drops, c.Flows)
+			c.Actions = clamp(resized(cfg.Actions, f.Flow, 0), c.Spec.Ports)
 			if try(c) {
 				changed = true
 				break
 			}
 		}
-		for i := 0; i < len(cfg.Drops); i++ {
+		for i, d := range cfg.Actions {
+			if d.Kind != "drop" {
+				continue
+			}
 			c := cfg
-			c.Drops = append(append([]Drop(nil), cfg.Drops[:i]...), cfg.Drops[i+1:]...)
+			c.Actions = slices.Delete(slices.Clone(cfg.Actions), i, i+1)
 			if try(c) {
 				changed = true
 				break
 			}
 		}
-		for i, d := range cfg.Drops {
-			if d.To > d.From {
+		for i, d := range cfg.Actions {
+			if d.Kind == "drop" && d.To > d.From {
 				c := cfg
-				nd := append([]Drop(nil), cfg.Drops...)
-				nd[i].To = d.From + (d.To-d.From)/2
-				c.Drops = nd
+				c.Actions = slices.Clone(cfg.Actions)
+				c.Actions[i].To = d.From + (d.To-d.From)/2
 				changed = try(c) || changed
 			}
 		}
-		for i, f := range cfg.Flows {
+		for _, f := range cfg.flows() {
 			if f.Size > 40 {
 				c := cfg
-				nf := append([]Flow(nil), cfg.Flows...)
-				nf[i].Size = f.Size / 2
-				c.Flows = nf
-				c.Drops = clampDrops(cfg.Drops, c.Flows)
+				c.Actions = clamp(resized(cfg.Actions, f.Flow, f.Size/2), c.Spec.Ports)
 				changed = try(c) || changed
 			}
 		}
@@ -125,16 +129,16 @@ func Minimize(cfg Config, oracle string) Config {
 		floor := 2 * sim.Millisecond
 		if oracle == OracleLiveness {
 			var latest sim.Duration
-			for _, f := range cfg.Flows {
+			for _, f := range cfg.flows() {
 				if f.At > latest {
 					latest = f.At
 				}
 			}
 			floor = latest + 5*sim.Millisecond
 		}
-		if cfg.Horizon/2 >= floor {
+		if cfg.Horizon()/2 >= floor {
 			c := cfg
-			c.Horizon = cfg.Horizon / 2
+			c.finish(cfg.Horizon() / 2)
 			changed = try(c) || changed
 		}
 	}
@@ -154,35 +158,41 @@ func topoLadder(from, oracle string) []string {
 	return ladder
 }
 
-// clampFlows keeps flows that fit the new port count.
-func clampFlows(flows []Flow, ports int) []Flow {
-	var out []Flow
-	for _, f := range flows {
-		if f.Tx < ports && f.Rx < ports && f.Tx != f.Rx {
-			out = append(out, f)
+// resized is a copy of actions with flow's start resized to size packets.
+func resized(actions []scenario.Action, flow packet.FlowID, size uint32) []scenario.Action {
+	out := slices.Clone(actions)
+	for i := range out {
+		if out[i].Kind == "start" && out[i].Flow == flow {
+			out[i].Size = size
 		}
 	}
 	return out
 }
 
-// clampDrops keeps drops whose flow still exists, retargeted to the
-// flow's (possibly updated) rx port and PSN space.
-func clampDrops(drops []Drop, flows []Flow) []Drop {
-	byID := map[int]Flow{}
-	for _, f := range flows {
-		byID[f.ID] = f
+// clamp keeps the flow starts that carry packets and fit the port count,
+// and the drops whose flow still starts, retargeted to the flow's (possibly
+// updated) rx port and PSN space.
+func clamp(actions []scenario.Action, ports int) []scenario.Action {
+	starts := map[packet.FlowID]scenario.Action{}
+	for _, a := range actions {
+		if a.Kind == "start" && a.Size > 0 && a.Tx < ports && a.Rx < ports && a.Tx != a.Rx {
+			starts[a.Flow] = a
+		}
 	}
-	var out []Drop
-	for _, d := range drops {
-		f, ok := byID[d.Flow]
-		if !ok || d.From >= f.Size {
+	var out []scenario.Action
+	for _, a := range actions {
+		f, ok := starts[a.Flow]
+		if !ok {
 			continue
 		}
-		d.Rx = f.Rx
-		if d.To >= f.Size {
-			d.To = f.Size - 1
+		if a.Kind == "drop" {
+			if a.From >= f.Size {
+				continue
+			}
+			a.Rx = f.Rx
+			a.To = min(a.To, f.Size-1)
 		}
-		out = append(out, d)
+		out = append(out, a)
 	}
 	return out
 }

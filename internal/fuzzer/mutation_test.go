@@ -5,7 +5,8 @@ import (
 	"testing"
 
 	"marlin/internal/cc"
-	"marlin/internal/sim"
+	"marlin/internal/packet"
+	"marlin/internal/scenario"
 )
 
 // stallConfig is a config whose scripted loss burst a healthy stack
@@ -15,14 +16,18 @@ import (
 // flow, so no later arrivals generate dup ACKs and recovery must go
 // through the timeout path — the exact path the stall breaks.
 func stallConfig() Config {
-	return Config{
-		Seed:    99,
-		Algo:    "reno",
-		Ports:   2,
-		Horizon: 6 * sim.Millisecond,
-		Flows:   []Flow{{ID: 0, Tx: 0, Rx: 1, Size: 30, At: 0}},
-		Drops:   []Drop{{At: 0, Flow: 0, Rx: 1, From: 14, To: 29}},
+	cfg, _, err := ParseRendered(`set algo reno
+set ports 2
+set dcqcnscale 30
+set seed 99
+at 0ms start 0 tx 0 rx 1 size 30
+at 0ms drop flow 0 rx 1 psn 14..29
+run 6ms
+`)
+	if err != nil {
+		panic(err)
 	}
+	return cfg
 }
 
 // TestLivenessCatchesRTOStall reintroduces the PR 5 RTO-stall bug behind
@@ -68,18 +73,20 @@ func TestMinimizerShrinksRTOStallRepro(t *testing.T) {
 	// the RTO path, where the stall lives. The minimizer then has real
 	// work: extra flows, scripted drops, and timeline noise to strip.
 	cfg := Generate(21, 0)
-	cfg.Fault, cfg.Pattern = "", ""
-	if len(cfg.Flows) == 0 {
+	cfg.Spec.Faults, cfg.Spec.Pattern = "", ""
+	cfg.finish(cfg.Horizon())
+	if len(cfg.flows()) == 0 {
 		t.Fatal("generated config has no flows")
 	}
-	f := &cfg.Flows[0]
+	f := cfg.flows()[0]
 	if f.Size < 48 {
 		f.Size = 96
+		cfg.Actions = resized(cfg.Actions, f.Flow, f.Size)
 	}
 	// One RTO per hole under the stall: 32 holes x >= 500us RTO floor
 	// overruns any generated horizon; proper recovery repairs them in a
 	// couple of RTOs.
-	cfg.Drops = append(cfg.Drops, Drop{At: f.At, Flow: f.ID, Rx: f.Rx, From: f.Size - 32, To: f.Size - 1})
+	cfg.Actions = append(cfg.Actions, scenario.Action{Kind: "drop", At: f.At, Flow: f.Flow, Rx: f.Rx, From: f.Size - 32, To: f.Size - 1})
 
 	v, err := CheckOne(cfg, OracleLiveness)
 	if err != nil {
@@ -104,8 +111,14 @@ func TestMinimizerShrinksRTOStallRepro(t *testing.T) {
 	if lines > 10 {
 		t.Fatalf("minimized repro is %d lines, want <= 10:\n%s", lines, script)
 	}
-	if len(min.Flows) != 1 || len(min.Drops) > 1 || min.Pattern != "" || min.Fault != "" || min.AQM != "" {
-		t.Fatalf("minimizer left slack: %+v", min)
+	drops := 0
+	for _, a := range min.Actions {
+		if a.Kind == "drop" {
+			drops++
+		}
+	}
+	if len(min.flows()) != 1 || drops > 1 || min.Spec.Pattern != "" || min.Spec.Faults != "" || min.Spec.AQM != "" {
+		t.Fatalf("minimizer left slack:\n%s", script)
 	}
 }
 
@@ -127,7 +140,9 @@ func TestConservationCatchesImbalance(t *testing.T) {
 		}
 	}
 	clean := &runResult{Queues: []queueBalance{{Name: "fwd0", Enq: 10, Deq: 9, Len: 1}}}
-	if v := checkConservation(Config{Fault: "x"}, clean); v != nil {
+	var faulted Config
+	faulted.Spec.Faults = "x"
+	if v := checkConservation(faulted, clean); v != nil {
 		t.Errorf("false positive on balanced queue: %s", v)
 	}
 }
@@ -136,17 +151,17 @@ func TestConservationCatchesImbalance(t *testing.T) {
 // each §4.2 correctness-floor breach.
 func TestSanityCatchesDoctoredCounters(t *testing.T) {
 	cfg := stallConfig()
-	r := &runResult{Goodput: map[int]uint64{}}
+	r := &runResult{Goodput: map[packet.FlowID]uint64{}}
 	r.Losses.FalseLosses = 3
 	if v := checkSanity(cfg, r); v == nil || !strings.Contains(v.Detail, "false losses") {
 		t.Errorf("missed false losses: %v", v)
 	}
-	r = &runResult{Goodput: map[int]uint64{}}
+	r = &runResult{Goodput: map[packet.FlowID]uint64{}}
 	r.Losses.Misroutes = 1
 	if v := checkSanity(cfg, r); v == nil || !strings.Contains(v.Detail, "misroutes") {
 		t.Errorf("missed misroutes: %v", v)
 	}
-	r = &runResult{Goodput: map[int]uint64{0: 1 << 62}}
+	r = &runResult{Goodput: map[packet.FlowID]uint64{0: 1 << 62}}
 	if v := checkSanity(cfg, r); v == nil || !strings.Contains(v.Detail, "line-rate") {
 		t.Errorf("missed superluminal goodput: %v", v)
 	}

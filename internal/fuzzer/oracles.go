@@ -2,9 +2,10 @@ package fuzzer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"marlin/internal/packet"
+	"marlin/internal/scenario"
 	"marlin/internal/sim"
 )
 
@@ -34,7 +35,7 @@ const (
 // and finite: no fault plan, no open-loop pattern. Only then can an
 // oracle demand that every flow completes and every queue drains.
 func (c *Config) quietEligible() bool {
-	return c.Fault == "" && c.Pattern == "" && len(c.Flows) > 0
+	return c.Spec.Faults == "" && c.Spec.Pattern == "" && len(c.flows()) > 0
 }
 
 // scaleEligible reports whether the time-dilation metamorphic relation is
@@ -48,8 +49,9 @@ func (c *Config) quietEligible() bool {
 // script activates can resolve differently in the dilated run (first
 // seen as a 7-vs-4 injected-drop mismatch in a 100-config campaign).
 func (c *Config) scaleEligible() bool {
-	return c.quietEligible() && (c.Algo == "reno" || c.Algo == "dctcp") &&
-		c.AQM == "" && len(c.Drops) == 0
+	drops := slices.ContainsFunc(c.Actions, func(a scenario.Action) bool { return a.Kind == "drop" })
+	return c.quietEligible() && (c.Spec.Algorithm == "reno" || c.Spec.Algorithm == "dctcp") &&
+		c.Spec.AQM == "" && !drops
 }
 
 // permuteEligible reports whether relabeling flow IDs is an exact
@@ -57,11 +59,12 @@ func (c *Config) scaleEligible() bool {
 // ID into path choice) and no two flows sharing a tx or rx port (shared-
 // port arbitration could tie-break on ID).
 func (c *Config) permuteEligible() bool {
-	if !c.quietEligible() || c.Topology != "" || len(c.Flows) < 2 {
+	flows := c.flows()
+	if !c.quietEligible() || c.Spec.Topology != "" || len(flows) < 2 {
 		return false
 	}
 	tx, rx := map[int]bool{}, map[int]bool{}
-	for _, f := range c.Flows {
+	for _, f := range flows {
 		if tx[f.Tx] || rx[f.Rx] {
 			return false
 		}
@@ -73,7 +76,7 @@ func (c *Config) permuteEligible() bool {
 // CheckAll runs the config once plus every applicable twin run and
 // returns all violations found. It is a pure function of cfg.
 func CheckAll(cfg Config) ([]Violation, error) {
-	base, err := execute(cfg, overrides{})
+	base, err := execute(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -86,9 +89,9 @@ func CheckAll(cfg Config) ([]Violation, error) {
 	add(checkConservation(cfg, base))
 	add(checkSanity(cfg, base))
 	add(checkLiveness(cfg, base))
-	add(checkCCState(cfg.Algo, cfg.Seed))
+	add(checkCCState(cfg.Spec.Algorithm, cfg.Spec.Seed))
 
-	rerun, err := execute(cfg, overrides{})
+	rerun, err := execute(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -96,15 +99,15 @@ func CheckAll(cfg Config) ([]Violation, error) {
 		out = append(out, Violation{OracleDeterminism, "rerun with identical config produced a different digest"})
 	}
 
-	if cfg.Topology != "" {
+	if cfg.Spec.Topology != "" {
 		if v, err := checkShardEquiv(cfg); err != nil {
 			return out, err
 		} else {
 			add(v)
 		}
 	}
-	if cfg.Seed%4 == 0 {
-		add(checkRefEngine(cfg.Seed))
+	if cfg.Spec.Seed%4 == 0 {
+		add(checkRefEngine(cfg.Spec.Seed))
 	}
 	if cfg.scaleEligible() {
 		if v, err := checkScale(cfg, base); err != nil {
@@ -127,13 +130,13 @@ func CheckAll(cfg Config) ([]Violation, error) {
 // the regress replay gate.
 func CheckOne(cfg Config, oracle string) (*Violation, error) {
 	if oracle == OracleCCState {
-		return checkCCState(cfg.Algo, cfg.Seed), nil
+		return checkCCState(cfg.Spec.Algorithm, cfg.Spec.Seed), nil
 	}
 	if oracle == OracleRefEngine {
-		return checkRefEngine(cfg.Seed), nil
+		return checkRefEngine(cfg.Spec.Seed), nil
 	}
 	if oracle == OracleShardEquiv {
-		if cfg.Topology == "" {
+		if cfg.Spec.Topology == "" {
 			return nil, nil
 		}
 		return checkShardEquiv(cfg)
@@ -141,7 +144,7 @@ func CheckOne(cfg Config, oracle string) (*Violation, error) {
 	if oracle == OraclePoolLeak {
 		return CheckPoolLeak(cfg)
 	}
-	base, err := execute(cfg, overrides{})
+	base, err := execute(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +156,7 @@ func CheckOne(cfg Config, oracle string) (*Violation, error) {
 	case OracleLiveness:
 		return checkLiveness(cfg, base), nil
 	case OracleDeterminism:
-		rerun, err := execute(cfg, overrides{})
+		rerun, err := execute(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +194,7 @@ func checkConservation(cfg Config, r *runResult) *Violation {
 				fmt.Sprintf("queue %s: dequeued %d > enqueued %d", q.Name, q.Deq, q.Enq)}
 		}
 	}
-	if cfg.quietEligible() && len(r.FCTs) == len(cfg.Flows) {
+	if cfg.quietEligible() && len(r.FCTs) == len(cfg.flows()) {
 		for _, q := range r.Queues {
 			if q.Len != 0 {
 				return &Violation{OracleConservation,
@@ -212,7 +215,7 @@ func checkSanity(cfg Config, r *runResult) *Violation {
 	if r.Losses.Misroutes != 0 {
 		return &Violation{OracleSanity, fmt.Sprintf("%d misroutes", r.Losses.Misroutes)}
 	}
-	lineBits := uint64(float64(100*sim.Gbps) * cfg.Horizon.Seconds())
+	lineBits := uint64(float64(100*sim.Gbps) * cfg.Horizon().Seconds())
 	for id, bits := range r.Goodput {
 		if bits > lineBits {
 			return &Violation{OracleSanity,
@@ -242,10 +245,10 @@ func checkLiveness(cfg Config, r *runResult) *Violation {
 	for _, rec := range r.FCTs {
 		done[rec.Flow] = true
 	}
-	for _, f := range cfg.Flows {
-		if !done[packet.FlowID(f.ID)] {
+	for _, f := range cfg.flows() {
+		if !done[f.Flow] {
 			return &Violation{OracleLiveness,
-				fmt.Sprintf("flow %d (size %d, started %s) did not complete within %s", f.ID, f.Size, f.At, cfg.Horizon)}
+				fmt.Sprintf("flow %d (size %d, started %s) did not complete within %s", f.Flow, f.Size, f.At, cfg.Horizon())}
 		}
 	}
 	if r.Snap.NIC.InfoDrops != 0 {
@@ -260,15 +263,17 @@ func checkLiveness(cfg Config, r *runResult) *Violation {
 // island instead of K — fewer device cables and NIC slices — and may
 // legitimately differ, so it is not part of this oracle.
 func checkShardEquiv(cfg Config) (*Violation, error) {
-	one, err := execute(cfg, overrides{haveShard: true, shards: 1})
+	one, many := cfg, cfg
+	one.Spec.Shards, many.Spec.Shards = 1, 3
+	r1, err := execute(one)
 	if err != nil {
 		return nil, err
 	}
-	many, err := execute(cfg, overrides{haveShard: true, shards: 3})
+	r3, err := execute(many)
 	if err != nil {
 		return nil, err
 	}
-	if one.digest() != many.digest() {
+	if r1.digest() != r3.digest() {
 		return &Violation{OracleShardEquiv, "Shards=1 and Shards=3 digests differ"}, nil
 	}
 	return nil, nil
@@ -287,7 +292,7 @@ func checkShardEquiv(cfg Config) (*Violation, error) {
 // diverges once a timer fires.
 func checkScale(cfg Config, base *runResult) (*Violation, error) {
 	const k = 2
-	scaled, err := execute(cfg, overrides{scaleK: k})
+	scaled, err := execute(cfg.dilated(k))
 	if err != nil {
 		return nil, err
 	}
@@ -339,29 +344,20 @@ func checkScale(cfg Config, base *runResult) (*Violation, error) {
 // checks that per-flow outputs follow the relabeling exactly: flow
 // identity must be a pure name, never an implicit priority.
 func checkPermute(cfg Config, base *runResult) (*Violation, error) {
-	n := len(cfg.Flows)
-	perm := make([]int, n)
-	ids := make([]int, n)
-	for i, f := range cfg.Flows {
-		ids[i] = f.ID
-	}
-	sort.Ints(ids)
 	// Rotate the sorted ID set by one: a derangement for n >= 2.
-	rank := map[int]int{}
-	for i, id := range ids {
-		rank[id] = i
+	flows := cfg.flows()
+	to := map[packet.FlowID]packet.FlowID{}
+	for i, f := range flows {
+		to[f.Flow] = flows[(i+1)%len(flows)].Flow
 	}
-	for i, f := range cfg.Flows {
-		perm[i] = ids[(rank[f.ID]+1)%n]
-	}
-	twin, err := execute(cfg, overrides{permute: perm})
+	twin, err := execute(cfg.relabeled(to))
 	if err != nil {
 		return nil, err
 	}
-	for i, f := range cfg.Flows {
-		if twin.Goodput[perm[i]] != base.Goodput[f.ID] {
+	for _, f := range flows {
+		if twin.Goodput[to[f.Flow]] != base.Goodput[f.Flow] {
 			return &Violation{OraclePermute,
-				fmt.Sprintf("flow %d (relabeled %d) goodput %d != base %d", f.ID, perm[i], twin.Goodput[perm[i]], base.Goodput[f.ID])}, nil
+				fmt.Sprintf("flow %d (relabeled %d) goodput %d != base %d", f.Flow, to[f.Flow], twin.Goodput[to[f.Flow]], base.Goodput[f.Flow])}, nil
 		}
 	}
 	baseFCT := map[packet.FlowID]sim.Duration{}
@@ -372,12 +368,12 @@ func checkPermute(cfg Config, base *runResult) (*Violation, error) {
 	for _, rec := range twin.FCTs {
 		twinFCT[rec.Flow] = rec.FCT
 	}
-	for i, f := range cfg.Flows {
-		b, okB := baseFCT[packet.FlowID(f.ID)]
-		tw, okT := twinFCT[packet.FlowID(perm[i])]
+	for _, f := range flows {
+		b, okB := baseFCT[f.Flow]
+		tw, okT := twinFCT[to[f.Flow]]
 		if okB != okT || b != tw {
 			return &Violation{OraclePermute,
-				fmt.Sprintf("flow %d (relabeled %d) FCT %v/%v != base %v/%v", f.ID, perm[i], tw, okT, b, okB)}, nil
+				fmt.Sprintf("flow %d (relabeled %d) FCT %v/%v != base %v/%v", f.Flow, to[f.Flow], tw, okT, b, okB)}, nil
 		}
 	}
 	return nil, nil
@@ -396,12 +392,12 @@ func CheckPoolLeak(cfg Config) (*Violation, error) {
 	before := packet.Live()
 
 	tail := cfg
-	tail.Horizon += 5 * sim.Millisecond // settle: let every in-flight packet land
-	res, err := execute(tail, overrides{})
+	tail.finish(cfg.Horizon() + 5*sim.Millisecond) // settle: let every in-flight packet land
+	res, err := execute(tail)
 	if err != nil {
 		return nil, err
 	}
-	if len(res.FCTs) != len(cfg.Flows) {
+	if len(res.FCTs) != len(cfg.flows()) {
 		// Liveness problem, not a leak; that oracle reports it.
 		return nil, nil
 	}

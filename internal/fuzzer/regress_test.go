@@ -7,10 +7,11 @@ import (
 )
 
 // TestRegressOracleReplay replays the checked-in repro corpus through the
-// oracle each file names in its "# fuzz: oracle=" header. The corpus
-// holds minimized configs that once violated that oracle; on fixed code
-// the oracle must stay quiet. internal/scenario replays the same files as
-// plain scenarios, checking their expect lines.
+// oracle each file names in its "# fuzz: oracle=" comment. A file is a
+// scenario script exactly as Render prints it: the case is its parse, and
+// internal/scenario's TestRegressCorpus runs the same script checking its
+// expect lines. The corpus holds minimized configs that once violated
+// their oracle; on fixed code the oracle must stay quiet.
 func TestRegressOracleReplay(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "scenario", "testdata", "regress", "*.txt"))
 	if err != nil {
@@ -31,7 +32,10 @@ func TestRegressOracleReplay(t *testing.T) {
 				t.Fatalf("parse: %v", err)
 			}
 			if oracle == "" {
-				t.Fatal("repro carries no oracle header")
+				t.Fatal("repro carries no oracle comment")
+			}
+			if got := cfg.Render(oracle); got != string(src) {
+				t.Errorf("file is not in printed form; Render gives:\n%s", got)
 			}
 			v, err := CheckOne(cfg, oracle)
 			if err != nil {

@@ -10,6 +10,7 @@ import (
 	"marlin/internal/measure"
 	"marlin/internal/netem"
 	"marlin/internal/packet"
+	"marlin/internal/scenario"
 	"marlin/internal/sim"
 )
 
@@ -29,81 +30,60 @@ type runResult struct {
 	Snap    controlplane.Snapshot
 	Losses  controlplane.LossReport
 	FCTs    []measure.FCTRecord
-	Goodput map[int]uint64 // flow ID -> delivered bits
+	Goodput map[packet.FlowID]uint64 // delivered bits
 	Queues  []queueBalance
 }
 
-// overrides tweak one execution relative to its Config for the twin runs
-// the differential oracles need.
-type overrides struct {
-	shards    int   // replaces cfg.Shards when >= 0
-	haveShard bool  // shards field is meaningful
-	scaleK    int   // time-dilation factor (0/1 = none)
-	permute   []int // flow-ID relabeling: new ID of cfg.Flows[i]
-}
-
-// execute deploys the config and runs it to its horizon, returning the
-// oracle-visible result. It must stay a pure function of (cfg, ov): the
-// determinism oracle replays it verbatim and compares digests.
-func execute(cfg Config, ov overrides) (*runResult, error) {
-	spec := cfg.Spec()
-	if ov.haveShard {
-		spec.Shards = ov.shards
-	}
-	k := sim.Duration(1)
-	if ov.scaleK > 1 {
-		k = sim.Duration(ov.scaleK)
-		// Dilate time: halve every rate, stretch every delay. The
-		// packet-level trajectory must be a pure homothety of the base
-		// run, so dimensionless outputs are preserved exactly.
-		spec.PortRate = 100 * sim.Gbps / sim.Rate(ov.scaleK)
-		spec.LinkDelay = 2 * sim.Microsecond * k
-	}
-	flowID := func(i int) int {
-		if ov.permute != nil {
-			return ov.permute[i]
-		}
-		return cfg.Flows[i].ID
-	}
-
-	eng := sim.NewEngine()
-	tr, err := spec.Deploy(eng)
+// execute deploys the config, runs it to its horizon and returns the
+// oracle-visible result; the expectations are not evaluated. It must stay
+// a pure function of cfg: the determinism oracle replays it verbatim and
+// compares digests.
+func execute(cfg Config) (*runResult, error) {
+	var refused error
+	tr, err := cfg.Start(&refused)
 	if err != nil {
 		return nil, err
 	}
-	for i, f := range cfg.Flows {
-		f, id := f, flowID(i)
-		eng.ScheduleAt(sim.Time(f.At*k), func() {
-			if err := tr.StartFlow(packet.FlowID(id), f.Tx, f.Rx, f.Size); err != nil {
-				panic(fmt.Sprintf("fuzzer: start flow %d: %v", id, err))
-			}
-		})
+	tr.Run(sim.Time(cfg.Horizon()))
+	if refused != nil {
+		return nil, refused
 	}
-	idOf := map[int]int{}
-	for i, f := range cfg.Flows {
-		idOf[f.ID] = flowID(i)
-	}
-	for _, d := range cfg.Drops {
-		d := d
-		id := idOf[d.Flow]
-		eng.ScheduleAt(sim.Time(d.At*k), func() {
-			tr.ForwardLink(d.Rx).AddHook(netem.NewScript().DropRange(packet.FlowID(id), d.From, d.To).Hook)
-		})
-	}
-	tr.Run(sim.Time(cfg.Horizon * k))
-
 	res := &runResult{
 		Snap:    controlplane.ReadRegisters(tr),
 		Losses:  controlplane.ReadLosses(tr),
 		FCTs:    append([]measure.FCTRecord(nil), tr.FCTs.Records()...),
-		Goodput: map[int]uint64{},
+		Goodput: map[packet.FlowID]uint64{},
 	}
-	for i := range cfg.Flows {
-		id := flowID(i)
-		res.Goodput[id] = tr.GoodputBits(packet.FlowID(id))
+	for _, f := range cfg.flows() {
+		res.Goodput[f.Flow] = tr.GoodputBits(f.Flow)
 	}
 	res.Queues = collectQueues(tr)
 	return res, nil
+}
+
+// dilated is the config with time stretched k-fold: every rate divided by
+// k, every delay and timeline instant multiplied by it. The packet-level
+// trajectory must be a pure homothety of the base run, so dimensionless
+// outputs are preserved exactly.
+func (c Config) dilated(k int) Config {
+	c.Spec.PortRate = 100 * sim.Gbps / sim.Rate(k)
+	c.Spec.LinkDelay = 2 * sim.Microsecond * sim.Duration(k)
+	c.Actions = append([]scenario.Action(nil), c.Actions...)
+	for i := range c.Actions {
+		c.Actions[i].At *= sim.Duration(k)
+		c.Actions[i].Flap *= sim.Duration(k)
+	}
+	c.finish(c.Horizon() * sim.Duration(k))
+	return c
+}
+
+// relabeled is the config with every flow ID f renamed to to[f].
+func (c Config) relabeled(to map[packet.FlowID]packet.FlowID) Config {
+	c.Actions = append([]scenario.Action(nil), c.Actions...)
+	for i := range c.Actions {
+		c.Actions[i].Flow = to[c.Actions[i].Flow]
+	}
+	return c
 }
 
 // collectQueues walks every egress queue the tester owns — switch ports,
@@ -137,13 +117,13 @@ func collectQueues(tr *core.Tester) []queueBalance {
 // digest serializes the outputs two runs must agree on byte-for-byte. It
 // deliberately contains no wall-clock or pointer-derived values.
 func (r *runResult) digest() string {
-	flows := make([]int, 0, len(r.Goodput))
+	flows := make([]packet.FlowID, 0, len(r.Goodput))
 	for id := range r.Goodput {
 		flows = append(flows, id)
 	}
-	sort.Ints(flows)
+	sort.Slice(flows, func(i, j int) bool { return flows[i] < flows[j] })
 	type fg struct {
-		Flow int
+		Flow packet.FlowID
 		Bits uint64
 	}
 	gp := make([]fg, 0, len(flows))

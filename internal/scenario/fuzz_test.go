@@ -1,21 +1,23 @@
 package scenario
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// FuzzParse checks the scenario parser never panics and that every
-// accepted script re-parses identically (parse determinism).
+// FuzzParse checks the scenario parser never panics, that every accepted
+// script re-parses identically (parse determinism), and that the printer
+// is Parse's inverse: Parse(s.String()) equals s but for line numbers.
 //
-// The determinism oracle compares the full parsed structure with
-// reflect.DeepEqual — spec, every timeline action field, every step, every
-// expectation. The original oracle only compared len(actions)/len(steps),
-// which two semantically different re-parses can satisfy: a parser bug
-// that swapped a range's endpoints, dropped a fault clause's tail while
-// accumulating "set fault" lines, or mis-numbered an action's line would
-// have passed. The drop-range and double-fault seeds below exist to pin
-// exactly those shapes.
+// Both oracles compare the full parsed structure with reflect.DeepEqual —
+// spec, every timeline action field, every step, every expectation. A
+// length-only comparison would pass a parser or printer that swapped a
+// range's endpoints, dropped a fault clause's tail while accumulating
+// "set fault" lines, or lost a seed of 0 to Parse's default; the
+// drop-range, double-fault and seed-0 seeds below pin those shapes.
 func FuzzParse(f *testing.F) {
 	f.Add("set algo dctcp\nat 0ms start 0 tx 0 rx 1\nrun 1ms\nexpect jain >= 0.9")
 	f.Add("run 1ms")
@@ -52,6 +54,18 @@ func FuzzParse(f *testing.F) {
 	f.Add("at 0ms start 4294967296 tx 0 rx 1 size 4294967297\nrun 1ms")
 	f.Add("at 0ms start 0 tx 0 rx 1 size 4294967297\nrun 1ms")
 	f.Add("at 0ms start 4000000000 tx 0 rx 1\nrun 1ms")
+	// Printer seeds: a seed of 0, which Settings omits and Parse defaults
+	// to 1; fault clauses accumulated over three lines, printed as one plan;
+	// the two example scripts.
+	f.Add("set algo reno\nset seed 0\nat 0ms start 0 tx 0 rx 1 size 50\nrun 1ms")
+	f.Add("set fault linkdown fwd0 at 1ms for 100us\nset fault nicstall at 2ms for 50us\nset fault lossburst tx0 at 3ms for 100us prob 0.1 seed 7\nrun 4ms\nexpect faults_recovered == 3")
+	for _, name := range []string{"fanin.scn", "roce-pfc.scn"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		s1, err := Parse(src)
 		if err != nil {
@@ -61,14 +75,64 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted script failed to re-parse: %v", err)
 		}
-		if !reflect.DeepEqual(s1.spec, s2.spec) {
-			t.Fatalf("parse is not deterministic: spec\n%+v\n%+v", s1.spec, s2.spec)
+		sameScript(t, "parse is not deterministic", s1, s2, true)
+		printed := s1.String()
+		s3, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("printed script does not parse: %v\n%s", err, printed)
 		}
-		if !reflect.DeepEqual(s1.actions, s2.actions) {
-			t.Fatalf("parse is not deterministic: actions\n%+v\n%+v", s1.actions, s2.actions)
-		}
-		if !reflect.DeepEqual(s1.steps, s2.steps) {
-			t.Fatalf("parse is not deterministic: steps\n%+v\n%+v", s1.steps, s2.steps)
+		sameScript(t, "printed script parses to another scenario", s1, s3, false)
+		if again := s3.String(); again != printed {
+			t.Fatalf("printer is not a fixpoint:\n%s\nvs\n%s", printed, again)
 		}
 	})
+}
+
+// sameScript fails t unless a and b are deep-equal, line numbers aside
+// unless withLines. A NaN (spec.Float and ParseFloat both take one) equals
+// nothing, itself included, so a script holding one is compared by its
+// printed form alone.
+func sameScript(t *testing.T, what string, a, b *Scenario, withLines bool) {
+	t.Helper()
+	if !withLines {
+		a, b = unnumbered(a), unnumbered(b)
+	}
+	if hasNaN(a) {
+		return
+	}
+	if !reflect.DeepEqual(a.Spec, b.Spec) {
+		t.Fatalf("%s: spec\n%+v\n%+v", what, a.Spec, b.Spec)
+	}
+	if !reflect.DeepEqual(a.Actions, b.Actions) {
+		t.Fatalf("%s: actions\n%+v\n%+v", what, a.Actions, b.Actions)
+	}
+	if !reflect.DeepEqual(a.Steps, b.Steps) {
+		t.Fatalf("%s: steps\n%s\nvs\n%s", what, a, b)
+	}
+}
+
+// unnumbered is a copy of s with every line number zero.
+func unnumbered(s *Scenario) *Scenario {
+	c := *s
+	c.Actions = append([]Action(nil), s.Actions...)
+	for i := range c.Actions {
+		c.Actions[i].Line = 0
+	}
+	c.Steps = append([]Step(nil), s.Steps...)
+	for i := range c.Steps {
+		c.Steps[i].Line = 0
+	}
+	return &c
+}
+
+func hasNaN(s *Scenario) bool {
+	if math.IsNaN(s.Spec.DCQCNTimeScale) {
+		return true
+	}
+	for _, st := range s.Steps {
+		if st.Expect != nil && math.IsNaN(st.Expect.Value) {
+			return true
+		}
+	}
+	return false
 }

@@ -13,7 +13,7 @@ import (
 // Parse compiles a scenario script. Errors carry 1-based line numbers.
 func Parse(src string) (*Scenario, error) {
 	s := &Scenario{}
-	s.spec.Seed = 1
+	s.Spec.Seed = defaultSeed
 	sawRun := false
 	for i, raw := range strings.Split(src, "\n") {
 		line := i + 1
@@ -38,13 +38,13 @@ func Parse(src string) (*Scenario, error) {
 				err = fmt.Errorf("expected one duration")
 			} else if d, err = spec.Duration(fields[1]); err == nil {
 				sawRun = true
-				s.steps = append(s.steps, step{line: line, run: d})
+				s.Steps = append(s.Steps, Step{Line: line, Run: d})
 			}
 		case "expect":
-			var e *expectation
-			e, err = parseExpect(strings.Join(fields[1:], " "))
+			var e *Expectation
+			e, err = parseExpect(fields[1:])
 			if err == nil {
-				s.steps = append(s.steps, step{line: line, expect: e})
+				s.Steps = append(s.Steps, Step{Line: line, Expect: e})
 			}
 		default:
 			err = fmt.Errorf("unknown directive %q", fields[0])
@@ -56,7 +56,84 @@ func Parse(src string) (*Scenario, error) {
 	if !sawRun {
 		return nil, fmt.Errorf("scenario: no run directive")
 	}
+	// Engine.Run(until) fires events at until, so an action at the horizon
+	// runs; one past it never would.
+	horizon := s.Horizon()
+	for _, a := range s.Actions {
+		if a.At > horizon {
+			return nil, fmt.Errorf("scenario line %d: at %s is past the last run (%s)", a.Line, spec.FormatDuration(a.At), spec.FormatDuration(horizon))
+		}
+	}
 	return s, nil
+}
+
+// defaultSeed is the seed of a script that sets none.
+const defaultSeed = 1
+
+// Horizon is the simulated time the run directives advance the clock by.
+func (s *Scenario) Horizon() sim.Duration {
+	var h sim.Duration
+	for _, st := range s.Steps {
+		if st.Expect == nil {
+			h += st.Run
+		}
+	}
+	return h
+}
+
+// String prints the scenario in the syntax Parse reads: its settings in
+// table order (a fault or pattern plan as one line), then the timeline
+// and the steps in their stored order. Parse(s.String()) equals s but for
+// line numbers.
+func (s *Scenario) String() string {
+	var b strings.Builder
+	for _, kv := range s.Spec.Settings() {
+		fmt.Fprintf(&b, "set %s %s\n", kv.Key, kv.Value)
+	}
+	if s.Spec.Seed == 0 { // Settings omits a zero field; Parse would default it
+		b.WriteString("set seed 0\n")
+	}
+	for _, a := range s.Actions {
+		fmt.Fprintf(&b, "at %s %s\n", spec.FormatDuration(a.At), a.operands())
+	}
+	for _, st := range s.Steps {
+		if st.Expect == nil {
+			fmt.Fprintf(&b, "run %s\n", spec.FormatDuration(st.Run))
+		} else {
+			fmt.Fprintf(&b, "expect %s\n", st.Expect)
+		}
+	}
+	return b.String()
+}
+
+// operands prints the action after its time, as parseAt reads it.
+func (a *Action) operands() string {
+	switch a.Kind {
+	case "start":
+		if a.Size == 0 {
+			return fmt.Sprintf("start %d tx %d rx %d", a.Flow, a.Tx, a.Rx)
+		}
+		return fmt.Sprintf("start %d tx %d rx %d size %d", a.Flow, a.Tx, a.Rx, a.Size)
+	case "stop":
+		return fmt.Sprintf("stop %d", a.Flow)
+	case "drop", "mark":
+		psn := fmt.Sprintf("%d..%d", a.From, a.To)
+		if a.Kind == "drop" && a.From == a.To {
+			psn = fmt.Sprint(a.From)
+		}
+		return fmt.Sprintf("%s flow %d rx %d psn %s", a.Kind, a.Flow, a.Rx, psn)
+	default: // flap
+		return fmt.Sprintf("flap rx %d for %s", a.Rx, spec.FormatDuration(a.Flap))
+	}
+}
+
+// String prints the expectation as parseExpect reads it.
+func (e *Expectation) String() string {
+	v := strconv.FormatFloat(e.Value, 'f', -1, 64)
+	if e.Metric == "flow_gbps" {
+		return fmt.Sprintf("flow_gbps %d %s %s", e.Flow, e.Op, v)
+	}
+	return fmt.Sprintf("%s %s %s", e.Metric, e.Op, v)
 }
 
 // parseSet handles "set KEY VALUE" for every key of controlplane.Spec's
@@ -77,14 +154,14 @@ func (s *Scenario) parseSet(args []string) error {
 	key, val := args[0], strings.Join(args[1:], " ")
 	switch key {
 	case "fault":
-		return s.appendClause("faults", s.spec.Faults, val, "set fault needs a clause (e.g. linkdown LINK at TIME for DUR)")
+		return s.appendClause("faults", s.Spec.Faults, val, "set fault needs a clause (e.g. linkdown LINK at TIME for DUR)")
 	case "pattern":
-		return s.appendClause("pattern", s.spec.Pattern, val, "set pattern needs a clause (e.g. incast:period=5ms,fanin=8,victim=1,size=150)")
+		return s.appendClause("pattern", s.Spec.Pattern, val, "set pattern needs a clause (e.g. incast:period=5ms,fanin=8,victim=1,size=150)")
 	}
 	if val == "" {
 		return fmt.Errorf("set needs KEY VALUE")
 	}
-	return s.spec.Set(key, val)
+	return s.Spec.Set(key, val)
 }
 
 func (s *Scenario) appendClause(key, plan, clause, usage string) error {
@@ -94,7 +171,7 @@ func (s *Scenario) appendClause(key, plan, clause, usage string) error {
 	if plan != "" {
 		clause = plan + "; " + clause
 	}
-	return s.spec.Set(key, clause)
+	return s.Spec.Set(key, clause)
 }
 
 // parseAt handles:
@@ -112,18 +189,31 @@ func (s *Scenario) parseAt(line int, args []string) error {
 	if err != nil {
 		return err
 	}
-	a := action{at: d, line: line, kind: args[1]}
+	a := Action{At: d, Line: line, Kind: args[1]}
 	rest := args[2:]
-	switch a.kind {
+	switch a.Kind {
 	case "start":
-		// FLOW tx P rx P [size N]
-		kv, err := keyVals(rest, "start", []string{"", "tx", "rx"}, []string{"size"})
-		if err != nil {
-			return err
+		// FLOW tx P rx P [size N], each a 32-bit unsigned integer: a larger
+		// one is rejected, not truncated.
+		if len(rest) < 5 || rest[1] != "tx" || rest[3] != "rx" {
+			return fmt.Errorf("start: expected FLOW tx P rx P [size N]")
 		}
-		a.flow = packet.FlowID(kv[""])
-		a.tx, a.rx = int(kv["tx"]), int(kv["rx"])
-		a.size = kv["size"]
+		size := "0"
+		if len(rest) == 7 && rest[5] == "size" {
+			size = rest[6]
+		} else if len(rest) != 5 {
+			return fmt.Errorf("start: trailing tokens %v", rest[5:])
+		}
+		names := [4]string{"value", "tx", "rx", "size"}
+		var v [4]uint32
+		for i, tok := range [4]string{rest[0], rest[2], rest[4], size} {
+			n, err := strconv.ParseUint(tok, 10, 32)
+			if err != nil {
+				return fmt.Errorf("start: bad %s %q", names[i], tok)
+			}
+			v[i] = uint32(n)
+		}
+		a.Flow, a.Tx, a.Rx, a.Size = packet.FlowID(v[0]), int(v[1]), int(v[2]), v[3]
 	case "stop":
 		if len(rest) != 1 {
 			return fmt.Errorf("stop needs a flow id")
@@ -132,46 +222,23 @@ func (s *Scenario) parseAt(line int, args []string) error {
 		if err != nil {
 			return fmt.Errorf("bad flow id %q", rest[0])
 		}
-		a.flow = packet.FlowID(n)
-	case "drop":
-		// flow F rx P psn N  |  flow F rx P psn A..B
+		a.Flow = packet.FlowID(n)
+	case "drop", "mark":
+		// flow F rx P psn A..B; a drop may name a single PSN N.
 		if len(rest) != 6 || rest[0] != "flow" || rest[2] != "rx" || rest[4] != "psn" {
-			return fmt.Errorf("drop needs: flow F rx P psn N (or psn A..B)")
+			return fmt.Errorf("%s needs: flow F rx P psn A..B (a drop may name one psn N)", a.Kind)
+		}
+		psn := rest[5]
+		if a.Kind == "drop" && !strings.Contains(psn, "..") {
+			psn += ".." + psn
 		}
 		fl, err1 := strconv.ParseUint(rest[1], 10, 32)
 		rx, err2 := strconv.Atoi(rest[3])
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("bad drop operands")
-		}
-		a.flow = packet.FlowID(fl)
-		a.rx = rx
-		if strings.Contains(rest[5], "..") {
-			lo, hi, err := parseRange(rest[5])
-			if err != nil {
-				return err
-			}
-			a.psnA, a.psnB = lo, hi
-		} else {
-			n, err := strconv.ParseUint(rest[5], 10, 32)
-			if err != nil {
-				return fmt.Errorf("bad psn %q", rest[5])
-			}
-			a.psnA, a.psnB = uint32(n), uint32(n)
-		}
-	case "mark":
-		// flow F rx P psn A..B
-		if len(rest) != 6 || rest[0] != "flow" || rest[2] != "rx" || rest[4] != "psn" {
-			return fmt.Errorf("mark needs: flow F rx P psn A..B")
-		}
-		fl, err1 := strconv.ParseUint(rest[1], 10, 32)
-		rx, err2 := strconv.Atoi(rest[3])
-		lo, hi, err3 := parseRange(rest[5])
+		lo, hi, err3 := parseRange(psn)
 		if err1 != nil || err2 != nil || err3 != nil {
-			return fmt.Errorf("bad mark operands")
+			return fmt.Errorf("bad %s operands", a.Kind)
 		}
-		a.flow = packet.FlowID(fl)
-		a.rx = rx
-		a.psnA, a.psnB = lo, hi
+		a.Flow, a.Rx, a.From, a.To = packet.FlowID(fl), rx, lo, hi
 	case "flap":
 		// rx P for D
 		if len(rest) != 4 || rest[0] != "rx" || rest[2] != "for" {
@@ -182,58 +249,13 @@ func (s *Scenario) parseAt(line int, args []string) error {
 		if err1 != nil || err2 != nil {
 			return fmt.Errorf("bad flap operands")
 		}
-		a.rx = rx
-		a.flap = d
+		a.Rx = rx
+		a.Flap = d
 	default:
-		return fmt.Errorf("unknown action %q", a.kind)
+		return fmt.Errorf("unknown action %q", a.Kind)
 	}
-	s.actions = append(s.actions, a)
+	s.Actions = append(s.Actions, a)
 	return nil
-}
-
-// keyVals parses "V k1 V1 k2 V2 ..." where keys[0] == "" means the first
-// token is a bare value; optional keys may be omitted. Every value is a
-// 32-bit unsigned integer; a larger one is rejected, not truncated.
-func keyVals(tokens []string, verb string, keys, optional []string) (map[string]uint32, error) {
-	out := make(map[string]uint32)
-	i := 0
-	for _, k := range keys {
-		if k == "" {
-			if i >= len(tokens) {
-				return nil, fmt.Errorf("%s: missing value", verb)
-			}
-			v, err := strconv.ParseUint(tokens[i], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("%s: bad value %q", verb, tokens[i])
-			}
-			out[k] = uint32(v)
-			i++
-			continue
-		}
-		if i+1 >= len(tokens) || tokens[i] != k {
-			return nil, fmt.Errorf("%s: expected %q", verb, k)
-		}
-		v, err := strconv.ParseUint(tokens[i+1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("%s: bad %s %q", verb, k, tokens[i+1])
-		}
-		out[k] = uint32(v)
-		i += 2
-	}
-	for _, k := range optional {
-		if i+1 < len(tokens) && tokens[i] == k {
-			v, err := strconv.ParseUint(tokens[i+1], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("%s: bad %s %q", verb, k, tokens[i+1])
-			}
-			out[k] = uint32(v)
-			i += 2
-		}
-	}
-	if i != len(tokens) {
-		return nil, fmt.Errorf("%s: trailing tokens %v", verb, tokens[i:])
-	}
-	return out, nil
 }
 
 func parseRange(s string) (lo, hi uint32, err error) {
@@ -250,28 +272,26 @@ func parseRange(s string) (lo, hi uint32, err error) {
 }
 
 // parseExpect handles "METRIC OP VALUE" and "flow_gbps FLOW OP VALUE".
-func parseExpect(text string) (*expectation, error) {
-	fields := strings.Fields(text)
-	e := &expectation{raw: text}
+func parseExpect(fields []string) (*Expectation, error) {
+	e := &Expectation{}
 	switch {
 	case len(fields) == 4 && fields[0] == "flow_gbps":
 		n, err := strconv.ParseUint(fields[1], 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("bad flow id %q", fields[1])
 		}
-		e.metric = "flow_gbps"
-		e.flow = packet.FlowID(n)
-		e.hasFlo = true
+		e.Metric = "flow_gbps"
+		e.Flow = packet.FlowID(n)
 		fields = fields[2:]
 	case len(fields) == 3:
-		e.metric = fields[0]
+		e.Metric = fields[0]
 		fields = fields[1:]
 	default:
 		return nil, fmt.Errorf("expect needs METRIC OP VALUE")
 	}
 	switch fields[0] {
 	case "==", "!=", "<", "<=", ">", ">=":
-		e.op = fields[0]
+		e.Op = fields[0]
 	default:
 		return nil, fmt.Errorf("bad operator %q", fields[0])
 	}
@@ -279,6 +299,6 @@ func parseExpect(text string) (*expectation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad value %q", fields[1])
 	}
-	e.value = v
+	e.Value = v
 	return e, nil
 }

@@ -10,8 +10,9 @@ import (
 // testdata/regress. Each file is a scenario minimized from a campaign
 // violation (or a hand-reduced equivalent) of a bug that has since been
 // fixed; its expect lines pin the fixed behavior, so a failure here means
-// the bug came back. The fuzzer package replays the same corpus through
-// its oracles (see internal/fuzzer's regress test).
+// the bug came back. A fuzz case is a scenario, so the file is the case
+// itself: internal/fuzzer's TestRegressOracleReplay parses the same script
+// and re-runs the oracle its "# fuzz: oracle=" comment names.
 func TestRegressCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "regress", "*.txt"))
 	if err != nil {

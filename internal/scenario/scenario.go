@@ -21,7 +21,15 @@
 //
 // Durations use Go syntax (1ms, 250us). Lines starting with '#' are
 // comments. Expectations compare a metric against a constant with one of
-// ==, !=, <, <=, >, >=.
+// ==, !=, <, <=, >, >=. An "at" past the sum of the run directives is
+// rejected: it could never fire.
+//
+// The package owns the syntax both ways. Parse returns the exported
+// parsed form (Spec, Actions, Steps) and String prints it back; the two
+// are inverse but for line numbers. Run is Start, which deploys the spec
+// and schedules the timeline, followed by the step loop. The fuzzer's
+// test cases are this parsed form, run through Start, and its repro
+// scripts are String's output.
 //
 // "set KEY VALUE" takes every configuration key of controlplane.Spec's
 // table (README "Configuration keys" and "marlinctl help" list them) with
@@ -54,42 +62,40 @@ import (
 	"marlin/internal/sim"
 )
 
-// Scenario is a parsed script.
+// Scenario is a parsed script: what Parse reads and String prints.
 type Scenario struct {
-	spec    controlplane.Spec
-	actions []action
-	steps   []step
+	Spec    controlplane.Spec
+	Actions []Action
+	Steps   []Step
 }
 
-// action is a timeline entry.
-type action struct {
-	at   sim.Duration
-	line int
-	kind string // start, stop, drop, mark
-	flow packet.FlowID
-	tx   int
-	rx   int
-	size uint32
-	psnA uint32
-	psnB uint32
-	flap sim.Duration
+// Action is a timeline entry: at At, Kind (start, stop, drop, mark or
+// flap) acts on the fields that kind's syntax names; the rest stay zero.
+type Action struct {
+	At       sim.Duration
+	Line     int
+	Kind     string
+	Flow     packet.FlowID
+	Tx, Rx   int
+	Size     uint32
+	From, To uint32 // PSN range of a drop or mark
+	Flap     sim.Duration
 }
 
-// step is a run or expect directive, executed in order.
-type step struct {
-	line   int
-	run    sim.Duration // nonzero = advance the clock
-	expect *expectation
+// Step is a run directive (Expect nil: advance the clock by Run) or an
+// expectation, executed in order.
+type Step struct {
+	Line   int
+	Run    sim.Duration
+	Expect *Expectation
 }
 
-// expectation is one metric assertion.
-type expectation struct {
-	metric string
-	flow   packet.FlowID
-	hasFlo bool
-	op     string
-	value  float64
-	raw    string
+// Expectation is one metric assertion. Flow is flow_gbps's operand.
+type Expectation struct {
+	Metric string
+	Flow   packet.FlowID
+	Op     string
+	Value  float64
 }
 
 // CheckResult is one evaluated expectation.
@@ -145,61 +151,71 @@ func (r *Report) Summary() string {
 	return b.String()
 }
 
-// Run executes the scenario and evaluates its expectations.
-func (s *Scenario) Run() (*Report, error) {
+// Start deploys the scenario's tester on a fresh engine and schedules its
+// timeline; the clock stays at zero until the caller runs the tester. The
+// first start the tester refuses, when it fires, is stored in *refused
+// with its script line.
+func (s *Scenario) Start(refused *error) (*core.Tester, error) {
 	eng := sim.NewEngine()
-	tr, err := s.spec.Deploy(eng)
+	tr, err := s.Spec.Deploy(eng)
 	if err != nil {
 		return nil, err
 	}
-	// Schedule timeline actions. A start the tester refuses fails the run
-	// at the end of the step it falls in.
-	var actionErr error
-	for _, a := range s.actions {
+	for _, a := range s.Actions {
 		a := a
-		eng.ScheduleAt(sim.Time(a.at), func() {
-			switch a.kind {
+		eng.ScheduleAt(sim.Time(a.At), func() {
+			switch a.Kind {
 			case "start":
-				if err := tr.StartFlow(a.flow, a.tx, a.rx, a.size); err != nil && actionErr == nil {
-					actionErr = fmt.Errorf("scenario line %d: %w", a.line, err)
+				if err := tr.StartFlow(a.Flow, a.Tx, a.Rx, a.Size); err != nil && *refused == nil {
+					*refused = fmt.Errorf("scenario line %d: %w", a.Line, err)
 				}
 			case "stop":
-				tr.StopFlow(a.flow)
+				tr.StopFlow(a.Flow)
 			case "drop":
-				tr.ForwardLink(a.rx).AddHook(netem.NewScript().DropRange(a.flow, a.psnA, a.psnB).Hook)
+				tr.ForwardLink(a.Rx).AddHook(netem.NewScript().DropRange(a.Flow, a.From, a.To).Hook)
 			case "mark":
-				tr.ForwardLink(a.rx).AddHook(netem.NewScript().MarkRange(a.flow, a.psnA, a.psnB).Hook)
+				tr.ForwardLink(a.Rx).AddHook(netem.NewScript().MarkRange(a.Flow, a.From, a.To).Hook)
 			case "flap":
 				// Blackout: pause the link toward rx, resume after the
 				// flap duration. Queued packets wait; RTOs fire if the
 				// outage exceeds them.
-				link := tr.ForwardLink(a.rx)
+				link := tr.ForwardLink(a.Rx)
 				link.Pause()
-				eng.Schedule(a.flap, link.Resume)
+				eng.Schedule(a.Flap, link.Resume)
 			}
 		})
 	}
+	return tr, nil
+}
 
+// Run executes the scenario and evaluates its expectations. A start the
+// tester refuses fails the run at the end of the step it falls in.
+func (s *Scenario) Run() (*Report, error) {
+	var refused error
+	tr, err := s.Start(&refused)
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{}
 	var elapsed sim.Duration
-	for _, st := range s.steps {
-		if st.run > 0 {
-			elapsed += st.run
+	for _, st := range s.Steps {
+		if st.Expect == nil {
+			elapsed += st.Run
 			tr.Run(sim.Time(elapsed))
-			if actionErr != nil {
-				return nil, actionErr
+			if refused != nil {
+				return nil, refused
 			}
 			continue
 		}
-		val, err := s.measure(tr, st.expect, elapsed)
+		val, err := s.measure(tr, st.Expect, elapsed)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", st.line, err)
+			return nil, fmt.Errorf("line %d: %w", st.Line, err)
 		}
 		rep.Checks = append(rep.Checks, CheckResult{
-			Line:     st.line,
-			Text:     st.expect.raw,
+			Line:     st.Line,
+			Text:     st.Expect.String(),
 			Measured: val,
-			Pass:     compare(val, st.expect.op, st.expect.value),
+			Pass:     compare(val, st.Expect.Op, st.Expect.Value),
 		})
 	}
 	rep.Elapsed = elapsed
@@ -208,11 +224,11 @@ func (s *Scenario) Run() (*Report, error) {
 }
 
 // measure evaluates one metric against the tester's registers.
-func (s *Scenario) measure(tr *core.Tester, e *expectation, elapsed sim.Duration) (float64, error) {
+func (s *Scenario) measure(tr *core.Tester, e *Expectation, elapsed sim.Duration) (float64, error) {
 	snap := controlplane.ReadRegisters(tr)
 	losses := controlplane.ReadLosses(tr)
 	secs := elapsed.Seconds()
-	switch e.metric {
+	switch e.Metric {
 	case "completions":
 		return float64(snap.FCTCount), nil
 	case "false_losses":
@@ -236,7 +252,7 @@ func (s *Scenario) measure(tr *core.Tester, e *expectation, elapsed sim.Duration
 		if secs == 0 {
 			return 0, nil
 		}
-		return float64(tr.GoodputBits(e.flow)) / secs / 1e9, nil
+		return float64(tr.GoodputBits(e.Flow)) / secs / 1e9, nil
 	case "jain":
 		var rates []float64
 		for _, f := range s.startedFlows() {
@@ -246,19 +262,19 @@ func (s *Scenario) measure(tr *core.Tester, e *expectation, elapsed sim.Duration
 	case "fct_p50_us", "fct_p99_us":
 		cdf := measure.NewCDF(tr.FCTs.FCTs())
 		if cdf.Len() == 0 {
-			return 0, fmt.Errorf("no completed flows for %s", e.metric)
+			return 0, fmt.Errorf("no completed flows for %s", e.Metric)
 		}
 		p := 0.5
-		if e.metric == "fct_p99_us" {
+		if e.Metric == "fct_p99_us" {
 			p = 0.99
 		}
 		return cdf.Percentile(p), nil
 	case "rtt_p50_us", "rtt_ewma_us":
 		samples, count, ewma := tr.RTTSamples()
 		if count == 0 {
-			return 0, fmt.Errorf("no RTT probes for %s", e.metric)
+			return 0, fmt.Errorf("no RTT probes for %s", e.Metric)
 		}
-		if e.metric == "rtt_ewma_us" {
+		if e.Metric == "rtt_ewma_us" {
 			return ewma, nil
 		}
 		return measure.NewCDF(samples).Percentile(0.5), nil
@@ -294,7 +310,7 @@ func (s *Scenario) measure(tr *core.Tester, e *expectation, elapsed sim.Duration
 			}
 		}
 		if !found {
-			return 0, fmt.Errorf("no AQM discipline installed for %s", e.metric)
+			return 0, fmt.Errorf("no AQM discipline installed for %s", e.Metric)
 		}
 		return worst, nil
 	case "faults_recovered":
@@ -310,7 +326,7 @@ func (s *Scenario) measure(tr *core.Tester, e *expectation, elapsed sim.Duration
 		// measures +Inf so any upper-bound expectation fails loudly.
 		rs := tr.FaultRecoveries()
 		if len(rs) == 0 {
-			return 0, fmt.Errorf("no fault plan installed for %s", e.metric)
+			return 0, fmt.Errorf("no fault plan installed for %s", e.Metric)
 		}
 		worst := 0.0
 		for _, r := range rs {
@@ -324,9 +340,9 @@ func (s *Scenario) measure(tr *core.Tester, e *expectation, elapsed sim.Duration
 		return worst, nil
 	case "burst_absorption", "peak_queue_bytes", "overload_us", "bg_fct_inflation":
 		if snap.Overload == nil {
-			return 0, fmt.Errorf("no pattern plan installed for %s", e.metric)
+			return 0, fmt.Errorf("no pattern plan installed for %s", e.Metric)
 		}
-		switch e.metric {
+		switch e.Metric {
 		case "burst_absorption":
 			return snap.Overload.BurstAbsorption, nil
 		case "peak_queue_bytes":
@@ -345,7 +361,7 @@ func (s *Scenario) measure(tr *core.Tester, e *expectation, elapsed sim.Duration
 			return measure.FCTInflation(bg, snap.Overload.Windows), nil
 		}
 	default:
-		return 0, fmt.Errorf("unknown metric %q", e.metric)
+		return 0, fmt.Errorf("unknown metric %q", e.Metric)
 	}
 }
 
@@ -356,10 +372,10 @@ func (s *Scenario) measure(tr *core.Tester, e *expectation, elapsed sim.Duration
 func (s *Scenario) startedFlows() []packet.FlowID {
 	seen := make(map[packet.FlowID]bool)
 	var out []packet.FlowID
-	for _, a := range s.actions {
-		if a.kind == "start" && !seen[a.flow] {
-			seen[a.flow] = true
-			out = append(out, a.flow)
+	for _, a := range s.Actions {
+		if a.Kind == "start" && !seen[a.Flow] {
+			seen[a.Flow] = true
+			out = append(out, a.Flow)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

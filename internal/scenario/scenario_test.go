@@ -45,6 +45,9 @@ func TestParseErrors(t *testing.T) {
 		{"flow beyond 32 bits", "at 0ms start 4294967296 tx 0 rx 1 size 4294967297\nrun 1ms", "bad value"},
 		{"size beyond 32 bits", "at 0ms start 0 tx 0 rx 1 size 4294967297\nrun 1ms", "bad size"},
 		{"stop beyond 32 bits", "at 0ms stop 4294967296\nrun 1ms", "bad flow id"},
+		{"at past the horizon", "set algo reno\nat 10ms start 0 tx 0 rx 1 size 50\nrun 5ms\nexpect completions == 0", "line 2: at 10ms is past the last run (5ms)"},
+		{"at past staged runs", "run 1ms\nat 2500us stop 0\nrun 1ms", "line 2: at 2500us is past the last run (2ms)"},
+		{"run past sim time", "run 2600h", "bad duration"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
@@ -60,8 +63,8 @@ func TestParseErrors(t *testing.T) {
 // tester's error instead of allocating tables up to it.
 func TestScenarioStartRange(t *testing.T) {
 	s := mustParse(t, "at 0ms start 4294967295 tx 0 rx 1 size 4294967295\nrun 1ms")
-	if a := s.actions[0]; a.flow != 4294967295 || a.size != 4294967295 {
-		t.Errorf("start parsed as flow %d size %d, want 4294967295 both", a.flow, a.size)
+	if a := s.Actions[0]; a.Flow != 4294967295 || a.Size != 4294967295 {
+		t.Errorf("start parsed as flow %d size %d, want 4294967295 both", a.Flow, a.Size)
 	}
 	_, err := mustParse(t, "set algo dctcp\nset ports 2\nat 0ms start 4000000000 tx 0 rx 1\nrun 1ms").Run()
 	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "exceeds BRAM capacity") {
@@ -119,6 +122,8 @@ expect total_gbps <= 102
 	}
 }
 
+// An action at the horizon is legal (Engine.Run fires events at until),
+// and a zero-length run is a run, not an expectation.
 func TestScenarioStagedRunsAndStop(t *testing.T) {
 	rep := mustRun(t, `
 set algo dctcp
@@ -127,7 +132,9 @@ set ecn 65
 at 0ms start 0 tx 0 rx 2
 at 0ms start 1 tx 1 rx 2
 run 3ms
+run 0ms
 at 3ms stop 1
+at 6ms stop 0
 run 3ms
 expect flow_gbps 0 >= 60
 `)
@@ -188,12 +195,12 @@ set int on
 set fpgarecv off
 run 1ms
 `)
-	if s.spec.Algorithm != "dcqcn" || s.spec.Ports != 4 || s.spec.MTU != 1500 ||
-		s.spec.ECNThresholdPkts != 20 || s.spec.NetQueueBytes != 1048576 ||
-		s.spec.Seed != 42 || s.spec.DCQCNTimeScale != 30 ||
-		s.spec.Receiver != "roce" || !s.spec.EnablePFC || !s.spec.EnableINT ||
-		s.spec.ReceiverOnFPGA {
-		t.Fatalf("spec = %+v", s.spec)
+	if s.Spec.Algorithm != "dcqcn" || s.Spec.Ports != 4 || s.Spec.MTU != 1500 ||
+		s.Spec.ECNThresholdPkts != 20 || s.Spec.NetQueueBytes != 1048576 ||
+		s.Spec.Seed != 42 || s.Spec.DCQCNTimeScale != 30 ||
+		s.Spec.Receiver != "roce" || !s.Spec.EnablePFC || !s.Spec.EnableINT ||
+		s.Spec.ReceiverOnFPGA {
+		t.Fatalf("spec = %+v", s.Spec)
 	}
 }
 
@@ -322,8 +329,8 @@ set fault nicstall at 2ms for 50us
 run 4ms
 `)
 	want := "linkdown fwd0 at 1ms for 200us; nicstall at 2ms for 50us"
-	if s.spec.Faults != want {
-		t.Fatalf("accumulated spec = %q, want %q", s.spec.Faults, want)
+	if s.Spec.Faults != want {
+		t.Fatalf("accumulated spec = %q, want %q", s.Spec.Faults, want)
 	}
 	bad := []struct{ name, src, want string }{
 		{"empty clause", "set fault\nrun 1ms", "set fault needs"},
@@ -377,8 +384,8 @@ set pattern flood:peak=20G,victim=0
 run 2ms
 `)
 	want := "incast:period=1ms,fanin=4,victim=0,size=50; flood:peak=20G,victim=0"
-	if s.spec.Pattern != want {
-		t.Fatalf("accumulated spec = %q, want %q", s.spec.Pattern, want)
+	if s.Spec.Pattern != want {
+		t.Fatalf("accumulated spec = %q, want %q", s.Spec.Pattern, want)
 	}
 	bad := []struct{ name, src, want string }{
 		{"empty clause", "set pattern\nrun 1ms", "set pattern needs"},
@@ -473,12 +480,12 @@ set faults linkdown fwd0 at 1ms for 200us; nicstall at 2ms for 50us
 set fault lossburst tx0 at 3ms for 100us prob 0.1 seed 7
 run 1ms
 `)
-	want := s.spec
+	want := s.Spec
 	want.Algorithm, want.FlowsPerPort, want.ExtraHops, want.LinkDelay = "dcqcn", 3, 2, 500*sim.Nanosecond
 	want.EnablePFC, want.EnableINT, want.ReceiverOnFPGA = true, true, false
 	want.Faults = "linkdown fwd0 at 1ms for 200us; nicstall at 2ms for 50us; lossburst tx0 at 3ms for 100us prob 0.1 seed 7"
-	if s.spec != want || s.spec.Seed != 1 {
-		t.Fatalf("spec = %+v", s.spec)
+	if s.Spec != want || s.Spec.Seed != 1 {
+		t.Fatalf("spec = %+v", s.Spec)
 	}
 	bad := []struct{ src, want string }{
 		{"set\nrun 1ms", "set needs KEY VALUE"},

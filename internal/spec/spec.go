@@ -8,6 +8,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -16,10 +17,11 @@ import (
 )
 
 // Duration parses a Go-syntax duration ("2ms", "500us") into sim time.
-// Negative durations are rejected.
+// Negative durations are rejected, and so are those past ≈ 106 days, which
+// overflow sim time's picoseconds.
 func Duration(val string) (sim.Duration, error) {
 	d, err := time.ParseDuration(val)
-	if err != nil || d < 0 {
+	if err != nil || d < 0 || d > time.Duration(math.MaxInt64/sim.Nanosecond) {
 		return 0, fmt.Errorf("bad duration %q", val)
 	}
 	return sim.FromStd(d), nil

@@ -12,7 +12,7 @@ func TestDuration(t *testing.T) {
 	if err != nil || d != 2*sim.Millisecond {
 		t.Fatalf("Duration(2ms) = %v, %v", d, err)
 	}
-	for _, bad := range []string{"", "x", "-1ms", "2"} {
+	for _, bad := range []string{"", "x", "-1ms", "2", "2600h"} {
 		if _, err := Duration(bad); err == nil {
 			t.Errorf("Duration(%q) accepted", bad)
 		} else if !strings.Contains(err.Error(), "bad duration") {
