@@ -3,20 +3,25 @@ package fpga
 import "slices"
 
 // ring is a FIFO on a circular buffer that doubles when full, so its
-// capacity never exceeds twice its peak occupancy however long entries
-// circulate through it without it ever draining — the model of a bounded
-// hardware FIFO.
+// capacity never exceeds twice its peak occupancy (or minRing) however long
+// entries circulate through it without it ever draining — the model of a
+// bounded hardware FIFO.
 type ring[T any] struct {
 	buf  []T // length zero or a power of two
 	head int
 	n    int
 }
 
+// minRing is a ring's first capacity. The RX FIFOs of rate-paced ports peak
+// at five INFO packets (fanin_dcqcn), a depth a run can first reach long
+// after its start; at 4 entries that growth landed in the steady state.
+const minRing = 8
+
 func (r *ring[T]) len() int { return r.n }
 
 func (r *ring[T]) push(v T) {
 	if r.n == len(r.buf) {
-		buf := make([]T, maxI(4, 2*len(r.buf)))
+		buf := make([]T, maxI(minRing, 2*len(r.buf)))
 		k := copy(buf, r.buf[r.head:])
 		copy(buf[k:], r.buf[:r.head])
 		r.buf, r.head = buf, 0
@@ -24,6 +29,9 @@ func (r *ring[T]) push(v T) {
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
 }
+
+// at returns the i-th oldest entry, 0 <= i < len.
+func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)&(len(r.buf)-1)] }
 
 // pop removes and returns the oldest entry; the ring must not be empty.
 func (r *ring[T]) pop() T {

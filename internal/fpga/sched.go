@@ -29,6 +29,16 @@ type scheduler struct {
 	// cycle count divided by the six-cycle rescheduling loop.
 	budget int
 
+	// rateMode is the deployed module's Mode, fixed for the NIC's life.
+	rateMode bool
+	// sleeps lets a rate-mode FIFO port arm its TX timer past the slots that
+	// provably emit nothing (see sleep); tests clear it to run the per-slot
+	// reference. asleep marks a port whose timer is so armed, and txTimer
+	// is that timer, cancelled by wake.
+	sleeps  bool
+	asleep  []bool
+	txTimer []sim.Handle
+
 	// Cyclic-scan baseline state (Challenge 2 ablation).
 	portFlows  [][]packet.FlowID
 	scanPos    []int
@@ -45,6 +55,12 @@ func newScheduler(n *NIC) *scheduler {
 		txNext:    make([]sim.Time, ports),
 		txSlot:    sim.Interval(n.cfg.TXTimerPPS),
 		tickFns:   make([]sim.Func, ports),
+		rateMode:  n.cfg.Algorithm.Mode() == cc.RateMode,
+	}
+	if s.rateMode && n.cfg.Scheduler != CyclicScan {
+		s.sleeps = true
+		s.asleep = make([]bool, ports)
+		s.txTimer = make([]sim.Handle, ports)
 	}
 	for i := range s.tickFns {
 		i := i
@@ -106,12 +122,14 @@ func (s *scheduler) push(f *flowState) {
 		return
 	}
 	f.inFIFO = true
+	s.wake(int(f.port))
 	s.fifo[f.port].push(f.flow)
 	s.kick(int(f.port))
 }
 
 // pushPriority inserts a retransmission event.
 func (s *scheduler) pushPriority(f *flowState) {
+	s.wake(int(f.port))
 	s.prio[f.port].push(f.flow)
 	s.kick(int(f.port))
 }
@@ -139,6 +157,9 @@ func (s *scheduler) tick(port int) {
 		return
 	}
 	now := s.nic.eng.Now()
+	if s.sleeps && s.asleep[port] {
+		s.catchUp(port, now)
+	}
 	s.txNext[port] = now.Add(s.txSlot)
 
 	emitted := s.emitPriority(port)
@@ -152,9 +173,107 @@ func (s *scheduler) tick(port int) {
 	if !emitted {
 		s.nic.stats.SchedWasted++
 	}
-	if s.hasWork(port) {
+	if s.hasWork(port) && !(s.sleeps && s.sleep(port)) {
 		s.kick(port)
 	}
+}
+
+// sleep arms the port's TX timer past the slots that provably emit nothing,
+// reporting whether there are any. They are provable when the priority FIFO
+// is empty and the scheduling FIFO holds at most budget entries, each of an
+// active flow with data left: every slot then examines every entry and emits
+// once the earliest nextSend is due, the slot the timer is armed for. Before
+// it, only a push, a priority push, a flow going inactive or a stall changes
+// what a slot reads, and each wakes the port first. An emission elsewhere (a
+// restarted ID's event left on its old port) only moves a nextSend later, and
+// cannot exhaust a flow before its nextSend, whose first slot here is the
+// wake-up.
+func (s *scheduler) sleep(port int) bool {
+	q := &s.fifo[port]
+	if s.prio[port].len() > 0 || q.len() > s.budget {
+		return false
+	}
+	due := sim.Forever
+	for i := 0; i < q.len(); i++ {
+		f := s.nic.flows.Get(q.at(i))
+		if !f.active || s.exhausted(f) {
+			return false
+		}
+		due = min(due, f.nextSend)
+	}
+	next := s.txNext[port]
+	if due <= next {
+		return false
+	}
+	skip := (due.Sub(next) + s.txSlot - 1) / s.txSlot
+	s.asleep[port] = true
+	s.txPending[port] = true
+	s.txTimer[port] = s.nic.eng.ScheduleAt(next.Add(skip*s.txSlot), s.tickFns[port])
+	return true
+}
+
+// catchUp ends a port's sleep at now, accounting for the slots it skipped
+// before now in closed form: each found nothing due, counts as wasted, and
+// examined budget entries, rotating the ring by that many.
+func (s *scheduler) catchUp(port int, now sim.Time) {
+	s.asleep[port] = false
+	next := s.txNext[port]
+	if now <= next {
+		return
+	}
+	skipped := (now.Sub(next) + s.txSlot - 1) / s.txSlot
+	s.nic.stats.SchedWasted += uint64(skipped)
+	q := &s.fifo[port]
+	for r := int64(skipped) * int64(s.budget) % int64(q.len()); r > 0; r-- {
+		q.push(q.pop())
+	}
+	s.txNext[port] = next.Add(skipped * s.txSlot)
+}
+
+// wake ends a port's sleep early. Call it before changing anything an idle
+// slot reads: the skipped slots are accounted for and the timer is re-armed
+// at the next slot boundary, as the per-slot tick would have left it.
+func (s *scheduler) wake(port int) {
+	if s.sleeps && s.asleep[port] {
+		s.endSleep(port) // kept apart so that this check inlines into push
+	}
+}
+
+func (s *scheduler) endSleep(port int) {
+	s.txTimer[port].Cancel()
+	s.txPending[port] = false
+	s.catchUp(port, s.nic.eng.Now())
+	s.kick(port)
+}
+
+// wakeFlow wakes every sleeping port whose scheduling FIFO holds an event of
+// flow before the flow goes inactive. An ID restarted on another port can
+// leave an event on its old port, so that port is not always the flow's own.
+func (s *scheduler) wakeFlow(flow packet.FlowID) {
+	for port, asleep := range s.asleep {
+		if !asleep {
+			continue
+		}
+		q := &s.fifo[port]
+		for i := 0; i < q.len(); i++ {
+			if q.at(i) == flow {
+				s.endSleep(port)
+				break
+			}
+		}
+	}
+}
+
+// slept counts the slots that sleeping ports have skipped up to now and
+// catchUp has not yet added to SchedWasted.
+func (s *scheduler) slept(now sim.Time) uint64 {
+	n := uint64(0)
+	for port, asleep := range s.asleep {
+		if next := s.txNext[port]; asleep && now >= next {
+			n += uint64(now.Sub(next)/s.txSlot) + 1
+		}
+	}
+	return n
 }
 
 func (s *scheduler) hasWork(port int) bool {
@@ -198,7 +317,6 @@ func (s *scheduler) emitPriority(port int) bool {
 // window-limited flows fall out of the FIFO and are reactivated by their
 // next INFO packet; rate-limited flows that are not yet due circulate.
 func (s *scheduler) fifoTick(port int) bool {
-	rateMode := s.nic.cfg.Algorithm.Mode() == cc.RateMode
 	q := &s.fifo[port]
 	for examined := 0; examined < s.budget && q.len() > 0; examined++ {
 		flow := q.pop()
@@ -207,7 +325,7 @@ func (s *scheduler) fifoTick(port int) bool {
 		if !f.active || s.exhausted(f) {
 			continue // event dropped; flow is inactive
 		}
-		if rateMode {
+		if s.rateMode {
 			if now := s.nic.eng.Now(); now < f.nextSend {
 				// Not due yet: circulate without emitting.
 				f.inFIFO = true
@@ -239,7 +357,6 @@ func (s *scheduler) scanTick(port int) bool {
 	if len(flows) == 0 {
 		return false
 	}
-	rateMode := s.nic.cfg.Algorithm.Mode() == cc.RateMode
 	pos := s.scanPos[port]
 	for i := 0; i < s.scanBudget && i < len(flows); i++ {
 		idx := (pos + i) % len(flows)
@@ -248,7 +365,7 @@ func (s *scheduler) scanTick(port int) bool {
 		if !f.active || int(f.port) != port || s.exhausted(f) {
 			continue
 		}
-		if rateMode {
+		if s.rateMode {
 			if s.nic.eng.Now() < f.nextSend {
 				continue
 			}
