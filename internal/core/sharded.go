@@ -46,7 +46,7 @@ type island struct {
 
 // newIsland builds the devices serving partition part's nports data ports
 // on eng. cfg has been defaulted and plan shrunk by prepare.
-func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan) (*island, error) {
+func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan, pool *packet.Pool) (*island, error) {
 	// SCHE is paced at the plan's per-port DATA rate unless overridden;
 	// INFO never drains faster than SCHE is sent.
 	txPPS := cfg.TXTimerPPS
@@ -66,6 +66,7 @@ func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan) 
 		Receiver:       cfg.Receiver,
 		ReceiverOnFPGA: cfg.ReceiverOnFPGA,
 		CNPInterval:    cfg.Params.CNPInterval,
+		Pool:           pool,
 	})
 	if err != nil {
 		return nil, err
@@ -81,6 +82,7 @@ func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan) 
 		SingleRXFIFO:   cfg.SingleRXFIFO,
 		Scheduler:      cfg.Scheduler,
 		GoBackN:        cfg.Receiver == tofino.RoCEReceiver,
+		Pool:           pool,
 	})
 	if err != nil {
 		return nil, err

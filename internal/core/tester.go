@@ -157,6 +157,11 @@ type Tester struct {
 	pfcs     []*netem.PFC
 	fpgaRecv *fpga.Receiver
 
+	// pool supplies every packet the tester's devices create on a
+	// Shards == 0 build, where one goroutine runs them all; nil (the shared
+	// pool) on a sharded build, whose packets cross island goroutines.
+	pool *packet.Pool
+
 	userComplete func(flow packet.FlowID, fct sim.Duration)
 
 	faultPlan faults.Plan
@@ -294,7 +299,9 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 	pplan := fabric.PartitionPlan{Parts: 1, HostPart: make([]int, cfg.DataPorts)}
 	engs := []*sim.Engine{eng}
 	var slots []*portalSlot
-	if cfg.Shards > 0 {
+	if cfg.Shards == 0 {
+		t.pool = new(packet.Pool)
+	} else {
 		if pplan, err = fabric.PartitionSpec(cfg.Topology, cfg.DataPorts); err != nil {
 			return nil, err
 		}
@@ -327,7 +334,7 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 		if len(ports) == 0 {
 			continue
 		}
-		isl, err := newIsland(engs[g], g, len(ports), cfg, plan)
+		isl, err := newIsland(engs[g], g, len(ports), cfg, plan, t.pool)
 		if err != nil {
 			return nil, err
 		}
@@ -603,7 +610,7 @@ func (t *Tester) BindExternalFlow(flow packet.FlowID, rx int) error {
 // a bound external flow into data port tx's uplink, implementing
 // workload.Target.
 func (t *Tester) InjectData(flow packet.FlowID, tx int, psn uint32, frameBytes int, ect packet.ECT) {
-	t.txLinks[tx].Send(packet.NewDataECT(flow, psn, frameBytes, t.Eng.Now(), ect))
+	t.txLinks[tx].Send(t.pool.NewDataECT(flow, psn, frameBytes, t.Eng.Now(), ect))
 }
 
 // InstallPatterns compiles a traffic-pattern plan onto this tester: a

@@ -112,6 +112,7 @@ func TestFixtureDiagnostics(t *testing.T) {
 			"poolflow_bad.go:28 poolflow", // double Release across calls
 			"poolflow_bad.go:41 poolflow", // use after Receive handoff
 			"poolflow_bad.go:46 poolflow", // leak on early return
+			"poolflow_bad.go:57 poolflow", // leak of a (*packet.Pool) packet
 		}},
 		{"poolflow_clean", "poolflow", nil},
 		{"simunits_bad", "simunits", []string{

@@ -268,20 +268,26 @@ func (pf *poolFlow) assign(e env[poolState], lhs, rhs ast.Expr, define bool) {
 }
 
 // isCreator reports whether the call mints a fresh pooled packet the caller
-// owns: packet.Get, the typed constructors, or (*Packet).Clone.
+// owns: packet.Get, the typed constructors, their (*packet.Pool) methods,
+// or (*Packet).Clone.
 func (pf *poolFlow) isCreator(call *ast.CallExpr) bool {
 	fn := calleeFunc(pf.info, call)
 	if fn == nil {
 		return false
 	}
 	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		return fn.Name() == "Clone" && isPacketPtr(recv.Type())
+		if isPacketPtr(recv.Type()) {
+			return fn.Name() == "Clone"
+		}
+		if !isPacketPkgPtr(recv.Type(), "Pool") {
+			return false
+		}
 	}
 	if fn.Pkg() == nil || fn.Pkg().Path() != packetPkgPath {
 		return false
 	}
 	switch fn.Name() {
-	case "Get", "NewData", "NewSche", "NewAck":
+	case "Get", "NewData", "NewDataECT", "NewSche", "NewAck":
 		return true
 	}
 	return false
@@ -500,7 +506,11 @@ func allConsumed(states []poolState) bool {
 }
 
 // isPacketPtr reports whether t is *marlin/internal/packet.Packet.
-func isPacketPtr(t types.Type) bool {
+func isPacketPtr(t types.Type) bool { return isPacketPkgPtr(t, "Packet") }
+
+// isPacketPkgPtr reports whether t is a pointer to the packet package's
+// named type name.
+func isPacketPkgPtr(t types.Type, name string) bool {
 	ptr, ok := t.(*types.Pointer)
 	if !ok {
 		return false
@@ -510,6 +520,6 @@ func isPacketPtr(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Packet" && obj.Pkg() != nil &&
-		obj.Pkg().Path() == "marlin/internal/packet"
+	return obj.Name() == name && obj.Pkg() != nil &&
+		obj.Pkg().Path() == packetPkgPath
 }

@@ -2,7 +2,7 @@
 // violations split across function boundaries. No block contains both the
 // Release and the offending use, so a block-local scan sees none of them;
 // they are exactly what the interprocedural summaries exist to catch (the
-// fixture test asserts poolflow reports all four).
+// fixture test asserts poolflow reports all five).
 package poolflow_bad
 
 import "marlin/internal/packet"
@@ -44,6 +44,17 @@ func UseAfterHandoff(s *sink) uint32 {
 // Leak abandons a pooled packet on the early-return path.
 func Leak(n int) int {
 	p := packet.Get()
+	if n < 0 {
+		return -1
+	}
+	consume(p)
+	return n
+}
+
+// LeakFromPool abandons a packet drawn from a caller's Pool on the
+// early-return path.
+func LeakFromPool(q *packet.Pool, n int) int {
+	p := q.NewSche(1, 0, 0, 0)
 	if n < 0 {
 		return -1
 	}

@@ -207,6 +207,9 @@ type Packet struct {
 	// (for INT-based CC such as HPCC); receivers echo it onto ACKs and
 	// the switch forwards it inside INFO packets.
 	INT INTRecord
+
+	// pool is where Release returns the packet: nil for the shared pool.
+	pool *Pool
 }
 
 // MaxINTHops bounds the telemetry stack a packet can carry; data-center
@@ -240,19 +243,35 @@ func (r *INTRecord) Push(h INTHop) bool {
 	return true
 }
 
-// pool recycles Packet structs across the packet lifecycle. A sync.Pool
-// (rather than a per-engine free list) because the fleet runner executes
-// many engines on parallel goroutines within one process. Pooled packets
-// are always zeroed: Release clears before putting back.
+// pool recycles Packet structs across the packet lifecycle for callers
+// without a Pool of their own: a sync.Pool, because any goroutine may use
+// it. Pooled packets are always zeroed: Release clears before putting back.
 var pool = sync.Pool{New: func() any { return new(Packet) }}
+
+// Pool is a free list of packets owned by one goroutine-confined
+// simulation: a one-island tester's devices share one, and every packet it
+// hands out goes back to it on Release. Once it holds the run's peak of
+// packets in flight, Get and Release neither lock nor allocate, and what
+// they allocate before that is a pure function of the simulated traffic.
+// The shared sync.Pool cannot promise that: its per-P caches grow and
+// shrink as the Go scheduler moves the goroutine between Ps, so allocation
+// counts taken around a run vary from one process to the next.
+//
+// A nil *Pool is the shared pool, which any goroutine may use. A non-nil
+// one must only be used, through its packets' Release and Clone too, by
+// one goroutine at a time; a sharded tester, whose packets cross between
+// island goroutines, therefore uses the shared pool.
+type Pool struct {
+	free []*Packet
+}
 
 // accounting, when non-zero, makes Get/Release maintain the live-packet
 // counter. It is a test-only facility for pool-ownership audits: production
 // paths pay one relaxed atomic load per Get/Release and nothing else.
 var accounting atomic.Bool
 
-// live is the number of packets obtained from the pool and not yet
-// Released, counted only while accounting is enabled.
+// live is the number of packets obtained from a pool and not yet Released,
+// counted only while accounting is enabled.
 var live atomic.Int64
 
 // SetAccounting enables or disables live-packet accounting and resets the
@@ -264,28 +283,47 @@ func SetAccounting(on bool) {
 }
 
 // Live returns the number of outstanding (un-Released) packets taken from
-// the pool since accounting was enabled. Meaningless when accounting is off.
+// any pool since accounting was enabled. Meaningless when accounting is off.
 func Live() int64 { return live.Load() }
 
-// Get returns a zeroed Packet from the pool. Callers that build a packet
-// field-by-field (wire parsing, custom roles) use Get directly; the common
-// roles have typed constructors below.
-func Get() *Packet {
+// Get returns a zeroed Packet from the shared pool. Callers that build a
+// packet field-by-field (wire parsing, custom roles) use Get directly; the
+// common roles have typed constructors below.
+func Get() *Packet { return (*Pool)(nil).Get() }
+
+// Get returns a zeroed Packet from q, or from the shared pool when q is
+// nil. Release returns it to the same pool.
+func (q *Pool) Get() *Packet {
 	if accounting.Load() {
 		live.Add(1)
 	}
-	return pool.Get().(*Packet)
+	if q == nil {
+		return pool.Get().(*Packet)
+	}
+	n := len(q.free)
+	if n == 0 {
+		return &Packet{pool: q}
+	}
+	p := q.free[n-1]
+	q.free[n-1] = nil
+	q.free = q.free[:n-1]
+	return p
 }
 
-// Release returns p to the pool once it reaches end-of-life. Ownership
-// rule: passing a packet to a component's Receive transfers ownership;
-// whoever consumes, drops, or retires the packet calls Release exactly
-// once, and must not touch it afterwards. Components that retain a packet
-// past their handler (e.g. capture sinks) must Clone it instead of keeping
-// the original.
+// Release returns p to the pool it came from once it reaches end-of-life.
+// Ownership rule: passing a packet to a component's Receive transfers
+// ownership; whoever consumes, drops, or retires the packet calls Release
+// exactly once, and must not touch it afterwards. Components that retain a
+// packet past their handler (e.g. capture sinks) must Clone it instead of
+// keeping the original.
 func (p *Packet) Release() {
-	*p = Packet{}
-	pool.Put(p)
+	q := p.pool
+	*p = Packet{pool: q}
+	if q == nil {
+		pool.Put(p)
+	} else {
+		q.free = append(q.free, p)
+	}
 	if accounting.Load() {
 		live.Add(-1)
 	}
@@ -294,7 +332,12 @@ func (p *Packet) Release() {
 // NewData returns a DATA packet of the given frame size, carrying the
 // default ECT(0) codepoint.
 func NewData(flow FlowID, psn uint32, size int, sentAt sim.Time) *Packet {
-	p := Get()
+	return (*Pool)(nil).NewData(flow, psn, size, sentAt)
+}
+
+// NewData is the package-level NewData drawing from q.
+func (q *Pool) NewData(flow FlowID, psn uint32, size int, sentAt sim.Time) *Packet {
+	p := q.Get()
 	p.Type, p.Flow, p.PSN, p.Size, p.SentAt, p.Flags = DATA, flow, psn, size, sentAt, FlagECNCapable
 	return p
 }
@@ -302,7 +345,12 @@ func NewData(flow FlowID, psn uint32, size int, sentAt sim.Time) *Packet {
 // NewDataECT returns a DATA packet with an explicit ECN codepoint — the
 // constructor flood injectors use to compare Not-ECT against ECT(1) abuse.
 func NewDataECT(flow FlowID, psn uint32, size int, sentAt sim.Time, ect ECT) *Packet {
-	p := Get()
+	return (*Pool)(nil).NewDataECT(flow, psn, size, sentAt, ect)
+}
+
+// NewDataECT is the package-level NewDataECT drawing from q.
+func (q *Pool) NewDataECT(flow FlowID, psn uint32, size int, sentAt sim.Time, ect ECT) *Packet {
+	p := q.Get()
 	p.Type, p.Flow, p.PSN, p.Size, p.SentAt, p.Flags = DATA, flow, psn, size, sentAt, ect.Bits()
 	return p
 }
@@ -310,7 +358,12 @@ func NewDataECT(flow FlowID, psn uint32, size int, sentAt sim.Time, ect ECT) *Pa
 // NewSche returns a 64-byte SCHE packet instructing the switch to emit the
 // flow's next DATA packet on the given port.
 func NewSche(flow FlowID, psn uint32, port int, now sim.Time) *Packet {
-	p := Get()
+	return (*Pool)(nil).NewSche(flow, psn, port, now)
+}
+
+// NewSche is the package-level NewSche drawing from q.
+func (q *Pool) NewSche(flow FlowID, psn uint32, port int, now sim.Time) *Packet {
+	p := q.Get()
 	p.Type, p.Flow, p.PSN, p.Port, p.Size, p.SentAt = SCHE, flow, psn, port, ControlSize, now
 	return p
 }
@@ -326,7 +379,7 @@ func NewAck(flow FlowID, psn, ack uint32, rx sim.Time) *Packet {
 // Clone returns a pooled copy of p. Multicast paths clone rather than
 // alias; the clone has its own lifetime and its own Release.
 func (p *Packet) Clone() *Packet {
-	q := Get()
+	q := p.pool.Get()
 	*q = *p
 	return q
 }

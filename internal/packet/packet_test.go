@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"marlin/internal/race"
 	"marlin/internal/sim"
 )
 
@@ -106,6 +107,37 @@ func TestECTSurvivesCloneAndPool(t *testing.T) {
 		t.Fatalf("pooled packet not zeroed: %+v", fresh)
 	}
 	fresh.Release()
+}
+
+// TestPoolRecyclesItsOwnPackets checks a Pool's contract: its packets and
+// their clones come back to it zeroed, and once it holds a cycle's packets
+// it allocates nothing more.
+func TestPoolRecyclesItsOwnPackets(t *testing.T) {
+	q := new(Pool)
+	p := q.NewDataECT(3, 7, 1024, sim.Time(55), ECT1)
+	c := p.Clone()
+	p.Release()
+	c.Release()
+	if len(q.free) != 2 {
+		t.Fatalf("pool holds %d packets after two Releases, want 2", len(q.free))
+	}
+	r := q.Get()
+	if r != c || *r != (Packet{pool: q}) {
+		t.Fatalf("Get returned %p %+v, want the last Released packet %p, zeroed", r, r, c)
+	}
+	r.Release()
+	if race.Enabled {
+		t.Skip("the race runtime allocates shadow state")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		d := q.NewData(1, 2, 1024, 0)
+		s := q.NewSche(1, 2, 0, 0)
+		d.Clone().Release()
+		d.Release()
+		s.Release()
+	}); n != 0 {
+		t.Fatalf("a warm Pool allocated %v times a cycle, want 0", n)
+	}
 }
 
 // TestECTSurvivesAckTransform mirrors the switch's in-place DATA→ACK rewrite

@@ -29,6 +29,9 @@ type Config struct {
 	ReceiverOnFPGA bool
 	// CNPInterval rate-limits per-flow CNP generation (RoCE receiver).
 	CNPInterval sim.Duration
+	// Pool supplies the DATA, NACK and CNP packets the pipeline creates
+	// (nil: the shared pool).
+	Pool *packet.Pool
 }
 
 // Counters are the pipeline's control-plane-visible registers (§3.2: "the
@@ -135,7 +138,7 @@ func NewPipeline(eng *sim.Engine, cfg Config) (*Pipeline, error) {
 			pl.queues[i] = newRegQueue(cfg.QueueDepth)
 		}
 	}
-	pl.recv = newReceiver(eng, cfg.Receiver, cfg.CNPInterval)
+	pl.recv = newReceiver(eng, cfg.Receiver, cfg.CNPInterval, cfg.Pool)
 	return pl, nil
 }
 
@@ -328,7 +331,7 @@ func (pl *Pipeline) sendData(port int, m scheMeta) {
 	if out == nil {
 		return
 	}
-	d := packet.NewData(m.flow, m.psn, pl.cfg.Plan.MTU, sim.Time(m.sentAt))
+	d := pl.cfg.Pool.NewData(m.flow, m.psn, pl.cfg.Plan.MTU, sim.Time(m.sentAt))
 	d.Flags |= m.flags & packet.FlagRetransmit
 	// Carry the flow's ECN codepoint from the SCHE header onto the DATA
 	// packet it generates (NewData defaults to ECT(0)).

@@ -44,6 +44,7 @@ type receiver struct {
 	eng         *sim.Engine
 	mode        ReceiverMode
 	cnpInterval sim.Duration
+	pool        *packet.Pool
 	flows       flowtab.Table[rxFlow]
 	ackOut      []netem.Node
 
@@ -55,8 +56,8 @@ type receiver struct {
 	dupRx  uint64
 }
 
-func newReceiver(eng *sim.Engine, mode ReceiverMode, cnpInterval sim.Duration) *receiver {
-	return &receiver{eng: eng, mode: mode, cnpInterval: cnpInterval}
+func newReceiver(eng *sim.Engine, mode ReceiverMode, cnpInterval sim.Duration, pool *packet.Pool) *receiver {
+	return &receiver{eng: eng, mode: mode, cnpInterval: cnpInterval, pool: pool}
 }
 
 func (r *receiver) connectAck(port int, out netem.Node) {
@@ -157,7 +158,7 @@ func (r *receiver) sendNack(port int, d *packet.Packet, expected uint32) {
 	if out == nil {
 		return
 	}
-	n := packet.Get()
+	n := r.pool.Get()
 	n.Type = packet.ACK
 	n.Flow = d.Flow
 	n.PSN = d.PSN
@@ -183,7 +184,7 @@ func (r *receiver) maybeCNP(port int, d *packet.Packet, f *rxFlow) {
 	}
 	f.lastCNP = now
 	f.cnpSent = true
-	cnp := packet.Get()
+	cnp := r.pool.Get()
 	cnp.Type = packet.CNP
 	cnp.Flow = d.Flow
 	cnp.PSN = d.PSN
