@@ -13,7 +13,7 @@ import (
 
 // benchArgs is what bench takes beyond the configuration keys.
 type benchArgs struct {
-	dur                           time.Duration
+	dur                           marlin.Duration
 	reps                          int
 	fanin                         bool
 	cpuprofile, memprofile, trace string
@@ -23,7 +23,7 @@ func parseBench(args []string) (marlin.TestConfig, benchArgs, error) {
 	cfg := adhocDefaults()
 	var a benchArgs
 	fs := keyFlags("bench", &cfg)
-	fs.DurationVar(&a.dur, "duration", 5*time.Millisecond, "simulated duration per repetition")
+	durationVar(fs, &a.dur, 5*marlin.Millisecond, "simulated duration per repetition")
 	fs.IntVar(&a.reps, "reps", 3, "repetitions (a fresh tester each)")
 	fs.BoolVar(&a.fanin, "fanin", false, "route all flows to one destination port")
 	fs.StringVar(&a.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
@@ -127,7 +127,7 @@ func cmdBench(args []string) error {
 
 // benchRep assembles one tester, runs the workload for dur of simulated
 // time, and reports events fired and DATA packets emitted.
-func benchRep(cfg marlin.TestConfig, fanin bool, dur time.Duration) (events, pkts uint64, err error) {
+func benchRep(cfg marlin.TestConfig, fanin bool, dur marlin.Duration) (events, pkts uint64, err error) {
 	t, err := marlin.NewTester(cfg)
 	if err != nil {
 		return 0, 0, err
@@ -135,6 +135,6 @@ func benchRep(cfg marlin.TestConfig, fanin bool, dur time.Duration) (events, pkt
 	if _, err := startFlows(t, cfg.FlowsPerPort, fanin); err != nil {
 		return 0, 0, err
 	}
-	t.RunFor(marlin.Duration(dur.Nanoseconds()) * marlin.Nanosecond)
+	t.RunFor(dur)
 	return t.EventsExecuted(), t.Registers().Switch.DataTx, nil
 }

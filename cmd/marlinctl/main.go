@@ -5,20 +5,21 @@
 // Usage:
 //
 //	marlinctl list
-//	marlinctl run <experiment> [-scale N] [-seed N] [-format text|json|csv]
-//	marlinctl all [-scale N] [-seed N] [-j N] [-format text|json|csv]
+//	marlinctl run <experiment> [-scale N] [-seed N] [-format text|json|csv|md]
+//	marlinctl all [-scale N] [-seed N] [-j N] [-format text|json|csv|md]
 //	marlinctl test  [KEYS] [-duration 5ms] [-fanin] [-pcap FILE]
 //	marlinctl bench [KEYS] [-duration 5ms] [-fanin] [-reps N] [-cpuprofile FILE] ...
 //	marlinctl dot   [KEYS]
 //	marlinctl sweep [KEYS] -axis ecn=8,65,200 [-axis algo=dctcp,dcqcn] [-reps N]
-//	               [-j N] [-journal FILE] [-timeout D] [-retries N]
+//	               [-j N] [-journal FILE] [-timeout D] [-retries N] [-format F]
 //	marlinctl script <file>...
 //	marlinctl fuzz [-n N] [-seed S] [-j N] [-minimize] [-repro DIR]
 //
 // KEYS is one flag per configuration key of marlin.TestConfig (-algo, -ports,
 // -ecn, -aqm, -topology, -shards, -seed, ...), declared once beside
 // controlplane.Spec for these flags, scenario `set` lines and sweep axes
-// alike; "marlinctl help" prints the table.
+// alike; "marlinctl help" prints the table. sweep is shorthand for a
+// scenario script with sweep lines (see sweep.go).
 package main
 
 import (
@@ -30,6 +31,8 @@ import (
 	"time"
 
 	"marlin"
+	"marlin/internal/scenario"
+	"marlin/internal/spec"
 )
 
 func main() {
@@ -46,7 +49,7 @@ func main() {
 	case "all":
 		err = cmdAll(os.Args[2:])
 	case "sweep":
-		err = cmdSweep(os.Args[2:])
+		err = cmdSweep(os.Stdout, os.Args[2:])
 	case "test":
 		err = cmdTest(os.Args[2:])
 	case "bench":
@@ -78,13 +81,14 @@ commands:
   run <experiment> [flags]  regenerate one table/figure
   all [flags]               regenerate every table/figure (parallel with -j)
   sweep [flags]             run a parameter-sweep campaign across all cores
+                            (shorthand for a scenario script with sweep lines)
   test [flags]              run an ad-hoc CC test
   bench [flags]             run a fixed workload under the Go profilers
   script <file>...          run packetdrill-style scenario scripts
   fuzz [flags]              run an invariant-fuzzing campaign
   dot [flags]               print the wired topology as Graphviz DOT
 
-run/all flags: -scale N (stretch toward paper scale), -seed N, -format text|json|csv
+run/all flags: -scale N (stretch toward paper scale), -seed N, -format text|json|csv|md
                all also takes -j N (parallel jobs; -j 1 = sequential)
 fuzz flags:    -n N (configs) -seed S -j N -minimize -repro DIR -poolaudit N
                report is byte-identical for a given (-n, -seed) at any -j
@@ -116,6 +120,16 @@ func keyFlags(cmd string, cfg *marlin.TestConfig) *flag.FlagSet {
 // (the short-horizon convention, see EXPERIMENTS.md).
 func adhocDefaults() marlin.TestConfig {
 	return marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, DCQCNTimeScale: 30, Seed: 1}
+}
+
+// durationVar binds -duration to *p, parsed by spec.Duration as a
+// scenario's run line is: a negative or overflowing horizon is refused.
+func durationVar(fs *flag.FlagSet, p *marlin.Duration, def marlin.Duration, usage string) {
+	*p = def
+	fs.Func("duration", usage+" (default "+spec.FormatDuration(def)+")", func(s string) (err error) {
+		*p, err = spec.Duration(s)
+		return err
+	})
 }
 
 // startFlows starts perPort open-ended flows on every sender port — port p
@@ -159,29 +173,33 @@ func cmdList() error {
 func addExpFlags(fs *flag.FlagSet) (scale *float64, seed *uint64, format *string) {
 	scale = fs.Float64("scale", 1, "scale factor toward paper scale")
 	seed = fs.Uint64("seed", 0, "random seed (0 = default)")
-	format = fs.String("format", "text", "output format: text, json, or csv")
+	format = new(string)
+	formatVar(fs, format)
 	return scale, seed, format
 }
 
-func checkFormat(format string) error {
-	switch format {
-	case "text", "json", "csv":
-		return nil
-	default:
-		return fmt.Errorf("unknown -format %q", format)
-	}
+// formats maps each -format value to its renderer.
+var formats = map[string]func(*marlin.ExperimentResult, io.Writer) error{
+	"text": func(r *marlin.ExperimentResult, w io.Writer) error { r.Fprint(w); return nil },
+	"json": (*marlin.ExperimentResult).FprintJSON,
+	"csv":  (*marlin.ExperimentResult).FprintCSV,
+	"md":   (*marlin.ExperimentResult).FprintMarkdown,
 }
 
-func emit(res *marlin.ExperimentResult, format string) error {
-	switch format {
-	case "json":
-		return res.FprintJSON(os.Stdout)
-	case "csv":
-		return res.FprintCSV(os.Stdout)
-	default:
-		res.Fprint(os.Stdout)
+// formatVar binds -format to *p, refusing a value emit cannot render.
+func formatVar(fs *flag.FlagSet, p *string) {
+	*p = "text"
+	fs.Func("format", "output format: text, json, csv, or md (Markdown) (default text)", func(s string) error {
+		if formats[s] == nil {
+			return fmt.Errorf("unknown -format %q", s)
+		}
+		*p = s
 		return nil
-	}
+	})
+}
+
+func emit(w io.Writer, res *marlin.ExperimentResult, format string) error {
+	return formats[format](res, w)
 }
 
 func cmdRun(args []string) error {
@@ -194,16 +212,13 @@ func cmdRun(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	if err := checkFormat(*format); err != nil {
-		return err
-	}
 	opts := marlin.ExperimentOptions{Scale: *scale, Seed: *seed}
 	start := time.Now() //marlin:allow wallclock -- "(Ns wall)" banner; host-side UX, not model state
 	res, err := marlin.RunExperiment(name, opts)
 	if err != nil {
 		return err
 	}
-	if err := emit(res, *format); err != nil {
+	if err := emit(os.Stdout, res, *format); err != nil {
 		return err
 	}
 	if *format == "text" {
@@ -222,9 +237,6 @@ func cmdAll(args []string) error {
 	scale, seed, format := addExpFlags(fs)
 	workers := fs.Int("j", runtime.GOMAXPROCS(0), "parallel experiment jobs (1 = sequential)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := checkFormat(*format); err != nil {
 		return err
 	}
 	opts := marlin.ExperimentOptions{Scale: *scale, Seed: *seed}
@@ -251,7 +263,7 @@ func cmdAll(args []string) error {
 			if !r.OK() {
 				return fmt.Errorf("%s: %s", r.ID, r.Err)
 			}
-			if err := emit(r.Output.Table, *format); err != nil {
+			if err := emit(os.Stdout, r.Output.Table, *format); err != nil {
 				return err
 			}
 			if *format == "text" {
@@ -265,7 +277,7 @@ func cmdAll(args []string) error {
 
 // testArgs is what test takes beyond the configuration keys.
 type testArgs struct {
-	dur   time.Duration
+	dur   marlin.Duration
 	fanin bool
 	pcap  string
 }
@@ -274,7 +286,7 @@ func parseTest(args []string) (marlin.TestConfig, testArgs, error) {
 	cfg := adhocDefaults()
 	var a testArgs
 	fs := keyFlags("test", &cfg)
-	fs.DurationVar(&a.dur, "duration", 5*time.Millisecond, "simulated duration (e.g. 5ms, 2s)")
+	durationVar(fs, &a.dur, 5*marlin.Millisecond, "simulated duration (e.g. 5ms, 2s)")
 	fs.BoolVar(&a.fanin, "fanin", false, "route all flows to one destination port")
 	fs.StringVar(&a.pcap, "pcap", "", "capture the first forward link to this pcap file")
 	if err := fs.Parse(args); err != nil {
@@ -325,19 +337,20 @@ func cmdTest(args []string) error {
 	if err != nil {
 		return err
 	}
-	t.RunFor(marlin.Duration(a.dur.Nanoseconds()) * marlin.Nanosecond)
+	t.RunFor(a.dur)
 
 	snap := t.Registers()
 	fmt.Println(marlin.FormatSnapshot(snap))
-	secs := float64(a.dur.Nanoseconds()) / 1e9
+	secs := a.dur.Seconds()
 	var rates []float64
+	var total float64
 	for f := marlin.FlowID(0); f < id; f++ {
 		gbps := float64(t.FlowTxBytes(f)) * 8 / secs / 1e9
 		rates = append(rates, gbps)
+		total += gbps
 		fmt.Printf("flow %-4d %8.2f Gbps\n", f, gbps)
 	}
-	fmt.Printf("aggregate %8.2f Gbps   jain %.4f\n",
-		sum(rates), marlin.JainIndex(rates))
+	fmt.Printf("aggregate %8.2f Gbps   jain %.4f\n", total, marlin.JainIndex(rates))
 	losses := t.Losses()
 	fmt.Printf("losses: network=%d false=%d rx=%d\n",
 		losses.NetworkDrops, losses.FalseLosses, losses.RXDrops)
@@ -425,35 +438,41 @@ func cmdDot(args []string) error {
 	return nil
 }
 
-func cmdScript(args []string) error {
-	if len(args) == 0 {
+func cmdScript(args []string) error { return runScripts(os.Stdout, args, runtime.GOMAXPROCS(0)) }
+
+// runScripts runs scenario files in turn, a sweep's points on workers fleet
+// workers, and writes each one's report table, if it has one, and checks.
+func runScripts(w io.Writer, paths []string, workers int) error {
+	if len(paths) == 0 {
 		return fmt.Errorf("script: need at least one scenario file")
 	}
 	failed := 0
-	for _, path := range args {
+	for _, path := range paths {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		rep, err := marlin.RunScenario(string(src))
+		s, err := scenario.Parse(string(src))
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		fmt.Printf("== %s ==\n%s", path, rep.Summary())
-		if !rep.Passed() {
-			failed++
+		rep, err := s.RunWith(marlin.FleetOptions{Workers: workers}, 1)
+		if rep != nil {
+			fmt.Fprintf(w, "== %s ==\n", path)
+			if rep.Table != nil {
+				rep.Table.Fprint(w)
+			}
+			fmt.Fprint(w, rep.Summary())
+			if !rep.Passed() {
+				failed++
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d scenario(s) failed", failed)
 	}
 	return nil
-}
-
-func sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }

@@ -63,12 +63,16 @@ func TestDocumentedInvocations(t *testing.T) {
 		{cmd: "test", args: "-algo hpcc -int -pfc -fpgarecv -pcap out.pcap",
 			want: marlin.TestConfig{Algorithm: "hpcc", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, EnableINT: true, EnablePFC: true, ReceiverOnFPGA: true, DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "test", args: "-ports -1", wantErr: `bad ports "-1"`},
+		// -duration takes spec.Duration's rule, as a scenario's run line does.
+		{cmd: "test", args: "-duration -1ms", wantErr: `bad duration "-1ms"`},
+		{cmd: "test", args: "-duration 2600h", wantErr: `bad duration "2600h"`},
 
 		{cmd: "bench", args: "-algo dcqcn -ports 8 -flows 64 -duration 20ms -cpuprofile cpu.pb.gz -memprofile mem.pb.gz -trace trace.out",
 			want: marlin.TestConfig{Algorithm: "dcqcn", Ports: 8, FlowsPerPort: 64, ECNThresholdPkts: 65, DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "bench", args: "-topology fattree:4 -ports 8 -shards 2 -fanin -fpgarecv=false -reps 1",
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 8, FlowsPerPort: 1, ECNThresholdPkts: 65, Topology: "fattree:4", Shards: 2, DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "bench", args: "-reps 0", wantErr: "-reps must be >= 1"},
+		{cmd: "bench", args: "-duration -1ms", wantErr: `bad duration "-1ms"`},
 
 		{cmd: "dot", args: "-topology leafspine:2x2 -ports 4",
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, Topology: "leafspine:2x2", Seed: 1}},
@@ -84,6 +88,8 @@ func TestDocumentedInvocations(t *testing.T) {
 			want: marlin.TestConfig{Algorithm: "dcqcn", Ports: 4, FlowsPerPort: 3, ECNThresholdPkts: 65, Seed: 7}},
 		{cmd: "sweep", args: "", wantErr: "need at least one -axis"},
 		{cmd: "sweep", args: "-axis queue=-1", wantErr: `bad queue "-1"`},
+		{cmd: "sweep", args: "-axis ecn=8 -duration -1ms", wantErr: `bad duration "-1ms"`},
+		{cmd: "sweep", args: "-axis ecn=8 -format tsv", wantErr: `unknown -format "tsv"`},
 	}
 	for _, c := range cases {
 		got, err := parse(c.cmd, splitArgs(c.args))
@@ -104,20 +110,24 @@ func TestDocumentedInvocations(t *testing.T) {
 // where each command reads them.
 func TestCommandArgs(t *testing.T) {
 	_, ta, err := parseTest(splitArgs("-duration 8ms -fanin -pcap out.pcap"))
-	if err != nil || ta != (testArgs{dur: 8 * time.Millisecond, fanin: true, pcap: "out.pcap"}) {
+	if err != nil || ta != (testArgs{dur: 8 * marlin.Millisecond, fanin: true, pcap: "out.pcap"}) {
 		t.Errorf("test args %+v, %v", ta, err)
 	}
 	_, ba, err := parseBench(splitArgs("-reps 5 -trace t.out"))
-	if err != nil || ba != (benchArgs{dur: 5 * time.Millisecond, reps: 5, trace: "t.out"}) {
+	if err != nil || ba != (benchArgs{dur: 5 * marlin.Millisecond, reps: 5, trace: "t.out"}) {
 		t.Errorf("bench args %+v, %v", ba, err)
 	}
-	_, sa, err := parseSweep(splitArgs("-axis ecn=8,65 -axis pfc=on,off -reps 3 -j 2 -timeout 1s -journal j.jsonl -format csv"))
+	_, sa, err := parseSweep(splitArgs("-axis ecn=8,65 -axis pfc=on,off -reps 3 -j 2 -timeout 1s -journal j.jsonl -format csv -duration 2ms"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sa.axes.String() != "ecn=8,65 pfc=on,off" || sa.reps != 3 || sa.workers != 2 || sa.dur != 15*time.Millisecond ||
-		sa.timeout != time.Second || sa.journal != "j.jsonl" || sa.format != "csv" {
+	if sa.reps != 3 || sa.fleet.Workers != 2 || sa.fleet.Timeout != time.Second || sa.fleet.Journal != "j.jsonl" || sa.format != "csv" {
 		t.Errorf("sweep args %+v", sa)
+	}
+	want := "set algo dctcp\nset ports 5\nset flows 2\nset ecn 65\nset seed 1\nsweep ecn 8,65\nsweep pfc on,off\n" +
+		"at 0ms fanin size 20..400 loop\nrun 2ms\nreport total_gbps fct_p50_us fct_p99_us network_drops\n"
+	if got := sa.script.String(); got != want {
+		t.Errorf("sweep script:\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -112,13 +112,8 @@ func (r *Result) Fprint(w io.Writer) {
 		printRow(row)
 	}
 	if len(r.Metrics) > 0 {
-		keys := make([]string, 0, len(r.Metrics))
-		for k := range r.Metrics {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		fmt.Fprintln(w, "-- metrics --")
-		for _, k := range keys {
+		for _, k := range r.metricKeys() {
 			fmt.Fprintf(w, "%-32s %g\n", k, r.Metrics[k])
 		}
 	}
@@ -149,12 +144,7 @@ func (r *Result) FprintCSV(w io.Writer) error {
 	if err := cw.Error(); err != nil {
 		return err
 	}
-	keys := make([]string, 0, len(r.Metrics))
-	for k := range r.Metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range r.metricKeys() {
 		if _, err := fmt.Fprintf(w, "# metric %s %g\n", k, r.Metrics[k]); err != nil {
 			return err
 		}
@@ -165,6 +155,48 @@ func (r *Result) FprintCSV(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// FprintMarkdown renders the result as a Markdown section: a heading, the
+// table (short rows padded), the metrics table and the notes as quotes.
+func (r *Result) FprintMarkdown(w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "## %s — %s\n\n", r.Name, r.Title)
+	table := func(headers []string, rows [][]string) {
+		b.WriteString("| " + strings.Join(headers, " | ") + " |\n|" + strings.Repeat(" --- |", len(headers)) + "\n")
+		for _, row := range rows {
+			cells := make([]string, len(headers))
+			copy(cells, row)
+			b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
+		}
+	}
+	if len(r.Headers) > 0 {
+		table(r.Headers, r.Rows)
+	}
+	if len(r.Metrics) > 0 {
+		var rows [][]string
+		for _, k := range r.metricKeys() {
+			rows = append(rows, []string{k, fmt.Sprintf("%g", r.Metrics[k])})
+		}
+		b.WriteString("\n**Metrics**\n\n")
+		table([]string{"metric", "value"}, rows)
+	}
+	for _, n := range r.Notes {
+		fmt.Fprintf(&b, "\n> %s\n", n)
+	}
+	_, err := io.WriteString(w, b.String()+"\n")
+	return err
+}
+
+// metricKeys lists the metric names in sorted order, the order every
+// renderer prints them in.
+func (r *Result) metricKeys() []string {
+	keys := make([]string, 0, len(r.Metrics))
+	for k := range r.Metrics {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Func runs one experiment.

@@ -61,13 +61,3 @@ func MergedCDF(outputs []*Output, key string) measure.CDF {
 	}
 	return measure.MergeCDFs(cdfs...)
 }
-
-// Outputs extracts the outputs of successful results (nil for failures),
-// preserving order for aggregation.
-func Outputs(results []JobResult) []*Output {
-	outs := make([]*Output, len(results))
-	for i, r := range results {
-		outs[i] = r.Output
-	}
-	return outs
-}

@@ -24,10 +24,10 @@ import (
 	"marlin/internal/experiments"
 )
 
-// Output is the payload a job produces. All three job kinds map onto it:
-// named experiments fill Table, sweep points and replicates fill Metrics
-// (scalar summaries) and Samples (raw series such as FCTs, so replicate
-// aggregation can merge distributions rather than averaging percentiles).
+// Output is the payload a job produces. Named experiments fill Table; a
+// scenario sweep's runs fill a one-row Table and Samples (raw series such
+// as FCTs, so replicate aggregation can merge distributions rather than
+// averaging percentiles); library campaigns may fill Metrics.
 type Output struct {
 	// Metrics are scalar summary statistics, keyed by name.
 	Metrics map[string]float64 `json:"metrics,omitempty"`

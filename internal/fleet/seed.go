@@ -26,14 +26,21 @@ func fnv64(id string) uint64 {
 	return h
 }
 
-// Replicate expands one logical job into n seed-derived replicates. Each
-// replicate's ID is "<id>/repK" and its seed is DeriveSeed(base, that ID),
-// so the set of seeds is a pure function of (id, n, base).
+// Replicate expands one logical job into n seed replicates. Replicate 0
+// runs at base itself; replicate k >= 1 runs at DeriveSeed(base,
+// "<id>/rep<k>"), so the set of seeds is a pure function of (id, n, base).
+// Each replicate's ID is "<id>/rep<k>"; a lone replicate keeps id.
 func Replicate(id string, n int, base uint64, run func(seed uint64) (*Output, error)) []Job {
+	if n == 1 {
+		return []Job{{ID: id, Run: func() (*Output, error) { return run(base) }}}
+	}
 	jobs := make([]Job, n)
 	for k := 0; k < n; k++ {
 		repID := fmt.Sprintf("%s/rep%d", id, k)
-		seed := DeriveSeed(base, repID)
+		seed := base
+		if k > 0 {
+			seed = DeriveSeed(base, repID)
+		}
 		jobs[k] = Job{ID: repID, Run: func() (*Output, error) { return run(seed) }}
 	}
 	return jobs

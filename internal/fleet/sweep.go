@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"marlin/internal/controlplane"
@@ -22,7 +23,8 @@ type Axis struct {
 // ParseAxis parses "key=v1,v2,v3" and validates the key and every value by
 // test-applying them to a scratch spec. Any key of controlplane.Spec's table
 // is an axis, with the parsers scenarios and flags use; values are split on
-// commas, so a value that itself contains one cannot be swept.
+// commas, so a value that itself contains one cannot be swept, and a value
+// given twice would name two points alike.
 func ParseAxis(s string) (Axis, error) {
 	key, vals, ok := strings.Cut(s, "=")
 	if !ok || key == "" || vals == "" {
@@ -30,7 +32,10 @@ func ParseAxis(s string) (Axis, error) {
 	}
 	ax := Axis{Key: key, Values: strings.Split(vals, ",")}
 	var scratch controlplane.Spec
-	for _, v := range ax.Values {
+	for i, v := range ax.Values {
+		if slices.Contains(ax.Values[:i], v) {
+			return Axis{}, fmt.Errorf("fleet: axis %s: %q given twice", key, v)
+		}
 		if err := scratch.Set(key, v); err != nil {
 			return Axis{}, fmt.Errorf("fleet: axis %s: %w", key, err)
 		}

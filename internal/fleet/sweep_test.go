@@ -17,7 +17,7 @@ func TestParseAxis(t *testing.T) {
 		t.Errorf("ParseAxis = %+v", ax)
 	}
 	for _, bad := range []string{"", "ecn", "ecn=", "=8", "nope=1", "ecn=8,abc", "pfc=maybe", "linkdelay=fast",
-		"queue=-1", "ecn=-3", "hops=-1", "ports=-1", "linkdelay=-2us", "aqm=tsunami"} {
+		"queue=-1", "ecn=-3", "hops=-1", "ports=-1", "linkdelay=-2us", "aqm=tsunami", "ecn=8,65,8"} {
 		if _, err := ParseAxis(bad); err == nil {
 			t.Errorf("ParseAxis(%q) accepted", bad)
 		}

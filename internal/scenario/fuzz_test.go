@@ -59,13 +59,19 @@ func FuzzParse(f *testing.F) {
 	// the two example scripts.
 	f.Add("set algo reno\nset seed 0\nat 0ms start 0 tx 0 rx 1 size 50\nrun 1ms")
 	f.Add("set fault linkdown fwd0 at 1ms for 100us\nset fault nicstall at 2ms for 50us\nset fault lossburst tx0 at 3ms for 100us prob 0.1 seed 7\nrun 4ms\nexpect faults_recovered == 3")
-	for _, name := range []string{"fanin.scn", "roce-pfc.scn"} {
+	for _, name := range []string{"fanin.scn", "roce-pfc.scn", "ccsweep.scn", "chaos.scn", "burst.scn"} {
 		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", name))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(string(src))
 	}
+	// The grid directives: axes over several keys (seed and a value with
+	// spaces among them), a report whose metrics take operands, drawn and
+	// looping sizes on start and fanin, and operands on expect.
+	f.Add("set flows 2\nsweep ecn 8,65\nsweep seed 1,2\nat 0ms fanin size 20..400 loop\nrun 1ms\nreport total_gbps fct_p99_us jain")
+	f.Add("sweep faults linkdown fwd0 at 1ms for 100us,nicstall at 1ms for 50us\nat 0ms start 3 tx 0 rx 1 size 5..9\nrun 2ms\nreport fault_ttr_us fault_ttr_us 0 fault_pre_gbps 0 drops\nexpect fault_rtx 0 <= 3")
+	f.Add("at 0ms start 0 tx 0 rx 1 size 300 loop\nat 1ms fanin\nat 2ms fanin size 7\nrun 2ms\nexpect flow_gbps 3 >= 1\nreport flow_gbps 0 bg_completions")
 	f.Fuzz(func(t *testing.T, src string) {
 		s1, err := Parse(src)
 		if err != nil {
@@ -108,6 +114,9 @@ func sameScript(t *testing.T, what string, a, b *Scenario, withLines bool) {
 	}
 	if !reflect.DeepEqual(a.Steps, b.Steps) {
 		t.Fatalf("%s: steps\n%s\nvs\n%s", what, a, b)
+	}
+	if !reflect.DeepEqual(a.Sweeps, b.Sweeps) || !reflect.DeepEqual(a.Report, b.Report) {
+		t.Fatalf("%s: sweeps or report\n%s\nvs\n%s", what, a, b)
 	}
 }
 

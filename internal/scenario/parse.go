@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
+	"marlin/internal/fleet"
 	"marlin/internal/packet"
 	"marlin/internal/sim"
 	"marlin/internal/spec"
@@ -24,11 +26,14 @@ func Parse(src string) (*Scenario, error) {
 		fields := strings.Fields(text)
 		var err error
 		switch fields[0] {
-		case "set":
-			if sawRun {
-				err = fmt.Errorf("set after run is not allowed")
-			} else {
+		case "set", "sweep":
+			switch {
+			case sawRun:
+				err = fmt.Errorf("%s after run is not allowed", fields[0])
+			case fields[0] == "set":
 				err = s.parseSet(fields[1:])
+			default:
+				err = s.parseSweep(fields[1:])
 			}
 		case "at":
 			err = s.parseAt(line, fields[1:])
@@ -46,6 +51,8 @@ func Parse(src string) (*Scenario, error) {
 			if err == nil {
 				s.Steps = append(s.Steps, Step{Line: line, Expect: e})
 			}
+		case "report":
+			err = s.parseReport(fields[1:])
 		default:
 			err = fmt.Errorf("unknown directive %q", fields[0])
 		}
@@ -82,9 +89,9 @@ func (s *Scenario) Horizon() sim.Duration {
 }
 
 // String prints the scenario in the syntax Parse reads: its settings in
-// table order (a fault or pattern plan as one line), then the timeline
-// and the steps in their stored order. Parse(s.String()) equals s but for
-// line numbers.
+// table order (a fault or pattern plan as one line), its sweep axes, then
+// the timeline, the steps and the report line in their stored order.
+// Parse(s.String()) equals s but for line numbers.
 func (s *Scenario) String() string {
 	var b strings.Builder
 	for _, kv := range s.Spec.Settings() {
@@ -92,6 +99,9 @@ func (s *Scenario) String() string {
 	}
 	if s.Spec.Seed == 0 { // Settings omits a zero field; Parse would default it
 		b.WriteString("set seed 0\n")
+	}
+	for _, ax := range s.Sweeps {
+		fmt.Fprintf(&b, "sweep %s %s\n", ax.Key, strings.Join(ax.Values, ","))
 	}
 	for _, a := range s.Actions {
 		fmt.Fprintf(&b, "at %s %s\n", spec.FormatDuration(a.At), a.operands())
@@ -103,6 +113,9 @@ func (s *Scenario) String() string {
 			fmt.Fprintf(&b, "expect %s\n", st.Expect)
 		}
 	}
+	if len(s.Report) > 0 {
+		fmt.Fprintf(&b, "report %s\n", strings.Join(s.Report, " "))
+	}
 	return b.String()
 }
 
@@ -110,10 +123,9 @@ func (s *Scenario) String() string {
 func (a *Action) operands() string {
 	switch a.Kind {
 	case "start":
-		if a.Size == 0 {
-			return fmt.Sprintf("start %d tx %d rx %d", a.Flow, a.Tx, a.Rx)
-		}
-		return fmt.Sprintf("start %d tx %d rx %d size %d", a.Flow, a.Tx, a.Rx, a.Size)
+		return fmt.Sprintf("start %d tx %d rx %d%s", a.Flow, a.Tx, a.Rx, a.sizeTail())
+	case "fanin":
+		return "fanin" + a.sizeTail()
 	case "stop":
 		return fmt.Sprintf("stop %d", a.Flow)
 	case "drop", "mark":
@@ -127,13 +139,23 @@ func (a *Action) operands() string {
 	}
 }
 
+// sizeTail prints a start's or fanin's optional "size N|LO..HI" and
+// "loop" operands, with a leading space.
+func (a *Action) sizeTail() (tail string) {
+	if a.SizeMax != 0 {
+		tail = fmt.Sprintf(" size %d..%d", a.Size, a.SizeMax)
+	} else if a.Size != 0 {
+		tail = fmt.Sprintf(" size %d", a.Size)
+	}
+	if a.Loop {
+		tail += " loop"
+	}
+	return tail
+}
+
 // String prints the expectation as parseExpect reads it.
 func (e *Expectation) String() string {
-	v := strconv.FormatFloat(e.Value, 'f', -1, 64)
-	if e.Metric == "flow_gbps" {
-		return fmt.Sprintf("flow_gbps %d %s %s", e.Flow, e.Op, v)
-	}
-	return fmt.Sprintf("%s %s %s", e.Metric, e.Op, v)
+	return fmt.Sprintf("%s %s %s", e.Metric, e.Op, strconv.FormatFloat(e.Value, 'f', -1, 64))
 }
 
 // parseSet handles "set KEY VALUE" for every key of controlplane.Spec's
@@ -176,7 +198,8 @@ func (s *Scenario) appendClause(key, plan, clause, usage string) error {
 
 // parseAt handles:
 //
-//	at D start FLOW tx P rx P [size N]
+//	at D start FLOW tx P rx P [size N|LO..HI] [loop]
+//	at D fanin [size N|LO..HI] [loop]
 //	at D stop FLOW
 //	at D drop flow FLOW rx P psn N (or psn A..B)
 //	at D mark flow FLOW rx P psn A..B
@@ -193,27 +216,24 @@ func (s *Scenario) parseAt(line int, args []string) error {
 	rest := args[2:]
 	switch a.Kind {
 	case "start":
-		// FLOW tx P rx P [size N], each a 32-bit unsigned integer: a larger
-		// one is rejected, not truncated.
+		// FLOW tx P rx P [size N|LO..HI] [loop], each number a 32-bit
+		// unsigned integer: a larger one is rejected, not truncated.
 		if len(rest) < 5 || rest[1] != "tx" || rest[3] != "rx" {
-			return fmt.Errorf("start: expected FLOW tx P rx P [size N]")
+			return fmt.Errorf("start: expected FLOW tx P rx P [size N|LO..HI] [loop]")
 		}
-		size := "0"
-		if len(rest) == 7 && rest[5] == "size" {
-			size = rest[6]
-		} else if len(rest) != 5 {
-			return fmt.Errorf("start: trailing tokens %v", rest[5:])
-		}
-		names := [4]string{"value", "tx", "rx", "size"}
-		var v [4]uint32
-		for i, tok := range [4]string{rest[0], rest[2], rest[4], size} {
+		names := [3]string{"value", "tx", "rx"}
+		var v [3]uint32
+		for i, tok := range [3]string{rest[0], rest[2], rest[4]} {
 			n, err := strconv.ParseUint(tok, 10, 32)
 			if err != nil {
 				return fmt.Errorf("start: bad %s %q", names[i], tok)
 			}
 			v[i] = uint32(n)
 		}
-		a.Flow, a.Tx, a.Rx, a.Size = packet.FlowID(v[0]), int(v[1]), int(v[2]), v[3]
+		a.Flow, a.Tx, a.Rx = packet.FlowID(v[0]), int(v[1]), int(v[2])
+		err = a.parseSize(rest[5:])
+	case "fanin":
+		err = a.parseSize(rest)
 	case "stop":
 		if len(rest) != 1 {
 			return fmt.Errorf("stop needs a flow id")
@@ -255,6 +275,36 @@ func (s *Scenario) parseAt(line int, args []string) error {
 		return fmt.Errorf("unknown action %q", a.Kind)
 	}
 	s.Actions = append(s.Actions, a)
+	return err
+}
+
+// parseSize reads the optional "[size N|LO..HI] [loop]" tail of a start or
+// a fanin. A range draws each start's size uniformly from LO..HI, so it
+// needs 1 <= LO < HI; loop restarts a completed flow, so it needs a size.
+func (a *Action) parseSize(rest []string) error {
+	if len(rest) >= 2 && rest[0] == "size" {
+		n, err := strconv.ParseUint(rest[1], 10, 32)
+		a.Size = uint32(n)
+		if strings.Contains(rest[1], "..") {
+			a.Size, a.SizeMax, err = parseRange(rest[1])
+			if err == nil && (a.Size == 0 || a.Size == a.SizeMax) {
+				err = fmt.Errorf("want 1 <= LO < HI")
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("%s: bad size %q", a.Kind, rest[1])
+		}
+		rest = rest[2:]
+	}
+	if len(rest) > 0 && rest[0] == "loop" {
+		if a.Size == 0 {
+			return fmt.Errorf("%s: loop needs a size (an open-ended flow never completes)", a.Kind)
+		}
+		a.Loop, rest = true, rest[1:]
+	}
+	if len(rest) > 0 {
+		return fmt.Errorf("%s: trailing tokens %v", a.Kind, rest)
+	}
 	return nil
 }
 
@@ -271,34 +321,77 @@ func parseRange(s string) (lo, hi uint32, err error) {
 	return uint32(a), uint32(b), nil
 }
 
-// parseExpect handles "METRIC OP VALUE" and "flow_gbps FLOW OP VALUE".
-func parseExpect(fields []string) (*Expectation, error) {
-	e := &Expectation{}
-	switch {
-	case len(fields) == 4 && fields[0] == "flow_gbps":
-		n, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad flow id %q", fields[1])
+// parseSweep handles "sweep KEY v1,v2,...", one grid axis over any
+// configuration key. A value may hold spaces (a fault plan), not commas.
+func (s *Scenario) parseSweep(args []string) error {
+	if len(args) < 2 {
+		return fmt.Errorf("sweep needs KEY v1,v2,...")
+	}
+	if slices.ContainsFunc(s.Sweeps, func(ax fleet.Axis) bool { return ax.Key == args[0] }) {
+		return fmt.Errorf("sweep: %s is already swept", args[0])
+	}
+	ax, err := fleet.ParseAxis(args[0] + "=" + strings.Join(args[1:], " "))
+	if err != nil {
+		return err
+	}
+	s.Sweeps = append(s.Sweeps, ax)
+	return nil
+}
+
+// parseReport handles "report METRIC...": registry metrics only, so a
+// misspelt name fails before any point runs.
+func (s *Scenario) parseReport(args []string) error {
+	if len(s.Report) > 0 || len(args) == 0 {
+		return fmt.Errorf("want one report line, naming at least one metric")
+	}
+	for len(args) > 0 {
+		if _, ok := metrics[args[0]]; !ok {
+			return fmt.Errorf("report: unknown metric %q", args[0])
 		}
-		e.Metric = "flow_gbps"
-		e.Flow = packet.FlowID(n)
-		fields = fields[2:]
-	case len(fields) == 3:
-		e.Metric = fields[0]
-		fields = fields[1:]
-	default:
+		m, n, err := parseMetric(args)
+		if err != nil {
+			return err
+		}
+		s.Report = append(s.Report, m)
+		args = args[n:]
+	}
+	return nil
+}
+
+// parseMetric reads the metric at the front of fields, with its operand if
+// the registry gives it one, as stored ("flow_gbps 3"), and the fields used.
+func parseMetric(fields []string) (string, int, error) {
+	op := metrics[fields[0]]
+	if op != noOperand && len(fields) > 1 {
+		if n, err := strconv.ParseUint(fields[1], 10, 32); err == nil {
+			return fields[0] + " " + strconv.FormatUint(n, 10), 2, nil
+		}
+	}
+	if op == needsOperand {
+		return "", 0, fmt.Errorf("%s needs an operand: %s N", fields[0], fields[0])
+	}
+	return fields[0], 1, nil
+}
+
+// parseExpect handles "METRIC [N] OP VALUE"; N is the operand of the
+// metrics that take one (flow_gbps FLOW, fault_ttr_us FAULT, ...).
+func parseExpect(fields []string) (*Expectation, error) {
+	if len(fields) == 0 {
 		return nil, fmt.Errorf("expect needs METRIC OP VALUE")
 	}
-	switch fields[0] {
-	case "==", "!=", "<", "<=", ">", ">=":
-		e.Op = fields[0]
-	default:
+	m, n, err := parseMetric(fields)
+	if err != nil {
+		return nil, err
+	}
+	if fields = fields[n:]; len(fields) != 2 {
+		return nil, fmt.Errorf("expect needs METRIC OP VALUE")
+	}
+	e := &Expectation{Metric: m, Op: fields[0]}
+	if ops[e.Op] == nil {
 		return nil, fmt.Errorf("bad operator %q", fields[0])
 	}
-	v, err := strconv.ParseFloat(fields[1], 64)
-	if err != nil {
+	if e.Value, err = strconv.ParseFloat(fields[1], 64); err != nil {
 		return nil, fmt.Errorf("bad value %q", fields[1])
 	}
-	e.Value = v
 	return e, nil
 }

@@ -48,6 +48,24 @@ func TestParseErrors(t *testing.T) {
 		{"at past the horizon", "set algo reno\nat 10ms start 0 tx 0 rx 1 size 50\nrun 5ms\nexpect completions == 0", "line 2: at 10ms is past the last run (5ms)"},
 		{"at past staged runs", "run 1ms\nat 2500us stop 0\nrun 1ms", "line 2: at 2500us is past the last run (2ms)"},
 		{"run past sim time", "run 2600h", "bad duration"},
+		{"sweep without values", "sweep ecn\nrun 1ms", "sweep needs KEY v1,v2"},
+		{"sweep unknown key", "sweep bogus 1,2\nrun 1ms", "unknown setting"},
+		{"sweep bad value", "sweep ecn 8,x\nrun 1ms", `bad ecn "x"`},
+		{"key swept twice", "sweep ecn 8,65\nsweep ecn 20\nrun 1ms", "ecn is already swept"},
+		{"value swept twice", "sweep algo reno,dctcp,reno\nrun 1ms", `"reno" given twice`},
+		{"sweep after run", "run 1ms\nsweep ecn 8,65", "sweep after run"},
+		{"report unknown metric", "run 1ms\nreport total_gbps warp_factor", `report: unknown metric "warp_factor"`},
+		{"empty report", "run 1ms\nreport", "want one report line, naming at least one metric"},
+		{"report twice", "run 1ms\nreport jain\nreport rtx", "want one report line"},
+		{"report operand missing", "run 1ms\nreport flow_gbps jain", "flow_gbps needs an operand"},
+		{"expect operand missing", "run 1ms\nexpect fault_rtx >= 0", "fault_rtx needs an operand"},
+		{"size range reversed", "at 0ms start 0 tx 0 rx 1 size 400..20\nrun 1ms", `start: bad size "400..20"`},
+		{"size range from 0", "at 0ms fanin size 0..20\nrun 1ms", `fanin: bad size "0..20"`},
+		{"one-point size range", "at 0ms fanin size 20..20\nrun 1ms", `bad size "20..20"`},
+		{"loop without a size", "at 0ms start 0 tx 0 rx 1 loop\nrun 1ms", "loop needs a size"},
+		{"loop after size 0", "at 0ms start 0 tx 0 rx 1 size 0 loop\nrun 1ms", "loop needs a size"},
+		{"fanin loop without a size", "at 0ms fanin loop\nrun 1ms", "loop needs a size"},
+		{"fanin trailing", "at 0ms fanin size 5 loop 3\nrun 1ms", "trailing tokens"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
