@@ -166,6 +166,7 @@ type Tester struct {
 
 	faultPlan faults.Plan
 	faultMon  *faults.Monitor
+	egress    []*netem.Queue // every tested-network egress queue, for ecnMarks
 
 	patternPlan workload.Plan
 	patternDrv  *workload.Driver
@@ -669,14 +670,20 @@ func (t *Tester) deliveredBytes() uint64 {
 	return n
 }
 
-// ecnMarks sums CE marks across every tested-network egress queue.
+// ecnMarks sums CE marks across every tested-network egress queue. The
+// fault monitor samples it every period, so it reads the queues' counters
+// directly (collected on the first call) instead of snapshotting switches.
 func (t *Tester) ecnMarks() uint64 {
-	var n uint64
-	for _, s := range t.Switches() {
-		st := s.Stats()
-		for _, p := range st.Ports {
-			n += p.ECNMarks
+	if t.egress == nil {
+		for _, s := range t.Switches() {
+			for i := 0; i < s.Ports(); i++ {
+				t.egress = append(t.egress, s.Port(i).Queue())
+			}
 		}
+	}
+	var n uint64
+	for _, q := range t.egress {
+		n += q.Stats().ECNMarks
 	}
 	return n
 }

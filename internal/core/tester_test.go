@@ -13,6 +13,7 @@ import (
 	"marlin/internal/measure"
 	"marlin/internal/netem"
 	"marlin/internal/packet"
+	"marlin/internal/race"
 	"marlin/internal/sim"
 	"marlin/internal/tofino"
 )
@@ -687,6 +688,43 @@ func TestInstallFaultsLinkDownRecovery(t *testing.T) {
 		if tr.NICStats().RtxTx == 0 {
 			t.Fatal("carrier drops but no retransmissions ever")
 		}
+	}
+}
+
+// TestECNMarksProbe pins the fault monitor's mark probe: on a fat-tree
+// with an incast it reads the same total as summing every switch snapshot,
+// and reading it allocates nothing.
+func TestECNMarksProbe(t *testing.T) {
+	tr := newTester(t, Config{
+		Algorithm: mustAlg(t, "dctcp"),
+		DataPorts: 8,
+		Topology:  fabric.Spec{Kind: fabric.KindFatTree, K: 4},
+		ECN:       netem.StepMarking(4, 1024),
+		Seed:      3,
+	})
+	for f := 0; f < 6; f++ {
+		if err := tr.StartFlow(packet.FlowID(f), f, 7, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Run(sim.Time(sim.Millisecond))
+	var want uint64
+	for _, s := range tr.Switches() {
+		for _, p := range s.Stats().Ports {
+			want += p.ECNMarks
+		}
+	}
+	if want == 0 {
+		t.Fatal("the incast marked nothing; the probe is not exercised")
+	}
+	if got := tr.ecnMarks(); got != want {
+		t.Errorf("ecnMarks = %d, switch snapshots sum to %d", got, want)
+	}
+	if race.Enabled {
+		return
+	}
+	if a := testing.AllocsPerRun(100, func() { tr.ecnMarks() }); a != 0 {
+		t.Errorf("ecnMarks allocates %v times a call, want 0", a)
 	}
 }
 

@@ -16,12 +16,16 @@ import (
 //     (anything scheduled via Schedule/ScheduleAt/ScheduleArg*/NewTicker, any
 //     sim.Func or sim.ArgFunc value, any Receive method) poisons replay. The
 //     diagnostic says when the enclosing function is reachable from such a
-//     root, via the program call graph. One shape is exempt: a fork-join
-//     barrier, where the spawned function literal defers Done on a
-//     sync.WaitGroup and the enclosing function Waits on that same WaitGroup
-//     after the spawn. The join publishes every write the goroutine made
-//     before the spawner continues, so nothing the host scheduler chose can
-//     leak into replayed state — the shard runner's round primitive.
+//     root, via the program call graph. One shape is exempt: a joined
+//     goroutine, where the spawned function defers Done on a sync.WaitGroup
+//     and the enclosing function Waits on that same WaitGroup after the
+//     spawn (itself, or in a function it calls or defers). The spawned
+//     function is a literal at the go statement, or a function value built
+//     ahead of time whose every assigned literal defers that Done — the
+//     shard runner's crew, whose worker bodies are built once so a Run
+//     spawns them without allocating. The join means no goroutine outlives
+//     the call that forked it, so nothing the host scheduler chose can leak
+//     into replayed state past it.
 //
 //   - last-writer-wins flows out of a map range: a plain `=` assignment
 //     inside a range-over-map whose right-hand side depends on the iteration
@@ -50,7 +54,7 @@ func runDetFlow(pass *Pass) {
 		inspectOwn(fb.body, func(n ast.Node) bool {
 			switch s := n.(type) {
 			case *ast.GoStmt:
-				if barrierJoined(pass.Pkg.Info, s, fb.body) {
+				if barrierJoined(pass, s, fb.body) {
 					break
 				}
 				pass.Reportf(s.Go, "model code spawns a goroutine%s; host-scheduler interleaving breaks byte-identical replay — schedule an event instead", reachNote(reach, encl))
@@ -165,24 +169,94 @@ func isSimCallbackType(t types.Type) bool {
 	return obj.Name() == "Func" || obj.Name() == "ArgFunc"
 }
 
-// barrierJoined reports whether the go statement is a fork-join barrier: the
-// spawned function literal signals a sync.WaitGroup through a deferred Done,
-// and the spawning function Waits on the same WaitGroup after the spawn. The
-// Wait is a happens-before edge that publishes all the goroutine's writes
-// back to the spawner, so the goroutine cannot outlive the statement sequence
-// that forked it and no scheduling choice escapes into replayed state.
-// Free-running goroutines — no Done, no Wait, or a Wait that precedes the
-// spawn — stay findings.
-func barrierJoined(info *types.Info, gs *ast.GoStmt, funcBody *ast.BlockStmt) bool {
-	lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit)
-	if !ok {
-		return false
+// barrierJoined reports whether the go statement is a joined goroutine: the
+// spawned function signals a sync.WaitGroup through a deferred Done, and the
+// spawning function Waits on the same WaitGroup after the spawn. The Wait is
+// a happens-before edge that publishes all the goroutine's writes back to
+// the spawner, so the goroutine cannot outlive the call that forked it and
+// no scheduling choice escapes into replayed state. Free-running goroutines
+// — no Done, no Wait, or a Wait that precedes the spawn — stay findings.
+func barrierJoined(pass *Pass, gs *ast.GoStmt, funcBody *ast.BlockStmt) bool {
+	info := pass.Pkg.Info
+	var wg types.Object
+	if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
+		wg = deferredDoneTarget(info, lit.Body)
+	} else if len(gs.Call.Args) == 0 {
+		wg = prebuiltDoneTarget(pass.Pkg, rootObj(info, gs.Call.Fun))
 	}
-	wg := deferredDoneTarget(info, lit.Body)
 	if wg == nil {
 		return false
 	}
-	return waitedAfter(info, funcBody, gs.End(), wg)
+	return waitedAfter(pass.Prog, info, funcBody, gs.End(), wg)
+}
+
+// prebuiltDoneTarget resolves a goroutine started from a stored function
+// value — the variable or field f, or an element of it — to the WaitGroup
+// every function literal assigned to f defers Done on, or nil. Anything else
+// of function type assigned to f (a named function, a slice built by
+// anything but make) could skip the Done, so it voids the exemption.
+func prebuiltDoneTarget(pkg *Package, f types.Object) types.Object {
+	if _, ok := f.(*types.Var); !ok {
+		return nil
+	}
+	var wg types.Object
+	sound := true
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || !sound {
+				return sound
+			}
+			for i, lhs := range as.Lhs {
+				if i >= len(as.Rhs) || rootObj(pkg.Info, lhs) != f {
+					continue
+				}
+				rhs := ast.Unparen(as.Rhs[i])
+				typ := pkg.Info.TypeOf(rhs)
+				if typ == nil {
+					continue
+				}
+				var got types.Object
+				switch t := typ.Underlying().(type) {
+				case *types.Signature:
+					if lit, ok := rhs.(*ast.FuncLit); ok {
+						got = deferredDoneTarget(pkg.Info, lit.Body)
+					}
+				case *types.Slice:
+					if _, ok := t.Elem().Underlying().(*types.Signature); ok && !isMakeCall(pkg.Info, rhs) {
+						sound = false
+					}
+					continue
+				default:
+					continue
+				}
+				if got == nil || (wg != nil && got != wg) {
+					sound = false
+					return false
+				}
+				wg = got
+			}
+			return true
+		})
+	}
+	if !sound {
+		return nil
+	}
+	return wg
+}
+
+// isMakeCall reports whether x is a call of the make builtin.
+func isMakeCall(info *types.Info, x ast.Expr) bool {
+	call, ok := x.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	b, ok := info.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "make"
 }
 
 // deferredDoneTarget finds a `defer wg.Done()` in the goroutine body and
@@ -208,8 +282,9 @@ func deferredDoneTarget(info *types.Info, body *ast.BlockStmt) types.Object {
 }
 
 // waitedAfter reports whether wg.Wait() is called after pos inside the
-// spawning function's own statements (not a nested literal's).
-func waitedAfter(info *types.Info, funcBody *ast.BlockStmt, pos token.Pos, wg types.Object) bool {
+// spawning function's own statements (not a nested literal's), directly or
+// by a declared function the spawner calls or defers there.
+func waitedAfter(prog *Program, info *types.Info, funcBody *ast.BlockStmt, pos token.Pos, wg types.Object) bool {
 	found := false
 	inspectOwn(funcBody, func(n ast.Node) bool {
 		if found {
@@ -218,6 +293,10 @@ func waitedAfter(info *types.Info, funcBody *ast.BlockStmt, pos token.Pos, wg ty
 		if call, ok := n.(*ast.CallExpr); ok && call.Pos() > pos {
 			if waitGroupCallTarget(info, call, "Wait") == wg {
 				found = true
+			} else if prog != nil {
+				if fi := prog.FuncDeclOf(calleeFunc(info, call)); fi != nil && fi.Body() != nil {
+					found = waitedAfter(nil, fi.Pkg.Info, fi.Body(), fi.Body().Pos(), wg)
+				}
 			}
 		}
 		return !found

@@ -133,14 +133,17 @@ func TestFixtureDiagnostics(t *testing.T) {
 			"detflow_bad.go:58 detflow", // plain-assign float accumulation
 		}},
 		{"detflow_clean", "detflow", nil},
-		// The fork-join exemption boundary: every goroutine here touches
+		// The joined-goroutine exemption boundary: every goroutine here touches
 		// shared state without a join that orders its writes...
 		{"shardsync_bad", "detflow", []string{
 			"shardsync_bad.go:13 detflow", // free-running goroutine
 			"shardsync_bad.go:22 detflow", // Done with no Wait after the spawn
 			"shardsync_bad.go:33 detflow", // Wait precedes the spawn
+			"shardsync_bad.go:63 detflow", // stored body, never waited on
+			"shardsync_bad.go:70 detflow", // a stored body skips Done
+			"shardsync_bad.go:71 detflow", // stored named function
 		}},
-		// ...while the shard runner's barrier shape is accepted.
+		// ...while the shard runner's barrier and crew shapes are accepted.
 		{"shardsync_clean", "detflow", nil},
 		{"directive_bad", "wallclock", []string{
 			"directive_bad.go:11 wallclock", // unjustified allow must not suppress

@@ -3,7 +3,10 @@ package shard
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
+	"unsafe"
 
 	"marlin/internal/netem"
 	"marlin/internal/packet"
@@ -135,6 +138,7 @@ func crossTraffic(t *testing.T, workers int) (perPart [][]string, ctlLog []strin
 // observable ordering — per-partition arrival logs, barrier callback
 // replay, work counters — is identical whatever the worker count.
 func TestDeterministicAcrossWorkers(t *testing.T) {
+	forceCrew(t)
 	basePer, baseCtl, baseStats := crossTraffic(t, 1)
 	if baseStats.Carried != 120 {
 		t.Fatalf("Carried = %d, want 120", baseStats.Carried)
@@ -145,16 +149,22 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	if len(baseCtl) != 24 {
 		t.Fatalf("ctl log has %d entries, want 24", len(baseCtl))
 	}
-	for _, workers := range []int{2, 3} {
-		per, ctlLog, st := crossTraffic(t, workers)
-		if !reflect.DeepEqual(per, basePer) {
-			t.Errorf("workers=%d: delivery order differs from workers=1", workers)
-		}
-		if !reflect.DeepEqual(ctlLog, baseCtl) {
-			t.Errorf("workers=%d: deferred replay order differs from workers=1", workers)
-		}
-		if st != baseStats {
-			t.Errorf("workers=%d: stats %+v, want %+v", workers, st, baseStats)
+	// 2 and 4 workers over 3 partitions own them unevenly (4 clamps to 3).
+	// At a spin budget of 64 polls every wait parks, so the park and wake
+	// path runs (and is raced) as often as the polling one.
+	for _, budget := range []int{spinPolls, 64} {
+		spinBudget(t, budget)
+		for _, workers := range []int{2, 3, 4} {
+			per, ctlLog, st := crossTraffic(t, workers)
+			if !reflect.DeepEqual(per, basePer) {
+				t.Errorf("spin %d, workers=%d: delivery order differs from workers=1", budget, workers)
+			}
+			if !reflect.DeepEqual(ctlLog, baseCtl) {
+				t.Errorf("spin %d, workers=%d: deferred replay order differs from workers=1", budget, workers)
+			}
+			if st != baseStats {
+				t.Errorf("spin %d, workers=%d: stats %+v, want %+v", budget, workers, st, baseStats)
+			}
 		}
 	}
 }
@@ -255,18 +265,53 @@ func warmWheel(e *sim.Engine) {
 	}
 }
 
-// TestHandoffAllocs is the memory-discipline gate: after warm-up, a steady
-// cross-partition packet stream completes rounds without allocating —
-// mailboxes, merge buffers, and event slots are all reused.
-func TestHandoffAllocs(t *testing.T) {
-	if race.Enabled {
-		t.Skip("race runtime allocates; allocation counts are meaningless")
+// TestHeadersFillTheirSpan pins the padding of every header a worker
+// writes: each takes exactly lineSpan bytes, so a field added without
+// shrinking the pad cannot silently put two workers' writes on one line.
+func TestHeadersFillTheirSpan(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"mailbox": unsafe.Sizeof(mailbox{}),
+		"source":  unsafe.Sizeof(source{}),
+		"dest":    unsafe.Sizeof(dest{}),
+	} {
+		if size != lineSpan {
+			t.Errorf("%s is %d bytes, want %d", name, size, lineSpan)
+		}
 	}
+	var c crew
+	if off := unsafe.Offsetof(c.left); off != lineSpan {
+		t.Errorf("crew.left at offset %d, want %d: it must not share gen's lines", off, lineSpan)
+	}
+	if off := unsafe.Offsetof(c.size); off != 2*lineSpan {
+		t.Errorf("crew fields after left start at %d, want %d", off, 2*lineSpan)
+	}
+}
+
+// forceCrew lets a crew form at any GOMAXPROCS for the rest of the test, so
+// the crew paths run even where the runtime clamp would make them inline
+// (GOMAXPROCS=1, and inside testing.AllocsPerRun, which sets it).
+func forceCrew(t *testing.T) {
+	old := maxProcs
+	maxProcs = func() int { return 64 }
+	t.Cleanup(func() { maxProcs = old })
+}
+
+// spinBudget sets how long crew waiters poll before parking, for the rest
+// of the test.
+func spinBudget(t *testing.T, polls int) {
+	old := spinPolls
+	spinPolls = polls
+	t.Cleanup(func() { spinPolls = old })
+}
+
+// handoff builds two partitions where partition 0 hands partition 1 one
+// packet a microsecond, with a 1us lookahead (a round a microsecond).
+func handoff(tb testing.TB, workers int) (*Runner, *sim.Engine) {
 	ctl := sim.NewEngine()
 	a, b := sim.NewEngine(), sim.NewEngine()
-	r, err := New(ctl, []*sim.Engine{a, b}, sim.Microsecond, 1)
+	r, err := New(ctl, []*sim.Engine{a, b}, sim.Microsecond, workers)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, e := range []*sim.Engine{ctl, a, b} {
 		warmWheel(e)
@@ -278,16 +323,122 @@ func TestHandoffAllocs(t *testing.T) {
 		a.Schedule(sim.Microsecond, tick)
 	}
 	a.Schedule(sim.Microsecond, tick)
-	end := sim.Time(100 * sim.Microsecond)
-	step := sim.Duration(100 * sim.Microsecond)
-	// Drain the wheel warm-up and fill the packet pool and mailboxes.
-	r.Run(end)
-	allocs := testing.AllocsPerRun(10, func() {
-		end = end.Add(step)
-		r.Run(end)
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state handoff allocates %.1f allocs per 100us window, want 0", allocs)
+	return r, ctl
+}
+
+// TestHandoffAllocs is the memory-discipline gate: after warm-up, a steady
+// cross-partition packet stream completes rounds without allocating —
+// mailboxes, merge buffers, and event slots are all reused — and, with a
+// crew, starting and stopping it costs nothing once the runtime has cached
+// its goroutines: a Run over 10 rounds and one over 100 allocate the same,
+// zero.
+func TestHandoffAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race runtime allocates; allocation counts are meaningless")
+	}
+	forceCrew(t)
+	for _, workers := range []int{1, 2} {
+		r, ctl := handoff(t, workers)
+		// Drain the wheel warm-up, fill the packet pool and mailboxes, and
+		// let the runtime cache the crew's goroutines.
+		r.Run(sim.Time(100 * sim.Microsecond))
+		for i := 0; i < 300; i++ {
+			r.Run(ctl.Now().Add(10 * sim.Microsecond))
+		}
+		for _, rounds := range []int{10, 100} {
+			step := sim.Duration(rounds) * sim.Microsecond
+			allocs := testing.AllocsPerRun(50, func() { r.Run(ctl.Now().Add(step)) })
+			if allocs > 0 {
+				t.Errorf("workers=%d: a steady-state Run over %d rounds allocates %.1f times, want 0", workers, rounds, allocs)
+			}
+		}
+	}
+}
+
+// settleGoroutines waits (briefly) for exited goroutines to leave the
+// runtime's count: a worker returns just after signalling its exit, so the
+// count can lag Run's return by a moment.
+func settleGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > base; i++ {
+		if i == 2000 {
+			t.Fatalf("%s: %d goroutines after Run, %d before", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCrewLeavesNoGoroutines: whatever a Run did — carried traffic, found
+// nothing to do, drained every engine — its crew is gone when it returns,
+// including when more workers were asked for than there are partitions.
+func TestCrewLeavesNoGoroutines(t *testing.T) {
+	forceCrew(t)
+	base := runtime.NumGoroutine()
+
+	r, ctl := handoff(t, 2)
+	r.Run(sim.Time(200 * sim.Microsecond))
+	settleGoroutines(t, base, "traffic run")
+
+	idle, err := New(sim.NewEngine(), []*sim.Engine{sim.NewEngine(), sim.NewEngine()}, sim.Microsecond, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle.Run(sim.Time(50 * sim.Microsecond))
+	settleGoroutines(t, base, "idle run")
+
+	// Drained: the partitions' last events fall early in the window.
+	a, b := sim.NewEngine(), sim.NewEngine()
+	drained, err := New(ctl, []*sim.Engine{a, b}, sim.Microsecond, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Schedule(sim.Microsecond, func() {})
+	b.Schedule(2*sim.Microsecond, func() {})
+	drained.Run(ctl.Now().Add(100 * sim.Microsecond))
+	settleGoroutines(t, base, "drained run")
+
+	_, _, st := crossTraffic(t, 8)
+	if st.Carried != 120 {
+		t.Fatalf("workers > partitions: Carried = %d, want 120", st.Carried)
+	}
+	settleGoroutines(t, base, "workers > partitions")
+
+	// A crew whose workers are parked when it is stopped.
+	spinBudget(t, 64)
+	crossTraffic(t, 3)
+	settleGoroutines(t, base, "parking crew")
+}
+
+// TestPartitionPanicReachesCaller: a panic in a partition event surfaces
+// from Run with its own value, whichever worker owned the partition, and
+// the crew is gone afterwards.
+func TestPartitionPanicReachesCaller(t *testing.T) {
+	forceCrew(t)
+	base := runtime.NumGoroutine()
+	for part := 0; part < 3; part++ {
+		ctl := sim.NewEngine()
+		engs := []*sim.Engine{sim.NewEngine(), sim.NewEngine(), sim.NewEngine()}
+		r, err := New(ctl, engs, sim.Microsecond, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range engs {
+			e := e
+			var tick sim.Func
+			tick = func() { e.Schedule(500*sim.Nanosecond, tick) }
+			e.Schedule(500*sim.Nanosecond, tick)
+		}
+		want := fmt.Sprintf("boom in partition %d", part)
+		engs[part].Schedule(5*sim.Microsecond, func() { panic(want) })
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			r.Run(sim.Time(20 * sim.Microsecond))
+			return nil
+		}()
+		if got != want {
+			t.Errorf("partition %d: Run raised %v, want %q", part, got, want)
+		}
+		settleGoroutines(t, base, want)
 	}
 }
 

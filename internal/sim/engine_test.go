@@ -174,6 +174,23 @@ func TestTickerRestart(t *testing.T) {
 	}
 }
 
+// TestTickerTickAllocatesNothing pins the ticker's re-arm to its prebuilt
+// body: a running ticker fires period after period without allocating.
+func TestTickerTickAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	tk := NewTicker(e, Microsecond, func() { n++ })
+	tk.Start()
+	e.Run(Time(10 * Millisecond)) // warm the event free list
+	before := n
+	if a := testing.AllocsPerRun(1000, func() { e.Run(e.Now().Add(Microsecond)) }); a != 0 {
+		t.Errorf("a running ticker allocates %v times a tick, want 0", a)
+	}
+	if n-before != 1001 {
+		t.Errorf("ticker fired %d times over 1001 periods", n-before)
+	}
+}
+
 func TestRateSerialize(t *testing.T) {
 	// 1024 bytes at 100 Gbps must serialize in exactly 81,920 ps.
 	if d := (100 * Gbps).Serialize(1024); d != 81920 {

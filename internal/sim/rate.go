@@ -80,6 +80,7 @@ type Ticker struct {
 	engine *Engine
 	period Duration
 	fn     Func
+	tick   Func // the scheduled body, built once so a tick allocates nothing
 	handle Handle
 	active bool
 }
@@ -89,7 +90,17 @@ func NewTicker(e *Engine, period Duration, fn Func) *Ticker {
 	if period <= 0 {
 		panic("sim: ticker with non-positive period")
 	}
-	return &Ticker{engine: e, period: period, fn: fn}
+	t := &Ticker{engine: e, period: period, fn: fn}
+	t.tick = func() {
+		if !t.active {
+			return
+		}
+		// Re-arm before the callback so that the callback can Stop the
+		// ticker and have that stick.
+		t.arm()
+		t.fn()
+	}
+	return t
 }
 
 // Start arms the ticker; the first tick fires one period from now.
@@ -103,15 +114,7 @@ func (t *Ticker) Start() {
 }
 
 func (t *Ticker) arm() {
-	t.handle = t.engine.Schedule(t.period, func() {
-		if !t.active {
-			return
-		}
-		// Re-arm before the callback so that the callback can Stop the
-		// ticker and have that stick.
-		t.arm()
-		t.fn()
-	})
+	t.handle = t.engine.Schedule(t.period, t.tick)
 }
 
 // Stop disarms the ticker. Pending ticks are cancelled.
