@@ -415,15 +415,6 @@ func ReadLosses(t *core.Tester) LossReport {
 		r.DownDrops += ls.DownDrops
 		r.NetworkDrops += t.TxLink(i).Queue().Stats().Drops
 	}
-	if t.Fab != nil {
-		// Host uplinks into the fabric are standalone links, not switch
-		// ports; faults can target them too.
-		for i := 0; i < t.Plan().DataPorts; i++ {
-			ls := t.Fab.HostUplink(i).Stats()
-			r.InjectedDrops += ls.InjectedDrops
-			r.DownDrops += ls.DownDrops
-		}
-	}
 	r.FalseLosses = t.PipelineCounters().ScheDrops
 	r.RXDrops = t.NICStats().InfoDrops
 	return r
