@@ -189,7 +189,7 @@ func TestExternalFlowGrowsDenseTable(t *testing.T) {
 	tr.InjectData(1<<31, 0, 0, 1024, packet.ECT0)
 	delivered := tr.ForwardLink(1).Stats().TxPackets
 	tr.Run(sim.Time(20 * sim.Microsecond))
-	if got := tr.Net.Unrouted(); got != 2 {
+	if got := tr.Switches()[0].Unrouted(); got != 2 {
 		t.Errorf("switch dropped %d unrouted packets, want 2", got)
 	}
 	if tr.ForwardLink(1).Stats().TxPackets == delivered {

@@ -2,15 +2,16 @@
 // programmable-switch pipeline, the FPGA NIC, the 100 Gbps device
 // interconnect, and an emulated tested network, wired as in Figure 1.
 //
-// Topology. By default a test uses the paper's canonical arrangement (§7.1:
+// Topology. The tested network is whatever fabric.Build wires for
+// Config.Topology. Its zero value is the paper's canonical arrangement (§7.1:
 // "the sender and receiver are connected with a programmable switch via
 // twelve 100 Gbps links each"): the tester's data ports send DATA through an
 // intermediate switch that forwards each flow to a destination port, where
 // the tester's own receiver logic generates ACKs that travel back over
 // reverse links. Congestion appears wherever the flow routing concentrates
-// traffic (pass-through for §7.2, fan-in for §7.3). Config.Topology swaps
-// the intermediate switch for a multi-switch fabric; either way New builds
-// the tester from an island plan (sharded.go), by default a single island.
+// traffic (pass-through for §7.2, fan-in for §7.3). A named Topology swaps
+// the one switch for a multi-switch fabric; either way New builds the
+// tester from an island plan (sharded.go), by default a single island.
 package core
 
 import (
@@ -130,15 +131,12 @@ type Tester struct {
 	// it is the runner's control engine, whose events execute at round
 	// barriers while every island clock sits exactly at their timestamp.
 	Eng *sim.Engine
-	// Net is the canonical single tested-network switch; nil when the
-	// tester runs over a multi-switch Topology (see Fab).
-	Net  *netem.Switch
+	// Fab is the tested network, of whatever shape Config.Topology names.
 	Fab  *fabric.Fabric
 	FCTs *measure.FCTRecorder
 
 	cfg  Config
 	plan tofino.Plan
-	rng  *sim.Rand
 	// flows holds what core knows of each flow the tester started. route is
 	// the routing column, the receiver port plus one (0: unbound), written
 	// by bind for started and external flows alike. It is a table of its
@@ -153,8 +151,6 @@ type Tester struct {
 	portIsland []*island // global data port -> owning island
 	portLocal  []int     // global data port -> port index within its island
 
-	txLinks  []*netem.Link
-	pfcs     []*netem.PFC
 	fpgaRecv *fpga.Receiver
 
 	// pool supplies every packet the tester's devices create on a
@@ -275,7 +271,6 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 		FCTs:       &measure.FCTRecorder{},
 		cfg:        cfg,
 		plan:       plan,
-		rng:        sim.NewRand(cfg.Seed),
 		portIsland: make([]*island, cfg.DataPorts),
 		portLocal:  make([]int, cfg.DataPorts),
 	}
@@ -291,6 +286,7 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 		AQM:          cfg.AQM,
 		EnableINT:    cfg.EnableINT,
 		Jitter:       cfg.ForwardJitter,
+		ExtraHops:    cfg.ExtraHops,
 		EnablePFC:    cfg.EnablePFC,
 		PFCXOFFBytes: cfg.PFCXOFFBytes,
 		Seed:         cfg.Seed,
@@ -324,13 +320,13 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 
 	// An island gets one local port per data port whose host lives in its
 	// partition, in ascending global order; a partition of pure transit
-	// switches gets none. sinks[p] is where the network delivers DATA
+	// switches gets none. fcfg.Sinks[p] is where the network delivers DATA
 	// addressed to port p; completions are recorded as they happen.
 	groups := make([][]int, pplan.Parts)
 	for p, g := range pplan.HostPart {
 		groups[g] = append(groups[g], p)
 	}
-	sinks := make([]netem.Node, cfg.DataPorts)
+	fcfg.Sinks = make([]netem.Node, cfg.DataPorts)
 	for g, ports := range groups {
 		if len(ports) == 0 {
 			continue
@@ -341,7 +337,7 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 		}
 		for li, p := range ports {
 			t.portIsland[p], t.portLocal[p] = isl, li
-			sinks[p] = isl.pl.DataIn(li)
+			fcfg.Sinks[p] = isl.pl.DataIn(li)
 		}
 		isl.nic.OnComplete(t.flowDone)
 		isl.idx = len(t.islands)
@@ -360,19 +356,9 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 		pl.ConnectRxForward(deviceLink(eng, cfg, t.fpgaRecv.DataIn()))
 	}
 
-	// Tested network: tester -> intermediate switch or fabric -> tester.
-	if cfg.Topology.IsZero() {
-		if err := t.buildSwitch(netem.RouteFunc(fcfg.Dst), sinks); err != nil {
-			return nil, err
-		}
-	} else {
-		fcfg.Sinks = sinks
-		if t.Fab, err = fabric.Build(eng, fcfg); err != nil {
-			return nil, err
-		}
-		for p := 0; p < cfg.DataPorts; p++ {
-			t.txLinks = append(t.txLinks, t.Fab.HostUplink(p))
-		}
+	// Tested network, of whatever shape: tester -> Fab -> tester.
+	if t.Fab, err = fabric.Build(eng, fcfg); err != nil {
+		return nil, err
 	}
 
 	// Each data port sends into its uplink and gets a reverse ACK link,
@@ -381,7 +367,7 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 	revDelay := sim.Duration(cfg.Topology.Diameter()) * cfg.LinkDelay
 	revs := make([]*netem.Link, cfg.DataPorts)
 	for p, isl := range t.portIsland {
-		isl.pl.ConnectDataPort(t.portLocal[p], t.txLinks[p])
+		isl.pl.ConnectDataPort(t.portLocal[p], t.Fab.HostUplink(p))
 		revs[p] = netem.NewLink(isl.eng, netem.LinkConfig{
 			Rate: cfg.PortRate, Delay: revDelay, QueueBytes: 1 << 20,
 		}, isl.pl.AckIn())
@@ -395,101 +381,20 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 	return t, nil
 }
 
-// buildSwitch wires the canonical tested network (§7.1): every data port's
-// uplink feeds one intermediate switch, whose egress port toward receiver i
-// — preceded by any ExtraHops — delivers into sinks[i].
-func (t *Tester) buildSwitch(dst netem.RouteFunc, sinks []netem.Node) error {
-	eng, cfg := t.Eng, t.cfg
-	t.Net = netem.NewSwitch("tested-network", dst)
-	txQueueBytes := cfg.NetQueueBytes
-	if cfg.EnablePFC && txQueueBytes < 4<<20 {
-		// PFC backpressure parks packets at the tester's uplinks; give
-		// them room so losslessness holds end to end.
-		txQueueBytes = 4 << 20
-	}
-	for _, sink := range sinks {
-		t.txLinks = append(t.txLinks, netem.NewLink(eng, netem.LinkConfig{
-			Rate: cfg.PortRate, Delay: cfg.LinkDelay, QueueBytes: txQueueBytes,
-			EnableINT: cfg.EnableINT,
-		}, t.Net))
-
-		// The last-hop destination, preceded by any extra hops (built
-		// back to front so packets traverse them in order).
-		hop := netem.LinkConfig{
-			Rate: cfg.PortRate, Delay: cfg.LinkDelay,
-			QueueBytes: cfg.NetQueueBytes, ECN: cfg.ECN, AQM: cfg.AQM,
-			EnableINT: cfg.EnableINT,
-		}
-		for h := 0; h < cfg.ExtraHops; h++ {
-			hop.RNG = t.rng.Split()
-			sink = netem.NewLink(eng, hop, sink)
-		}
-		hop.Jitter, hop.RNG = cfg.ForwardJitter, t.rng.Split()
-		t.Net.AddPort(eng, hop, sink)
-	}
-	if !cfg.EnablePFC {
-		return nil
-	}
-	// Each tested-network egress queue pauses all tester uplinks
-	// (single-priority, port-level PFC).
-	for i := range sinks {
-		q := t.Net.Port(i).Queue()
-		xoff := cfg.PFCXOFFBytes
-		if xoff == 0 {
-			xoff = q.Capacity() / 2
-		}
-		pfc, err := netem.NewPFC(eng, q, t.txLinks, netem.PFCConfig{
-			XOFF: xoff, XON: xoff / 2, Delay: cfg.LinkDelay,
-		})
-		if err != nil {
-			return err
-		}
-		t.pfcs = append(t.pfcs, pfc)
-	}
-	return nil
-}
-
 // PFCPauses reports pause episodes across all PFC controllers (0 when PFC
 // is disabled).
-func (t *Tester) PFCPauses() uint64 {
-	var n uint64
-	for _, p := range t.pfcs {
-		n += p.Pauses()
-	}
-	if t.Fab != nil {
-		n += t.Fab.PFCPauses()
-	}
-	return n
-}
+func (t *Tester) PFCPauses() uint64 { return t.Fab.PFCPauses() }
 
-// Switches lists the tested network's switches: the canonical single
-// switch, or every switch of the deployed fabric.
-func (t *Tester) Switches() []*netem.Switch {
-	if t.Fab != nil {
-		return t.Fab.Switches()
-	}
-	return []*netem.Switch{t.Net}
-}
+// Switches lists the tested network's switches in build order.
+func (t *Tester) Switches() []*netem.Switch { return t.Fab.Switches() }
 
 // NetworkStats snapshots per-switch, per-port telemetry of the tested
 // network (queue depth, pause state, drops, forwarded counts per hop).
-func (t *Tester) NetworkStats() []netem.Stats {
-	sws := t.Switches()
-	out := make([]netem.Stats, len(sws))
-	for i, s := range sws {
-		out[i] = s.Stats()
-	}
-	return out
-}
+func (t *Tester) NetworkStats() []netem.Stats { return t.Fab.Stats() }
 
 // ECMPPaths lists the fabric's per-path traffic counters (nil for the
-// canonical single switch, which has no equal-cost choices).
-func (t *Tester) ECMPPaths() []fabric.PathCounter {
-	if t.Fab == nil {
-		return nil
-	}
-	return t.Fab.ECMPPaths()
-}
+// single switch, which has no equal-cost choices).
+func (t *Tester) ECMPPaths() []fabric.PathCounter { return t.Fab.ECMPPaths() }
 
 // Plan returns the port plan in force.
 func (t *Tester) Plan() tofino.Plan { return t.plan }
@@ -497,44 +402,31 @@ func (t *Tester) Plan() tofino.Plan { return t.plan }
 // Config returns the tester's effective configuration.
 func (t *Tester) Config() Config { return t.cfg }
 
-// RNG returns the tester's seeded random stream.
-func (t *Tester) RNG() *sim.Rand { return t.rng }
-
 // ForwardLink returns the tested network's last-hop link toward receiver
 // port rx; experiments attach loss/ECN scripts to it (§7.1).
-func (t *Tester) ForwardLink(rx int) *netem.Link {
-	if t.Fab != nil {
-		return t.Fab.HostDownlink(rx)
-	}
-	return t.Net.Port(rx)
-}
+func (t *Tester) ForwardLink(rx int) *netem.Link { return t.Fab.HostDownlink(rx) }
 
 // TxLink returns the link from tester data port i into the network.
-func (t *Tester) TxLink(i int) *netem.Link { return t.txLinks[i] }
+func (t *Tester) TxLink(i int) *netem.Link { return t.Fab.HostUplink(i) }
 
 // ResolveLink maps a fault-plan link name onto an emulated link
-// (implementing faults.Target). "txN" is tester data port N's uplink in
-// any topology. With a fabric deployed, fabric names resolve as
-// fabric.ResolveLink documents ("leaf0->spine1", "host2->leaf0"). The
-// canonical single switch additionally accepts "fwdN" for the forward
-// link toward receiver port N.
+// (implementing faults.Target). On every shape "txN" is tester data port
+// N's uplink and "fwdN" its forward link toward receiver port N; the
+// fabric's own names resolve as fabric.ResolveLink documents
+// ("leaf0->spine1", "host2->leaf0", "tested-network->host1").
 func (t *Tester) ResolveLink(name string) (*netem.Link, error) {
-	if i, ok := portAlias(name, "tx"); ok {
-		if i < 0 || i >= len(t.txLinks) {
-			return nil, fmt.Errorf("core: %s out of range [tx0,tx%d]", name, len(t.txLinks)-1)
+	for _, a := range [...]struct {
+		prefix string
+		link   func(int) *netem.Link
+	}{{"tx", t.TxLink}, {"fwd", t.ForwardLink}} {
+		if i, ok := portAlias(name, a.prefix); ok {
+			if i < 0 || i >= t.cfg.DataPorts {
+				return nil, fmt.Errorf("core: %s out of range [%s0,%s%d]", name, a.prefix, a.prefix, t.cfg.DataPorts-1)
+			}
+			return a.link(i), nil
 		}
-		return t.txLinks[i], nil
 	}
-	if t.Fab != nil {
-		return t.Fab.ResolveLink(name)
-	}
-	if i, ok := portAlias(name, "fwd"); ok {
-		if i < 0 || i >= t.cfg.DataPorts {
-			return nil, fmt.Errorf("core: %s out of range [fwd0,fwd%d]", name, t.cfg.DataPorts-1)
-		}
-		return t.Net.Port(i), nil
-	}
-	return nil, fmt.Errorf("core: unknown link %q (single-switch names: txN, fwdN)", name)
+	return t.Fab.ResolveLink(name)
 }
 
 // portAlias recognises prefixed port names like "tx3" or "fwd0".
@@ -611,7 +503,7 @@ func (t *Tester) BindExternalFlow(flow packet.FlowID, rx int) error {
 // a bound external flow into data port tx's uplink, implementing
 // workload.Target.
 func (t *Tester) InjectData(flow packet.FlowID, tx int, psn uint32, frameBytes int, ect packet.ECT) {
-	t.txLinks[tx].Send(t.pool.NewDataECT(flow, psn, frameBytes, t.Eng.Now(), ect))
+	t.TxLink(tx).Send(t.pool.NewDataECT(flow, psn, frameBytes, t.Eng.Now(), ect))
 }
 
 // InstallPatterns compiles a traffic-pattern plan onto this tester: a
@@ -803,21 +695,13 @@ func (t *Tester) TopologyDOT() string {
 	fmt.Fprintf(&b, "MTU %d, %v/port\"];\n", t.plan.MTU, t.plan.PortRate)
 	b.WriteString("  fpga -> switch [label=\"SCHE 64B\"];\n")
 	b.WriteString("  switch -> fpga [label=\"INFO 64B\"];\n")
-	if t.Fab != nil {
-		// Multi-switch fabric: every switch is its own node with live
-		// per-hop counters; the tester's ports all hang off the pipeline.
-		t.Fab.DOTBody(&b, func(int) string { return "switch" })
-	} else {
-		fmt.Fprintf(&b, "  net [shape=ellipse,label=\"tested network\\n%d+%d hops, delay %v\"];\n",
-			1, t.cfg.ExtraHops, t.cfg.LinkDelay)
-		for i := 0; i < t.cfg.DataPorts; i++ {
-			fmt.Fprintf(&b, "  switch -> net [label=\"DATA p%d\"];\n", i)
-			fmt.Fprintf(&b, "  net -> switch [label=\"ACK p%d\"];\n", i)
-		}
+	// Each data port hangs between the pipeline and its host attachment in
+	// the tested network, whose switches carry live per-hop counters.
+	for p := 0; p < t.cfg.DataPorts; p++ {
+		fmt.Fprintf(&b, "  switch -> p%d [label=\"DATA p%d\"];\n", p, p)
+		fmt.Fprintf(&b, "  p%d -> switch [label=\"ACK p%d\"];\n", p, p)
 	}
-	if t.cfg.EnablePFC && t.Fab == nil {
-		b.WriteString("  net -> switch [style=dashed,label=\"PFC pause\"];\n")
-	}
+	t.Fab.DOTBody(&b, func(h int) string { return fmt.Sprintf("p%d", h) })
 	if t.fpgaRecv != nil {
 		b.WriteString("  switch -> fpga [style=dashed,label=\"truncated DATA (reserved port)\"];\n")
 	}

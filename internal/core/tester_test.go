@@ -518,8 +518,8 @@ func TestFabricLeafSpineEndToEnd(t *testing.T) {
 		Seed:      7,
 	}
 	tr := newTester(t, cfg)
-	if tr.Fab == nil || tr.Net != nil {
-		t.Fatal("fabric mode should build Fab and leave the canonical Net nil")
+	if got := len(tr.Switches()); got != 4 {
+		t.Fatalf("fabric mode built %d switches, want 4", got)
 	}
 	// Hosts 0,2 live on leaf0 and 1,3 on leaf1: both flows cross the spine.
 	if err := tr.StartFlow(0, 0, 1, 200); err != nil {
@@ -634,12 +634,17 @@ func TestResolveLinkFabric(t *testing.T) {
 	if l, err := tr.ResolveLink("host0->leaf0"); err != nil || l != tr.Fab.HostUplink(0) {
 		t.Fatalf("host0->leaf0 = %p, %v; want %p", l, err, tr.Fab.HostUplink(0))
 	}
-	// txN aliases keep working over a fabric; fwdN is single-switch only.
+	// txN and fwdN name a port's uplink and downlink on every shape.
 	if l, err := tr.ResolveLink("tx0"); err != nil || l != tr.TxLink(0) {
 		t.Fatalf("tx0 = %p, %v", l, err)
 	}
-	if _, err := tr.ResolveLink("fwd0"); err == nil {
-		t.Fatal("fwd0 accepted over a fabric")
+	if l, err := tr.ResolveLink("fwd3"); err != nil || l != tr.Fab.HostDownlink(3) {
+		t.Fatalf("fwd3 = %p, %v; want %p", l, err, tr.Fab.HostDownlink(3))
+	}
+	for _, bad := range []string{"tx4", "fwd4", "fwd"} {
+		if _, err := tr.ResolveLink(bad); err == nil {
+			t.Errorf("ResolveLink(%q) accepted over a fabric", bad)
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func ExtAlgos(opts Options) (*Result, error) {
 		ticker := sim.NewTicker(eng, horizon/120, func() {
 			qSamples = append(qSamples, measure.Point{
 				At: eng.Now(),
-				V:  float64(tr.Net.Port(flows).Queue().Bytes()) / float64(packet.WireSize(1024)),
+				V:  float64(tr.ForwardLink(flows).Queue().Bytes()) / float64(packet.WireSize(1024)),
 			})
 		})
 		ticker.Start()

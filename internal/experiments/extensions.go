@@ -60,7 +60,7 @@ func ExtHPCC(opts Options) (*Result, error) {
 		// Sample the bottleneck backlog through the run.
 		var qSamples []float64
 		ticker := sim.NewTicker(eng, horizon/200, func() {
-			qSamples = append(qSamples, float64(tr.Net.Port(flows).Queue().Bytes())/1044)
+			qSamples = append(qSamples, float64(tr.ForwardLink(flows).Queue().Bytes())/1044)
 		})
 		ticker.Start()
 		tr.Run(sim.Time(horizon / 2))
@@ -86,7 +86,7 @@ func ExtHPCC(opts Options) (*Result, error) {
 			}
 		}
 		meanQ /= float64(len(qSamples) / 2)
-		drops := tr.Net.Port(flows).Queue().Stats().Drops
+		drops := tr.ForwardLink(flows).Queue().Stats().Drops
 		jain := measure.JainIndex(rates)
 		res.AddRow(algo, f2(jain), f2(total), f2(meanQ), f2(maxQ), fmt.Sprintf("%d", drops))
 		res.Metrics[algo+"_jain"] = jain

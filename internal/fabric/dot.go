@@ -9,8 +9,9 @@ import (
 // digraph (the caller owns "digraph {...}"). Switch nodes carry live
 // telemetry — received packets, queue drops, misroutes — and trunk edges
 // carry per-port forwarded counts, so a rendering mid-run doubles as a
-// per-hop load map. hostNode names the graph node standing in for host h
-// (the tester's switch pipeline, in core's rendering).
+// per-hop load map; with PFC on, a dashed edge marks each host uplink the
+// leaf can pause. hostNode names the graph node standing in for host h
+// (the tester's data port, in core's rendering).
 func (f *Fabric) DOTBody(b *strings.Builder, hostNode func(h int) string) {
 	for _, n := range f.switches {
 		var drops uint64
@@ -42,6 +43,10 @@ func (f *Fabric) DOTBody(b *strings.Builder, hostNode func(h int) string) {
 			hostNode(h), dotID(leaf.name), h, up.TxPackets)
 		fmt.Fprintf(b, "  %s -> %s [label=\"to h%d: %d pkts\"];\n",
 			dotID(leaf.name), hostNode(h), h, down.TxPackets)
+		if f.cfg.EnablePFC {
+			fmt.Fprintf(b, "  %s -> %s [style=dashed,label=\"PFC pause\"];\n",
+				dotID(leaf.name), hostNode(h))
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
-// Package fabric composes netem switches and links into multi-switch
-// tested networks: the dumbbell, parking-lot, leaf-spine, and fat-tree
-// shapes congestion-control papers evaluate on. The tester's data ports
-// attach as hosts — port i's DATA enters the fabric at host i's leaf and
-// leaves toward the tester's receiver logic at the destination host's
-// downlink — so core.Tester runs unchanged against any shape.
+// Package fabric composes netem switches and links into the tested
+// network. The zero Spec is the §7.1 arrangement — one programmable switch
+// between the tester's sender and receiver ports — and the named shapes are
+// the dumbbell, parking-lot, leaf-spine, and fat-tree networks
+// congestion-control papers evaluate on. The tester's data ports attach as
+// hosts — port i's DATA enters the network at host i's leaf and leaves
+// toward the tester's receiver logic at the destination host's downlink —
+// so core.Tester builds every shape through the same Build call.
 //
 // Routing is destination-based: a DstFunc resolves each packet to its
 // destination host, and every switch forwards toward that host's leaf.
@@ -31,7 +33,7 @@ type DstFunc func(p *packet.Packet) int
 
 // Config assembles a fabric.
 type Config struct {
-	// Spec selects the shape (required, non-zero).
+	// Spec selects the shape; the zero value is the single switch.
 	Spec Spec
 	// Hosts is how many tester data ports attach (host h lives on leaf
 	// h mod leaves, in every shape).
@@ -50,8 +52,12 @@ type Config struct {
 	// EnableINT stamps per-hop telemetry on DATA at every fabric link.
 	EnableINT bool
 	// Jitter adds uniform [0, Jitter] propagation jitter on the host
-	// downlinks (the last hop), like core's ForwardJitter.
+	// downlinks.
 	Jitter sim.Duration
+	// ExtraHops chains that many store-and-forward links, each of
+	// LinkDelay and marking like a switch egress, behind every host
+	// downlink: leaf/spine path depth without the switches.
+	ExtraHops int
 	// EnablePFC makes the fabric lossless hop by hop: every egress queue
 	// pauses all links feeding its switch at the XOFF watermark, so
 	// backpressure propagates upstream switch by switch.
@@ -91,7 +97,7 @@ type sw struct {
 	inLinks   []*netem.Link
 }
 
-// Fabric is a built multi-switch tested network.
+// Fabric is a built tested network.
 type Fabric struct {
 	cfg      Config
 	switches []*sw
@@ -106,9 +112,6 @@ type Fabric struct {
 func Build(eng *sim.Engine, cfg Config) (*Fabric, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Spec.IsZero() {
-		return nil, fmt.Errorf("fabric: empty spec (the canonical single switch needs no fabric)")
 	}
 	if cfg.Hosts < 1 {
 		return nil, fmt.Errorf("fabric: need at least one host, got %d", cfg.Hosts)
@@ -125,17 +128,24 @@ func Build(eng *sim.Engine, cfg Config) (*Fabric, error) {
 	if cfg.LinkDelay == 0 {
 		cfg.LinkDelay = sim.Micros(2)
 	}
+	// The named shapes decouple their marking/jitter streams from the run
+	// seed with a fixed mix constant; the single switch draws from the run
+	// seed itself, the stream its marking and jitter goldens hold.
+	seed := cfg.Seed
+	if !cfg.Spec.IsZero() {
+		seed ^= 0xfab21c0de
+	}
 	f := &Fabric{
 		cfg:      cfg,
 		uplinks:  make([]*netem.Link, cfg.Hosts),
 		hostSw:   make([]int, cfg.Hosts),
 		hostPort: make([]int, cfg.Hosts),
-		// Decouple the fabric's marking/jitter streams from other users
-		// of the run seed with a fixed mix constant.
-		rng: sim.NewRand(cfg.Seed ^ 0xfab21c0de),
+		rng:      sim.NewRand(seed),
 	}
 	var err error
 	switch cfg.Spec.Kind {
+	case "":
+		f.buildSingle(eng)
 	case KindDumbbell:
 		err = f.buildDumbbell(eng)
 	case KindLeafSpine:
@@ -228,13 +238,18 @@ func (f *Fabric) connect(eng *sim.Engine, a, b *sw, bPort int) int {
 }
 
 // attachHost gives host h its downlink (an output port on leaf toward the
-// host's sink) and its uplink (a standalone link from the tester into the
-// leaf, attributed to the same port).
+// host's sink, behind any ExtraHops links) and its uplink (a standalone
+// link from the tester into the leaf, attributed to the same port).
 func (f *Fabric) attachHost(eng *sim.Engine, leaf *sw, leafIdx, h int) {
 	eng = f.engineOf(eng, leaf)
+	// Built back to front so packets traverse the chain in order.
+	sink := f.cfg.Sinks[h]
+	for i := 0; i < f.cfg.ExtraHops; i++ {
+		sink = netem.NewLink(eng, f.trunkCfg(), sink)
+	}
 	cfg := f.trunkCfg()
 	cfg.Jitter = f.cfg.Jitter
-	port := leaf.s.AddPort(eng, cfg, f.cfg.Sinks[h])
+	port := leaf.s.AddPort(eng, cfg, sink)
 	leaf.peers = append(leaf.peers, fmt.Sprintf("host%d", h))
 	f.hostSw[h] = leafIdx
 	f.hostPort[h] = port
@@ -242,7 +257,7 @@ func (f *Fabric) attachHost(eng *sim.Engine, leaf *sw, leafIdx, h int) {
 	upQueue := f.cfg.QueueBytes
 	if f.cfg.EnablePFC && upQueue < 4<<20 {
 		// PFC backpressure parks packets at the host uplinks; give them
-		// room so losslessness holds end to end (mirrors core's sizing).
+		// room so losslessness holds end to end.
 		upQueue = 4 << 20
 	}
 	up := netem.NewLink(eng, netem.LinkConfig{

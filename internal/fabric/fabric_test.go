@@ -385,3 +385,135 @@ func TestLinkNamesResolveAndAreStable(t *testing.T) {
 		t.Fatalf("LinkNames() unstable:\n%v\n%v", names, got)
 	}
 }
+
+// TestSingleShape pins the zero Spec's wiring: one switch named
+// tested-network, host h's downlink on port h and its uplink entering
+// through port h, and hostN link names on both directions.
+func TestSingleShape(t *testing.T) {
+	eng := sim.NewEngine()
+	f, sinks := build(t, eng, Spec{}, 3, map[packet.FlowID]int{1: 2}, nil)
+	sws := f.Switches()
+	if len(sws) != 1 || sws[0].Name() != "tested-network" || sws[0].Ports() != 3 {
+		t.Fatalf("zero shape built %d switches (first %q, %d ports), want one tested-network of 3 ports",
+			len(sws), sws[0].Name(), sws[0].Ports())
+	}
+	if n := (Spec{}).Switches(); len(sws) != n {
+		t.Fatalf("Spec{}.Switches() = %d, built %d", n, len(sws))
+	}
+	for h := 0; h < 3; h++ {
+		if f.HostDownlink(h) != sws[0].Port(h) || f.HostLeaf(h) != "tested-network" {
+			t.Fatalf("host %d: downlink is not port %d of tested-network", h, h)
+		}
+	}
+	f.HostUplink(0).Send(data(1, 0))
+	eng.RunAll()
+	if sinks[2].Packets != 1 {
+		t.Fatalf("host 2 received %d packets, want 1", sinks[2].Packets)
+	}
+	if rx, tx := sws[0].PortCounters(0).RxPackets, sws[0].PortCounters(2).TxPackets; rx != 1 || tx != 1 {
+		t.Fatalf("port 0 rx %d, port 2 tx %d; want 1 and 1", rx, tx)
+	}
+
+	want := []string{
+		"tested-network->host0", "tested-network->host1", "tested-network->host2",
+		"host0->tested-network", "host1->tested-network", "host2->tested-network",
+	}
+	if got := f.LinkNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("LinkNames() = %v, want %v", got, want)
+	}
+	for h := 0; h < 3; h++ {
+		if l, err := f.ResolveLink(fmt.Sprintf("tested-network->host%d", h)); err != nil || l != f.HostDownlink(h) {
+			t.Fatalf("tested-network->host%d = %p, %v; want downlink %p", h, l, err, f.HostDownlink(h))
+		}
+		if l, err := f.ResolveLink(fmt.Sprintf("host%d->tested-network", h)); err != nil || l != f.HostUplink(h) {
+			t.Fatalf("host%d->tested-network = %p, %v; want uplink %p", h, l, err, f.HostUplink(h))
+		}
+	}
+	if f.ECMPPaths() != nil {
+		t.Fatal("the single switch reports ECMP paths")
+	}
+}
+
+// TestSingleShapePFCPausesEveryUplink: on one switch every host uplink is
+// upstream of every egress queue, so a fan-in at one port pauses the idle
+// host's uplink too.
+func TestSingleShapePFCPausesEveryUplink(t *testing.T) {
+	eng := sim.NewEngine()
+	f, sinks := build(t, eng, Spec{}, 3, map[packet.FlowID]int{1: 2, 2: 2}, func(c *Config) {
+		c.EnablePFC = true
+		c.PFCXOFFBytes = 32 << 10
+	})
+	for i := 0; i < 400; i++ {
+		f.HostUplink(0).Send(data(1, uint32(i)))
+		f.HostUplink(1).Send(data(2, uint32(i)))
+	}
+	paused := false
+	for step := 0; step < 2000 && !paused; step++ {
+		eng.Run(sim.Time(step) * sim.Time(100*sim.Nanosecond))
+		paused = f.HostUplink(0).Paused()
+	}
+	if !paused {
+		t.Fatal("a 2:1 fan-in never paused the sending uplink")
+	}
+	for h := 0; h < 3; h++ {
+		if !f.HostUplink(h).Paused() {
+			t.Errorf("uplink %d not paused with the others", h)
+		}
+	}
+	eng.RunAll()
+	if sinks[2].Packets != 800 || f.PFCPauses() == 0 {
+		t.Fatalf("delivered %d/800 with %d pauses", sinks[2].Packets, f.PFCPauses())
+	}
+}
+
+// TestExtraHopsChain: each ExtraHops link behind a downlink adds one
+// store-and-forward hop of the same latency and, with INT on, one stamp.
+func TestExtraHopsChain(t *testing.T) {
+	arrive := func(hops int) (sim.Time, uint8) {
+		eng := sim.NewEngine()
+		f, sinks := build(t, eng, Spec{}, 2, map[packet.FlowID]int{1: 1}, func(c *Config) {
+			c.ExtraHops = hops
+			c.EnableINT = true
+		})
+		f.HostUplink(0).Send(data(1, 0))
+		eng.RunAll()
+		if sinks[1].Packets != 1 {
+			t.Fatalf("ExtraHops %d: delivered %d packets, want 1", hops, sinks[1].Packets)
+		}
+		return eng.Now(), sinks[1].Last.INT.NHops
+	}
+	base, baseHops := arrive(0)
+	deep, deepHops := arrive(2)
+	if baseHops != 2 || deepHops != 4 {
+		t.Fatalf("INT stamps: %d without extra hops, %d with 2; want 2 and 4", baseHops, deepHops)
+	}
+	if deep != 2*base {
+		t.Fatalf("two extra hops arrive at %v, want twice the two-link %v", deep, base)
+	}
+}
+
+// TestSpecSizeBound: Validate refuses shapes past maxSwitchPorts, whatever
+// the parameters' magnitude, and the largest accepted string of each shape
+// builds.
+func TestSpecSizeBound(t *testing.T) {
+	for _, text := range []string{
+		"leafspine:10000x10000", "leafspine:129x256", "leafspine:1x32769",
+		"leafspine:9223372036854775807x9223372036854775807",
+		"fattree:42", "fattree:64", "fattree:9223372036854775806",
+		"parkinglot:32770", "parkinglot:9223372036854775807",
+	} {
+		if _, err := ParseSpec(text); err == nil {
+			t.Errorf("ParseSpec(%q) accepted", text)
+		}
+	}
+	for _, text := range []string{"dumbbell", "leafspine:128x256", "fattree:40", "parkinglot:32769"} {
+		spec, err := ParseSpec(text)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", text, err)
+		}
+		f, _ := build(t, sim.NewEngine(), spec, 1, nil, nil)
+		if got := len(f.Switches()); got != spec.Switches() {
+			t.Errorf("%s built %d switches, want %d", text, got, spec.Switches())
+		}
+	}
+}

@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// Spec names a tested-network topology. The zero value means "no fabric":
-// the tester keeps its canonical single output-queued switch (§7.1). A
-// non-zero Spec selects one of the named multi-switch shapes; the numeric
-// fields parameterize the shape that uses them.
+// Spec names a tested-network topology. The zero value is the §7.1 shape:
+// one output-queued switch between the tester's ports. A non-zero Spec
+// selects one of the named multi-switch shapes; the numeric fields
+// parameterize the shape that uses them.
 type Spec struct {
 	// Kind is one of "", "dumbbell", "leafspine", "fattree", "parkinglot".
 	Kind string
@@ -31,34 +31,56 @@ const (
 	KindParkingLot = "parkinglot"
 )
 
-// IsZero reports whether the spec selects no fabric.
+// IsZero reports whether the spec is the single-switch shape.
 func (s Spec) IsZero() bool { return s.Kind == "" }
 
-// Validate rejects malformed specs.
+// maxSwitchPorts bounds a shape's inter-switch port count: K³ for a
+// fat-tree, 2·L·S for a leaf-spine, 2·(N−1) for a parking lot. A built port
+// holds 600–800 B of live heap once deployed (fattree:32's 32,780 ports
+// hold 19.6 MiB, fattree:40's 64,012 hold 40.6 MiB), so the bound keeps
+// every accepted shape near 40 MiB and refuses strings like
+// leafspine:10000x10000 before anything is allocated. It admits fattree:32
+// and leafspine:64x64, not fattree:64.
+const maxSwitchPorts = 65536
+
+// Validate rejects malformed specs and shapes too large to build. The size
+// checks divide instead of multiplying, so no parameter overflows them.
 func (s Spec) Validate() error {
 	switch s.Kind {
-	case "":
-		return nil
-	case KindDumbbell:
+	case "", KindDumbbell:
 		return nil
 	case KindLeafSpine:
 		if s.Leaves < 1 || s.Spines < 1 {
 			return fmt.Errorf("fabric: leafspine needs >= 1 leaf and >= 1 spine, got %dx%d", s.Leaves, s.Spines)
+		}
+		if s.Leaves > maxSwitchPorts/2/s.Spines {
+			return s.tooLarge()
 		}
 		return nil
 	case KindFatTree:
 		if s.K < 2 || s.K%2 != 0 {
 			return fmt.Errorf("fabric: fat-tree arity must be even and >= 2, got %d", s.K)
 		}
+		if s.K > maxSwitchPorts/s.K/s.K {
+			return s.tooLarge()
+		}
 		return nil
 	case KindParkingLot:
 		if s.N < 2 {
 			return fmt.Errorf("fabric: parking lot needs >= 2 switches, got %d", s.N)
 		}
+		if s.N-1 > maxSwitchPorts/2 {
+			return s.tooLarge()
+		}
 		return nil
 	default:
 		return fmt.Errorf("fabric: unknown topology %q (have dumbbell, leafspine:LxS, fattree:K, parkinglot:N)", s.Kind)
 	}
+}
+
+// tooLarge is Validate's error for a shape past maxSwitchPorts.
+func (s Spec) tooLarge() error {
+	return fmt.Errorf("fabric: %s needs more than %d switch ports", s, maxSwitchPorts)
 }
 
 // String renders the canonical text form accepted by ParseSpec.
@@ -89,7 +111,7 @@ func (s Spec) Diameter() int {
 	case KindParkingLot:
 		return s.N + 1
 	default:
-		return 2 // the canonical single switch: tx link + egress link
+		return 2 // the single switch: host uplink + downlink
 	}
 }
 
@@ -106,13 +128,13 @@ func (s Spec) Switches() int {
 	case KindParkingLot:
 		return s.N
 	default:
-		return 0
+		return 1
 	}
 }
 
 // ParseSpec compiles the operator-facing topology string:
 //
-//	""                        no fabric (canonical single switch)
+//	""                        the single switch (§7.1)
 //	dumbbell                  two switches over one trunk
 //	leafspine[:LxS]           L leaves, S spines (default 2x2)
 //	fattree[:K]               K-ary fat-tree (default 4)

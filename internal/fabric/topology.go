@@ -14,6 +14,16 @@ import (
 // host h attaches to leaf-tier switch h mod <leaf count>, so any tester
 // port mix spreads across racks deterministically.
 
+// buildSingle wires the zero shape, the §7.1 tested network: one switch
+// with host h's downlink on port h, fed by every host uplink.
+func (f *Fabric) buildSingle(eng *sim.Engine) {
+	n := f.addSwitch("tested-network")
+	for h := 0; h < f.cfg.Hosts; h++ {
+		f.attachHost(eng, n, 0, h)
+	}
+	n.route = f.dst
+}
+
 // buildDumbbell wires two switches over a single trunk — the classic
 // shared-bottleneck shape. Even hosts live left, odd hosts right; any
 // even-to-odd flow crosses the trunk.

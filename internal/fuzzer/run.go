@@ -87,8 +87,8 @@ func (c Config) relabeled(to map[packet.FlowID]packet.FlowID) Config {
 }
 
 // collectQueues walks every egress queue the tester owns — switch ports,
-// TX links, fabric host uplinks, and the FPGA-facing SCHE/INFO links —
-// and reads its conservation ledger.
+// TX links (the host uplinks), and the FPGA-facing SCHE/INFO links — and
+// reads its conservation ledger.
 func collectQueues(tr *core.Tester) []queueBalance {
 	var out []queueBalance
 	add := func(name string, q *netem.Queue) {
@@ -102,9 +102,6 @@ func collectQueues(tr *core.Tester) []queueBalance {
 	}
 	for i := 0; i < tr.Plan().DataPorts; i++ {
 		add(fmt.Sprintf("tx%d", i), tr.TxLink(i).Queue())
-		if tr.Fab != nil {
-			add(fmt.Sprintf("uplink%d", i), tr.Fab.HostUplink(i).Queue())
-		}
 	}
 	sche, info := tr.DeviceLinks()
 	for i := range sche {
