@@ -84,7 +84,8 @@ func TestPacketPathAllocatesNothing(t *testing.T) {
 // shrink as the run hops, the same slices allocate about 30 times, a count
 // that varies from run to run. The Go runtime allocates a little on its own
 // (an OS thread it starts when the world restarts after ReadMemStats, for
-// one), so a run that allocates is measured again, up to three times.
+// one), so a run that allocates is measured again, up to three times. The
+// same holds with Module A placed on the FPGA across the reserved port.
 func TestPacketPathAllocatesNothingAcrossPs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -92,21 +93,25 @@ func TestPacketPathAllocatesNothingAcrossPs(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	var n uint64
-	for range 3 {
-		if n = hoppingFaninAllocs(t); n == 0 {
-			return
+	for _, onFPGA := range []bool{false, true} {
+		var n uint64
+		for range 3 {
+			if n = hoppingFaninAllocs(t, onFPGA); n == 0 {
+				break
+			}
+		}
+		if n != 0 {
+			t.Errorf("receiver on FPGA %v: %d allocations in fan-in slices run by alternating goroutines, want 0", onFPGA, n)
 		}
 	}
-	t.Errorf("%d allocations in fan-in slices run by alternating goroutines, want 0", n)
 }
 
 // hoppingFaninAllocs runs a fresh fan-in tester in 5us slices that two
 // goroutines take turns at, and returns the allocations of 800 slices after
 // a warm-up of 200.
-func hoppingFaninAllocs(t *testing.T) uint64 {
+func hoppingFaninAllocs(t *testing.T, receiverOnFPGA bool) uint64 {
 	const warm, slices = 200, 800
-	tr := faninTester(t)
+	tr := faninTesterWith(t, receiverOnFPGA)
 	// Goroutine w runs the slices n with n%2 == w below stop, in order; the
 	// atomics hand the tester from one to the other. Blocking on a channel
 	// or a WaitGroup would allocate from per-P caches of its own.
@@ -199,13 +204,18 @@ func TestExternalFlowGrowsDenseTable(t *testing.T) {
 
 // faninTester builds the dcqcn fan-in: four flows on each of ports 0-3 into
 // port 4, rate paced, with a standing marked queue at the receiver port.
-func faninTester(t *testing.T) *Tester {
+func faninTester(t *testing.T) *Tester { return faninTesterWith(t, false) }
+
+// faninTesterWith is faninTester with Module A on the FPGA when
+// receiverOnFPGA is set.
+func faninTesterWith(t *testing.T, receiverOnFPGA bool) *Tester {
 	t.Helper()
 	params := cc.DefaultParams(100*sim.Gbps, 1024)
 	params.ScaleDCQCNTime(30)
 	tr := newTester(t, Config{
 		Algorithm: mustAlg(t, "dcqcn"), Params: params, DataPorts: 5, Seed: 1,
 		ECN: netem.StepMarking(65, 1024), NetQueueBytes: 8 << 20,
+		ReceiverOnFPGA: receiverOnFPGA,
 	})
 	for p := 0; p < 4; p++ {
 		for i := 0; i < 4; i++ {

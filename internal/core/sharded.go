@@ -119,7 +119,7 @@ type portalSlot struct {
 func (s *portalSlot) Carry(p *packet.Packet, at sim.Time) { s.r.Carry(p, at) }
 
 // ackRouter fans a receiver island's ACK/NACK/CNP traffic to the pipeline
-// owning each flow's TX port. Receiver responses carry no port, so the
+// owning each flow's TX port. A receiver response names no island, so the
 // route is by flow ID; unknown flows (external flood traffic) deliver to
 // the home island, matching the one-island pipeline where they die at the
 // inactive flow. Every delivery — local or remote — goes through a runner

@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"marlin/internal/aqm"
@@ -151,7 +152,9 @@ type Tester struct {
 	portIsland []*island // global data port -> owning island
 	portLocal  []int     // global data port -> port index within its island
 
-	fpgaRecv *fpga.Receiver
+	// fpgaRecv is Module A placed on the FPGA end of the reserved port
+	// (nil unless ReceiverOnFPGA).
+	fpgaRecv *tofino.Receiver
 
 	// pool supplies every packet the tester's devices create on a
 	// Shards == 0 build, where one goroutine runs them all; nil (the shared
@@ -345,15 +348,16 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 	}
 
 	if cfg.ReceiverOnFPGA {
-		// Reserved-port pair (§4.3): truncated DATA to the FPGA, the
-		// receiver's ACK/NACK/CNP responses back to the switch.
+		// Reserved-port pair (§4.3): truncated DATA to Module A on the
+		// FPGA, and one cable carrying every port's ACK/NACK/CNP responses
+		// back to the switch, which routes them by arrival port.
 		pl := t.islands[0].pl
-		mode := fpga.TCPReceiver
-		if cfg.Receiver == tofino.RoCEReceiver {
-			mode = fpga.RoCEReceiver
+		t.fpgaRecv = tofino.NewReceiver(eng, cfg.Receiver, cfg.Params.CNPInterval, t.pool)
+		back := deviceLink(eng, cfg, pl.FPGAAckIn())
+		for p := range cfg.DataPorts {
+			t.fpgaRecv.ConnectAck(p, back)
 		}
-		t.fpgaRecv = fpga.NewReceiver(eng, mode, cfg.Params.CNPInterval, deviceLink(eng, cfg, pl.FPGAAckIn()))
-		pl.ConnectRxForward(deviceLink(eng, cfg, t.fpgaRecv.DataIn()))
+		pl.ConnectRxForward(deviceLink(eng, cfg, t.fpgaRecv.Node()))
 	}
 
 	// Tested network, of whatever shape: tester -> Fab -> tester.
@@ -432,15 +436,13 @@ func (t *Tester) ResolveLink(name string) (*netem.Link, error) {
 // portAlias recognises prefixed port names like "tx3" or "fwd0".
 func portAlias(name, prefix string) (int, bool) {
 	num, ok := strings.CutPrefix(name, prefix)
-	if !ok || num == "" {
+	if !ok || num == "" || strings.Trim(num, "0123456789") != "" {
 		return 0, false
 	}
-	i := 0
-	for _, c := range num {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		i = i*10 + int(c-'0')
+	// A number past int's range names no port; the caller refuses -1.
+	i, err := strconv.Atoi(num)
+	if err != nil {
+		return -1, true
 	}
 	return i, true
 }

@@ -614,7 +614,9 @@ func TestResolveLinkSingleSwitch(t *testing.T) {
 	if l, err := tr.ResolveLink("fwd0"); err != nil || l != tr.ForwardLink(0) {
 		t.Fatalf("fwd0 = %p, %v; want %p", l, err, tr.ForwardLink(0))
 	}
-	for _, bad := range []string{"tx9", "fwd9", "tx", "leaf0->spine1", "bogus"} {
+	// 2⁶⁴+1 and 2⁶⁴ must not wrap around to tx1 and fwd0.
+	for _, bad := range []string{"tx9", "fwd9", "tx", "leaf0->spine1", "bogus",
+		"tx18446744073709551617", "fwd18446744073709551616"} {
 		if _, err := tr.ResolveLink(bad); err == nil {
 			t.Errorf("ResolveLink(%q) accepted", bad)
 		}

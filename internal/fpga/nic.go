@@ -16,6 +16,9 @@
 //	   scheduling FIFO (per port) <── rescheduling ── scheduler ──TX timer──> SCHE out
 //
 // plus the Slow Path executor, the BRAM flow store, and the QDMA logger.
+// Receiver logic placed on the FPGA (Figure 2's dashed path) has no model
+// here: it is the switch's own Module A, tofino.Receiver, which core wires
+// to the FPGA end of the reserved port.
 package fpga
 
 import (

@@ -377,17 +377,13 @@ func TestRestartedFlowReusesTimerRecords(t *testing.T) {
 
 // The per-flow rows hold the fields the model reads and little padding: the
 // NIC's flow word fits 256 B, so a 64-flow page takes Go's 16 KiB size class
-// rather than the 20 KiB one, and the FPGA receiver's row keeps its bools in
-// the padding after the expected PSN, 24 B.
+// rather than the 20 KiB one.
 func TestFlowRowSizes(t *testing.T) {
 	if got := unsafe.Sizeof(flowState{}); got > 256 {
 		t.Errorf("flowState is %d B, want <= 256", got)
 	}
 	if got := unsafe.Sizeof([flowtab.PageSize]flowState{}); got > 16<<10 {
 		t.Errorf("a flow-store page is %d B, want <= 16 KiB", got)
-	}
-	if got := unsafe.Sizeof(rxFlowState{}); got > 24 {
-		t.Errorf("rxFlowState is %d B, want <= 24", got)
 	}
 }
 

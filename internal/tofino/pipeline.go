@@ -24,10 +24,12 @@ type Config struct {
 	Receiver ReceiverMode
 	// ReceiverOnFPGA moves the receiver logic to the FPGA (Figure 2's
 	// dashed path, §4.1): arriving DATA is truncated to 64 bytes and
-	// forwarded over the reserved port instead of being processed by
-	// Module A; the FPGA's responses come back through FPGAAckIn.
+	// forwarded over the reserved port to a Receiver built on the FPGA end
+	// instead of being processed here; its responses come back through
+	// FPGAAckIn.
 	ReceiverOnFPGA bool
-	// CNPInterval rate-limits per-flow CNP generation (RoCE receiver).
+	// CNPInterval rate-limits per-flow CNP generation (RoCE receiver; 0:
+	// a CNP per CE-marked arrival).
 	CNPInterval sim.Duration
 	// Pool supplies the DATA, NACK and CNP packets the pipeline creates
 	// (nil: the shared pool).
@@ -82,7 +84,7 @@ type Pipeline struct {
 	sharedFns []sim.Func
 
 	flows flowtab.Table[flowRow]
-	recv  *receiver
+	recv  *Receiver
 	rxFwd netem.Node // reserved-port link toward the FPGA receiver
 
 	c     Counters
@@ -101,9 +103,6 @@ type flowRow struct {
 func NewPipeline(eng *sim.Engine, cfg Config) (*Pipeline, error) {
 	if err := cfg.Plan.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.CNPInterval <= 0 {
-		cfg.CNPInterval = sim.Micros(4)
 	}
 	n := cfg.Plan.DataPorts
 	pl := &Pipeline{
@@ -138,7 +137,7 @@ func NewPipeline(eng *sim.Engine, cfg Config) (*Pipeline, error) {
 			pl.queues[i] = newRegQueue(cfg.QueueDepth)
 		}
 	}
-	pl.recv = newReceiver(eng, cfg.Receiver, cfg.CNPInterval, cfg.Pool)
+	pl.recv = NewReceiver(eng, cfg.Receiver, cfg.CNPInterval, cfg.Pool)
 	return pl, nil
 }
 
@@ -155,7 +154,7 @@ func (pl *Pipeline) ConnectInfo(out netem.Node) { pl.infoOut = out }
 
 // ConnectAckPort attaches receiver port i's ACK return path.
 func (pl *Pipeline) ConnectAckPort(i int, out netem.Node) {
-	pl.recv.connectAck(i, out)
+	pl.recv.ConnectAck(i, out)
 }
 
 // BindFlow assigns a flow to a data port; the FPGA must pace the flow's
@@ -171,7 +170,7 @@ func (pl *Pipeline) BindFlow(flow packet.FlowID, port int) error {
 // ResetFlow clears receiver-side state so a flow slot can be reused for a
 // new flow (closed-loop workloads).
 func (pl *Pipeline) ResetFlow(flow packet.FlowID) {
-	pl.recv.reset(flow)
+	pl.recv.Reset(flow)
 	if f := pl.flows.Get(flow); f != nil {
 		f.dataTxBytes = 0
 	}

@@ -1,7 +1,10 @@
 // Package tofino models Marlin's programmable-switch data plane: the three
 // modules of §4 (receiver logic, INFO generator, DATA generator), the
 // per-egress-port register queues of §4.2, and the port-allocation and
-// throughput-amplification arithmetic of §3.3/§4.3.
+// throughput-amplification arithmetic of §3.3/§4.3. Module A, the receiver
+// logic, is the exported Receiver: the pipeline runs one in the switch, and
+// the same logic runs on the FPGA end of the reserved port when a tester
+// places it there (Figure 2's dashed path).
 //
 // The model substitutes for an Intel Tofino ASIC (see DESIGN.md). It keeps
 // the behaviours the evaluation depends on: SCHE metadata queues that

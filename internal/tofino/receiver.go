@@ -39,8 +39,17 @@ type rxFlow struct {
 	lastCNP  sim.Time
 }
 
-// receiver is Module A.
-type receiver struct {
+// Receiver is Module A (§4.1), defined once and run in either of two
+// placements. In the switch, the pipeline feeds it every DATA packet that
+// reaches a receiver port (Pipeline.DataIn). For a CC algorithm whose
+// receiver side is "too complex to be implemented in the programmable
+// switch", it runs on the FPGA across the reserved port instead (Figure 2's
+// dashed path): the switch truncates arriving DATA to 64 bytes, writes the
+// arrival port into it and forwards it to Node, and every port's ACK output
+// is the one cable back to Pipeline.FPGAAckIn, which routes the responses
+// by that port. One 100 Gbps reserved port carries a full pipeline's
+// truncations: 12 ports x 11.97 Mpps of 64-byte frames is ~96 Gbps of wire.
+type Receiver struct {
 	eng         *sim.Engine
 	mode        ReceiverMode
 	cnpInterval sim.Duration
@@ -56,27 +65,39 @@ type receiver struct {
 	dupRx  uint64
 }
 
-func newReceiver(eng *sim.Engine, mode ReceiverMode, cnpInterval sim.Duration, pool *packet.Pool) *receiver {
-	return &receiver{eng: eng, mode: mode, cnpInterval: cnpInterval, pool: pool}
+// NewReceiver builds Module A in the given mode. CNPs are spaced at least
+// cnpInterval apart per flow (0: one per CE-marked arrival); pool supplies
+// the NACKs and CNPs it creates (nil: the shared pool).
+func NewReceiver(eng *sim.Engine, mode ReceiverMode, cnpInterval sim.Duration, pool *packet.Pool) *Receiver {
+	return &Receiver{eng: eng, mode: mode, cnpInterval: cnpInterval, pool: pool}
 }
 
-func (r *receiver) connectAck(port int, out netem.Node) {
+// ConnectAck attaches the return path of responses to DATA that arrived at
+// receiver port port.
+func (r *Receiver) ConnectAck(port int, out netem.Node) {
 	for port >= len(r.ackOut) {
 		r.ackOut = append(r.ackOut, nil)
 	}
 	r.ackOut[port] = out
 }
 
-func (r *receiver) reset(id packet.FlowID) {
+// Reset clears a flow's receive state so its slot can be reused.
+func (r *Receiver) Reset(id packet.FlowID) {
 	if f := r.flows.Get(id); f != nil {
 		*f = rxFlow{}
 	}
 }
 
+// Node returns the Node the reserved-port cable delivers truncated DATA
+// to; each packet's Port is its arrival port, as the switch wrote it.
+func (r *Receiver) Node() netem.Node {
+	return netem.NodeFunc(func(p *packet.Packet) { r.onData(p.Port, p) })
+}
+
 // onData handles one arriving DATA packet at a receiver port (§3.2 steps
 // 3-4): update receive state, then "generate ACK packets by truncating
 // DATA packets to 64 bytes and rewriting their header fields".
-func (r *receiver) onData(port int, p *packet.Packet) {
+func (r *Receiver) onData(port int, p *packet.Packet) {
 	if p.Type != packet.DATA {
 		p.Release()
 		return
@@ -128,13 +149,12 @@ func (r *receiver) onData(port int, p *packet.Packet) {
 }
 
 // sendAck emits the acknowledgement by truncating and rewriting the DATA
-// frame in place (§3.2 step 4), consuming it: Flow, PSN, SentAt, the ECT
-// codepoint bits, and the INT telemetry stack are echoed verbatim,
-// everything else is rewritten. Keeping the ECT bits matters: the sender's
-// CC module reads the echoed codepoint to confirm what the flow negotiated,
-// and wiping them here would silently downgrade ECT(1) flows to Not-ECT on
-// the return path.
-func (r *receiver) sendAck(port int, d *packet.Packet, cumAck uint32, ce bool) {
+// frame in place (§3.2 step 4), consuming it: Flow, PSN, Port, SentAt,
+// the ECT codepoint bits and the INT telemetry stack are echoed verbatim,
+// everything else is rewritten. Port is the arrival port on the reserved-
+// port placement, which routes the response by it; Module B overwrites it
+// with the flow's bound port on either placement.
+func (r *Receiver) sendAck(port int, d *packet.Packet, cumAck uint32, ce bool) {
 	out := r.out(port)
 	if out == nil {
 		d.Release()
@@ -143,7 +163,6 @@ func (r *receiver) sendAck(port int, d *packet.Packet, cumAck uint32, ce bool) {
 	d.Type = packet.ACK
 	d.Ack = cumAck
 	d.Size = packet.ControlSize
-	d.Port = 0
 	d.RxTime = r.eng.Now()
 	d.Flags &= packet.ECTMask
 	if ce && r.mode == TCPReceiver {
@@ -153,7 +172,7 @@ func (r *receiver) sendAck(port int, d *packet.Packet, cumAck uint32, ce bool) {
 	out.Receive(d)
 }
 
-func (r *receiver) sendNack(port int, d *packet.Packet, expected uint32) {
+func (r *Receiver) sendNack(port int, d *packet.Packet, expected uint32) {
 	out := r.out(port)
 	if out == nil {
 		return
@@ -165,6 +184,7 @@ func (r *receiver) sendNack(port int, d *packet.Packet, expected uint32) {
 	n.Ack = expected
 	n.Flags = packet.FlagNACK | d.Flags&packet.ECTMask
 	n.Size = packet.ControlSize
+	n.Port = d.Port
 	n.SentAt = d.SentAt
 	n.RxTime = r.eng.Now()
 	r.nackTx++
@@ -172,8 +192,8 @@ func (r *receiver) sendNack(port int, d *packet.Packet, expected uint32) {
 }
 
 // maybeCNP emits a DCQCN congestion-notification packet, at most one per
-// CNPInterval per flow (the NP-side pacing of the DCQCN spec).
-func (r *receiver) maybeCNP(port int, d *packet.Packet, f *rxFlow) {
+// cnpInterval per flow (the NP-side pacing of the DCQCN spec).
+func (r *Receiver) maybeCNP(port int, d *packet.Packet, f *rxFlow) {
 	now := r.eng.Now()
 	if f.cnpSent && now.Sub(f.lastCNP) < r.cnpInterval {
 		return
@@ -191,13 +211,14 @@ func (r *receiver) maybeCNP(port int, d *packet.Packet, f *rxFlow) {
 	cnp.Ack = f.expected
 	cnp.Flags = packet.FlagCNPNotify
 	cnp.Size = packet.ControlSize
+	cnp.Port = d.Port
 	cnp.SentAt = d.SentAt
 	cnp.RxTime = now
 	r.cnpTx++
 	out.Receive(cnp)
 }
 
-func (r *receiver) out(port int) netem.Node {
+func (r *Receiver) out(port int) netem.Node {
 	if port < 0 || port >= len(r.ackOut) {
 		return nil
 	}
