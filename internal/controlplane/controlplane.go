@@ -3,6 +3,14 @@
 // models, starting traffic, and reading results back out of "hardware
 // registers" — the same role the paper's Python control-plane program
 // plays over gRPC and PCIe.
+//
+// A Spec is strings and scalars; compile translates it once into the
+// core.Config the tester is built from, plus its parsed fault and pattern
+// plans, and Validate, Lint and Deploy all read that one translation. The
+// Spec's own checks are ranges and string syntax. The paper's defaults and
+// the cross-field rules (ExtraHops without a Topology, AQM or step ECN,
+// Shards only on a Topology and without PFC or the FPGA-placed receiver)
+// are core's, applied by core.Resolve.
 package controlplane
 
 import (
@@ -94,16 +102,29 @@ type Spec struct {
 	Seed uint64
 }
 
-// Validate rejects malformed specs before deployment.
-func (s *Spec) Validate() error {
+// compiledSpec is a Spec translated for deployment: the configuration
+// core.New takes and the parsed fault and pattern plans.
+type compiledSpec struct {
+	cfg     core.Config
+	faults  faults.Plan
+	pattern workload.Plan
+}
+
+// compile translates s, parsing each of its strings once. Range checks are
+// the Spec's own; the cross-field rules and the defaults are core's,
+// applied by core.Resolve, whose resolved port count bounds the pattern
+// victims.
+func (s *Spec) compile() (compiledSpec, error) {
+	var c compiledSpec
 	if s.Algorithm == "" {
-		return fmt.Errorf("controlplane: no algorithm selected")
+		return c, fmt.Errorf("controlplane: no algorithm selected")
 	}
-	if _, err := cc.New(s.Algorithm); err != nil {
-		return err
+	alg, err := cc.New(s.Algorithm)
+	if err != nil {
+		return c, err
 	}
 	if s.FlowsPerPort < 0 {
-		return fmt.Errorf("controlplane: negative flows per port")
+		return c, fmt.Errorf("controlplane: negative flows per port")
 	}
 	// A negative size or delay is never a request for the default: core
 	// would size slices with it or schedule into the past.
@@ -120,141 +141,13 @@ func (s *Spec) Validate() error {
 		{"DCQCNTimeScale", s.DCQCNTimeScale < 0},
 	} {
 		if f.neg {
-			return fmt.Errorf("controlplane: negative %s", f.name)
-		}
-	}
-	switch s.Receiver {
-	case "", "tcp", "roce":
-	default:
-		return fmt.Errorf("controlplane: unknown receiver mode %q", s.Receiver)
-	}
-	if s.AQM != "" {
-		spec, err := aqm.ParseSpec(s.AQM)
-		if err != nil {
-			return err
-		}
-		if spec.Enabled() && s.ECNThresholdPkts > 0 {
-			return fmt.Errorf("controlplane: AQM %s and ECNThresholdPkts are mutually exclusive marking policies", spec.Kind)
-		}
-	}
-	if s.Topology != "" {
-		if _, err := fabric.ParseSpec(s.Topology); err != nil {
-			return err
-		}
-		if s.ExtraHops > 0 {
-			return fmt.Errorf("controlplane: ExtraHops applies only to the canonical single-switch network, not topology %q", s.Topology)
+			return c, fmt.Errorf("controlplane: negative %s", f.name)
 		}
 	}
 	if s.Shards < 0 {
-		return fmt.Errorf("controlplane: negative shard count %d", s.Shards)
+		return c, fmt.Errorf("controlplane: negative shard count %d", s.Shards)
 	}
-	if s.Shards > 0 {
-		if s.Topology == "" {
-			return fmt.Errorf("controlplane: Shards requires a multi-switch Topology")
-		}
-		if s.EnablePFC {
-			return fmt.Errorf("controlplane: Shards and EnablePFC are incompatible (pause frames would act across partitions)")
-		}
-		if s.ReceiverOnFPGA {
-			return fmt.Errorf("controlplane: Shards and ReceiverOnFPGA are incompatible (the reserved-port path is not partitioned)")
-		}
-	}
-	if s.Faults != "" {
-		if _, err := faults.ParseSpec(s.Faults); err != nil {
-			return err
-		}
-	}
-	if s.Pattern != "" {
-		plan, err := workload.ParseSpec(s.Pattern)
-		if err != nil {
-			return err
-		}
-		// An explicit victim must name a real data port. Deployment would
-		// reject it too, but only after the tester is half-built; failing
-		// here gives the operator the error at validation time. Only
-		// checkable when Ports is explicit — 0 defers to the device plan's
-		// maximum, which Deploy still enforces.
-		if s.Ports > 0 {
-			for _, v := range plan.Victims() {
-				if v >= s.Ports {
-					return fmt.Errorf("controlplane: pattern victim port %d outside [0,%d)", v, s.Ports)
-				}
-			}
-		}
-	}
-	if s.Params != nil {
-		if err := s.Params.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Lint reports configuration smells that deploy fine but tend to produce
-// misleading tests — the judgement calls an experienced operator makes
-// before burning a testbed run.
-func (s *Spec) Lint() []string {
-	var warns []string
-	mtu := s.MTU
-	if mtu == 0 {
-		mtu = 1024
-	}
-	queue := s.NetQueueBytes
-	if queue == 0 {
-		queue = netem.DefaultQueueCapacity
-	}
-	if s.ECNThresholdPkts > 0 {
-		kBytes := s.ECNThresholdPkts * mtu
-		if kBytes >= queue {
-			warns = append(warns, fmt.Sprintf(
-				"ECN threshold (%d pkts = %d B) is at or beyond the %d B queue: drops will precede marking",
-				s.ECNThresholdPkts, kBytes, queue))
-		} else if kBytes > queue/2 {
-			warns = append(warns, fmt.Sprintf(
-				"ECN threshold (%d B) above half the %d B queue leaves little headroom for bursts",
-				kBytes, queue))
-		}
-	}
-	if alg, err := cc.New(s.Algorithm); err == nil {
-		if alg.Mode() == cc.RateMode && !s.EnablePFC && queue < 2<<20 {
-			warns = append(warns, fmt.Sprintf(
-				"rate-based %s on a lossy %d B buffer without PFC: expect go-back-N retransmission storms",
-				s.Algorithm, queue))
-		}
-		if s.Algorithm == "hpcc" && !s.EnableINT {
-			warns = append(warns, "hpcc without EnableINT receives no telemetry and will not react")
-		}
-		if s.Algorithm == "dcqcn" && s.DCQCNTimeScale <= 1 {
-			warns = append(warns,
-				"dcqcn with paper-scale timers recovers over hundreds of ms; set DCQCNTimeScale for short horizons")
-		}
-	}
-	hops := s.ExtraHops + 2
-	if s.Topology != "" {
-		if spec, err := fabric.ParseSpec(s.Topology); err == nil {
-			hops = spec.Diameter()
-		}
-	}
-	if s.EnableINT && hops > packet.MaxINTHops {
-		warns = append(warns, fmt.Sprintf(
-			"%d-hop paths exceed the %d-entry INT stack: later hops go unstamped",
-			hops, packet.MaxINTHops))
-	}
-	return warns
-}
-
-// Deploy validates the spec, generates the device configurations, and
-// builds a wired tester — the moment the paper's control plane writes the
-// switch tables and FPGA firmware/BRAM.
-func (s *Spec) Deploy(eng *sim.Engine) (*core.Tester, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	alg, err := cc.New(s.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Config{
+	c.cfg = core.Config{
 		Algorithm:      alg,
 		MTU:            s.MTU,
 		PortRate:       s.PortRate,
@@ -268,67 +161,137 @@ func (s *Spec) Deploy(eng *sim.Engine) (*core.Tester, error) {
 		Shards:         s.Shards,
 		Seed:           s.Seed,
 	}
-	if s.Topology != "" {
-		spec, err := fabric.ParseSpec(s.Topology)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Topology = spec
-	}
-	if s.Params != nil {
-		cfg.Params = *s.Params
-	} else {
-		mtu := s.MTU
-		if mtu == 0 {
-			mtu = 1024
-		}
-		rate := s.PortRate
-		if rate == 0 {
-			rate = 100 * sim.Gbps
-		}
-		cfg.Params = cc.DefaultParams(rate, mtu)
-	}
-	if s.DCQCNTimeScale > 1 {
-		cfg.Params.ScaleDCQCNTime(s.DCQCNTimeScale)
-	}
-	if s.ECNThresholdPkts > 0 {
-		mtu := cfg.Params.MTU
-		cfg.ECN = netem.StepMarking(s.ECNThresholdPkts, mtu)
+	switch s.Receiver {
+	case "":
+	case "tcp":
+		c.cfg.Receiver = core.ForceTCPReceiver
+	case "roce":
+		c.cfg.Receiver = tofino.RoCEReceiver
+	default:
+		return c, fmt.Errorf("controlplane: unknown receiver mode %q", s.Receiver)
 	}
 	if s.AQM != "" {
-		spec, err := aqm.ParseSpec(s.AQM)
-		if err != nil {
-			return nil, err
+		if c.cfg.AQM, err = aqm.ParseSpec(s.AQM); err != nil {
+			return c, err
 		}
-		cfg.AQM = spec
 	}
-	switch s.Receiver {
-	case "tcp":
-		cfg.Receiver = tofino.TCPReceiver
-		cfg.ReceiverSet = true
-	case "roce":
-		cfg.Receiver = tofino.RoCEReceiver
-		cfg.ReceiverSet = true
+	if s.Topology != "" {
+		if c.cfg.Topology, err = fabric.ParseSpec(s.Topology); err != nil {
+			return c, err
+		}
 	}
-	tester, err := core.New(eng, cfg)
+	if s.Faults != "" {
+		if c.faults, err = faults.ParseSpec(s.Faults); err != nil {
+			return c, err
+		}
+	}
+	if s.Pattern != "" {
+		if c.pattern, err = workload.ParseSpec(s.Pattern); err != nil {
+			return c, err
+		}
+	}
+	if s.Params != nil {
+		if err := s.Params.Validate(); err != nil {
+			return c, err
+		}
+		c.cfg.Params = *s.Params
+	}
+	// The step-marking threshold is in packets of the resolved MTU; the
+	// rules only need to know marking is on.
+	c.cfg.ECN.Enable = s.ECNThresholdPkts > 0
+	eff, _, err := core.Resolve(c.cfg)
+	if err != nil {
+		return c, err
+	}
+	// An explicit victim must name a real data port. Deployment would
+	// reject it too, but only after the tester is half-built.
+	for _, v := range c.pattern.Victims() {
+		if v >= eff.DataPorts {
+			return c, fmt.Errorf("controlplane: pattern victim port %d outside [0,%d)", v, eff.DataPorts)
+		}
+	}
+	if s.ECNThresholdPkts > 0 {
+		c.cfg.ECN = netem.StepMarking(s.ECNThresholdPkts, eff.Params.MTU)
+	}
+	c.cfg.Params = eff.Params
+	if s.DCQCNTimeScale > 1 {
+		c.cfg.Params.ScaleDCQCNTime(s.DCQCNTimeScale)
+	}
+	return c, nil
+}
+
+// Validate rejects malformed specs before deployment.
+func (s *Spec) Validate() error {
+	_, err := s.compile()
+	return err
+}
+
+// Lint reports configuration smells that deploy fine but tend to produce
+// misleading tests — the judgement calls an experienced operator makes
+// before burning a testbed run. A spec that does not compile has no smells
+// to report: Validate says what is wrong with it.
+func (s *Spec) Lint() []string {
+	c, err := s.compile()
+	if err != nil {
+		return nil
+	}
+	var warns []string
+	queue := s.NetQueueBytes
+	if queue == 0 {
+		queue = netem.DefaultQueueCapacity
+	}
+	if s.ECNThresholdPkts > 0 {
+		kBytes := c.cfg.ECN.KMin
+		if kBytes >= queue {
+			warns = append(warns, fmt.Sprintf(
+				"ECN threshold (%d pkts = %d B) is at or beyond the %d B queue: drops will precede marking",
+				s.ECNThresholdPkts, kBytes, queue))
+		} else if kBytes > queue/2 {
+			warns = append(warns, fmt.Sprintf(
+				"ECN threshold (%d B) above half the %d B queue leaves little headroom for bursts",
+				kBytes, queue))
+		}
+	}
+	if c.cfg.Algorithm.Mode() == cc.RateMode && !s.EnablePFC && queue < 2<<20 {
+		warns = append(warns, fmt.Sprintf(
+			"rate-based %s on a lossy %d B buffer without PFC: expect go-back-N retransmission storms",
+			s.Algorithm, queue))
+	}
+	if s.Algorithm == "hpcc" && !s.EnableINT {
+		warns = append(warns, "hpcc without EnableINT receives no telemetry and will not react")
+	}
+	if s.Algorithm == "dcqcn" && s.DCQCNTimeScale <= 1 {
+		warns = append(warns,
+			"dcqcn with paper-scale timers recovers over hundreds of ms; set DCQCNTimeScale for short horizons")
+	}
+	hops := c.cfg.Topology.Diameter() + s.ExtraHops
+	if s.EnableINT && hops > packet.MaxINTHops {
+		warns = append(warns, fmt.Sprintf(
+			"%d-hop paths exceed the %d-entry INT stack: later hops go unstamped",
+			hops, packet.MaxINTHops))
+	}
+	return warns
+}
+
+// Deploy compiles the spec into device configurations and builds a wired
+// tester — the moment the paper's control plane writes the switch tables
+// and FPGA firmware/BRAM.
+func (s *Spec) Deploy(eng *sim.Engine) (*core.Tester, error) {
+	c, err := s.compile()
+	if err != nil {
+		return nil, err
+	}
+	tester, err := core.New(eng, c.cfg)
 	if err != nil {
 		return nil, err
 	}
 	if s.Faults != "" {
-		plan, err := faults.ParseSpec(s.Faults)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := tester.InstallFaults(plan); err != nil {
+		if _, err := tester.InstallFaults(c.faults); err != nil {
 			return nil, err
 		}
 	}
 	if s.Pattern != "" {
-		plan, err := workload.ParseSpec(s.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := tester.InstallPatterns(plan); err != nil {
+		if _, err := tester.InstallPatterns(c.pattern); err != nil {
 			return nil, err
 		}
 	}

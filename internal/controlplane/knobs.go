@@ -17,7 +17,7 @@ import (
 // place that maps names to fields: scenario `set KEY VALUE`, sweep
 // `-axis KEY=v1,v2`, the marlinctl flags and the fuzzer's repro scripts all
 // go through Set, Settings and BindFlags, so a new knob is a Spec field, a
-// row here and its line in Deploy. PortRate and Params have no row (see
+// row here and its line in compile. PortRate and Params have no row (see
 // DESIGN.md "Configuration surface") and stay API-only.
 type knob struct {
 	name, help string

@@ -21,17 +21,17 @@ func TestValidateErrorPaths(t *testing.T) {
 		{
 			name: "shards with PFC",
 			spec: Spec{Algorithm: "dctcp", Topology: "dumbbell", Shards: 2, EnablePFC: true},
-			want: "controlplane: Shards and EnablePFC are incompatible (pause frames would act across partitions)",
+			want: "core: Shards and EnablePFC are incompatible (pause frames would act across partitions mid-round)",
 		},
 		{
 			name: "shards with FPGA receiver",
 			spec: Spec{Algorithm: "dctcp", Topology: "dumbbell", Shards: 2, ReceiverOnFPGA: true},
-			want: "controlplane: Shards and ReceiverOnFPGA are incompatible (the reserved-port path is not partitioned)",
+			want: "core: Shards and ReceiverOnFPGA are incompatible (the reserved-port path is not partitioned)",
 		},
 		{
 			name: "shards without topology",
 			spec: Spec{Algorithm: "dctcp", Shards: 2},
-			want: "controlplane: Shards requires a multi-switch Topology",
+			want: "core: Shards requires a multi-switch Topology (the canonical single switch has no cut to parallelize over)",
 		},
 		{
 			name: "negative shards",
@@ -41,12 +41,12 @@ func TestValidateErrorPaths(t *testing.T) {
 		{
 			name: "AQM with step ECN",
 			spec: Spec{Algorithm: "dctcp", AQM: "dualpi2", ECNThresholdPkts: 65},
-			want: "controlplane: AQM dualpi2 and ECNThresholdPkts are mutually exclusive marking policies",
+			want: "core: AQM dualpi2 and threshold ECN are mutually exclusive marking policies",
 		},
 		{
 			name: "AQM kind named in the error",
 			spec: Spec{Algorithm: "dctcp", AQM: "red:min=30000,max=90000", ECNThresholdPkts: 65},
-			want: "controlplane: AQM red and ECNThresholdPkts are mutually exclusive marking policies",
+			want: "core: AQM red and threshold ECN are mutually exclusive marking policies",
 		},
 		{
 			name: "pattern victim beyond port count",
@@ -63,10 +63,14 @@ func TestValidateErrorPaths(t *testing.T) {
 			spec: Spec{Algorithm: "dctcp", Ports: 4, Pattern: "incast:period=1ms,fanin=2,size=50,victim=3"},
 		},
 		{
-			name: "pattern victim unchecked without explicit ports",
-			// Ports == 0 defers sizing to the device plan, so Validate
-			// cannot know the upper bound; Deploy enforces it instead.
+			name: "pattern victim at the plan boundary without explicit ports",
+			// Ports == 0 resolves to the device plan's 12 data ports.
+			spec: Spec{Algorithm: "dctcp", Pattern: "incast:period=1ms,fanin=2,size=50,victim=11"},
+		},
+		{
+			name: "pattern victim beyond the plan ports without explicit ports",
 			spec: Spec{Algorithm: "dctcp", Pattern: "incast:period=1ms,fanin=2,size=50,victim=40"},
+			want: "controlplane: pattern victim port 40 outside [0,12)",
 		},
 		{
 			name: "shards on a multi-switch topology is valid",

@@ -45,7 +45,7 @@ type island struct {
 }
 
 // newIsland builds the devices serving partition part's nports data ports
-// on eng. cfg has been defaulted and plan shrunk by prepare.
+// on eng. cfg has been resolved and plan shrunk by Resolve.
 func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan, pool *packet.Pool) (*island, error) {
 	// SCHE is paced at the plan's per-port DATA rate unless overridden;
 	// INFO never drains faster than SCHE is sent.
@@ -61,7 +61,6 @@ func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan, 
 	plan.Throughput = sim.Rate(int64(cfg.PortRate) * int64(nports))
 	pl, err := tofino.NewPipeline(eng, tofino.Config{
 		Plan:           plan,
-		QueueDepth:     cfg.RegQueueDepth,
 		SharedQueue:    cfg.SharedQueue,
 		Receiver:       cfg.Receiver,
 		ReceiverOnFPGA: cfg.ReceiverOnFPGA,
@@ -72,17 +71,16 @@ func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan, 
 		return nil, err
 	}
 	nic, err := fpga.NewNIC(eng, fpga.Config{
-		Ports:          nports,
-		MaxFlows:       cfg.MaxFlows,
-		Algorithm:      cfg.Algorithm,
-		Params:         cfg.Params,
-		TXTimerPPS:     txPPS,
-		RXTimerPPS:     rxPPS,
-		DisableRXTimer: cfg.DisableRXTimer,
-		SingleRXFIFO:   cfg.SingleRXFIFO,
-		Scheduler:      cfg.Scheduler,
-		GoBackN:        cfg.Receiver == tofino.RoCEReceiver,
-		Pool:           pool,
+		Ports:        nports,
+		MaxFlows:     cfg.MaxFlows,
+		Algorithm:    cfg.Algorithm,
+		Params:       cfg.Params,
+		TXTimerPPS:   txPPS,
+		RXTimerPPS:   rxPPS,
+		SingleRXFIFO: cfg.SingleRXFIFO,
+		Scheduler:    cfg.Scheduler,
+		GoBackN:      cfg.Receiver == tofino.RoCEReceiver,
+		Pool:         pool,
 	})
 	if err != nil {
 		return nil, err

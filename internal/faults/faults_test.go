@@ -316,7 +316,7 @@ func TestMonitorReportsRecovery(t *testing.T) {
 	})
 	tick.Start()
 	plan := Plan{Entries: []Entry{LinkDown("a->b", outStart, outEnd.Sub(outStart))}}
-	mon := NewMonitor(eng, MonitorConfig{Interval: 50 * sim.Microsecond}, plan,
+	mon := NewMonitor(eng, plan,
 		func() uint64 { return bytes },
 		func() uint64 { return rtx },
 		func() uint64 { return marks })
@@ -362,7 +362,7 @@ func TestMonitorNeverRecovered(t *testing.T) {
 	tick.Start()
 	plan := Plan{Entries: []Entry{LinkDown("a->b", cut, 500*sim.Microsecond)}}
 	zero := func() uint64 { return 0 }
-	mon := NewMonitor(eng, MonitorConfig{Interval: 50 * sim.Microsecond}, plan,
+	mon := NewMonitor(eng, plan,
 		func() uint64 { return bytes }, zero, zero)
 	eng.Run(sim.Time(3 * sim.Millisecond))
 	tick.Stop()

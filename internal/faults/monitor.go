@@ -7,53 +7,28 @@ import (
 	"marlin/internal/sim"
 )
 
-// MonitorConfig tunes recovery detection. Zero values select defaults.
-type MonitorConfig struct {
-	// Interval is the goodput sampling period (default 50 us).
-	Interval sim.Duration
-	// Lookback is the pre-fault window whose mean goodput defines the
-	// recovery baseline (default 10 intervals).
-	Lookback sim.Duration
-	// RecoverFraction is the fraction of pre-fault goodput that counts as
-	// recovered (default 0.9, the ">= 90%" rule).
-	RecoverFraction float64
-	// SustainSamples is how many consecutive samples must clear the
-	// threshold before recovery is declared (default 3), so a single
-	// post-outage burst does not count as sustained recovery.
-	SustainSamples int
-	// PostWindow is the window after each fault clears over which the
-	// ECN mark rate is measured (default Lookback).
-	PostWindow sim.Duration
-}
-
-func (c MonitorConfig) withDefaults() MonitorConfig {
-	if c.Interval <= 0 {
-		c.Interval = sim.Micros(50)
-	}
-	if c.Lookback <= 0 {
-		c.Lookback = 10 * c.Interval
-	}
-	if c.RecoverFraction <= 0 {
-		c.RecoverFraction = 0.9
-	}
-	if c.SustainSamples <= 0 {
-		c.SustainSamples = 3
-	}
-	if c.PostWindow <= 0 {
-		c.PostWindow = c.Lookback
-	}
-	return c
-}
+// Recovery detection. A Monitor samples goodput every monitorInterval; a
+// fault's recovery baseline is the mean goodput over the lookback window
+// before it began, and goodput has recovered once sustainSamples
+// consecutive samples reach recoverFraction of that baseline (the ">= 90%"
+// rule), so a single post-outage burst does not count. The ECN mark rate
+// is measured over the lookback-long window after each fault clears.
+const (
+	monitorInterval = 50 * sim.Microsecond
+	lookback        = 10 * monitorInterval
+	recoverFraction = 0.9
+	sustainSamples  = 3
+)
 
 // Recovery is one fault's telemetry: how hard the fault hit and how long
 // the transport took to climb back.
 type Recovery struct {
 	Entry Entry
-	// PreGbps is the mean goodput over the Lookback window before the
+	// PreGbps is the mean goodput over the lookback window before the
 	// fault began — the recovery baseline.
 	PreGbps float64
-	// Recovered reports whether goodput made a sustained return to
-	// RecoverFraction of PreGbps after the fault cleared.
+	// Recovered reports whether goodput made a sustained return to 90%
+	// of PreGbps after the fault cleared.
 	Recovered bool
 	// TimeToRecover is measured from the fault's END to the first sample
 	// of the sustained recovery run (zero if never recovered or if there
@@ -61,8 +36,8 @@ type Recovery struct {
 	TimeToRecover sim.Duration
 	// RtxDuring counts retransmissions emitted inside the fault window.
 	RtxDuring uint64
-	// PostMarkPerSec is the ECN marking rate over the PostWindow after
-	// the fault cleared.
+	// PostMarkPerSec is the ECN marking rate over the lookback-long
+	// window after the fault cleared.
 	PostMarkPerSec float64
 }
 
@@ -83,7 +58,6 @@ func (r Recovery) String() string {
 // the report is as deterministic as the run.
 type Monitor struct {
 	eng     *sim.Engine
-	cfg     MonitorConfig
 	plan    Plan
 	sampler *measure.RateSampler
 	probes  []probe
@@ -97,13 +71,11 @@ type probe struct {
 // NewMonitor arms a monitor: goodput/rtx/marks are cumulative counters
 // (bytes, packets, marks). Sampling and the per-fault probes start
 // immediately; run the engine, then call Report.
-func NewMonitor(eng *sim.Engine, cfg MonitorConfig, plan Plan,
-	goodput func() uint64, rtx, marks func() uint64) *Monitor {
+func NewMonitor(eng *sim.Engine, plan Plan, goodput func() uint64, rtx, marks func() uint64) *Monitor {
 	m := &Monitor{
 		eng:     eng,
-		cfg:     cfg.withDefaults(),
 		plan:    plan,
-		sampler: measure.NewRateSampler(eng, cfg.withDefaults().Interval),
+		sampler: measure.NewRateSampler(eng, monitorInterval),
 		probes:  make([]probe, len(plan.Entries)),
 	}
 	m.sampler.Track("goodput", goodput)
@@ -115,7 +87,7 @@ func NewMonitor(eng *sim.Engine, cfg MonitorConfig, plan Plan,
 			m.probes[i].rtxEnd = rtx()
 			m.probes[i].marksEnd = marks()
 		})
-		eng.ScheduleAt(e.End().Add(m.cfg.PostWindow), func() {
+		eng.ScheduleAt(e.End().Add(lookback), func() {
 			m.probes[i].marksPost = marks()
 		})
 	}
@@ -132,10 +104,10 @@ func (m *Monitor) Report() []Recovery {
 	out := make([]Recovery, len(m.plan.Entries))
 	for i, e := range m.plan.Entries {
 		r := Recovery{Entry: e}
-		r.PreGbps = meanWindow(series, e.At.Add(-m.cfg.Lookback), e.At)
+		r.PreGbps = meanWindow(series, e.At.Add(-lookback), e.At)
 		r.RtxDuring = m.probes[i].rtxEnd - m.probes[i].rtxStart
 		r.PostMarkPerSec = float64(m.probes[i].marksPost-m.probes[i].marksEnd) /
-			m.cfg.PostWindow.Seconds()
+			lookback.Seconds()
 		if r.PreGbps > 0 {
 			r.Recovered, r.TimeToRecover = m.findRecovery(series, e.End(), r.PreGbps)
 		}
@@ -162,16 +134,16 @@ func meanWindow(s measure.Series, from, to sim.Time) float64 {
 }
 
 // findRecovery scans samples after the fault end for the first run of
-// SustainSamples consecutive samples at or above the threshold; the TTR is
+// sustainSamples consecutive samples at or above the threshold; the TTR is
 // from the fault end to the run's first sample.
 func (m *Monitor) findRecovery(s measure.Series, end sim.Time, pre float64) (bool, sim.Duration) {
-	threshold := m.cfg.RecoverFraction * pre
+	threshold := recoverFraction * pre
 	post := s.After(end)
 	run := 0
 	for i, p := range post {
 		if p.V >= threshold {
 			run++
-			if run >= m.cfg.SustainSamples {
+			if run >= sustainSamples {
 				first := post[i-run+1].At
 				return true, first.Sub(end)
 			}

@@ -38,6 +38,10 @@ const ClockHz = 322_000_000
 // CyclePeriod is the duration of one fabric clock cycle (~3.1 ns).
 const CyclePeriod = sim.Duration(int64(sim.Second) / ClockHz)
 
+// slowPathLatency is the queueing delay before a posted Slow Path event
+// executes.
+const slowPathLatency = 100 * CyclePeriod
+
 // BRAMBits is the on-chip BRAM budget (§8: "we utilized 72 Mb of BRAM to
 // support 65,536 flows").
 const BRAMBits = 72 * 1000 * 1000
@@ -107,9 +111,6 @@ type Config struct {
 	// LogCapacity bounds the log records retained for traced flows
 	// (0 = 1<<20); records of untraced flows are counted, not retained.
 	LogCapacity int
-	// SlowPathLatency is the queueing delay before a posted Slow Path
-	// event executes (0 = 100 cycles).
-	SlowPathLatency sim.Duration
 	// GoBackN matches the sender's retransmission discipline to a
 	// go-back-N receiver (the RoCE mode): that receiver discards every
 	// frame after a hole, so a retransmission must rewind the send
@@ -295,9 +296,6 @@ func NewNIC(eng *sim.Engine, cfg Config) (*NIC, error) {
 	}
 	if cfg.RXFIFODepth <= 0 {
 		cfg.RXFIFODepth = 4096
-	}
-	if cfg.SlowPathLatency <= 0 {
-		cfg.SlowPathLatency = 100 * CyclePeriod
 	}
 	n := &NIC{
 		eng:      eng,
@@ -739,7 +737,7 @@ func (n *NIC) postSlowPath(flow packet.FlowID, code uint8, evType cc.EventType, 
 		n.slowFree = ev.next
 	}
 	*ev = slowEvent{flow: flow, code: code, evType: evType, timerID: timerID}
-	n.eng.ScheduleArg(n.cfg.SlowPathLatency, n.slowFn, ev)
+	n.eng.ScheduleArg(slowPathLatency, n.slowFn, ev)
 }
 
 // runSlowPath executes a queued Slow Path event and recycles its record.

@@ -24,11 +24,12 @@ type OverloadProbe struct {
 	Dropped func() uint64
 }
 
+// overloadInterval is an OverloadMonitor's sampling period: the cadence at
+// which a control plane would poll occupancy registers.
+const overloadInterval = 10 * sim.Microsecond
+
 // OverloadConfig tunes an OverloadMonitor.
 type OverloadConfig struct {
-	// Interval is the sampling period (0 = 10us) — the cadence at which a
-	// control plane would poll occupancy registers.
-	Interval sim.Duration
 	// ThresholdBytes is the backlog at or above which the port counts as
 	// overloaded. Must be positive; callers typically use half the queue
 	// capacity.
@@ -77,14 +78,8 @@ func NewOverloadMonitor(eng *sim.Engine, probe OverloadProbe, cfg OverloadConfig
 	if cfg.ThresholdBytes <= 0 {
 		return nil, fmt.Errorf("measure: overload threshold must be positive, got %d", cfg.ThresholdBytes)
 	}
-	if cfg.Interval == 0 {
-		cfg.Interval = 10 * sim.Microsecond
-	}
-	if cfg.Interval < 0 {
-		return nil, fmt.Errorf("measure: bad overload sampling interval %v", cfg.Interval)
-	}
 	m := &OverloadMonitor{eng: eng, probe: probe, cfg: cfg}
-	m.ticker = sim.NewTicker(eng, cfg.Interval, m.sample)
+	m.ticker = sim.NewTicker(eng, overloadInterval, m.sample)
 	return m, nil
 }
 
@@ -120,7 +115,7 @@ func (m *OverloadMonitor) sample() {
 	}
 	over := b >= m.cfg.ThresholdBytes
 	if over {
-		m.timeIn += m.cfg.Interval
+		m.timeIn += overloadInterval
 		if !m.open {
 			m.open = true
 			// The episode began somewhere in the last interval; charge it

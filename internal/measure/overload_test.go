@@ -19,9 +19,6 @@ func TestOverloadMonitorValidation(t *testing.T) {
 	if _, err := NewOverloadMonitor(eng, probe, OverloadConfig{ThresholdBytes: -5}); err == nil {
 		t.Error("negative threshold accepted")
 	}
-	if _, err := NewOverloadMonitor(eng, probe, OverloadConfig{ThresholdBytes: 1, Interval: -sim.Microsecond}); err == nil {
-		t.Error("negative interval accepted")
-	}
 }
 
 func TestOverloadMonitorWindows(t *testing.T) {
@@ -40,7 +37,7 @@ func TestOverloadMonitorWindows(t *testing.T) {
 		PeakBytes:  func() int { return 1 << 20 },
 		Delivered:  func() uint64 { return delivered },
 		Dropped:    func() uint64 { return dropped },
-	}, OverloadConfig{ThresholdBytes: 512 << 10, Interval: 10 * sim.Microsecond})
+	}, OverloadConfig{ThresholdBytes: 512 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +75,7 @@ func TestOverloadMonitorOpenWindowClosedByStop(t *testing.T) {
 	eng := sim.NewEngine()
 	m, err := NewOverloadMonitor(eng, OverloadProbe{
 		QueueBytes: func() int { return 100 },
-	}, OverloadConfig{ThresholdBytes: 50, Interval: 10 * sim.Microsecond})
+	}, OverloadConfig{ThresholdBytes: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

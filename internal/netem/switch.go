@@ -171,10 +171,6 @@ func (s *Switch) Stats() Stats {
 	return st
 }
 
-// RouteByFlowPort routes every packet to out port p.Port. Useful for
-// pass-through topologies where the tester pre-binds flows to ports.
-func RouteByFlowPort(p *packet.Packet) int { return p.Port }
-
 // RouteAllTo returns a RouteFunc sending everything to one port, creating
 // the fan-in bottleneck used by the congestion and incast experiments.
 func RouteAllTo(port int) RouteFunc {

@@ -129,14 +129,5 @@ func (t *Ticker) Stop() {
 // Active reports whether the ticker is armed.
 func (t *Ticker) Active() bool { return t.active }
 
-// SetPeriod changes the tick period. The change takes effect from the next
-// re-arm (i.e. after the currently pending tick fires).
-func (t *Ticker) SetPeriod(p Duration) {
-	if p <= 0 {
-		panic("sim: ticker with non-positive period")
-	}
-	t.period = p
-}
-
-// Period returns the current tick period.
+// Period returns the tick period.
 func (t *Ticker) Period() Duration { return t.period }

@@ -32,9 +32,6 @@ type DriverConfig struct {
 	Ports int
 	// MTU is the DATA frame size in bytes.
 	MTU int
-	// FlowBase is the first flow ID the driver may allocate
-	// (0 = DefaultFlowBase).
-	FlowBase packet.FlowID
 	// Seed derives every driver random stream; it is independent of the
 	// tester's own streams so installing a pattern never perturbs the
 	// baseline traffic.
@@ -69,10 +66,7 @@ func Apply(eng *sim.Engine, target Target, plan Plan, cfg DriverConfig) (*Driver
 	if cfg.MTU < 1 {
 		return nil, fmt.Errorf("workload: driver needs a positive MTU")
 	}
-	if cfg.FlowBase == 0 {
-		cfg.FlowBase = DefaultFlowBase
-	}
-	d := &Driver{eng: eng, target: target, plan: plan, cfg: cfg, nextFlow: cfg.FlowBase}
+	d := &Driver{eng: eng, target: target, plan: plan, cfg: cfg, nextFlow: DefaultFlowBase}
 	// One independent stream per pattern, all derived from the driver
 	// seed: pattern i's arrivals never depend on what pattern j drew.
 	base := sim.NewRand(cfg.Seed)
@@ -250,7 +244,7 @@ func (d *Driver) Plan() Plan { return d.plan }
 
 // FlowBase returns the first pattern flow ID; every flow the driver
 // started has an ID in [FlowBase, NextFlow).
-func (d *Driver) FlowBase() packet.FlowID { return d.cfg.FlowBase }
+func (d *Driver) FlowBase() packet.FlowID { return DefaultFlowBase }
 
 // NextFlow returns the next unallocated pattern flow ID.
 func (d *Driver) NextFlow() packet.FlowID { return d.nextFlow }
