@@ -8,6 +8,7 @@ import (
 	"marlin/internal/netem"
 	"marlin/internal/packet"
 	"marlin/internal/sim"
+	"marlin/internal/tofino"
 )
 
 // placementResponse is what the sender learns of one Module A response:
@@ -87,6 +88,59 @@ func TestReceiverPlacementsAnswerAlike(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sw, fp) {
 			t.Errorf("%s: placements answer differently:\nswitch %s\nfpga   %s", algo, placementDiff(sw, fp), placementDiff(fp, sw))
+		}
+	}
+}
+
+// Module A's registers read alike in both placements: a 200-packet flow
+// that loses PSN 40 once on its way to the receiver port is answered with
+// the same ACKs, NACKs and CNPs, and counted with the same out-of-order and
+// duplicate arrivals, whether the switch or the FPGA across the reserved
+// port runs the receiver. One count is the placement's own: go-back-N
+// receives out of order until the sender's rewind arrives, and the FPGA
+// placement's NACK crosses the reserved-port pair first (two device-cable
+// delays and two control-frame wire times), so its receiver may count that
+// many more line-rate arrivals.
+func TestReceiverPlacementsCountAlike(t *testing.T) {
+	run := func(algo string, onFPGA bool) (tofino.Counters, tofino.Plan) {
+		tr := newTester(t, Config{Algorithm: mustAlg(t, algo), DataPorts: 2, ReceiverOnFPGA: onFPGA, Seed: 1})
+		tr.ForwardLink(1).AddHook(netem.NewScript().DropOnce(0, 40).Hook)
+		if err := tr.StartFlow(0, 0, 1, 200); err != nil {
+			t.Fatal(err)
+		}
+		tr.Run(sim.Time(5 * sim.Millisecond))
+		if tr.FCTs.Len() != 1 {
+			t.Fatalf("%s onFPGA=%v: flow did not complete", algo, onFPGA)
+		}
+		return tr.PipelineCounters(), tr.Plan()
+	}
+	for _, algo := range []string{"dctcp", "dcqcn"} {
+		sw, plan := run(algo, false)
+		fp, _ := run(algo, true)
+		if sw.OutOfOrderRx == 0 {
+			t.Fatalf("%s: the drop caused no out-of-order arrival on the switch placement", algo)
+		}
+		for _, c := range []struct {
+			name   string
+			sw, fp uint64
+		}{
+			{"AckTx", sw.AckTx, fp.AckTx},
+			{"NackTx", sw.NackTx, fp.NackTx},
+			{"CnpTx", sw.CnpTx, fp.CnpTx},
+			{"DuplicateRx", sw.DuplicateRx, fp.DuplicateRx},
+		} {
+			if c.sw != c.fp {
+				t.Errorf("%s: %s reads %d on the switch placement, %d on the FPGA placement", algo, c.name, c.sw, c.fp)
+			}
+		}
+		var slack uint64
+		if algo == "dcqcn" {
+			detour := 2 * (200*sim.Nanosecond + plan.PortRate.Serialize(packet.WireSize(packet.ControlSize)))
+			slack = uint64(detour/plan.PortRate.Serialize(packet.WireSize(plan.MTU))) + 1
+		}
+		if fp.OutOfOrderRx < sw.OutOfOrderRx || fp.OutOfOrderRx > sw.OutOfOrderRx+slack {
+			t.Errorf("%s: OutOfOrderRx reads %d on the switch placement, %d on the FPGA placement (want %d more at most)",
+				algo, sw.OutOfOrderRx, fp.OutOfOrderRx, slack)
 		}
 	}
 }

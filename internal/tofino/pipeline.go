@@ -24,9 +24,9 @@ type Config struct {
 	Receiver ReceiverMode
 	// ReceiverOnFPGA moves the receiver logic to the FPGA (Figure 2's
 	// dashed path, §4.1): arriving DATA is truncated to 64 bytes and
-	// forwarded over the reserved port to a Receiver built on the FPGA end
-	// instead of being processed here; its responses come back through
-	// FPGAAckIn.
+	// forwarded over the reserved port to the pipeline's Receiver, placed
+	// on the FPGA end, instead of being processed here; its responses come
+	// back through FPGAAckIn.
 	ReceiverOnFPGA bool
 	// CNPInterval rate-limits per-flow CNP generation (RoCE receiver; 0:
 	// a CNP per CE-marked arrival).
@@ -83,9 +83,10 @@ type Pipeline struct {
 	emitFns   []sim.Func
 	sharedFns []sim.Func
 
-	flows flowtab.Table[flowRow]
-	recv  *Receiver
-	rxFwd netem.Node // reserved-port link toward the FPGA receiver
+	flows  flowtab.Table[flowRow]
+	recv   *Receiver
+	rxFwd  netem.Node   // reserved-port link toward the FPGA receiver
+	ackOut []netem.Node // receiver port -> its ACK return path
 
 	c     Counters
 	ports []PortCounters
@@ -114,6 +115,7 @@ func NewPipeline(eng *sim.Engine, cfg Config) (*Pipeline, error) {
 		pending:  make([]bool, n),
 		emitFns:  make([]sim.Func, n),
 		ports:    make([]PortCounters, n),
+		ackOut:   make([]netem.Node, n),
 	}
 	for i := range pl.emitFns {
 		i := i
@@ -137,7 +139,7 @@ func NewPipeline(eng *sim.Engine, cfg Config) (*Pipeline, error) {
 			pl.queues[i] = newRegQueue(cfg.QueueDepth)
 		}
 	}
-	pl.recv = NewReceiver(eng, cfg.Receiver, cfg.CNPInterval, cfg.Pool)
+	pl.recv = newReceiver(eng, cfg.Receiver, cfg.CNPInterval, cfg.Pool)
 	return pl, nil
 }
 
@@ -152,10 +154,21 @@ func (pl *Pipeline) ConnectDataPort(i int, out netem.Node) {
 // ConnectInfo attaches the FPGA-facing INFO egress.
 func (pl *Pipeline) ConnectInfo(out netem.Node) { pl.infoOut = out }
 
-// ConnectAckPort attaches receiver port i's ACK return path.
+// ConnectAckPort attaches receiver port i's ACK return path: Module A's
+// output for the port, or with ReceiverOnFPGA where FPGAAckIn routes the
+// port's responses.
 func (pl *Pipeline) ConnectAckPort(i int, out netem.Node) {
-	pl.recv.ConnectAck(i, out)
+	pl.ackOut[i] = out
+	if !pl.cfg.ReceiverOnFPGA {
+		pl.recv.ConnectAck(i, out)
+	}
 }
+
+// Receiver returns the pipeline's Module A, whose registers Counters
+// reads. With ReceiverOnFPGA it runs on the FPGA end of the reserved port:
+// the builder connects ConnectRxForward's cable to its Node and its ACK
+// outputs to the cable back to FPGAAckIn.
+func (pl *Pipeline) Receiver() *Receiver { return pl.recv }
 
 // BindFlow assigns a flow to a data port; the FPGA must pace the flow's
 // SCHE packets within that port's DATA rate (§4.2).
@@ -167,8 +180,8 @@ func (pl *Pipeline) BindFlow(flow packet.FlowID, port int) error {
 	return nil
 }
 
-// ResetFlow clears receiver-side state so a flow slot can be reused for a
-// new flow (closed-loop workloads).
+// ResetFlow clears receiver-side state, wherever Module A is placed, so a
+// flow slot can be reused for a new flow (closed-loop workloads).
 func (pl *Pipeline) ResetFlow(flow packet.FlowID) {
 	pl.recv.Reset(flow)
 	if f := pl.flows.Get(flow); f != nil {
@@ -360,7 +373,6 @@ func (pl *Pipeline) DataIn(port int) netem.Node {
 				p.Release()
 				return
 			}
-			pl.recv.dataRx++
 			p.Size = packet.ControlSize // truncation, in place
 			p.Port = port               // arrival port for ACK routing
 			pl.rxFwd.Receive(p)
@@ -369,24 +381,16 @@ func (pl *Pipeline) DataIn(port int) netem.Node {
 	return netem.NodeFunc(func(p *packet.Packet) { pl.recv.onData(port, p) })
 }
 
-// FPGAAckIn returns the Node that accepts the FPGA receiver's ACK/NACK/CNP
-// responses and emits them on the arrival port's ACK path.
+// FPGAAckIn returns the Node that accepts the FPGA-placed receiver's
+// ACK/NACK/CNP responses and routes each onto its arrival port's ACK path;
+// the receiver counted them when it sent them.
 func (pl *Pipeline) FPGAAckIn() netem.Node {
 	return netem.NodeFunc(func(p *packet.Packet) {
-		switch p.Type {
-		case packet.ACK:
-			pl.recv.ackTx++
-			if p.Flags.Has(packet.FlagNACK) {
-				pl.recv.nackTx++
-			}
-		case packet.CNP:
-			pl.recv.cnpTx++
-		default:
+		if p.Port < 0 || p.Port >= len(pl.ackOut) || pl.ackOut[p.Port] == nil {
+			p.Release()
 			return
 		}
-		if out := pl.recv.out(p.Port); out != nil {
-			out.Receive(p)
-		}
+		pl.ackOut[p.Port].Receive(p)
 	})
 }
 

@@ -40,7 +40,8 @@ type rxFlow struct {
 }
 
 // Receiver is Module A (§4.1), defined once and run in either of two
-// placements. In the switch, the pipeline feeds it every DATA packet that
+// placements; each pipeline has one (Pipeline.Receiver), and its counters
+// are the pipeline's registers wherever it runs. In the switch, the pipeline feeds it every DATA packet that
 // reaches a receiver port (Pipeline.DataIn). For a CC algorithm whose
 // receiver side is "too complex to be implemented in the programmable
 // switch", it runs on the FPGA across the reserved port instead (Figure 2's
@@ -65,10 +66,10 @@ type Receiver struct {
 	dupRx  uint64
 }
 
-// NewReceiver builds Module A in the given mode. CNPs are spaced at least
+// newReceiver builds Module A in the given mode. CNPs are spaced at least
 // cnpInterval apart per flow (0: one per CE-marked arrival); pool supplies
 // the NACKs and CNPs it creates (nil: the shared pool).
-func NewReceiver(eng *sim.Engine, mode ReceiverMode, cnpInterval sim.Duration, pool *packet.Pool) *Receiver {
+func newReceiver(eng *sim.Engine, mode ReceiverMode, cnpInterval sim.Duration, pool *packet.Pool) *Receiver {
 	return &Receiver{eng: eng, mode: mode, cnpInterval: cnpInterval, pool: pool}
 }
 
