@@ -35,6 +35,7 @@ func parseBench(args []string) (marlin.TestConfig, benchArgs, error) {
 	if a.reps < 1 {
 		return cfg, a, fmt.Errorf("bench: -reps must be >= 1")
 	}
+	clearPresetECN(fs, &cfg)
 	return cfg, a, nil
 }
 

@@ -122,6 +122,17 @@ func adhocDefaults() marlin.TestConfig {
 	return marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, DCQCNTimeScale: 30, Seed: 1}
 }
 
+// clearPresetECN drops a command's preset step-ECN threshold when fs set
+// an AQM, which replaces step ECN. An explicit -ecn beside -aqm stays, for
+// core to refuse.
+func clearPresetECN(fs *flag.FlagSet, cfg *marlin.TestConfig) {
+	ecnSet := false
+	fs.Visit(func(f *flag.Flag) { ecnSet = ecnSet || f.Name == "ecn" })
+	if cfg.AQM != "" && !ecnSet {
+		cfg.ECNThresholdPkts = 0
+	}
+}
+
 // durationVar binds -duration to *p, parsed by spec.Duration as a
 // scenario's run line is: a negative or overflowing horizon is refused.
 func durationVar(fs *flag.FlagSet, p *marlin.Duration, def marlin.Duration, usage string) {
@@ -292,17 +303,7 @@ func parseTest(args []string) (marlin.TestConfig, testArgs, error) {
 	if err := fs.Parse(args); err != nil {
 		return cfg, a, err
 	}
-	if cfg.AQM != "" {
-		// AQM replaces step ECN; only reject the combination when the user
-		// explicitly asked for both (the -ecn default would otherwise make
-		// -aqm unusable on its own).
-		ecnSet := false
-		fs.Visit(func(f *flag.Flag) { ecnSet = ecnSet || f.Name == "ecn" })
-		if ecnSet && cfg.ECNThresholdPkts != 0 {
-			return cfg, a, fmt.Errorf("test: -aqm and -ecn are mutually exclusive marking policies")
-		}
-		cfg.ECNThresholdPkts = 0
-	}
+	clearPresetECN(fs, &cfg)
 	return cfg, a, nil
 }
 

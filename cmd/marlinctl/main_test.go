@@ -37,6 +37,7 @@ func TestDocumentedInvocations(t *testing.T) {
 		cmd, args string
 		want      marlin.TestConfig
 		wantErr   string
+		invalid   string // marlin.Validate's error for the parsed config
 	}{
 		{cmd: "test", args: "",
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, DCQCNTimeScale: 30, Seed: 1}},
@@ -51,8 +52,11 @@ func TestDocumentedInvocations(t *testing.T) {
 		// -aqm alone clears the defaulted -ecn ...
 		{cmd: "test", args: "-algo dctcp -ports 3 -fanin -duration 4ms -aqm dualpi2:target=10us,tupdate=50us,step=20us,shift=20us,alpha=250,beta=2500",
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 3, FlowsPerPort: 1, AQM: "dualpi2:target=10us,tupdate=50us,step=20us,shift=20us,alpha=250,beta=2500", DCQCNTimeScale: 30, Seed: 1}},
-		// ... an explicit non-zero -ecn beside it is rejected, -ecn 0 is fine.
-		{cmd: "test", args: "-aqm pi2 -ecn 65", wantErr: "-aqm and -ecn are mutually exclusive"},
+		// ... an explicit -ecn beside it is kept, and core refuses a non-zero
+		// one in its own words; -ecn 0 is fine.
+		{cmd: "test", args: "-aqm pi2 -ecn 65",
+			want:    marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, AQM: "pi2", DCQCNTimeScale: 30, Seed: 1},
+			invalid: "AQM pi2 and threshold ECN are mutually exclusive marking policies"},
 		{cmd: "test", args: "-aqm pi2 -ecn 0",
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, AQM: "pi2", DCQCNTimeScale: 30, Seed: 1}},
 		// The two CI golden invocations.
@@ -72,6 +76,9 @@ func TestDocumentedInvocations(t *testing.T) {
 		{cmd: "bench", args: "-topology fattree:4 -ports 8 -shards 2 -fanin -fpgarecv=false -reps 1",
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 8, FlowsPerPort: 1, ECNThresholdPkts: 65, Topology: "fattree:4", Shards: 2, DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "bench", args: "-reps 0", wantErr: "-reps must be >= 1"},
+		// bench and sweep preset ecn 65 too, and -aqm clears it there.
+		{cmd: "bench", args: "-aqm pi2 -reps 1",
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, AQM: "pi2", DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "bench", args: "-duration -1ms", wantErr: `bad duration "-1ms"`},
 
 		{cmd: "dot", args: "-topology leafspine:2x2 -ports 4",
@@ -86,6 +93,8 @@ func TestDocumentedInvocations(t *testing.T) {
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, ECNThresholdPkts: 65, Seed: 1}},
 		{cmd: "sweep", args: "-axis shards=1,2 -axis topology=leafspine:2x2 -duration 1ms -algo dcqcn -ports 4 -flows 3 -seed 7",
 			want: marlin.TestConfig{Algorithm: "dcqcn", Ports: 4, FlowsPerPort: 3, ECNThresholdPkts: 65, Seed: 7}},
+		{cmd: "sweep", args: "-aqm pi2 -axis seed=1,2",
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, AQM: "pi2", Seed: 1}},
 		{cmd: "sweep", args: "", wantErr: "need at least one -axis"},
 		{cmd: "sweep", args: "-axis queue=-1", wantErr: `bad queue "-1"`},
 		{cmd: "sweep", args: "-axis ecn=8 -duration -1ms", wantErr: `bad duration "-1ms"`},
@@ -102,6 +111,10 @@ func TestDocumentedInvocations(t *testing.T) {
 			t.Errorf("%s %s: %v", c.cmd, c.args, err)
 		case !reflect.DeepEqual(got, c.want):
 			t.Errorf("%s %s:\n got %+v\nwant %+v", c.cmd, c.args, got, c.want)
+		case c.invalid != "":
+			if err := marlin.Validate(got); err == nil || !strings.Contains(err.Error(), c.invalid) {
+				t.Errorf("%s %s: Validate = %v, want %q", c.cmd, c.args, err, c.invalid)
+			}
 		}
 	}
 }

@@ -56,6 +56,7 @@ func parseSweep(args []string) (marlin.TestConfig, sweepArgs, error) {
 	if a.reps < 1 {
 		return cfg, a, fmt.Errorf("sweep: -reps must be >= 1")
 	}
+	clearPresetECN(fs, &cfg)
 	s := scenario.Scenario{
 		Spec:    cfg,
 		Sweeps:  axes,

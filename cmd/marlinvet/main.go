@@ -1,22 +1,19 @@
-// Command marlinvet is Marlin's determinism and unit-safety static
-// analyzer. It enforces, at review time, the property the whole evaluation
-// depends on at run time: a simulation is a pure function of its inputs and
-// RNG seed. It runs seven checks — wallclock, maporder, rngsource, simtime,
-// poolflow, simunits and detflow — over one shared parse and type-check of
-// the packages; -list describes each.
+// Command marlinvet is Marlin's determinism static analyzer. It enforces,
+// at review time, the property the whole evaluation depends on at run time:
+// a simulation is a pure function of its inputs and RNG seed. It runs five
+// checks — wallclock, maporder, rngsource, poolflow and detflow, one per
+// bug class — over one shared parse and type-check of the packages; -list
+// describes each.
 //
 // Usage:
 //
 //	go run ./cmd/marlinvet ./...
 //	go run ./cmd/marlinvet -checks wallclock,maporder ./internal/sim
 //	go run ./cmd/marlinvet -checks -poolflow ./...   # all checks except poolflow
-//	go run ./cmd/marlinvet -json ./...
 //	go run ./cmd/marlinvet -list
 //
 // marlinvet prints one file:line:col diagnostic per finding and exits
-// non-zero if any survive; -json renders the findings as a JSON array
-// (objects with check, file, line, column, msg) for CI and editor tooling.
-// The -checks list both enables ("wallclock,simunits") and disables
+// non-zero if any survive. The -checks list both enables ("wallclock,maporder") and disables
 // ("-poolflow" removes a check from the default set). Intentional
 // violations are suppressed in source with a justified directive:
 //
@@ -37,10 +34,9 @@ import (
 
 func main() {
 	checksFlag := flag.String("checks", "", "comma-separated checks to run; prefix a name with - to disable it (default: all)")
-	jsonFlag := flag.Bool("json", false, "render diagnostics as a JSON array instead of file:line:col lines")
 	list := flag.Bool("list", false, "list available checks and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: marlinvet [-checks a,b,-c] [-json] [packages]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: marlinvet [-checks a,b,-c] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -56,13 +52,13 @@ func main() {
 		return
 	}
 
-	if err := run(*checksFlag, *jsonFlag, flag.Args()); err != nil {
+	if err := run(*checksFlag, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "marlinvet:", err)
 		os.Exit(2)
 	}
 }
 
-func run(checkNames string, asJSON bool, patterns []string) error {
+func run(checkNames string, patterns []string) error {
 	checks, err := lint.SelectChecks(checkNames)
 	if err != nil {
 		return err
@@ -91,14 +87,8 @@ func run(checkNames string, asJSON bool, patterns []string) error {
 		pkgs = append(pkgs, pkg)
 	}
 	diags := lint.Run(pkgs, checks)
-	if asJSON {
-		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
-			return err
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if n := len(diags); n > 0 {
 		fmt.Fprintf(os.Stderr, "marlinvet: %d diagnostic(s) in %d package(s)\n", n, len(pkgs))

@@ -221,15 +221,15 @@ func (s Spec) String() string {
 		return fmt.Sprintf("red:min=%d,max=%d,maxp=%g,w=%g", s.MinTh, s.MaxTh, s.MaxP, s.Weight)
 	case KindPIE:
 		return fmt.Sprintf("pie:target=%s,tupdate=%s,alpha=%g,beta=%g,ecnth=%g",
-			s.Target, s.TUpdate, s.Alpha, s.Beta, s.ECNTh)
+			spec.FormatDuration(s.Target), spec.FormatDuration(s.TUpdate), s.Alpha, s.Beta, s.ECNTh)
 	case KindCoDel:
-		return fmt.Sprintf("codel:target=%s,interval=%s", s.Target, s.Interval)
+		return fmt.Sprintf("codel:target=%s,interval=%s", spec.FormatDuration(s.Target), spec.FormatDuration(s.Interval))
 	case KindPI2:
 		return fmt.Sprintf("pi2:target=%s,tupdate=%s,alpha=%g,beta=%g",
-			s.Target, s.TUpdate, s.Alpha, s.Beta)
+			spec.FormatDuration(s.Target), spec.FormatDuration(s.TUpdate), s.Alpha, s.Beta)
 	case KindDualPI2:
 		return fmt.Sprintf("dualpi2:target=%s,tupdate=%s,alpha=%g,beta=%g,coupling=%g,step=%s,shift=%s",
-			s.Target, s.TUpdate, s.Alpha, s.Beta, s.Coupling, s.Step, s.Shift)
+			spec.FormatDuration(s.Target), spec.FormatDuration(s.TUpdate), s.Alpha, s.Beta, s.Coupling, spec.FormatDuration(s.Step), spec.FormatDuration(s.Shift))
 	default:
 		return "none"
 	}

@@ -1,0 +1,64 @@
+package fabric_test
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"marlin/internal/controlplane"
+	"marlin/internal/fabric"
+	"marlin/internal/fuzzer"
+	"marlin/internal/scenario"
+)
+
+// FuzzFabricSpec checks that no input makes fabric.ParseSpec panic, and that an
+// accepted spec prints (String) to text ParseSpec accepts again. The seeds
+// are the topologies the example scenarios and the fuzzer's generated
+// configurations set.
+func FuzzFabricSpec(f *testing.F) {
+	for _, s := range specSeeds(f, func(sp controlplane.Spec) string { return sp.Topology }) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := fabric.ParseSpec(src)
+		if err != nil {
+			return
+		}
+		if _, err := fabric.ParseSpec(s.String()); err != nil {
+			t.Fatalf("%q prints as %q, which does not parse: %v", src, s.String(), err)
+		}
+	})
+}
+
+// specSeeds collects one Spec field, once each, from every example
+// scenario and from the first 200 configurations of a fuzz campaign.
+func specSeeds(f *testing.F, field func(controlplane.Spec) string) []string {
+	paths, _ := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.scn"))
+	if len(paths) == 0 {
+		f.Fatal("no example scenarios")
+	}
+	var specs []controlplane.Spec
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		s, err := scenario.Parse(string(src))
+		if err != nil {
+			f.Fatalf("%s: %v", path, err)
+		}
+		specs = append(specs, s.Spec)
+	}
+	for i := range 200 {
+		specs = append(specs, fuzzer.Generate(1, i).Spec)
+	}
+	seen := map[string]bool{}
+	var out []string
+	for _, sp := range specs {
+		if s := field(sp); !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out
+}

@@ -21,6 +21,7 @@ import (
 	"marlin/internal/netem"
 	"marlin/internal/packet"
 	"marlin/internal/sim"
+	"marlin/internal/spec"
 )
 
 // Kind identifies a fault type.
@@ -70,7 +71,7 @@ func (e Entry) String() string {
 	if e.Link != "" {
 		b.WriteString(" " + e.Link)
 	}
-	fmt.Fprintf(&b, " at %s for %s", e.At, e.Dur)
+	fmt.Fprintf(&b, " at %s for %s", spec.FormatDuration(sim.Duration(e.At)), spec.FormatDuration(e.Dur))
 	switch e.Kind {
 	case KindBrownout:
 		fmt.Fprintf(&b, " frac %g", e.Fraction)

@@ -7,38 +7,26 @@ import (
 	"strings"
 )
 
-// detflowCheck is the determinism dataflow analysis. The engine replays
+// detflowCheck keeps the host scheduler out of replay. The engine replays
 // byte-identically only if event handlers are pure functions of sim state, so
-// three things are findings in model packages:
-//
-//   - a `go` statement or `select` statement: host-scheduler interleaving is
-//     nondeterministic, and any of it reachable from an engine callback
-//     (anything scheduled via Schedule/ScheduleAt/ScheduleArg*/NewTicker, any
-//     sim.Func or sim.ArgFunc value, any Receive method) poisons replay. The
-//     diagnostic says when the enclosing function is reachable from such a
-//     root, via the program call graph. One shape is exempt: a joined
-//     goroutine, where the spawned function defers Done on a sync.WaitGroup
-//     and the enclosing function Waits on that same WaitGroup after the
-//     spawn (itself, or in a function it calls or defers). The spawned
-//     function is a literal at the go statement, or a function value built
-//     ahead of time whose every assigned literal defers that Done — the
-//     shard runner's crew, whose worker bodies are built once so a Run
-//     spawns them without allocating. The join means no goroutine outlives
-//     the call that forked it, so nothing the host scheduler chose can leak
-//     into replayed state past it.
-//
-//   - last-writer-wins flows out of a map range: a plain `=` assignment
-//     inside a range-over-map whose right-hand side depends on the iteration
-//     variables and whose target outlives the loop keeps whichever entry the
-//     runtime happened to visit last (the shape of the jain-metric bug fixed
-//     in PR 2, generalized from a pattern match to a dataflow condition).
-//
-//   - float accumulation in map order spelled as a plain assignment
-//     (`sum = sum + v`), which maporder's compound-assign pattern does not
-//     see; float addition is not associative, so the sum varies run to run.
+// a `go` statement or `select` statement in a model package is a finding:
+// host-scheduler interleaving is nondeterministic, and any of it reachable
+// from an engine callback (anything scheduled via
+// Schedule/ScheduleAt/ScheduleArg*/NewTicker, any sim.Func or sim.ArgFunc
+// value, any Receive method) poisons replay. The diagnostic says when the
+// enclosing function is reachable from such a root, via the program call
+// graph. One shape is exempt: a joined goroutine, where the spawned function
+// defers Done on a sync.WaitGroup and the enclosing function Waits on that
+// same WaitGroup after the spawn (itself, or in a function it calls or
+// defers). The spawned function is a literal at the go statement, or a
+// function value built ahead of time whose every assigned literal defers
+// that Done — the shard runner's crew, whose worker bodies are built once so
+// a Run spawns them without allocating. The join means no goroutine outlives
+// the call that forked it, so nothing the host scheduler chose can leak into
+// replayed state past it. Map-iteration order is maporder's.
 var detflowCheck = &Check{
 	Name:      "detflow",
-	Doc:       "no goroutines, selects, or map-iteration-order dataflow reaching replayed state in model packages",
+	Doc:       "no unjoined goroutines or selects",
 	ModelOnly: true,
 	Run:       runDetFlow,
 }
@@ -60,12 +48,6 @@ func runDetFlow(pass *Pass) {
 				pass.Reportf(s.Go, "model code spawns a goroutine%s; host-scheduler interleaving breaks byte-identical replay — schedule an event instead", reachNote(reach, encl))
 			case *ast.SelectStmt:
 				pass.Reportf(s.Select, "model code selects over channels%s; ready-case choice is nondeterministic — drive state from engine events instead", reachNote(reach, encl))
-			case *ast.RangeStmt:
-				if t := pass.Pkg.Info.TypeOf(s.X); t != nil {
-					if _, isMap := t.Underlying().(*types.Map); isMap {
-						checkMapRangeFlow(pass, s, fb.body)
-					}
-				}
 			}
 			return true
 		})
@@ -329,106 +311,4 @@ func isWaitGroup(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
-}
-
-// checkMapRangeFlow reports iteration-order-dependent dataflow escaping a map
-// range: last-writer-wins plain assignments and plain-assign float
-// accumulation.
-func checkMapRangeFlow(pass *Pass, rs *ast.RangeStmt, funcBody *ast.BlockStmt) {
-	info := pass.Pkg.Info
-	iterVars := make(map[types.Object]bool)
-	for _, x := range []ast.Expr{rs.Key, rs.Value} {
-		if id, ok := x.(*ast.Ident); ok && id.Name != "_" {
-			if obj := info.Defs[id]; obj != nil {
-				iterVars[obj] = true
-			}
-		}
-	}
-	if len(iterVars) == 0 {
-		return
-	}
-	var keyObj types.Object
-	if id, ok := rs.Key.(*ast.Ident); ok {
-		keyObj = info.Defs[id]
-	}
-	// Only direct children of the range body qualify: an assignment guarded
-	// by an if/switch is conditional, not last-writer-wins.
-	for _, stmt := range rs.Body.List {
-		s, ok := stmt.(*ast.AssignStmt)
-		if !ok || s.Tok != token.ASSIGN {
-			continue
-		}
-		for i, lhs := range s.Lhs {
-			if i >= len(s.Rhs) {
-				break
-			}
-			rhs := s.Rhs[i]
-			if !mentionsAny(info, rhs, iterVars) {
-				continue
-			}
-			obj := rootObj(info, lhs)
-			if obj == nil || iterVars[obj] || declaredIn(obj, rs.Body) {
-				continue
-			}
-			if indexedBy(info, lhs, keyObj) {
-				continue
-			}
-			if mentionsAny(info, rhs, map[types.Object]bool{obj: true}) {
-				// Self-referential update: an accumulation, not
-				// last-writer-wins. Float accumulation is order-sensitive
-				// (addition is not associative); anything else — notably the
-				// collect-then-sort idiom keys = append(keys, k) — is
-				// maporder's domain, which knows the sortedAfter exemption.
-				if isFloatType(info.TypeOf(lhs)) {
-					pass.Reportf(s.TokPos, "range over map: %s accumulates a float in map iteration order via plain assignment; float addition is not associative — iterate sorted keys", obj.Name())
-				}
-				continue
-			}
-			if usedAfter(info, funcBody, rs.End(), obj) {
-				pass.Reportf(s.TokPos, "range over map: %s keeps the last-visited entry's value and is read after the loop; iteration order varies per run — select the entry by a deterministic rule", obj.Name())
-			}
-		}
-	}
-}
-
-// mentionsAny reports whether the expression references any of the objects.
-func mentionsAny(info *types.Info, x ast.Expr, objs map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(x, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && objs[info.Uses[id]] {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// declaredIn reports whether the object's declaration lies inside the node.
-func declaredIn(obj types.Object, n ast.Node) bool {
-	return obj.Pos() >= n.Pos() && obj.Pos() < n.End()
-}
-
-// isFloatType reports whether t's underlying type is a float.
-func isFloatType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-// usedAfter reports whether obj is referenced after pos within the function
-// body.
-func usedAfter(info *types.Info, funcBody *ast.BlockStmt, pos token.Pos, obj types.Object) bool {
-	found := false
-	ast.Inspect(funcBody, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && id.Pos() > pos && info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

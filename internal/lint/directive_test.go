@@ -76,12 +76,12 @@ func TestDirectiveProblems(t *testing.T) {
 		return &directive{pos: token.Position{Filename: "x.go", Line: line}, checks: checks, justified: justified}
 	}
 	ds := &directives{list: []*directive{
-		mk(1, true, "wallclock"),            // fine
-		mk(2, false, "wallclock"),           // missing justification
-		mk(3, true, "nosuchcheck"),          // unknown check name is an error
-		mk(4, true),                         // names no check
-		mk(5, false, "alsonotacheck"),       // unknown name and unjustified: both reported
-		mk(6, true, "poolflow", "simunits"), // new checks are known names
+		mk(1, true, "wallclock"),           // fine
+		mk(2, false, "wallclock"),          // missing justification
+		mk(3, true, "nosuchcheck"),         // unknown check name is an error
+		mk(4, true),                        // names no check
+		mk(5, false, "alsonotacheck"),      // unknown name and unjustified: both reported
+		mk(6, true, "poolflow", "detflow"), // several known names
 	}}
 	var got []string
 	for _, d := range ds.problems() {

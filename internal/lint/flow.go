@@ -11,9 +11,8 @@ import (
 // one function body. The walker owns control flow — statement ordering,
 // branch cloning and joining, loop approximation, scope exit — and delegates
 // the meaning of atomic operations to a check-specific domain via the
-// transfers interface. poolflow and simunits are both built on it; the
-// transfer functions themselves are unit-tested independently of any check
-// in flow_test.go.
+// transfers interface. poolflow is built on it; the transfer functions
+// themselves are unit-tested independently of any check in flow_test.go.
 //
 // The interpretation is deliberately modest, matching what the checks can
 // report without false positives:

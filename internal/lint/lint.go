@@ -1,33 +1,29 @@
-// Package lint implements marlinvet, a determinism and unit-safety static
-// analyzer for the Marlin simulation core.
+// Package lint implements marlinvet, the determinism static analyzer for
+// the Marlin simulation core.
 //
 // Marlin's evaluation rests on every run being a pure function of its inputs
 // and RNG seed (see internal/sim). That contract is easy to break silently:
 // one time.Now in a model package, one float accumulated in map iteration
-// order, and campaign outputs stop being byte-identical across runs. The
-// checks in this package turn the contract into a machine-checked property:
+// order, and campaign outputs stop being byte-identical across runs. Each
+// check owns one bug class, and each stays because it catches a mutant of
+// real code that the tests, the race detector and the fuzzer miss
+// (DESIGN.md, "Static analysis"):
 //
-//   - wallclock: no host-clock reads (time.Now/Since/Sleep/...) or global
-//     math/rand draws anywhere in the tree without a justified directive.
-//   - maporder: a range over a map whose body does order-sensitive work
-//     (appends to a slice, accumulates a float, writes output, schedules
-//     events) must iterate sorted keys instead.
-//   - rngsource: model packages draw randomness from a seeded sim.Rand,
-//     never math/rand.
-//   - simtime: exported model-package APIs carry sim.Time/sim.Duration,
-//     not time.Time/time.Duration.
+//   - wallclock: no host-clock reads (time.Now/Since/Sleep/...) anywhere in
+//     the tree without a justified directive.
+//   - maporder: map-iteration order. A range over a map whose body does
+//     order-sensitive work (appends to a slice, accumulates a float, writes
+//     output, schedules events) or lets the order escape through dataflow
+//     (last-writer-wins, plain-assign float accumulation) must iterate
+//     sorted keys instead.
+//   - rngsource: no draws from the global math/rand source anywhere; model
+//     packages draw from a seeded sim.Rand, never math/rand.
 //   - poolflow: ownership tracking for pooled packets — use-after-Release,
 //     double Release and leaks, within a function or closure and across call
 //     boundaries, driven by per-function ownership summaries (does the
 //     callee consume or borrow its packet arguments?).
-//   - simunits: unit-provenance tracking for time values — a nanosecond
-//     count (time.Duration, *.Nanoseconds()) converted or mixed into
-//     picosecond sim.Time/sim.Duration without visible scaling is a
-//     finding, and vice versa.
-//   - detflow: determinism dataflow — goroutines and selects in model code
-//     (annotated when reachable from an engine callback via the call
-//     graph), and map-iteration-order dataflow escaping the loop
-//     (last-writer-wins, plain-assign float accumulation).
+//   - detflow: goroutines and selects in model code (annotated when
+//     reachable from an engine callback via the call graph).
 //
 // All checks run over one shared Program: each package is parsed and
 // type-checked once per invocation, and the dataflow checks share a function
@@ -45,10 +41,8 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"io"
 	"sort"
 	"strings"
 )
@@ -63,34 +57,6 @@ type Diagnostic struct {
 // String renders the diagnostic in the conventional file:line:col form.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Msg, d.Check)
-}
-
-// jsonDiagnostic is the stable wire shape of one finding for -json output.
-type jsonDiagnostic struct {
-	Check  string `json:"check"`
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Column int    `json:"column"`
-	Msg    string `json:"msg"`
-}
-
-// WriteJSON renders the diagnostics as a JSON array (schema marlinvet/v1:
-// objects with check, file, line, column, msg), one stable shape for CI and
-// editor tooling to consume.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			Check:  d.Check,
-			File:   d.Pos.Filename,
-			Line:   d.Pos.Line,
-			Column: d.Pos.Column,
-			Msg:    d.Msg,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // Check is one marlinvet analysis, in the style of go/analysis: a name, a
@@ -125,8 +91,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // AllChecks returns every registered check, in a stable order.
 func AllChecks() []*Check {
 	return []*Check{
-		wallclockCheck, maporderCheck, rngsourceCheck, simtimeCheck, poolflowCheck,
-		simunitsCheck, detflowCheck,
+		wallclockCheck, maporderCheck, rngsourceCheck, poolflowCheck, detflowCheck,
 	}
 }
 
@@ -183,9 +148,10 @@ func SelectChecks(names string) ([]*Check, error) {
 }
 
 // HostSide reports whether the package runs on the host side of the
-// simulation boundary — campaign orchestration, CLIs, and examples — where
-// wall-clock time and host randomness are legitimate. Everything else is
-// model code bound by the determinism contract.
+// simulation boundary — campaign orchestration, CLIs, and examples — which
+// the model-only checks skip: goroutines and self-seeded generators are
+// legitimate there. Everything else is model code bound by the determinism
+// contract.
 func HostSide(path string) bool {
 	rel := strings.TrimPrefix(path, "marlin/")
 	if strings.Contains(rel, "/testdata/") {

@@ -6,20 +6,24 @@ import (
 	"go/types"
 )
 
-// maporderCheck flags range statements over maps whose body does
-// order-sensitive work. Go randomizes map iteration order per iteration, so
-// appending to a slice, accumulating a float (float addition is not
-// associative), writing output, or scheduling events from inside such a loop
-// makes the result vary run to run even with a fixed seed.
+// maporderCheck owns map-iteration order. Go randomizes map iteration order
+// per iteration, so a range over a map makes the result vary run to run even
+// with a fixed seed when its body does order-sensitive work: appending to a
+// slice, accumulating a float (float addition is not associative), writing
+// output, or scheduling events. The order also escapes a loop through
+// dataflow: a plain assignment that keeps whichever entry the runtime visited
+// last and is read after the loop (the shape of the jain-metric bug), and a
+// float sum spelled as a plain assignment (sum = sum + v).
 //
 // The canonical fix — collect the keys, sort them, iterate the sorted
 // slice — is recognized: a loop that only builds a key slice which is later
 // passed to sort.* or slices.Sort* in the same function is clean. Writes
 // indexed by the loop's own key variable (sums[k] += v) touch a distinct
-// accumulator per key and are also clean.
+// accumulator per key and are also clean, as is an assignment guarded by a
+// condition (a max or a lookup).
 var maporderCheck = &Check{
 	Name: "maporder",
-	Doc:  "no order-sensitive work (appends, float sums, writes, event scheduling) inside map iteration",
+	Doc:  "no order-sensitive work (appends, float sums, writes, event scheduling, last-writer-wins) inside map iteration",
 	Run:  runMapOrder,
 }
 
@@ -49,6 +53,7 @@ func checkFuncMapRanges(pass *Pass, body *ast.BlockStmt) {
 	})
 	for _, rs := range ranges {
 		analyzeMapRange(pass, rs, body)
+		checkMapRangeFlow(pass, rs, body)
 	}
 }
 
@@ -102,6 +107,67 @@ func analyzeMapRange(pass *Pass, rs *ast.RangeStmt, funcBody *ast.BlockStmt) {
 	})
 }
 
+// checkMapRangeFlow reports iteration-order-dependent dataflow escaping a map
+// range: last-writer-wins plain assignments and plain-assign float
+// accumulation, each at its assignment.
+func checkMapRangeFlow(pass *Pass, rs *ast.RangeStmt, funcBody *ast.BlockStmt) {
+	info := pass.Pkg.Info
+	iterVars := make(map[types.Object]bool)
+	for _, x := range []ast.Expr{rs.Key, rs.Value} {
+		if id, ok := x.(*ast.Ident); ok && id.Name != "_" {
+			if obj := info.Defs[id]; obj != nil {
+				iterVars[obj] = true
+			}
+		}
+	}
+	if len(iterVars) == 0 {
+		return
+	}
+	var keyObj types.Object
+	if id, ok := rs.Key.(*ast.Ident); ok {
+		keyObj = info.Defs[id]
+	}
+	// Only direct children of the range body qualify: an assignment guarded
+	// by an if/switch is conditional, not last-writer-wins.
+	for _, stmt := range rs.Body.List {
+		s, ok := stmt.(*ast.AssignStmt)
+		if !ok || s.Tok != token.ASSIGN {
+			continue
+		}
+		for i, lhs := range s.Lhs {
+			if i >= len(s.Rhs) {
+				break
+			}
+			rhs := s.Rhs[i]
+			if !mentionsAny(info, rhs, iterVars) {
+				continue
+			}
+			obj := rootObj(info, lhs)
+			// A variable declared in the body, or a field of one
+			// (s.Min = ...), is per-iteration state.
+			if obj == nil || iterVars[obj] || declaredIn(baseVar(info, lhs), rs.Body) {
+				continue
+			}
+			if indexedBy(info, lhs, keyObj) {
+				continue
+			}
+			if mentionsAny(info, rhs, map[types.Object]bool{obj: true}) {
+				// Self-referential update: an accumulation, not
+				// last-writer-wins. Float accumulation is order-sensitive
+				// (addition is not associative); an append is
+				// analyzeMapRange's, which knows the sortedAfter exemption.
+				if isFloatType(info.TypeOf(lhs)) {
+					pass.Reportf(s.TokPos, "range over map: %s accumulates a float in map iteration order via plain assignment; float addition is not associative — iterate sorted keys", obj.Name())
+				}
+				continue
+			}
+			if usedAfter(info, funcBody, rs.End(), obj) {
+				pass.Reportf(s.TokPos, "range over map: %s keeps the last-visited entry's value and is read after the loop; iteration order varies per run — select the entry by a deterministic rule", obj.Name())
+			}
+		}
+	}
+}
+
 // isOrderSensitiveFloatAssign reports whether s compound-assigns into a
 // float accumulator that is shared across iterations (i.e. not indexed by
 // the loop's key variable).
@@ -112,15 +178,7 @@ func isOrderSensitiveFloatAssign(info *types.Info, s *ast.AssignStmt, keyObj typ
 		return false
 	}
 	lhs := s.Lhs[0]
-	t := info.TypeOf(lhs)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok || b.Info()&types.IsFloat == 0 {
-		return false
-	}
-	return !indexedBy(info, lhs, keyObj)
+	return isFloatType(info.TypeOf(lhs)) && !indexedBy(info, lhs, keyObj)
 }
 
 // indexedBy reports whether expr is an index expression whose index mentions
@@ -148,21 +206,19 @@ func orderedSideEffect(info *types.Info, call *ast.CallExpr) string {
 		return ""
 	}
 	name := sel.Sel.Name
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if pn, ok := info.Uses[id].(*types.PkgName); ok {
-			switch pn.Imported().Path() {
-			case "fmt":
-				switch name {
-				case "Fprint", "Fprintf", "Fprintln", "Print", "Printf", "Println":
-					return "writes output via fmt." + name
-				}
-			case "io":
-				if name == "WriteString" {
-					return "writes output via io.WriteString"
-				}
+	if _, path := pkgSelector(info, sel); path != "" {
+		switch path {
+		case "fmt":
+			switch name {
+			case "Fprint", "Fprintf", "Fprintln", "Print", "Printf", "Println":
+				return "writes output via fmt." + name
 			}
-			return ""
+		case "io":
+			if name == "WriteString" {
+				return "writes output via io.WriteString"
+			}
 		}
+		return ""
 	}
 	switch name {
 	case "Write", "WriteString", "WriteByte", "WriteRune":
@@ -186,20 +242,7 @@ func sortedAfter(info *types.Info, funcBody *ast.BlockStmt, pos token.Pos, obj t
 		if !ok || call.Pos() < pos || len(call.Args) == 0 {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		pn, ok := info.Uses[id].(*types.PkgName)
-		if !ok {
-			return true
-		}
-		path := pn.Imported().Path()
-		if path != "sort" && path != "slices" {
+		if _, path := pkgSelector(info, call.Fun); path != "sort" && path != "slices" {
 			return true
 		}
 		arg := call.Args[0]
@@ -260,4 +303,67 @@ func nameOf(obj types.Object) string {
 		return "a slice"
 	}
 	return obj.Name()
+}
+
+// mentionsAny reports whether the expression references any of the objects.
+func mentionsAny(info *types.Info, x ast.Expr, objs map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(x, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && objs[info.Uses[id]] {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// declaredIn reports whether the object's declaration lies inside the node.
+func declaredIn(obj types.Object, n ast.Node) bool {
+	return obj != nil && obj.Pos() >= n.Pos() && obj.Pos() < n.End()
+}
+
+// baseVar resolves the variable at the base of a selector/index/paren/star
+// chain (s in s.a[i].b), or nil.
+func baseVar(info *types.Info, expr ast.Expr) types.Object {
+	for {
+		switch e := expr.(type) {
+		case *ast.Ident:
+			return info.Uses[e]
+		case *ast.SelectorExpr:
+			expr = e.X
+		case *ast.IndexExpr:
+			expr = e.X
+		case *ast.ParenExpr:
+			expr = e.X
+		case *ast.StarExpr:
+			expr = e.X
+		default:
+			return nil
+		}
+	}
+}
+
+// isFloatType reports whether t's underlying type is a float.
+func isFloatType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
+}
+
+// usedAfter reports whether obj is referenced after pos within the function
+// body.
+func usedAfter(info *types.Info, funcBody *ast.BlockStmt, pos token.Pos, obj types.Object) bool {
+	found := false
+	ast.Inspect(funcBody, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		if id, ok := n.(*ast.Ident); ok && id.Pos() > pos && info.Uses[id] == obj {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

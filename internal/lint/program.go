@@ -27,8 +27,6 @@ type Program struct {
 
 	// poolSums memoizes poolflow's per-function ownership summaries.
 	poolSums map[*types.Func]*poolSummary
-	// unitSums memoizes simunits' per-function return-unit summaries.
-	unitSums map[*types.Func]unitKind
 }
 
 // FuncInfo is one function or method declaration with its home package.
@@ -51,7 +49,6 @@ func newProgram(pkgs []*Package) *Program {
 		byPkg:    make(map[*Package][]*FuncInfo),
 		callees:  make(map[*types.Func][]*types.Func),
 		poolSums: make(map[*types.Func]*poolSummary),
-		unitSums: make(map[*types.Func]unitKind),
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -196,4 +193,22 @@ func inspectOwn(body *ast.BlockStmt, fn func(ast.Node) bool) {
 		}
 		return fn(n)
 	})
+}
+
+// pkgSelector matches a qualified identifier pkg.Name and returns it with
+// the imported package's path, or nil and "".
+func pkgSelector(info *types.Info, n ast.Node) (*ast.SelectorExpr, string) {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok {
+		return nil, ""
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return nil, ""
+	}
+	pn, ok := info.Uses[id].(*types.PkgName)
+	if !ok {
+		return nil, ""
+	}
+	return sel, pn.Imported().Path()
 }

@@ -1,6 +1,6 @@
 // Package detflow_bad exercises the detflow check: goroutines and selects
-// in model code (including one reachable from an engine callback), and
-// map-iteration-order dataflow escaping a range loop.
+// in model code (including one reachable from an engine callback). Its
+// map-iteration-order dataflow escaping a range loop is maporder's.
 package detflow_bad
 
 func noop() {}
@@ -50,8 +50,8 @@ func LastWriter(m map[string]int) int {
 	return best
 }
 
-// FloatAccum sums floats in map iteration order via plain assignment, which
-// the compound-assign pattern in maporder does not see.
+// FloatAccum sums floats in map iteration order via plain assignment, the
+// spelling maporder's compound-assign pattern does not see.
 func FloatAccum(m map[string]float64) float64 {
 	sum := 0.0
 	for _, v := range m {

@@ -1,12 +1,12 @@
-// Package detflow_clean holds patterns the detflow check must accept:
-// collect-then-sort, guarded selection, per-key writes, and associative
-// integer accumulation.
+// Package detflow_clean holds map-range patterns maporder (and detflow)
+// must accept: collect-then-sort, guarded selection, per-key writes, and
+// associative integer accumulation.
 package detflow_clean
 
 import "sort"
 
-// SortedKeys is the canonical collect-then-sort idiom (maporder's domain,
-// with its sortedAfter exemption; detflow must not double-report it).
+// SortedKeys is the canonical collect-then-sort idiom, which maporder's
+// sortedAfter exemption accepts.
 func SortedKeys(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

@@ -56,3 +56,17 @@ func MaxVal(m map[int]int) int {
 	}
 	return best
 }
+
+// Span keeps a running min and max per key in a struct declared inside the
+// loop: the fields are per-iteration state, and min/max do not depend on the
+// visiting order.
+type Span struct{ Min, Max float64 }
+
+func Spans(m map[string]float64, spans map[string]Span) {
+	for k, v := range m {
+		s := spans[k]
+		s.Min = min(s.Min, v)
+		s.Max = max(s.Max, v)
+		spans[k] = s
+	}
+}

@@ -7,7 +7,7 @@ package rngsource_bad
 import mrand "math/rand"
 
 // MarkRED decides a RED-style probabilistic mark with the process-global
-// source; only the import line carries the diagnostic for this one.
+// source: the draw is flagged beside the import.
 func MarkRED(p float64) bool {
 	return mrand.Float64() < p
 }

@@ -1,6 +1,6 @@
-// Package simtime_bad exercises the simtime check: exported signatures and
-// exported types carrying host-time units must be flagged; unexported
-// helpers are not the API boundary.
+// Package simtime_bad holds exported signatures and types in host-time
+// units, the deleted simtime check's class: no surviving check reports
+// them, since in real code such an API fails to compile against its callers.
 package simtime_bad
 
 import "time"

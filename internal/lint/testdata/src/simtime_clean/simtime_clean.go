@@ -1,5 +1,5 @@
-// Package simtime_clean keeps its exported API on the simulated clock; the
-// simtime check reports nothing.
+// Package simtime_clean keeps its exported API on the simulated clock; no
+// check reports anything.
 package simtime_clean
 
 import "marlin/internal/sim"

@@ -1,6 +1,6 @@
-// Package simunits_bad exercises the simunits check: every marked line
-// moves a value between the nanosecond (time.Duration) and picosecond
-// (sim.Time/sim.Duration) worlds without scaling.
+// Package simunits_bad holds the deleted simunits check's class: values
+// moved between the nanosecond (time.Duration) and picosecond
+// (sim.Time/sim.Duration) worlds without scaling. No survivor reports them.
 package simunits_bad
 
 import (
@@ -25,7 +25,7 @@ func Mixed(t sim.Time, d time.Duration) bool {
 	return int64(t) < d.Nanoseconds()
 }
 
-// nanos returns a nanosecond count; simunits summarizes its return unit.
+// nanos returns a nanosecond count.
 func nanos(d time.Duration) int64 {
 	return d.Nanoseconds()
 }

@@ -1,6 +1,6 @@
-// Package simunits_clean holds unit-correct patterns the simunits check
-// must accept: the visible scaling idiom, the designated conversion
-// boundaries, and unit-preserving arithmetic.
+// Package simunits_clean holds unit-correct patterns: the visible scaling
+// idiom, the designated conversion boundaries, and unit-preserving
+// arithmetic. No check reports anything.
 package simunits_clean
 
 import (

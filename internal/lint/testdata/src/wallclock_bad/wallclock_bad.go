@@ -1,5 +1,5 @@
 // Package wallclock_bad exercises the wallclock check: every host-clock
-// read and global math/rand draw below must be flagged.
+// read below must be flagged (the global math/rand draw is rngsource's).
 package wallclock_bad
 
 import (

@@ -1,65 +1,33 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
-// wallclockCheck flags reads of the host clock and draws from the global
-// math/rand source. Both make a run depend on state outside the
-// configuration seed, which breaks the "pure function of inputs and seed"
-// contract the whole evaluation rests on. Host-side code (progress ETAs,
-// wall-time reporting) suppresses with a justified //marlin:allow wallclock.
+// wallclockCheck flags reads of the host clock. They make a run depend on
+// state outside the configuration seed, which breaks the "pure function of
+// inputs and seed" contract the whole evaluation rests on. Host-side code
+// (progress ETAs, wall-time reporting) suppresses with a justified
+// //marlin:allow wallclock.
 var wallclockCheck = &Check{
 	Name: "wallclock",
-	Doc:  "no time.Now/Since/Sleep or global math/rand outside justified host-side use",
+	Doc:  "no time.Now/Since/Sleep outside justified host-side use",
 	Run:  runWallclock,
 }
 
 // wallClockTimeFuncs are the package-level time functions that read or wait
-// on the host clock. Types (time.Duration) and pure constants are fine here;
-// the simtime check polices types in model APIs.
+// on the host clock. Types (time.Duration) and pure constants are fine.
 var wallClockTimeFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"After": true, "AfterFunc": true, "Tick": true,
 	"NewTimer": true, "NewTicker": true,
 }
 
-// randConstructors build explicit generators rather than touching the global
-// source; in model packages the rngsource check flags them via the import.
-var randConstructors = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-	"NewPCG": true, "NewChaCha8": true,
-}
-
 func runWallclock(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pn, ok := pass.Pkg.Info.Uses[id].(*types.PkgName)
-			if !ok {
-				return true
-			}
-			switch pn.Imported().Path() {
-			case "time":
-				if wallClockTimeFuncs[sel.Sel.Name] {
-					pass.Reportf(sel.Pos(),
-						"time.%s reads the host clock; a run must be a pure function of inputs and seed — derive time from the engine (sim.Time)",
-						sel.Sel.Name)
-				}
-			case "math/rand", "math/rand/v2":
-				if _, isFunc := pass.Pkg.Info.Uses[sel.Sel].(*types.Func); isFunc && !randConstructors[sel.Sel.Name] {
-					pass.Reportf(sel.Pos(),
-						"rand.%s draws from the global math/rand source; draw from a seeded sim.Rand instead",
-						sel.Sel.Name)
-				}
+			if sel, path := pkgSelector(pass.Pkg.Info, n); path == "time" && wallClockTimeFuncs[sel.Sel.Name] {
+				pass.Reportf(sel.Pos(),
+					"time.%s reads the host clock; a run must be a pure function of inputs and seed — derive time from the engine (sim.Time)",
+					sel.Sel.Name)
 			}
 			return true
 		})

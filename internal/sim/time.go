@@ -50,11 +50,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Microseconds returns the time as a floating-point number of microseconds.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
-// Std converts the simulated timestamp to a time.Duration offset.
-//
-//marlin:allow simtime -- designated conversion boundary between simulated and host time
-func (t Time) Std() time.Duration { return time.Duration(t) * time.Nanosecond / 1000 }
-
 // String formats the timestamp with an adaptive unit.
 func (t Time) String() string { return Duration(t).String() }
 
@@ -86,8 +81,6 @@ func (d Duration) String() string {
 }
 
 // FromStd converts a time.Duration to a simulated Duration.
-//
-//marlin:allow simtime -- designated conversion boundary between simulated and host time
 func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) * Nanosecond }
 
 // Seconds builds a Duration from a floating-point number of seconds.

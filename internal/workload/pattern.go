@@ -110,7 +110,7 @@ func (p *Square) PeakRate() sim.Rate { return p.Peak }
 // Spec implements Pattern.
 func (p *Square) Spec() string {
 	return fmt.Sprintf("square:period=%s,duty=%g,peak=%s,base=%s%s",
-		p.Period, p.Duty, spec.FormatRate(p.Peak), spec.FormatRate(p.Base), p.Opts.specSuffix())
+		spec.FormatDuration(p.Period), p.Duty, spec.FormatRate(p.Peak), spec.FormatRate(p.Base), p.Opts.specSuffix())
 }
 
 func (p *Square) validate() error {
@@ -156,7 +156,7 @@ func (p *Saw) PeakRate() sim.Rate { return p.Peak }
 // Spec implements Pattern.
 func (p *Saw) Spec() string {
 	return fmt.Sprintf("saw:period=%s,peak=%s,base=%s%s",
-		p.Period, spec.FormatRate(p.Peak), spec.FormatRate(p.Base), p.Opts.specSuffix())
+		spec.FormatDuration(p.Period), spec.FormatRate(p.Peak), spec.FormatRate(p.Base), p.Opts.specSuffix())
 }
 
 func (p *Saw) validate() error {
@@ -248,7 +248,7 @@ func (p *MMPP) Spec() string {
 	}
 	dwells := make([]string, len(p.Dwells))
 	for i, d := range p.Dwells {
-		dwells[i] = d.String()
+		dwells[i] = spec.FormatDuration(d)
 	}
 	return fmt.Sprintf("mmpp:rates=%s,dwell=%s,seed=%d%s",
 		strings.Join(rates, "|"), strings.Join(dwells, "|"), p.Seed, p.Opts.specSuffix())
@@ -360,7 +360,7 @@ func (p *Incast) PeakRate() sim.Rate { return 0 }
 // Spec implements Pattern.
 func (p *Incast) Spec() string {
 	return fmt.Sprintf("incast:period=%s,fanin=%d,victim=%d,size=%d",
-		p.Period, p.Fanin, p.Victim, p.SizePkts)
+		spec.FormatDuration(p.Period), p.Fanin, p.Victim, p.SizePkts)
 }
 
 func (p *Incast) validate() error {
@@ -422,7 +422,7 @@ func (p *Flood) PeakRate() sim.Rate { return p.Peak }
 func (p *Flood) Spec() string {
 	s := fmt.Sprintf("flood:peak=%s,victim=%d", spec.FormatRate(p.Peak), p.Victim)
 	if p.Period > 0 {
-		s += fmt.Sprintf(",period=%s,duty=%g", p.Period, p.Duty)
+		s += fmt.Sprintf(",period=%s,duty=%g", spec.FormatDuration(p.Period), p.Duty)
 	}
 	if p.ECT != packet.ECT0 {
 		s += ",ect=" + ectSpec(p.ECT)
