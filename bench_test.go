@@ -145,13 +145,13 @@ func benchShardFatTree(shards int) func(*testing.B) {
 	return func(b *testing.B) {
 		const ports = 12
 		tr, err := marlin.NewTester(marlin.TestConfig{
-			Algorithm:        "dctcp",
-			Ports:            ports,
-			ECNThresholdPkts: 65,
-			Topology:         "fattree:4",
-			Shards:           shards,
-			DCQCNTimeScale:   30,
-			Seed:             1,
+			Algorithm:      "dctcp",
+			Ports:          ports,
+			AQM:            "ecn:k=65",
+			Topology:       "fattree:4",
+			Shards:         shards,
+			DCQCNTimeScale: 30,
+			Seed:           1,
 		})
 		if err != nil {
 			b.Fatal(err)

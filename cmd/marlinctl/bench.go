@@ -35,7 +35,6 @@ func parseBench(args []string) (marlin.TestConfig, benchArgs, error) {
 	if a.reps < 1 {
 		return cfg, a, fmt.Errorf("bench: -reps must be >= 1")
 	}
-	clearPresetECN(fs, &cfg)
 	return cfg, a, nil
 }
 

@@ -116,21 +116,10 @@ func keyFlags(cmd string, cfg *marlin.TestConfig) *flag.FlagSet {
 }
 
 // adhocDefaults is the configuration test and bench start from: step ECN
-// at the paper's K, and DCQCN's timers compressed for millisecond horizons
-// (the short-horizon convention, see EXPERIMENTS.md).
+// at the paper's K (which -aqm replaces), and DCQCN's timers compressed for
+// millisecond horizons (the short-horizon convention, see EXPERIMENTS.md).
 func adhocDefaults() marlin.TestConfig {
-	return marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, DCQCNTimeScale: 30, Seed: 1}
-}
-
-// clearPresetECN drops a command's preset step-ECN threshold when fs set
-// an AQM, which replaces step ECN. An explicit -ecn beside -aqm stays, for
-// core to refuse.
-func clearPresetECN(fs *flag.FlagSet, cfg *marlin.TestConfig) {
-	ecnSet := false
-	fs.Visit(func(f *flag.Flag) { ecnSet = ecnSet || f.Name == "ecn" })
-	if cfg.AQM != "" && !ecnSet {
-		cfg.ECNThresholdPkts = 0
-	}
+	return marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, AQM: "ecn:k=65", DCQCNTimeScale: 30, Seed: 1}
 }
 
 // durationVar binds -duration to *p, parsed by spec.Duration as a
@@ -303,7 +292,6 @@ func parseTest(args []string) (marlin.TestConfig, testArgs, error) {
 	if err := fs.Parse(args); err != nil {
 		return cfg, a, err
 	}
-	clearPresetECN(fs, &cfg)
 	return cfg, a, nil
 }
 
@@ -377,22 +365,19 @@ func cmdTest(args []string) error {
 			fmt.Printf("background fct inflation: %.3f\n", marlin.FCTInflation(bg, ov.Windows))
 		}
 	}
-	if cfg.AQM != "" {
-		for _, sw := range t.NetworkTelemetry() {
-			for pi, ps := range sw.Ports {
-				if ps.AQM == nil || ps.AQM.Marks+ps.AQM.Drops == 0 {
-					continue
-				}
-				fmt.Printf("aqm %s p%d %s: marks=%d drops=%d", sw.Name, pi, ps.AQM.Discipline,
-					ps.AQM.Marks, ps.AQM.Drops)
-				for b := 0; b < len(ps.AQM.BandDeqPackets); b++ {
-					if ps.AQM.BandDeqPackets[b] > 0 {
-						fmt.Printf(" band%d=%dpkts/p99=%.1fus", b,
-							ps.AQM.BandDeqPackets[b], ps.AQM.SojournP99Us[b])
-					}
-				}
-				fmt.Println()
+	for _, sw := range t.NetworkTelemetry() {
+		for pi, ps := range sw.Ports {
+			if ps.AQM == nil || ps.AQM.Marks+ps.AQM.Drops == 0 {
+				continue // no discipline (step ECN has none), or it never acted
 			}
+			fmt.Printf("aqm %s p%d %s: marks=%d drops=%d", sw.Name, pi, ps.AQM.Discipline,
+				ps.AQM.Marks, ps.AQM.Drops)
+			for b, n := range ps.AQM.BandDeqPackets {
+				if n > 0 {
+					fmt.Printf(" band%d=%dpkts/p99=%.1fus", b, n, ps.AQM.SojournP99Us[b])
+				}
+			}
+			fmt.Println()
 		}
 	}
 	if cfg.Topology != "" {

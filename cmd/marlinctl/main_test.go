@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"marlin"
+	"marlin/internal/fleet"
 )
 
 // parse runs a command's flag parsing alone and returns the TestConfig it
@@ -30,53 +31,54 @@ func parse(cmd string, args []string) (cfg marlin.TestConfig, err error) {
 // hand-written flag code built for it before the flags came from the key
 // table. FlowsPerPort now carries -flows (Deploy never reads it; each
 // command starts that many flows itself), and sweep's Seed carries the
-// campaign seed — both used to live beside the literal.
+// campaign seed — both used to live beside the literal. A sweep's every
+// point must also validate.
 func TestDocumentedInvocations(t *testing.T) {
 	const dualpi2 = "dualpi2:target=25us,tupdate=100us,step=50us"
 	cases := []struct {
 		cmd, args string
 		want      marlin.TestConfig
 		wantErr   string
-		invalid   string // marlin.Validate's error for the parsed config
 	}{
 		{cmd: "test", args: "",
-			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, DCQCNTimeScale: 30, Seed: 1}},
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, AQM: "ecn:k=65", DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "test", args: "-algo dctcp -fanin -duration 5ms",
-			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, DCQCNTimeScale: 30, Seed: 1}},
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, AQM: "ecn:k=65", DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "test", args: "-topology leafspine:2x2 -shards 4 -algo dcqcn -duration 2ms",
-			want: marlin.TestConfig{Algorithm: "dcqcn", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, Topology: "leafspine:2x2", Shards: 4, DCQCNTimeScale: 30, Seed: 1}},
+			want: marlin.TestConfig{Algorithm: "dcqcn", Ports: 4, FlowsPerPort: 1, AQM: "ecn:k=65", Topology: "leafspine:2x2", Shards: 4, DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "test", args: "-algo dctcp -ports 2 -duration 8ms -faults 'linkdown fwd1 at 2ms for 300us'",
-			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 2, FlowsPerPort: 1, ECNThresholdPkts: 65, Faults: "linkdown fwd1 at 2ms for 300us", DCQCNTimeScale: 30, Seed: 1}},
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 2, FlowsPerPort: 1, AQM: "ecn:k=65", Faults: "linkdown fwd1 at 2ms for 300us", DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "test", args: "-algo dctcp -ports 4 -topology leafspine:2x2 -duration 8ms -pattern incast:period=2ms,fanin=6,victim=1,size=200",
-			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, Topology: "leafspine:2x2", Pattern: "incast:period=2ms,fanin=6,victim=1,size=200", DCQCNTimeScale: 30, Seed: 1}},
-		// -aqm alone clears the defaulted -ecn ...
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, AQM: "ecn:k=65", Topology: "leafspine:2x2", Pattern: "incast:period=2ms,fanin=6,victim=1,size=200", DCQCNTimeScale: 30, Seed: 1}},
+		// -aqm replaces the defaulted step ECN ...
 		{cmd: "test", args: "-algo dctcp -ports 3 -fanin -duration 4ms -aqm dualpi2:target=10us,tupdate=50us,step=20us,shift=20us,alpha=250,beta=2500",
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 3, FlowsPerPort: 1, AQM: "dualpi2:target=10us,tupdate=50us,step=20us,shift=20us,alpha=250,beta=2500", DCQCNTimeScale: 30, Seed: 1}},
-		// ... an explicit -ecn beside it is kept, and core refuses a non-zero
-		// one in its own words; -ecn 0 is fine.
+		// ... and both flags write the one marking policy, so the later wins;
+		// -ecn 0 clears step ECN only.
 		{cmd: "test", args: "-aqm pi2 -ecn 65",
-			want:    marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, AQM: "pi2", DCQCNTimeScale: 30, Seed: 1},
-			invalid: "AQM pi2 and threshold ECN are mutually exclusive marking policies"},
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, AQM: "ecn:k=65", DCQCNTimeScale: 30, Seed: 1}},
+		{cmd: "test", args: "-ecn 8 -aqm pi2",
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, AQM: "pi2", DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "test", args: "-aqm pi2 -ecn 0",
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, AQM: "pi2", DCQCNTimeScale: 30, Seed: 1}},
 		// The two CI golden invocations.
 		{cmd: "test", args: "-algo dctcp -topology fattree:4 -ports 8 -aqm " + dualpi2 + " -faults 'linkdown edge0->agg0 at 1ms for 200us' -pattern incast:period=1ms,fanin=3,victim=1,size=80 -duration 2ms -seed 1 -shards 4",
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 8, FlowsPerPort: 1, AQM: dualpi2, Topology: "fattree:4", Faults: "linkdown edge0->agg0 at 1ms for 200us", Pattern: "incast:period=1ms,fanin=3,victim=1,size=80", Shards: 4, DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "test", args: "-algo dcqcn -fanin -topology leafspine:2x2 -ports 4 -faults 'linkdown leaf0->spine0 at 1ms for 200us' -duration 2ms -seed 1 -shards 1",
-			want: marlin.TestConfig{Algorithm: "dcqcn", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, Topology: "leafspine:2x2", Faults: "linkdown leaf0->spine0 at 1ms for 200us", Shards: 1, DCQCNTimeScale: 30, Seed: 1}},
+			want: marlin.TestConfig{Algorithm: "dcqcn", Ports: 4, FlowsPerPort: 1, AQM: "ecn:k=65", Topology: "leafspine:2x2", Faults: "linkdown leaf0->spine0 at 1ms for 200us", Shards: 1, DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "test", args: "-algo hpcc -int -pfc -fpgarecv -pcap out.pcap",
-			want: marlin.TestConfig{Algorithm: "hpcc", Ports: 4, FlowsPerPort: 1, ECNThresholdPkts: 65, EnableINT: true, EnablePFC: true, ReceiverOnFPGA: true, DCQCNTimeScale: 30, Seed: 1}},
+			want: marlin.TestConfig{Algorithm: "hpcc", Ports: 4, FlowsPerPort: 1, AQM: "ecn:k=65", EnableINT: true, EnablePFC: true, ReceiverOnFPGA: true, DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "test", args: "-ports -1", wantErr: `bad ports "-1"`},
 		// -duration takes spec.Duration's rule, as a scenario's run line does.
 		{cmd: "test", args: "-duration -1ms", wantErr: `bad duration "-1ms"`},
 		{cmd: "test", args: "-duration 2600h", wantErr: `bad duration "2600h"`},
 
 		{cmd: "bench", args: "-algo dcqcn -ports 8 -flows 64 -duration 20ms -cpuprofile cpu.pb.gz -memprofile mem.pb.gz -trace trace.out",
-			want: marlin.TestConfig{Algorithm: "dcqcn", Ports: 8, FlowsPerPort: 64, ECNThresholdPkts: 65, DCQCNTimeScale: 30, Seed: 1}},
+			want: marlin.TestConfig{Algorithm: "dcqcn", Ports: 8, FlowsPerPort: 64, AQM: "ecn:k=65", DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "bench", args: "-topology fattree:4 -ports 8 -shards 2 -fanin -fpgarecv=false -reps 1",
-			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 8, FlowsPerPort: 1, ECNThresholdPkts: 65, Topology: "fattree:4", Shards: 2, DCQCNTimeScale: 30, Seed: 1}},
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 8, FlowsPerPort: 1, AQM: "ecn:k=65", Topology: "fattree:4", Shards: 2, DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "bench", args: "-reps 0", wantErr: "-reps must be >= 1"},
-		// bench and sweep preset ecn 65 too, and -aqm clears it there.
+		// bench and sweep preset ecn 65 too, and -aqm replaces it there.
 		{cmd: "bench", args: "-aqm pi2 -reps 1",
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 4, FlowsPerPort: 1, AQM: "pi2", DCQCNTimeScale: 30, Seed: 1}},
 		{cmd: "bench", args: "-duration -1ms", wantErr: `bad duration "-1ms"`},
@@ -88,13 +90,17 @@ func TestDocumentedInvocations(t *testing.T) {
 
 		// sweep never defaulted dcqcnscale; its points keep paper timers.
 		{cmd: "sweep", args: "-axis ecn=8,65,200 -duration 5ms",
-			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, ECNThresholdPkts: 65, Seed: 1}},
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, AQM: "ecn:k=65", Seed: 1}},
 		{cmd: "sweep", args: "-axis ecn=8,20,65,200,600 -axis algo=dctcp,dcqcn -reps 3 -j 2 -journal sweep.jsonl",
-			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, ECNThresholdPkts: 65, Seed: 1}},
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, AQM: "ecn:k=65", Seed: 1}},
 		{cmd: "sweep", args: "-axis shards=1,2 -axis topology=leafspine:2x2 -duration 1ms -algo dcqcn -ports 4 -flows 3 -seed 7",
-			want: marlin.TestConfig{Algorithm: "dcqcn", Ports: 4, FlowsPerPort: 3, ECNThresholdPkts: 65, Seed: 7}},
+			want: marlin.TestConfig{Algorithm: "dcqcn", Ports: 4, FlowsPerPort: 3, AQM: "ecn:k=65", Seed: 7}},
 		{cmd: "sweep", args: "-aqm pi2 -axis seed=1,2",
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, AQM: "pi2", Seed: 1}},
+		// So does an aqm axis, point by point: the preset once made every
+		// point of this sweep fail to validate.
+		{cmd: "sweep", args: "-axis aqm=pi2,red -duration 1ms",
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, AQM: "ecn:k=65", Seed: 1}},
 		{cmd: "sweep", args: "", wantErr: "need at least one -axis"},
 		{cmd: "sweep", args: "-axis queue=-1", wantErr: `bad queue "-1"`},
 		{cmd: "sweep", args: "-axis ecn=8 -duration -1ms", wantErr: `bad duration "-1ms"`},
@@ -111,9 +117,16 @@ func TestDocumentedInvocations(t *testing.T) {
 			t.Errorf("%s %s: %v", c.cmd, c.args, err)
 		case !reflect.DeepEqual(got, c.want):
 			t.Errorf("%s %s:\n got %+v\nwant %+v", c.cmd, c.args, got, c.want)
-		case c.invalid != "":
-			if err := marlin.Validate(got); err == nil || !strings.Contains(err.Error(), c.invalid) {
-				t.Errorf("%s %s: Validate = %v, want %q", c.cmd, c.args, err, c.invalid)
+		case c.cmd == "sweep":
+			// Every point of the sweep is a valid test.
+			_, a, _ := parseSweep(splitArgs(c.args))
+			for _, pt := range fleet.Cartesian(a.script.Sweeps) {
+				spec := got
+				if err := pt.Apply(&spec); err != nil {
+					t.Errorf("%s %s: point %s: %v", c.cmd, c.args, pt.ID(), err)
+				} else if err := marlin.Validate(spec); err != nil {
+					t.Errorf("%s %s: point %s: %v", c.cmd, c.args, pt.ID(), err)
+				}
 			}
 		}
 	}

@@ -30,7 +30,7 @@ type sweepArgs struct {
 }
 
 func parseSweep(args []string) (marlin.TestConfig, sweepArgs, error) {
-	cfg := marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, ECNThresholdPkts: 65, Seed: 1}
+	cfg := marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, AQM: "ecn:k=65", Seed: 1}
 	var a sweepArgs
 	var axes []fleet.Axis
 	var dur marlin.Duration
@@ -56,7 +56,6 @@ func parseSweep(args []string) (marlin.TestConfig, sweepArgs, error) {
 	if a.reps < 1 {
 		return cfg, a, fmt.Errorf("sweep: -reps must be >= 1")
 	}
-	clearPresetECN(fs, &cfg)
 	s := scenario.Scenario{
 		Spec:    cfg,
 		Sweeps:  axes,

@@ -91,10 +91,10 @@ func main() {
 	// Two aimd flows compete over one bottleneck; the delay guard plus
 	// AIMD should converge them to a fair share.
 	t, err := marlin.NewTester(marlin.TestConfig{
-		Algorithm:        "aimd",
-		Ports:            3,
-		ECNThresholdPkts: 65,
-		Seed:             3,
+		Algorithm: "aimd",
+		Ports:     3,
+		AQM:       "ecn:k=65",
+		Seed:      3,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -19,12 +19,12 @@ const (
 
 func main() {
 	t, err := marlin.NewTester(marlin.TestConfig{
-		Algorithm:        "dcqcn",
-		Ports:            senders + 1,
-		ECNThresholdPkts: 65,      // switch ECN threshold under test
-		NetQueueBytes:    8 << 20, // deep buffers stand in for PFC
-		DCQCNTimeScale:   10,      // compress recovery for the short horizon
-		Seed:             7,
+		Algorithm:      "dcqcn",
+		Ports:          senders + 1,
+		AQM:            "ecn:k=65", // switch ECN threshold under test
+		NetQueueBytes:  8 << 20,    // deep buffers stand in for PFC
+		DCQCNTimeScale: 10,         // compress recovery for the short horizon
+		Seed:           7,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -40,10 +40,10 @@ const (
 	queueBytes = 1 << 20
 )
 
-// The AQM axis. The empty spec is the baseline: drop-tail with step ECN
-// at 65 packets, today's datacenter default.
+// The AQM axis. The baseline is drop-tail with step ECN at 65 packets,
+// today's datacenter default.
 var aqms = []struct{ name, spec string }{
-	{"stepecn", ""},
+	{"stepecn", "ecn:k=65"},
 	{"pie", "pie:target=10us,tupdate=50us,alpha=250,beta=2500"},
 	{"codel", "codel:target=10us,interval=500us"},
 	{"dualpi2", "dualpi2:target=10us,tupdate=50us,step=20us,shift=20us,alpha=250,beta=2500"},
@@ -130,9 +130,6 @@ func coexistOne(aqmSpec string, delay marlin.Duration) (*marlin.FleetOutput, err
 		LinkDelay:     delay,
 		AQM:           aqmSpec,
 		Seed:          17,
-	}
-	if aqmSpec == "" {
-		cfg.ECNThresholdPkts = 65
 	}
 	t, err := marlin.NewTester(cfg)
 	if err != nil {

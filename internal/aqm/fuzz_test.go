@@ -14,13 +14,16 @@ import (
 // FuzzAQMSpec checks that no input makes aqm.ParseSpec panic, and that an
 // accepted spec prints (String) to text ParseSpec accepts again. The seeds
 // are the AQM specs the example scenarios and the fuzzer's generated
-// configurations set.
+// configurations set, and the step-ECN spellings.
 func FuzzAQMSpec(f *testing.F) {
 	for _, s := range specSeeds(f, func(sp controlplane.Spec) string { return sp.AQM }) {
 		f.Add(s)
 	}
 	// A duration once printed as "2e+06s", which does not parse.
 	f.Add("codel:target=2000000s")
+	for _, s := range []string{"ecn", "ecn:k=1", "ecn:k=65"} {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := aqm.ParseSpec(src)
 		if err != nil {

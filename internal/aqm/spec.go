@@ -8,10 +8,10 @@ import (
 	"marlin/internal/spec"
 )
 
-// Kind selects a discipline.
+// Kind selects a marking policy: drop-tail, a discipline, or step ECN.
 type Kind uint8
 
-// Disciplines.
+// Marking policies.
 const (
 	KindNone Kind = iota
 	KindRED
@@ -19,31 +19,27 @@ const (
 	KindCoDel
 	KindPI2
 	KindDualPI2
+	KindECN
 )
 
-// String returns the spec-language name of the discipline.
+// kindNames are the spec-language names, indexed by Kind.
+var kindNames = [...]string{"none", "red", "pie", "codel", "pi2", "dualpi2", "ecn"}
+
+// String returns the spec-language name of the policy.
 func (k Kind) String() string {
-	switch k {
-	case KindRED:
-		return "red"
-	case KindPIE:
-		return "pie"
-	case KindCoDel:
-		return "codel"
-	case KindPI2:
-		return "pi2"
-	case KindDualPI2:
-		return "dualpi2"
-	default:
-		return "none"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return "none"
 }
 
-// Spec is a parsed, validated discipline configuration — a plain value
-// that travels through controlplane.Spec and core.Config and is turned
-// into live per-queue state by Build. Zero value means "no AQM".
+// Spec is a parsed, validated marking policy — a plain value that travels
+// through controlplane.Spec and core.Config and is turned into live
+// per-queue state by Build, except the paper's step ECN, whose K core turns
+// into bytes for the queue's inline comparator. Zero value is drop-tail.
 type Spec struct {
 	Kind Kind
+	K    int // step ECN: CE-mark ECN-capable arrivals from a backlog of K packets
 
 	// RED knobs. Thresholds of zero scale to the queue capacity at Build
 	// time (capacity/6 and capacity/2).
@@ -67,7 +63,7 @@ type Spec struct {
 	Shift    sim.Duration // L4S head start in the time-shifted FIFO
 }
 
-// Enabled reports whether the spec names a discipline.
+// Enabled reports whether the spec names a marking policy.
 func (s Spec) Enabled() bool { return s.Kind != KindNone }
 
 // ParseSpec compiles a textual AQM spec: a discipline name, optionally
@@ -79,9 +75,10 @@ func (s Spec) Enabled() bool { return s.Kind != KindNone }
 //	codel:target=5ms,interval=100ms
 //	pi2:target=15ms,tupdate=16ms,alpha=0.3125,beta=3.125
 //	dualpi2:target=15ms,coupling=2,step=1ms,shift=1ms
+//	ecn:k=65
 //
-// A bare name ("pi2") takes every default; "none" or the empty string
-// disables AQM. Durations use Go syntax ("15ms", "250us").
+// A bare name ("pi2"; "ecn" is K = 65) takes every default; "none" or the
+// empty string disables marking. Durations use Go syntax ("15ms", "250us").
 func ParseSpec(src string) (Spec, error) {
 	src = strings.TrimSpace(src)
 	name, body, hasBody := strings.Cut(src, ":")
@@ -105,8 +102,8 @@ func ParseSpec(src string) (Spec, error) {
 }
 
 // defaults returns the per-discipline default parameters: RED from the
-// classic recommendations, PIE from RFC 8033, CoDel from RFC 8289, and
-// PI2/DualPI2 from RFC 9332.
+// classic recommendations, PIE from RFC 8033, CoDel from RFC 8289,
+// PI2/DualPI2 from RFC 9332, and step ECN at the K every preset uses.
 func defaults(name string) (Spec, error) {
 	switch name {
 	case "", "none":
@@ -131,6 +128,8 @@ func defaults(name string) (Spec, error) {
 			Alpha: 0.3125, Beta: 3.125,
 			Coupling: 2, Step: sim.Millisecond, Shift: sim.Millisecond,
 		}, nil
+	case "ecn":
+		return Spec{Kind: KindECN, K: 65}, nil
 	default:
 		return Spec{}, fmt.Errorf("aqm: unknown discipline %q", name)
 	}
@@ -156,7 +155,7 @@ func (s *Spec) set(kv spec.Pair) error {
 		ok = s.Kind == KindRED
 	case "target":
 		s.Target, err = spec.Duration(kv.Val)
-		ok = s.Kind != KindRED
+		ok = s.Kind != KindNone && s.Kind != KindRED && s.Kind != KindECN
 	case "interval":
 		s.Interval, err = spec.Duration(kv.Val)
 		ok = s.Kind == KindCoDel
@@ -181,6 +180,9 @@ func (s *Spec) set(kv spec.Pair) error {
 	case "shift":
 		s.Shift, err = spec.Duration(kv.Val)
 		ok = s.Kind == KindDualPI2
+	case "k":
+		s.K, err = spec.Int("k", kv.Val)
+		ok = s.Kind == KindECN
 	default:
 		return fmt.Errorf("unexpected %q for %s", kv.Key, s.Kind)
 	}
@@ -203,12 +205,14 @@ func (s Spec) validate() error {
 		return fmt.Errorf("min must be below max")
 	case s.Kind == KindCoDel && s.Interval <= 0:
 		return fmt.Errorf("interval must be positive")
-	case s.Kind != KindNone && s.Kind != KindRED && s.Target <= 0:
+	case s.Kind != KindNone && s.Kind != KindRED && s.Kind != KindECN && s.Target <= 0:
 		return fmt.Errorf("target must be positive")
 	case (s.Kind == KindPIE || s.Kind == KindPI2 || s.Kind == KindDualPI2) && s.TUpdate <= 0:
 		return fmt.Errorf("tupdate must be positive")
 	case s.Kind == KindDualPI2 && s.Coupling <= 0:
 		return fmt.Errorf("coupling must be positive")
+	case s.Kind == KindECN && s.K < 1:
+		return fmt.Errorf("k must be at least 1")
 	}
 	return nil
 }
@@ -230,6 +234,8 @@ func (s Spec) String() string {
 	case KindDualPI2:
 		return fmt.Sprintf("dualpi2:target=%s,tupdate=%s,alpha=%g,beta=%g,coupling=%g,step=%s,shift=%s",
 			spec.FormatDuration(s.Target), spec.FormatDuration(s.TUpdate), s.Alpha, s.Beta, s.Coupling, spec.FormatDuration(s.Step), spec.FormatDuration(s.Shift))
+	case KindECN:
+		return fmt.Sprintf("ecn:k=%d", s.K)
 	default:
 		return "none"
 	}
@@ -238,7 +244,8 @@ func (s Spec) String() string {
 // Build instantiates the discipline for one queue of the given byte
 // capacity. The rng must be a pre-split per-queue stream (sim.Rand.Split
 // at wiring time) so marking decisions are byte-identical regardless of
-// how many fleet workers run concurrently. Returns nil for KindNone.
+// how many fleet workers run concurrently. Returns nil for KindNone and
+// KindECN, which the queue applies without a discipline.
 func (s Spec) Build(capacityBytes int, rng *sim.Rand) AQM {
 	switch s.Kind {
 	case KindRED:

@@ -32,6 +32,23 @@ func TestParseSpecDefaults(t *testing.T) {
 	}
 }
 
+// TestParseSpecStepECN: step ECN is a marking policy without a discipline
+// object, and a bare "ecn" is the paper's K.
+func TestParseSpecStepECN(t *testing.T) {
+	for src, k := range map[string]int{"ecn": 65, "ecn:k=1": 1, " ecn:k=200 ": 200} {
+		s, err := ParseSpec(src)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", src, err)
+		}
+		if s != (Spec{Kind: KindECN, K: k}) || !s.Enabled() || s.Build(256<<10, sim.NewRand(1)) != nil {
+			t.Errorf("ParseSpec(%q) = %+v, want step ECN at k=%d with no discipline object", src, s, k)
+		}
+	}
+	if s, _ := ParseSpec("ecn"); s.String() != "ecn:k=65" {
+		t.Errorf("bare ecn prints as %q", s.String())
+	}
+}
+
 func TestParseSpecOverrides(t *testing.T) {
 	s, err := ParseSpec("dualpi2:target=5ms,coupling=4,step=500us,shift=2ms,tupdate=8ms,alpha=0.2,beta=2")
 	if err != nil {
@@ -68,6 +85,11 @@ func TestParseSpecErrors(t *testing.T) {
 		{"pie:bogus=1", `unexpected "bogus"`},
 		{"pie:target=xyz", "bad duration"},
 		{"pie:target=5ms,target=6ms", "duplicate key"},
+		{"ecn:k=0", "k must be at least 1"},
+		{"ecn:k=-4", `bad k "-4"`},
+		{"ecn:target=5ms", `unexpected "target" for ecn`},
+		{"pi2:k=65", `unexpected "k" for pi2`},
+		{"none:target=5ms", `unexpected "target" for none`},
 	}
 	for _, tc := range cases {
 		_, err := ParseSpec(tc.src)
@@ -87,6 +109,7 @@ func TestSpecStringRoundTrips(t *testing.T) {
 		"dualpi2:target=5ms,coupling=4",
 		"dualpi2:tupdate=25us,alpha=0.5,step=10us",
 		"pie:ecnth=0.25,target=20us",
+		"ecn", "ecn:k=1",
 	}
 	for _, src := range srcs {
 		s, err := ParseSpec(src)

@@ -8,9 +8,9 @@
 // core.Config the tester is built from, plus its parsed fault and pattern
 // plans, and Validate, Lint and Deploy all read that one translation. The
 // Spec's own checks are ranges and string syntax. The paper's defaults and
-// the cross-field rules (ExtraHops without a Topology, AQM or step ECN,
-// Shards only on a Topology and without PFC or the FPGA-placed receiver)
-// are core's, applied by core.Resolve.
+// the cross-field rules (ExtraHops without a Topology, Shards only on a
+// Topology and without PFC or the FPGA-placed receiver) are core's,
+// applied by core.Resolve.
 package controlplane
 
 import (
@@ -32,9 +32,10 @@ import (
 
 // Spec is an operator's test description: "selecting the CC algorithm,
 // setting CC parameters, choosing the test ports, and determining the
-// number of flows per port" (§3.2). Every field but PortRate and Params is
-// also settable by name: see the knobs table in knobs.go, which scenario
-// scripts, sweep axes and marlinctl's flags all go through.
+// number of flows per port" (§3.2). Every field but PortRate, Params and
+// ECNThresholdPkts is also settable by name: see the knobs table in
+// knobs.go, which scenario scripts, sweep axes and marlinctl's flags all go
+// through.
 type Spec struct {
 	// Algorithm names a registered CC module (cc.Names()).
 	Algorithm string
@@ -48,13 +49,14 @@ type Spec struct {
 	FlowsPerPort int
 	// Receiver forces the receiver logic: "", "tcp", or "roce".
 	Receiver string
-	// ECNThresholdPkts enables step marking at K packets (0 = off).
-	// Mutually exclusive with AQM.
+	// ECNThresholdPkts N is the Go spelling of AQM "ecn:k=N" (0 = off),
+	// refused beside a non-empty AQM. The `ecn` key writes AQM instead.
 	ECNThresholdPkts int
-	// AQM deploys an active queue management discipline on every tested-
-	// network egress queue, in aqm.ParseSpec syntax: "red", "pie",
-	// "codel:target=5ms,interval=100ms", "pi2", "dualpi2:coupling=2".
-	// Empty (or "none") keeps drop-tail, optionally with step ECN.
+	// AQM is the marking policy of every tested-network egress queue, in
+	// aqm.ParseSpec syntax: the paper's step ECN "ecn:k=65", or a
+	// discipline such as "red", "pie", "codel:target=5ms,interval=100ms",
+	// "pi2" or "dualpi2:coupling=2". Empty (or "none") keeps drop-tail
+	// without marking.
 	AQM string
 	// NetQueueBytes sizes each tested-network egress buffer. RoCE tests
 	// set it deep (multi-MB) to stand in for PFC losslessness.
@@ -170,10 +172,15 @@ func (s *Spec) compile() (compiledSpec, error) {
 	default:
 		return c, fmt.Errorf("controlplane: unknown receiver mode %q", s.Receiver)
 	}
-	if s.AQM != "" {
-		if c.cfg.AQM, err = aqm.ParseSpec(s.AQM); err != nil {
-			return c, err
+	if c.cfg.AQM, err = aqm.ParseSpec(s.AQM); err != nil {
+		return c, err
+	}
+	if s.ECNThresholdPkts > 0 {
+		if s.AQM != "" {
+			return c, fmt.Errorf("controlplane: ECNThresholdPkts %d and AQM %q are two marking policies (ECNThresholdPkts N is AQM \"ecn:k=N\")",
+				s.ECNThresholdPkts, s.AQM)
 		}
+		c.cfg.AQM = aqm.Spec{Kind: aqm.KindECN, K: s.ECNThresholdPkts}
 	}
 	if s.Topology != "" {
 		if c.cfg.Topology, err = fabric.ParseSpec(s.Topology); err != nil {
@@ -196,9 +203,6 @@ func (s *Spec) compile() (compiledSpec, error) {
 		}
 		c.cfg.Params = *s.Params
 	}
-	// The step-marking threshold is in packets of the resolved MTU; the
-	// rules only need to know marking is on.
-	c.cfg.ECN.Enable = s.ECNThresholdPkts > 0
 	eff, _, err := core.Resolve(c.cfg)
 	if err != nil {
 		return c, err
@@ -209,9 +213,6 @@ func (s *Spec) compile() (compiledSpec, error) {
 		if v >= eff.DataPorts {
 			return c, fmt.Errorf("controlplane: pattern victim port %d outside [0,%d)", v, eff.DataPorts)
 		}
-	}
-	if s.ECNThresholdPkts > 0 {
-		c.cfg.ECN = netem.StepMarking(s.ECNThresholdPkts, eff.Params.MTU)
 	}
 	c.cfg.Params = eff.Params
 	if s.DCQCNTimeScale > 1 {
@@ -240,16 +241,15 @@ func (s *Spec) Lint() []string {
 	if queue == 0 {
 		queue = netem.DefaultQueueCapacity
 	}
-	if s.ECNThresholdPkts > 0 {
-		kBytes := c.cfg.ECN.KMin
-		if kBytes >= queue {
+	if ecn, _ := c.cfg.Marking(); ecn.Enable {
+		if ecn.K >= queue {
 			warns = append(warns, fmt.Sprintf(
 				"ECN threshold (%d pkts = %d B) is at or beyond the %d B queue: drops will precede marking",
-				s.ECNThresholdPkts, kBytes, queue))
-		} else if kBytes > queue/2 {
+				c.cfg.AQM.K, ecn.K, queue))
+		} else if ecn.K > queue/2 {
 			warns = append(warns, fmt.Sprintf(
 				"ECN threshold (%d B) above half the %d B queue leaves little headroom for bursts",
-				kBytes, queue))
+				ecn.K, queue))
 		}
 	}
 	if c.cfg.Algorithm.Mode() == cc.RateMode && !s.EnablePFC && queue < 2<<20 {

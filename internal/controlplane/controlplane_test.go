@@ -149,7 +149,7 @@ func TestLintWarnings(t *testing.T) {
 		spec Spec
 		want string
 	}{
-		{"ecn beyond queue", Spec{Algorithm: "dctcp", ECNThresholdPkts: 300, NetQueueBytes: 256 << 10}, "drops will precede marking"},
+		{"ecn beyond queue", Spec{Algorithm: "dctcp", AQM: "ecn:k=300", NetQueueBytes: 256 << 10}, "drops will precede marking"},
 		{"ecn above half", Spec{Algorithm: "dctcp", ECNThresholdPkts: 200, NetQueueBytes: 256 << 10}, "little headroom"},
 		{"lossy roce", Spec{Algorithm: "dcqcn", DCQCNTimeScale: 10}, "go-back-N"},
 		{"hpcc no int", Spec{Algorithm: "hpcc", EnableINT: false}, "no telemetry"},
@@ -172,9 +172,9 @@ func TestLintWarnings(t *testing.T) {
 
 func TestLintCleanSpec(t *testing.T) {
 	clean := Spec{
-		Algorithm:        "dctcp",
-		ECNThresholdPkts: 65,
-		NetQueueBytes:    1 << 20,
+		Algorithm:     "dctcp",
+		AQM:           "ecn:k=65",
+		NetQueueBytes: 1 << 20,
 	}
 	if warns := clean.Lint(); len(warns) != 0 {
 		t.Fatalf("clean spec warned: %v", warns)

@@ -17,8 +17,8 @@ import (
 // place that maps names to fields: scenario `set KEY VALUE`, sweep
 // `-axis KEY=v1,v2`, the marlinctl flags and the fuzzer's repro scripts all
 // go through Set, Settings and BindFlags, so a new knob is a Spec field, a
-// row here and its line in compile. PortRate and Params have no row (see
-// DESIGN.md "Configuration surface") and stay API-only.
+// row here and its line in compile. PortRate, Params and ECNThresholdPkts
+// have no row (see DESIGN.md "Configuration surface") and stay API-only.
 type knob struct {
 	name, help string
 	isBool     bool // a bare -name flag means "on"
@@ -32,8 +32,15 @@ var knobs = []knob{
 	intKnob("ports", "data ports (0 = the device plan's maximum)", func(s *Spec) *int { return &s.Ports }),
 	intKnob("flows", "flows per sender port", func(s *Spec) *int { return &s.FlowsPerPort }),
 	strKnob("receiver", "receiver logic, tcp or roce (empty = the algorithm's own)", func(s *Spec) *string { return &s.Receiver }, verbatim),
-	intKnob("ecn", "ECN step-marking threshold in packets (0 = off)", func(s *Spec) *int { return &s.ECNThresholdPkts }),
-	strKnob("aqm", `AQM discipline for the tested network's queues, e.g. "pi2" or "dualpi2:target=25us,tupdate=100us,step=50us" (replaces step ECN)`, func(s *Spec) *string { return &s.AQM }, compiled(aqm.ParseSpec)),
+	{name: "ecn", help: `step ECN at K packets, shorthand for aqm "ecn:k=K" (0 = no step ECN)`, set: setECN,
+		get: func(s *Spec) string { return stepK(s.AQM) }},
+	newKnob("aqm", `marking policy of the tested network's queues: a discipline, e.g. "pi2" or "dualpi2:target=25us,tupdate=100us,step=50us", or step ECN "ecn:k=65" (empty = drop-tail)`, func(s *Spec) *string { return &s.AQM },
+		stepCanonical, func(v string) string {
+			if stepK(v) != "" {
+				return "" // listed as ecn
+			}
+			return v
+		}),
 	intKnob("queue", "tested-network egress buffer in bytes (0 = 256 KiB)", func(s *Spec) *int { return &s.NetQueueBytes }),
 	boolKnob("int", "stamp in-band telemetry at every hop (for hpcc)", func(s *Spec) *bool { return &s.EnableINT }),
 	boolKnob("pfc", "lossless fabric via PFC pause frames", func(s *Spec) *bool { return &s.EnablePFC }),
@@ -49,6 +56,40 @@ var knobs = []knob{
 	intKnob("shards", "conservative parallel build on up to N worker cores (needs topology; 0 = one island on one engine; results byte-identical for any N >= 1)", func(s *Spec) *int { return &s.Shards }),
 	newKnob("seed", "random seed", func(s *Spec) *uint64 { return &s.Seed },
 		spec.Uint, func(n uint64) string { return strconv.FormatUint(n, 10) }),
+}
+
+// setECN is the ecn key, shorthand for the aqm value "ecn:k=N"; 0 clears
+// step ECN but no other discipline. Both keys write AQM, so the later wins.
+func setECN(s *Spec, v string) error {
+	k, err := spec.Int("ecn", v)
+	switch {
+	case err != nil:
+		return err
+	case k > 0:
+		s.AQM = aqm.Spec{Kind: aqm.KindECN, K: k}.String()
+	case stepK(s.AQM) != "":
+		s.AQM = ""
+	}
+	return nil
+}
+
+// stepCanonical takes an aqm value that compiles, writing step ECN in
+// aqm.Spec's spelling "ecn:k=N", which Settings lists under ecn.
+func stepCanonical(_, v string) (string, error) {
+	a, err := aqm.ParseSpec(v)
+	if a.Kind == aqm.KindECN {
+		return a.String(), nil
+	}
+	return v, err
+}
+
+// stepK is the K of a step-ECN aqm value as the ecn key writes it, or ""
+// for any other value.
+func stepK(src string) string {
+	if a, err := aqm.ParseSpec(src); err == nil && a.Kind == aqm.KindECN {
+		return strconv.Itoa(a.K)
+	}
+	return ""
 }
 
 // newKnob builds a row from the field's parser (internal/spec's signature:
@@ -124,8 +165,8 @@ type Setting struct {
 }
 
 // Settings lists every field that differs from the zero Spec, in table
-// order; applying the list to a zero Spec with Set reproduces s (PortRate
-// and Params aside).
+// order; applying the list to a zero Spec with Set reproduces s (the
+// API-only fields aside, and a step-ECN AQM in its "ecn:k=N" spelling).
 func (s *Spec) Settings() []Setting {
 	var out []Setting
 	for _, k := range knobs {

@@ -37,7 +37,11 @@ var knobSamples = map[string]string{
 
 // apiOnly are the exported Spec fields with no table row, each for a reason
 // DESIGN.md "Configuration surface" gives.
-var apiOnly = map[string]bool{"PortRate": true, "Params": true}
+var apiOnly = map[string]bool{"PortRate": true, "Params": true, "ECNThresholdPkts": true}
+
+// shorthands are the keys that write another key's field: ecn N is aqm
+// "ecn:k=N".
+var shorthands = map[string]string{"ecn": "aqm"}
 
 // knobFields maps each key to the one Spec field its sample changes.
 func knobFields(t *testing.T) map[string]string {
@@ -74,6 +78,12 @@ func TestKnobTable(t *testing.T) {
 	// Every exported field is reachable by name or deliberately API-only.
 	owner := make(map[string]string)
 	for key, f := range fields {
+		if long, ok := shorthands[key]; ok {
+			if fields[long] != f {
+				t.Errorf("shorthand %q writes %s, not %q's field %s", key, f, long, fields[long])
+			}
+			continue
+		}
 		if prev, dup := owner[f]; dup {
 			t.Errorf("field %s has two keys: %q and %q", f, prev, key)
 		}
@@ -108,8 +118,15 @@ func TestKnobTable(t *testing.T) {
 	if back := replay(t, list); !reflect.DeepEqual(back, all) {
 		t.Errorf("full round trip %+v != %+v", back, all)
 	}
-	for i, kv := range list {
-		if kv.Key != knobs[i].name {
+	if len(list) != len(knobs)-len(shorthands) {
+		t.Errorf("Settings() = %v, want every key but the shorthands (the later aqm replaced ecn)", list)
+	}
+	row := 0
+	for _, kv := range list {
+		for row < len(knobs) && knobs[row].name != kv.Key {
+			row++
+		}
+		if row == len(knobs) {
 			t.Fatalf("Settings() order %v does not follow the table", list)
 		}
 	}
@@ -118,6 +135,40 @@ func TestKnobTable(t *testing.T) {
 	}
 	if got := (&Spec{}).Settings(); got != nil {
 		t.Errorf("zero Spec lists %v", got)
+	}
+}
+
+// TestStepECNShorthand: ecn N writes aqm "ecn:k=N", the later of the two
+// keys wins, ecn 0 clears step ECN and no other discipline, and aqm writes
+// step ECN in the one spelling Settings lists under ecn.
+func TestStepECNShorthand(t *testing.T) {
+	for _, c := range []struct {
+		sets    [][2]string
+		aqm     string
+		setting []Setting
+	}{
+		{[][2]string{{"ecn", "65"}}, "ecn:k=65", []Setting{{"ecn", "65"}}},
+		{[][2]string{{"ecn", "65"}, {"aqm", "pi2"}}, "pi2", []Setting{{"aqm", "pi2"}}},
+		{[][2]string{{"aqm", "pi2"}, {"ecn", "8"}}, "ecn:k=8", []Setting{{"ecn", "8"}}},
+		{[][2]string{{"aqm", "pi2"}, {"ecn", "0"}}, "pi2", []Setting{{"aqm", "pi2"}}},
+		{[][2]string{{"ecn", "65"}, {"ecn", "0"}}, "", nil},
+		{[][2]string{{"aqm", "ecn"}}, "ecn:k=65", []Setting{{"ecn", "65"}}},
+		{[][2]string{{"aqm", " ecn:k=020"}}, "ecn:k=20", []Setting{{"ecn", "20"}}},
+		{[][2]string{{"aqm", "ecn:k=20"}, {"ecn", "0"}}, "", nil},
+	} {
+		var s Spec
+		for _, kv := range c.sets {
+			if err := s.Set(kv[0], kv[1]); err != nil {
+				t.Fatalf("%v: %v", c.sets, err)
+			}
+		}
+		if s.AQM != c.aqm || !reflect.DeepEqual(s.Settings(), c.setting) {
+			t.Errorf("%v: AQM %q, Settings %v; want %q, %v", c.sets, s.AQM, s.Settings(), c.aqm, c.setting)
+		}
+	}
+	var s Spec
+	if err := s.Set("ecn", "-1"); err == nil || err.Error() != `bad ecn "-1"` {
+		t.Errorf("ecn -1: %v", err)
 	}
 }
 
@@ -185,7 +236,7 @@ func TestSetErrors(t *testing.T) {
 }
 
 func TestBindFlags(t *testing.T) {
-	s := Spec{Ports: 4, ECNThresholdPkts: 65}
+	s := Spec{Ports: 4, AQM: "ecn:k=65"}
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	var usage strings.Builder
 	fs.SetOutput(&usage)
@@ -194,7 +245,7 @@ func TestBindFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Spec{Ports: 4, ECNThresholdPkts: 8, EnablePFC: true, LinkDelay: 2 * sim.Microsecond, Faults: "nicstall at 1ms for 10us"}
+	want := Spec{Ports: 4, AQM: "ecn:k=8", EnablePFC: true, LinkDelay: 2 * sim.Microsecond, Faults: "nicstall at 1ms for 10us"}
 	if !reflect.DeepEqual(s, want) {
 		t.Errorf("parsed %+v, want %+v", s, want)
 	}

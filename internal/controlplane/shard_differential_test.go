@@ -92,7 +92,7 @@ func TestShardedMatchesSingle(t *testing.T) {
 		{"leafspine:2x2", 4, "linkdown leaf0->spine1 at 1ms for 200us"},
 		{"fattree:4", 8, "linkdown edge0->agg0 at 1ms for 200us"},
 	}
-	aqms := []string{"", "dualpi2:target=25us,tupdate=100us,step=50us"}
+	aqms := []string{"ecn:k=65", "dualpi2:target=25us,tupdate=100us,step=50us"}
 	patterns := []string{"", "incast:period=1ms,fanin=3,victim=1,size=80"}
 	for _, tc := range topos {
 		for ai, aqmSpec := range aqms {
@@ -102,18 +102,14 @@ func TestShardedMatchesSingle(t *testing.T) {
 						continue // -short: no-extras plus one single-extra combo each
 					}
 					spec := Spec{
-						Algorithm:        "dctcp",
-						Ports:            tc.ports,
-						ECNThresholdPkts: 65,
-						Topology:         tc.topo,
-						AQM:              aqmSpec,
-						Faults:           faultSpec,
-						Pattern:          patternSpec,
-						DCQCNTimeScale:   30,
-						Seed:             1,
-					}
-					if aqmSpec != "" {
-						spec.ECNThresholdPkts = 0
+						Algorithm:      "dctcp",
+						Ports:          tc.ports,
+						Topology:       tc.topo,
+						AQM:            aqmSpec,
+						Faults:         faultSpec,
+						Pattern:        patternSpec,
+						DCQCNTimeScale: 30,
+						Seed:           1,
 					}
 					check(fmt.Sprintf("%s/aqm=%d/fault=%d/pattern=%d", tc.topo, ai, fi, pi), spec)
 				}
@@ -123,13 +119,13 @@ func TestShardedMatchesSingle(t *testing.T) {
 	// One rate-mode row: timer-paced DCQCN against the RoCE go-back-N
 	// receiver, through the same outage (carrier drops force the rewind).
 	check("leafspine:2x2/dcqcn/fault=1", Spec{
-		Algorithm:        "dcqcn",
-		Ports:            4,
-		ECNThresholdPkts: 65,
-		Topology:         "leafspine:2x2",
-		Faults:           "linkdown leaf0->spine1 at 1ms for 200us",
-		DCQCNTimeScale:   30,
-		Seed:             1,
+		Algorithm:      "dcqcn",
+		Ports:          4,
+		AQM:            "ecn:k=65",
+		Topology:       "leafspine:2x2",
+		Faults:         "linkdown leaf0->spine1 at 1ms for 200us",
+		DCQCNTimeScale: 30,
+		Seed:           1,
 	})
 }
 

@@ -7,7 +7,7 @@ import (
 	"marlin/internal/sim"
 )
 
-// TestValidateErrorPaths pins the exact error text of every mutual-exclusion
+// TestValidateErrorPaths pins the exact error text of every cross-field
 // and range rule Validate enforces. Exact strings matter here: operators
 // grep logs for them, and a refactor that merges two rules into one vague
 // message would silently degrade the diagnostics without failing any
@@ -41,12 +41,22 @@ func TestValidateErrorPaths(t *testing.T) {
 		{
 			name: "AQM with step ECN",
 			spec: Spec{Algorithm: "dctcp", AQM: "dualpi2", ECNThresholdPkts: 65},
-			want: "core: AQM dualpi2 and threshold ECN are mutually exclusive marking policies",
+			want: `controlplane: ECNThresholdPkts 65 and AQM "dualpi2" are two marking policies (ECNThresholdPkts N is AQM "ecn:k=N")`,
 		},
 		{
 			name: "AQM kind named in the error",
 			spec: Spec{Algorithm: "dctcp", AQM: "red:min=30000,max=90000", ECNThresholdPkts: 65},
-			want: "core: AQM red and threshold ECN are mutually exclusive marking policies",
+			want: `controlplane: ECNThresholdPkts 65 and AQM "red:min=30000,max=90000" are two marking policies (ECNThresholdPkts N is AQM "ecn:k=N")`,
+		},
+		{
+			name: "ECNThresholdPkts beside step ECN",
+			spec: Spec{Algorithm: "dctcp", AQM: "ecn:k=20", ECNThresholdPkts: 65},
+			want: `controlplane: ECNThresholdPkts 65 and AQM "ecn:k=20" are two marking policies (ECNThresholdPkts N is AQM "ecn:k=N")`,
+		},
+		{
+			name: "step ECN at zero packets",
+			spec: Spec{Algorithm: "dctcp", AQM: "ecn:k=0"},
+			want: `aqm: "ecn:k=0": k must be at least 1`,
 		},
 		{
 			name: "pattern victim beyond port count",
@@ -79,6 +89,10 @@ func TestValidateErrorPaths(t *testing.T) {
 		{
 			name: "step ECN without AQM is valid",
 			spec: Spec{Algorithm: "dctcp", ECNThresholdPkts: 65},
+		},
+		{
+			name: "step ECN by AQM is valid",
+			spec: Spec{Algorithm: "dctcp", AQM: "ecn:k=65"},
 		},
 		{
 			name: "negative ports",

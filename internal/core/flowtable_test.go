@@ -1,14 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"marlin/internal/aqm"
 	"marlin/internal/cc"
 	"marlin/internal/fabric"
-	"marlin/internal/netem"
 	"marlin/internal/packet"
 	"marlin/internal/race"
 	"marlin/internal/sim"
@@ -29,7 +32,7 @@ func lineRateTester(t *testing.T, topo string, sharedQueue bool, rx []int) *Test
 	params.InitCwnd, params.MaxCwnd = 256, 256
 	tr := newTester(t, Config{
 		Algorithm: mustAlg(t, "dctcp"), Params: params, DataPorts: 4, Topology: spec, Seed: 1,
-		ECN: netem.StepMarking(65, 1024), SharedQueue: sharedQueue,
+		AQM: aqm.Spec{Kind: aqm.KindECN, K: 65}, SharedQueue: sharedQueue,
 	})
 	for p, to := range rx {
 		if err := tr.StartFlow(packet.FlowID(p), p, to, 0); err != nil {
@@ -84,8 +87,10 @@ func TestPacketPathAllocatesNothing(t *testing.T) {
 // shrink as the run hops, the same slices allocate about 30 times, a count
 // that varies from run to run. The Go runtime allocates a little on its own
 // (an OS thread it starts when the world restarts after ReadMemStats, for
-// one), so a run that allocates is measured again, up to three times. The
-// same holds with Module A placed on the FPGA across the reserved port.
+// one), so a run that allocates is measured again, up to three times, and
+// each such run logs the stacks that allocated, telling the runtime's own
+// allocations apart from the packet path's. The same holds with Module A
+// placed on the FPGA across the reserved port.
 func TestPacketPathAllocatesNothingAcrossPs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -96,9 +101,11 @@ func TestPacketPathAllocatesNothingAcrossPs(t *testing.T) {
 	for _, onFPGA := range []bool{false, true} {
 		var n uint64
 		for range 3 {
-			if n = hoppingFaninAllocs(t, onFPGA); n == 0 {
+			var stacks string
+			if n, stacks = hoppingFaninAllocs(t, onFPGA); n == 0 {
 				break
 			}
+			t.Logf("receiver on FPGA %v: %d allocations, at:\n%s", onFPGA, n, stacks)
 		}
 		if n != 0 {
 			t.Errorf("receiver on FPGA %v: %d allocations in fan-in slices run by alternating goroutines, want 0", onFPGA, n)
@@ -108,8 +115,9 @@ func TestPacketPathAllocatesNothingAcrossPs(t *testing.T) {
 
 // hoppingFaninAllocs runs a fresh fan-in tester in 5us slices that two
 // goroutines take turns at, and returns the allocations of 800 slices after
-// a warm-up of 200.
-func hoppingFaninAllocs(t *testing.T, receiverOnFPGA bool) uint64 {
+// a warm-up of 200 and, when there are any, the stacks that made them: the
+// heap profile samples every allocation while the slices run.
+func hoppingFaninAllocs(t *testing.T, receiverOnFPGA bool) (uint64, string) {
 	const warm, slices = 200, 800
 	tr := faninTesterWith(t, receiverOnFPGA)
 	// Goroutine w runs the slices n with n%2 == w below stop, in order; the
@@ -145,11 +153,58 @@ func hoppingFaninAllocs(t *testing.T, receiverOnFPGA bool) uint64 {
 	}
 	runTo(warm)
 	runtime.GC() // starts the GC's workers, if this is the first
+	sites := allocSites()
 	var m0, m1 runtime.MemStats
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	runtime.ReadMemStats(&m0)
 	runTo(warm + slices)
 	runtime.ReadMemStats(&m1)
-	return m1.Mallocs - m0.Mallocs
+	n := m1.Mallocs - m0.Mallocs
+	if n == 0 {
+		return 0, ""
+	}
+	runtime.GC() // publishes the window's samples to the heap profile
+	return n, newAllocStacks(sites, allocSites())
+}
+
+// allocSites reads the heap profile: objects allocated so far, per stack.
+func allocSites() map[[32]uintptr]int64 {
+	n, _ := runtime.MemProfile(nil, true)
+	for {
+		recs := make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			sites := make(map[[32]uintptr]int64, n)
+			for _, r := range recs[:n] {
+				sites[r.Stack0] += r.AllocObjects
+			}
+			return sites
+		}
+	}
+}
+
+// newAllocStacks prints each stack that allocated between two allocSites
+// readings, with its count, sorted.
+func newAllocStacks(before, after map[[32]uintptr]int64) string {
+	var out []string
+	for stk, objs := range after {
+		if objs <= before[stk] {
+			continue
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "%d objects:\n", objs-before[stk])
+		rec := runtime.MemProfileRecord{Stack0: stk}
+		frames := runtime.CallersFrames(rec.Stack())
+		for more := true; more; {
+			var f runtime.Frame
+			f, more = frames.Next()
+			fmt.Fprintf(&b, "\t%s\n\t\t%s:%d\n", f.Function, f.File, f.Line)
+		}
+		out = append(out, b.String())
+	}
+	sort.Strings(out)
+	return strings.Join(out, "")
 }
 
 // An external (flood) flow's ID lies above every NIC flow, and above the
@@ -214,7 +269,7 @@ func faninTesterWith(t *testing.T, receiverOnFPGA bool) *Tester {
 	params.ScaleDCQCNTime(30)
 	tr := newTester(t, Config{
 		Algorithm: mustAlg(t, "dcqcn"), Params: params, DataPorts: 5, Seed: 1,
-		ECN: netem.StepMarking(65, 1024), NetQueueBytes: 8 << 20,
+		AQM: aqm.Spec{Kind: aqm.KindECN, K: 65}, NetQueueBytes: 8 << 20,
 		ReceiverOnFPGA: receiverOnFPGA,
 	})
 	for p := 0; p < 4; p++ {

@@ -59,12 +59,10 @@ type Config struct {
 	// LinkDelay is the one-way delay of each tested-network link
 	// (default 2 us).
 	LinkDelay sim.Duration
-	// ECN configures threshold marking at the tested network's egress
-	// queues. Mutually exclusive with AQM.
-	ECN netem.ECNConfig
-	// AQM deploys an active queue management discipline (RED, PIE, CoDel,
-	// PI2, DualPI2) on every tested-network egress queue instead of
-	// threshold marking. The zero value keeps drop-tail (+ ECN, if set).
+	// AQM is the marking policy of every tested-network egress queue:
+	// the paper's step ECN (aqm.KindECN, K in packets of the resolved
+	// MTU) or a discipline (RED, PIE, CoDel, PI2, DualPI2). The zero value
+	// keeps drop-tail without marking.
 	AQM aqm.Spec
 	// NetQueueBytes bounds each tested-network egress queue
 	// (default 256 KiB).
@@ -213,9 +211,6 @@ func Resolve(cfg Config) (Config, tofino.Plan, error) {
 	if !cfg.Topology.IsZero() && cfg.ExtraHops > 0 {
 		return cfg, tofino.Plan{}, fmt.Errorf("core: ExtraHops applies only to the canonical single-switch network; the %s fabric has real hops", cfg.Topology)
 	}
-	if cfg.AQM.Enabled() && cfg.ECN.Enable {
-		return cfg, tofino.Plan{}, fmt.Errorf("core: AQM %s and threshold ECN are mutually exclusive marking policies", cfg.AQM.Kind)
-	}
 	if cfg.MTU == 0 {
 		cfg.MTU = 1024
 	}
@@ -257,6 +252,16 @@ func Resolve(cfg Config) (Config, tofino.Plan, error) {
 	return cfg, plan, nil
 }
 
+// Marking splits a resolved config's marking policy into a tested-network
+// queue's two inputs: step ECN's byte threshold, compared inline, or a
+// discipline. It is the one place a step-ECN K becomes bytes.
+func (cfg Config) Marking() (netem.ECNConfig, aqm.Spec) {
+	if cfg.AQM.Kind == aqm.KindECN {
+		return netem.StepMarking(cfg.AQM.K, cfg.Params.MTU), aqm.Spec{}
+	}
+	return netem.ECNConfig{}, cfg.AQM
+}
+
 // deviceLink builds one of the 100 Gbps cables between the FPGA and the
 // switch (§3.1).
 func deviceLink(eng *sim.Engine, cfg Config, dst netem.Node) *netem.Link {
@@ -285,14 +290,15 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 	}
 
 	// The tested network routes by destination port, whatever its shape.
+	ecn, disc := cfg.Marking()
 	fcfg := fabric.Config{
 		Spec:       cfg.Topology,
 		Hosts:      cfg.DataPorts,
 		PortRate:   cfg.PortRate,
 		LinkDelay:  cfg.LinkDelay,
 		QueueBytes: cfg.NetQueueBytes,
-		ECN:        cfg.ECN,
-		AQM:        cfg.AQM,
+		ECN:        ecn,
+		AQM:        disc,
 		EnableINT:  cfg.EnableINT,
 		Jitter:     cfg.ForwardJitter,
 		ExtraHops:  cfg.ExtraHops,

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"marlin/internal/aqm"
 	"marlin/internal/cc"
 	"marlin/internal/fabric"
 	"marlin/internal/faults"
@@ -139,7 +140,7 @@ func TestFanInCongestionSharesFairly(t *testing.T) {
 	tr := newTester(t, Config{
 		Algorithm: mustAlg(t, "dctcp"),
 		DataPorts: 5,
-		ECN:       netem.StepMarking(65, 1024), // K=65 packets
+		AQM:       aqm.Spec{Kind: aqm.KindECN, K: 65}, // K=65 packets
 		Seed:      4,
 	})
 	for f := packet.FlowID(0); f < 4; f++ {
@@ -179,7 +180,7 @@ func TestDCQCNFanInConverges(t *testing.T) {
 		Algorithm: mustAlg(t, "dcqcn"),
 		Params:    params,
 		DataPorts: 5,
-		ECN:       netem.StepMarking(65, 1024),
+		AQM:       aqm.Spec{Kind: aqm.KindECN, K: 65},
 		Seed:      5,
 	})
 	for f := packet.FlowID(0); f < 4; f++ {
@@ -217,7 +218,7 @@ func TestStopFlowReleasesBandwidth(t *testing.T) {
 	tr := newTester(t, Config{
 		Algorithm: mustAlg(t, "dctcp"),
 		DataPorts: 3,
-		ECN:       netem.StepMarking(65, 1024),
+		AQM:       aqm.Spec{Kind: aqm.KindECN, K: 65},
 		Seed:      6,
 	})
 	tr.StartFlow(0, 0, 2, 0)
@@ -706,7 +707,7 @@ func TestECNMarksProbe(t *testing.T) {
 		Algorithm: mustAlg(t, "dctcp"),
 		DataPorts: 8,
 		Topology:  fabric.Spec{Kind: fabric.KindFatTree, K: 4},
-		ECN:       netem.StepMarking(4, 1024),
+		AQM:       aqm.Spec{Kind: aqm.KindECN, K: 4},
 		Seed:      3,
 	})
 	for f := 0; f < 6; f++ {
@@ -756,7 +757,7 @@ func TestOneIslandAccessorsReadTheDevices(t *testing.T) {
 	tr := newTester(t, Config{
 		Algorithm: mustAlg(t, "dctcp"),
 		DataPorts: 3,
-		ECN:       netem.StepMarking(65, 1024),
+		AQM:       aqm.Spec{Kind: aqm.KindECN, K: 65},
 		Seed:      9,
 	})
 	tr.ForwardLink(2).AddHook(netem.NewScript().DropOnce(0, 50).Hook)

@@ -33,22 +33,22 @@ func ExtAlgos(opts Options) (*Result, error) {
 			return nil, err
 		}
 		spec := &controlplane.Spec{
-			Algorithm:        name,
-			Ports:            flows + 1,
-			ECNThresholdPkts: 65,
-			Seed:             opts.Seed,
+			Algorithm: name,
+			Ports:     flows + 1,
+			Seed:      opts.Seed,
+		}
+		// Every leg marks at the paper's K but three. HPCC reads INT, not
+		// ECN. The loss-based legs model classic senders that did not
+		// negotiate ECN: both honour RFC 3168 ECE, so marking would park
+		// them at the threshold like DCTCP and erase the deep-queue/drop
+		// signature this comparison is after. The ECN-enabled coexistence
+		// case lives in examples/l4s.
+		if name != "cubic" && name != "reno" && name != "hpcc" {
+			spec.AQM = paperECN
 		}
 		switch {
-		case name == "cubic" || name == "reno":
-			// The loss-based legs model classic senders that did not
-			// negotiate ECN: both now honour RFC 3168 ECE, so marking
-			// would park them at the threshold like DCTCP and erase the
-			// deep-queue/drop signature this comparison is after. The
-			// ECN-enabled coexistence case lives in examples/l4s.
-			spec.ECNThresholdPkts = 0
 		case name == "hpcc":
 			spec.EnableINT = true
-			spec.ECNThresholdPkts = 0
 			params := cc.DefaultParams(100*sim.Gbps, 1024)
 			params.HPCCInitWnd = 32
 			spec.Params = &params

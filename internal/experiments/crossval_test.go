@@ -86,7 +86,7 @@ func TestHarnessReadsWorkOnPartitionedTester(t *testing.T) {
 	const flows, horizon = 3, 2 * sim.Millisecond
 	eng := sim.NewEngine()
 	tr, err := (&controlplane.Spec{
-		Algorithm: "dctcp", Ports: flows + 1, ECNThresholdPkts: 65,
+		Algorithm: "dctcp", Ports: flows + 1, AQM: paperECN,
 		Topology: "leafspine:2x2", Shards: 1, Seed: 1,
 	}).Deploy(eng)
 	if err != nil {

@@ -23,6 +23,10 @@ import (
 	"marlin/internal/sim"
 )
 
+// paperECN is the tested network's marking in every §7 experiment:
+// DCTCP-style step ECN at K = 65 packets, the DCTCP paper's K for 100G.
+const paperECN = "ecn:k=65"
+
 // Options tune an experiment run.
 type Options struct {
 	// Scale stretches horizons and flow counts toward paper scale

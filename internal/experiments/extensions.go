@@ -39,7 +39,7 @@ func ExtHPCC(opts Options) (*Result, error) {
 			Seed:      opts.Seed,
 		}
 		if algo == "dctcp" {
-			spec.ECNThresholdPkts = 65
+			spec.AQM = paperECN
 		}
 		if algo == "hpcc" {
 			// Start near the per-flow BDP share so the entry burst fits
@@ -109,13 +109,13 @@ func ExtPFC(opts Options) (*Result, error) {
 	for _, pfc := range []bool{false, true} {
 		eng := sim.NewEngine()
 		tr, err := (&controlplane.Spec{
-			Algorithm:        "dcqcn",
-			Ports:            flows + 1,
-			ECNThresholdPkts: 65,
-			NetQueueBytes:    256 << 10, // shallow: ~245 packets
-			EnablePFC:        pfc,
-			DCQCNTimeScale:   30 / opts.Scale,
-			Seed:             opts.Seed,
+			Algorithm:      "dcqcn",
+			Ports:          flows + 1,
+			AQM:            paperECN,
+			NetQueueBytes:  256 << 10, // shallow: ~245 packets
+			EnablePFC:      pfc,
+			DCQCNTimeScale: 30 / opts.Scale,
+			Seed:           opts.Seed,
 		}).Deploy(eng)
 		if err != nil {
 			return nil, err

@@ -36,11 +36,11 @@ func ExtLeafSpine(opts Options) (*Result, error) {
 	for _, algo := range []string{"dcqcn", "cubic"} {
 		eng := sim.NewEngine()
 		spec := &controlplane.Spec{
-			Algorithm:        algo,
-			Ports:            hosts,
-			Topology:         "leafspine:4x2",
-			ECNThresholdPkts: 65,
-			Seed:             opts.Seed,
+			Algorithm: algo,
+			Ports:     hosts,
+			Topology:  "leafspine:4x2",
+			AQM:       paperECN,
+			Seed:      opts.Seed,
 		}
 		if algo == "dcqcn" {
 			spec.DCQCNTimeScale = 30 / opts.Scale

@@ -43,11 +43,11 @@ func fig10Run(opts Options, algo string, res *Result) error {
 
 	eng := sim.NewEngine()
 	spec := &controlplane.Spec{
-		Algorithm:        algo,
-		ECNThresholdPkts: 65,
-		NetQueueBytes:    4 << 20,
-		DCQCNTimeScale:   10 / opts.Scale,
-		Seed:             opts.Seed,
+		Algorithm:      algo,
+		AQM:            paperECN,
+		NetQueueBytes:  4 << 20,
+		DCQCNTimeScale: 10 / opts.Scale,
+		Seed:           opts.Seed,
 	}
 	tr, err := spec.Deploy(eng)
 	if err != nil {

@@ -37,11 +37,11 @@ func fig8Run(opts Options, algo string, res *Result) error {
 
 	eng := sim.NewEngine()
 	spec := &controlplane.Spec{
-		Algorithm:        algo,
-		Ports:            flows + 1,
-		ECNThresholdPkts: 65, // DCTCP-paper-style K for 100G
-		Seed:             opts.Seed,
-		DCQCNTimeScale:   100 / opts.Scale,
+		Algorithm:      algo,
+		Ports:          flows + 1,
+		AQM:            paperECN,
+		Seed:           opts.Seed,
+		DCQCNTimeScale: 100 / opts.Scale,
 	}
 	if algo == "dcqcn" {
 		// RoCE fabrics are lossless (PFC); deep buffers stand in so ECN,

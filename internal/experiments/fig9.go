@@ -66,12 +66,12 @@ func fig9Run(opts Options, ncast int, res *Result) error {
 func fig9Marlin(opts Options, ncast int, horizon sim.Duration, dist *workload.SizeDist) ([]float64, error) {
 	eng := sim.NewEngine()
 	tr, err := (&controlplane.Spec{
-		Algorithm:        "dcqcn",
-		Ports:            ncast + 1,
-		ECNThresholdPkts: 65,
-		NetQueueBytes:    8 << 20,
-		DCQCNTimeScale:   10 / opts.Scale,
-		Seed:             opts.Seed,
+		Algorithm:      "dcqcn",
+		Ports:          ncast + 1,
+		AQM:            paperECN,
+		NetQueueBytes:  8 << 20,
+		DCQCNTimeScale: 10 / opts.Scale,
+		Seed:           opts.Seed,
 	}).Deploy(eng)
 	if err != nil {
 		return nil, err

@@ -28,10 +28,10 @@ func ExtOpenLoop(opts Options) (*Result, error) {
 	for _, load := range []float64{0.3, 0.5, 0.7, 0.9} {
 		eng := sim.NewEngine()
 		tr, err := (&controlplane.Spec{
-			Algorithm:        "dctcp",
-			Ports:            2,
-			ECNThresholdPkts: 65,
-			Seed:             opts.Seed,
+			Algorithm: "dctcp",
+			Ports:     2,
+			AQM:       paperECN,
+			Seed:      opts.Seed,
 		}).Deploy(eng)
 		if err != nil {
 			return nil, err

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"marlin/internal/aqm"
 	"marlin/internal/cc"
 	"marlin/internal/controlplane"
 	"marlin/internal/core"
@@ -81,7 +82,7 @@ func TableCapabilities(opts Options) (*Result, error) {
 		tr, err := core.New(eng, core.Config{
 			Algorithm: mustCC(algo),
 			DataPorts: 3,
-			ECN:       netem.StepMarking(65, 1024),
+			AQM:       aqm.Spec{Kind: aqm.KindECN, K: 65},
 			Seed:      opts.Seed,
 		})
 		if err != nil {

@@ -44,10 +44,10 @@ type Config struct {
 	LinkDelay sim.Duration
 	// QueueBytes bounds every switch egress queue (0 = netem default).
 	QueueBytes int
-	// ECN configures threshold marking at every switch egress queue.
+	// ECN configures step marking at every switch egress queue.
 	ECN netem.ECNConfig
 	// AQM deploys an active queue management discipline on every switch
-	// egress queue (zero = drop-tail + ECN).
+	// egress queue, superseding ECN (zero = drop-tail + ECN).
 	AQM aqm.Spec
 	// EnableINT stamps per-hop telemetry on DATA at every fabric link.
 	EnableINT bool

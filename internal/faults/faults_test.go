@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,9 +175,14 @@ func TestApplyBrownoutRestoresRate(t *testing.T) {
 }
 
 func TestLossBurstWindowedAndDeterministic(t *testing.T) {
-	run := func() (delivered, dropped uint64) {
+	// One arrival every 10us for 3ms: PSNs 100..199 arrive inside the
+	// [1ms, 2ms) window. run returns the PSNs the burst dropped; two runs
+	// must drop the same packets, not merely as many.
+	const n = 300
+	run := func() (dropped []uint32) {
 		eng := sim.NewEngine()
-		sink := netem.NodeFunc(func(p *packet.Packet) { delivered++; p.Release() })
+		var got [n]bool
+		sink := netem.NodeFunc(func(p *packet.Packet) { got[p.PSN] = true; p.Release() })
 		l := netem.NewLink(eng, netem.LinkConfig{Rate: 100 * sim.Gbps, QueueBytes: 1 << 24}, sink)
 		tgt := &stub{links: map[string]*netem.Link{"a->b": l}}
 		at, dur := sim.Time(sim.Millisecond), sim.Millisecond
@@ -184,30 +190,36 @@ func TestLossBurstWindowedAndDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Steady arrivals across the window boundaries.
-		for i := 0; i < 300; i++ {
+		for i := 0; i < n; i++ {
 			i := i
 			eng.ScheduleAt(sim.Time(i)*sim.Time(10*sim.Microsecond), func() {
 				l.Send(data(1, uint32(i)))
 			})
 		}
 		eng.RunAll()
-		return delivered, l.Stats().InjectedDrops
+		for psn, ok := range got {
+			if !ok {
+				dropped = append(dropped, uint32(psn))
+			}
+		}
+		if x := l.Stats().InjectedDrops; x != uint64(len(dropped)) {
+			t.Fatalf("%d PSNs missing, %d injected drops counted", len(dropped), x)
+		}
+		return dropped
 	}
-	d1, x1 := run()
-	d2, x2 := run()
-	if d1 != d2 || x1 != x2 {
-		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", d1, x1, d2, x2)
+	// The coin is the entry's seeded stream and nothing else: the k-th
+	// packet inside the window is dropped when the k-th draw is below prob.
+	rng := sim.NewRand(42)
+	var want []uint32
+	for psn := uint32(100); psn < 200; psn++ {
+		if rng.Float64() < 0.5 {
+			want = append(want, psn)
+		}
 	}
-	if x1 == 0 {
-		t.Fatal("loss burst dropped nothing")
-	}
-	// Packets outside [1ms, 2ms) must pass: 100 before, 100 after.
-	if d1 < 200 {
-		t.Fatalf("delivered %d, want >= 200 (outside-window packets must pass)", d1)
-	}
-	if d1+x1 != 300 {
-		t.Fatalf("delivered %d + dropped %d != 300", d1, x1)
+	for i, got := range [][]uint32{run(), run()} {
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d dropped PSNs %v, want %v", i, got, want)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ func TestPointApply(t *testing.T) {
 	if err := pt.Apply(&spec); err != nil {
 		t.Fatal(err)
 	}
-	if spec.Algorithm != "dcqcn" || spec.ECNThresholdPkts != 20 || !spec.EnablePFC {
+	if spec.Algorithm != "dcqcn" || spec.AQM != "ecn:k=20" || !spec.EnablePFC {
 		t.Errorf("Apply left spec %+v", spec)
 	}
 	if spec.LinkDelay != 2*sim.Microsecond {

@@ -86,11 +86,10 @@ func Generate(campaignSeed uint64, i int) Config {
 		sp.EnableINT = true
 	}
 
-	// Marking policy: drop-tail, step ECN, or an AQM discipline (the
-	// latter two are mutually exclusive by Validate).
+	// Marking policy: drop-tail, step ECN, or an AQM discipline.
 	switch rng.Intn(10) {
 	case 0, 1, 2:
-		sp.ECNThresholdPkts = 16 + rng.Intn(2)*49 // 16 or 65
+		sp.AQM = fmt.Sprintf("ecn:k=%d", 16+rng.Intn(2)*49) // 16 or 65
 	case 3, 4, 5:
 		sp.AQM = aqms[rng.Intn(len(aqms))]
 	}

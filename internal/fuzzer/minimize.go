@@ -38,26 +38,17 @@ func Minimize(cfg Config, oracle string) Config {
 	for changed := true; changed; {
 		changed = false
 
-		// Whole-subsystem removals.
-		if cfg.Spec.Pattern != "" {
-			c := cfg
-			c.Spec.Pattern = ""
-			changed = try(c) || changed
-		}
-		if cfg.Spec.Faults != "" {
-			c := cfg
-			c.Spec.Faults = ""
-			changed = try(c) || changed
-		}
-		if cfg.Spec.AQM != "" {
-			c := cfg
-			c.Spec.AQM = ""
-			changed = try(c) || changed
-		}
-		if cfg.Spec.ECNThresholdPkts != 0 {
-			c := cfg
-			c.Spec.ECNThresholdPkts = 0
-			changed = try(c) || changed
+		// Whole-subsystem removals: the traffic pattern, the fault plan and
+		// the marking policy.
+		for _, field := range []func(*Config) *string{
+			func(c *Config) *string { return &c.Spec.Pattern },
+			func(c *Config) *string { return &c.Spec.Faults },
+			func(c *Config) *string { return &c.Spec.AQM },
+		} {
+			if c := cfg; *field(&c) != "" {
+				*field(&c) = ""
+				changed = try(c) || changed
+			}
 		}
 		if cfg.Spec.Shards != 0 && oracle != OracleShardEquiv {
 			c := cfg

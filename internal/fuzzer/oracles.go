@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"marlin/internal/aqm"
 	"marlin/internal/packet"
 	"marlin/internal/scenario"
 	"marlin/internal/sim"
@@ -50,8 +51,9 @@ func (c *Config) quietEligible() bool {
 // seen as a 7-vs-4 injected-drop mismatch in a 100-config campaign).
 func (c *Config) scaleEligible() bool {
 	drops := slices.ContainsFunc(c.Actions, func(a scenario.Action) bool { return a.Kind == "drop" })
+	marking, _ := aqm.ParseSpec(c.Spec.AQM)
 	return c.quietEligible() && (c.Spec.Algorithm == "reno" || c.Spec.Algorithm == "dctcp") &&
-		c.Spec.AQM == "" && !drops
+		(marking.Kind == aqm.KindNone || marking.Kind == aqm.KindECN) && !drops
 }
 
 // permuteEligible reports whether relabeling flow IDs is an exact

@@ -259,21 +259,25 @@ func TestFCTRecorder(t *testing.T) {
 
 func TestHistogramBinsAndRender(t *testing.T) {
 	h := NewHistogram("us")
-	h.AddAll([]float64{1, 1.5, 3, 3.9, 100, 0})
-	if h.Count() != 6 {
+	h.AddAll([]float64{1, 1.5, 1.2, 3, 3.9, 100, 0})
+	if h.Count() != 7 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if m := h.Mean(); m < 18 || m > 19 {
+	if m := h.Mean(); m < 15.7 || m > 15.9 {
 		t.Fatalf("mean = %v", m)
 	}
-	out := h.Render(20)
-	for _, want := range []string{"n=6", "us", "#"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
+	// Buckets in ascending order, bars scaled to the fullest one. Render
+	// walks a map, so it is drawn repeatedly: each call must be the same.
+	want := "" +
+		"          -<=0        1      ######\n" +
+		"         1-2          3      ####################\n" +
+		"         2-4          2      #############\n" +
+		"        64-128        1      ######\n" +
+		"n=7 mean=15.8 min=0 max=100 us\n"
+	for range 20 {
+		if out := h.Render(20); out != want {
+			t.Fatalf("Render(20) =\n%s\nwant\n%s", out, want)
 		}
-	}
-	if strings.Count(out, "\n") < 4 {
-		t.Errorf("expected multiple bucket rows:\n%s", out)
 	}
 }
 

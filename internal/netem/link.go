@@ -93,7 +93,7 @@ type LinkConfig struct {
 	Delay sim.Duration
 	// QueueBytes bounds the ingress queue (0 = DefaultQueueCapacity).
 	QueueBytes int
-	// ECN configures marking at the ingress queue.
+	// ECN configures step marking at the ingress queue.
 	ECN ECNConfig
 	// EnableINT stamps each departing DATA packet with this hop's
 	// telemetry (queue depth, cumulative tx bytes, rate, timestamp) for
@@ -103,12 +103,12 @@ type LinkConfig struct {
 	// per packet; jitter exceeding the serialization gap reorders
 	// packets, exercising receiver out-of-order handling.
 	Jitter sim.Duration
-	// RNG seeds probabilistic marking; nil uses a fixed-seed stream.
+	// RNG seeds jitter and the AQM discipline; nil uses fixed-seed streams.
 	RNG *sim.Rand
 	// AQM attaches an active-queue-management discipline to the ingress
-	// queue, superseding the threshold-ECN config. The discipline's RNG
-	// is split off RNG at build time so its marking stream is independent
-	// of jitter and legacy-marking draws.
+	// queue, superseding the step-ECN config. The discipline's RNG is
+	// split off RNG at build time so its marking stream is independent of
+	// jitter draws.
 	AQM aqm.Spec
 }
 
@@ -125,7 +125,7 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, dst Node) *Link {
 		eng:       eng,
 		rate:      cfg.Rate,
 		delay:     cfg.Delay,
-		queue:     NewQueue(cfg.QueueBytes, cfg.ECN, cfg.RNG),
+		queue:     NewQueue(cfg.QueueBytes, cfg.ECN),
 		dst:       dst,
 		enableINT: cfg.EnableINT,
 		jitter:    cfg.Jitter,

@@ -9,7 +9,7 @@ import (
 
 func TestPFCConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	q := NewQueue(10000, ECNConfig{}, nil)
+	q := NewQueue(10000, ECNConfig{})
 	bad := []PFCConfig{
 		{XOFF: 0, XON: 0},
 		{XOFF: 100, XON: 100},   // XON >= XOFF

@@ -8,29 +8,20 @@ import (
 	"marlin/internal/sim"
 )
 
-// ECNConfig controls congestion marking at a queue.
-//
-// With KMin == KMax the queue performs DCTCP-style step marking: every
-// ECN-capable packet that arrives while the backlog is at least KMin bytes
-// is marked CE. With KMin < KMax the queue performs RED-style probabilistic
-// marking, ramping the mark probability linearly from 0 at KMin to PMax at
-// KMax and marking everything above KMax.
+// ECNConfig is DCTCP-style step marking at a queue: every ECN-capable
+// packet that arrives while the backlog is at least K bytes is marked CE.
+// A probabilistic marker is an AQM discipline (aqm's RED), not a config.
 type ECNConfig struct {
 	// Enable turns marking on.
 	Enable bool
-	// KMin is the backlog (bytes) where marking begins.
-	KMin int
-	// KMax is the backlog (bytes) where the probability reaches PMax.
-	KMax int
-	// PMax is the marking probability at KMax (0..1].
-	PMax float64
+	// K is the backlog (bytes) where marking begins.
+	K int
 }
 
-// StepMarking returns a DCTCP-style step-marking config with threshold k
-// expressed in packets of the given size.
+// StepMarking returns a step-marking config with threshold k expressed in
+// packets of the given size.
 func StepMarking(kPackets, packetSize int) ECNConfig {
-	k := kPackets * packetSize
-	return ECNConfig{Enable: true, KMin: k, KMax: k, PMax: 1}
+	return ECNConfig{Enable: true, K: kPackets * packetSize}
 }
 
 // QueueStats are the counters a drop-tail queue maintains; the control
@@ -163,24 +154,23 @@ func (h *sojournHist) quantile(q float64) sim.Duration {
 	return 0
 }
 
-// Queue is a byte-bounded FIFO with optional ECN marking and an optional
-// AQM discipline. It is the buffering stage in front of every emulated
-// link. Without a discipline it is a plain drop-tail queue with threshold
-// ECN; with one, admission and delivery run through the discipline's
+// Queue is a byte-bounded FIFO with optional step ECN marking and an
+// optional AQM discipline. It is the buffering stage in front of every
+// emulated link. Without a discipline it is a plain drop-tail queue with
+// step ECN; with one, admission and delivery run through the discipline's
 // OnEnqueue/OnDequeue verdicts and dual-queue disciplines split the
 // backlog into per-band FIFOs.
 type Queue struct {
 	// capacity bounds the backlog; zero means a 256 KiB default.
 	capacity int
 	ecn      ECNConfig
-	rng      *sim.Rand
 	// suppressMark disables ECN marking without touching the configured
 	// thresholds — an "ecnoff" fault that is exactly reversible. It
 	// applies to AQM verdicts too: a Mark from the discipline degrades to
 	// a drop, like a real AQM on a switch with ECN disabled.
 	suppressMark bool
 
-	// disc, when non-nil, replaces threshold ECN with an AQM discipline;
+	// disc, when non-nil, replaces step ECN with an AQM discipline;
 	// clock supplies sim time for sojourn stamping and controller steps.
 	disc   aqm.AQM
 	clock  func() sim.Time
@@ -209,20 +199,16 @@ func (q *Queue) OnBacklogChange(fn func(bytes int)) { q.onChange = fn }
 const DefaultQueueCapacity = 256 << 10
 
 // NewQueue creates a queue with the given byte capacity (0 selects
-// DefaultQueueCapacity) and marking config. rng is used only for RED-style
-// probabilistic marking and may be nil for step marking.
-func NewQueue(capacityBytes int, ecn ECNConfig, rng *sim.Rand) *Queue {
+// DefaultQueueCapacity) and step-marking config.
+func NewQueue(capacityBytes int, ecn ECNConfig) *Queue {
 	if capacityBytes <= 0 {
 		capacityBytes = DefaultQueueCapacity
 	}
-	if rng == nil {
-		rng = sim.NewRand(0x51ed)
-	}
-	return &Queue{capacity: capacityBytes, ecn: ecn, rng: rng, nbands: 1}
+	return &Queue{capacity: capacityBytes, ecn: ecn, nbands: 1}
 }
 
 // SetAQM attaches an AQM discipline and the sim clock that drives it.
-// The discipline supersedes the queue's threshold-ECN config; passing nil
+// The discipline supersedes the queue's step-ECN config; passing nil
 // restores plain drop-tail behaviour.
 func (q *Queue) SetAQM(disc aqm.AQM, clock func() sim.Time) {
 	q.disc, q.clock = disc, clock
@@ -234,9 +220,6 @@ func (q *Queue) SetAQM(disc aqm.AQM, clock func() sim.Time) {
 		}
 	}
 }
-
-// AQM returns the attached discipline, or nil.
-func (q *Queue) AQM() aqm.AQM { return q.disc }
 
 // view snapshots the backlog for the discipline.
 func (q *Queue) view() aqm.QueueView {
@@ -251,8 +234,8 @@ func (q *Queue) view() aqm.QueueView {
 	return v
 }
 
-// Enqueue appends p, applying drop-tail admission and either threshold ECN
-// or the attached discipline's verdict. It reports whether the packet was
+// Enqueue appends p, applying drop-tail admission and either step ECN or
+// the attached discipline's verdict. It reports whether the packet was
 // admitted; the caller keeps ownership (and must Release) when it was not.
 func (q *Queue) Enqueue(p *packet.Packet) bool {
 	if q.bytes+p.Size > q.capacity {
@@ -260,7 +243,7 @@ func (q *Queue) Enqueue(p *packet.Packet) bool {
 		return false
 	}
 	if q.disc == nil {
-		if q.shouldMark(p) {
+		if q.ecn.Enable && !q.suppressMark && p.Flags.Has(packet.FlagECNCapable) && q.bytes >= q.ecn.K {
 			p.Flags |= packet.FlagCE
 			q.stats.ECNMarks++
 		}
@@ -324,22 +307,6 @@ func (q *Queue) SuppressMarking(suppress bool) { q.suppressMark = suppress }
 
 // MarkingSuppressed reports whether the ecnoff override is active.
 func (q *Queue) MarkingSuppressed() bool { return q.suppressMark }
-
-func (q *Queue) shouldMark(p *packet.Packet) bool {
-	if !q.ecn.Enable || q.suppressMark || !p.Flags.Has(packet.FlagECNCapable) {
-		return false
-	}
-	backlog := q.bytes
-	switch {
-	case backlog < q.ecn.KMin:
-		return false
-	case backlog >= q.ecn.KMax:
-		return q.ecn.PMax >= 1 || q.rng.Float64() < q.ecn.PMax
-	default:
-		frac := float64(backlog-q.ecn.KMin) / float64(q.ecn.KMax-q.ecn.KMin)
-		return q.rng.Float64() < frac*q.ecn.PMax
-	}
-}
 
 // Dequeue removes and returns the oldest packet (per the discipline's band
 // scheduler, if any), or nil if empty. Discipline head drops (CoDel's

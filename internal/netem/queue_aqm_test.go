@@ -16,7 +16,7 @@ func aqmQueue(t *testing.T, specSrc string, capacity int, now *sim.Time) *Queue 
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewQueue(capacity, ECNConfig{}, sim.NewRand(1))
+	q := NewQueue(capacity, ECNConfig{})
 	q.SetAQM(s.Build(q.Capacity(), sim.NewRand(7)), func() sim.Time { return *now })
 	return q
 }
@@ -244,6 +244,65 @@ func TestAQMCoDelHeadDrop(t *testing.T) {
 	}
 	if live := packet.Live(); live != 0 {
 		t.Fatalf("leaked %d packets in head-drop path", live)
+	}
+}
+
+// fixedVerdict is a discipline that answers every arrival with enq and
+// every departure with deq.
+type fixedVerdict struct{ enq, deq aqm.Decision }
+
+func (fixedVerdict) Name() string                         { return "fixed" }
+func (fixedVerdict) Bands() int                           { return 1 }
+func (fixedVerdict) Classify(*packet.Packet) int          { return 0 }
+func (fixedVerdict) PickBand(aqm.QueueView, sim.Time) int { return 0 }
+func (f fixedVerdict) OnEnqueue(*packet.Packet, int, aqm.QueueView, sim.Time) aqm.Decision {
+	return f.enq
+}
+func (f fixedVerdict) OnDequeue(*packet.Packet, int, sim.Duration, aqm.QueueView, sim.Time) aqm.Decision {
+	return f.deq
+}
+
+// TestAQMDropBytes: every discipline drop path counts the dropped packet's
+// bytes, read before the packet is released: an enqueue Drop, a Mark that
+// falls back to a drop (marking suppressed, or a Not-ECT packet), and a
+// dequeue head drop (CoDel's).
+func TestAQMDropBytes(t *testing.T) {
+	packet.SetAccounting(true)
+	defer packet.SetAccounting(false)
+	for _, c := range []struct {
+		name     string
+		disc     fixedVerdict
+		suppress bool
+		ect      packet.ECT
+	}{
+		{"enqueue drop", fixedVerdict{enq: aqm.Drop}, false, packet.ECT0},
+		{"mark under ecnoff", fixedVerdict{enq: aqm.Mark}, true, packet.ECT0},
+		{"mark on Not-ECT", fixedVerdict{enq: aqm.Mark}, false, packet.NotECT},
+		{"head drop", fixedVerdict{deq: aqm.Drop}, false, packet.ECT0},
+	} {
+		q := NewQueue(1<<20, ECNConfig{})
+		q.SetAQM(c.disc, func() sim.Time { return 0 })
+		q.SuppressMarking(c.suppress)
+		var bytes uint64
+		for i := 0; i < 5; i++ {
+			p := packet.NewDataECT(1, uint32(i), 100+10*i, 0, c.ect)
+			bytes += uint64(p.Size)
+			if !q.Enqueue(p) {
+				p.Release()
+			}
+		}
+		if p := q.Dequeue(); p != nil {
+			t.Errorf("%s: delivered PSN %d", c.name, p.PSN)
+			p.Release()
+		}
+		st := q.Stats()
+		if st.Drops != 5 || st.DropBytes != bytes || q.AQMStats().Drops != 5 {
+			t.Errorf("%s: Drops %d, DropBytes %d, AQM drops %d; want 5, %d, 5",
+				c.name, st.Drops, st.DropBytes, q.AQMStats().Drops, bytes)
+		}
+	}
+	if live := packet.Live(); live != 0 {
+		t.Fatalf("leaked %d packets through AQM drop paths", live)
 	}
 }
 

@@ -40,6 +40,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("set aqm red:min=30000,max=90000,pmax=0.02\nrun 1ms")
 	f.Add("set aqm codel:target=50us,interval=1ms\nset algo cubic\nrun 1ms\nexpect sojourn_p99_us >= 0")
 	f.Add("set aqm pie:target=20us,tupdate=50us\nset aqm pi2:target=20us\nrun 1ms")
+	// Step ECN in its spellings, which print as one ecn line.
+	f.Add("set aqm ecn\nset ecn 0\nset aqm ecn:k=020\nrun 1ms")
 	// Seeds the structural oracle needs and the old length-only oracle
 	// could not tell apart: a drop range whose endpoints must survive the
 	// round trip (psnA/psnB, not just "one action"), a single-psn drop

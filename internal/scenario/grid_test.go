@@ -59,6 +59,21 @@ report completions total_gbps
 	}
 }
 
+// An aqm axis replaces a step ECN set before it, point by point: each
+// point runs its discipline (sojourn_p99_us reads only a discipline's
+// queues). A set ecn once stayed beside every point's AQM, and no point
+// validated.
+func TestSweepAQMReplacesStepECN(t *testing.T) {
+	s := mustParse(t, "set algo dctcp\nset ports 3\nset ecn 65\nsweep aqm pi2,red\nat 0ms fanin\nrun 200us\nreport sojourn_p99_us")
+	rep, err := s.RunWith(fleet.Options{Workers: 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Table.Rows) != 2 || rep.Table.Rows[0][0] != "pi2" || rep.Table.Rows[1][0] != "red" {
+		t.Errorf("rows %v, want one per discipline", rep.Table.Rows)
+	}
+}
+
 // A point that cannot run reads "error" in every metric column, a note
 // says why, and RunWith returns the report with the count.
 func TestSweepFailedPointIsReported(t *testing.T) {

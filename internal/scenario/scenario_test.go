@@ -214,7 +214,7 @@ set fpgarecv off
 run 1ms
 `)
 	if s.Spec.Algorithm != "dcqcn" || s.Spec.Ports != 4 || s.Spec.MTU != 1500 ||
-		s.Spec.ECNThresholdPkts != 20 || s.Spec.NetQueueBytes != 1048576 ||
+		s.Spec.AQM != "ecn:k=20" || s.Spec.NetQueueBytes != 1048576 ||
 		s.Spec.Seed != 42 || s.Spec.DCQCNTimeScale != 30 ||
 		s.Spec.Receiver != "roce" || !s.Spec.EnablePFC || !s.Spec.EnableINT ||
 		s.Spec.ReceiverOnFPGA {
@@ -459,11 +459,14 @@ func TestScenarioSetAQMValidates(t *testing.T) {
 			t.Errorf("%s: err = %v, want contains %q", c.name, err, c.want)
 		}
 	}
-	// AQM and step-ECN are mutually exclusive marking policies; the clash
-	// surfaces when the spec is validated at deploy time.
-	s := mustParse(t, "set algo dctcp\nset ecn 65\nset aqm pi2\nrun 1ms")
-	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("err = %v, want mutual-exclusion error", err)
+	// ecn and aqm write the one marking policy: the later set wins.
+	for src, want := range map[string]string{
+		"set algo dctcp\nset ecn 65\nset aqm pi2\nrun 1ms": "pi2",
+		"set algo dctcp\nset aqm pi2\nset ecn 65\nrun 1ms": "ecn:k=65",
+	} {
+		if s := mustParse(t, src); s.Spec.AQM != want || s.Spec.Validate() != nil {
+			t.Errorf("%q: AQM %q (%v), want %q", src, s.Spec.AQM, s.Spec.Validate(), want)
+		}
 	}
 }
 

@@ -254,7 +254,7 @@ func TestCaptureOnPartitionedBuild(t *testing.T) {
 	capture := func(shards int) []byte {
 		tr, err := marlin.NewTester(marlin.TestConfig{
 			Algorithm: "dctcp", Ports: 4, Topology: "leafspine:2x2",
-			Shards: shards, ECNThresholdPkts: 65, Seed: 1,
+			Shards: shards, AQM: "ecn:k=65", Seed: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -302,10 +302,10 @@ func TestCBRIgnoresCongestion(t *testing.T) {
 	// shallow queue drops heavily — the behaviour a CC-unaware tester
 	// (R1 unmet) would inflict on the network under test.
 	tr, err := marlin.NewTester(marlin.TestConfig{
-		Algorithm:        "cbr",
-		Ports:            3,
-		ECNThresholdPkts: 65,
-		Seed:             6,
+		Algorithm: "cbr",
+		Ports:     3,
+		AQM:       "ecn:k=65",
+		Seed:      6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +460,7 @@ func TestFleetPublicAPI(t *testing.T) {
 			seed := marlin.DeriveSeed(42, id)
 			jobs[i] = marlin.FleetJob{ID: id, Run: func() (*marlin.FleetOutput, error) {
 				tester, err := marlin.NewTester(marlin.TestConfig{
-					Algorithm: "dctcp", Ports: 2, ECNThresholdPkts: 65, Seed: seed,
+					Algorithm: "dctcp", Ports: 2, AQM: "ecn:k=65", Seed: seed,
 				})
 				if err != nil {
 					return nil, err
