@@ -18,7 +18,8 @@ import (
 // `-axis KEY=v1,v2`, the marlinctl flags and the fuzzer's repro scripts all
 // go through Set, Settings and BindFlags, so a new knob is a Spec field, a
 // row here and its line in compile. PortRate, Params and ECNThresholdPkts
-// have no row (see DESIGN.md "Configuration surface") and stay API-only.
+// have no row (see DESIGN.md "Configuration surface") and stay API-only;
+// Settings lists ECNThresholdPkts under ecn, the key that sets its value.
 type knob struct {
 	name, help string
 	isBool     bool // a bare -name flag means "on"
@@ -32,8 +33,7 @@ var knobs = []knob{
 	intKnob("ports", "data ports (0 = the device plan's maximum)", func(s *Spec) *int { return &s.Ports }),
 	intKnob("flows", "flows per sender port", func(s *Spec) *int { return &s.FlowsPerPort }),
 	strKnob("receiver", "receiver logic, tcp or roce (empty = the algorithm's own)", func(s *Spec) *string { return &s.Receiver }, verbatim),
-	{name: "ecn", help: `step ECN at K packets, shorthand for aqm "ecn:k=K" (0 = no step ECN)`, set: setECN,
-		get: func(s *Spec) string { return stepK(s.AQM) }},
+	{name: "ecn", help: `step ECN at K packets, shorthand for aqm "ecn:k=K" (0 = no step ECN)`, set: setECN, get: getECN},
 	newKnob("aqm", `marking policy of the tested network's queues: a discipline, e.g. "pi2" or "dualpi2:target=25us,tupdate=100us,step=50us", or step ECN "ecn:k=65" (empty = drop-tail)`, func(s *Spec) *string { return &s.AQM },
 		stepCanonical, func(v string) string {
 			if stepK(v) != "" {
@@ -71,6 +71,16 @@ func setECN(s *Spec, v string) error {
 		s.AQM = ""
 	}
 	return nil
+}
+
+// getECN lists step ECN under ecn, whether AQM holds it or the Go-built
+// spelling ECNThresholdPkts does (compile refuses the two together), so a
+// spec printed as a script keeps its marking.
+func getECN(s *Spec) string {
+	if s.AQM == "" && s.ECNThresholdPkts > 0 {
+		return strconv.Itoa(s.ECNThresholdPkts)
+	}
+	return stepK(s.AQM)
 }
 
 // stepCanonical takes an aqm value that compiles, writing step ECN in
@@ -166,7 +176,8 @@ type Setting struct {
 
 // Settings lists every field that differs from the zero Spec, in table
 // order; applying the list to a zero Spec with Set reproduces s (the
-// API-only fields aside, and a step-ECN AQM in its "ecn:k=N" spelling).
+// API-only fields aside, and step ECN, whether set as ECNThresholdPkts or
+// as AQM, in its AQM spelling "ecn:k=N").
 func (s *Spec) Settings() []Setting {
 	var out []Setting
 	for _, k := range knobs {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -169,6 +171,34 @@ func TestStepECNShorthand(t *testing.T) {
 	var s Spec
 	if err := s.Set("ecn", "-1"); err == nil || err.Error() != `bad ecn "-1"` {
 		t.Errorf("ecn -1: %v", err)
+	}
+}
+
+// A Go-built spec's ECNThresholdPkts is listed under ecn, so the script a
+// spec prints (a fuzz repro) reads back through Set to the same marking.
+func TestSettingsListECNThresholdPkts(t *testing.T) {
+	for _, s := range []Spec{
+		{Algorithm: "dctcp", ECNThresholdPkts: 65},
+		{Algorithm: "dcqcn", Ports: 4, ECNThresholdPkts: 8, Topology: "leafspine:2x2"},
+	} {
+		list := s.Settings()
+		if want := (Setting{"ecn", strconv.Itoa(s.ECNThresholdPkts)}); !slices.Contains(list, want) {
+			t.Errorf("%+v: Settings() = %v, want it to list %v", s, list, want)
+		}
+		back := replay(t, list)
+		cs, err := s.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := back.compile()
+		if err != nil {
+			t.Fatalf("replayed %v: %v", list, err)
+		}
+		we, wa := cs.cfg.Marking()
+		ge, ga := cb.cfg.Marking()
+		if ge != we || ga != wa || !we.Enable {
+			t.Errorf("%+v: replayed marking %+v %v, want %+v %v", s, ge, ga, we, wa)
+		}
 	}
 }
 

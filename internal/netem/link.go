@@ -63,7 +63,7 @@ type Link struct {
 	eng       *sim.Engine
 	rate      sim.Rate
 	delay     sim.Duration
-	queue     *Queue
+	queue     Queue
 	dst       Node
 	remote    Remote
 	hooks     []Hook
@@ -125,7 +125,7 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, dst Node) *Link {
 		eng:       eng,
 		rate:      cfg.Rate,
 		delay:     cfg.Delay,
-		queue:     NewQueue(cfg.QueueBytes, cfg.ECN),
+		queue:     newQueue(cfg.QueueBytes, cfg.ECN),
 		dst:       dst,
 		enableINT: cfg.EnableINT,
 		jitter:    cfg.Jitter,
@@ -169,7 +169,7 @@ func (l *Link) Rate() sim.Rate { return l.rate }
 func (l *Link) Delay() sim.Duration { return l.delay }
 
 // Queue exposes the ingress queue for configuration inspection and stats.
-func (l *Link) Queue() *Queue { return l.queue }
+func (l *Link) Queue() *Queue { return &l.queue }
 
 // Stats returns a snapshot of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }

@@ -81,6 +81,69 @@ func TestQueueCompaction(t *testing.T) {
 	}
 }
 
+// A band rewinds to the front of its array whenever it empties, so a
+// lightly loaded queue's array grows with its peak depth, not with the
+// packets that pass through it; a backlog that never drains still
+// compacts. Order, Len and Bytes stay right through drain, refill and
+// compaction.
+func TestQueueRewindsWhenEmpty(t *testing.T) {
+	q := NewQueue(1<<24, ECNConfig{})
+	var model []*packet.Packet // the expected backlog, head first
+	bytes := 0
+	next := uint32(0)
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			p := data(1, next, 64+int(next%7)*100)
+			next++
+			if !q.Enqueue(p) {
+				t.Fatalf("enqueue of PSN %d rejected", p.PSN)
+			}
+			model = append(model, p)
+			bytes += p.Size
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			p := q.Dequeue()
+			if p == nil || p != model[0] {
+				t.Fatalf("dequeued %v, want PSN %d", p, model[0].PSN)
+			}
+			model = model[1:]
+			bytes -= p.Size
+			if q.Len() != len(model) || q.Bytes() != bytes {
+				t.Fatalf("after PSN %d: Len %d Bytes %d, want %d %d", p.PSN, q.Len(), q.Bytes(), len(model), bytes)
+			}
+			p.Release()
+		}
+	}
+	band := &q.bands[0]
+
+	for round := 0; round < 1000; round++ { // light load: three deep at most
+		push(3)
+		pop(3)
+		if band.head != 0 || len(band.buf) != 0 {
+			t.Fatalf("round %d: an empty band holds head %d, len %d", round, band.head, len(band.buf))
+		}
+	}
+	if c := cap(band.buf); c > 4 {
+		t.Fatalf("3,000 packets three deep grew the band to %d slots, want <= 4", c)
+	}
+
+	for round := 0; round < 50; round++ { // a backlog that never drains
+		push(40)
+		pop(35)
+	}
+	if len(band.buf) > 2*len(model)+64 {
+		t.Fatalf("standing backlog of %d packets holds %d slots: no compaction", len(model), len(band.buf))
+	}
+	pop(len(model))
+	if q.Dequeue() != nil || band.head != 0 || len(band.buf) != 0 {
+		t.Fatalf("drained band holds head %d, len %d", band.head, len(band.buf))
+	}
+	push(10) // refill from the front of the kept array
+	pop(10)
+}
+
 func TestQueueStepMarking(t *testing.T) {
 	// Step marking at K = 2 packets of 100B: the third and later arrivals
 	// see backlog >= 200 and get CE.

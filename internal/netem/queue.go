@@ -58,7 +58,10 @@ type AQMStats struct {
 	SojournP99Us [aqm.MaxBands]float64
 }
 
-// pktFIFO is one queue band: a pointer FIFO with amortized-O(1) compaction.
+// pktFIFO is one queue band: a pointer FIFO that rewinds to the front of
+// its array whenever it empties, so the array grows with the band's peak
+// depth rather than with the packets that pass through it, and compacts in
+// amortized O(1) when a backlog never drains.
 type pktFIFO struct {
 	head  int
 	buf   []*packet.Packet
@@ -77,8 +80,11 @@ func (f *pktFIFO) pop() *packet.Packet {
 	p := f.buf[f.head]
 	f.buf[f.head] = nil
 	f.head++
-	// Compact once the dead prefix dominates, keeping amortized O(1).
-	if f.head > 64 && f.head*2 >= len(f.buf) {
+	// Rewind when empty; otherwise compact once the dead prefix
+	// dominates, keeping amortized O(1).
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	} else if f.head > 64 && f.head*2 >= len(f.buf) {
 		n := copy(f.buf, f.buf[f.head:])
 		f.buf = f.buf[:n]
 		f.head = 0
@@ -201,10 +207,16 @@ const DefaultQueueCapacity = 256 << 10
 // NewQueue creates a queue with the given byte capacity (0 selects
 // DefaultQueueCapacity) and step-marking config.
 func NewQueue(capacityBytes int, ecn ECNConfig) *Queue {
+	q := newQueue(capacityBytes, ecn)
+	return &q
+}
+
+// newQueue is NewQueue's value, for owners that hold their queue in place.
+func newQueue(capacityBytes int, ecn ECNConfig) Queue {
 	if capacityBytes <= 0 {
 		capacityBytes = DefaultQueueCapacity
 	}
-	return &Queue{capacity: capacityBytes, ecn: ecn, nbands: 1}
+	return Queue{capacity: capacityBytes, ecn: ecn, nbands: 1}
 }
 
 // SetAQM attaches an AQM discipline and the sim clock that drives it.

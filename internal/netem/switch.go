@@ -151,6 +151,7 @@ func (s *Switch) Stats() Stats {
 		RxPackets: s.rxPkts,
 		Unrouted:  s.lost,
 		Misroutes: s.misroutes,
+		Ports:     make([]PortStats, 0, len(s.out)),
 	}
 	for i, l := range s.out {
 		q := l.Queue()

@@ -19,6 +19,7 @@
 package packet
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -263,7 +264,19 @@ var pool = sync.Pool{New: func() any { return new(Packet) }}
 // island goroutines, therefore uses the shared pool.
 type Pool struct {
 	free []*Packet
+	// slab is the size of the last slab Get allocated: a cold pool grows
+	// in slabs of 8, 16, 32 and then 64 packets, so a short test pays a
+	// handful of allocations for its packets, not one each.
+	slab int
 }
+
+// Slab bounds for a Pool's growth: a small first slab keeps a tester that
+// moves few packets small, and the cap keeps a slab's spare packets to a
+// fraction of what a busy tester holds in flight anyway.
+const (
+	minSlab = 8
+	maxSlab = 64
+)
 
 // accounting, when non-zero, makes Get/Release maintain the live-packet
 // counter. It is a test-only facility for pool-ownership audits: production
@@ -302,12 +315,27 @@ func (q *Pool) Get() *Packet {
 	}
 	n := len(q.free)
 	if n == 0 {
-		return &Packet{pool: q}
+		return q.grow()
 	}
 	p := q.free[n-1]
 	q.free[n-1] = nil
 	q.free = q.free[:n-1]
 	return p
+}
+
+// grow allocates the next slab, keeps its first packet for the caller and
+// puts the rest on the free list, last first, so Get hands them out in
+// address order.
+func (q *Pool) grow() *Packet {
+	q.slab = min(max(minSlab, 2*q.slab), maxSlab)
+	slab := make([]Packet, q.slab)
+	q.free = slices.Grow(q.free, len(slab)-1)
+	for i := len(slab) - 1; i > 0; i-- {
+		slab[i].pool = q
+		q.free = append(q.free, &slab[i])
+	}
+	slab[0].pool = q
+	return &slab[0]
 }
 
 // Release returns p to the pool it came from once it reaches end-of-life.

@@ -231,8 +231,10 @@ type Engine struct {
 	farCnt   int
 	// overflow holds events that were beyond level 1 when scheduled.
 	overflow eventHeap
-	// free is the intrusive event free list.
+	// free is the intrusive event free list, and slab the size of the
+	// last slab alloc carved it from.
 	free *event
+	slab int
 	// slots holds the head of each wheel list — the numSlots level-0 slots,
 	// then the numFrames level-1 frames, frame f at numSlots+f&frameMask —
 	// and bitmap one occupancy bit per list. Order within a list is
@@ -313,12 +315,28 @@ func (h Handle) Cancel() bool {
 	return true
 }
 
-// alloc takes an event from the free list, or the heap allocator on a cold
-// start.
+// Slab bounds for the event free list's growth: a cold engine allocates
+// its events 8, 16, 32 and then 64 at a time, so a short test pays a few
+// allocations for its events rather than one each, and a tester that
+// schedules little stays small.
+const (
+	minSlab = 8
+	maxSlab = 64
+)
+
+// alloc takes an event from the free list, or on a cold start carves the
+// next slab and links all but the one it returns onto the free list.
 func (e *Engine) alloc() *event {
 	ev := e.free
 	if ev == nil {
-		return &event{eng: e}
+		e.slab = min(max(minSlab, 2*e.slab), maxSlab)
+		slab := make([]event, e.slab)
+		for i := len(slab) - 1; i > 0; i-- {
+			slab[i] = event{eng: e, where: locFree, next: e.free}
+			e.free = &slab[i]
+		}
+		slab[0].eng = e
+		return &slab[0]
 	}
 	e.free = ev.next
 	ev.next = nil

@@ -346,14 +346,58 @@ func TestFreshEngineSlotsAllocateNothing(t *testing.T) {
 		t.Errorf("Schedule then Cancel on a fresh engine: %v allocs, want 0", a)
 	}
 	// What every short test pays for its event core: the only allocations
-	// are the engine, the four event records, the ready heap's first growth
-	// and runFreshEngine's own gap table and tick.
+	// are the engine, one slab of event records, the ready heap's first
+	// growth and runFreshEngine's own gap table and tick.
 	var ran uint64
 	if a := testing.AllocsPerRun(20, func() { ran = runFreshEngine() }); a > 16 {
 		t.Errorf("fresh engine run to 250us: %v allocs, want <= 16", a)
 	}
 	if ran < 10_000 {
 		t.Fatalf("fresh engine ran %d events to 250us, want >= 10000", ran)
+	}
+}
+
+// A cold engine carves its event records from slabs of 8, 16, 32 and then
+// 64, so scheduling 1,000 events costs the engine and one allocation a
+// slab, not one an event; a zero Engine grows the same way. A Handle kept
+// past its event still fails to Cancel once the slab record is reused.
+func TestEngineGrowsEventsBySlab(t *testing.T) {
+	const n = 1000
+	fn := func() {}
+	schedule := func(e *Engine) {
+		for i := 1; i <= n; i++ {
+			e.Schedule(Duration(i)*slotWidth, fn) // wheel slots: no container storage
+		}
+	}
+	if a, most := testing.AllocsPerRun(5, func() { schedule(NewEngine()) }), float64((n+63)/64+3); a > most {
+		t.Errorf("a cold engine scheduling %d events: %v allocs, want <= %v", n, a, most)
+	}
+	var e Engine
+	schedule(&e)
+	if e.Pending() != n || e.slab != maxSlab {
+		t.Fatalf("zero Engine: %d pending, last slab %d; want %d, %d", e.Pending(), e.slab, n, maxSlab)
+	}
+	if got := e.RunAll(); got != n {
+		t.Fatalf("zero Engine ran %d events, want %d", got, n)
+	}
+
+	stale := e.Schedule(slotWidth, fn)
+	if !stale.Cancel() {
+		t.Fatal("Cancel of a pending event reported false")
+	}
+	fresh := e.Schedule(slotWidth, fn)
+	if fresh.ev != stale.ev {
+		t.Fatal("the free list did not hand back the cancelled record")
+	}
+	if stale.Armed() || stale.Cancel() {
+		t.Fatal("a stale Handle into a reused slab record is armed or cancels it")
+	}
+	if !fresh.Armed() || e.Pending() != 1 {
+		t.Fatalf("the reused record's own Handle: armed %v, %d pending", fresh.Armed(), e.Pending())
+	}
+	e.RunAll()
+	if fresh.Cancel() {
+		t.Fatal("Cancel of a fired event reported true")
 	}
 }
 

@@ -1,6 +1,8 @@
 package tofino
 
 import (
+	"slices"
+
 	"marlin/internal/flowtab"
 	"marlin/internal/netem"
 	"marlin/internal/packet"
@@ -33,10 +35,19 @@ func (m ReceiverMode) String() string {
 // DATA packet" (§3.2).
 type rxFlow struct {
 	expected uint32
-	cnpSent  bool
-	nacked   bool
-	ooo      map[uint32]struct{}
-	lastCNP  sim.Time
+	// ooo is one more than the index of the flow's out-of-order set in
+	// Receiver.sets, or 0 while the flow has no gap.
+	ooo     uint32
+	cnpSent bool
+	nacked  bool
+	lastCNP sim.Time
+}
+
+// oooSet is a TCP flow's buffered out-of-order PSNs: psns[head:] in
+// sequence order, each after the flow's expected PSN and none twice.
+type oooSet struct {
+	psns []uint32
+	head int
 }
 
 // Receiver is Module A (§4.1), defined once and run in either of two
@@ -57,6 +68,13 @@ type Receiver struct {
 	pool        *packet.Pool
 	flows       flowtab.Table[rxFlow]
 	ackOut      []netem.Node
+
+	// sets holds the out-of-order sets of the TCP flows with a gap, and
+	// spare the indices of drained ones, which keep their capacity: a
+	// receive row stays 24 B, and a warm receiver buffers reordering
+	// without allocating.
+	sets  []oooSet
+	spare []uint32
 
 	ackTx  uint64
 	cnpTx  uint64
@@ -85,6 +103,9 @@ func (r *Receiver) ConnectAck(port int, out netem.Node) {
 // Reset clears a flow's receive state so its slot can be reused.
 func (r *Receiver) Reset(id packet.FlowID) {
 	if f := r.flows.Get(id); f != nil {
+		if f.ooo != 0 {
+			r.freeSet(f)
+		}
 		*f = rxFlow{}
 	}
 }
@@ -109,24 +130,14 @@ func (r *Receiver) onData(port int, p *packet.Packet) {
 	switch {
 	case p.PSN == f.expected:
 		f.expected++
-		if r.mode == TCPReceiver {
-			// Drain buffered out-of-order segments.
-			for len(f.ooo) > 0 {
-				if _, ok := f.ooo[f.expected]; !ok {
-					break
-				}
-				delete(f.ooo, f.expected)
-				f.expected++
-			}
+		if f.ooo != 0 { // only a TCP receiver buffers
+			r.drain(f)
 		}
 		f.nacked = false
 	case seqAfter(p.PSN, f.expected):
 		r.oooRx++
 		if r.mode == TCPReceiver {
-			if f.ooo == nil {
-				f.ooo = make(map[uint32]struct{})
-			}
-			f.ooo[p.PSN] = struct{}{}
+			r.buffer(f, p.PSN)
 		} else {
 			// Go-back-N: discard and NACK once per gap episode.
 			if !f.nacked {
@@ -147,6 +158,52 @@ func (r *Receiver) onData(port int, p *packet.Packet) {
 		r.maybeCNP(port, p, f)
 	}
 	r.sendAck(port, p, f.expected, ce)
+}
+
+// buffer adds psn, which follows f.expected, to f's out-of-order set,
+// taking a set for f if it has none; a PSN already buffered is dropped.
+func (r *Receiver) buffer(f *rxFlow, psn uint32) {
+	if f.ooo == 0 {
+		if n := len(r.spare); n > 0 {
+			f.ooo = r.spare[n-1]
+			r.spare = r.spare[:n-1]
+		} else {
+			r.sets = append(r.sets, oooSet{})
+			f.ooo = uint32(len(r.sets))
+		}
+	}
+	s := &r.sets[f.ooo-1]
+	i, dup := slices.BinarySearchFunc(s.psns[s.head:], psn, seqCmp)
+	if dup {
+		return
+	}
+	if s.head > 0 && len(s.psns) == cap(s.psns) {
+		s.psns = s.psns[:copy(s.psns, s.psns[s.head:])]
+		s.head = 0
+	}
+	s.psns = slices.Insert(s.psns, s.head+i, psn)
+}
+
+// drain advances f.expected over the buffered PSNs that now follow it in
+// order, and gives the set back once it is empty.
+func (r *Receiver) drain(f *rxFlow) {
+	s := &r.sets[f.ooo-1]
+	for s.head < len(s.psns) && s.psns[s.head] == f.expected {
+		s.head++
+		f.expected++
+	}
+	if s.head == len(s.psns) {
+		r.freeSet(f)
+	}
+}
+
+// freeSet empties f's out-of-order set and keeps it, with its capacity,
+// for the next flow that sees a gap.
+func (r *Receiver) freeSet(f *rxFlow) {
+	s := &r.sets[f.ooo-1]
+	s.psns, s.head = s.psns[:0], 0
+	r.spare = append(r.spare, f.ooo)
+	f.ooo = 0
 }
 
 // sendAck emits the acknowledgement by truncating and rewriting the DATA
@@ -228,3 +285,7 @@ func (r *Receiver) out(port int) netem.Node {
 
 // seqAfter reports whether a follows b in 32-bit circular sequence space.
 func seqAfter(a, b uint32) bool { return int32(a-b) > 0 }
+
+// seqCmp orders PSNs in circular sequence space, for sets that span less
+// than half of it.
+func seqCmp(a, b uint32) int { return int(int32(a - b)) }

@@ -156,8 +156,8 @@ func TestPipelineSizedByUse(t *testing.T) {
 	}
 }
 
-// The receive row keeps its bools beside the expected PSN, in the padding a
-// uint32 leaves before the map: 24 B a flow.
+// The receive row keeps the expected PSN, the index of its out-of-order set
+// and its bools in one word before the CNP time: 24 B a flow.
 func TestReceiveRowSize(t *testing.T) {
 	if got := unsafe.Sizeof(rxFlow{}); got > 24 {
 		t.Errorf("rxFlow is %d B, want <= 24", got)

@@ -6,6 +6,7 @@ import (
 
 	"marlin/internal/netem"
 	"marlin/internal/packet"
+	"marlin/internal/race"
 	"marlin/internal/sim"
 )
 
@@ -465,6 +466,132 @@ func TestResetFlowClearsReceiverState(t *testing.T) {
 	rx.Receive(packet.NewData(1, 0, 1024, 0)) // reused flow slot, new flow
 	if last := acks[len(acks)-1]; last.Ack != 1 {
 		t.Fatalf("ack after reset = %d, want 1", last.Ack)
+	}
+}
+
+// refTCPReceiver is the TCP receiver's cumulative-ACK rule written with a
+// map for its out-of-order buffer, the way Module A kept it before the
+// buffer became a sorted PSN list: what it acknowledges and counts is the
+// contract the list must keep.
+type refTCPReceiver struct {
+	expected map[packet.FlowID]uint32
+	ooo      map[packet.FlowID]map[uint32]bool
+	oooRx    uint64
+	dupRx    uint64
+}
+
+func (m *refTCPReceiver) onData(flow packet.FlowID, psn uint32) uint32 {
+	exp, buf := m.expected[flow], m.ooo[flow]
+	switch {
+	case psn == exp:
+		exp++
+		for buf[exp] {
+			delete(buf, exp)
+			exp++
+		}
+	case seqAfter(psn, exp):
+		m.oooRx++
+		if buf == nil {
+			buf = map[uint32]bool{}
+			m.ooo[flow] = buf
+		}
+		buf[psn] = true
+	default:
+		m.dupRx++
+	}
+	m.expected[flow] = exp
+	return exp
+}
+
+func (m *refTCPReceiver) reset(flow packet.FlowID) {
+	delete(m.expected, flow)
+	delete(m.ooo, flow)
+}
+
+// Three flows' PSN streams, each reordered within a sliding window and
+// laced with duplicates of buffered, acknowledged and future PSNs, with
+// resets of a flow that holds a gap: every ACK and the ooo and duplicate
+// counters match the map-based reference.
+func TestReceiverTCPReorderedStreamMatchesReference(t *testing.T) {
+	_, pl := buildPipeline(t, Config{Receiver: TCPReceiver})
+	var got []uint32
+	pl.ConnectAckPort(0, netem.NodeFunc(func(p *packet.Packet) {
+		got = append(got, p.Ack)
+		p.Release()
+	}))
+	rx := pl.DataIn(0)
+	ref := &refTCPReceiver{expected: map[packet.FlowID]uint32{}, ooo: map[packet.FlowID]map[uint32]bool{}}
+	rng := sim.NewRand(47)
+	var next [3]uint32 // the next fresh PSN of each flow
+	var want []uint32
+	send := func(flow packet.FlowID, psn uint32) {
+		want = append(want, ref.onData(flow, psn))
+		rx.Receive(packet.NewData(flow, psn, 1024, 0))
+	}
+	for step := 0; step < 20_000; step++ {
+		flow := packet.FlowID(rng.Intn(3))
+		switch r := rng.Intn(100); {
+		case r < 2 && flow == 2: // a restarted flow, often mid-gap
+			pl.ResetFlow(flow)
+			ref.reset(flow)
+			next[flow] = 0
+		case r < 10: // a duplicate of a recent PSN, acknowledged or not
+			if next[flow] > 0 {
+				send(flow, next[flow]-1-uint32(rng.Intn(int(min(next[flow], 16)))))
+			}
+		case r < 40: // a PSN from up to 8 ahead, leaving a gap
+			send(flow, next[flow]+uint32(rng.Intn(8)))
+		default: // the next PSN in order
+			send(flow, next[flow])
+			next[flow]++
+		}
+		if e := ref.expected[flow]; seqAfter(e, next[flow]) {
+			next[flow] = e
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d ACKs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ACK %d acknowledges %d, want %d", i, got[i], want[i])
+		}
+	}
+	c := pl.Counters()
+	if c.OutOfOrderRx != ref.oooRx || c.DuplicateRx != ref.dupRx {
+		t.Fatalf("ooo %d dup %d, want %d %d", c.OutOfOrderRx, c.DuplicateRx, ref.oooRx, ref.dupRx)
+	}
+	if ref.oooRx < 1000 || ref.dupRx < 1000 {
+		t.Fatalf("the stream exercised too little: %d ooo, %d dup", ref.oooRx, ref.dupRx)
+	}
+}
+
+// Once a receiver has buffered a gap, later gaps reuse the buffer, across
+// drains and flow resets alike: a warm reordered flow allocates nothing,
+// and neither does the next flow in its slot.
+func TestReceiverWarmReorderingAllocatesNothing(t *testing.T) {
+	pool := new(packet.Pool)
+	_, pl := buildPipeline(t, Config{Receiver: TCPReceiver, Pool: pool})
+	pl.ConnectAckPort(0, netem.NodeFunc(func(p *packet.Packet) { p.Release() }))
+	rx := pl.DataIn(0)
+	window := func() {
+		for base := uint32(0); base < 16; base += 8 {
+			for _, off := range [...]uint32{3, 1, 5, 2, 4, 1, 0, 6, 7} {
+				rx.Receive(pool.NewData(1, base+off, 1024, 0))
+			}
+		}
+		rx.Receive(pool.NewData(1, 20, 1024, 0)) // a gap left open
+		pl.ResetFlow(1)
+	}
+	window()
+	if race.Enabled {
+		t.Skip("the race runtime allocates shadow state")
+	}
+	if a := testing.AllocsPerRun(100, window); a != 0 {
+		t.Fatalf("a warm reordered flow allocated %v times a window, want 0", a)
+	}
+	if c := pl.Counters(); c.OutOfOrderRx == 0 || c.AckTx != c.DataRx {
+		t.Fatalf("counters %+v: no reordering, or an ACK short", c)
 	}
 }
 
