@@ -42,6 +42,10 @@ type island struct {
 	nic  *fpga.NIC
 	sche *netem.Link
 	info *netem.Link
+	// links holds the island's cables in build order: SCHE and INFO, the
+	// reserved-port pair when Module A is on the FPGA, then one reverse
+	// ACK link a data port. It is sized when the island is built.
+	links []netem.Link
 }
 
 // newIsland builds the devices serving partition part's nports data ports
@@ -87,12 +91,32 @@ func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan, 
 	}
 	// Device interconnect: one 100 Gbps cable carrying SCHE one way and
 	// INFO the other (§3.1).
-	isl := &island{part: part, eng: eng, pl: pl, nic: nic}
-	isl.sche = deviceLink(eng, cfg, pl.ScheIn())
+	cables := 2 + nports
+	if cfg.ReceiverOnFPGA {
+		cables += 2
+	}
+	isl := &island{part: part, eng: eng, pl: pl, nic: nic, links: make([]netem.Link, 0, cables)}
+	isl.sche = isl.deviceLink(cfg, pl.ScheIn())
 	nic.ConnectSche(isl.sche)
-	isl.info = deviceLink(eng, cfg, nic.InfoIn())
+	isl.info = isl.deviceLink(cfg, nic.InfoIn())
 	pl.ConnectInfo(isl.info)
 	return isl, nil
+}
+
+// link places the island's next cable, delivering to dst.
+func (isl *island) link(cfg netem.LinkConfig, dst netem.Node) *netem.Link {
+	isl.links = isl.links[:len(isl.links)+1]
+	l := &isl.links[len(isl.links)-1]
+	l.Init(isl.eng, cfg, dst)
+	return l
+}
+
+// deviceLink places one of the 100 Gbps cables between the FPGA and the
+// switch (§3.1).
+func (isl *island) deviceLink(cfg Config, dst netem.Node) *netem.Link {
+	return isl.link(netem.LinkConfig{
+		Rate: cfg.PortRate, Delay: 200 * sim.Nanosecond, QueueBytes: 1 << 20,
+	}, dst)
 }
 
 // owner returns the island holding a flow's TX-side state, or nil for a

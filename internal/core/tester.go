@@ -262,14 +262,6 @@ func (cfg Config) Marking() (netem.ECNConfig, aqm.Spec) {
 	return netem.ECNConfig{}, cfg.AQM
 }
 
-// deviceLink builds one of the 100 Gbps cables between the FPGA and the
-// switch (§3.1).
-func deviceLink(eng *sim.Engine, cfg Config, dst netem.Node) *netem.Link {
-	return netem.NewLink(eng, netem.LinkConfig{
-		Rate: cfg.PortRate, Delay: 200 * sim.Nanosecond, QueueBytes: 1 << 20,
-	}, dst)
-}
-
 // New builds and wires a tester: the island plan, each island's slice of
 // the tester hardware, the tested network, and the reverse ACK paths. With
 // Shards == 0 the plan is one island on eng holding every port; with
@@ -363,13 +355,13 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 		// Module A, placed on the FPGA, and one cable carrying every port's
 		// ACK/NACK/CNP responses back to the switch, which routes them by
 		// arrival port.
-		pl := t.islands[0].pl
-		recv := pl.Receiver()
-		back := deviceLink(eng, cfg, pl.FPGAAckIn())
+		isl := t.islands[0]
+		recv := isl.pl.Receiver()
+		back := isl.deviceLink(cfg, isl.pl.FPGAAckIn())
 		for p := range cfg.DataPorts {
 			recv.ConnectAck(p, back)
 		}
-		pl.ConnectRxForward(deviceLink(eng, cfg, recv.Node()))
+		isl.pl.ConnectRxForward(isl.deviceLink(cfg, recv.Node()))
 	}
 
 	// Tested network, of whatever shape: tester -> Fab -> tester.
@@ -384,7 +376,7 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 	revs := make([]*netem.Link, cfg.DataPorts)
 	for p, isl := range t.portIsland {
 		isl.pl.ConnectDataPort(t.portLocal[p], t.Fab.HostUplink(p))
-		revs[p] = netem.NewLink(isl.eng, netem.LinkConfig{
+		revs[p] = isl.link(netem.LinkConfig{
 			Rate: cfg.PortRate, Delay: revDelay, QueueBytes: 1 << 20,
 		}, isl.pl.AckIn())
 		isl.pl.ConnectAckPort(t.portLocal[p], revs[p])

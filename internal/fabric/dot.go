@@ -27,18 +27,18 @@ func (f *Fabric) DOTBody(b *strings.Builder, hostNode func(h int) string) {
 	}
 	for _, n := range f.switches {
 		for port, peer := range n.peers {
-			if strings.HasPrefix(peer, "host") {
+			if peer < 0 {
 				continue // host edges are drawn below, against hostNode
 			}
 			c := n.s.PortCounters(port)
 			fmt.Fprintf(b, "  %s -> %s [label=\"p%d: %d pkts\"];\n",
-				dotID(n.name), dotID(peer), port, c.TxPackets)
+				dotID(n.name), dotID(f.switches[peer].name), port, c.TxPackets)
 		}
 	}
 	for h := 0; h < f.cfg.Hosts; h++ {
-		leaf := f.switches[f.hostSw[h]]
-		up := f.uplinks[h].Stats()
-		down := leaf.s.PortCounters(f.hostPort[h])
+		leaf := f.switches[f.hosts[h].sw]
+		up := f.hosts[h].up.Stats()
+		down := leaf.s.PortCounters(f.hosts[h].port)
 		fmt.Fprintf(b, "  %s -> %s [label=\"DATA h%d: %d pkts\"];\n",
 			hostNode(h), dotID(leaf.name), h, up.TxPackets)
 		fmt.Fprintf(b, "  %s -> %s [label=\"to h%d: %d pkts\"];\n",

@@ -84,31 +84,50 @@ type Config struct {
 	Remote func(srcEng, dstEng *sim.Engine, dst netem.Node) netem.Remote
 }
 
-// sw is one fabric switch plus the bookkeeping the builder needs: the
-// downstream peer name per output port, the ECMP uplink group, and the
-// links feeding the switch (the PFC upstream set).
+// sw is one fabric switch plus the bookkeeping the builder needs: the far
+// end of each output port (peers: a switch index, or -1-h for host h), the
+// ECMP uplink group (ports ecmpLo up to ecmpLo+ecmpN), the links feeding the
+// switch (the PFC upstream set), and the link slab its engine builds from.
 type sw struct {
-	s         *netem.Switch
-	name      string
-	idx       int
-	route     netem.RouteFunc
-	peers     []string
-	ecmpPorts []int
-	inLinks   []*netem.Link
+	s       netem.Switch
+	name    string
+	idx     int
+	slab    int
+	peers   []int
+	ecmpLo  int
+	ecmpN   int
+	inLinks []*netem.Link
+}
+
+// host is where host h attaches: its leaf's index and the leaf's port
+// toward it, and the host's uplink into that port.
+type host struct {
+	sw, port int
+	up       *netem.Link
+}
+
+// linkSlab holds every link built on one engine, in build order. It is
+// sized from the shape before anything is wired, so it never grows.
+type linkSlab struct {
+	eng   *sim.Engine
+	links []netem.Link
 }
 
 // Fabric is a built tested network.
 type Fabric struct {
 	cfg      Config
 	switches []*sw
-	uplinks  []*netem.Link
-	hostSw   []int // switch index owning host h's downlink
-	hostPort []int // port index of host h's downlink on that switch
+	hosts    []host
+	slabs    []linkSlab
 	pfcs     []*netem.PFC
-	rng      *sim.Rand
+	rng      sim.Rand
+	nsw      int // switches named so far
 }
 
-// Build wires the fabric described by cfg.
+// Build wires the fabric described by cfg. It counts the shape's switches,
+// ports and links first (Spec.SwitchPorts), then places every switch in one
+// slab and every link in one slab per engine, so the network costs a
+// handful of allocations plus a few a switch, none a link.
 func Build(eng *sim.Engine, cfg Config) (*Fabric, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
@@ -136,24 +155,23 @@ func Build(eng *sim.Engine, cfg Config) (*Fabric, error) {
 		seed ^= 0xfab21c0de
 	}
 	f := &Fabric{
-		cfg:      cfg,
-		uplinks:  make([]*netem.Link, cfg.Hosts),
-		hostSw:   make([]int, cfg.Hosts),
-		hostPort: make([]int, cfg.Hosts),
-		rng:      sim.NewRand(seed),
+		cfg:   cfg,
+		hosts: make([]host, cfg.Hosts),
+		rng:   sim.MakeRand(seed),
 	}
+	f.layout(eng)
 	var err error
 	switch cfg.Spec.Kind {
 	case "":
-		f.buildSingle(eng)
+		f.buildSingle()
 	case KindDumbbell:
-		err = f.buildDumbbell(eng)
+		f.buildDumbbell()
 	case KindLeafSpine:
-		err = f.buildLeafSpine(eng)
+		f.buildLeafSpine()
 	case KindFatTree:
-		err = f.buildFatTree(eng)
+		err = f.buildFatTree()
 	case KindParkingLot:
-		err = f.buildParkingLot(eng)
+		f.buildParkingLot()
 	default:
 		err = fmt.Errorf("fabric: unknown topology %q", cfg.Spec.Kind)
 	}
@@ -173,6 +191,54 @@ func Build(eng *sim.Engine, cfg Config) (*Fabric, error) {
 	return f, nil
 }
 
+// layout sizes the fabric from its shape before any link exists: one slab
+// of switches, each built for its port count, one array of peers and one of
+// PFC upstream links shared out among them, and one link slab per engine
+// (a switch's output ports, and its hosts' ExtraHops and uplinks, live on
+// its engine), so islands run on links of their own.
+func (f *Fabric) layout(eng *sim.Engine) {
+	spec, hosts := f.cfg.Spec, f.cfg.Hosts
+	sws := make([]sw, spec.Switches())
+	f.switches = make([]*sw, len(sws))
+	ports := 0
+	for i := range sws {
+		ports += spec.SwitchPorts(i, hosts)
+	}
+	// Every port is one end of a bidirectional pair, or a host's downlink
+	// paired with its uplink, so a switch is fed by as many links as it
+	// has ports.
+	peers := make([]int, ports)
+	in := make([]*netem.Link, ports)
+	need := make([]int, 0, 1)
+	for i := range sws {
+		np := spec.SwitchPorts(i, hosts)
+		n := &sws[i]
+		n.idx = i
+		n.peers, peers = peers[:0:np], peers[np:]
+		n.inLinks, in = in[:0:np], in[np:]
+		e := eng
+		if f.cfg.Engines != nil {
+			e = f.cfg.Engines(i)
+		}
+		n.slab = len(f.slabs)
+		for k, s := range f.slabs {
+			if s.eng == e {
+				n.slab = k
+				break
+			}
+		}
+		if n.slab == len(f.slabs) {
+			f.slabs = append(f.slabs, linkSlab{eng: e})
+			need = append(need, 0)
+		}
+		need[n.slab] += np + spec.localHosts(i, hosts)*(f.cfg.ExtraHops+1)
+		f.switches[i] = n
+	}
+	for k := range f.slabs {
+		f.slabs[k].links = make([]netem.Link, 0, need[k])
+	}
+}
+
 // ecmpPick deterministically selects among n equal-cost next hops. It is a
 // pure splitmix64-style finalizer over (seed, flow, hop): no generator
 // state, so the choice is independent of packet arrival order, and every
@@ -186,31 +252,36 @@ func ecmpPick(seed uint64, flow packet.FlowID, hop uint64, n int) int {
 	return int(z % uint64(n))
 }
 
-// addSwitch creates a switch whose routing defers to n.route, set by the
-// topology builder after the graph is wired.
+// addSwitch names the next switch in build order and sets it up for its
+// port count (its peers' capacity); the topology builder gives it its route
+// once the graph is wired.
 func (f *Fabric) addSwitch(name string) *sw {
-	n := &sw{name: name, idx: len(f.switches)}
-	n.s = netem.NewSwitch(name, func(p *packet.Packet) int { return n.route(p) })
-	f.switches = append(f.switches, n)
+	n := f.switches[f.nsw]
+	f.nsw++
+	n.name = name
+	n.s.Init(name, nil, cap(n.peers))
 	return n
 }
 
-// engineOf resolves the engine a switch runs on: the per-partition mapping
-// when one is configured, else the build engine.
-func (f *Fabric) engineOf(eng *sim.Engine, n *sw) *sim.Engine {
-	if f.cfg.Engines == nil {
-		return eng
-	}
-	return f.cfg.Engines(n.idx)
+// link places the next link of n's engine slab, delivering to dst.
+func (f *Fabric) link(n *sw, cfg netem.LinkConfig, dst netem.Node) *netem.Link {
+	s := &f.slabs[n.slab]
+	s.links = s.links[:len(s.links)+1]
+	l := &s.links[len(s.links)-1]
+	l.Init(s.eng, cfg, dst)
+	return l
 }
 
-// trunkCfg is the link config for inter-switch links.
-func (f *Fabric) trunkCfg() netem.LinkConfig {
-	return netem.LinkConfig{
+// trunk places an inter-switch-class link on n's engine: a trunk, a host
+// downlink or an ExtraHops link. Each starts its marking and jitter stream
+// from the next draw of the fabric's seed stream.
+func (f *Fabric) trunk(n *sw, jitter sim.Duration, dst netem.Node) *netem.Link {
+	rng := sim.MakeRand(f.rng.Uint64())
+	return f.link(n, netem.LinkConfig{
 		Rate: f.cfg.PortRate, Delay: f.cfg.LinkDelay,
 		QueueBytes: f.cfg.QueueBytes, ECN: f.cfg.ECN, AQM: f.cfg.AQM,
-		EnableINT: f.cfg.EnableINT, RNG: f.rng.Split(),
-	}
+		EnableINT: f.cfg.EnableINT, Jitter: jitter, RNG: &rng,
+	}, dst)
 }
 
 // connect adds an output port on a toward b, attributing RX at b to port
@@ -218,41 +289,34 @@ func (f *Fabric) trunkCfg() netem.LinkConfig {
 // upstream set. When a and b live on different engines the link is built
 // in remote mode: queueing, serialization, and INT stay on a's engine, and
 // the drained packet crosses to b through the configured Remote endpoint.
-// It returns a's new port index.
-func (f *Fabric) connect(eng *sim.Engine, a, b *sw, bPort int) int {
-	aEng, bEng := f.engineOf(eng, a), f.engineOf(eng, b)
+func (f *Fabric) connect(a, b *sw, bPort int) {
 	in := b.s.PortIn(bPort)
-	var i int
-	if aEng == bEng {
-		i = a.s.AddPort(aEng, f.trunkCfg(), in)
+	var l *netem.Link
+	if aEng, bEng := f.slabs[a.slab].eng, f.slabs[b.slab].eng; aEng == bEng {
+		l = f.trunk(a, 0, in)
 	} else {
 		if f.cfg.Remote == nil {
 			panic(fmt.Sprintf("fabric: %s and %s split across engines with no Remote factory", a.name, b.name))
 		}
-		i = a.s.AddPort(aEng, f.trunkCfg(), nil)
-		a.s.Port(i).SetRemote(f.cfg.Remote(aEng, bEng, in))
+		l = f.trunk(a, 0, nil)
+		l.SetRemote(f.cfg.Remote(aEng, bEng, in))
 	}
-	a.peers = append(a.peers, b.name)
-	b.inLinks = append(b.inLinks, a.s.Port(i))
-	return i
+	a.s.AddLink(l)
+	a.peers = append(a.peers, b.idx)
+	b.inLinks = append(b.inLinks, l)
 }
 
 // attachHost gives host h its downlink (an output port on leaf toward the
 // host's sink, behind any ExtraHops links) and its uplink (a standalone
 // link from the tester into the leaf, attributed to the same port).
-func (f *Fabric) attachHost(eng *sim.Engine, leaf *sw, leafIdx, h int) {
-	eng = f.engineOf(eng, leaf)
+func (f *Fabric) attachHost(leaf *sw, h int) {
 	// Built back to front so packets traverse the chain in order.
 	sink := f.cfg.Sinks[h]
 	for i := 0; i < f.cfg.ExtraHops; i++ {
-		sink = netem.NewLink(eng, f.trunkCfg(), sink)
+		sink = f.trunk(leaf, 0, sink)
 	}
-	cfg := f.trunkCfg()
-	cfg.Jitter = f.cfg.Jitter
-	port := leaf.s.AddPort(eng, cfg, sink)
-	leaf.peers = append(leaf.peers, fmt.Sprintf("host%d", h))
-	f.hostSw[h] = leafIdx
-	f.hostPort[h] = port
+	port := leaf.s.AddLink(f.trunk(leaf, f.cfg.Jitter, sink))
+	leaf.peers = append(leaf.peers, -1-h)
 
 	upQueue := f.cfg.QueueBytes
 	if f.cfg.EnablePFC && upQueue < 4<<20 {
@@ -260,12 +324,20 @@ func (f *Fabric) attachHost(eng *sim.Engine, leaf *sw, leafIdx, h int) {
 		// room so losslessness holds end to end.
 		upQueue = 4 << 20
 	}
-	up := netem.NewLink(eng, netem.LinkConfig{
+	up := f.link(leaf, netem.LinkConfig{
 		Rate: f.cfg.PortRate, Delay: f.cfg.LinkDelay, QueueBytes: upQueue,
 		EnableINT: f.cfg.EnableINT,
 	}, leaf.s.PortIn(port))
 	leaf.inLinks = append(leaf.inLinks, up)
-	f.uplinks[h] = up
+	f.hosts[h] = host{sw: leaf.idx, port: port, up: up}
+}
+
+// attachHosts attaches every host that lives on leaf-tier switch leaf, in
+// ascending order.
+func (f *Fabric) attachHosts(leaf *sw) {
+	for h := leaf.idx; h < f.cfg.Hosts; h += f.cfg.Spec.leafTier() {
+		f.attachHost(leaf, h)
+	}
 }
 
 // dst resolves a packet's destination host, clamping unknown and
@@ -308,16 +380,24 @@ func (f *Fabric) Spec() Spec { return f.cfg.Spec }
 
 // HostUplink returns the link carrying host h's traffic into the fabric;
 // the tester connects its data port h to it.
-func (f *Fabric) HostUplink(h int) *netem.Link { return f.uplinks[h] }
+func (f *Fabric) HostUplink(h int) *netem.Link { return f.hosts[h].up }
 
 // HostDownlink returns the fabric's last-hop link toward host h; loss and
 // ECN scripts attach here (§7.1).
 func (f *Fabric) HostDownlink(h int) *netem.Link {
-	return f.switches[f.hostSw[h]].s.Port(f.hostPort[h])
+	return f.switches[f.hosts[h].sw].s.Port(f.hosts[h].port)
 }
 
 // HostLeaf returns the name of the switch host h attaches to.
-func (f *Fabric) HostLeaf(h int) string { return f.switches[f.hostSw[h]].name }
+func (f *Fabric) HostLeaf(h int) string { return f.switches[f.hosts[h].sw].name }
+
+// peerName names the far end of a port: a switch, or hostN.
+func (f *Fabric) peerName(peer int) string {
+	if peer < 0 {
+		return "host" + strconv.Itoa(-1-peer)
+	}
+	return f.switches[peer].name
+}
 
 // ResolveLink maps a directed "src->dst" endpoint pair onto the link that
 // carries traffic from src to dst. Endpoints are switch names as the
@@ -333,16 +413,16 @@ func (f *Fabric) ResolveLink(name string) (*netem.Link, error) {
 		if h < 0 || h >= f.cfg.Hosts {
 			return nil, fmt.Errorf("fabric: no such host in %q (have %d hosts)", name, f.cfg.Hosts)
 		}
-		if leaf := f.switches[f.hostSw[h]].name; dst != leaf {
+		if leaf := f.HostLeaf(h); dst != leaf {
 			return nil, fmt.Errorf("fabric: host%d attaches to %s, not %s", h, leaf, dst)
 		}
-		return f.uplinks[h], nil
+		return f.hosts[h].up, nil
 	}
 	if h, isHost := parseHost(dst); isHost {
 		if h < 0 || h >= f.cfg.Hosts {
 			return nil, fmt.Errorf("fabric: no such host in %q (have %d hosts)", name, f.cfg.Hosts)
 		}
-		if leaf := f.switches[f.hostSw[h]].name; src != leaf {
+		if leaf := f.HostLeaf(h); src != leaf {
 			return nil, fmt.Errorf("fabric: host%d attaches to %s, not %s", h, leaf, src)
 		}
 		return f.HostDownlink(h), nil
@@ -351,13 +431,16 @@ func (f *Fabric) ResolveLink(name string) (*netem.Link, error) {
 		if n.name != src {
 			continue
 		}
+		// A host destination returned above, so only a switch can match.
+		names := make([]string, len(n.peers))
 		for port, peer := range n.peers {
-			if peer == dst {
+			if peer >= 0 && f.switches[peer].name == dst {
 				return n.s.Port(port), nil
 			}
+			names[port] = f.peerName(peer)
 		}
 		return nil, fmt.Errorf("fabric: %s has no link toward %s (peers: %s)",
-			src, dst, strings.Join(n.peers, " "))
+			src, dst, strings.Join(names, " "))
 	}
 	return nil, fmt.Errorf("fabric: no switch named %q", src)
 }
@@ -369,11 +452,11 @@ func (f *Fabric) LinkNames() []string {
 	var out []string
 	for _, n := range f.switches {
 		for _, peer := range n.peers {
-			out = append(out, n.name+"->"+peer)
+			out = append(out, n.name+"->"+f.peerName(peer))
 		}
 	}
 	for h := 0; h < f.cfg.Hosts; h++ {
-		out = append(out, fmt.Sprintf("host%d->%s", h, f.switches[f.hostSw[h]].name))
+		out = append(out, fmt.Sprintf("host%d->%s", h, f.HostLeaf(h)))
 	}
 	return out
 }
@@ -395,7 +478,7 @@ func parseHost(s string) (int, bool) {
 func (f *Fabric) Switches() []*netem.Switch {
 	out := make([]*netem.Switch, len(f.switches))
 	for i, n := range f.switches {
-		out[i] = n.s
+		out[i] = &n.s
 	}
 	return out
 }
@@ -444,10 +527,10 @@ type PathCounter struct {
 func (f *Fabric) ECMPPaths() []PathCounter {
 	var out []PathCounter
 	for _, n := range f.switches {
-		for _, port := range n.ecmpPorts {
+		for port := n.ecmpLo; port < n.ecmpLo+n.ecmpN; port++ {
 			c := n.s.PortCounters(port)
 			out = append(out, PathCounter{
-				Switch: n.name, Port: port, Next: n.peers[port],
+				Switch: n.name, Port: port, Next: f.peerName(n.peers[port]),
 				TxPackets: c.TxPackets, TxBytes: c.TxBytes,
 			})
 		}

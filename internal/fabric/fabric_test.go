@@ -7,6 +7,7 @@ import (
 
 	"marlin/internal/netem"
 	"marlin/internal/packet"
+	"marlin/internal/race"
 	"marlin/internal/sim"
 )
 
@@ -514,6 +515,47 @@ func TestSpecSizeBound(t *testing.T) {
 		f, _ := build(t, sim.NewEngine(), spec, 1, nil, nil)
 		if got := len(f.Switches()); got != spec.Switches() {
 			t.Errorf("%s built %d switches, want %d", text, got, spec.Switches())
+		}
+	}
+}
+
+// Build lays a network out from its shape (Spec.SwitchPorts) before wiring
+// it: one slab of switches, one of links per engine, and the port arrays of
+// each switch sized once. Its allocations are a constant plus a few a
+// switch (its name, its route, its two port arrays), none a link. With two
+// closures and an RNG a link, and port lists grown one at a time, it made
+// about six a link.
+func TestBuildAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const (
+		fixed     = 16
+		perSwitch = 4
+	)
+	sinks := make([]netem.Node, 8)
+	for i := range sinks {
+		sinks[i] = &netem.Sink{}
+	}
+	for _, text := range []string{"", "dumbbell", "leafspine:4x2", "fattree:4", "parkinglot:3"} {
+		spec, err := ParseSpec(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Spec: spec, Hosts: 8, Seed: 7, Dst: func(*packet.Packet) int { return 0 }, Sinks: sinks}
+		var f *Fabric
+		eng := sim.NewEngine()
+		a := testing.AllocsPerRun(20, func() {
+			if f, err = Build(eng, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		links := len(f.LinkNames())
+		most := float64(fixed + perSwitch*spec.Switches())
+		t.Logf("%q: %v allocations for %d switches and %d links", text, a, spec.Switches(), links)
+		if a > most {
+			t.Errorf("%q: Build made %v allocations for %d switches and %d links, want <= %v",
+				text, a, spec.Switches(), links, most)
 		}
 	}
 }

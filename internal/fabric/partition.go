@@ -120,22 +120,17 @@ func (f *Fabric) MinInterPartitionDelay(plan PartitionPlan) (sim.Duration, error
 		return 0, fmt.Errorf("fabric: plan covers %d switches, fabric has %d",
 			len(plan.SwitchPart), len(f.switches))
 	}
-	byName := make(map[string]int, len(f.switches))
-	for i, n := range f.switches {
-		byName[n.name] = i
-	}
 	var min sim.Duration
 	found := false
 	for i, n := range f.switches {
-		for port, peer := range n.peers {
-			j, isSwitch := byName[peer]
-			if !isSwitch || plan.SwitchPart[i] == plan.SwitchPart[j] {
+		for port, j := range n.peers {
+			if j < 0 || plan.SwitchPart[i] == plan.SwitchPart[j] {
 				continue
 			}
 			d := n.s.Port(port).Delay()
 			if d <= 0 {
 				return 0, fmt.Errorf("fabric: cross-partition link %s->%s has zero propagation delay (no lookahead)",
-					n.name, peer)
+					n.name, f.switches[j].name)
 			}
 			if !found || d < min {
 				min, found = d, true

@@ -132,6 +132,68 @@ func (s Spec) Switches() int {
 	}
 }
 
+// leafTier is how many switches hosts attach to: the first ones in build
+// order, host h on switch h mod leafTier.
+func (s Spec) leafTier() int {
+	switch s.Kind {
+	case KindDumbbell:
+		return 2
+	case KindLeafSpine:
+		return s.Leaves
+	case KindFatTree:
+		return s.K * (s.K / 2)
+	case KindParkingLot:
+		return s.N
+	default:
+		return 1
+	}
+}
+
+// localHosts is how many of hosts attach to switch sw (build order).
+func (s Spec) localHosts(sw, hosts int) int {
+	n := s.leafTier()
+	if sw >= n {
+		return 0
+	}
+	local := hosts / n
+	if sw < hosts%n {
+		local++
+	}
+	return local
+}
+
+// SwitchPorts is the number of output ports switch sw (build order, as in
+// Switches) has when hosts hosts attach: a downlink per local host, then
+// its trunks. Build sizes every switch, and the fabric's link slabs, from
+// it before wiring anything.
+func (s Spec) SwitchPorts(sw, hosts int) int {
+	ports := s.localHosts(sw, hosts)
+	switch s.Kind {
+	case KindDumbbell:
+		return ports + 1
+	case KindLeafSpine:
+		if sw < s.Leaves {
+			return ports + s.Spines
+		}
+		return s.Leaves
+	case KindFatTree:
+		if sw < s.leafTier() {
+			return ports + s.K/2
+		}
+		return s.K // an agg's K/2 edges and K/2 cores, a core's K pods
+	case KindParkingLot:
+		if sw > 0 {
+			ports++
+		}
+		if sw < s.N-1 {
+			ports++
+		}
+		return ports
+	default:
+		return ports
+	}
+}
+
 // ParseSpec compiles the operator-facing topology string:
 //
 //	""                        the single switch (§7.1)

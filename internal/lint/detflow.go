@@ -66,7 +66,8 @@ func reachNote(reach map[*types.Func]bool, encl *types.Func) string {
 // engineCallbackRoots collects the functions the engine can invoke as event
 // handlers: function values passed to Schedule/ScheduleAt/ScheduleArg/
 // ScheduleArgAt/NewTicker, any declared value of type sim.Func or sim.ArgFunc,
-// and every method named Receive (the fabric's packet-delivery callback).
+// the Fire method of any type passed where a sim.Handler is taken, and every
+// method named Receive (the fabric's packet-delivery callback).
 func engineCallbackRoots(prog *Program) []*types.Func {
 	seen := make(map[*types.Func]bool)
 	var roots []*types.Func
@@ -112,6 +113,14 @@ func engineCallbackRoots(prog *Program) []*types.Func {
 						add(funcValueOf(info, arg))
 					}
 				}
+				// An argument passed as a sim.Handler runs its Fire method.
+				if sig, ok := info.TypeOf(call.Fun).Underlying().(*types.Signature); ok {
+					for i, arg := range call.Args {
+						if isSimType(paramType(sig, i), "Handler") {
+							add(fireMethod(info.TypeOf(arg)))
+						}
+					}
+				}
 				return true
 			})
 		}
@@ -140,15 +149,41 @@ func funcValueOf(info *types.Info, x ast.Expr) *types.Func {
 // isSimCallbackType reports whether t is sim.Func or sim.ArgFunc (or an alias
 // of either).
 func isSimCallbackType(t types.Type) bool {
+	return isSimType(t, "Func") || isSimType(t, "ArgFunc")
+}
+
+// isSimType reports whether t is the named type sim.<name>.
+func isSimType(t types.Type, name string) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "internal/sim") {
-		return false
+	return obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/sim") && obj.Name() == name
+}
+
+// paramType is the type of the parameter argument i binds to, the element
+// type for a variadic tail, or nil past the parameters.
+func paramType(sig *types.Signature, i int) types.Type {
+	n := sig.Params().Len()
+	switch {
+	case sig.Variadic() && i >= n-1:
+		return sig.Params().At(n - 1).Type().(*types.Slice).Elem()
+	case i < n:
+		return sig.Params().At(i).Type()
 	}
-	return obj.Name() == "Func" || obj.Name() == "ArgFunc"
+	return nil
+}
+
+// fireMethod resolves the concrete Fire method a value of type t runs as a
+// sim.Handler, or nil for an interface type.
+func fireMethod(t types.Type) *types.Func {
+	if t == nil || types.IsInterface(t) {
+		return nil
+	}
+	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "Fire")
+	fn, _ := obj.(*types.Func)
+	return fn
 }
 
 // barrierJoined reports whether the go statement is a joined goroutine: the

@@ -127,6 +127,8 @@ func TestFixtureDiagnostics(t *testing.T) {
 			"detflow_bad.go:10 detflow", // goroutine in model code
 			"detflow_bad.go:15 detflow", // select in model code
 			"detflow_bad.go:40 detflow", // goroutine reachable from callback
+			"handler.go:12 detflow",     // goroutine in a scheduled Handler's Fire
+			"handler.go:26 detflow",     // goroutine in an unscheduled Fire
 		}},
 		// Map-iteration dataflow escaping the loop is maporder's.
 		{"detflow_bad", "maporder", []string{
@@ -172,6 +174,29 @@ func TestFixtureDiagnostics(t *testing.T) {
 				t.Errorf("diagnostics mismatch\n got: %v\nwant: %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// A type scheduled as a sim.Handler runs its Fire method from the engine,
+// so a goroutine there is reported as reachable from an engine callback;
+// the same goroutine in a Fire method nothing schedules is not.
+func TestDetflowSeesHandlerFire(t *testing.T) {
+	pkg, err := loader(t).LoadDir(filepath.Join("testdata", "src", "detflow_bad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks, err := SelectChecks("detflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached := map[int]bool{}
+	for _, d := range Run([]*Package{pkg}, checks) {
+		if filepath.Base(d.Pos.Filename) == "handler.go" {
+			reached[d.Pos.Line] = strings.Contains(d.Msg, "reachable from an engine callback")
+		}
+	}
+	if want := map[int]bool{12: true, 26: false}; !reflect.DeepEqual(reached, want) {
+		t.Errorf("handler.go goroutines reachable from an engine callback, by line: %v, want %v", reached, want)
 	}
 }
 

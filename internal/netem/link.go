@@ -69,7 +69,7 @@ type Link struct {
 	hooks     []Hook
 	enableINT bool
 	jitter    sim.Duration
-	jrng      *sim.Rand
+	jrng      sim.Rand
 
 	// freeAt is when the serializer finishes the frame in flight; armed
 	// says a timer is pending there for the packets queued behind it.
@@ -78,11 +78,25 @@ type Link struct {
 	paused bool
 	down   bool
 	stats  LinkStats
+}
 
-	// freeFn and deliverFn are allocated once: scheduling a method value
-	// or a per-packet closure would allocate on every frame.
-	freeFn    sim.Func
-	deliverFn sim.ArgFunc
+// delivery and serializer are the link's two engine handlers: the same
+// *Link under another type, so scheduling either allocates nothing and the
+// link owns no closure. A delivery fires with the packet as its argument,
+// the serializer timer with nil.
+type (
+	delivery   Link
+	serializer Link
+)
+
+// Fire hands the packet to the far end.
+func (d *delivery) Fire(arg any) { d.dst.Receive(arg.(*packet.Packet)) }
+
+// Fire ends the frame in flight and starts the next.
+func (s *serializer) Fire(any) {
+	l := (*Link)(s)
+	l.armed = false
+	l.start()
 }
 
 // LinkConfig configures a Link.
@@ -103,7 +117,8 @@ type LinkConfig struct {
 	// per packet; jitter exceeding the serialization gap reorders
 	// packets, exercising receiver out-of-order handling.
 	Jitter sim.Duration
-	// RNG seeds jitter and the AQM discipline; nil uses fixed-seed streams.
+	// RNG seeds jitter and the AQM discipline: the link starts its own
+	// stream from RNG's state. nil uses fixed-seed streams.
 	RNG *sim.Rand
 	// AQM attaches an active-queue-management discipline to the ingress
 	// queue, superseding the step-ECN config. The discipline's RNG is
@@ -114,14 +129,21 @@ type LinkConfig struct {
 
 // NewLink builds a link that delivers to dst.
 func NewLink(eng *sim.Engine, cfg LinkConfig, dst Node) *Link {
+	l := new(Link)
+	l.Init(eng, cfg, dst)
+	return l
+}
+
+// Init builds a link that delivers to dst in place, in a zero Link the
+// caller owns, so a network can lay its links out in one slice. It copies
+// cfg.RNG's state rather than keeping the pointer: the link's jitter and
+// marking draws continue that stream on their own. With no RNG the streams
+// have fixed seeds, and nothing is allocated for them.
+func (l *Link) Init(eng *sim.Engine, cfg LinkConfig, dst Node) {
 	if cfg.Rate <= 0 {
 		panic("netem: link with non-positive rate")
 	}
-	jrng := cfg.RNG
-	if jrng == nil {
-		jrng = sim.NewRand(0x1a77e6)
-	}
-	l := &Link{
+	*l = Link{
 		eng:       eng,
 		rate:      cfg.Rate,
 		delay:     cfg.Delay,
@@ -129,21 +151,19 @@ func NewLink(eng *sim.Engine, cfg LinkConfig, dst Node) *Link {
 		dst:       dst,
 		enableINT: cfg.EnableINT,
 		jitter:    cfg.Jitter,
-		jrng:      jrng,
+		jrng:      sim.MakeRand(0x1a77e6),
+	}
+	if cfg.RNG != nil {
+		l.jrng = *cfg.RNG
 	}
 	if cfg.AQM.Enabled() {
-		src := cfg.RNG
-		if src == nil {
-			src = sim.NewRand(0xa97)
+		src := &l.jrng
+		if cfg.RNG == nil {
+			fixed := sim.MakeRand(0xa97)
+			src = &fixed
 		}
 		l.queue.SetAQM(cfg.AQM.Build(l.queue.Capacity(), src.Split()), eng.Now)
 	}
-	l.freeFn = func() {
-		l.armed = false
-		l.start()
-	}
-	l.deliverFn = func(arg any) { l.dst.Receive(arg.(*packet.Packet)) }
-	return l
 }
 
 // AddHook registers a packet hook. Hooks run in registration order; the
@@ -291,7 +311,7 @@ func (l *Link) start() {
 	if l.remote != nil {
 		l.remote.Carry(p, l.freeAt.Add(prop))
 	} else {
-		l.eng.ScheduleArgAt(l.freeAt.Add(prop), l.deliverFn, p)
+		l.eng.ScheduleFireAt(l.freeAt.Add(prop), (*delivery)(l), p)
 	}
 	if l.queue.Len() > 0 {
 		l.arm()
@@ -301,5 +321,5 @@ func (l *Link) start() {
 // arm schedules start for the end of the frame in flight.
 func (l *Link) arm() {
 	l.armed = true
-	l.eng.ScheduleAt(l.freeAt, l.freeFn)
+	l.eng.ScheduleFireAt(l.freeAt, (*serializer)(l), nil)
 }

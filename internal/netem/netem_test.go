@@ -613,9 +613,11 @@ func TestSwitchPerPortCounters(t *testing.T) {
 	var a, b Sink
 	sw := NewSwitch("s", RouteByFlowTable(map[packet.FlowID]int{1: 0, 2: 1}))
 	sw.AddPort(eng, LinkConfig{Rate: sim.Gbps}, &a)
+	// Flow 1 arrives on ingress port 0, flow 2 on ingress port 1. Port 0's
+	// node is taken before the second AddPort grows the switch's arrays.
+	in0 := sw.PortIn(0)
 	sw.AddPort(eng, LinkConfig{Rate: sim.Gbps}, &b)
-	// Flow 1 arrives on ingress port 0, flow 2 on ingress port 1.
-	in0, in1 := sw.PortIn(0), sw.PortIn(1)
+	in1 := sw.PortIn(1)
 	for i := 0; i < 3; i++ {
 		in0.Receive(data(1, uint32(i), 100))
 	}

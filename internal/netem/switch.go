@@ -54,22 +54,62 @@ type Stats struct {
 }
 
 // Switch is an output-queued switch in the tested network. Each output
-// port is a Link (queue + serialization + propagation) toward a Node.
+// port is a Link (queue + serialization + propagation) toward a Node. out
+// and ports are sized once to the port count a switch is built for; AddLink
+// past it grows them.
 type Switch struct {
 	name      string
 	route     RouteFunc
 	out       []*Link
-	ports     []PortCounters
+	ports     []port
 	lost      uint64
 	rxPkts    uint64
 	misroutes uint64
 }
 
+// port is one port's counters, and the Node PortIn returns for it, which
+// attributes arrivals to the port before the switch routes them.
+type port struct {
+	s *Switch
+	i int
+	PortCounters
+}
+
+// Receive counts the packet on its ingress port and routes it. It counts
+// in the switch's live array, so a node taken before AddLink grew the
+// array still counts where PortCounters reads.
+func (pt *port) Receive(p *packet.Packet) {
+	c := &pt.s.ports[pt.i]
+	c.RxPackets++
+	c.RxBytes += uint64(p.Size)
+	pt.s.Receive(p)
+}
+
 // NewSwitch creates a switch with the given routing function and no ports;
 // attach ports with AddPort.
 func NewSwitch(name string, route RouteFunc) *Switch {
-	return &Switch{name: name, route: route}
+	s := new(Switch)
+	s.Init(name, route, 0)
+	return s
 }
+
+// Init sets up a zero Switch in place, with room for ports output ports:
+// its port arrays are allocated once, and AddLink fills them in order.
+func (s *Switch) Init(name string, route RouteFunc, ports int) {
+	*s = Switch{
+		name:  name,
+		route: route,
+		out:   make([]*Link, 0, ports),
+		ports: make([]port, ports),
+	}
+	for i := range s.ports {
+		s.ports[i] = port{s: s, i: i}
+	}
+}
+
+// SetRoute replaces the routing function, for a network whose routes are
+// known only once its ports are wired.
+func (s *Switch) SetRoute(route RouteFunc) { s.route = route }
 
 // Name returns the switch's name.
 func (s *Switch) Name() string { return s.name }
@@ -77,15 +117,18 @@ func (s *Switch) Name() string { return s.name }
 // AddPort appends an output port connected by a new Link to dst and
 // returns the port index.
 func (s *Switch) AddPort(eng *sim.Engine, cfg LinkConfig, dst Node) int {
-	s.out = append(s.out, NewLink(eng, cfg, dst))
-	s.ensurePort(len(s.out) - 1)
-	return len(s.out) - 1
+	return s.AddLink(NewLink(eng, cfg, dst))
 }
 
-func (s *Switch) ensurePort(i int) {
-	for len(s.ports) <= i {
-		s.ports = append(s.ports, PortCounters{})
+// AddLink appends an output port served by l, a link the caller built, and
+// returns the port index.
+func (s *Switch) AddLink(l *Link) int {
+	i := len(s.out)
+	s.out = append(s.out, l)
+	if i == len(s.ports) {
+		s.ports = append(s.ports, port{s: s, i: i})
 	}
+	return i
 }
 
 // Port returns the link behind output port i.
@@ -96,15 +139,9 @@ func (s *Switch) Ports() int { return len(s.out) }
 
 // PortIn returns a Node that attributes arriving packets to ingress port i
 // before routing them; wire upstream links to it (instead of the switch
-// itself) to get per-port RX accounting.
-func (s *Switch) PortIn(i int) Node {
-	s.ensurePort(i)
-	return NodeFunc(func(p *packet.Packet) {
-		s.ports[i].RxPackets++
-		s.ports[i].RxBytes += uint64(p.Size)
-		s.Receive(p)
-	})
-}
+// itself) to get per-port RX accounting. Port i must exist or be within the
+// count the switch was built for.
+func (s *Switch) PortIn(i int) Node { return &s.ports[i] }
 
 // Receive implements Node: route and forward. A route verdict beyond the
 // last port is counted as a misroute and the packet is discarded — in a
@@ -123,8 +160,9 @@ func (s *Switch) Receive(p *packet.Packet) {
 		p.Release()
 		return
 	}
-	s.ports[i].TxPackets++
-	s.ports[i].TxBytes += uint64(p.Size)
+	c := &s.ports[i]
+	c.TxPackets++
+	c.TxBytes += uint64(p.Size)
 	s.out[i].Send(p)
 }
 
@@ -138,10 +176,7 @@ func (s *Switch) Misroutes() uint64 { return s.misroutes }
 func (s *Switch) RxPackets() uint64 { return s.rxPkts }
 
 // PortCounters returns port i's packet/byte counters.
-func (s *Switch) PortCounters(i int) PortCounters {
-	s.ensurePort(i)
-	return s.ports[i]
-}
+func (s *Switch) PortCounters(i int) PortCounters { return s.ports[i].PortCounters }
 
 // Stats snapshots the whole switch: aggregate counters plus per-port
 // counters and egress-queue state.
@@ -158,7 +193,7 @@ func (s *Switch) Stats() Stats {
 		qs := q.Stats()
 		ls := l.Stats()
 		st.Ports = append(st.Ports, PortStats{
-			PortCounters:  s.ports[i],
+			PortCounters:  s.ports[i].PortCounters,
 			QueueBytes:    q.Bytes(),
 			QueuePkts:     q.Len(),
 			Drops:         qs.Drops,

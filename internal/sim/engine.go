@@ -15,6 +15,22 @@ type Func func()
 // through ScheduleArg instead.
 type ArgFunc func(arg any)
 
+// Handler is what an event runs: Fire(arg) with the argument it was
+// scheduled with. Func and ArgFunc implement it, and a func value goes into
+// the interface without allocating. A component that owns its state can
+// implement it on a pointer type of its own instead (a typed conversion of
+// the same struct for each kind of event it schedules), so it needs no
+// closure at all; ScheduleFireAt schedules one.
+type Handler interface {
+	Fire(arg any)
+}
+
+// Fire calls f; the argument is nil.
+func (f Func) Fire(any) { f() }
+
+// Fire calls f(arg).
+func (f ArgFunc) Fire(arg any) { f(arg) }
+
 // Location sentinels for event.where. Non-negative values index
 // Engine.slots: a level-0 slot below numSlots, a level-1 frame list from
 // numSlots up.
@@ -40,8 +56,7 @@ const (
 type event struct {
 	at  Time
 	seq uint64
-	fn  Func
-	afn ArgFunc
+	h   Handler
 	arg any
 	eng *Engine
 	gen uint32
@@ -347,20 +362,20 @@ func (e *Engine) alloc() *event {
 // and returns it to the free list.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn, ev.afn, ev.arg = nil, nil, nil
+	ev.h, ev.arg = nil, nil
 	ev.where = locFree
 	ev.next = e.free
 	e.free = ev
 }
 
 // schedule allocates, fills, and inserts one event.
-func (e *Engine) schedule(at Time, fn Func, afn ArgFunc, arg any) Handle {
+func (e *Engine) schedule(at Time, h Handler, arg any) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	ev := e.alloc()
 	ev.at, ev.seq = at, e.seq
-	ev.fn, ev.afn, ev.arg = fn, afn, arg
+	ev.h, ev.arg = h, arg
 	e.seq++
 	e.live++
 	e.insert(ev)
@@ -418,25 +433,32 @@ func (e *Engine) take(list int) *event {
 // the past panics: it always indicates a component bug, and silently
 // reordering time would corrupt every downstream measurement.
 func (e *Engine) ScheduleAt(at Time, fn Func) Handle {
-	return e.schedule(at, fn, nil, nil)
+	return e.schedule(at, fn, nil)
 }
 
 // Schedule enqueues fn to run after delay d (d may be zero; negative d
 // panics via ScheduleAt).
 func (e *Engine) Schedule(d Duration, fn Func) Handle {
-	return e.schedule(e.now.Add(d), fn, nil, nil)
+	return e.schedule(e.now.Add(d), fn, nil)
 }
 
 // ScheduleArgAt enqueues fn(arg) at the absolute timestamp at. Unlike a
 // closure built per call site, fn can be allocated once and reused, keeping
 // per-packet scheduling allocation-free on the hot paths.
 func (e *Engine) ScheduleArgAt(at Time, fn ArgFunc, arg any) Handle {
-	return e.schedule(at, nil, fn, arg)
+	return e.schedule(at, fn, arg)
 }
 
 // ScheduleArg enqueues fn(arg) after delay d.
 func (e *Engine) ScheduleArg(d Duration, fn ArgFunc, arg any) Handle {
-	return e.schedule(e.now.Add(d), nil, fn, arg)
+	return e.schedule(e.now.Add(d), fn, arg)
+}
+
+// ScheduleFireAt enqueues h.Fire(arg) at the absolute timestamp at. A
+// pointer handler costs no allocation to schedule, so a component can
+// schedule its own methods without keeping a closure per kind of event.
+func (e *Engine) ScheduleFireAt(at Time, h Handler, arg any) Handle {
+	return e.schedule(at, h, arg)
 }
 
 // Stop makes the current Run call return after the in-flight event finishes.
@@ -535,14 +557,10 @@ func (e *Engine) nextFrame() bool {
 func (e *Engine) fire(ev *event) {
 	e.cur.pop()
 	e.now = ev.at
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
+	h, arg := ev.h, ev.arg
 	e.recycle(ev)
 	e.live--
-	if afn != nil {
-		afn(arg)
-	} else {
-		fn()
-	}
+	h.Fire(arg)
 	e.executed++
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineRunsInTimestampOrder(t *testing.T) {
@@ -340,4 +341,42 @@ func BenchmarkRandUint64(b *testing.B) {
 		sink ^= r.Uint64()
 	}
 	_ = sink
+}
+
+// An event record carries one Handler and its argument where it once held a
+// Func and an ArgFunc side by side; either way it is 88 B.
+func TestEventRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 88 {
+		t.Errorf("event is %d B, want 88", got)
+	}
+}
+
+// A func value, a method value and a pointer handler all schedule through
+// the one Handler slot, each firing with its own argument.
+func TestHandlerKinds(t *testing.T) {
+	e := NewEngine()
+	var got []any
+	e.Schedule(1, func() { got = append(got, "func") })
+	e.ScheduleArg(2, func(arg any) { got = append(got, arg) }, "arg")
+	h := &recorder{got: &got}
+	e.ScheduleFireAt(3, h, "fire")
+	e.RunAll()
+	if want := []any{"func", "arg", "fire"}; len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		e.ScheduleFireAt(e.Now()+1, h, nil)
+		e.RunAll()
+	}); a != 0 {
+		t.Errorf("scheduling a pointer handler made %v allocations, want 0", a)
+	}
+}
+
+// recorder is a pointer handler appending each argument it fires with.
+type recorder struct{ got *[]any }
+
+func (r *recorder) Fire(arg any) {
+	if arg != nil {
+		*r.got = append(*r.got, arg)
+	}
 }

@@ -15,6 +15,12 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
+// MakeRand returns the generator NewRand(seed) points to, as a value, for a
+// component that holds its stream in place instead of behind a pointer.
+func MakeRand(seed uint64) Rand {
+	return Rand{state: seed}
+}
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
