@@ -101,6 +101,9 @@ func TestDocumentedInvocations(t *testing.T) {
 		// point of this sweep fail to validate.
 		{cmd: "sweep", args: "-axis aqm=pi2,red -duration 1ms",
 			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, AQM: "ecn:k=65", Seed: 1}},
+		// A discipline's parameters hold commas and stay one value.
+		{cmd: "sweep", args: "-axis aqm=dualpi2:target=25us,tupdate=100us,pi2 -duration 1ms",
+			want: marlin.TestConfig{Algorithm: "dctcp", Ports: 5, FlowsPerPort: 2, AQM: "ecn:k=65", Seed: 1}},
 		{cmd: "sweep", args: "", wantErr: "need at least one -axis"},
 		{cmd: "sweep", args: "-axis queue=-1", wantErr: `bad queue "-1"`},
 		{cmd: "sweep", args: "-axis ecn=8 -duration -1ms", wantErr: `bad duration "-1ms"`},

@@ -42,7 +42,7 @@ func ExtAlgos(opts Options) (*Result, error) {
 		// negotiate ECN: both honour RFC 3168 ECE, so marking would park
 		// them at the threshold like DCTCP and erase the deep-queue/drop
 		// signature this comparison is after. The ECN-enabled coexistence
-		// case lives in examples/l4s.
+		// case lives in examples/scenarios/l4s.scn.
 		if name != "cubic" && name != "reno" && name != "hpcc" {
 			spec.AQM = paperECN
 		}

@@ -22,15 +22,24 @@ type Axis struct {
 
 // ParseAxis parses "key=v1,v2,v3" and validates the key and every value by
 // test-applying them to a scratch spec. Any key of controlplane.Spec's table
-// is an axis, with the parsers scenarios and flags use; values are split on
-// commas, so a value that itself contains one cannot be swept, and a value
-// given twice would name two points alike.
+// is an axis, with the parsers scenarios and flags use. Values are split on
+// commas, but a "k=v" piece with no "NAME:" before its "=" continues the
+// value before it, so a discipline or pattern with parameters is one value:
+// "aqm=pie:target=10us,tupdate=50us,codel" sweeps two. A value given twice
+// would name two points alike.
 func ParseAxis(s string) (Axis, error) {
 	key, vals, ok := strings.Cut(s, "=")
 	if !ok || key == "" || vals == "" {
 		return Axis{}, fmt.Errorf("fleet: bad axis %q (want key=v1,v2,...)", s)
 	}
-	ax := Axis{Key: key, Values: strings.Split(vals, ",")}
+	ax := Axis{Key: key}
+	for _, piece := range strings.Split(vals, ",") {
+		if k, _, kv := strings.Cut(piece, "="); kv && !strings.Contains(k, ":") && len(ax.Values) > 0 {
+			ax.Values[len(ax.Values)-1] += "," + piece
+			continue
+		}
+		ax.Values = append(ax.Values, piece)
+	}
 	var scratch controlplane.Spec
 	for i, v := range ax.Values {
 		if slices.Contains(ax.Values[:i], v) {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"marlin/internal/controlplane"
@@ -27,6 +28,47 @@ func TestParseAxis(t *testing.T) {
 		if _, err := ParseAxis(good); err != nil {
 			t.Errorf("ParseAxis(%q): %v", good, err)
 		}
+	}
+}
+
+// A "k=v" piece with no "NAME:" before it continues the value before it,
+// so discipline and pattern parameters stay with their value; a piece that
+// names its value, or holds no "=", starts the next one.
+func TestParseAxisJoinsParameters(t *testing.T) {
+	cases := []struct {
+		spec string
+		want []string
+	}{
+		{"aqm=pie:target=10us,tupdate=50us,codel:target=10us,interval=500us,pi2",
+			[]string{"pie:target=10us,tupdate=50us", "codel:target=10us,interval=500us", "pi2"}},
+		{"aqm=dualpi2:target=25us,tupdate=100us,pi2", []string{"dualpi2:target=25us,tupdate=100us", "pi2"}},
+		{"aqm=ecn:k=8,ecn:k=65", []string{"ecn:k=8", "ecn:k=65"}},
+		{"pattern=flood:peak=80G,victim=4,ect=not,flood:peak=80G,victim=4,ect=ect1",
+			[]string{"flood:peak=80G,victim=4,ect=not", "flood:peak=80G,victim=4,ect=ect1"}},
+		{"faults=linkdown fwd0 at 1ms for 100us,nicstall at 1ms for 50us",
+			[]string{"linkdown fwd0 at 1ms for 100us", "nicstall at 1ms for 50us"}},
+		{"topology=leafspine:2x2,fattree:4", []string{"leafspine:2x2", "fattree:4"}},
+	}
+	for _, c := range cases {
+		ax, err := ParseAxis(c.spec)
+		if err != nil {
+			t.Errorf("ParseAxis(%q): %v", c.spec, err)
+		} else if !reflect.DeepEqual(ax.Values, c.want) {
+			t.Errorf("ParseAxis(%q) = %q, want %q", c.spec, ax.Values, c.want)
+		}
+	}
+	// Duplicates are found among the joined values, not the pieces: the
+	// two values below share "tupdate=50us" and still differ.
+	if _, err := ParseAxis("aqm=pie:target=10us,tupdate=50us,pie:target=20us,tupdate=50us"); err != nil {
+		t.Errorf("two pie values sharing a parameter: %v", err)
+	}
+	if _, err := ParseAxis("aqm=pie:target=10us,tupdate=50us,pi2,pie:target=10us,tupdate=50us"); err == nil ||
+		!strings.Contains(err.Error(), `"pie:target=10us,tupdate=50us" given twice`) {
+		t.Errorf("a joined value given twice: %v", err)
+	}
+	// A parameter with no value before it is a value of its own, and fails.
+	if _, err := ParseAxis("aqm=target=10us,pi2"); err == nil {
+		t.Error("aqm=target=10us,pi2 accepted")
 	}
 }
 

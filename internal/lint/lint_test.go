@@ -265,7 +265,7 @@ func TestHostSide(t *testing.T) {
 	for path, want := range map[string]bool{
 		"marlin/internal/fleet":    true,
 		"marlin/cmd/marlinctl":     true,
-		"marlin/examples/incast":   true,
+		"marlin/examples/customcc": true,
 		"marlin/internal/lint":     true,
 		"marlin":                   false,
 		"marlin/internal/sim":      false,

@@ -58,11 +58,15 @@ func FuzzParse(f *testing.F) {
 	f.Add("at 0ms start 4000000000 tx 0 rx 1\nrun 1ms")
 	// Printer seeds: a seed of 0, which Settings omits and Parse defaults
 	// to 1; fault clauses accumulated over three lines, printed as one plan;
-	// the two example scripts.
+	// every example script.
 	f.Add("set algo reno\nset seed 0\nat 0ms start 0 tx 0 rx 1 size 50\nrun 1ms")
 	f.Add("set fault linkdown fwd0 at 1ms for 100us\nset fault nicstall at 2ms for 50us\nset fault lossburst tx0 at 3ms for 100us prob 0.1 seed 7\nrun 4ms\nexpect faults_recovered == 3")
-	for _, name := range []string{"fanin.scn", "roce-pfc.scn", "ccsweep.scn", "chaos.scn", "burst.scn"} {
-		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", name))
+	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.scn"))
+	if err != nil || len(examples) == 0 {
+		f.Fatalf("no example scripts: %v", err)
+	}
+	for _, path := range examples {
+		src, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -74,6 +78,9 @@ func FuzzParse(f *testing.F) {
 	f.Add("set flows 2\nsweep ecn 8,65\nsweep seed 1,2\nat 0ms fanin size 20..400 loop\nrun 1ms\nreport total_gbps fct_p99_us jain")
 	f.Add("sweep faults linkdown fwd0 at 1ms for 100us,nicstall at 1ms for 50us\nat 0ms start 3 tx 0 rx 1 size 5..9\nrun 2ms\nreport fault_ttr_us fault_ttr_us 0 fault_pre_gbps 0 drops\nexpect fault_rtx 0 <= 3")
 	f.Add("at 0ms start 0 tx 0 rx 1 size 300 loop\nat 1ms fanin\nat 2ms fanin size 7\nrun 2ms\nexpect flow_gbps 3 >= 1\nreport flow_gbps 0 bg_completions")
+	// Per-flow CC on a start, and sweep values whose parameters hold commas.
+	f.Add("set aqm dualpi2\nat 0ms start 0 tx 0 rx 1 cc cubic\nat 0ms start 1 tx 1 rx 2 size 9..90 loop cc dctcp\nrun 1ms\nreport band_share 1 sojourn_p99_us 0 sojourn_p99_us")
+	f.Add("sweep aqm pie:target=10us,tupdate=50us,codel:target=10us,interval=500us,pi2\nsweep pattern flood:peak=80G,victim=2,ect=not,flood:peak=80G,victim=2,ect=ect1\nrun 1ms\nreport ecmp_imbalance")
 	f.Fuzz(func(t *testing.T, src string) {
 		s1, err := Parse(src)
 		if err != nil {

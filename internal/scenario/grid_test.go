@@ -157,11 +157,14 @@ report completions jain
 }
 
 // Every registry name is one measure knows, so report never accepts a
-// metric it cannot print; the per-fault metrics read the plan by index.
+// metric it cannot print; the per-fault metrics read the plan by index,
+// the per-band ones a queue's bands. The test runs on a leaf-spine, so
+// ecmp_imbalance has paths to read.
 func TestMetricRegistryMatchesMeasure(t *testing.T) {
 	s := mustParse(t, `
 set algo dctcp
 set ports 4
+set topology leafspine:2x2
 set aqm pi2
 set fault linkdown fwd1 at 200us for 100us
 set fault nicstall at 600us for 50us
@@ -186,6 +189,9 @@ run 1500us
 	}
 	if _, err := s.measure(tr, "fault_rtx 2", 1500e6); err == nil || !strings.Contains(err.Error(), "has 2 faults") {
 		t.Errorf("fault_rtx 2 of a two-fault plan: %v", err)
+	}
+	if _, err := s.measure(tr, "band_share 2", 1500e6); err == nil || !strings.Contains(err.Error(), "has 2 bands") {
+		t.Errorf("band_share 2 of a two-band queue: %v", err)
 	}
 	worst, _ := s.measure(tr, "fault_ttr_us", 1500e6)
 	first, _ := s.measure(tr, "fault_ttr_us 0", 1500e6)

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"marlin/internal/cc"
 	"marlin/internal/fleet"
 	"marlin/internal/packet"
 	"marlin/internal/sim"
@@ -123,7 +124,11 @@ func (s *Scenario) String() string {
 func (a *Action) operands() string {
 	switch a.Kind {
 	case "start":
-		return fmt.Sprintf("start %d tx %d rx %d%s", a.Flow, a.Tx, a.Rx, a.sizeTail())
+		start := fmt.Sprintf("start %d tx %d rx %d%s", a.Flow, a.Tx, a.Rx, a.sizeTail())
+		if a.CC != "" {
+			start += " cc " + a.CC
+		}
+		return start
 	case "fanin":
 		return "fanin" + a.sizeTail()
 	case "stop":
@@ -198,7 +203,7 @@ func (s *Scenario) appendClause(key, plan, clause, usage string) error {
 
 // parseAt handles:
 //
-//	at D start FLOW tx P rx P [size N|LO..HI] [loop]
+//	at D start FLOW tx P rx P [size N|LO..HI] [loop] [cc NAME]
 //	at D fanin [size N|LO..HI] [loop]
 //	at D stop FLOW
 //	at D drop flow FLOW rx P psn N (or psn A..B)
@@ -216,10 +221,10 @@ func (s *Scenario) parseAt(line int, args []string) error {
 	rest := args[2:]
 	switch a.Kind {
 	case "start":
-		// FLOW tx P rx P [size N|LO..HI] [loop], each number a 32-bit
-		// unsigned integer: a larger one is rejected, not truncated.
+		// FLOW tx P rx P [size N|LO..HI] [loop] [cc NAME], each number a
+		// 32-bit unsigned integer: a larger one is rejected, not truncated.
 		if len(rest) < 5 || rest[1] != "tx" || rest[3] != "rx" {
-			return fmt.Errorf("start: expected FLOW tx P rx P [size N|LO..HI] [loop]")
+			return fmt.Errorf("start: expected FLOW tx P rx P [size N|LO..HI] [loop] [cc NAME]")
 		}
 		names := [3]string{"value", "tx", "rx"}
 		var v [3]uint32
@@ -231,7 +236,14 @@ func (s *Scenario) parseAt(line int, args []string) error {
 			v[i] = uint32(n)
 		}
 		a.Flow, a.Tx, a.Rx = packet.FlowID(v[0]), int(v[1]), int(v[2])
-		err = a.parseSize(rest[5:])
+		tail := rest[5:]
+		if n := len(tail); n >= 2 && tail[n-2] == "cc" {
+			if _, err := cc.New(tail[n-1]); err != nil {
+				return fmt.Errorf("start: %w", err)
+			}
+			a.CC, tail = tail[n-1], tail[:n-2]
+		}
+		err = a.parseSize(tail)
 	case "fanin":
 		err = a.parseSize(rest)
 	case "stop":
@@ -322,7 +334,8 @@ func parseRange(s string) (lo, hi uint32, err error) {
 }
 
 // parseSweep handles "sweep KEY v1,v2,...", one grid axis over any
-// configuration key. A value may hold spaces (a fault plan), not commas.
+// configuration key. A value may hold spaces (a fault plan), and commas
+// between its "k=v" parameters (fleet.ParseAxis joins them).
 func (s *Scenario) parseSweep(args []string) error {
 	if len(args) < 2 {
 		return fmt.Errorf("sweep needs KEY v1,v2,...")

@@ -25,8 +25,11 @@
 // rejected: it could never fire. A start's size is a packet count (none:
 // open-ended) or a uniform LO..HI draw from a stream seeded by the seed
 // setting; loop restarts a flow, with a fresh draw, each time it
-// completes. "at D fanin" starts the flows setting's count of flows on
-// every data port but the last, all into the last.
+// completes; a trailing "cc NAME" runs the flow under that algorithm
+// instead of the algo setting (it must share that algorithm's mode: a
+// window and a rate module cannot share a NIC). "at D fanin" starts the
+// flows setting's count of flows on every data port but the last, all
+// into the last.
 //
 // The package owns the syntax both ways. Parse returns the exported
 // parsed form and String prints it back; the two are inverse but for line
@@ -38,15 +41,20 @@
 // "set KEY VALUE" takes every configuration key of controlplane.Spec's
 // table (README "Configuration keys" and "marlinctl help" list them) with
 // the parsers marlinctl's flags use; "sweep KEY v1,v2,..." varies any of
-// them, the first sweep line slowest. "set fault KIND ..." clauses
-// (faults.ParseSpec syntax, one per line) build a time-domain fault plan,
-// whose recovery the fault_* metrics read; "set pattern NAME:..." clauses
-// (workload.ParseSpec syntax) layer traffic patterns over the test, whose
-// victim-port overload telemetry the burst, overload and bg_* metrics
-// read; "set aqm NAME:..." (aqm.ParseSpec syntax) replaces drop-tail
-// queues, and ecn_mark_rate and sojourn_p99_us read what it did. "set
-// shards N" runs a topology scenario as a conservative parallel build;
-// every metric is byte-identical for any N >= 1.
+// them, the first sweep line slowest; a "k=v" piece with no "NAME:"
+// before it continues the value before it, so "sweep aqm
+// pie:target=10us,tupdate=50us,codel" has two points. "set fault KIND
+// ..." clauses (faults.ParseSpec syntax, one per line) build a
+// time-domain fault plan, whose recovery the fault_* metrics read; "set
+// pattern NAME:..." clauses (workload.ParseSpec syntax) layer traffic
+// patterns over the test, whose victim-port overload telemetry the burst,
+// overload and bg_* metrics read; "set aqm NAME:..." (aqm.ParseSpec
+// syntax) replaces drop-tail queues, and ecn_mark_rate, sojourn_p99_us
+// [BAND] (the worst p99 queueing delay of that band, or of any) and
+// band_share BAND read what it did; on a fabric, ecmp_imbalance reads the
+// busiest next hop's packets over the mean. "set shards N" runs a
+// topology scenario as a conservative parallel build; every metric is
+// byte-identical for any N >= 1.
 package scenario
 
 import (
@@ -56,9 +64,11 @@ import (
 	"strconv"
 	"strings"
 
+	"marlin/internal/aqm"
 	"marlin/internal/controlplane"
 	"marlin/internal/core"
 	"marlin/internal/experiments"
+	"marlin/internal/fabric"
 	"marlin/internal/fleet"
 	"marlin/internal/measure"
 	"marlin/internal/netem"
@@ -88,7 +98,10 @@ type Action struct {
 	// is set, the low end of a uniform draw over Size..SizeMax.
 	Size, SizeMax uint32
 	// Loop restarts the flow, with a fresh draw, each time it completes.
-	Loop     bool
+	Loop bool
+	// CC runs a start's flow under this algorithm instead of the deployed
+	// one (core.StartFlowCC; "": the deployed one).
+	CC       string
 	From, To uint32 // PSN range of a drop or mark
 	Flap     sim.Duration
 }
@@ -185,7 +198,13 @@ func (s *Scenario) Start(refused *error) (*core.Tester, error) {
 		if d := dists[a]; d != nil {
 			size = d.Sample(rng)
 		}
-		if err := tr.StartFlow(flow, tx, rx, size); err != nil {
+		var err error
+		if a.CC == "" {
+			err = tr.StartFlow(flow, tx, rx, size)
+		} else {
+			err = tr.StartFlowCC(flow, tx, rx, size, a.CC)
+		}
+		if err != nil {
 			refuse(a, err)
 		}
 		delete(loops, flow)
@@ -309,7 +328,8 @@ var metrics = map[string]operand{
 	"completions": noOperand, "false_losses": noOperand, "network_drops": noOperand, "drops": noOperand,
 	"misroutes": noOperand, "cnp_tx": noOperand, "ooo_rx": noOperand, "rtx": noOperand, "jain": noOperand,
 	"total_gbps": noOperand, "flow_gbps": needsOperand, "fct_p50_us": noOperand, "fct_p99_us": noOperand,
-	"rtt_p50_us": noOperand, "rtt_ewma_us": noOperand, "ecn_mark_rate": noOperand, "sojourn_p99_us": noOperand,
+	"rtt_p50_us": noOperand, "rtt_ewma_us": noOperand, "ecn_mark_rate": noOperand, "sojourn_p99_us": mayOperand,
+	"band_share": needsOperand, "ecmp_imbalance": noOperand,
 	"faults_recovered": noOperand, "fault_ttr_us": mayOperand, "fault_pre_gbps": needsOperand,
 	"fault_rtx": needsOperand, "fault_post_marks": needsOperand, "burst_absorption": noOperand,
 	"peak_queue_bytes": noOperand, "peak_overshoot": noOperand, "overload_us": noOperand,
@@ -391,27 +411,46 @@ func (s *Scenario) measure(tr *core.Tester, metric string, elapsed sim.Duration)
 			return 0, nil
 		}
 		return float64(marks) / float64(tx), nil
-	case "sojourn_p99_us":
-		// Worst per-band p99 queueing delay over the AQM-managed ports.
+	case "sojourn_p99_us", "band_share":
+		// Over the AQM-managed ports: the worst p99 queueing delay of a
+		// band (without an operand, of any band), or the band's share of
+		// the packets they delivered.
+		if hasArg && n >= aqm.MaxBands {
+			return 0, fmt.Errorf("%s: a queue has %d bands", metric, aqm.MaxBands)
+		}
 		found := false
-		worst := 0.0
+		var worst float64
+		var mine, all uint64
 		for _, sw := range snap.Network {
 			for _, ps := range sw.Ports {
 				if ps.AQM == nil {
 					continue
 				}
 				found = true
-				for _, v := range ps.AQM.SojournP99Us {
-					if v > worst {
-						worst = v
+				for b, v := range ps.AQM.SojournP99Us {
+					all += ps.AQM.BandDeqPackets[b]
+					if !hasArg || b == n {
+						worst = max(worst, v)
+						mine += ps.AQM.BandDeqPackets[b]
 					}
 				}
 			}
 		}
-		if !found {
+		switch {
+		case !found:
 			return 0, fmt.Errorf("no AQM discipline installed for %s", name)
+		case name == "sojourn_p99_us":
+			return worst, nil
+		case all == 0:
+			return 0, nil
 		}
-		return worst, nil
+		return float64(mine) / float64(all), nil
+	case "ecmp_imbalance":
+		paths := tr.ECMPPaths()
+		if len(paths) == 0 {
+			return 0, fmt.Errorf("no multipath fabric for %s", name)
+		}
+		return fabric.Imbalance(paths), nil
 	case "faults_recovered":
 		n := 0.0
 		for _, r := range tr.FaultRecoveries() {

@@ -66,6 +66,10 @@ func TestParseErrors(t *testing.T) {
 		{"loop after size 0", "at 0ms start 0 tx 0 rx 1 size 0 loop\nrun 1ms", "loop needs a size"},
 		{"fanin loop without a size", "at 0ms fanin loop\nrun 1ms", "loop needs a size"},
 		{"fanin trailing", "at 0ms fanin size 5 loop 3\nrun 1ms", "trailing tokens"},
+		{"unknown cc", "at 0ms start 0 tx 0 rx 1 cc warp\nrun 1ms", `start: cc: unknown algorithm "warp"`},
+		{"cc without a name", "at 0ms start 0 tx 0 rx 1 size 5 cc\nrun 1ms", "trailing tokens"},
+		{"cc before size", "at 0ms start 0 tx 0 rx 1 cc cubic size 5\nrun 1ms", "trailing tokens"},
+		{"cc on fanin", "at 0ms fanin cc cubic\nrun 1ms", "trailing tokens"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
@@ -87,6 +91,37 @@ func TestScenarioStartRange(t *testing.T) {
 	_, err := mustParse(t, "set algo dctcp\nset ports 2\nat 0ms start 4000000000 tx 0 rx 1\nrun 1ms").Run()
 	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "exceeds BRAM capacity") {
 		t.Errorf("start of flow 4000000000: err = %v, want the BRAM capacity error at line 3", err)
+	}
+}
+
+// A start's cc operand prints back as written, and runs the flow under
+// that algorithm: the CUBIC flow carries ECT(0) into DualPI2's classic
+// band, the DCTCP flow ECT(1) into the L4S band, so each band delivers a
+// share of the packets.
+func TestScenarioStartCC(t *testing.T) {
+	src := "set algo dctcp\nset ports 3\nset aqm dualpi2\n" +
+		"at 0ms start 0 tx 0 rx 2\nat 0ms start 1 tx 1 rx 2 size 400 loop cc cubic\nrun 2ms\n" +
+		"expect band_share 0 > 0\nexpect band_share 1 > 0\nreport sojourn_p99_us 0 sojourn_p99_us 1 band_share 1"
+	s := mustParse(t, src)
+	if a := s.Actions[1]; a.CC != "cubic" || a.Size != 400 || !a.Loop {
+		t.Errorf("start parsed as %+v, want size 400 loop cc cubic", a)
+	}
+	if !strings.Contains(s.String(), "at 0ms start 1 tx 1 rx 2 size 400 loop cc cubic\n") {
+		t.Errorf("String lost the cc operand:\n%s", s)
+	}
+	sameScript(t, "cc start round trip", s, mustParse(t, s.String()), false)
+	if rep := mustRun(t, src); !rep.Passed() {
+		t.Errorf("mixed-cc run:\n%s", rep.Summary())
+	}
+}
+
+// A per-flow algorithm must share the deployed module's mode: a rate-based
+// DCQCN flow under window-based DCTCP is refused when it starts, with its
+// script line.
+func TestScenarioStartCCModeRefused(t *testing.T) {
+	_, err := mustParse(t, "set algo dctcp\nset ports 2\n\nat 0ms start 0 tx 0 rx 1 cc dcqcn\nrun 1ms").Run()
+	if err == nil || !strings.Contains(err.Error(), "scenario line 4") || !strings.Contains(err.Error(), "dcqcn") {
+		t.Errorf("dcqcn start under dctcp: err = %v, want it refused at line 4", err)
 	}
 }
 

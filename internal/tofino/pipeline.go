@@ -83,10 +83,11 @@ type Pipeline struct {
 	emitFns   []sim.Func
 	sharedFns []sim.Func
 
-	flows  flowtab.Table[flowRow]
-	recv   *Receiver
-	rxFwd  netem.Node   // reserved-port link toward the FPGA receiver
-	ackOut []netem.Node // receiver port -> its ACK return path
+	flows   flowtab.Table[flowRow]
+	recv    *Receiver
+	rxFwd   netem.Node   // reserved-port link toward the FPGA receiver
+	ackOut  []netem.Node // receiver port -> its ACK return path
+	dataIns []dataIn     // receiver port -> the Node DataIn returns
 
 	c     Counters
 	ports []PortCounters
@@ -116,6 +117,10 @@ func NewPipeline(eng *sim.Engine, cfg Config) (*Pipeline, error) {
 		emitFns:  make([]sim.Func, n),
 		ports:    make([]PortCounters, n),
 		ackOut:   make([]netem.Node, n),
+		dataIns:  make([]dataIn, n),
+	}
+	for i := range pl.dataIns {
+		pl.dataIns[i] = dataIn{pl: pl, port: i}
 	}
 	for i := range pl.emitFns {
 		i := i
@@ -366,19 +371,27 @@ func (pl *Pipeline) ConnectRxForward(out netem.Node) { pl.rxFwd = out }
 // DataIn returns the Node the tested network delivers DATA to at receiver
 // port i (Module A, §4.1). With ReceiverOnFPGA the packet is instead
 // truncated to 64 bytes and forwarded to the FPGA over the reserved port.
-func (pl *Pipeline) DataIn(port int) netem.Node {
-	if pl.cfg.ReceiverOnFPGA {
-		return netem.NodeFunc(func(p *packet.Packet) {
-			if p.Type != packet.DATA || pl.rxFwd == nil {
-				p.Release()
-				return
-			}
-			p.Size = packet.ControlSize // truncation, in place
-			p.Port = port               // arrival port for ACK routing
-			pl.rxFwd.Receive(p)
-		})
+func (pl *Pipeline) DataIn(port int) netem.Node { return &pl.dataIns[port] }
+
+// dataIn is one receiver port's ingress, built once with the pipeline.
+type dataIn struct {
+	pl   *Pipeline
+	port int
+}
+
+func (d *dataIn) Receive(p *packet.Packet) {
+	pl := d.pl
+	if !pl.cfg.ReceiverOnFPGA {
+		pl.recv.onData(d.port, p)
+		return
 	}
-	return netem.NodeFunc(func(p *packet.Packet) { pl.recv.onData(port, p) })
+	if p.Type != packet.DATA || pl.rxFwd == nil {
+		p.Release()
+		return
+	}
+	p.Size = packet.ControlSize // truncation, in place
+	p.Port = d.port             // arrival port for ACK routing
+	pl.rxFwd.Receive(p)
 }
 
 // FPGAAckIn returns the Node that accepts the FPGA-placed receiver's
@@ -396,9 +409,13 @@ func (pl *Pipeline) FPGAAckIn() netem.Node {
 
 // AckIn returns the Node returning ACK/CNP packets reach (Module B): each
 // is compressed into a 64-byte INFO packet and forwarded to the FPGA.
-func (pl *Pipeline) AckIn() netem.Node {
-	return netem.NodeFunc(pl.receiveAck)
-}
+func (pl *Pipeline) AckIn() netem.Node { return (*ackIn)(pl) }
+
+// ackIn is the pipeline as the Node AckIn returns, so taking it allocates
+// nothing.
+type ackIn Pipeline
+
+func (a *ackIn) Receive(p *packet.Packet) { (*Pipeline)(a).receiveAck(p) }
 
 func (pl *Pipeline) receiveAck(p *packet.Packet) {
 	switch p.Type {
