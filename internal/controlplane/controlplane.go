@@ -214,7 +214,7 @@ func (s *Spec) compile() (compiledSpec, error) {
 			return c, fmt.Errorf("controlplane: pattern victim port %d outside [0,%d)", v, eff.DataPorts)
 		}
 	}
-	c.cfg.Params = eff.Params
+	c.cfg.Params, c.cfg.PortRate = eff.Params, eff.PortRate
 	if s.DCQCNTimeScale > 1 {
 		c.cfg.Params.ScaleDCQCNTime(s.DCQCNTimeScale)
 	}
@@ -251,6 +251,25 @@ func (s *Spec) Lint() []string {
 				"ECN threshold (%d B) above half the %d B queue leaves little headroom for bursts",
 				ecn.K, queue))
 		}
+	}
+	// No packet waits longer than a full queue takes to drain, so a delay
+	// threshold at or above that drain time never fires: the discipline
+	// measures drop-tail. (RFC-scale defaults are milliseconds; a 256 KiB
+	// queue at 100 Gbps drains in about 21 us.)
+	drain := c.cfg.PortRate.Serialize(queue)
+	a := c.cfg.AQM
+	switch a.Kind {
+	case aqm.KindPIE, aqm.KindCoDel, aqm.KindPI2, aqm.KindDualPI2:
+		if a.Target >= drain {
+			warns = append(warns, fmt.Sprintf(
+				"%s delay target %v is at or above the %d B queue's %v drain time: no standing delay reaches it, so the test measures drop-tail",
+				a.Kind, a.Target, queue, drain))
+		}
+	}
+	if a.Kind == aqm.KindDualPI2 && a.Step >= drain {
+		warns = append(warns, fmt.Sprintf(
+			"dualpi2 L4S step %v is at or above the %d B queue's %v drain time: the step never marks",
+			a.Step, queue, drain))
 	}
 	if c.cfg.Algorithm.Mode() == cc.RateMode && !s.EnablePFC && queue < 2<<20 {
 		warns = append(warns, fmt.Sprintf(

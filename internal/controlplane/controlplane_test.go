@@ -155,6 +155,8 @@ func TestLintWarnings(t *testing.T) {
 		{"hpcc no int", Spec{Algorithm: "hpcc", EnableINT: false}, "no telemetry"},
 		{"dcqcn paper timers", Spec{Algorithm: "dcqcn", EnablePFC: true, NetQueueBytes: 8 << 20}, "DCQCNTimeScale"},
 		{"int stack overflow", Spec{Algorithm: "hpcc", EnableINT: true, ExtraHops: 5}, "INT stack"},
+		{"pi2 target beyond the drain time", Spec{Algorithm: "dctcp", AQM: "pi2"}, "pi2 delay target 15ms is at or above the 262144 B queue's"},
+		{"dualpi2 default step beyond the drain time", Spec{Algorithm: "dctcp", AQM: "dualpi2:target=25us,tupdate=100us"}, "dualpi2 L4S step 1ms is at or above"},
 	}
 	for _, c := range cases {
 		warns := c.spec.Lint()
@@ -178,6 +180,13 @@ func TestLintCleanSpec(t *testing.T) {
 	}
 	if warns := clean.Lint(); len(warns) != 0 {
 		t.Fatalf("clean spec warned: %v", warns)
+	}
+	// The bench's fat-tree DualPI2, on a queue deep enough that a standing
+	// delay can reach its 25 us target and 50 us step (1 MiB drains in
+	// 84 us at 100 Gbps).
+	l4s := Spec{Algorithm: "dctcp", AQM: "dualpi2:target=25us,tupdate=100us,step=50us", NetQueueBytes: 1 << 20}
+	if warns := l4s.Lint(); len(warns) != 0 {
+		t.Fatalf("dualpi2 within the drain time warned: %v", warns)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"marlin/internal/aqm"
 	"marlin/internal/cc"
 	"marlin/internal/fabric"
+	"marlin/internal/netem"
 	"marlin/internal/packet"
 	"marlin/internal/race"
 	"marlin/internal/sim"
@@ -75,6 +76,50 @@ func TestPacketPathAllocatesNothing(t *testing.T) {
 				t.Errorf("topology %q: switch %s misrouted %d, left %d unrouted", topo, st.Name, st.Misroutes, st.Unrouted)
 			}
 		}
+	}
+}
+
+// With in-band telemetry on, every DATA packet takes a telemetry record at
+// its first fabric hop and returns it to the tester's pool when the INFO
+// packet that carried it back is consumed, so a warm HPCC tester on a
+// multi-hop fabric still allocates nothing a packet.
+func TestINTPacketPathAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	spec, err := fabric.ParseSpec("leafspine:2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newTester(t, Config{
+		Algorithm: mustAlg(t, "hpcc"), DataPorts: 4, Topology: spec, EnableINT: true, Seed: 1,
+	})
+	for p, to := range []int{2, 3, 0, 1} {
+		if err := tr.StartFlow(packet.FlowID(p), p, to, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stamped, infos uint64
+	_, info := tr.DeviceLinks()
+	info[0].AddHook(func(p *packet.Packet) netem.HookAction {
+		if p.Type == packet.INFO {
+			infos++
+			if p.INT != nil && p.INT.NHops > 0 {
+				stamped++
+			}
+		}
+		return netem.Pass
+	})
+	tr.Run(sim.Time(sim.Millisecond))
+	before := tr.PipelineCounters().DataTx
+	if a := testing.AllocsPerRun(100, func() { tr.Run(tr.Eng.Now().Add(2 * sim.Microsecond)) }); a != 0 {
+		t.Errorf("%v allocs per 2us slice of HPCC with INT, want 0", a)
+	}
+	if pkts := tr.PipelineCounters().DataTx - before; pkts < 5000 {
+		t.Fatalf("only %d DATA packets in the measured slices", pkts)
+	}
+	if infos == 0 || stamped != infos {
+		t.Errorf("%d of %d INFO packets carried telemetry, want all", stamped, infos)
 	}
 }
 

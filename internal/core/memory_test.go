@@ -125,15 +125,61 @@ func TestOutOfRangeFlowAllocatesNothing(t *testing.T) {
 	}
 }
 
+// Every refusal of the NIC's start preflight leaves the flow as unbound as
+// a BRAM refusal does: a per-flow algorithm of the other mode, an ID
+// already active, on this island's NIC or another's. The refused flow is
+// neither owned nor routed, and an active flow refused a second start
+// keeps its binding.
+func TestRefusedStartFlowBindsNothing(t *testing.T) {
+	tr := newTester(t, Config{Algorithm: mustAlg(t, "dctcp"), DataPorts: 2, Seed: 1})
+	err := tr.StartFlowCC(5, 0, 1, 10, "dcqcn")
+	if err == nil || !strings.Contains(err.Error(), "rate-mode, NIC schedules window-mode") {
+		t.Fatalf("StartFlowCC(dcqcn) under dctcp = %v, want the mode error", err)
+	}
+	if tr.owner(5) != nil || tr.dst(&packet.Packet{Flow: 5}) != -1 {
+		t.Errorf("a flow refused for its mode is owned (%v) or routed (to %d)", tr.owner(5), tr.dst(&packet.Packet{Flow: 5}))
+	}
+	if err := tr.StartFlow(6, 0, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.StartFlow(6, 1, 0, 0); err == nil || !strings.Contains(err.Error(), "already active") {
+		t.Fatalf("second StartFlow(6) = %v, want the already-active error", err)
+	}
+	if tr.dst(&packet.Packet{Flow: 6}) != 1 {
+		t.Errorf("an active flow refused a second start was rerouted to %d, want 1", tr.dst(&packet.Packet{Flow: 6}))
+	}
+
+	// On a sharded tester, a second start from a TX port of another island
+	// is refused as well: the flow keeps its island and its route.
+	topo, err := fabric.ParseSpec("fattree:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := newTester(t, Config{Algorithm: mustAlg(t, "dctcp"), DataPorts: 8, Topology: topo, Shards: 2, Seed: 1})
+	if sh.portIsland[0] == sh.portIsland[7] {
+		t.Fatal("ports 0 and 7 share an island")
+	}
+	if err := sh.StartFlow(1, 0, 7, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := sh.StartFlow(1, 7, 0, 0); err == nil || !strings.Contains(err.Error(), "already active") {
+		t.Fatalf("second StartFlow(1) from another island = %v, want the already-active error", err)
+	}
+	if sh.owner(1) != sh.portIsland[0] || sh.dst(&packet.Packet{Flow: 1}) != 7 {
+		t.Errorf("a flow refused a second start on another island moved to island %d, route %d", sh.owner(1).idx, sh.dst(&packet.Packet{Flow: 1}))
+	}
+}
+
 // One short job as sweeps, the fuzzer and the experiments run it: deploy a
 // leafspine:4x2 tester, run eight finite flows for 250 us, read it out. A
 // fresh tester's packet, event and queue free lists grow by the slab, and
 // its links sit in slabs sized from the shape, so the job's allocations
 // follow its switches and its peak in flight, not its links or the packets
-// it moves. Measured 282 (go1.24, linux/amd64), bounded at 359, 20% above
-// an earlier 299 that built each pipeline port's ingress nodes on every
-// call; with a closure pair and an RNG a link it was 586, and with free
-// lists filled one object at a time 1,889.
+// it moves. Measured 278 (go1.24, linux/amd64; 282 when the engine grew
+// its ready heap by append), bounded at 359, 20% above an earlier 299 that
+// built each pipeline port's ingress nodes on every call; with a closure
+// pair and an RNG a link it was 586, and with free lists filled one object
+// at a time 1,889.
 func TestShortJobAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are meaningless under -race")

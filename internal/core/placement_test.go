@@ -55,7 +55,11 @@ func TestReceiverPlacementsAnswerAlike(t *testing.T) {
 		isl := tr.islands[0]
 		var got []placementResponse
 		isl.info.AddHook(func(p *packet.Packet) netem.HookAction {
-			got = append(got, placementResponse{p.Flow, p.PSN, p.Ack, p.Flags, p.SentAt, p.INT})
+			r := placementResponse{p.Flow, p.PSN, p.Ack, p.Flags, p.SentAt, packet.INTRecord{}}
+			if p.INT != nil {
+				r.INT = *p.INT
+			}
+			got = append(got, r)
 			return netem.Pass
 		})
 		for i, a := range arrivals {
@@ -65,7 +69,7 @@ func TestReceiverPlacementsAnswerAlike(t *testing.T) {
 				if a.ce {
 					d.Flags |= packet.FlagCE
 				}
-				d.INT.Push(packet.INTHop{QueueBytes: uint32(64 * i), TxBytes: uint64(1024 * i), Rate: 100 * sim.Gbps, TS: sim.Time(i)})
+				d.PushINT(packet.INTHop{QueueBytes: uint32(64 * i), TxBytes: uint64(1024 * i), Rate: 100 * sim.Gbps, TS: sim.Time(i)})
 				in.Receive(d)
 			})
 		}

@@ -623,7 +623,8 @@ func (t *Tester) StartFlowCC(flow packet.FlowID, tx, rx int, sizePkts uint32, al
 
 // startFlow binds the flow on the pipeline owning its TX port, resets
 // receiver state where its DATA will land, and starts it on the TX-side
-// NIC under alg (nil: the deployed default module).
+// NIC under alg (nil: the deployed default module). The NIC's preflight
+// runs before any of that, so a flow it refuses is left unbound.
 func (t *Tester) startFlow(flow packet.FlowID, tx, rx int, sizePkts uint32, alg cc.Algorithm) error {
 	if rx < 0 || rx >= t.cfg.DataPorts {
 		return fmt.Errorf("core: rx port %d out of range [0,%d)", rx, t.cfg.DataPorts)
@@ -632,8 +633,15 @@ func (t *Tester) startFlow(flow packet.FlowID, tx, rx int, sizePkts uint32, alg 
 		return fmt.Errorf("core: tx port %d out of range [0,%d)", tx, t.cfg.DataPorts)
 	}
 	isl := t.portIsland[tx]
-	if err := isl.nic.CheckFlow(flow); err != nil {
+	if err := isl.nic.CheckStart(flow, t.portLocal[tx], alg); err != nil {
 		return err
+	}
+	// On a sharded tester the ID may still be running on another island's
+	// NIC, which this island's preflight cannot see.
+	if o := t.owner(flow); o != nil && o != isl {
+		if _, _, active := o.nic.FlowProgress(flow); active {
+			return fmt.Errorf("core: flow %d already active", flow)
+		}
 	}
 	if err := isl.pl.BindFlow(flow, t.portLocal[tx]); err != nil {
 		return err

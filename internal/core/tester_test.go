@@ -447,7 +447,7 @@ func TestExtraHopsINTStack(t *testing.T) {
 	// info link.
 	_, info := tr.DeviceLinks()
 	info[0].AddHook(func(p *packet.Packet) netem.HookAction {
-		if p.Type == packet.INFO && p.INT.NHops > hops {
+		if p.Type == packet.INFO && p.INT != nil && p.INT.NHops > hops {
 			hops = p.INT.NHops
 		}
 		return netem.Pass

@@ -171,7 +171,7 @@ type slowEvent struct {
 // is started again. It is laid out to fit 256 B, so a 64-flow page takes
 // Go's 16 KiB size class: first the transport word every SCHE and INFO
 // reads, then the 128 B of cust-var and slwpth-var (the BRAM charge), then
-// the timer handles.
+// the timer handles and, in the padding before them, which are armed.
 type flowState struct {
 	una, nxt  uint32
 	end       uint32 // flow length in packets; 0 = unbounded
@@ -198,7 +198,12 @@ type flowState struct {
 	inScan  bool // listed in the scan table of port (scan mode, slot lifetime)
 	cust    cc.State
 	slow    cc.State
-	timers  [cc.NumTimers]sim.Handle
+	// armed has bit id set while timers[id] is pending: armTimer sets it,
+	// and a cancel or the timer's firing clears it. Reading it spares the
+	// hot paths a load of the engine's (often recycled) event record that
+	// Handle.Armed and Handle.Cancel make.
+	armed  uint8
+	timers [cc.NumTimers]sim.Handle
 }
 
 // CompletionFunc is invoked when a flow's final packet is acknowledged.
@@ -363,12 +368,39 @@ func (n *NIC) FlowProgress(flow packet.FlowID) (una, nxt uint32, active bool) {
 	return f.una, f.nxt, f.active
 }
 
-// CheckFlow refuses a flow ID the BRAM flow store cannot hold (at or above
-// MaxFlows). StartFlow checks it too; a caller binding the flow elsewhere
-// first checks it before allocating anything for the flow.
-func (n *NIC) CheckFlow(flow packet.FlowID) error {
+// checkFlow refuses a flow ID the BRAM flow store cannot hold (at or above
+// MaxFlows).
+func (n *NIC) checkFlow(flow packet.FlowID) error {
 	if int(flow) >= n.cfg.MaxFlows {
 		return fmt.Errorf("fpga: flow %d exceeds BRAM capacity %d", flow, n.cfg.MaxFlows)
+	}
+	return nil
+}
+
+// CheckStart reports the error StartFlowWith would refuse the flow with —
+// an ID the BRAM cannot hold, a port out of range, an algorithm of the
+// other Mode, an ID already active, a full module table — without
+// allocating or changing anything. StartFlowWith runs it first; a caller
+// binding the flow elsewhere runs it before binding anything, so a refused
+// flow leaves nothing behind.
+func (n *NIC) CheckStart(flow packet.FlowID, port int, alg cc.Algorithm) error {
+	if err := n.checkFlow(flow); err != nil {
+		return err
+	}
+	if port < 0 || port >= n.cfg.Ports {
+		return fmt.Errorf("fpga: port %d out of range [0,%d)", port, n.cfg.Ports)
+	}
+	if alg != nil && alg.Mode() != n.cfg.Algorithm.Mode() {
+		return fmt.Errorf("fpga: flow algorithm %s is %s-mode, NIC schedules %s-mode",
+			alg.Name(), alg.Mode(), n.cfg.Algorithm.Mode())
+	}
+	if f := n.flows.Get(flow); f != nil && f.active {
+		return fmt.Errorf("fpga: flow %d already active", flow)
+	}
+	if alg != nil && len(n.algs) > math.MaxUint8 {
+		if _, ok := n.module(alg); !ok {
+			return fmt.Errorf("fpga: flow algorithm %s refused: the NIC's module table is full (%d modules)", alg.Name(), len(n.algs))
+		}
 	}
 	return nil
 }
@@ -376,9 +408,9 @@ func (n *NIC) CheckFlow(flow packet.FlowID) error {
 // TraceFlow has the logger retain a flow's records from now on, across
 // restarts of its ID; every other flow's records are only counted. Call it
 // before StartFlow to keep the EvStart record too. An ID the flow store
-// cannot hold is refused with CheckFlow's error and allocates nothing.
+// cannot hold is refused with the BRAM capacity error and allocates nothing.
 func (n *NIC) TraceFlow(flow packet.FlowID) error {
-	if err := n.CheckFlow(flow); err != nil {
+	if err := n.checkFlow(flow); err != nil {
 		return err
 	}
 	n.flows.Slot(flow).traced = true
@@ -397,26 +429,13 @@ func (n *NIC) StartFlow(flow packet.FlowID, port int, sizePkts uint32) error {
 // codepoint. alg nil means the NIC's deployed module; a non-nil alg must
 // match the deployed module's Mode, because the scheduler's eligibility
 // test (window occupancy vs rate pacing, §5.2) is a port-wide datapath
-// decision, not per-flow state.
+// decision, not per-flow state. CheckStart says what it refuses.
 func (n *NIC) StartFlowWith(flow packet.FlowID, port int, sizePkts uint32, alg cc.Algorithm, ect packet.ECT) error {
-	if err := n.CheckFlow(flow); err != nil {
+	if err := n.CheckStart(flow, port, alg); err != nil {
 		return err
-	}
-	if port < 0 || port >= n.cfg.Ports {
-		return fmt.Errorf("fpga: port %d out of range [0,%d)", port, n.cfg.Ports)
-	}
-	if alg != nil && alg.Mode() != n.cfg.Algorithm.Mode() {
-		return fmt.Errorf("fpga: flow algorithm %s is %s-mode, NIC schedules %s-mode",
-			alg.Name(), alg.Mode(), n.cfg.Algorithm.Mode())
 	}
 	f := n.flows.Slot(flow)
-	if f.active {
-		return fmt.Errorf("fpga: flow %d already active", flow)
-	}
-	mod, err := n.moduleIndex(alg)
-	if err != nil {
-		return err
-	}
+	mod := n.moduleIndex(alg)
 	listed := f.port
 	*f = flowState{
 		flow:    flow,
@@ -438,26 +457,31 @@ func (n *NIC) StartFlowWith(flow packet.FlowID, port int, sizePkts uint32, alg c
 	return nil
 }
 
-// moduleIndex returns alg's entry in the module table, adding it on first
-// use. nil is the deployed default, entry 0. Entries are matched by Name:
-// StartFlowCC builds a fresh module for every flow, and a module's state
-// lives in the flow's cust and slow regions, not in the module. The index
-// is one byte, so a 256th distinct override is refused.
-func (n *NIC) moduleIndex(alg cc.Algorithm) (uint8, error) {
-	if alg == nil {
-		return 0, nil
-	}
+// module finds alg's entry in the module table. Entries are matched by
+// Name: StartFlowCC builds a fresh module for every flow, and a module's
+// state lives in the flow's cust and slow regions, not in the module.
+func (n *NIC) module(alg cc.Algorithm) (uint8, bool) {
 	name := alg.Name()
 	for i, m := range n.algs {
 		if m.Name() == name {
-			return uint8(i), nil
+			return uint8(i), true
 		}
 	}
-	if len(n.algs) > math.MaxUint8 {
-		return 0, fmt.Errorf("fpga: flow algorithm %s refused: the NIC's module table is full (%d modules)", name, len(n.algs))
+	return 0, false
+}
+
+// moduleIndex returns alg's entry in the module table, adding it on first
+// use. nil is the deployed default, entry 0. The index is one byte, so
+// CheckStart refuses a 256th distinct override before this runs.
+func (n *NIC) moduleIndex(alg cc.Algorithm) uint8 {
+	if alg == nil {
+		return 0
+	}
+	if i, ok := n.module(alg); ok {
+		return i
 	}
 	n.algs = append(n.algs, alg)
-	return uint8(len(n.algs) - 1), nil
+	return uint8(len(n.algs) - 1)
 }
 
 // StopFlow deactivates a flow immediately (used when an experiment
@@ -580,7 +604,7 @@ func (n *NIC) processInfo(p *packet.Packet) {
 		Ack:       p.Ack,
 		Flags:     p.Flags,
 		ProbedRTT: rtt,
-		INT:       &p.INT,
+		INT:       p.INT,
 	}
 	n.deliver(f, &n.in)
 }
@@ -650,8 +674,7 @@ func (n *NIC) applyOutput(f *flowState, in *cc.Input, out *cc.Output) {
 		}
 	}
 	for i := 0; i < out.NumStops; i++ {
-		id := out.StopTimers[i]
-		f.timers[id].Cancel()
+		n.stopTimer(f, out.StopTimers[i])
 	}
 	for i := 0; i < out.NumTimers; i++ {
 		n.armTimer(f, out.Timers[i])
@@ -693,7 +716,7 @@ func (n *NIC) applyOutput(f *flowState, in *cc.Input, out *cc.Output) {
 // next ACK re-arms with the module's own estimate, and flow completion
 // cancels all timers.
 func (n *NIC) ensureRTO(f *flowState) {
-	if n.cfg.Algorithm.Mode() != cc.WindowMode || f.timers[cc.TimerRTO].Armed() {
+	if n.cfg.Algorithm.Mode() != cc.WindowMode || f.armed&(1<<cc.TimerRTO) != 0 {
 		return
 	}
 	n.armTimer(f, cc.TimerReq{ID: cc.TimerRTO, After: n.cfg.Params.RTOMin})
@@ -704,11 +727,21 @@ func (n *NIC) ensureRTO(f *flowState) {
 // pages never move.
 func (n *NIC) armTimer(f *flowState, req cc.TimerReq) {
 	id := req.ID
-	f.timers[id].Cancel()
+	n.stopTimer(f, id)
 	f.timers[id] = n.eng.ScheduleArg(req.After, n.timerFns[id], f)
+	f.armed |= 1 << id
+}
+
+// stopTimer cancels one of the flow's timers if it is armed.
+func (n *NIC) stopTimer(f *flowState, id uint8) {
+	if f.armed&(1<<id) != 0 {
+		f.timers[id].Cancel()
+		f.armed &^= 1 << id
+	}
 }
 
 func (n *NIC) fireTimer(f *flowState, id uint8) {
+	f.armed &^= 1 << id
 	if !f.active {
 		return
 	}
@@ -722,8 +755,8 @@ func (n *NIC) fireTimer(f *flowState, id uint8) {
 }
 
 func (n *NIC) cancelTimers(f *flowState) {
-	for i := range f.timers {
-		f.timers[i].Cancel()
+	for id := range f.timers {
+		n.stopTimer(f, uint8(id))
 	}
 }
 

@@ -508,3 +508,66 @@ func TestActiveFlowsAndProgressAcrossPages(t *testing.T) {
 		}
 	}
 }
+
+// oneShotTimer is Reno plus a timer armed once, at the flow's start, and
+// never re-armed: after it fires, nothing but the firing itself can say it
+// is no longer pending.
+type oneShotTimer struct{ cc.Reno }
+
+func (m oneShotTimer) OnEvent(in *cc.Input, out *cc.Output) {
+	m.Reno.OnEvent(in, out)
+	if in.Type == cc.EvStart {
+		out.ArmTimer(cc.TimerAlpha, sim.Microsecond)
+	}
+}
+
+// The flow word's armed bits say what the timer handles say: after every
+// event of a run that arms, re-arms, fires, stops and cancels timers —
+// window-mode RTOs under reno, the alpha and rate timers under dcqcn, a
+// timer that fires and is not re-armed, a flow stopped and restarted in
+// its slot — bit id is set exactly when timers[id] is pending.
+func TestArmedBitsFollowHandles(t *testing.T) {
+	reno, err := cc.New("reno")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcqcn, err := cc.New("dcqcn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []cc.Algorithm{reno, dcqcn, oneShotTimer{}} {
+		algo := alg.Name()
+		r := newRig(t, func(c *Config) { c.Algorithm = alg })
+		for f := packet.FlowID(1); f <= 4; f++ {
+			if err := r.nic.StartFlow(f, int(f), 400); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for step := 0; step < 20000 && r.eng.Step(); step++ {
+			switch {
+			case step%97 == 0:
+				f := packet.FlowID(1 + step/97%4)
+				if una, nxt, active := r.nic.FlowProgress(f); active && nxt > una {
+					r.ackUpTo(f, una+(nxt-una+1)/2, 0)
+				}
+			case step == 3000:
+				r.nic.StopFlow(3)
+			case step == 6000:
+				if err := r.nic.StartFlow(3, 3, 50); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for f := packet.FlowID(1); f <= 4; f++ {
+				s := r.nic.flows.Get(f)
+				for id := range s.timers {
+					if bit, armed := s.armed>>id&1 == 1, s.timers[id].Armed(); bit != armed {
+						t.Fatalf("%s step %d flow %d timer %d: armed bit %v, handle armed %v", algo, step, f, id, bit, armed)
+					}
+				}
+			}
+		}
+		for _, p := range r.sche {
+			p.Release()
+		}
+	}
+}

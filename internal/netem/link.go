@@ -292,7 +292,7 @@ func (l *Link) start() {
 		return
 	}
 	if l.enableINT && p.Type == packet.DATA {
-		p.INT.Push(packet.INTHop{
+		p.PushINT(packet.INTHop{
 			QueueBytes: uint32(l.queue.Bytes()),
 			TxBytes:    l.stats.TxBytes,
 			Rate:       l.rate,

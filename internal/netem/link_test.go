@@ -76,7 +76,7 @@ func (r *refLink) drain() {
 		return
 	}
 	if r.enableINT && p.Type == packet.DATA {
-		p.INT.Push(packet.INTHop{QueueBytes: uint32(r.queue.Bytes()), TxBytes: r.stats.TxBytes, Rate: r.rate, TS: r.eng.Now()})
+		p.PushINT(packet.INTHop{QueueBytes: uint32(r.queue.Bytes()), TxBytes: r.stats.TxBytes, Rate: r.rate, TS: r.eng.Now()})
 	}
 	ser := r.rate.Serialize(packet.WireSize(p.Size))
 	r.stats.TxPackets++
@@ -139,12 +139,20 @@ type frame struct {
 	deliver sim.Time
 }
 
+// firstHop is the first telemetry stamp a packet carries, zero if none.
+func firstHop(p *packet.Packet) packet.INTHop {
+	if p.INT == nil {
+		return packet.INTHop{}
+	}
+	return p.INT.Hops[0]
+}
+
 // carried records what a Remote is handed: the arrival time is computed,
 // not waited for.
 type carried struct{ frames *[]frame }
 
 func (c carried) Carry(p *packet.Packet, deliverAt sim.Time) {
-	*c.frames = append(*c.frames, frame{p.PSN, p.Flags.Has(packet.FlagCE), p.INT.Hops[0], deliverAt})
+	*c.frames = append(*c.frames, frame{p.PSN, p.Flags.Has(packet.FlagCE), firstHop(p), deliverAt})
 	p.Release()
 }
 
@@ -169,7 +177,7 @@ func (v linkVariant) play(t *testing.T, ref bool, script []action) outcome {
 	cfg.EnableINT = true
 	cfg.RNG = sim.NewRand(11)
 	l := NewLink(eng, cfg, NodeFunc(func(p *packet.Packet) {
-		out.frames = append(out.frames, frame{p.PSN, p.Flags.Has(packet.FlagCE), p.INT.Hops[0], eng.Now()})
+		out.frames = append(out.frames, frame{p.PSN, p.Flags.Has(packet.FlagCE), firstHop(p), eng.Now()})
 		p.Release()
 	}))
 	if v.remote {

@@ -176,6 +176,8 @@ const HeaderOverhead = 58
 type Packet struct {
 	// Type is the packet role.
 	Type Type
+	// Flags carries ECN/NACK/CNP/FIN signal bits.
+	Flags Flags
 	// Flow is the flow the packet belongs to (all roles except TEMP).
 	Flow FlowID
 	// PSN is the packet sequence number. For DATA/SCHE it is the sequence
@@ -184,8 +186,6 @@ type Packet struct {
 	PSN uint32
 	// Ack carries the cumulative acknowledgement on ACK/INFO packets.
 	Ack uint32
-	// Flags carries ECN/NACK/CNP/FIN signal bits.
-	Flags Flags
 	// Size is the frame's wire size in bytes.
 	Size int
 	// Port is the switch egress port the flow is bound to. SCHE packets
@@ -206,8 +206,12 @@ type Packet struct {
 	EnqAt sim.Time
 	// INT carries in-band network telemetry stamped by traversed hops
 	// (for INT-based CC such as HPCC); receivers echo it onto ACKs and
-	// the switch forwards it inside INFO packets.
-	INT INTRecord
+	// the switch forwards it inside INFO packets, as the packet itself is
+	// rewritten in place. It is nil until a hop stamps the packet
+	// (PushINT): the record lives out of line, drawn from and returned to
+	// the packet's pool, so a packet that is never stamped carries 8 B of
+	// telemetry, not 168.
+	INT *INTRecord
 
 	// pool is where Release returns the packet: nil for the shared pool.
 	pool *Pool
@@ -245,9 +249,13 @@ func (r *INTRecord) Push(h INTHop) bool {
 }
 
 // pool recycles Packet structs across the packet lifecycle for callers
-// without a Pool of their own: a sync.Pool, because any goroutine may use
-// it. Pooled packets are always zeroed: Release clears before putting back.
-var pool = sync.Pool{New: func() any { return new(Packet) }}
+// without a Pool of their own, and intPool their telemetry records: a
+// sync.Pool each, because any goroutine may use them. Pooled packets and
+// records are always zeroed: Release clears before putting back.
+var (
+	pool    = sync.Pool{New: func() any { return new(Packet) }}
+	intPool = sync.Pool{New: func() any { return new(INTRecord) }}
+)
 
 // Pool is a free list of packets owned by one goroutine-confined
 // simulation: a one-island tester's devices share one, and every packet it
@@ -264,6 +272,10 @@ var pool = sync.Pool{New: func() any { return new(Packet) }}
 // island goroutines, therefore uses the shared pool.
 type Pool struct {
 	free []*Packet
+	// ints is the free list of telemetry records its packets carry: a
+	// record is taken when a hop first stamps a packet and comes back on
+	// the packet's Release, so a tester without INT never takes one.
+	ints []*INTRecord
 	// slab is the size of the last slab Get allocated: a cold pool grows
 	// in slabs of 8, 16, 32 and then 64 packets, so a short test pays a
 	// handful of allocations for its packets, not one each.
@@ -345,6 +357,7 @@ func (q *Pool) grow() *Packet {
 // packet past their handler (e.g. capture sinks) must Clone it instead of
 // keeping the original.
 func (p *Packet) Release() {
+	p.ClearINT()
 	q := p.pool
 	*p = Packet{pool: q}
 	if q == nil {
@@ -405,11 +418,61 @@ func NewAck(flow FlowID, psn, ack uint32, rx sim.Time) *Packet {
 }
 
 // Clone returns a pooled copy of p. Multicast paths clone rather than
-// alias; the clone has its own lifetime and its own Release.
+// alias; the clone has its own lifetime and its own Release, and its own
+// copy of the telemetry stack.
 func (p *Packet) Clone() *Packet {
 	q := p.pool.Get()
 	*q = *p
+	if p.INT != nil {
+		q.INT = p.pool.getINT()
+		*q.INT = *p.INT
+	}
 	return q
+}
+
+// PushINT appends one hop's telemetry to the packet's stack, taking a
+// record from the packet's pool on the first hop; it reports Push's result.
+func (p *Packet) PushINT(h INTHop) bool {
+	if p.INT == nil {
+		p.INT = p.pool.getINT()
+	}
+	return p.INT.Push(h)
+}
+
+// ClearINT drops the packet's telemetry stack, returning its record to the
+// packet's pool.
+func (p *Packet) ClearINT() {
+	if p.INT != nil {
+		p.pool.putINT(p.INT)
+		p.INT = nil
+	}
+}
+
+// getINT returns a zeroed telemetry record from q, or from the shared
+// record pool when q is nil.
+func (q *Pool) getINT() *INTRecord {
+	if q == nil {
+		return intPool.Get().(*INTRecord)
+	}
+	n := len(q.ints)
+	if n == 0 {
+		return new(INTRecord)
+	}
+	r := q.ints[n-1]
+	q.ints[n-1] = nil
+	q.ints = q.ints[:n-1]
+	return r
+}
+
+// putINT zeroes r and returns it to q, or to the shared record pool when q
+// is nil.
+func (q *Pool) putINT(r *INTRecord) {
+	*r = INTRecord{}
+	if q == nil {
+		intPool.Put(r)
+	} else {
+		q.ints = append(q.ints, r)
+	}
 }
 
 // Payload returns the DATA packet's payload size after header overhead;

@@ -31,7 +31,7 @@ func BenchmarkPacketLifecycleAck(b *testing.B) {
 
 func BenchmarkPacketClone(b *testing.B) {
 	p := NewData(1, 7, 1024, 0)
-	p.INT.Push(INTHop{QueueBytes: 64, TxBytes: 1 << 20})
+	p.PushINT(INTHop{QueueBytes: 64, TxBytes: 1 << 20})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"marlin/internal/race"
 	"marlin/internal/sim"
@@ -203,6 +204,78 @@ func TestCloneIndependent(t *testing.T) {
 	q.Flags |= FlagCE
 	if p.PSN != 2 || p.Flags.Has(FlagCE) {
 		t.Fatal("Clone aliases original")
+	}
+}
+
+// A packet is 72 B: its telemetry stack lives out of line, so the packets
+// a tester holds in flight, and the bytes each Release zeroes, do not pay
+// for 168 B of INT that no hop stamped.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 80 {
+		t.Errorf("Packet is %d B, want <= 80", got)
+	}
+}
+
+// Clone deep-copies the telemetry stack: a hop stamped on the clone, or a
+// rewrite of its first hop, leaves the original's stack as it was, and the
+// two records go back to the pool separately.
+func TestCloneCopiesINT(t *testing.T) {
+	for _, q := range []*Pool{nil, new(Pool)} {
+		p := q.NewData(1, 2, 1024, 0)
+		p.PushINT(INTHop{QueueBytes: 64, TxBytes: 1 << 20, Rate: sim.Gbps, TS: 5})
+		want := *p.INT
+		c := p.Clone()
+		if c.INT == p.INT || *c.INT != want {
+			t.Fatalf("pool %p: clone INT %p %+v, want a copy of %p %+v", q, c.INT, c.INT, p.INT, want)
+		}
+		c.PushINT(INTHop{QueueBytes: 128})
+		c.INT.Hops[0].QueueBytes = 1
+		if *p.INT != want {
+			t.Fatalf("pool %p: a write to the clone's stack changed the original: %+v", q, *p.INT)
+		}
+		c.Release()
+		if p.INT.NHops != 1 || p.INT.Hops[0].QueueBytes != 64 {
+			t.Fatalf("pool %p: releasing the clone changed the original: %+v", q, *p.INT)
+		}
+		p.Release()
+	}
+}
+
+// A packet carries no telemetry record until a hop stamps it; Release and
+// ClearINT return the record to the packet's pool zeroed, and a warm pool
+// stamps, clones and releases without allocating.
+func TestINTRecordsRecycleThroughThePool(t *testing.T) {
+	q := new(Pool)
+	p := q.NewData(1, 2, 1024, 0)
+	if p.INT != nil {
+		t.Fatal("a fresh packet carries a telemetry record")
+	}
+	p.PushINT(INTHop{QueueBytes: 64})
+	r := p.INT
+	p.Release()
+	if len(q.ints) != 1 || q.ints[0] != r || *r != (INTRecord{}) {
+		t.Fatalf("pool holds records %v after Release, want the packet's zeroed record %p", q.ints, r)
+	}
+	p = q.NewData(1, 3, 1024, 0)
+	p.PushINT(INTHop{QueueBytes: 32})
+	if p.INT != r {
+		t.Fatalf("PushINT took %p, want the released record %p", p.INT, r)
+	}
+	p.ClearINT()
+	if p.INT != nil || len(q.ints) != 1 || *r != (INTRecord{}) {
+		t.Fatalf("ClearINT left INT %p and %d pooled records", p.INT, len(q.ints))
+	}
+	p.Release()
+	if race.Enabled {
+		t.Skip("the race runtime allocates shadow state")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		d := q.NewData(1, 2, 1024, 0)
+		d.PushINT(INTHop{QueueBytes: 64})
+		d.Clone().Release()
+		d.Release()
+	}); n != 0 {
+		t.Fatalf("a warm Pool allocated %v times a stamped cycle, want 0", n)
 	}
 }
 

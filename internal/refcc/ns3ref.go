@@ -288,7 +288,7 @@ func (r *Receiver) Receive(p *packet.Packet) {
 	if ce {
 		p.Flags = packet.FlagECNEcho
 	}
-	p.INT = packet.INTRecord{}
+	p.ClearINT()
 	r.out.Receive(p)
 }
 

@@ -24,6 +24,11 @@ import "fmt"
 //     watermark);
 //   - puts events on a frame boundary and one picosecond before it and
 //     lands Run, AdvanceTo and NextEventAt exactly there;
+//   - packs 17 to 64 events onto eight timestamps of one slot, past the
+//     insertion-sort threshold, and from inside the slot once it is
+//     activated cancels every third of them (ready entries of the sorted
+//     run, or ones already fired) and schedules into the activated slot, at
+//     the current timestamp and later in the slot;
 //   - ends with events at and just below Forever.
 func CheckAgainstRef(seed uint64, ops int) error {
 	wheel, ref := NewEngine(), NewRefEngine()
@@ -86,7 +91,7 @@ func CheckAgainstRef(seed uint64, ops int) error {
 	rng := NewRand(seed)
 	for op := 0; op < ops; op++ {
 		x := rng.Uint64()
-		switch k := x % 20; {
+		switch k := x % 22; {
 		case k < 9: // schedule
 			spawn(timeFor(w.now(), splitmix(x)))
 		case k < 12: // burst into one wheel list, then cancel within it
@@ -213,9 +218,39 @@ func CheckAgainstRef(seed uint64, ops int) error {
 			}
 			w.advance(to)
 			r.advance(to)
-		default: // run to a horizon
+		case k < 20: // run to a horizon
 			if err := run(op, timeFor(w.now(), splitmix(x^0xabcd))); err != nil {
 				return err
+			}
+		default: // a dense slot; cancel in it and push into it once activated
+			n := 17 + int(x>>8)%48
+			slot := int64(w.now()) >> slotShift
+			if slot < wheel.baseSlot {
+				slot = wheel.baseSlot
+			}
+			base := Time((slot + 1 + int64(x>>16)%64) << slotShift)
+			first := len(w.handles)
+			for j := 0; j < n; j++ {
+				spawn(base + Time(splitmix(x+uint64(j))%8)*Time(slotWidth/8))
+			}
+			mid := base + Time(slotWidth/2)
+			for _, s := range sides {
+				s := s
+				s.schedule(mid, func() {
+					for v := first; v < first+n; v += 3 {
+						ok, err := cancel(s, v)
+						if err != nil {
+							s.bodyErr = err
+						}
+						if ok {
+							s.trace = append(s.trace, traceEntry{1<<30 + v, s.now()})
+						}
+					}
+					for j, d := range [2]Time{0, 1 + Time(splitmix(x)%uint64(slotWidth/2-1))} {
+						id := 1<<28 + 2*first + j
+						s.schedule(s.now()+d, func() { s.trace = append(s.trace, traceEntry{id, s.now()}) })
+					}
+				})
 			}
 		}
 		if err := compareSides(op, w, r); err != nil {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Func is the body of a scheduled event. It runs exactly once at its
@@ -36,8 +38,9 @@ func (f ArgFunc) Fire(arg any) { f(arg) }
 // numSlots up.
 const (
 	locFree     = -1
-	locCur      = -2
+	locRun      = -2
 	locOverflow = -3
+	locSide     = -4
 )
 
 // event is a queue entry. seq breaks ties so that events scheduled earlier
@@ -47,10 +50,11 @@ const (
 // and cancelled events through an intrusive free list (safe because the
 // engine is single-goroutine by construction), so steady-state scheduling
 // allocates nothing. gen guards stale Handles against recycled records.
-// where says which container holds the event — a heap, where idx is its
-// position, or a wheel list (a level-0 slot or a level-1 frame), where
-// prev/next thread it into a doubly-linked list — so Cancel removes it in
-// O(log n) (heaps) or O(1) (lists) instead of leaving it to rot. A list is
+// where says which container holds the event — the sorted ready run or a
+// heap, where idx is its position, or a wheel list (a level-0 slot or a
+// level-1 frame), where prev/next thread it into a doubly-linked list — so
+// Cancel removes it in O(1) (the run, where it leaves a tombstone, and the
+// lists) or O(log n) (heaps) instead of leaving it to fire. A list is
 // nothing but its head pointer: a fresh engine owns no per-list storage to
 // grow.
 type event struct {
@@ -60,8 +64,8 @@ type event struct {
 	arg any
 	eng *Engine
 	gen uint32
-	// where is locCur, locOverflow, locFree, or an index into Engine.slots;
-	// idx is the position within a heap slice.
+	// where is locRun, locSide, locOverflow, locFree, or an index into
+	// Engine.slots; idx is the position within the run or a heap slice.
 	where int32
 	idx   int32
 	// prev/next link a wheel list; next alone links the free list.
@@ -73,12 +77,47 @@ func eventBefore(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
+// compareEvents is eventBefore as a three-way comparison, for slices.SortFunc.
+func compareEvents(a, b *event) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// initRun and initSide are the run's and the side heap's first capacities.
+const (
+	initRun  = 16
+	initSide = 8
+)
+
+// insertionMax is the largest slot sortRun orders by insertion sort; a
+// more crowded slot goes to slices.SortFunc, so even one slot holding every
+// event of a run sorts in O(n log n). A busy tester's slot holds about ten.
+const insertionMax = 16
+
+// sortRun orders an activated slot's events by (timestamp, sequence).
+func sortRun(run []*event) {
+	if len(run) > insertionMax {
+		slices.SortFunc(run, compareEvents)
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		ev := run[i]
+		j := i
+		for ; j > 0 && eventBefore(ev, run[j-1]); j-- {
+			run[j] = run[j-1]
+		}
+		run[j] = ev
+	}
+}
+
 // eventHeap is a hand-rolled binary min-heap ordered by eventBefore that
 // keeps each event's idx in sync with its slice position so remove works
-// from a Handle. It backs the active-region ready set and the far-future
-// overflow queue. (container/heap's interface dispatch costs ~2 dynamic
-// calls per sift level; these direct slice loops are what make the wheel's
-// per-event constant factor beat the reference heap.)
+// from a Handle. It backs the side heap of events scheduled into the
+// activated region and the far-future overflow queue. (container/heap's
+// interface dispatch costs ~2 dynamic calls per sift level; these direct
+// slice loops keep the constant factor down.)
 type eventHeap []*event
 
 func (h eventHeap) up(i int) {
@@ -116,12 +155,6 @@ func (h eventHeap) down(i int) {
 	}
 	h[i] = ev
 	ev.idx = int32(i)
-}
-
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
 }
 
 func (h *eventHeap) push(ev *event) {
@@ -167,7 +200,7 @@ func (h *eventHeap) remove(i int) {
 //
 //   - level 0 is the current frame, one list per slot. The slots before
 //     baseSlot have been activated: events that land there go straight to
-//     the ready heap (cur), the rest to slot (at>>slotShift)&slotMask;
+//     the side heap, the rest to slot (at>>slotShift)&slotMask;
 //   - level 1 holds the next numFrames-1 frames, one list per frame. When
 //     level 0 runs empty the wheel moves to the next frame that holds
 //     anything and deals that frame's list out into the slots, so an event
@@ -207,11 +240,14 @@ const (
 // The scheduler is a two-level timer wheel rather than a global binary
 // heap: O(1) insert and Cancel for the next ~8.6 ms, with per-activation
 // cost proportional to the (small) population of one 8 ns slot. The wheel
-// only decides when an event becomes ready; firing order comes from the
-// ready heap alone, which orders by (timestamp, sequence), so equal-time
-// events still fire in schedule order and the determinism contract is
-// identical to the heap implementation (RefEngine keeps that implementation
-// alive for differential testing).
+// only decides when an event becomes ready. Activating a slot sorts its
+// events once by (timestamp, sequence) into the ready run, which fires by
+// index; the few events scheduled into the already-activated region after
+// that wait in a small side heap, and the next event is the earlier of the
+// run's head and the side heap's top. Either way equal-time events fire in
+// schedule order, and the determinism contract is identical to the heap
+// implementation (RefEngine keeps that implementation alive for
+// differential testing).
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -231,10 +267,16 @@ type Engine struct {
 	// dropped once a run passes it (when the old engine would have reaped).
 	maxDeadAt Time
 
-	// cur is the ready heap: events in the already-activated region (at
-	// earlier than baseSlot's start). The globally earliest pending event is
-	// always cur's top once prime() has run.
-	cur eventHeap
+	// run holds the last activated slot's events sorted by (at, seq); the
+	// entries before pos have fired, and a cancelled entry is a nil
+	// tombstone. side is the heap of events scheduled into the activated
+	// region (at earlier than baseSlot's start) after that slot was sorted.
+	// Together they hold every event of the activated region, and once
+	// prime() has run the globally earliest pending event is the earlier of
+	// run[pos] and side's top.
+	run  []*event
+	pos  int
+	side eventHeap
 	// frame is the absolute frame index (at>>frameShift) level 0
 	// covers, and baseSlot the absolute slot index (at>>slotShift) of the
 	// first slot not yet activated: frame's first slot <= baseSlot <= the
@@ -253,7 +295,7 @@ type Engine struct {
 	// slots holds the head of each wheel list — the numSlots level-0 slots,
 	// then the numFrames level-1 frames, frame f at numSlots+f&frameMask —
 	// and bitmap one occupancy bit per list. Order within a list is
-	// irrelevant, the ready heap sorts on activation.
+	// irrelevant, activation sorts the slot.
 	slots  [numLists]*event
 	bitmap [bitmapWords]uint64
 }
@@ -288,8 +330,9 @@ func (h Handle) Armed() bool {
 
 // Cancel prevents the event from running. Cancelling an already-fired or
 // already-cancelled event is a no-op. Cancel reports whether the event was
-// still pending. The event is removed from its container immediately —
-// O(1) for either wheel level, O(log n) for the ready or overflow heap — so
+// still pending. The event is taken out of its container immediately —
+// O(1) for either wheel level and for the ready run, where it leaves a
+// tombstone that firing skips, O(log n) for the side or overflow heap — so
 // cancel-heavy patterns (retransmission timers) do not accumulate garbage.
 func (h Handle) Cancel() bool {
 	ev := h.ev
@@ -302,8 +345,10 @@ func (h Handle) Cancel() bool {
 		e.maxDeadAt = ev.at
 	}
 	switch ev.where {
-	case locCur:
-		e.cur.remove(int(ev.idx))
+	case locRun:
+		e.run[ev.idx] = nil
+	case locSide:
+		e.side.remove(int(ev.idx))
 	case locOverflow:
 		e.overflow.remove(int(ev.idx))
 	default: // wheel list: unlink
@@ -382,13 +427,13 @@ func (e *Engine) schedule(at Time, h Handler, arg any) Handle {
 	return Handle{ev, ev.gen}
 }
 
-// insert places the event in the ready heap, a level-0 slot, a level-1
+// insert places the event in the side heap, a level-0 slot, a level-1
 // frame, or overflow.
 func (e *Engine) insert(ev *event) {
 	s := int64(ev.at) >> slotShift
 	if s < e.baseSlot {
-		ev.where = locCur
-		e.cur.push(ev)
+		ev.where = locSide
+		e.side.push(ev)
 		return
 	}
 	switch f := s >> slotBits; {
@@ -464,21 +509,35 @@ func (e *Engine) ScheduleFireAt(at Time, h Handler, arg any) Handle {
 // Stop makes the current Run call return after the in-flight event finishes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// prime fills the ready heap with the next wheel slot's events (moving to a
-// later frame as needed) and returns the earliest pending event without
-// removing it.
+// prime returns the earliest pending event without removing it: the
+// earlier of the run's next live entry and the side heap's top, after
+// activating the next wheel slot (moving to a later frame as needed) when
+// both are used up.
 func (e *Engine) prime() *event {
-	for len(e.cur) == 0 {
+	for {
+		for e.pos < len(e.run) && e.run[e.pos] == nil {
+			e.pos++
+		}
+		if e.pos < len(e.run) {
+			ev := e.run[e.pos]
+			if len(e.side) > 0 && eventBefore(e.side[0], ev) {
+				return e.side[0]
+			}
+			return ev
+		}
+		if len(e.side) > 0 {
+			return e.side[0]
+		}
 		if !e.advance() {
 			return nil
 		}
 	}
-	return e.cur[0]
 }
 
 // advance activates the next non-empty slot of the frame, moving level 0
-// to the next frame that holds anything when this one is used up. It
-// reports whether any events remain anywhere.
+// to the next frame that holds anything when this one is used up, and
+// sorts the slot's events into the run (which, like the side heap, the
+// caller has used up). It reports whether any events remain anywhere.
 func (e *Engine) advance() bool {
 	if e.wheelCnt == 0 && !e.nextFrame() {
 		return false
@@ -491,17 +550,25 @@ func (e *Engine) advance() bool {
 		word = e.bitmap[w]
 	}
 	idx := w<<6 + bits.TrailingZeros64(word)
-	e.cur = e.cur[:0]
+	if e.run == nil {
+		// The first activation sizes the run and the side heap together,
+		// from one array, for the few events a slot usually holds; either
+		// grows past its share by append.
+		buf := make([]*event, initRun+initSide)
+		e.run, e.side = buf[:0:initRun], buf[initRun:initRun]
+	}
+	e.run, e.pos = e.run[:0], 0
 	for ev := e.take(idx); ev != nil; {
 		next := ev.next
 		ev.prev, ev.next = nil, nil
-		ev.where = locCur
-		ev.idx = int32(len(e.cur))
-		e.cur = append(e.cur, ev)
+		e.run = append(e.run, ev)
 		ev = next
 	}
-	e.wheelCnt -= len(e.cur)
-	e.cur.init()
+	e.wheelCnt -= len(e.run)
+	sortRun(e.run)
+	for i, ev := range e.run {
+		ev.where, ev.idx = locRun, int32(i)
+	}
 	e.baseSlot = e.frame<<slotBits + int64(idx) + 1
 	return true
 }
@@ -550,12 +617,16 @@ func (e *Engine) nextFrame() bool {
 	return true
 }
 
-// fire pops the primed event, runs it, and recycles it. The event is
-// recycled before its body runs, so a Cancel from inside the body (or any
-// time after) reports false, exactly like the heap implementation's
-// fn-nilling.
+// fire takes the primed event off the run or the side heap, runs it, and
+// recycles it. The event is recycled before its body runs, so a Cancel from
+// inside the body (or any time after) reports false, exactly like the heap
+// implementation's fn-nilling.
 func (e *Engine) fire(ev *event) {
-	e.cur.pop()
+	if ev.where == locRun {
+		e.pos++
+	} else {
+		e.side.pop()
+	}
 	e.now = ev.at
 	h, arg := ev.h, ev.arg
 	e.recycle(ev)

@@ -7,7 +7,7 @@ import "testing"
 // before/after ratio demanded by the performance acceptance criteria is a
 // single benchstat comparison away.
 
-// steadyGap spreads chain periods over 5.1–82 ns so slots, the ready heap,
+// steadyGap spreads chain periods over 5.1–82 ns so slots, the ready run,
 // and slot re-use are all exercised, like concurrent per-port timers.
 func steadyGap(i int) Duration { return Duration(5120 + (i%16)*5120) }
 

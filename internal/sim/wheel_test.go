@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"time"
+)
 
 // Tests specific to the timer-wheel implementation details: Pending
 // accounting under cancellation, handle generation safety across event
@@ -322,7 +326,7 @@ func TestFreshEngineSlotsAllocateNothing(t *testing.T) {
 	e := NewEngine()
 	fn := func() {}
 	e.Schedule(0, fn)
-	e.RunAll() // the free list and the ready heap now hold one entry each
+	e.RunAll() // the free list, the ready run and the side heap now have room
 	// Each firing moves the clock three slots on, so every event lands in a
 	// slot this engine has not used before (until the window wraps).
 	if a := testing.AllocsPerRun(2000, func() {
@@ -346,8 +350,9 @@ func TestFreshEngineSlotsAllocateNothing(t *testing.T) {
 		t.Errorf("Schedule then Cancel on a fresh engine: %v allocs, want 0", a)
 	}
 	// What every short test pays for its event core: the only allocations
-	// are the engine, one slab of event records, the ready heap's first
-	// growth and runFreshEngine's own gap table and tick.
+	// are the engine, one slab of event records, the one array the ready
+	// run and side heap start in, and runFreshEngine's own gap table and
+	// tick.
 	var ran uint64
 	if a := testing.AllocsPerRun(20, func() { ran = runFreshEngine() }); a > 16 {
 		t.Errorf("fresh engine run to 250us: %v allocs, want <= 16", a)
@@ -413,4 +418,75 @@ func runFreshEngine() uint64 {
 		e.ScheduleArg(0, tick, &gaps[c])
 	}
 	return e.Run(Time(250 * Microsecond))
+}
+
+// One slot holding 1<<17 events, scheduled latest first, fires in
+// (timestamp, schedule order) on activation. Activation sorts the slot
+// once; an insertion sort of that many would take minutes, so the run must
+// finish well inside two seconds (~50 ms measured, with -race a few times
+// that).
+func TestCrowdedSlotFiresInOrder(t *testing.T) {
+	const n = 1 << 17
+	e := NewEngine()
+	base := Time(7 << slotShift)
+	type fired struct {
+		at Time
+		i  int
+	}
+	got := make([]fired, 0, n)
+	record := ArgFunc(func(arg any) { got = append(got, fired{e.Now(), arg.(int)}) })
+	for i := 0; i < n; i++ {
+		// 16 events at each of the slot's 8192 timestamps, descending.
+		e.ScheduleArgAt(base+Time(slotWidth)-1-Time(i>>4), record, i)
+	}
+	start := time.Now()
+	if ran := e.RunAll(); ran != n {
+		t.Fatalf("ran %d events, want %d", ran, n)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("firing one slot of %d events took %v, want < 2s", n, took)
+	}
+	for k := 1; k < n; k++ {
+		a, b := got[k-1], got[k]
+		if a.at > b.at || (a.at == b.at && a.i > b.i) {
+			t.Fatalf("firing %d: event %d at %v after event %d at %v", k, b.i, b.at, a.i, a.at)
+		}
+	}
+}
+
+// Inside an activated slot, a cancelled run entry is skipped, and events
+// scheduled into the slot after it was sorted (the side heap) fire among
+// the run's entries in (timestamp, sequence) order.
+func TestActivatedSlotCancelAndPush(t *testing.T) {
+	e := NewEngine()
+	base := Time(3 << slotShift)
+	var order []string
+	mark := func(s string) Func { return func() { order = append(order, s) } }
+	var victim Handle
+	e.ScheduleAt(base+10, func() {
+		order = append(order, "a")
+		if victim.ev.where != locRun {
+			t.Errorf("victim in container %d, want the run", victim.ev.where)
+		}
+		if !victim.Cancel() || victim.Armed() {
+			t.Error("cancel of a ready run entry failed")
+		}
+		e.ScheduleAt(base+10, mark("same-time push")) // after c, which has the same timestamp
+		h := e.ScheduleAt(base+20, mark("push"))      // between b and d
+		if h.ev.where != locSide {
+			t.Errorf("push into the activated slot in container %d, want the side heap", h.ev.where)
+		}
+	})
+	e.ScheduleAt(base+10, mark("c"))
+	e.ScheduleAt(base+15, mark("b"))
+	victim = e.ScheduleAt(base+17, mark("cancelled"))
+	e.ScheduleAt(base+30, mark("d"))
+	e.RunAll()
+	want := "[a c same-time push b push d]"
+	if got := fmt.Sprint(order); got != want {
+		t.Errorf("fired %s, want %s", got, want)
+	}
+	if e.Pending() != 0 || len(e.side) != 0 {
+		t.Errorf("not drained: pending %d, side heap %d", e.Pending(), len(e.side))
+	}
 }
