@@ -168,10 +168,11 @@ type Tester struct {
 	partEngs []*sim.Engine
 }
 
-// flowEntry is one row of Tester.flows.
+// flowEntry is one row of Tester.flows. A flow's start time is not kept:
+// the NIC that times the flow reports its FCT at completion, so the start
+// is the completion time less the FCT.
 type flowEntry struct {
-	start sim.Time
-	size  uint32
+	size uint32
 	// island is the TX-side island's index in Tester.islands plus one; 0 for
 	// never-started and external flows.
 	island uint32
@@ -651,7 +652,7 @@ func (t *Tester) startFlow(flow packet.FlowID, tx, rx int, sizePkts uint32, alg 
 		risl.pl.ResetFlow(flow)
 	}
 	t.bind(flow, rx)
-	*t.flows.Slot(flow) = flowEntry{start: t.Eng.Now(), size: sizePkts, island: uint32(isl.idx + 1)}
+	*t.flows.Slot(flow) = flowEntry{size: sizePkts, island: uint32(isl.idx + 1)}
 	if alg == nil {
 		return isl.nic.StartFlow(flow, t.portLocal[tx], sizePkts)
 	}
@@ -670,7 +671,7 @@ func (t *Tester) flowDone(flow packet.FlowID, fct sim.Duration) {
 	t.FCTs.Add(measure.FCTRecord{
 		Flow:     flow,
 		SizePkts: f.size,
-		Start:    f.start,
+		Start:    t.Eng.Now().Add(-fct),
 		FCT:      fct,
 	})
 	if t.userComplete != nil {
