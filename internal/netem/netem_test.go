@@ -125,8 +125,8 @@ func TestQueueRewindsWhenEmpty(t *testing.T) {
 			t.Fatalf("round %d: an empty band holds head %d, len %d", round, band.head, len(band.buf))
 		}
 	}
-	if c := cap(band.buf); c > 4 {
-		t.Fatalf("3,000 packets three deep grew the band to %d slots, want <= 4", c)
+	if c := cap(band.buf); c != firstSlots || &band.buf[:1][0] != &band.first[0] {
+		t.Fatalf("3,000 packets three deep moved the band to an array of %d slots, want its own %d", c, firstSlots)
 	}
 
 	for round := 0; round < 50; round++ { // a backlog that never drains

@@ -340,3 +340,44 @@ func TestAQMEnqueueZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// A fresh band queues its first firstSlots packets in its own slots: a
+// drop-tail queue fills and drains without allocating, and the packet past
+// them moves the band to an array of its own, order kept.
+func TestBandFirstSlotsAllocateNothing(t *testing.T) {
+	pkts := make([]*packet.Packet, firstSlots+1)
+	for i := range pkts {
+		pkts[i] = packet.NewData(1, uint32(i), 1000, 0)
+	}
+	qs := make([]Queue, 12)
+	for i := range qs {
+		qs[i] = newQueue(1<<20, ECNConfig{})
+	}
+	next := 0
+	fill := func(n int) *Queue {
+		q := &qs[next]
+		next++
+		for _, p := range pkts[:n] {
+			if !q.Enqueue(p) {
+				t.Fatal("queue refused a packet")
+			}
+		}
+		return q
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		q := fill(firstSlots)
+		for q.Dequeue() != nil {
+		}
+	}); a != 0 {
+		t.Errorf("filling and draining a fresh band's %d slots made %v allocations, want 0", firstSlots, a)
+	}
+	q := fill(firstSlots + 1)
+	for i, want := range pkts {
+		if p := q.Dequeue(); p != want {
+			t.Fatalf("packet %d out of a grown band is PSN %d, want %d", i, p.PSN, want.PSN)
+		}
+	}
+	for _, p := range pkts {
+		p.Release()
+	}
+}
