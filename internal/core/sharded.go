@@ -247,6 +247,17 @@ func (t *Tester) NICStats() fpga.Stats {
 	return s
 }
 
+// CheckScheduler runs every NIC's scheduler self-check (fpga.NIC's
+// CheckScheduler) and returns the first breach, or nil.
+func (t *Tester) CheckScheduler() error {
+	for _, isl := range t.islands {
+		if err := isl.nic.CheckScheduler(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // FlowTxBytes reads a flow's cumulative generated DATA bytes from the
 // pipeline owning its TX port.
 func (t *Tester) FlowTxBytes(flow packet.FlowID) uint64 {

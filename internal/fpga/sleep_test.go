@@ -36,8 +36,9 @@ type txScriptRun struct {
 // the per-slot reference tick instead of the sleeping one.
 //
 // Odd seeds add NIC stall windows. Even seeds instead restart some IDs on
-// port 3 at the instant they stop, which leaves their old scheduling event
-// on port 0, so both ports send. The two never mix: clearing a stall re-arms
+// port 3 at the instant they stop, which takes their scheduling event off
+// port 0, so both ports send. The scheduler's self-check holds after every
+// action. The two never mix: clearing a stall re-arms
 // every port at one instant, and two ports whose slots then fall on the
 // same picosecond may emit in either order (DESIGN.md, the sleeping TX
 // timer). For the same reason the RX timer runs slower than the TX timer:
@@ -121,6 +122,9 @@ func runTXScript(t *testing.T, algo string, seed uint64, perSlot bool) txScriptR
 		case k < 80 && !moves && !r.nic.Stalled():
 			r.nic.SetStall(true)
 			r.eng.ScheduleAt(at.Add(sim.Duration(200+rng.Intn(20_000))*sim.Nanosecond), func() { r.nic.SetStall(false) })
+		}
+		if err := r.nic.CheckScheduler(); err != nil {
+			t.Fatalf("%s seed %d at %v: %v", algo, seed, at, err)
 		}
 	}
 	r.eng.Run(sim.Time(horizon))

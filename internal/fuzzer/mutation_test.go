@@ -1,6 +1,7 @@
 package fuzzer
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -160,6 +161,10 @@ func TestSanityCatchesDoctoredCounters(t *testing.T) {
 	r.Losses.Misroutes = 1
 	if v := checkSanity(cfg, r); v == nil || !strings.Contains(v.Detail, "misroutes") {
 		t.Errorf("missed misroutes: %v", v)
+	}
+	r = &runResult{Goodput: map[packet.FlowID]uint64{}, Sched: errors.New("fpga: port 0's scheduling FIFO holds two events of flow 7")}
+	if v := checkSanity(cfg, r); v == nil || !strings.Contains(v.Detail, "two events") {
+		t.Errorf("missed a scheduler self-check breach: %v", v)
 	}
 	r = &runResult{Goodput: map[packet.FlowID]uint64{0: 1 << 62}}
 	if v := checkSanity(cfg, r); v == nil || !strings.Contains(v.Detail, "line-rate") {

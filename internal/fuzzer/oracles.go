@@ -208,14 +208,18 @@ func checkConservation(cfg Config, r *runResult) *Violation {
 }
 
 // checkSanity enforces the §4.2 correctness floor and basic physics: no
-// tester-internal false losses, no misroutes, no port delivering beyond
-// its line rate, no marking more packets than were forwarded.
+// tester-internal false losses, no misroutes, a scheduler whose FIFOs keep
+// §5.2's one event a flow, no port delivering beyond its line rate, no
+// marking more packets than were forwarded.
 func checkSanity(cfg Config, r *runResult) *Violation {
 	if r.Losses.FalseLosses != 0 {
 		return &Violation{OracleSanity, fmt.Sprintf("%d false losses (tester-internal drops)", r.Losses.FalseLosses)}
 	}
 	if r.Losses.Misroutes != 0 {
 		return &Violation{OracleSanity, fmt.Sprintf("%d misroutes", r.Losses.Misroutes)}
+	}
+	if r.Sched != nil {
+		return &Violation{OracleSanity, r.Sched.Error()}
 	}
 	lineBits := uint64(float64(100*sim.Gbps) * cfg.Horizon().Seconds())
 	for id, bits := range r.Goodput {

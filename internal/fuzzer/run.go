@@ -32,6 +32,7 @@ type runResult struct {
 	FCTs    []measure.FCTRecord
 	Goodput map[packet.FlowID]uint64 // delivered bits
 	Queues  []queueBalance
+	Sched   error // the NICs' scheduler self-check at the horizon
 }
 
 // execute deploys the config, runs it to its horizon and returns the
@@ -58,6 +59,7 @@ func execute(cfg Config) (*runResult, error) {
 		res.Goodput[f.Flow] = tr.GoodputBits(f.Flow)
 	}
 	res.Queues = collectQueues(tr)
+	res.Sched = tr.CheckScheduler()
 	return res, nil
 }
 
