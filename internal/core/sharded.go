@@ -10,7 +10,9 @@
 // shard.Runner drives them in conservative rounds bounded by the minimum
 // inter-island propagation delay: trunks crossing the cut, the reverse ACK
 // paths (routed per flow) and flow completions all go through the runner's
-// deterministic barrier merge.
+// deterministic barrier merge. Every partition draws packets from a pool of
+// its own; the runner moves a packet into its destination's pool as it
+// crosses, and free packets between pools at the barrier.
 //
 // Comparability. Shards=1 and Shards=N run the same K-island plan and are
 // byte-identical at any GOMAXPROCS. Shards=0 on the same Topology is a
@@ -38,6 +40,7 @@ type island struct {
 	part int
 	idx  int // position in Tester.islands
 	eng  *sim.Engine
+	pool *packet.Pool // the partition's, shared by pl and nic
 	pl   *tofino.Pipeline
 	nic  *fpga.NIC
 	sche *netem.Link
@@ -95,7 +98,7 @@ func newIsland(eng *sim.Engine, part, nports int, cfg Config, plan tofino.Plan, 
 	if cfg.ReceiverOnFPGA {
 		cables += 2
 	}
-	isl := &island{part: part, eng: eng, pl: pl, nic: nic, links: make([]netem.Link, 0, cables)}
+	isl := &island{part: part, eng: eng, pool: pool, pl: pl, nic: nic, links: make([]netem.Link, 0, cables)}
 	isl.sche = isl.deviceLink(cfg, pl.ScheIn())
 	nic.ConnectSche(isl.sche)
 	isl.info = isl.deviceLink(cfg, nic.InfoIn())
@@ -173,6 +176,7 @@ func (t *Tester) joinRunner(pplan fabric.PartitionPlan, slots []*portalSlot, rev
 	if err != nil {
 		return err
 	}
+	t.runner.SetPools(t.pools)
 	for _, s := range slots {
 		s.r = t.runner.Portal(s.src, s.dst, s.node)
 	}

@@ -118,8 +118,9 @@ type Config struct {
 	// Without the rewind each discarded packet costs a NACK round trip
 	// or, once the flow has nothing new to send, a full RTO.
 	GoBackN bool
-	// Pool supplies the SCHE packets the NIC creates (nil: the shared
-	// pool).
+	// Pool supplies the SCHE packets the NIC creates: the tester island's,
+	// shared with its pipeline, or the shared pool (nil) for a NIC built
+	// outside a tester.
 	Pool *packet.Pool
 }
 

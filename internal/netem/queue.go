@@ -204,9 +204,11 @@ type Queue struct {
 
 	aqmMarks, aqmDrops uint64
 	bandDeq            [aqm.MaxBands]uint64
-	// soj exists only under a discipline: 4 KiB of histogram a queue, which
-	// a drop-tail fabric of a hundred links would carry for nothing.
-	soj *[aqm.MaxBands]sojournHist
+	// soj[b] is band b's sojourn histogram, 2 KiB taken at the band's first
+	// delivery under a discipline: a drop-tail fabric of a hundred links,
+	// or a dual-queue one whose traffic all sits in one band, would carry
+	// the rest for nothing.
+	soj [aqm.MaxBands]*sojournHist
 
 	// onChange is invoked with the new backlog after every enqueue and
 	// dequeue; the PFC controller uses it to watch watermarks.
@@ -243,9 +245,6 @@ func (q *Queue) SetAQM(disc aqm.AQM, clock func() sim.Time) {
 	q.nbands = 1
 	if disc != nil {
 		q.nbands = disc.Bands()
-		if q.soj == nil {
-			q.soj = new([aqm.MaxBands]sojournHist)
-		}
 	}
 }
 
@@ -378,6 +377,9 @@ func (q *Queue) Dequeue() *packet.Packet {
 			p.Release()
 			continue
 		}
+		if q.soj[band] == nil {
+			q.soj[band] = new(sojournHist)
+		}
 		q.soj[band].add(sojourn)
 		q.bandDeq[band]++
 		q.deliverStats(p)
@@ -417,8 +419,10 @@ func (q *Queue) AQMStats() *AQMStats {
 		Drops:          q.aqmDrops,
 		BandDeqPackets: q.bandDeq,
 	}
-	for b := 0; b < q.nbands; b++ {
-		s.SojournP99Us[b] = q.soj[b].quantile(0.99).Microseconds()
+	for b, h := range q.soj[:q.nbands] {
+		if h != nil {
+			s.SojournP99Us[b] = h.quantile(0.99).Microseconds()
+		}
 	}
 	return s
 }

@@ -31,8 +31,9 @@ type Config struct {
 	// CNPInterval rate-limits per-flow CNP generation (RoCE receiver; 0:
 	// a CNP per CE-marked arrival).
 	CNPInterval sim.Duration
-	// Pool supplies the DATA, NACK and CNP packets the pipeline creates
-	// (nil: the shared pool).
+	// Pool supplies the DATA, NACK and CNP packets the pipeline creates: the
+	// tester island's, shared with its NIC, or the shared pool (nil) for a
+	// pipeline built outside a tester.
 	Pool *packet.Pool
 }
 

@@ -43,11 +43,66 @@ type rxFlow struct {
 	lastCNP sim.Time
 }
 
-// oooSet is a TCP flow's buffered out-of-order PSNs: psns[head:] in
-// sequence order, each after the flow's expected PSN and none twice.
+// oooSet is a TCP flow's buffered out-of-order PSNs, kept as runs of
+// consecutive ones: runs[head:] in sequence order, each after the flow's
+// expected PSN, with a hole before each. Its size follows the holes, not
+// the window: the usual arrival after a hole extends the last run, a fill
+// merges two, and the in-order arrival that closes the first hole pops a
+// whole run.
 type oooSet struct {
-	psns []uint32
+	runs []psnRun
 	head int
+}
+
+// psnRun is the buffered PSNs lo through hi, in circular sequence order.
+type psnRun struct{ lo, hi uint32 }
+
+// setRuns is the room a new out-of-order set starts with: enough for the
+// holes a flow's window usually has at once.
+const setRuns = 8
+
+// add buffers psn, which follows the flow's expected PSN; a PSN already
+// buffered changes nothing.
+func (s *oooSet) add(psn uint32) {
+	rs := s.runs[s.head:]
+	n := len(rs)
+	if n == 0 || seqAfter(psn, rs[n-1].hi+1) {
+		s.insert(n, psn)
+		return
+	}
+	if psn == rs[n-1].hi+1 {
+		rs[n-1].hi = psn
+		return
+	}
+	// i is the first run that ends at or after psn.
+	i, _ := slices.BinarySearchFunc(rs, psn, func(r psnRun, psn uint32) int { return seqCmp(r.hi, psn) })
+	if !seqAfter(rs[i].lo, psn) {
+		return // rs[i] holds psn
+	}
+	afterPrev := i > 0 && rs[i-1].hi+1 == psn
+	beforeNext := rs[i].lo == psn+1
+	switch {
+	case afterPrev && beforeNext:
+		rs[i-1].hi = rs[i].hi
+		s.runs = slices.Delete(s.runs, s.head+i, s.head+i+1)
+	case afterPrev:
+		rs[i-1].hi = psn
+	case beforeNext:
+		rs[i].lo = psn
+	default:
+		s.insert(i, psn)
+	}
+}
+
+// insert places the run [psn, psn] at index i of runs[head:], moving the
+// live runs to the front first when the slice is full and some have been
+// drained.
+func (s *oooSet) insert(i int, psn uint32) {
+	if s.head > 0 && len(s.runs) == cap(s.runs) {
+		s.runs = s.runs[:copy(s.runs, s.runs[s.head:])]
+		s.head = 0
+	}
+	s.runs = slices.Insert(s.runs, s.head+i, psnRun{psn, psn})
 }
 
 // Receiver is Module A (§4.1), defined once and run in either of two
@@ -72,7 +127,8 @@ type Receiver struct {
 	// sets holds the out-of-order sets of the TCP flows with a gap, and
 	// spare the indices of drained ones, which keep their capacity: a
 	// receive row stays 24 B, and a warm receiver buffers reordering
-	// without allocating.
+	// without allocating unless a flow has more holes at once than any
+	// before it.
 	sets  []oooSet
 	spare []uint32
 
@@ -86,7 +142,8 @@ type Receiver struct {
 
 // newReceiver builds Module A in the given mode. CNPs are spaced at least
 // cnpInterval apart per flow (0: one per CE-marked arrival); pool supplies
-// the NACKs and CNPs it creates (nil: the shared pool).
+// the NACKs and CNPs it creates: the pipeline's, or the shared pool (nil)
+// for a receiver outside a tester.
 func newReceiver(eng *sim.Engine, mode ReceiverMode, cnpInterval sim.Duration, pool *packet.Pool) *Receiver {
 	return &Receiver{eng: eng, mode: mode, cnpInterval: cnpInterval, pool: pool}
 }
@@ -168,31 +225,23 @@ func (r *Receiver) buffer(f *rxFlow, psn uint32) {
 			f.ooo = r.spare[n-1]
 			r.spare = r.spare[:n-1]
 		} else {
-			r.sets = append(r.sets, oooSet{})
+			r.sets = append(r.sets, oooSet{runs: make([]psnRun, 0, setRuns)})
 			f.ooo = uint32(len(r.sets))
 		}
 	}
-	s := &r.sets[f.ooo-1]
-	i, dup := slices.BinarySearchFunc(s.psns[s.head:], psn, seqCmp)
-	if dup {
-		return
-	}
-	if s.head > 0 && len(s.psns) == cap(s.psns) {
-		s.psns = s.psns[:copy(s.psns, s.psns[s.head:])]
-		s.head = 0
-	}
-	s.psns = slices.Insert(s.psns, s.head+i, psn)
+	r.sets[f.ooo-1].add(psn)
 }
 
 // drain advances f.expected over the buffered PSNs that now follow it in
-// order, and gives the set back once it is empty.
+// order, at most one run since a hole follows each, and gives the set back
+// once it is empty.
 func (r *Receiver) drain(f *rxFlow) {
 	s := &r.sets[f.ooo-1]
-	for s.head < len(s.psns) && s.psns[s.head] == f.expected {
+	if first := s.runs[s.head]; first.lo == f.expected {
+		f.expected = first.hi + 1
 		s.head++
-		f.expected++
 	}
-	if s.head == len(s.psns) {
+	if s.head == len(s.runs) {
 		r.freeSet(f)
 	}
 }
@@ -201,7 +250,7 @@ func (r *Receiver) drain(f *rxFlow) {
 // for the next flow that sees a gap.
 func (r *Receiver) freeSet(f *rxFlow) {
 	s := &r.sets[f.ooo-1]
-	s.psns, s.head = s.psns[:0], 0
+	s.runs, s.head = s.runs[:0], 0
 	r.spare = append(r.spare, f.ooo)
 	f.ooo = 0
 }
