@@ -22,7 +22,6 @@ func cmdFuzz(args []string) error {
 	workers := fs.Int("j", runtime.GOMAXPROCS(0), "parallel oracle-check jobs (1 = sequential)")
 	minimize := fs.Bool("minimize", true, "delta-debug violating configs to minimal repros")
 	reproDir := fs.String("repro", "", "directory for repro scenario files (default: print inline)")
-	poolAudit := fs.Int("poolaudit", 0, "quiet configs to pool-leak audit (0 = default 8, -1 = none)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -32,13 +31,12 @@ func cmdFuzz(args []string) error {
 		}
 	}
 	res, err := marlin.RunFuzzCampaign(marlin.FuzzCampaignOptions{
-		N:         *n,
-		Seed:      *seed,
-		Workers:   *workers,
-		Minimize:  *minimize,
-		ReproDir:  *reproDir,
-		PoolAudit: *poolAudit,
-		Out:       os.Stdout,
+		N:        *n,
+		Seed:     *seed,
+		Workers:  *workers,
+		Minimize: *minimize,
+		ReproDir: *reproDir,
+		Out:      os.Stdout,
 	})
 	if err != nil {
 		return err

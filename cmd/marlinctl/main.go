@@ -90,7 +90,7 @@ commands:
 
 run/all flags: -scale N (stretch toward paper scale), -seed N, -format text|json|csv|md
                all also takes -j N (parallel jobs; -j 1 = sequential)
-fuzz flags:    -n N (configs) -seed S -j N -minimize -repro DIR -poolaudit N
+fuzz flags:    -n N (configs) -seed S -j N -minimize -repro DIR
                report is byte-identical for a given (-n, -seed) at any -j
 test, bench, dot and sweep take the configuration keys below as flags, plus
 their own ("marlinctl <command> -h" lists both, with the command's defaults);

@@ -63,7 +63,7 @@ func withGOMAXPROCS(n int, fn func()) {
 // DualPI2} x {no faults, linkdown plan} x {closed-loop, incast storm}, the
 // full observable digest must be byte-identical between Shards=1 and
 // Shards in {2,4}, at GOMAXPROCS 1 and 8 — window-mode dctcp throughout,
-// plus one rate-mode dcqcn row.
+// plus one rate-mode dcqcn row and one plan with no cut.
 func TestShardedMatchesSingle(t *testing.T) {
 	check := func(name string, spec Spec) {
 		t.Run(name, func(t *testing.T) {
@@ -127,6 +127,9 @@ func TestShardedMatchesSingle(t *testing.T) {
 		DCQCNTimeScale: 30,
 		Seed:           1,
 	})
+	// One plan that cuts no trunk: a single leaf is one island, which the
+	// runner drives with the link delay as its lookahead all the same.
+	check("leafspine:1x2/uncut", Spec{Algorithm: "dctcp", Ports: 4, Topology: "leafspine:1x2", Seed: 1})
 }
 
 // TestShardedSpecValidation pins the configuration surface: sharding needs

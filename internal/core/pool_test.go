@@ -131,13 +131,12 @@ func TestShardedTesterTakesNothingFromSharedPool(t *testing.T) {
 		alg string
 		int bool
 	}{{"dctcp", false}, {"hpcc", true}} {
-		packet.SetAccounting(true)
+		before := packet.SharedTakes()
 		tr := shardedFaultTester(t, 12, c.alg, c.int, 4,
 			"incast:period=100us,fanin=3,victim=1,size=80; flood:peak=20G,victim=4,period=400us,duty=0.25")
 		tr.Run(sim.Time(sim.Millisecond))
-		live, shared := packet.Live(), packet.SharedTakes()
-		packet.SetAccounting(false)
-		if live == 0 || tr.PipelineCounters().DataTx == 0 {
+		shared := packet.SharedTakes() - before
+		if held, _ := tr.Outstanding(); held == 0 || tr.PipelineCounters().DataTx == 0 {
 			t.Fatalf("%s: no packets counted in flight", c.alg)
 		}
 		if shared != 0 {

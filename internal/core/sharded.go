@@ -7,8 +7,8 @@
 // (or the owning member) of its islands. Shards == 0 plans one island on
 // the caller's engine. Shards > 0 takes fabric.PartitionSpec's plan, one
 // engine per island carrying its share of the fabric too, and a
-// shard.Runner drives them in conservative rounds bounded by the minimum
-// inter-island propagation delay: trunks crossing the cut, the reverse ACK
+// shard.Runner drives them in conservative rounds bounded by the tested
+// network's link delay: trunks crossing the cut, the reverse ACK
 // paths (routed per flow) and flow completions all go through the runner's
 // deterministic barrier merge. Every partition draws packets from a pool of
 // its own; the runner moves a packet into its destination's pool as it
@@ -24,7 +24,6 @@
 package core
 
 import (
-	"marlin/internal/fabric"
 	"marlin/internal/fpga"
 	"marlin/internal/netem"
 	"marlin/internal/packet"
@@ -131,18 +130,6 @@ func (t *Tester) owner(flow packet.FlowID) *island {
 	return nil
 }
 
-// portalSlot defers portal construction: the fabric is wired before the
-// runner exists (the lookahead is measured off the built fabric), so each
-// cross-island trunk drains into a slot that is bound to its runner portal
-// immediately after shard.New.
-type portalSlot struct {
-	src, dst *sim.Engine
-	node     netem.Node
-	r        netem.Remote
-}
-
-func (s *portalSlot) Carry(p *packet.Packet, at sim.Time) { s.r.Carry(p, at) }
-
 // ackRouter fans a receiver island's ACK/NACK/CNP traffic to the pipeline
 // owning each flow's TX port. A receiver response names no island, so the
 // route is by flow ID; unknown flows (external flood traffic) deliver to
@@ -163,50 +150,38 @@ func (a *ackRouter) Carry(p *packet.Packet, at sim.Time) {
 	a.vias[isl.part].Carry(p, at)
 }
 
-// joinRunner puts the built islands under a shard.Runner and re-routes
-// every hand-off that can cross between them through it: the fabric trunks
-// parked in slots, the reverse ACK links (revs, by global port), and flow
-// completions.
-func (t *Tester) joinRunner(pplan fabric.PartitionPlan, slots []*portalSlot, revs []*netem.Link) error {
-	look, err := t.Fab.MinInterPartitionDelay(pplan)
-	if err != nil {
-		return err
+// ackRouters returns, by partition, the router an island's reverse ACK
+// links drain into: it serializes the island's responses over the link,
+// then delivers each one to the flow's TX-side pipeline through the runner.
+// The reverse delay is at least the lookahead (Diameter >= 1 hop), so every
+// arrival lands beyond the round horizon. It returns nil without a runner.
+func (t *Tester) ackRouters(parts int) []*ackRouter {
+	if t.runner == nil {
+		return nil
 	}
-	t.runner, err = shard.New(t.Eng, t.partEngs, look, t.cfg.Shards)
-	if err != nil {
-		return err
-	}
-	t.runner.SetPools(t.pools)
-	for _, s := range slots {
-		s.r = t.runner.Portal(s.src, s.dst, s.node)
-	}
-
-	// A receiver island serializes its responses over the rev link, then
-	// its router delivers each one to the flow's TX-side pipeline through
-	// the runner. The rev delay is at least the lookahead (Diameter >= 1
-	// hop), so every arrival lands beyond the round horizon.
-	routers := make([]*ackRouter, pplan.Parts)
+	routers := make([]*ackRouter, parts)
 	for _, isl := range t.islands {
-		r := &ackRouter{t: t, home: isl, vias: make([]netem.Remote, pplan.Parts)}
+		r := &ackRouter{t: t, home: isl, vias: make([]netem.Remote, parts)}
 		for _, disl := range t.islands {
 			r.vias[disl.part] = t.runner.Portal(isl.eng, disl.eng, disl.pl.AckIn())
 		}
 		routers[isl.part] = r
 	}
-	for p, rev := range revs {
-		rev.SetRemote(routers[t.portIsland[p].part])
-	}
+	return routers
+}
 
-	// Flow completions fire on island goroutines mid-round; defer them to
-	// the control engine so FCT recording and user callbacks replay
-	// single-threaded in (time, partition, sequence) order.
-	for _, isl := range t.islands {
-		g := isl.part
-		isl.nic.OnComplete(func(flow packet.FlowID, fct sim.Duration) {
-			t.runner.DeferPart(g, func() { t.flowDone(flow, fct) })
-		})
+// completion returns partition part's flow-completion hook. Without a
+// runner it records the completion at once. With one, completions fire on
+// island goroutines mid-round, so it defers them to the control engine,
+// where FCT recording and user callbacks replay single-threaded in (time,
+// partition, sequence) order.
+func (t *Tester) completion(part int) func(packet.FlowID, sim.Duration) {
+	if t.runner == nil {
+		return t.flowDone
 	}
-	return nil
+	return func(flow packet.FlowID, fct sim.Duration) {
+		t.runner.DeferPart(part, func() { t.flowDone(flow, fct) })
+	}
 }
 
 // ShardStats returns the runner's round/carry telemetry (zero without one).
@@ -215,6 +190,14 @@ func (t *Tester) ShardStats() shard.Stats {
 		return shard.Stats{}
 	}
 	return t.runner.Stats()
+}
+
+// Outstanding returns how many packets and telemetry records the tester's
+// pools, the runner's reserve among them, have minted and do not hold
+// free (packet.Outstanding). Once the traffic has finished and every
+// packet has landed it reads (0, 0); anything else is a leak.
+func (t *Tester) Outstanding() (packets, records int) {
+	return packet.Outstanding(append([]*packet.Pool{&t.reserve}, t.pools...)...)
 }
 
 // EventsExecuted sums fired events across every engine the tester drives.

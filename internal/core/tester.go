@@ -150,7 +150,10 @@ type Tester struct {
 	// pools holds the packet pools, one a partition engine: a partition's
 	// devices and InjectData for its TX ports draw from its pool, and a
 	// packet crossing the cut changes pools on delivery (shard.SetPools).
-	pools []*packet.Pool
+	// reserve holds the free packets the runner's barrier took from them
+	// and has not handed back yet.
+	pools   []*packet.Pool
+	reserve packet.Pool
 
 	userComplete func(flow packet.FlowID, fct sim.Duration)
 
@@ -267,7 +270,7 @@ func (cfg Config) Marking() (netem.ECNConfig, aqm.Spec) {
 // the tester hardware, the tested network, and the reverse ACK paths. With
 // Shards == 0 the plan is one island on eng holding every port; with
 // Shards > 0 it is the topology's partition plan, one engine per island,
-// and joinRunner re-routes every cross-island hand-off through the runner.
+// and every cross-island hand-off goes through the shard runner.
 func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 	cfg, plan, err := Resolve(cfg)
 	if err != nil {
@@ -302,7 +305,6 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 
 	pplan := fabric.PartitionPlan{Parts: 1, HostPart: make([]int, cfg.DataPorts)}
 	engs := []*sim.Engine{eng}
-	var slots []*portalSlot
 	if cfg.Shards > 0 {
 		if pplan, err = fabric.PartitionSpec(cfg.Topology, cfg.DataPorts); err != nil {
 			return nil, err
@@ -312,25 +314,30 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 			engs[g] = sim.NewEngine()
 		}
 		t.partEngs = engs
-		// Each switch lives on its island's engine, host endpoints on their
-		// leaf's; trunks crossing the cut drain into portal slots, bound
-		// once the runner exists.
-		fcfg.Engines = func(swIdx int) *sim.Engine { return engs[pplan.SwitchPart[swIdx]] }
-		fcfg.Remote = func(src, dst *sim.Engine, node netem.Node) netem.Remote {
-			s := &portalSlot{src: src, dst: dst, node: node}
-			slots = append(slots, s)
-			return s
+		// Every trunk is built with LinkDelay and every reverse ACK link
+		// with a multiple of it, so no hand-off between islands arrives
+		// sooner: that is the runner's lookahead.
+		if t.runner, err = shard.New(eng, engs, cfg.LinkDelay, cfg.Shards); err != nil {
+			return nil, err
 		}
+		// Each switch lives on its island's engine, host endpoints on their
+		// leaf's; trunks crossing the cut drain into runner portals.
+		fcfg.Engines = func(swIdx int) *sim.Engine { return engs[pplan.SwitchPart[swIdx]] }
+		fcfg.Remote = t.runner.Portal
 	}
 
 	t.pools = make([]*packet.Pool, pplan.Parts)
 	for g := range t.pools {
 		t.pools[g] = new(packet.Pool)
 	}
+	if t.runner != nil {
+		t.runner.SetPools(t.pools, &t.reserve)
+	}
 	// An island gets one local port per data port whose host lives in its
 	// partition, in ascending global order; a partition of pure transit
 	// switches gets none. fcfg.Sinks[p] is where the network delivers DATA
-	// addressed to port p; completions are recorded as they happen.
+	// addressed to port p; completions are recorded as they happen, and on
+	// a sharded build replayed on the control engine at the barrier.
 	groups := make([][]int, pplan.Parts)
 	for p, g := range pplan.HostPart {
 		groups[g] = append(groups[g], p)
@@ -348,7 +355,7 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 			t.portIsland[p], t.portLocal[p] = isl, li
 			fcfg.Sinks[p] = isl.pl.DataIn(li)
 		}
-		isl.nic.OnComplete(t.flowDone)
+		isl.nic.OnComplete(t.completion(g))
 		isl.idx = len(t.islands)
 		t.islands = append(t.islands, isl)
 	}
@@ -374,20 +381,19 @@ func New(eng *sim.Engine, cfg Config) (*Tester, error) {
 
 	// Each data port sends into its uplink and gets a reverse ACK link,
 	// provisioned to the network's forward diameter, into its own island's
-	// pipeline.
+	// pipeline; on a sharded build the link drains into its island's ACK
+	// router instead.
 	revDelay := sim.Duration(cfg.Topology.Diameter()) * cfg.LinkDelay
-	revs := make([]*netem.Link, cfg.DataPorts)
+	routers := t.ackRouters(pplan.Parts)
 	for p, isl := range t.portIsland {
 		isl.pl.ConnectDataPort(t.portLocal[p], t.Fab.HostUplink(p))
-		revs[p] = isl.link(netem.LinkConfig{
+		rev := isl.link(netem.LinkConfig{
 			Rate: cfg.PortRate, Delay: revDelay, QueueBytes: 1 << 20,
 		}, isl.pl.AckIn())
-		isl.pl.ConnectAckPort(t.portLocal[p], revs[p])
-	}
-	if cfg.Shards > 0 {
-		if err := t.joinRunner(pplan, slots, revs); err != nil {
-			return nil, err
+		if routers != nil {
+			rev.SetRemote(routers[isl.part])
 		}
+		isl.pl.ConnectAckPort(t.portLocal[p], rev)
 	}
 	return t, nil
 }

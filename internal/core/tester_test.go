@@ -38,6 +38,20 @@ func newTester(t testing.TB, cfg Config) *Tester {
 	return tester
 }
 
+// stopAndAudit stops flows, lets the packets in flight land, and fails the
+// test unless the tester's pools have every packet and telemetry record
+// back: a packet a path forgets to Release is a leak nothing else sees.
+func stopAndAudit(t *testing.T, tr *Tester, flows ...packet.FlowID) {
+	t.Helper()
+	for _, f := range flows {
+		tr.StopFlow(f)
+	}
+	tr.Run(tr.Eng.Now().Add(sim.Millisecond))
+	if n, m := tr.Outstanding(); n != 0 || m != 0 {
+		t.Fatalf("%d packets and %d telemetry records still out after the traffic stopped and settled", n, m)
+	}
+}
+
 func TestNewDefaults(t *testing.T) {
 	tr := newTester(t, Config{Algorithm: mustAlg(t, "dctcp")})
 	if tr.Plan().MTU != 1024 || tr.Plan().DataPorts != 12 {
@@ -212,6 +226,8 @@ func TestDCQCNFanInConverges(t *testing.T) {
 	if tr.PipelineCounters().CnpTx == 0 {
 		t.Fatal("no CNPs generated under congestion")
 	}
+	// The fan-in's queue tail-drops while the rates converge.
+	stopAndAudit(t, tr, 0, 1, 2, 3)
 }
 
 func TestStopFlowReleasesBandwidth(t *testing.T) {
@@ -422,6 +438,7 @@ func TestExtraHopsDeepenPathAndINT(t *testing.T) {
 		if gbps < 60 {
 			t.Fatalf("extra=%d: throughput %v Gbps", extra, gbps)
 		}
+		stopAndAudit(t, tr, 0)
 		return ewma
 	}
 	base := rtt(0)

@@ -1,10 +1,6 @@
 package fabric
 
-import (
-	"fmt"
-
-	"marlin/internal/sim"
-)
+import "fmt"
 
 // PartitionPlan assigns every switch and every host of a topology to a
 // partition (an island that can run on its own engine). The plan is a pure
@@ -95,51 +91,4 @@ func PartitionSpec(spec Spec, hosts int) (PartitionPlan, error) {
 		return PartitionPlan{}, fmt.Errorf("fabric: no partition rule for topology %q", spec.Kind)
 	}
 	return p, nil
-}
-
-// PropagationDelay looks up one link's configured propagation delay by its
-// "src->dst" name (ResolveLink syntax). Topology validation and the
-// lookahead computation both use it.
-func (f *Fabric) PropagationDelay(name string) (sim.Duration, error) {
-	l, err := f.ResolveLink(name)
-	if err != nil {
-		return 0, err
-	}
-	return l.Delay(), nil
-}
-
-// MinInterPartitionDelay computes the conservative-synchronization
-// lookahead for a partition plan: the minimum propagation delay over every
-// link whose two endpoints live in different partitions. Host up/downlinks
-// never cross (hosts are co-located with their leaf), so only inter-switch
-// trunks are examined. A plan that cuts nothing (or a zero lookahead link
-// on the cut) is an error — conservative parallel execution needs strictly
-// positive lookahead to make progress.
-func (f *Fabric) MinInterPartitionDelay(plan PartitionPlan) (sim.Duration, error) {
-	if len(plan.SwitchPart) != len(f.switches) {
-		return 0, fmt.Errorf("fabric: plan covers %d switches, fabric has %d",
-			len(plan.SwitchPart), len(f.switches))
-	}
-	var min sim.Duration
-	found := false
-	for i, n := range f.switches {
-		for port, j := range n.peers {
-			if j < 0 || plan.SwitchPart[i] == plan.SwitchPart[j] {
-				continue
-			}
-			d := n.s.Port(port).Delay()
-			if d <= 0 {
-				return 0, fmt.Errorf("fabric: cross-partition link %s->%s has zero propagation delay (no lookahead)",
-					n.name, f.switches[j].name)
-			}
-			if !found || d < min {
-				min, found = d, true
-			}
-		}
-	}
-	if !found {
-		return 0, fmt.Errorf("fabric: partition plan cuts no links (%d partitions over %d switches)",
-			plan.Parts, len(f.switches))
-	}
-	return min, nil
 }

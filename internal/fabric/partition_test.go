@@ -68,53 +68,6 @@ func TestPartitionSpecErrors(t *testing.T) {
 	}
 }
 
-func TestMinInterPartitionDelay(t *testing.T) {
-	spec := Spec{Kind: KindLeafSpine, Leaves: 2, Spines: 2}
-	eng := sim.NewEngine()
-	f, _ := build(t, eng, spec, 4, map[packet.FlowID]int{}, func(c *Config) {
-		c.LinkDelay = 3 * sim.Microsecond
-	})
-	plan, err := PartitionSpec(spec, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	look, err := f.MinInterPartitionDelay(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if look != 3*sim.Microsecond {
-		t.Errorf("lookahead = %v, want the 3us trunk delay", look)
-	}
-
-	// A plan sized for a different fabric is rejected.
-	if _, err := f.MinInterPartitionDelay(PartitionPlan{Parts: 2, SwitchPart: []int{0, 1}}); err == nil {
-		t.Error("mismatched plan accepted")
-	}
-	// A plan that cuts nothing has no lookahead to offer.
-	if _, err := f.MinInterPartitionDelay(PartitionPlan{
-		Parts: 1, SwitchPart: []int{0, 0, 0, 0},
-	}); err == nil {
-		t.Error("cut-free plan accepted")
-	}
-}
-
-func TestPropagationDelayLookup(t *testing.T) {
-	eng := sim.NewEngine()
-	f, _ := build(t, eng, Spec{Kind: KindDumbbell}, 2, map[packet.FlowID]int{}, func(c *Config) {
-		c.LinkDelay = 5 * sim.Microsecond
-	})
-	d, err := f.PropagationDelay("left->right")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 5*sim.Microsecond {
-		t.Errorf("PropagationDelay(left->right) = %v, want 5us", d)
-	}
-	if _, err := f.PropagationDelay("left->nowhere"); err == nil {
-		t.Error("unknown link accepted")
-	}
-}
-
 // TestEnginesHookDoesNotPerturbDraws is the RNG re-partitioning regression:
 // supplying an Engines hook (here mapping every switch to the same engine,
 // so the build exercises the hook without needing a runner) must leave every

@@ -23,9 +23,6 @@ type CampaignOptions struct {
 	// ReproDir, when set, receives one rendered scenario file per
 	// violating config (minimized when Minimize is set).
 	ReproDir string
-	// PoolAudit bounds how many quiet configs get the serial pool-leak
-	// audit (0 = default 8; negative = none).
-	PoolAudit int
 	// Out receives the campaign report. Only simulation-derived values
 	// are written — no wall-clock, no worker attribution — so output is
 	// byte-identical for a given (N, Seed) at any parallelism.
@@ -41,8 +38,7 @@ type CampaignResult struct {
 }
 
 // RunCampaign generates N seeded configs, checks them against every
-// oracle on a fleet worker pool, serially audits the packet pool on a
-// sample of quiet configs, and minimizes + renders any violations.
+// oracle on a fleet worker pool, and minimizes + renders any violations.
 func RunCampaign(opts CampaignOptions) (*CampaignResult, error) {
 	if opts.Out == nil {
 		opts.Out = os.Stdout
@@ -101,32 +97,7 @@ func RunCampaign(opts CampaignOptions) (*CampaignResult, error) {
 		return nil, err
 	}
 
-	// Phase 2: serial pool-leak audit. The live-packet counter is
-	// process-global, so these runs must not overlap any other
-	// simulation; they run here, after the fleet has drained.
-	audit := opts.PoolAudit
-	if audit == 0 {
-		audit = 8
-	}
-	for i := 0; i < opts.N && audit > 0; i++ {
-		if !configs[i].quietEligible() {
-			continue
-		}
-		audit--
-		v, err := CheckPoolLeak(configs[i])
-		switch {
-		case err != nil:
-			res.Errors++
-			fmt.Fprintf(opts.Out, "pool %04d ERROR %v\n", i, err)
-		case v != nil:
-			res.Violations = append(res.Violations, *v)
-			fmt.Fprintf(opts.Out, "pool %04d VIOLATION %s\n", i, v)
-		default:
-			fmt.Fprintf(opts.Out, "pool %04d ok\n", i)
-		}
-	}
-
-	// Phase 3: minimize and render repros for violating configs.
+	// Phase 2: minimize and render repros for violating configs.
 	for i := 0; i < opts.N; i++ {
 		vs := verdicts[i].violations
 		if len(vs) == 0 {

@@ -24,12 +24,12 @@ const (
 	OracleSanity       = "sanity"
 	OracleLiveness     = "liveness"
 	OracleCCState      = "ccstate"
+	OraclePoolLeak     = "poolleak"
 	OracleDeterminism  = "determinism"
 	OracleShardEquiv   = "shardequiv"
 	OracleRefEngine    = "refengine"
 	OracleScale        = "scale"
 	OraclePermute      = "permute"
-	OraclePoolLeak     = "poolleak"
 )
 
 // quietEligible reports whether the config's traffic is fully scripted
@@ -92,6 +92,7 @@ func CheckAll(cfg Config) ([]Violation, error) {
 	add(checkSanity(cfg, base))
 	add(checkLiveness(cfg, base))
 	add(checkCCState(cfg.Spec.Algorithm, cfg.Spec.Seed))
+	add(checkPoolLeak(cfg, base))
 
 	rerun, err := execute(cfg)
 	if err != nil {
@@ -143,9 +144,6 @@ func CheckOne(cfg Config, oracle string) (*Violation, error) {
 		}
 		return checkShardEquiv(cfg)
 	}
-	if oracle == OraclePoolLeak {
-		return CheckPoolLeak(cfg)
-	}
 	base, err := execute(cfg)
 	if err != nil {
 		return nil, err
@@ -157,6 +155,8 @@ func CheckOne(cfg Config, oracle string) (*Violation, error) {
 		return checkSanity(cfg, base), nil
 	case OracleLiveness:
 		return checkLiveness(cfg, base), nil
+	case OraclePoolLeak:
+		return checkPoolLeak(cfg, base), nil
 	case OracleDeterminism:
 		rerun, err := execute(cfg)
 		if err != nil {
@@ -385,30 +385,18 @@ func checkPermute(cfg Config, base *runResult) (*Violation, error) {
 	return nil, nil
 }
 
-// CheckPoolLeak runs the config with packet-pool accounting enabled and a
-// quiet settling tail, then audits the live-packet counter. The counter
-// is process-global, so this must never run concurrently with any other
-// simulation — the campaign runs it in a dedicated serial phase.
-func CheckPoolLeak(cfg Config) (*Violation, error) {
-	if !cfg.quietEligible() {
-		return nil, nil
+// checkPoolLeak audits the run's own packet pools: once a quiet config's
+// flows have all completed, every packet and telemetry record its tester
+// minted is back in the tester's pools at the horizon, which the generator
+// places at least 5 ms past the last flow start. A packet still out is a
+// leak even when nothing else notices it.
+func checkPoolLeak(cfg Config, r *runResult) *Violation {
+	if !cfg.quietEligible() || len(r.FCTs) != len(cfg.flows()) {
+		return nil // a flow that did not complete is the liveness oracle's
 	}
-	packet.SetAccounting(true)
-	defer packet.SetAccounting(false)
-	before := packet.Live()
-
-	tail := cfg
-	tail.finish(cfg.Horizon() + 5*sim.Millisecond) // settle: let every in-flight packet land
-	res, err := execute(tail)
-	if err != nil {
-		return nil, err
+	if r.Outstanding != 0 || r.OutstandingINT != 0 {
+		return &Violation{OraclePoolLeak, fmt.Sprintf("%d packets and %d telemetry records still out at the horizon",
+			r.Outstanding, r.OutstandingINT)}
 	}
-	if len(res.FCTs) != len(cfg.flows()) {
-		// Liveness problem, not a leak; that oracle reports it.
-		return nil, nil
-	}
-	if live := packet.Live() - before; live != 0 {
-		return &Violation{OraclePoolLeak, fmt.Sprintf("%d packets still live after completion and settling", live)}, nil
-	}
-	return nil, nil
+	return nil
 }

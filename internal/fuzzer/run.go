@@ -33,6 +33,9 @@ type runResult struct {
 	Goodput map[packet.FlowID]uint64 // delivered bits
 	Queues  []queueBalance
 	Sched   error // the NICs' scheduler self-check at the horizon
+	// Outstanding and OutstandingINT are the packets and telemetry records
+	// the tester's pools have minted and not got back at the horizon.
+	Outstanding, OutstandingINT int
 }
 
 // execute deploys the config, runs it to its horizon and returns the
@@ -60,6 +63,7 @@ func execute(cfg Config) (*runResult, error) {
 	}
 	res.Queues = collectQueues(tr)
 	res.Sched = tr.CheckScheduler()
+	res.Outstanding, res.OutstandingINT = tr.Outstanding()
 	return res, nil
 }
 

@@ -375,8 +375,7 @@ func TestQueueSuppressMarking(t *testing.T) {
 // PFC-paused port must be Released exactly once — by the link on a carrier
 // loss, by the sink on eventual delivery. Runs under -race in CI.
 func TestPoolOwnershipDownedAndPausedPaths(t *testing.T) {
-	packet.SetAccounting(true)
-	defer packet.SetAccounting(false)
+	pool := new(packet.Pool)
 
 	eng := sim.NewEngine()
 	delivered := 0
@@ -386,23 +385,23 @@ func TestPoolOwnershipDownedAndPausedPaths(t *testing.T) {
 	// Carrier-loss path: the link owns and Releases every arrival.
 	l.SetDown(true)
 	for i := 0; i < 50; i++ {
-		l.Send(data(1, uint32(i), 500))
+		l.Send(pool.NewData(1, uint32(i), 500, 0))
 	}
 	eng.RunAll()
-	if n := packet.Live(); n != 0 {
+	if n, _ := packet.Outstanding(pool); n != 0 {
 		t.Fatalf("downed link leaked %d packets", n)
 	}
 
 	// Hold-then-recover path: queued frames survive the outage and drain.
 	l.SetDown(false)
 	for i := 0; i < 50; i++ {
-		l.Send(data(1, uint32(i), 500))
+		l.Send(pool.NewData(1, uint32(i), 500, 0))
 	}
 	l.SetDown(true)
 	eng.RunAll()
 	l.SetDown(false)
 	eng.RunAll()
-	if n := packet.Live(); n != 0 {
+	if n, _ := packet.Outstanding(pool); n != 0 {
 		t.Fatalf("down/up cycle leaked %d packets (delivered %d)", n, delivered)
 	}
 
@@ -416,7 +415,7 @@ func TestPoolOwnershipDownedAndPausedPaths(t *testing.T) {
 	}
 	before := delivered
 	for i := 0; i < 100; i++ {
-		feeder.Send(data(2, uint32(i), 1000))
+		feeder.Send(pool.NewData(2, uint32(i), 1000, 0))
 	}
 	eng.RunAll()
 	if pfc.Pauses() == 0 {
@@ -425,7 +424,7 @@ func TestPoolOwnershipDownedAndPausedPaths(t *testing.T) {
 	if delivered-before != 100 {
 		t.Fatalf("delivered %d of 100 through the paused path", delivered-before)
 	}
-	if n := packet.Live(); n != 0 {
+	if n, _ := packet.Outstanding(pool); n != 0 {
 		t.Fatalf("PFC pause path leaked %d packets", n)
 	}
 }

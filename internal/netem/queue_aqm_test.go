@@ -35,10 +35,10 @@ func drainAll(q *Queue) int {
 
 // forcePI2 saturates a PI2 discipline's controller so every arrival is
 // marked: hold a large standing delay across many update intervals.
-func forcePI2(q *Queue, now *sim.Time) {
+func forcePI2(q *Queue, now *sim.Time, pool *packet.Pool) {
 	for i := 0; i < 400; i++ {
 		*now = now.Add(16 * sim.Millisecond)
-		p := packet.NewData(1, uint32(i), 1500, *now)
+		p := pool.NewData(1, uint32(i), 1500, *now)
 		if !q.Enqueue(p) {
 			p.Release()
 		}
@@ -56,7 +56,7 @@ func forcePI2(q *Queue, now *sim.Time) {
 func TestAQMMarkResolvesToCE(t *testing.T) {
 	var now sim.Time
 	q := aqmQueue(t, "pi2", 1<<20, &now)
-	forcePI2(q, &now)
+	forcePI2(q, &now, nil)
 	st := q.Stats()
 	as := q.AQMStats()
 	if as == nil || as.Discipline != "pi2" {
@@ -75,18 +75,17 @@ func TestAQMMarkResolvesToCE(t *testing.T) {
 // queue level: with marking suppressed, a PI2 Mark verdict must become a
 // drop (no CE anywhere), and lifting the suppression restores marking.
 func TestAQMMarkFallsBackToDrop(t *testing.T) {
-	packet.SetAccounting(true)
-	defer packet.SetAccounting(false)
+	pool := new(packet.Pool)
 	var now sim.Time
 	q := aqmQueue(t, "pi2", 1<<20, &now)
-	forcePI2(q, &now)
+	forcePI2(q, &now, pool)
 	drainAll(q)
 	base := q.Stats()
 
 	q.SuppressMarking(true)
 	for i := 0; i < 50; i++ {
 		now = now.Add(16 * sim.Millisecond)
-		p := packet.NewData(9, uint32(i), 1500, now)
+		p := pool.NewData(9, uint32(i), 1500, now)
 		if q.Enqueue(p) {
 			if p.Flags.Has(packet.FlagCE) {
 				t.Fatal("CE mark applied while marking suppressed")
@@ -107,7 +106,7 @@ func TestAQMMarkFallsBackToDrop(t *testing.T) {
 	sawCE := false
 	for i := 0; i < 50 && !sawCE; i++ {
 		now = now.Add(16 * sim.Millisecond)
-		p := packet.NewData(9, uint32(100+i), 1500, now)
+		p := pool.NewData(9, uint32(100+i), 1500, now)
 		if q.Enqueue(p) {
 			sawCE = p.Flags.Has(packet.FlagCE)
 		} else {
@@ -118,7 +117,7 @@ func TestAQMMarkFallsBackToDrop(t *testing.T) {
 		t.Fatal("marking did not resume after the ecnoff window closed")
 	}
 	drainAll(q)
-	if live := packet.Live(); live != 0 {
+	if live, _ := packet.Outstanding(pool); live != 0 {
 		t.Fatalf("leaked %d packets through AQM drop paths", live)
 	}
 }
@@ -129,7 +128,7 @@ func TestAQMMarkFallsBackToDrop(t *testing.T) {
 func TestAQMNotECTDegradesToDrop(t *testing.T) {
 	var now sim.Time
 	q := aqmQueue(t, "pi2", 1<<20, &now)
-	forcePI2(q, &now)
+	forcePI2(q, &now, nil)
 	drainAll(q)
 	base := q.Stats()
 	for i := 0; i < 50; i++ {
@@ -210,12 +209,11 @@ func TestAQMSojournPercentile(t *testing.T) {
 // CoDel queue is head-dropped inside Dequeue, and the next deliverable
 // packet comes out instead.
 func TestAQMCoDelHeadDrop(t *testing.T) {
-	packet.SetAccounting(true)
-	defer packet.SetAccounting(false)
+	pool := new(packet.Pool)
 	var now sim.Time
 	q := aqmQueue(t, "codel:target=1ms,interval=10ms", 1<<20, &now)
 	for i := 0; i < 200; i++ {
-		p := packet.NewDataECT(1, uint32(i), 1000, now, packet.NotECT)
+		p := pool.NewDataECT(1, uint32(i), 1000, now, packet.NotECT)
 		if !q.Enqueue(p) {
 			p.Release()
 		}
@@ -242,7 +240,7 @@ func TestAQMCoDelHeadDrop(t *testing.T) {
 	if delivered+int(st.Drops) != 200 {
 		t.Fatalf("conservation: delivered %d + drops %d != 200", delivered, st.Drops)
 	}
-	if live := packet.Live(); live != 0 {
+	if live, _ := packet.Outstanding(pool); live != 0 {
 		t.Fatalf("leaked %d packets in head-drop path", live)
 	}
 }
@@ -267,8 +265,7 @@ func (f fixedVerdict) OnDequeue(*packet.Packet, int, sim.Duration, aqm.QueueView
 // falls back to a drop (marking suppressed, or a Not-ECT packet), and a
 // dequeue head drop (CoDel's).
 func TestAQMDropBytes(t *testing.T) {
-	packet.SetAccounting(true)
-	defer packet.SetAccounting(false)
+	pool := new(packet.Pool)
 	for _, c := range []struct {
 		name     string
 		disc     fixedVerdict
@@ -285,7 +282,7 @@ func TestAQMDropBytes(t *testing.T) {
 		q.SuppressMarking(c.suppress)
 		var bytes uint64
 		for i := 0; i < 5; i++ {
-			p := packet.NewDataECT(1, uint32(i), 100+10*i, 0, c.ect)
+			p := pool.NewDataECT(1, uint32(i), 100+10*i, 0, c.ect)
 			bytes += uint64(p.Size)
 			if !q.Enqueue(p) {
 				p.Release()
@@ -301,7 +298,7 @@ func TestAQMDropBytes(t *testing.T) {
 				c.name, st.Drops, st.DropBytes, q.AQMStats().Drops, bytes)
 		}
 	}
-	if live := packet.Live(); live != 0 {
+	if live, _ := packet.Outstanding(pool); live != 0 {
 		t.Fatalf("leaked %d packets through AQM drop paths", live)
 	}
 }

@@ -267,25 +267,28 @@ var (
 // the Go scheduler moves the goroutine between Ps, so allocation counts
 // taken around a run vary from one process to the next.
 //
+// A pool keeps its own books: it counts the packets and telemetry records
+// it has minted, and Outstanding sets them against its free lists, so a
+// test or an oracle can audit one tester for leaks while others run.
+//
 // A nil *Pool is the shared pool, which any goroutine may use; it serves
-// callers outside a tester. A non-nil one must only be used, through its
-// packets' Release and Clone too, by one goroutine at a time. A packet that
-// crosses to another goroutine's simulation changes pools on arrival
-// (Adopt), and Balance moves free packets between pools while none of
-// their goroutines runs.
+// callers outside a tester, and counts only what it hands out
+// (SharedTakes). A non-nil one must only be used, through its packets'
+// Release and Clone too, by one goroutine at a time. A packet that crosses
+// to another goroutine's simulation changes pools on arrival (Adopt), and
+// Balance moves free packets between pools while none of their goroutines
+// runs.
 type Pool struct {
 	free []*Packet
 	// ints is the free list of telemetry records its packets carry: a
 	// record is taken when a hop first stamps a packet and comes back on
 	// the packet's Release, so a tester without INT never takes one.
 	ints []*INTRecord
-	// slab is the size of the last slab Get allocated: a cold pool grows
-	// in slabs of 8, 16, 32 and then 64 packets, so a short test pays a
-	// handful of allocations for its packets, not one each.
-	slab int
-	// madeINT is set once the pool has allocated a telemetry record. With
-	// slab > 0 it tells Balance which pools mint what.
-	madeINT bool
+	// minted counts the packets in the slabs Get has allocated: a cold pool
+	// grows in slabs of 8, 16, 32 and then 64 packets, so a short test
+	// pays a handful of allocations for its packets, not one each.
+	// mintedINT counts the telemetry records it has allocated.
+	minted, mintedINT int
 }
 
 // Slab bounds for a Pool's growth: a small first slab keeps a tester that
@@ -296,33 +299,30 @@ const (
 	maxSlab = 64
 )
 
-// accounting, when non-zero, makes Get/Release maintain the live-packet
-// counter. It is a test-only facility for pool-ownership audits: production
-// paths pay one relaxed atomic load per Get/Release and nothing else.
-var accounting atomic.Bool
+// shared counts the packets and telemetry records taken from the shared
+// pool.
+var shared atomic.Int64
 
-// live is the number of packets obtained from a pool and not yet Released,
-// and shared the number of packets and telemetry records taken from the
-// shared pool, both counted only while accounting is enabled.
-var live, shared atomic.Int64
-
-// SetAccounting enables or disables live-packet accounting and resets the
-// counter. Tests wrap a traffic pattern with SetAccounting(true) /
-// Live()==0 assertions to prove every packet is Released exactly once.
-func SetAccounting(on bool) {
-	accounting.Store(on)
-	live.Store(0)
-	shared.Store(0)
-}
-
-// Live returns the number of outstanding (un-Released) packets taken from
-// any pool since accounting was enabled. Meaningless when accounting is off.
-func Live() int64 { return live.Load() }
-
-// SharedTakes returns how many packets and telemetry records were taken
-// from the shared pool (a nil *Pool) since accounting was enabled: a test
-// of a path that must draw only from pools of its own expects 0.
+// SharedTakes returns how many packets and telemetry records have been
+// taken from the shared pool (a nil *Pool) since the process started: a
+// test of a path that must draw only from pools of its own expects its
+// change over the run to be 0.
 func SharedTakes() int64 { return shared.Load() }
+
+// Outstanding returns how many packets and telemetry records the pools
+// have minted and do not hold free: those a simulation still holds, in
+// flight or leaked. Pass every pool the packets can move between, since
+// Adopt and Balance move them without changing the sum. The shared pool (a
+// nil *Pool) keeps no books and counts 0.
+func Outstanding(pools ...*Pool) (packets, records int) {
+	for _, q := range pools {
+		if q != nil {
+			packets += q.minted - len(q.free)
+			records += q.mintedINT - len(q.ints)
+		}
+	}
+	return packets, records
+}
 
 // Get returns a zeroed Packet from the shared pool. Callers that build a
 // packet field-by-field (wire parsing, custom roles) use Get directly; the
@@ -332,13 +332,8 @@ func Get() *Packet { return (*Pool)(nil).Get() }
 // Get returns a zeroed Packet from q, or from the shared pool when q is
 // nil. Release returns it to the same pool.
 func (q *Pool) Get() *Packet {
-	if accounting.Load() {
-		live.Add(1)
-		if q == nil {
-			shared.Add(1)
-		}
-	}
 	if q == nil {
+		shared.Add(1)
 		return pool.Get().(*Packet)
 	}
 	n := len(q.free)
@@ -351,12 +346,13 @@ func (q *Pool) Get() *Packet {
 	return p
 }
 
-// grow allocates the next slab, keeps its first packet for the caller and
-// puts the rest on the free list, last first, so Get hands them out in
-// address order.
+// grow allocates the next slab, minSlab packets more than the pool has
+// minted (which doubles the last slab) up to maxSlab, keeps its first
+// packet for the caller and puts the rest on the free list, last first, so
+// Get hands them out in address order.
 func (q *Pool) grow() *Packet {
-	q.slab = min(max(minSlab, 2*q.slab), maxSlab)
-	slab := make([]Packet, q.slab)
+	slab := make([]Packet, min(q.minted+minSlab, maxSlab))
+	q.minted += len(slab)
 	q.free = slices.Grow(q.free, len(slab)-1)
 	for i := len(slab) - 1; i > 0; i-- {
 		slab[i].pool = q
@@ -380,9 +376,6 @@ func (p *Packet) Release() {
 		pool.Put(p)
 	} else {
 		q.free = append(q.free, p)
-	}
-	if accounting.Load() {
-		live.Add(-1)
 	}
 }
 
@@ -419,10 +412,10 @@ func Balance(pools []*Pool, reserve *Pool, high int) {
 // keep returns how many free packets and telemetry records Balance leaves
 // q: high of each kind q has minted, none of the others.
 func (q *Pool) keep(high int) (n, m int) {
-	if q.slab > 0 {
+	if q.minted > 0 {
 		n = high
 	}
-	if q.madeINT {
+	if q.mintedINT > 0 {
 		m = high
 	}
 	return n, m
@@ -533,14 +526,12 @@ func (p *Packet) ClearINT() {
 // record pool when q is nil.
 func (q *Pool) getINT() *INTRecord {
 	if q == nil {
-		if accounting.Load() {
-			shared.Add(1)
-		}
+		shared.Add(1)
 		return intPool.Get().(*INTRecord)
 	}
 	n := len(q.ints)
 	if n == 0 {
-		q.madeINT = true
+		q.mintedINT++
 		return new(INTRecord)
 	}
 	r := q.ints[n-1]

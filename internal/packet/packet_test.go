@@ -152,6 +152,7 @@ func TestPoolRecyclesItsOwnPackets(t *testing.T) {
 // leaves every pool with at most high free packets and records of each
 // kind it mints and none of a kind it never minted, filling the short ones
 // from what the others had above that before the reserve keeps the rest.
+// Neither moves what Outstanding counts over the pools involved.
 func TestAdoptAndBalance(t *testing.T) {
 	from, to := new(Pool), new(Pool)
 	p := from.NewData(1, 2, 1024, 0)
@@ -161,6 +162,9 @@ func TestAdoptAndBalance(t *testing.T) {
 	p.Release()
 	if len(from.free) != spare || len(to.free) != 1 || len(to.ints) != 1 || to.free[0].pool != to {
 		t.Fatalf("an adopted packet went back to its old pool: %d and %d free", len(from.free), len(to.free))
+	}
+	if n, m := Outstanding(from, to); n != 0 || m != 0 {
+		t.Fatalf("Outstanding after an adopted packet's Release = (%d, %d), want (0, 0)", n, m)
 	}
 
 	rich, poor, idle, reserve := new(Pool), new(Pool), new(Pool), new(Pool)
@@ -178,6 +182,9 @@ func TestAdoptAndBalance(t *testing.T) {
 	// idle, like a partition of transit switches, never mints: it gets
 	// nothing. poor never took a record: it gets packets only.
 	Balance([]*Pool{rich, poor, idle}, reserve, 10)
+	if n, m := Outstanding(rich, poor, idle, reserve); n != 1 || m != 0 {
+		t.Errorf("Outstanding after Balance = (%d, %d), want poor's one packet and no record", n, m)
+	}
 	for name, c := range map[string]struct {
 		q          *Pool
 		free, ints int

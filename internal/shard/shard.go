@@ -200,7 +200,7 @@ type Runner struct {
 	// keep the pools they were made in; reserve holds the free packets the
 	// barrier took from pools above PoolHighWater and no pool lacked yet.
 	pools   []*packet.Pool
-	reserve packet.Pool
+	reserve *packet.Pool
 }
 
 // PoolHighWater is how many free packets (and telemetry records) a
@@ -281,14 +281,15 @@ func (r *Runner) Stats() Stats {
 // SetPools gives partition i the packet pool pools[i], which the devices
 // on its engine draw from. A packet carried into partition i is adopted by
 // pools[i] as it is delivered, on i's goroutine, and at every barrier the
-// coordinator evens out the pools' free lists (packet.Balance), so a
-// partition that absorbs others' packets does not hoard them while the one
-// minting them allocates. Call it before the first Portal.
-func (r *Runner) SetPools(pools []*packet.Pool) {
+// coordinator evens out the pools' free lists (packet.Balance) through
+// reserve, so a partition that absorbs others' packets does not hoard them
+// while the one minting them allocates. The caller owns reserve and counts
+// it with the pools (packet.Outstanding). Call it before the first Portal.
+func (r *Runner) SetPools(pools []*packet.Pool, reserve *packet.Pool) {
 	if len(pools) != len(r.parts) {
 		panic(fmt.Sprintf("shard: %d pools for %d partitions", len(pools), len(r.parts)))
 	}
-	r.pools = pools
+	r.pools, r.reserve = pools, reserve
 }
 
 // Portal builds the netem.Remote endpoint for a link draining on srcEng
@@ -386,7 +387,7 @@ func (r *Runner) Run(until sim.Time) {
 			r.drained = captured
 		}
 		if r.pools != nil {
-			packet.Balance(r.pools, &r.reserve, PoolHighWater)
+			packet.Balance(r.pools, r.reserve, PoolHighWater)
 		}
 		r.replayDeferred()
 		for _, e := range r.parts {

@@ -376,7 +376,7 @@ func TestPoolsFollowTheirPackets(t *testing.T) {
 			warmWheel(e)
 		}
 		pools := []*packet.Pool{new(packet.Pool), new(packet.Pool)}
-		r.SetPools(pools)
+		r.SetPools(pools, new(packet.Pool))
 		p := r.Portal(a, b, &countingSink{})
 		var tick sim.Func
 		tick = func() {
